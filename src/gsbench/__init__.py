@@ -3,7 +3,7 @@
 Submodules:
   weights     weight functions, Young conjugates, condition checks
   sequences   weight sequences, associated weight, sequence conditions
-  fdb         exact Faa di Bruno engine over partition multi-indices
+  fdb         Faa di Bruno by partial Bell polynomials, partitions
   functions   model functions, jets, seminorm estimators, growth index
   experiments inequality-chain experiments (proof skeletons)
   cli         deterministic command-line front end
@@ -16,8 +16,8 @@ from .experiments import (bounded_derivative_chain, cauchy_derivative_bound,
                           equicontinuity_constant, necessary_growth,
                           negative_chain, nuclearity_sum,
                           sufficient_condition_check)
-from .fdb import (Jet, compose_jet, enumerate_partitions, faa_di_bruno,
-                  identity_lah, identity_two_power,
+from .fdb import (BellTable, Jet, compose_jet, enumerate_partitions,
+                  faa_di_bruno, identity_lah, identity_two_power,
                   iter_partition_multi_indices, partition_count,
                   single_jet_compose)
 from .functions import (Gaussian, GevreyBump, IndexEstimate, ModelFunction,

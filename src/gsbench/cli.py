@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -86,6 +87,9 @@ def validate_config(cfg: RunConfig) -> list:
         v = getattr(a, flag, None)
         if v is not None and isinstance(v, (int, float)) and v <= 0:
             diags.append(f"--{flag} must be positive")
+    for flag, v in vars(a).items():
+        if isinstance(v, float) and not math.isfinite(v):
+            diags.append(f"--{flag} must be finite")
     return diags
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (CapabilityError, PreconditionError, RegimeError,
                      SearchExhaustedError)
-from .fdb import Jet, compose_jet, faa_di_bruno, single_jet_compose
+from .fdb import BellTable, Jet, compose_jet, single_jet_compose
 from .functions import ModelFunction, jet_log_abs
 from .grids import GridSpec
 from .logdomain import LOG_ZERO, LogReal, log_sum_exp
@@ -52,13 +52,14 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
         columns=["n", "log_b_n", "log_full_fdb", "log_shortcut",
                  "log_deriv_power", "verdict"])
     base = psi_jet.values[0].to_float()
+    bell = BellTable(psi_jet, nmax)
     first_cross = None
     for n in range(1, nmax + 1):
         bn = LogReal.from_log(1, p * conj(n / p))
         h_vals = [LogReal.zero()] * (nmax + 1)
         h_vals[n] = bn
         h_jet = Jet.from_logreals(base, h_vals)
-        full = faa_di_bruno(h_jet, psi_jet, n)
+        full = bell.derivative(h_jet, n)
         short = single_jet_compose(h_jet, psi_jet, n)
         agree = (full.sign == short.sign
                  and abs(full.log_abs - short.log_abs)

@@ -1,20 +1,35 @@
-"""Exact Faa di Bruno engine.
+"""Faa di Bruno composition of jets by the partial Bell-polynomial recurrence.
 
-Derivatives of a composition h(psi(x)) at a point are expanded over multi-
-indices (k_1, ..., k_j) with sum(l * k_l) = j.  Multinomials and the l!-power
-denominators are exact big integers; jets carry either exact rationals or
-signed log-magnitude entries, and the two pipelines never mix inside a single
-summation.
+For h(psi(x)) at a point x0, with h's jet taken at psi(x0),
+
+    (h o psi)^(n) = sum_k h^(k) B(n, k),
+
+where the partial Bell polynomials B(n, k) of psi'(x0), psi''(x0), ... obey
+
+    B(0, 0) = 1,   B(n, k) = sum_i C(n-1, i-1) psi^(i) B(n-i, k-1)
+
+(Comtet, *Advanced Combinatorics*, 1974, section 3.3).  A table of B(n, k)
+for 0 <= k <= n <= J costs O(J^3) terms; orders i with psi^(i) = 0 are
+skipped, so an inner jet with a bounded number of nonzero derivatives (a
+polynomial such as x^2) costs O(J^2).  The table depends on psi alone and is
+shared by every outer jet h and every order n.  One recurrence serves both
+jet kinds: exact rationals, and signed log magnitudes where every entry is a
+max-shifted ``math.fsum`` of its terms, as in ``signed_log_sum``.
+
+Partition multi-indices (k_1, ..., k_j) with sum(l k_l) = j remain here for
+the summation identities and the partition count; the partition-sum form of
+Faa di Bruno is the independent oracle in the tests.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import PreconditionError
-from .logdomain import LogReal, signed_log_sum
+from .logdomain import LogReal
 
 JetValue = Union[Fraction, LogReal]
 
@@ -44,14 +59,6 @@ class PartitionMultiIndex:
                 m //= math.factorial(kl)
         return m
 
-    def denominator_power(self) -> int:
-        """prod_l (l!)^(k_l) as an exact integer."""
-        p = 1
-        for l, kl in enumerate(self.k_vec, start=1):
-            if kl:
-                p *= math.factorial(l) ** kl
-        return p
-
 
 def iter_partition_multi_indices(j: int) -> Iterator[PartitionMultiIndex]:
     """Stream the multi-indices for order j in lexicographic k_vec order."""
@@ -72,30 +79,6 @@ def iter_partition_multi_indices(j: int) -> Iterator[PartitionMultiIndex]:
 
     vecs = sorted(rec(j, j, {}))
     for v in vecs:
-        yield PartitionMultiIndex(j, v)
-
-
-def _iter_support_partitions(j: int, support: Sequence[int]) -> Iterator[PartitionMultiIndex]:
-    """Multi-indices for order j whose parts all lie in ``support`` (the
-    orders where the inner jet is nonzero); equivalent to filtering the full
-    enumeration but without visiting dead branches."""
-    supp = sorted(set(support), reverse=True)
-
-    def rec(remaining: int, idx: int, counts: dict):
-        if remaining == 0:
-            yield tuple(counts.get(l, 0) for l in range(1, j + 1))
-            return
-        for i in range(idx, len(supp)):
-            part = supp[i]
-            if part > remaining:
-                continue
-            counts[part] = counts.get(part, 0) + 1
-            yield from rec(remaining - part, i, counts)
-            counts[part] -= 1
-            if counts[part] == 0:
-                del counts[part]
-
-    for v in sorted(rec(j, 0, {})):
         yield PartitionMultiIndex(j, v)
 
 
@@ -192,6 +175,101 @@ class Jet:
         return v == 0 if self.kind == "exact" else v.is_zero()
 
 
+# ---------------------------------------------------------------------------
+# Composition
+# ---------------------------------------------------------------------------
+
+class _Ring(NamedTuple):
+    """What the Bell recurrence needs of a jet kind; ``None`` is a zero."""
+
+    one: object
+    lift: Callable    # jet entry -> ring value, or None
+    lower: Callable   # ring value or None -> jet entry
+    weight: Callable  # positive int -> ring value
+    mul: Callable
+    total: Callable   # list of ring values -> their sum, or None
+
+
+def _log_total(terms):
+    """Max-shifted compensated signed sum, as in ``signed_log_sum``."""
+    if len(terms) < 2:
+        return terms[0] if terms else None
+    m = max(t[1] for t in terms)
+    s = math.fsum(sign * math.exp(la - m) for sign, la in terms)
+    if s == 0.0:
+        return None
+    return (1 if s > 0 else -1, m + math.log(abs(s)))
+
+
+_RINGS = {
+    "exact": _Ring(one=Fraction(1),
+                   lift=lambda v: v or None,
+                   lower=lambda v: v or Fraction(0),
+                   weight=int, mul=operator.mul,
+                   total=lambda terms: sum(terms) or None),
+    "log": _Ring(one=(1, 0.0),  # (sign, log|v|)
+                 lift=lambda v: (v.sign, v.log_abs) if v.sign else None,
+                 lower=lambda v: LogReal(*v) if v else LogReal.zero(),
+                 weight=lambda c: (1, math.log(c)),
+                 mul=lambda a, b: (a[0] * b[0], a[1] + b[1]),
+                 total=_log_total),
+}
+
+
+class BellTable:
+    """Partial Bell polynomials B(n, k), 0 <= k <= n <= order, of one inner
+    jet, in that jet's representation."""
+
+    def __init__(self, psi_jet: Jet, order: int):
+        if psi_jet.order < order:
+            raise PreconditionError(
+                f"inner jet has order {psi_jet.order}, need >= {order}")
+        ring = _RINGS[psi_jet.kind]
+        mul, total = ring.mul, ring.total
+        self.kind, self.order, self._ring = psi_jet.kind, order, ring
+        psi = [ring.lift(v) for v in psi_jet.values[:order + 1]]
+        support = [i for i in range(1, order + 1) if psi[i] is not None]
+        rows = [[ring.one]]
+        for n in range(1, order + 1):
+            # C(n-1, i-1) psi^(i) for each nonzero order i <= n, ascending
+            parts = [(i, mul(ring.weight(math.comb(n - 1, i - 1)), psi[i]))
+                     for i in support if i <= n]
+            row = [None] * (n + 1)
+            # B(n, k) = 0 unless k parts from the support can sum to n
+            k_lo, k_hi = ((-(-n // support[-1]), n // support[0]) if support
+                          else (1, 0))
+            for k in range(k_lo, k_hi + 1):
+                terms = []
+                for i, c in parts:
+                    if i > n - k + 1:
+                        break
+                    b = rows[n - i][k - 1]
+                    if b is not None:
+                        terms.append(mul(c, b))
+                row[k] = total(terms)
+            rows.append(row)
+        self._rows = rows
+
+    def derivative(self, h_jet: Jet, n: int) -> JetValue:
+        """(h o psi)^(n), for h's jet at psi's value."""
+        if n == 0:
+            return h_jet.values[0]
+        if h_jet.kind != self.kind:
+            raise PreconditionError("mixed jet representations are not summed")
+        if h_jet.order < n or self.order < n:
+            raise PreconditionError(
+                f"order mismatch: need order >= {n}, got h:{h_jet.order} "
+                f"table:{self.order}")
+        ring = self._ring
+        terms = []
+        for k, b in enumerate(self._rows[n]):
+            if b is not None:
+                h = ring.lift(h_jet.values[k])
+                if h is not None:
+                    terms.append(ring.mul(h, b))
+        return ring.lower(ring.total(terms))
+
+
 def _check_orders(h_jet: Jet, psi_jet: Jet, j: int) -> None:
     if h_jet.order < j or psi_jet.order < j:
         raise PreconditionError(
@@ -202,55 +280,10 @@ def _check_orders(h_jet: Jet, psi_jet: Jet, j: int) -> None:
 
 
 def faa_di_bruno(h_jet: Jet, psi_jet: Jet, j: int) -> JetValue:
-    """(h o psi)^(j) at psi_jet's base point.
-
-    Exact rationals in, exact rational out; log-magnitude jets are summed with
-    the deterministic two-pass signed accumulation.
-    """
-    if j == 0:
-        return h_jet.values[0]
-    _check_orders(h_jet, psi_jet, j)
-    support = [l for l in range(1, j + 1) if not psi_jet.entry_is_zero(l)]
-    if h_jet.kind == "exact":
-        total = Fraction(0)
-        for mi in _iter_support_partitions(j, support):
-            k = mi.k
-            hk = h_jet.values[k]
-            if hk == 0:
-                continue
-            prod = Fraction(mi.multinomial(), mi.denominator_power()) * hk
-            skip = False
-            for l, kl in enumerate(mi.k_vec, start=1):
-                if kl:
-                    pl = psi_jet.values[l]
-                    if pl == 0:
-                        skip = True
-                        break
-                    prod *= pl ** kl
-            if not skip:
-                total += prod
-        return total
-    terms = []
-    for mi in _iter_support_partitions(j, support):
-        k = mi.k
-        hk = h_jet.values[k]
-        if hk.is_zero():
-            continue
-        sign = hk.sign
-        log_abs = hk.log_abs + math.log(mi.multinomial()) - math.log(mi.denominator_power())
-        dead = False
-        for l, kl in enumerate(mi.k_vec, start=1):
-            if kl:
-                pl = psi_jet.values[l]
-                if pl.is_zero():
-                    dead = True
-                    break
-                if pl.sign < 0 and kl % 2 == 1:
-                    sign = -sign
-                log_abs += kl * pl.log_abs
-        if not dead:
-            terms.append(LogReal.from_log(sign, log_abs))
-    return signed_log_sum(terms)
+    """(h o psi)^(j) at psi_jet's base point; exact rationals in, exact
+    rational out.  Several orders or outer jets over one inner jet share a
+    single :class:`BellTable` instead."""
+    return BellTable(psi_jet, j).derivative(h_jet, j)
 
 
 def single_jet_compose(h_jet: Jet, psi_jet: Jet, n: int) -> JetValue:
@@ -274,12 +307,9 @@ def single_jet_compose(h_jet: Jet, psi_jet: Jet, n: int) -> JetValue:
 
 def compose_jet(h_jet: Jet, psi_jet: Jet, J: int) -> Jet:
     """Jet of h o psi at psi_jet's base point, orders 0..J."""
-    if h_jet.order < J or psi_jet.order < J:
-        raise PreconditionError(f"jets must have order >= {J}")
-    values = [h_jet.values[0]]
-    for j in range(1, J + 1):
-        values.append(faa_di_bruno(h_jet, psi_jet, j))
-    return Jet(psi_jet.base_point, tuple(values), h_jet.kind)
+    bell = BellTable(psi_jet, J)
+    values = tuple(bell.derivative(h_jet, j) for j in range(J + 1))
+    return Jet(psi_jet.base_point, values, h_jet.kind)
 
 
 # ---------------------------------------------------------------------------

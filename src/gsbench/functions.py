@@ -22,7 +22,7 @@ from .errors import CapabilityError, DegenerateInputError, PreconditionError
 from .fdb import Jet
 from .grids import GridSpec
 from .logdomain import LOG_ZERO, LogReal
-from .weights import ConjugateEvaluator, WeightFunction
+from .weights import ConjugateEvaluator, WeightFunction, parse_real
 
 _CLOSED_FORM_JMAX = 200
 _BUMP_JMAX = 40
@@ -306,21 +306,30 @@ def parse_function(spec: str) -> ModelFunction:
     if head == "sqrt1px2":
         return Sqrt1px2()
     if head == "poly":
-        return Polynomial([Fraction(c) for c in rest.split(",")])
+        try:
+            return Polynomial([Fraction(c) for c in rest.split(",")])
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(
+                f"poly spec needs rational coefficients, got {spec!r}") from None
     if head == "pow1px2":
         key, _, val = rest.partition("=")
         if key != "a":
             raise PreconditionError(f"pow1px2 spec needs a=<real>, got {spec!r}")
-        return Pow1px2(float(val))
+        return Pow1px2(parse_real(val, spec))
     if head in ("monbump", "gbump"):
         kv = {}
         for item in rest.split(","):
             key, _, val = item.partition("=")
             kv[key] = val
-        if head == "monbump":
-            return MonomialBump(int(kv["n"]), Fraction(kv["a"]),
-                                float(kv.get("r", 1.0)), float(kv.get("g", 1.0)))
-        return GevreyBump(float(kv.get("g", 1.0)), float(kv.get("r", 1.0)))
+        r = parse_real(kv.get("r", 1.0), spec)
+        g = parse_real(kv.get("g", 1.0), spec)
+        if head == "gbump":
+            return GevreyBump(g, r)
+        try:
+            return MonomialBump(int(kv["n"]), Fraction(kv["a"]), r, g)
+        except (KeyError, ValueError, ZeroDivisionError):
+            raise PreconditionError(
+                f"monbump spec needs n=<int>,a=<rational>, got {spec!r}") from None
     raise PreconditionError(f"unknown function spec {spec!r}")
 
 

@@ -7,6 +7,7 @@ Grammar used by the CLI and config files:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ class GridSpec:
             raise PreconditionError(f"unknown grid kind {self.kind!r}")
         if self.n < 2:
             raise PreconditionError("grid needs at least 2 points")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise PreconditionError("grid endpoints must be finite")
         if self.kind == "log" and self.lo <= 0:
             raise PreconditionError("log grid requires lo > 0")
         if self.hi <= self.lo:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError, SearchExhaustedError, TruncationError
 from .grids import GridSpec
-from .weights import ConjugateEvaluator, WeightFunction
+from .weights import ConjugateEvaluator, WeightFunction, parse_real
 
 
 class WeightSequence:
@@ -94,7 +94,7 @@ def parse_sequence(spec: str) -> WeightSequence:
         key, _, val = rest.partition("=")
         if key != "d":
             raise PreconditionError(f"gevreyseq spec needs d=<real>, got {spec!r}")
-        return WeightSequence.gevrey(float(val))
+        return WeightSequence.gevrey(parse_real(val, spec))
     if head == "table":
         return WeightSequence.from_csv(rest)
     raise PreconditionError(f"unknown sequence spec {spec!r}")

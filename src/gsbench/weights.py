@@ -134,6 +134,17 @@ class WeightFunction:
         return WeightFunction.tabulated(ts, vals)
 
 
+def parse_real(text, spec: str) -> float:
+    """A finite float parameter of a mini-language ``spec``."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise PreconditionError(f"bad number {text!r} in {spec!r}") from None
+    if not math.isfinite(v):
+        raise PreconditionError(f"non-finite parameter {text!r} in {spec!r}")
+    return v
+
+
 def parse_weight(spec: str) -> WeightFunction:
     """Parse the weight mini-language: gevrey:d=2 | logpow:s=2 | table:file.csv"""
     head, _, rest = spec.partition(":")
@@ -141,12 +152,12 @@ def parse_weight(spec: str) -> WeightFunction:
         key, _, val = rest.partition("=")
         if key != "d":
             raise PreconditionError(f"gevrey spec needs d=<real>, got {spec!r}")
-        return WeightFunction.gevrey(float(val))
+        return WeightFunction.gevrey(parse_real(val, spec))
     if head == "logpow":
         key, _, val = rest.partition("=")
         if key != "s":
             raise PreconditionError(f"logpow spec needs s=<real>, got {spec!r}")
-        return WeightFunction.logpow(float(val))
+        return WeightFunction.logpow(parse_real(val, spec))
     if head == "table":
         return WeightFunction.from_csv(rest)
     raise PreconditionError(f"unknown weight spec {spec!r}")
@@ -189,7 +200,7 @@ class ConjugateEvaluator:
         self._cache: dict = {}
 
     def __call__(self, s: float) -> float:
-        if s < 0:
+        if not s >= 0:  # also rejects NaN
             raise PreconditionError(f"conjugate argument must be >= 0, got {s}")
         v = self._cache.get(s)
         if v is None:

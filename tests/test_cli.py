@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
-from gsbench.cli import RunConfig, build_parser, validate_config
+from gsbench.cli import RunConfig, build_parser, main, validate_config
+from gsbench.functions import parse_function
 from gsbench.grids import GridSpec
 from gsbench.reports import ChainReport, format_float, to_json_bytes
 from gsbench.errors import PreconditionError
+from gsbench.weights import ConjugateEvaluator, WeightFunction, parse_weight
 
 
 def run_cli(*argv, cwd=None):
@@ -28,6 +30,8 @@ def test_grid_parse_rejects_garbage():
         GridSpec.parse("cubic:1,2,3")
     with pytest.raises(PreconditionError):
         GridSpec.parse("log:0,1,10")
+    with pytest.raises(PreconditionError):
+        GridSpec.parse("lin:nan,5,10")
 
 
 def test_symmetric_points_mirror():
@@ -102,6 +106,29 @@ def test_unwritable_out_diagnostic():
     cfg = parse_cfg(["identities", "--out", "/no/such/dir/x.json"])
     diags = validate_config(cfg)
     assert any("--out" in d for d in diags)
+
+
+# -- malformed or non-finite specs are usage errors (exit 2) ----------------
+
+@pytest.mark.parametrize("argv, flag, parse", [
+    (["conjugate", "--weight", "gevrey:d=abc", "--s", "1"], "--weight",
+     lambda: parse_weight("gevrey:d=abc")),
+    (["estimate-index", "--function", "poly:1,x"], "--function",
+     lambda: parse_function("poly:1,x")),
+    (["estimate-index", "--function", "monbump:n=2"], "--function",
+     lambda: parse_function("monbump:n=2")),
+    (["conjugate", "--weight", "gevrey:d=nan", "--s", "1"], "--weight",
+     lambda: parse_weight("gevrey:d=nan")),
+    (["conjugate", "--weight", "gevrey:d=2", "--s", "nan"], "--s",
+     lambda: ConjugateEvaluator(WeightFunction.gevrey(2))(float("nan"))),
+], ids=["weight-abc", "poly-x", "monbump-missing-a", "weight-nan", "s-nan"])
+def test_bad_spec_exits_2(argv, flag, parse, capsys):
+    with pytest.raises(PreconditionError):
+        parse()
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert flag in out.err and "Traceback" not in out.err
 
 
 # -- end-to-end CLI ---------------------------------------------------------

@@ -10,7 +10,8 @@ from gsbench.experiments import (bounded_derivative_chain,
                                  equicontinuity_constant, necessary_growth,
                                  negative_chain, nuclearity_sum,
                                  sufficient_condition_check)
-from gsbench.functions import Gaussian, Polynomial, Sqrt1px2, parse_function
+from gsbench.functions import (Gaussian, Polynomial, Pow1px2, Sqrt1px2,
+                               parse_function)
 from gsbench.grids import GridSpec
 from gsbench.weights import WeightFunction
 
@@ -33,6 +34,16 @@ def test_compactness_shortcut_agrees_exactly():
     for row in rep.rows:
         assert row["log_full_fdb"] == pytest.approx(row["log_shortcut"],
                                                     rel=1e-10)
+
+
+def test_compactness_full_support_at_nmax_60():
+    # every derivative of (1+x^2)^1.5 at x0 = 1 is nonzero, so the full
+    # expansion at n = 60 has p(60) ~ 9.7e5 partitions; one Bell table of
+    # order 60 serves all rows
+    rep = compactness_blowup(Pow1px2(1.5), 1.0, 1, W2, 60)
+    assert len(rep.rows) == 60
+    assert all(row["verdict"] for row in rep.rows)
+    assert rep.verdict
 
 
 def test_compactness_rejects_flat_slope():
