@@ -23,8 +23,8 @@ from .fdb import (BellTable, Jet, compose_jet, enumerate_partitions,
 from .functions import (Gaussian, GevreyBump, IndexEstimate, ModelFunction,
                         MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
                         estimate_growth_exponent, identity_function,
-                        jet_log_abs, jet_of, parse_function,
-                        seminorm_p_lambda, seminorm_pi)
+                        jet_log_abs, parse_function, seminorm_p_lambda,
+                        seminorm_pi, weighted_log_sup)
 from .grids import DEFAULT_T_GRID, GridSpec
 from .logdomain import LogReal, log_sum_exp, signed_log_sum
 from .reports import ChainReport, atomic_write_bytes, to_json_bytes
@@ -34,7 +34,6 @@ from .sequences import (AssociatedWeight, WeightSequence, associated_weight,
 from .weights import (ConjugateEvaluator, WeightFunction,
                       check_weight_conditions, conjugate_shift_bound,
                       factorial_domination, find_log_scaling_constant,
-                      parse_weight, scaled_weight, verify_log_scaling_constant,
-                      young_conjugate)
+                      parse_weight, scaled_weight, verify_log_scaling_constant)
 
 __version__ = "0.1.0"

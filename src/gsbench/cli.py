@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import experiments
-from .errors import GsbenchError, RegimeError
+from .errors import GsbenchError
 from .fdb import Jet, faa_di_bruno, identity_lah, identity_two_power
-from .functions import (ModelFunction, estimate_growth_exponent, jet_of,
-                        parse_function, seminorm_p_lambda, seminorm_pi)
+from .functions import (estimate_growth_exponent, parse_function,
+                        seminorm_p_lambda, seminorm_pi)
 from .grids import DEFAULT_T_GRID, GridSpec
 from .logdomain import LogReal
 from .reports import atomic_write_bytes, to_json_bytes
@@ -38,7 +38,6 @@ class RunConfig:
     args: argparse.Namespace
     out: Optional[str] = None
     format: str = "json"
-    threads: int = 1
     grid: Optional[GridSpec] = None
     threshold: float = experiments.DEFAULT_THRESHOLD
     diagnostics: list = field(default_factory=list)
@@ -48,8 +47,6 @@ def validate_config(cfg: RunConfig) -> list:
     """Static checks; each diagnostic names the offending flag."""
     diags = []
     a = cfg.args
-    if cfg.threads < 1:
-        diags.append("--threads must be a positive integer")
     if cfg.threshold <= 1.0:
         diags.append("--threshold must exceed 1")
     if cfg.out:
@@ -96,7 +93,6 @@ def validate_config(cfg: RunConfig) -> list:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (CSV for experiments; JSON summary written next to it)")
     p.add_argument("--format", default="json", choices=["json", "csv", "both"])
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--grid", help='grid spec, e.g. "log:1e-2,1e8,2000"')
     p.add_argument("--threshold", type=float,
                    default=experiments.DEFAULT_THRESHOLD,
@@ -338,7 +334,7 @@ def _dispatch(cfg: RunConfig) -> int:
         return 0 if not rep.degenerate else 1
     if cmd == "estimate-index":
         f = parse_function(a.function)
-        est = estimate_growth_exponent(jet_of(f, a.x, a.jmax))
+        est = estimate_growth_exponent(f.jet(a.x, a.jmax))
         _emit({"function": f.label, "x": a.x, "s_hat": est.s_hat,
                "intercept": est.intercept,
                "residual_rms": est.residual_rms}, cfg)
@@ -357,7 +353,6 @@ def main(argv=None) -> int:
     cfg = RunConfig(subcommand=args.subcommand, args=args,
                     out=getattr(args, "out", None),
                     format=getattr(args, "format", "json"),
-                    threads=getattr(args, "threads", 1),
                     threshold=getattr(args, "threshold",
                                       experiments.DEFAULT_THRESHOLD))
     diags = validate_config(cfg)
@@ -367,9 +362,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return _dispatch(cfg)
-    except RegimeError as exc:
-        print(f"gsbench: error: {exc}", file=sys.stderr)
-        return 2
     except GsbenchError as exc:
         print(f"gsbench: error: {exc}", file=sys.stderr)
         return 2

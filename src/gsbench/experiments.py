@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (CapabilityError, PreconditionError, RegimeError,
                      SearchExhaustedError)
 from .fdb import BellTable, Jet, compose_jet, single_jet_compose
-from .functions import ModelFunction, jet_log_abs
+from .functions import ModelFunction, jet_log_abs, weighted_log_sup
 from .grids import GridSpec
 from .logdomain import LOG_ZERO, LogReal, log_sum_exp
 from .reports import ChainReport
@@ -288,20 +288,14 @@ def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
     c0 = max(abs(float(x)) / (1.0 + abs(v)) ** a for x, v in zip(xs, psis))
     rep = SufficientConditionReport(psi=psi.label, weight=w.label, a=a, p=p,
                                     C0=c0)
-    tables = [jet_log_abs(psi.jet(float(x), jmax)) for x in xs]
+    tables = np.array([jet_log_abs(psi.jet(float(x), jmax)) for x in xs])
+    tables[:, 0] = LOG_ZERO  # orders j >= 1 only
+    lp = [-p * math.log1p(abs(v)) for v in psis]
     for m in m_list:
-        best, best_half, witness = -math.inf, -math.inf, None
-        for xi, x in enumerate(xs):
-            logs = tables[xi]
-            lp = p * math.log1p(abs(psis[xi]))
-            for j in range(1, jmax + 1):
-                if logs[j] == LOG_ZERO:
-                    continue
-                v = logs[j] - m * conj(j / m) - lp
-                if v > best:
-                    best, witness = v, {"j": j, "x": float(x)}
-                if j <= jmax // 2 and v > best_half:
-                    best_half = v
+        best, at = weighted_log_sup(tables, conj, m, extra=lp)
+        best_half, _ = weighted_log_sup(tables[:, :jmax // 2 + 1], conj, m,
+                                        extra=lp)
+        witness = None if at is None else {"j": at[1], "x": float(xs[at[0]])}
         rep.per_m[int(m)] = {"log_C_m": best, "witness": witness,
                              "growing": best > best_half + 1e-6}
     return rep
@@ -336,25 +330,6 @@ def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
     return table
 
 
-def _composed_sup(xs, table, conj, m, J_cap, Q_cap, jq_cap) -> tuple:
-    best, witness = LOG_ZERO, None
-    for xi, x in enumerate(xs):
-        lx = LOG_ZERO if x == 0 else math.log(abs(float(x)))
-        logs = table[xi]
-        for j in range(min(J_cap, len(logs) - 1) + 1):
-            if logs[j] == LOG_ZERO:
-                continue
-            for q in range(min(Q_cap, jq_cap - j) + 1):
-                if q and lx == LOG_ZERO:
-                    continue
-                v = logs[j] - m * conj((j + q) / m)
-                if q:
-                    v += q * lx
-                if v > best:
-                    best, witness = v, {"j": j, "q": q, "x": float(x)}
-    return best, witness
-
-
 def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
                             sigma: WeightFunction, m: int, grid: GridSpec,
                             Jmax: int, Qmax: int, jq_cap: int = None,
@@ -373,14 +348,17 @@ def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
         xs = grid.symmetric_points()
     if jet_table is None:
         jet_table = composed_jet_log_table(f, psi, xs, Jmax)
-    best, witness = _composed_sup(xs, jet_table, conj, m, Jmax, Qmax, jq_cap)
+    best, at = weighted_log_sup([logs[:Jmax + 1] for logs in jet_table], conj,
+                                m, xs, Qmax, jq_cap)
+    witness = None if at is None else {"j": at[1], "q": at[2],
+                                       "x": float(xs[at[0]])}
     stable = None
     if check_stability:
         J2 = math.ceil(Jmax * 1.25)
         xs2 = grid.scaled(1.25).symmetric_points()
-        table2 = composed_jet_log_table(f, psi, xs2, J2)
-        b2, _ = _composed_sup(xs2, table2, conj, m, J2,
-                              math.ceil(Qmax * 1.25), math.ceil(jq_cap * 1.25))
+        b2, _ = weighted_log_sup(composed_jet_log_table(f, psi, xs2, J2), conj,
+                                 m, xs2, math.ceil(Qmax * 1.25),
+                                 math.ceil(jq_cap * 1.25))
         stable = abs(b2 - best) < 1e-6 * max(1.0, abs(best))
     return ComposedSeminormResult(f=f.label, psi=psi.label, sigma=sigma.label,
                                   m=m, grid=grid.spec_string(), jq_cap=jq_cap,
@@ -491,22 +469,14 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
         us = grid.symmetric_points()
         logs_f = [jet_log_abs(f.jet(float(u), J)) for u in us]
         # pi_{m,m}(f) on the box
-        pi_m = LOG_ZERO
-        for ui, u in enumerate(us):
-            for jj in range(J + 1):
-                if logs_f[ui][jj] == LOG_ZERO:
-                    continue
-                pi_m = max(pi_m, logs_f[ui][jj] - m * conj(jj / m) + m * w(float(u)))
+        pi_m, _ = weighted_log_sup(logs_f, conj, m,
+                                   extra=[m * w(float(u)) for u in us])
         idxs = sorted({1, len(x_seq) // 2 + 1, len(x_seq)})
         for j in idxs:
             x_j, lam_j = x_seq[j - 1], lambda_seq[j - 1]
-            pi_n = LOG_ZERO
-            for ui, u in enumerate(us):
-                x = float(u) + x_j  # translated argument
-                for jj in range(J + 1):
-                    if logs_f[ui][jj] == LOG_ZERO:
-                        continue
-                    pi_n = max(pi_n, logs_f[ui][jj] - n * conj(jj / n) + n * w(x))
+            # pi_{n,n} of the translate, read at the translated argument
+            pi_n, _ = weighted_log_sup(
+                logs_f, conj, n, extra=[n * w(float(u) + x_j) for u in us])
             lhs = pi_n - lam_j * w(x_j)
             rhs = best + pi_m
             result.spot_rows.append({"j": j, "log_lhs": lhs, "log_rhs": rhs,

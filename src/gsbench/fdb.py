@@ -155,11 +155,6 @@ class Jet:
     def from_logreals(base_point: float, values: Sequence[LogReal]) -> "Jet":
         return Jet(float(base_point), tuple(values), "log")
 
-    def to_exact(self) -> "Jet":
-        if self.kind == "exact":
-            return self
-        raise PreconditionError("cannot promote a log jet to exact")
-
     def to_log(self) -> "Jet":
         if self.kind == "log":
             return self

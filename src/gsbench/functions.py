@@ -1,5 +1,9 @@
 """Model-function library: values, exact/high-order jets, seminorms.
 
+Every seminorm sup runs through one kernel, ``weighted_log_sup``: the max over
+grid points x, orders j and powers k of
+log|f^(j)(x)| - lam phi*((j+k)/lam) + k log|x| + extra(x).
+
 Jet strategy per family:
   * polynomial, monomial bump at 0, gaussian/expsqr at 0: exact rationals
   * gaussian/expsqr elsewhere: Hermite-type three-term recurrence in signed
@@ -143,11 +147,7 @@ class Polynomial(ModelFunction):
         return acc
 
     def jet(self, x, J: int) -> Jet:
-        xq = Fraction(x) if not isinstance(x, float) else None
-        if xq is None:
-            # float base point: exact coefficients, float point; stay exact via
-            # Fraction(x) (floats are rationals)
-            xq = Fraction(x)
+        xq = Fraction(x)  # floats are rationals, so the jet stays exact
         vals = []
         for j in range(J + 1):
             acc = Fraction(0)
@@ -200,9 +200,6 @@ class MonomialBump(ModelFunction):
         if self.n <= J:
             vals[self.n] = self.a
         return Jet.from_rationals(0, vals)
-
-    def log_jet(self, J: int) -> Jet:
-        return self.jet(0, J).to_log()
 
 
 class Sqrt1px2(ModelFunction):
@@ -333,10 +330,6 @@ def parse_function(spec: str) -> ModelFunction:
     raise PreconditionError(f"unknown function spec {spec!r}")
 
 
-def jet_of(f: ModelFunction, x, J: int) -> Jet:
-    return f.jet(x, J)
-
-
 def jet_log_abs(jet: Jet) -> list:
     """log |f^(j)| per entry (exact jets converted via big-int logs)."""
     out = []
@@ -349,6 +342,45 @@ def jet_log_abs(jet: Jet) -> list:
             else:
                 out.append(math.log(abs(v.numerator)) - math.log(v.denominator))
     return out
+
+
+def weighted_log_sup(logs, conj: ConjugateEvaluator, lam: float, xs=None,
+                     K: int = 0, jk_cap: int = None, extra=None) -> tuple:
+    """max over rows x, orders j and powers k <= K (j + k <= jk_cap) of
+
+        logs[x][j] - lam phi*((j+k)/lam) + k log|x| + extra[x]
+
+    with one log-jet row per grid point (xs needed when K > 0).  Returns
+    (value, (xi, j, k)) for the first strict maximum in (x, j, k) order, or
+    (LOG_ZERO, None) when every term is log 0.  Each x row is one
+    (J+1) x (K+1) array, so memory does not grow with the grid."""
+    table = np.asarray(logs, dtype=float)
+    J = table.shape[1] - 1
+    cap = J + K if jk_cap is None else min(jk_cap, J + K)
+    # phi*(s) past the cap is never read: +inf sends those terms to log 0
+    c = np.full(J + K + 1, math.inf)
+    for s in range(cap + 1):
+        c[s] = lam * conj(s / lam)
+    ks = np.arange(K + 1)
+    c_jk = c[np.add.outer(np.arange(J + 1), ks)]
+    best, witness = LOG_ZERO, None
+    with np.errstate(invalid="ignore"):  # inf - inf terms are masked below
+        for xi, row in enumerate(table):
+            v = row[:, None] - c_jk
+            if K:
+                x = float(xs[xi])
+                if x == 0:
+                    v[:, 1:] = LOG_ZERO
+                else:
+                    v[:, 1:] += ks[1:] * math.log(abs(x))
+            if extra is not None:
+                v += extra[xi]
+            v[np.isnan(v)] = LOG_ZERO
+            i = int(v.argmax())
+            if v.flat[i] > best:
+                best = float(v.flat[i])
+                witness = (xi, i // (K + 1), i % (K + 1))
+    return best, witness
 
 
 # ---------------------------------------------------------------------------
@@ -377,25 +409,8 @@ class SeminormReport:
                 "degenerate": self.degenerate}
 
 
-def _p_lambda_scan(f: ModelFunction, lam: float, conj: ConjugateEvaluator,
-                   xs: np.ndarray, J: int, K: int) -> tuple:
-    best, witness = LOG_ZERO, None
-    for x in xs:
-        logs = jet_log_abs(f.jet(float(x), J))
-        lx = LOG_ZERO if x == 0 else math.log(abs(float(x)))
-        for j in range(J + 1):
-            if logs[j] == LOG_ZERO:
-                continue
-            for k in range(K + 1):
-                if k and lx == LOG_ZERO:
-                    continue
-                v = logs[j] - lam * conj((j + k) / lam)
-                if k:
-                    v += k * lx
-                if v > best:
-                    best = v
-                    witness = {"j": j, "k": k, "x": float(x)}
-    return best, witness
+def _jet_logs(f: ModelFunction, xs, J: int) -> list:
+    return [jet_log_abs(f.jet(float(x), J)) for x in xs]
 
 
 def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
@@ -407,32 +422,18 @@ def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
         raise PreconditionError("J + K too large")
     conj = ConjugateEvaluator(w)
     xs = grid.symmetric_points()
-    best, witness = _p_lambda_scan(f, lam, conj, xs, J, K)
+    best, at = weighted_log_sup(_jet_logs(f, xs, J), conj, lam, xs, K)
+    witness = None if at is None else {"j": at[1], "k": at[2],
+                                       "x": float(xs[at[0]])}
     stable = None
     if check_stability and witness is not None:
         xs2 = grid.scaled(1.25).symmetric_points()
-        b2, _ = _p_lambda_scan(f, lam, conj, xs2,
-                               math.ceil(J * 1.25), math.ceil(K * 1.25))
+        b2, _ = weighted_log_sup(_jet_logs(f, xs2, math.ceil(J * 1.25)),
+                                 conj, lam, xs2, math.ceil(K * 1.25))
         stable = abs(b2 - best) < 1e-6 * max(1.0, abs(best))
     return SeminormReport("p_lambda", lam, None, w.label, grid.spec_string(),
                           J, K, best, witness, stable,
                           degenerate=witness is None)
-
-
-def _pi_scan(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
-             conj: ConjugateEvaluator, xs: np.ndarray, J: int) -> tuple:
-    best, witness = LOG_ZERO, None
-    for x in xs:
-        logs = jet_log_abs(f.jet(float(x), J))
-        wx = mu * w(float(x))
-        for j in range(J + 1):
-            if logs[j] == LOG_ZERO:
-                continue
-            v = logs[j] - lam * conj(j / lam) + wx
-            if v > best:
-                best = v
-                witness = {"j": j, "x": float(x)}
-    return best, witness
 
 
 def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
@@ -441,12 +442,17 @@ def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
     """Finite-box lower estimate of
     sup_{j,x} |f^(j)(x)| exp(-lam phi*(j/lam) + mu omega(x))."""
     conj = ConjugateEvaluator(w)
+
+    def scan(xs, J):
+        return weighted_log_sup(_jet_logs(f, xs, J), conj, lam,
+                                extra=[mu * w(float(x)) for x in xs])
+
     xs = grid.symmetric_points()
-    best, witness = _pi_scan(f, lam, mu, w, conj, xs, J)
+    best, at = scan(xs, J)
+    witness = None if at is None else {"j": at[1], "x": float(xs[at[0]])}
     stable = None
     if check_stability and witness is not None:
-        xs2 = grid.scaled(1.25).symmetric_points()
-        b2, _ = _pi_scan(f, lam, mu, w, conj, xs2, math.ceil(J * 1.25))
+        b2, _ = scan(grid.scaled(1.25).symmetric_points(), math.ceil(J * 1.25))
         stable = abs(b2 - best) < 1e-6 * max(1.0, abs(best))
     return SeminormReport("pi", lam, mu, w.label, grid.spec_string(),
                           J, None, best, witness, stable,

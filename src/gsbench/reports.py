@@ -7,6 +7,7 @@ Files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -78,26 +79,16 @@ class ChainReport:
             "first_crossing_index": self.first_crossing_index,
         }
 
-    def write_json(self, path: str) -> None:
-        atomic_write_bytes(path, to_json_bytes(self.summary_dict()))
-
     def write_csv(self, path: str) -> None:
-        d = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".gsbench-")
-        try:
-            with os.fdopen(fd, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(self.columns))
-                writer.writeheader()
-                for row in self.rows:
-                    out = {}
-                    for k in self.columns:
-                        v = row.get(k, "")
-                        if isinstance(v, float):
-                            v = format(v, ".17g")
-                        out[k] = v
-                    writer.writerow(out)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(self.columns))
+        writer.writeheader()
+        for row in self.rows:
+            out = {}
+            for k in self.columns:
+                v = row.get(k, "")
+                if isinstance(v, float):
+                    v = format(v, ".17g")
+                out[k] = v
+            writer.writerow(out)
+        atomic_write_bytes(path, buf.getvalue().encode())

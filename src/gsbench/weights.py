@@ -173,10 +173,6 @@ def scaled_weight(w: WeightFunction, a: float) -> WeightFunction:
                                  label=f"{w.label}^(1/{a:g})")
 
 
-def eval_weight(w: WeightFunction, t: float) -> float:
-    return w(t)
-
-
 class ConjugateEvaluator:
     """Young conjugate phi*(s) with a per-s cache.
 
@@ -248,10 +244,6 @@ class ConjugateEvaluator:
                 fd = g(d)
         t_star = 0.5 * (a + b)
         return max(g(t_star), g(0.0))
-
-
-def young_conjugate(c: ConjugateEvaluator, s: float) -> float:
-    return c(s)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +335,6 @@ def check_weight_conditions(w: WeightFunction, grid: GridSpec = None,
     # (epsilon): int_1^inf omega(y t)/t^2 dt <= C omega(y) + C
     ys = np.logspace(math.log10(max(grid.lo, 1e-2)), math.log10(grid.hi), 30)
     c_req = 0.0
-    eps_ok = True
     for y in ys:
         val, _ = quad(lambda t: w(y * t) / (t * t), 1.0, np.inf, limit=200)
         c_req = max(c_req, val / (w(y) + 1.0))

@@ -16,7 +16,7 @@ import pytest
 from gsbench.experiments import negative_chain, nuclearity_sum, necessary_growth, \
     composed_seminorm_bound, composed_jet_log_table, bounded_derivative_chain
 from gsbench.fdb import Jet, faa_di_bruno, identity_lah, identity_two_power
-from gsbench.functions import Gaussian, Polynomial, estimate_growth_exponent, jet_of
+from gsbench.functions import Gaussian, Polynomial, estimate_growth_exponent
 from gsbench.grids import GridSpec
 from gsbench.sequences import WeightSequence, check_sequence_conditions, \
     doubling_from_sequence
@@ -187,7 +187,7 @@ def test_criterion_10_sequence_conditions():
 
 def test_criterion_11_growth_index_estimator():
     t0 = time.perf_counter()
-    est = estimate_growth_exponent(jet_of(Gaussian(), 0, 80))
+    est = estimate_growth_exponent(Gaussian().jet(0, 80))
     assert 0.45 <= est.s_hat <= 0.55
     # exp(-x^4) series at 0: f^(4m)(0) = (-1)^m (4m)!/m!
     vals = [Fraction(0)] * 81

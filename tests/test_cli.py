@@ -79,7 +79,7 @@ def test_chain_report_csv(tmp_path):
 def parse_cfg(argv):
     args = build_parser().parse_args(argv)
     return RunConfig(subcommand=args.subcommand, args=args,
-                     out=args.out, format=args.format, threads=args.threads,
+                     out=args.out, format=args.format,
                      threshold=args.threshold)
 
 

@@ -2,14 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsbench.errors import (CapabilityError, DegenerateInputError,
                             PreconditionError)
 from gsbench.functions import (Gaussian, GevreyBump, ExpSqr, MonomialBump,
                                Polynomial, Pow1px2, Sqrt1px2,
                                estimate_growth_exponent, identity_function,
-                               jet_log_abs, jet_of, parse_function,
-                               seminorm_p_lambda, seminorm_pi)
+                               jet_log_abs, parse_function,
+                               seminorm_p_lambda, seminorm_pi,
+                               weighted_log_sup)
 from gsbench.grids import GridSpec
 from gsbench.logdomain import LOG_ZERO
 from gsbench.weights import ConjugateEvaluator, WeightFunction
@@ -121,6 +123,88 @@ def test_jet_log_abs_exact_and_log():
     assert jet_log_abs(logj)[0] == pytest.approx(-1.0)
 
 
+# -- weighted-sup kernel ----------------------------------------------------
+
+def naive_weighted_log_sup(logs, conj, lam, xs=None, K=0, jk_cap=None,
+                           extra=None):
+    """Oracle: the plain (x, j, k) triple loop; the first strict max wins."""
+    best, witness = LOG_ZERO, None
+    for xi, row in enumerate(logs):
+        lx = LOG_ZERO if K == 0 or xs[xi] == 0 else math.log(abs(xs[xi]))
+        for j, lj in enumerate(row):
+            if lj == LOG_ZERO:
+                continue
+            for k in range(K + 1):
+                if jk_cap is not None and j + k > jk_cap:
+                    break
+                if k and lx == LOG_ZERO:
+                    continue
+                v = lj - lam * conj((j + k) / lam)
+                if k:
+                    v += k * lx
+                if extra is not None:
+                    v += extra[xi]
+                if v > best:
+                    best, witness = v, (xi, j, k)
+    return best, witness
+
+
+# a few repeated values, so equal terms and tied maxima are common; +-inf
+# extras meet log 0 entries and must not hide the rest of their row
+log_entry = st.sampled_from([LOG_ZERO, LOG_ZERO, -2.5, 0.0, 1.0, 3.75,
+                             math.inf]) | st.floats(-20.0, 20.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_weighted_sup_kernel_matches_triple_loop(data):
+    J = data.draw(st.integers(0, 6), label="J")
+    K = data.draw(st.integers(0, 4), label="K")
+    n = data.draw(st.integers(1, 6), label="n_x")
+    row = st.lists(log_entry, min_size=J + 1, max_size=J + 1)
+    logs = data.draw(st.lists(row, min_size=n, max_size=n), label="logs")
+    xs = data.draw(st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, -3.0])
+                            | st.floats(-9.0, 9.0),
+                            min_size=n, max_size=n), label="xs")
+    if data.draw(st.booleans(), label="x=0 row"):
+        xs[data.draw(st.integers(0, n - 1))] = 0.0
+    if data.draw(st.booleans(), label="repeat a row"):  # exact tie, later x
+        i = data.draw(st.integers(0, n - 1))
+        logs.append(list(logs[i]))
+        xs.append(xs[i])
+    extra = data.draw(st.none() | st.lists(
+        st.sampled_from([0.0, -1.0, 2.0, math.inf, -math.inf])
+        | st.floats(-5.0, 5.0),
+        min_size=len(xs), max_size=len(xs)), label="extra")
+    jk_cap = data.draw(st.none() | st.integers(0, J + K), label="jk_cap")
+    lam = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3]), label="lam")
+    if data.draw(st.booleans(), label="gevrey conjugate"):
+        d = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]), label="d")
+        conj = ConjugateEvaluator(WeightFunction.gevrey(d))
+    else:  # any table, not even monotone: the kernel assumes no shape
+        table = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0])
+                                   | st.floats(-10.0, 10.0),
+                                   min_size=J + K + 1, max_size=J + K + 1),
+                          label="phi*(s/lam)")
+        conj = lambda t: table[round(t * lam)]
+
+    want = naive_weighted_log_sup(logs, conj, lam, xs, K, jk_cap, extra)
+    got = weighted_log_sup(logs, conj, lam, xs, K, jk_cap, extra)
+    assert got == want
+    value, witness = got
+    assert type(value) is float
+    assert witness is None or all(type(i) is int for i in witness)
+
+
+def test_weighted_sup_kernel_tie_keeps_first():
+    # gevrey d=2: phi*(s) = -1 for s <= 1/2, so small s tie
+    conj = ConjugateEvaluator(WeightFunction.gevrey(2))
+    logs = [[LOG_ZERO, 1.0], [1.0, 1.0]]
+    assert weighted_log_sup(logs, conj, 1.0) == (1.0 + 1.0, (1, 0, 0))
+    assert weighted_log_sup(logs, conj, 4.0) == (1.0 + 4.0, (0, 1, 0))
+    assert weighted_log_sup([[LOG_ZERO]], conj, 1.0) == (LOG_ZERO, None)
+
+
 # -- seminorms --------------------------------------------------------------
 
 GRID = GridSpec("lin", 0.05, 6.0, 120)
@@ -166,11 +250,11 @@ def test_seminorm_monotone_in_lambda():
 # -- growth index -----------------------------------------------------------
 
 def test_index_estimator_gaussian():
-    est = estimate_growth_exponent(jet_of(Gaussian(), 0.0, 80))
+    est = estimate_growth_exponent(Gaussian().jet(0.0, 80))
     assert 0.45 <= est.s_hat <= 0.55
 
 
 def test_index_estimator_needs_enough_orders():
     with pytest.raises(DegenerateInputError):
-        estimate_growth_exponent(jet_of(Gaussian(), 0.0, 10),
+        estimate_growth_exponent(Gaussian().jet(0.0, 10),
                                  j_range=range(1, 8))
