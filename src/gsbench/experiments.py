@@ -19,7 +19,7 @@ from .fdb import BellTable, Jet, compose_jet, single_jet_compose
 from .functions import ModelFunction, jet_log_abs, weighted_log_sup
 from .grids import GridSpec
 from .logdomain import LOG_ZERO, LogReal, log_sum_exp
-from .reports import ChainReport
+from .reports import ChainReport, Result
 from .weights import (ConjugateEvaluator, WeightFunction,
                       find_log_scaling_constant, scaled_weight,
                       verify_log_scaling_constant)
@@ -257,7 +257,7 @@ def bounded_derivative_chain(d: float, psi: ModelFunction, mmax: int,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SufficientConditionReport:
+class SufficientConditionReport(Result):
     psi: str
     weight: str
     a: float
@@ -265,12 +265,9 @@ class SufficientConditionReport:
     C0: float
     per_m: dict = field(default_factory=dict)  # m -> {"log_C_m", "witness", "growing"}
 
-    def any_growing(self) -> bool:
-        return any(rec["growing"] for rec in self.per_m.values())
-
-    def to_dict(self) -> dict:
-        return {"psi": self.psi, "weight": self.weight, "a": self.a,
-                "p": self.p, "C0": self.C0, "per_m": self.per_m}
+    @property
+    def verdict(self) -> bool:
+        return not any(rec["growing"] for rec in self.per_m.values())
 
 
 def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
@@ -371,13 +368,17 @@ def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class NecessaryGrowthResult:
+class NecessaryGrowthResult(Result):
     psi: str
     sigma: str
     omega: str
     C: float
     argmax_x: float
     grows_with_radius: bool
+
+    @property
+    def verdict(self) -> bool:
+        return not self.grows_with_radius
 
 
 def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
@@ -409,9 +410,14 @@ def nuclearity_sum(w: WeightFunction, m: int, L: int, jmax: int,
     """Partial sums of sum_j v_m(j)/v_l(j) with v_n(j) = exp(-n phi*(j/n)) and
     l = L m, checked against the geometric cap e^(mL)/(e-1)."""
     verify_log_scaling_constant(w, L)
+    try:
+        bound = math.exp(m * L) / (math.e - 1.0)
+    except OverflowError:
+        raise PreconditionError(
+            f"m*L = {m * L} exceeds log(float max); the bound e^(mL)/(e-1) "
+            "overflows") from None
     conj = ConjugateEvaluator(w)
     ell = L * m
-    bound = math.exp(m * L) / (math.e - 1.0)
     report = ChainReport(
         experiment="nuclearity",
         params={"weight": w.label, "m": m, "L": L, "ell": ell, "jmax": jmax,
@@ -433,13 +439,17 @@ def nuclearity_sum(w: WeightFunction, m: int, L: int, jmax: int,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EquicontinuityResult:
+class EquicontinuityResult(Result):
     log_C_n: float
     C_n: float
     argmax_j: int
     m: int
     lambda_warning: bool
     spot_rows: list = field(default_factory=list)
+
+    @property
+    def verdict(self) -> bool:
+        return all(r["verdict"] for r in self.spot_rows)
 
 
 def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
@@ -489,13 +499,17 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CauchyBoundResult:
+class CauchyBoundResult(Result):
     psi: str
     delta: float
     B: float
     log_B: float
     witness: Optional[dict]
     max_excess_vs_prediction: float  # log-scale; <= 0 means within prediction
+
+    @property
+    def verdict(self) -> bool:
+        return self.max_excess_vs_prediction <= 0.0
 
 
 def cauchy_derivative_bound(psi: ModelFunction, delta: float,

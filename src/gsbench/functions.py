@@ -26,6 +26,7 @@ from .errors import CapabilityError, DegenerateInputError, PreconditionError
 from .fdb import Jet
 from .grids import GridSpec
 from .logdomain import LOG_ZERO, LogReal
+from .reports import Result
 from .weights import ConjugateEvaluator, WeightFunction, parse_real
 
 _CLOSED_FORM_JMAX = 200
@@ -388,7 +389,7 @@ def weighted_log_sup(logs, conj: ConjugateEvaluator, lam: float, xs=None,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SeminormReport:
+class SeminormReport(Result):
     family: str
     lam: float
     mu: Optional[float]
@@ -401,12 +402,14 @@ class SeminormReport:
     stable: Optional[bool] = None
     degenerate: bool = False
 
+    @property
+    def verdict(self) -> bool:
+        return not self.degenerate
+
     def to_dict(self) -> dict:
-        return {"family": self.family, "lambda": self.lam, "mu": self.mu,
-                "weight": self.weight, "grid": self.grid, "J": self.J,
-                "K": self.K, "value_log": self.value_log,
-                "witness": self.witness, "stable": self.stable,
-                "degenerate": self.degenerate}
+        d = super().to_dict()
+        d["lambda"] = d.pop("lam")
+        return d
 
 
 def _jet_logs(f: ModelFunction, xs, J: int) -> list:

@@ -1,8 +1,9 @@
 """Report containers and deterministic CSV/JSON emission.
 
 All float fields are normalized through a fixed 17-significant-digit format
-before serialization so that identical runs produce byte-identical output.
-Files are written atomically (temp file + rename).
+before serialization so that identical runs produce byte-identical output;
++-inf is written as the strings "inf"/"-inf", the CSV spelling, so the JSON
+is strict.  Files are written atomically (temp file + rename).
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 
@@ -27,6 +28,8 @@ def _normalize(obj: Any) -> Any:
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
         return format_float(obj)
     if isinstance(obj, dict):
         return {str(k): _normalize(v) for k, v in obj.items()}
@@ -36,7 +39,8 @@ def _normalize(obj: Any) -> Any:
 
 
 def to_json_bytes(obj: Any) -> bytes:
-    return json.dumps(_normalize(obj), sort_keys=True, indent=2).encode("utf-8")
+    return json.dumps(_normalize(obj), sort_keys=True, indent=2,
+                      allow_nan=False).encode("utf-8")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
@@ -52,9 +56,20 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
+class Result:
+    """Base of the CLI's result dataclasses.
+
+    Each subclass has a ``verdict`` (exit 1 when false) and serializes with
+    ``to_dict()``, all of its fields unless it overrides this."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
-class ChainReport:
-    """Per-index rows of an inequality chain, factors kept in log domain."""
+class ChainReport(Result):
+    """Per-index rows of an inequality chain, factors kept in log domain.
+    ``to_dict()`` is the summary; the rows go to CSV."""
 
     experiment: str
     params: dict
@@ -68,6 +83,9 @@ class ChainReport:
 
     def all_hold(self) -> bool:
         return all(r.get("verdict", True) for r in self.rows)
+
+    def to_dict(self) -> dict:
+        return self.summary_dict()
 
     def summary_dict(self) -> dict:
         return {

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError, SearchExhaustedError, TruncationError
 from .grids import GridSpec
+from .reports import Result
 from .weights import ConjugateEvaluator, WeightFunction, parse_real
 
 
@@ -169,7 +170,7 @@ def associated_weight(M: WeightSequence, t: float, pmax: int = 4000) -> tuple:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SequenceConditionReport:
+class SequenceConditionReport(Result):
     sequence: str
     P: int
     J: int
@@ -180,11 +181,11 @@ class SequenceConditionReport:
     m3prime: dict = field(default_factory=dict)
     petzsche: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"sequence": self.sequence, "P": self.P, "J": self.J,
-                "m0": self.m0, "m1": self.m1, "m2": self.m2,
-                "gamma1": self.gamma1, "m3prime": self.m3prime,
-                "petzsche": self.petzsche}
+    @property
+    def verdict(self) -> bool:
+        return all(c.get("verdict", True) for c in (
+            self.m0, self.m1, self.m2, self.gamma1, self.m3prime,
+            self.petzsche))
 
 
 def _tail_bound(M: WeightSequence, J: int) -> Optional[float]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from scipy.integrate import quad
 
 from .errors import BracketError, PreconditionError, RangeError
 from .grids import DEFAULT_T_GRID, GridSpec
-from .reports import ChainReport
+from .reports import ChainReport, Result
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -257,13 +257,9 @@ class ConditionRecord:
     witness: Optional[dict] = None
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"condition": self.condition, "verdict": self.verdict,
-                "witness": self.witness, "detail": self.detail}
-
 
 @dataclass
-class WeightConditionReport:
+class WeightConditionReport(Result):
     weight: str
     grid: str
     alpha: ConditionRecord
@@ -277,9 +273,13 @@ class WeightConditionReport:
         return [self.alpha, self.beta, self.gamma, self.delta,
                 self.epsilon, self.doubling]
 
+    @property
+    def verdict(self) -> bool:
+        return all(r.verdict for r in self.records())
+
     def to_dict(self) -> dict:
         return {"weight": self.weight, "grid": self.grid,
-                "conditions": [r.to_dict() for r in self.records()]}
+                "conditions": [asdict(r) for r in self.records()]}
 
 
 def _beta_integral(w: WeightFunction) -> tuple:

@@ -1,10 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from gsbench.cli import RunConfig, build_parser, main, validate_config
+from gsbench.cli import EXPERIMENTS, build_parser, main, validate_config
 from gsbench.functions import parse_function
 from gsbench.grids import GridSpec
 from gsbench.reports import ChainReport, format_float, to_json_bytes
@@ -77,10 +78,7 @@ def test_chain_report_csv(tmp_path):
 # -- config validation ------------------------------------------------------
 
 def parse_cfg(argv):
-    args = build_parser().parse_args(argv)
-    return RunConfig(subcommand=args.subcommand, args=args,
-                     out=args.out, format=args.format,
-                     threshold=args.threshold)
+    return build_parser().parse_args(argv)
 
 
 def test_valid_negative_config_clean():
@@ -129,6 +127,78 @@ def test_bad_spec_exits_2(argv, flag, parse, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert flag in out.err and "Traceback" not in out.err
+
+
+# a valid flag set per experiment; the test below drops one required flag
+EXPERIMENT_ARGV = {
+    "negative": ["--d", "2", "--dprime", "3.5", "--jmax", "10"],
+    "bounded": ["--d", "2", "--psi", "poly:0,0,0,1", "--mmax", "2"],
+    "compactness": ["--psi", "poly:0,2,0,1", "--weight", "gevrey:d=2"],
+    "sufficient": ["--psi", "poly:0,0,1", "--weight", "gevrey:d=2"],
+    "necessary": ["--psi", "poly:0,0,1", "--sigma", "gevrey:d=2",
+                  "--omega", "gevrey:d=2"],
+    "nuclear": ["--weight", "gevrey:d=2"],
+    "equicont": ["--weight", "gevrey:d=2", "--x-seq", "2,4",
+                 "--lam-seq", "1,2"],
+    "cauchy": ["--psi", "sqrt1px2"],
+}
+
+
+@pytest.mark.parametrize("name, flag", [
+    (name, flag) for name, (required, _) in EXPERIMENTS.items()
+    for flag in required])
+def test_experiment_missing_flag_exits_2(name, flag, capsys):
+    option = "--" + flag.replace("_", "-")
+    argv = EXPERIMENT_ARGV[name]
+    i = argv.index(option)
+    assert main(["experiment", name] + argv[:i] + argv[i + 2:]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert option in out.err and "Traceback" not in out.err
+
+
+def test_nuclear_overflow_exits_2(capsys):
+    argv = ["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "400",
+            "--L", "2"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "m*L" in out.err
+
+
+# -- strict JSON: +-inf as "inf"/"-inf", never a bare Infinity token ------
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_json_bytes_strict():
+    data = to_json_bytes({"a": float("inf"), "b": [-float("inf"), 1.5]})
+    assert json.loads(data, parse_constant=_reject_constant) == {
+        "a": "inf", "b": ["-inf", 1.5]}
+    with pytest.raises(ValueError):
+        to_json_bytes({"a": float("nan")})
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["sequence-check", "--sequence", "table:geom.csv", "--pmax", "50"],
+     ["gamma1", "sup"]),
+    (["experiment", "equicont", "--weight", "gevrey:d=2", "--x-seq", "1e6",
+      "--lam-seq", "0", "--n", "100", "--K", "2", "--grid", "lin:0.05,2,10"],
+     ["C_n"]),
+], ids=["sequence-geometric", "equicont-overflow"])
+def test_infinite_fields_are_strict_json(argv, path, tmp_path, monkeypatch,
+                                         capsys):
+    # M_p = 2^p: sum 1/m_p never converges, so gamma1's sup is infinite
+    (tmp_path / "geom.csv").write_text(
+        "p,logM\n" + "".join(f"{p},{p * math.log(2.0)!r}\n"
+                             for p in range(601)))
+    monkeypatch.chdir(tmp_path)
+    main(argv)
+    value = json.loads(capsys.readouterr().out,
+                       parse_constant=_reject_constant)
+    for key in path:
+        value = value[key]
+    assert value == "inf"
 
 
 # -- end-to-end CLI ---------------------------------------------------------

@@ -113,7 +113,7 @@ def test_bounded_chain_flat_function_exhausts():
 def test_sufficient_square_not_growing():
     rep = sufficient_condition_check(SQUARE, W2, 1.5, [1, 2, 4],
                                      GridSpec("lin", 0.05, 6.0, 120), 15)
-    assert not rep.any_growing()
+    assert rep.verdict
     assert rep.p == pytest.approx(0.5)
     # C0 = max |x| / (1+x^2)^1.5 attained at |x| = 1/sqrt(2)
     assert rep.C0 == pytest.approx(1.0 / (math.sqrt(2.0) * 1.5 ** 1.5),
