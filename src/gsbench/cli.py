@@ -67,7 +67,7 @@ def validate_config(a: argparse.Namespace) -> list:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (CSV for experiments; JSON summary written next to it)")
-    p.add_argument("--format", default="json", choices=["json", "csv", "both"])
+    p.add_argument("--format", default="json", choices=["json", "both"])
     p.add_argument("--grid", help='grid spec, e.g. "log:1e-2,1e8,2000"')
     p.add_argument("--threshold", type=float,
                    default=experiments.DEFAULT_THRESHOLD,
@@ -174,7 +174,7 @@ def _grid(a: argparse.Namespace, default):
 def _emit(payload: dict, a: argparse.Namespace, result=None) -> None:
     data = to_json_bytes(payload)
     if a.out:
-        if isinstance(result, ChainReport) and a.format in ("csv", "both"):
+        if isinstance(result, ChainReport) and a.format == "both":
             result.write_csv(a.out)
         stem = os.path.splitext(a.out)[0]
         json_path = a.out if a.out.endswith(".json") else stem + ".json"

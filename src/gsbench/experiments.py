@@ -21,10 +21,14 @@ from .grids import GridSpec
 from .logdomain import LOG_ZERO, LogReal, log_sum_exp
 from .reports import ChainReport, Result
 from .weights import (ConjugateEvaluator, WeightFunction,
-                      find_log_scaling_constant, scaled_weight,
+                      find_log_scaling_constant, first_true, scaled_weight,
                       verify_log_scaling_constant)
 
 DEFAULT_THRESHOLD = 1e6  # linear scale; log crossing at ~13.8
+S_CAP = 10 ** 12         # largest block threshold s0 searched
+NEGATIVE_TOL = 1e-9      # slack on the negative chain's inequalities
+NUCLEAR_TOL = 1e-10      # slack on the nuclearity partial sums
+EQUICONT_J = 16          # derivative orders in the equicontinuity spot checks
 
 
 # ---------------------------------------------------------------------------
@@ -81,44 +85,26 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
 # ---------------------------------------------------------------------------
 
 def _block_threshold(c_sigma: ConjugateEvaluator, c_tilde: ConjugateEvaluator,
-                     L: int, n: int, s_cap: int = 10 ** 12) -> int:
-    """Smallest integer s0 with phi_sigma*(s) <= 2Ln phi_tilde*(s/(2Ln)) for
-    all s >= s0.  The per-unit margin (rhs - lhs)/s is increasing in log s, so
-    the violation set is an initial segment of the integers: exponential climb
-    to a holding point, then bisect the boundary."""
+                     L: int, n: int) -> int:
+    """Smallest integer s0 <= S_CAP with phi_sigma*(s) <= 2Ln phi_tilde*(s/(2Ln))
+    for all s >= s0.  The per-unit margin (rhs - lhs)/s is increasing in
+    log s, so the violation set is an initial segment of the integers."""
     c = 2 * L * n
 
     def holds(s: int) -> bool:
         return c_sigma(s) <= c * c_tilde(s / c) + 1e-12
 
-    if holds(1):
-        return 1
-    hi = 2
-    while not holds(hi):
-        hi *= 2
-        if hi > s_cap:
-            raise RegimeError(
-                f"block threshold exceeds {s_cap}; weights too close")
-    lo = hi // 2  # holds(hi), not holds(lo)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
+    s0 = first_true(holds, 1, S_CAP)
+    if s0 is None:
+        raise RegimeError(f"block threshold exceeds {S_CAP}; weights too close")
     # guard against stray non-monotonicity just past the boundary
-    probe = hi
-    for s in range(hi, hi + 64):
-        if not holds(s):
-            probe = s + 1
-    if probe != hi:
+    if not all(holds(s) for s in range(s0, s0 + 64)):
         raise RegimeError("block boundary not clean; condition not monotone")
-    return hi
+    return s0
 
 
 def negative_chain(d: float, k: float, d_prime: float, jmax: int,
-                   threshold: float = DEFAULT_THRESHOLD,
-                   tol: float = 1e-9) -> ChainReport:
+                   threshold: float = DEFAULT_THRESHOLD) -> ChainReport:
     """Loss-of-regularity chain for omega = t^(1/d), sigma = t^(1/d'),
     psi' >= psi^k: block construction, stationary points x_j, and the
     divergent lower bound exp(j - 2 lambda_j L), all checked row by row."""
@@ -158,8 +144,8 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
     report = ChainReport(
         experiment="negative-chain",
         params={"d": d, "k": k, "d_prime": d_prime, "jmax": jmax, "L": L,
-                "j0": j_bounds[0], "threshold": threshold, "tol": tol,
-                "blocks": [int(b) for b in j_bounds]},
+                "j0": j_bounds[0], "threshold": threshold,
+                "tol": NEGATIVE_TOL, "blocks": [int(b) for b in j_bounds]},
         columns=["j", "lambda", "x_j", "log_a_j", "stationarity_lhs",
                  "stationarity_rhs", "numeric_conjugate", "convexity_lhs",
                  "convexity_rhs", "shift_lhs", "shift_rhs", "block_lhs",
@@ -176,14 +162,14 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
         conv_lhs = lam * c_omega(j / lam) + lam * c_omega(k * j / lam)
         conv_rhs = 2 * lam * c_omega((k + 1) * j / (2 * lam))
         tilde_same = 2 * lam * c_tilde(j / (2 * lam))
-        ok_conv = (conv_lhs >= conv_rhs - tol
+        ok_conv = (conv_lhs >= conv_rhs - NEGATIVE_TOL
                    and abs(conv_rhs - tilde_same) <= 1e-9 * max(1.0, abs(conv_rhs)))
         shift_lhs = 2 * lam * c_tilde(j / (2 * lam))
         shift_rhs = 2 * L * lam * c_tilde(j / (2 * L * lam)) + j - 2 * lam * L
-        ok_shift = shift_lhs >= shift_rhs - tol
+        ok_shift = shift_lhs >= shift_rhs - NEGATIVE_TOL
         block_lhs = 2 * L * lam * c_tilde(j / (2 * L * lam))
         block_rhs = c_sigma(j)
-        ok_block = block_lhs >= block_rhs - tol
+        ok_block = block_lhs >= block_rhs - NEGATIVE_TOL
         log_lb = j - 2 * lam * L
         if first_cross is None and log_lb > log_thresh:
             first_cross = j
@@ -405,8 +391,8 @@ def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
 # Nuclearity: summability of the weight-ratio series
 # ---------------------------------------------------------------------------
 
-def nuclearity_sum(w: WeightFunction, m: int, L: int, jmax: int,
-                   tol: float = 1e-10) -> ChainReport:
+def nuclearity_sum(w: WeightFunction, m: int, L: int,
+                   jmax: int) -> ChainReport:
     """Partial sums of sum_j v_m(j)/v_l(j) with v_n(j) = exp(-n phi*(j/n)) and
     l = L m, checked against the geometric cap e^(mL)/(e-1)."""
     verify_log_scaling_constant(w, L)
@@ -421,7 +407,7 @@ def nuclearity_sum(w: WeightFunction, m: int, L: int, jmax: int,
     report = ChainReport(
         experiment="nuclearity",
         params={"weight": w.label, "m": m, "L": L, "ell": ell, "jmax": jmax,
-                "bound": bound, "tol": tol},
+                "bound": bound, "tol": NUCLEAR_TOL},
         columns=["j", "log_ratio", "partial_sum", "verdict"])
     log_ratios = []
     for j in range(1, jmax + 1):
@@ -429,7 +415,7 @@ def nuclearity_sum(w: WeightFunction, m: int, L: int, jmax: int,
         partial = math.exp(log_sum_exp(log_ratios)) if log_ratios else 0.0
         report.add_row({"j": j, "log_ratio": log_ratios[-1],
                         "partial_sum": partial,
-                        "verdict": partial <= bound + tol})
+                        "verdict": partial <= bound + NUCLEAR_TOL})
     report.verdict = report.all_hold()
     return report
 
@@ -454,8 +440,8 @@ class EquicontinuityResult(Result):
 
 def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
                             w: WeightFunction, n: int, K: int,
-                            f: ModelFunction = None, grid: GridSpec = None,
-                            J: int = 16) -> EquicontinuityResult:
+                            f: ModelFunction = None,
+                            grid: GridSpec = None) -> EquicontinuityResult:
     """C_n = sup_j exp((-lambda_j + m) omega(x_j) + m) with m = K n, plus spot
     checks that the scaled translations satisfy
     pi_{n,n}(U_j f) <= C_n pi_{m,m}(f) on a finite box."""
@@ -477,7 +463,7 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
             grid = GridSpec("lin", 0.05, 8.0, 160)
         conj = ConjugateEvaluator(w)
         us = grid.symmetric_points()
-        logs_f = [jet_log_abs(f.jet(float(u), J)) for u in us]
+        logs_f = [jet_log_abs(f.jet(float(u), EQUICONT_J)) for u in us]
         # pi_{m,m}(f) on the box
         pi_m, _ = weighted_log_sup(logs_f, conj, m,
                                    extra=[m * w(float(u)) for u in us])

@@ -6,7 +6,6 @@ summation, so the quotient identity m_p = p^d is exact in log domain.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -16,7 +15,11 @@ import numpy as np
 from .errors import PreconditionError, SearchExhaustedError, TruncationError
 from .grids import GridSpec
 from .reports import Result
-from .weights import ConjugateEvaluator, WeightFunction, parse_real
+from .weights import (H_BOUND, ConjugateEvaluator, WeightFunction,
+                      first_true, parse_real, read_table)
+
+SANDWICH_ASSOC_PMAX = 500000  # associated-weight p cap in sandwich_check
+DOUBLING_ASSOC_PMAX = 20000   # associated-weight p cap in doubling_from_sequence
 
 
 class WeightSequence:
@@ -74,15 +77,7 @@ class WeightSequence:
 
     @staticmethod
     def from_csv(path: str) -> "WeightSequence":
-        rows = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if row[0].strip().lower() in ("p",):
-                    continue
-                rows.append((int(row[0]), float(row[1])))
-        rows.sort()
+        rows = sorted(read_table(path, ("p",)))
         if [p for p, _ in rows] != list(range(len(rows))):
             raise PreconditionError("sequence table must cover p = 0..P contiguously")
         return WeightSequence.from_log_values([v for _, v in rows])
@@ -118,7 +113,9 @@ class AssociatedWeight:
         lt = math.log(t)
         if self.source.log_convex:
             # terms p*lt - log M_p increase while log m_p <= lt, then decrease;
-            # the argmax is the largest p with log m_p <= lt (found by bisection)
+            # the argmax is the largest p with log m_p <= lt (found by bisection).
+            # This hot search keeps its own loop: routing it through
+            # weights.first_true's predicate callable cost ~40% per call.
             if self.source.log_m(1) > lt:
                 return 0.0, 0
             lo = 1
@@ -302,8 +299,7 @@ def _tail_not_growing(r: list) -> bool:
 
 
 def sandwich_check(M: WeightSequence, direction: str, h: float = None,
-                   k: int = None, pmax: int = 300,
-                   assoc_pmax: int = 500000) -> SandwichResult:
+                   k: int = None, pmax: int = 300) -> SandwichResult:
     """Witness constants for the two sandwich inequalities linking M_p to the
     conjugate of the associated weight:
 
@@ -312,7 +308,7 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
 
     "Found" means the log ratio's running max is attained away from the top of
     the tested range, i.e. the finite scan shows a stabilized constant."""
-    aw = AssociatedWeight(M, pmax=assoc_pmax)
+    aw = AssociatedWeight(M, pmax=SANDWICH_ASSOC_PMAX)
     conj = ConjugateEvaluator(aw.as_weight_function())
 
     if direction == "seq<=conj":
@@ -348,35 +344,19 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
     raise PreconditionError(f"unknown direction {direction!r}")
 
 
-def doubling_from_sequence(M: WeightSequence, grid: GridSpec = None,
-                           h_bound: int = 10 ** 6,
-                           assoc_pmax: int = 20000) -> Optional[int]:
-    """Minimal integer H with 2 M(t) <= M(H t) + H on the grid, or None."""
+def doubling_from_sequence(M: WeightSequence, grid: GridSpec = None) -> Optional[int]:
+    """Minimal integer H <= H_BOUND with 2 M(t) <= M(H t) + H on the grid, or None."""
     if grid is None:
         grid = GridSpec("log", 1e-2, 1e6, 400)
-    aw = AssociatedWeight(M, pmax=assoc_pmax)
+    aw = AssociatedWeight(M, pmax=DOUBLING_ASSOC_PMAX)
     ts = np.concatenate([[0.0], grid.points()])
     vals = [aw(t) for t in ts]
 
-    def holds(H: int) -> bool:
+    def holds(H: int) -> bool:  # monotone in H
         return all(2.0 * vals[i] <= aw(H * ts[i]) + H + 1e-9
                    for i in range(len(ts)))
 
-    # climb geometrically to an upper bracket (the check is monotone in H),
-    # then bisect down to the minimal witness
-    hi = 1
     try:
-        while hi <= h_bound and not holds(hi):
-            hi *= 2
+        return first_true(holds, 1, H_BOUND)
     except TruncationError:
         return None
-    if hi > h_bound:
-        return None
-    lo = hi // 2 + 1 if hi > 1 else 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo

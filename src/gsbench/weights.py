@@ -14,17 +14,43 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .errors import BracketError, PreconditionError, RangeError
 from .grids import DEFAULT_T_GRID, GridSpec
 from .reports import ChainReport, Result
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_REL_TOL = 1e-12  # golden-section stops at this width relative to max(1, b)
+BRACKET_T_CAP = 1e8     # numeric phi* gives up bracketing past this t
+K_BOUND = 1000          # largest (alpha) constant K accepted
+C_BOUND = 1000          # largest (epsilon) constant C accepted
+H_BOUND = 10 ** 6       # largest doubling constant H searched
+L_BOUND = 64            # largest log-scaling constant L searched
+
+
+def first_true(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
+    """Smallest integer n in [lo, hi] with holds(n), for a predicate that is
+    false then true on [lo, hi] (lo >= 1); None when holds(hi) is false.
+    Probes lo, 2 lo, 4 lo, ... (the last probe clamped to hi), then bisects
+    the gap between the last failing probe and the first holding one."""
+    below, n = lo - 1, lo  # holds(below) is false, or below == lo - 1
+    while not holds(n):
+        if n >= hi:
+            return None
+        below, n = n, min(2 * n, hi)
+    while n - below > 1:
+        mid = (below + n) // 2
+        if holds(mid):
+            n = mid
+        else:
+            below = mid
+    return n
 
 
 class WeightFunction:
@@ -122,16 +148,9 @@ class WeightFunction:
 
     @staticmethod
     def from_csv(path: str) -> "WeightFunction":
-        ts, vals = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if row[0].strip().lower() in ("t", "x"):
-                    continue
-                ts.append(float(row[0]))
-                vals.append(float(row[1]))
-        return WeightFunction.tabulated(ts, vals)
+        rows = read_table(path, ("t", "x"))
+        return WeightFunction.tabulated([t for t, _ in rows],
+                                        [v for _, v in rows])
 
 
 def parse_real(text, spec: str) -> float:
@@ -143,6 +162,20 @@ def parse_real(text, spec: str) -> float:
     if not math.isfinite(v):
         raise PreconditionError(f"non-finite parameter {text!r} in {spec!r}")
     return v
+
+
+def read_table(path: str, headers: tuple) -> list:
+    """Pairs of finite floats from the first two cells of each CSV row,
+    skipping blank rows, '#' comments and rows whose first cell is a header."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")
+                    and r[0].strip().lower() not in headers]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise PreconditionError(f"cannot read table {path!r}: {exc}") from None
+    if any(len(r) < 2 for r in rows):
+        raise PreconditionError(f"every row of {path!r} needs two cells")
+    return [(parse_real(r[0], path), parse_real(r[1], path)) for r in rows]
 
 
 def parse_weight(spec: str) -> WeightFunction:
@@ -183,16 +216,13 @@ class ConjugateEvaluator:
     geometric bracketing plus golden-section refinement.
     """
 
-    def __init__(self, weight: WeightFunction, method: str = None,
-                 rel_tol: float = 1e-12, t_cap: float = 1e8):
+    def __init__(self, weight: WeightFunction, method: str = None):
         if method is None:
             method = "closed-form" if weight.kind == "gevrey" else "numeric-sup"
         if method == "closed-form" and weight.kind != "gevrey":
             raise PreconditionError("closed form only available for gevrey weights")
         self.weight = weight
         self.method = method
-        self.rel_tol = rel_tol
-        self.t_cap = t_cap
         self._cache: dict = {}
 
     def __call__(self, s: float) -> float:
@@ -225,15 +255,15 @@ class ConjugateEvaluator:
         hi = 1.0
         while g(hi) >= g(hi / 2.0):
             hi *= 2.0
-            if hi > self.t_cap:
+            if hi > BRACKET_T_CAP:
                 raise BracketError(
-                    f"no bracket for s={s:g} below t={self.t_cap:g}; "
+                    f"no bracket for s={s:g} below t={BRACKET_T_CAP:g}; "
                     "weight appears to violate condition (gamma)")
         a, b = 0.0, hi
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
         fc, fd = g(c), g(d)
-        while (b - a) > self.rel_tol * max(1.0, b):
+        while (b - a) > GOLDEN_REL_TOL * max(1.0, b):
             if fc >= fd:
                 b, d, fd = d, c, fc
                 c = b - _GOLDEN * (b - a)
@@ -282,16 +312,17 @@ class WeightConditionReport(Result):
                 "conditions": [asdict(r) for r in self.records()]}
 
 
-def _beta_integral(w: WeightFunction) -> tuple:
-    f = lambda t: w(t) / (1.0 + t * t)
-    v1, e1 = quad(f, 0.0, 1.0, limit=200)
-    v2, e2 = quad(f, 1.0, np.inf, limit=200)
-    return v1 + v2, e1 + e2
+def _integral(f: Callable[[float], float], a: float, b: float) -> tuple:
+    """(value, abs_error, ok) of quad for a nonnegative integrand: not ok when
+    quad warns (e.g. a divergent integral) or the value is negative."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        v, e = quad(f, a, b, limit=200)
+    warned = any(issubclass(c.category, IntegrationWarning) for c in caught)
+    return v, e, not warned and v >= 0.0
 
 
-def check_weight_conditions(w: WeightFunction, grid: GridSpec = None,
-                            k_bound: int = 1000, c_bound: int = 1000,
-                            h_bound: int = 10 ** 6) -> WeightConditionReport:
+def check_weight_conditions(w: WeightFunction, grid: GridSpec = None) -> WeightConditionReport:
     """Numerically audit Definition-level conditions (alpha)-(epsilon) plus the
     doubling inequality 2 omega(t) <= omega(H t) + H.
 
@@ -307,13 +338,16 @@ def check_weight_conditions(w: WeightFunction, grid: GridSpec = None,
     om2 = np.array([w(2.0 * t) for t in ts])
     k_req = math.ceil(np.max(om2 / (om + 1.0)) - 1e-12)
     alpha = ConditionRecord(
-        "alpha", k_req <= k_bound,
-        witness={"K": int(k_req)} if k_req <= k_bound else None,
+        "alpha", k_req <= K_BOUND,
+        witness={"K": int(k_req)} if k_req <= K_BOUND else None,
         detail={"max_ratio": float(np.max(om2 / (om + 1.0)))})
 
-    # (beta): integral of omega(t)/(1+t^2)
-    beta_val, beta_err = _beta_integral(w)
-    beta = ConditionRecord("beta", math.isfinite(beta_val) and beta_err < 1e-8 * max(1.0, beta_val),
+    # (beta): integral of omega(t)/(1+t^2), split at t = 1
+    f = lambda t: w(t) / (1.0 + t * t)
+    (v1, e1, ok1), (v2, e2, ok2) = _integral(f, 0.0, 1.0), _integral(f, 1.0, np.inf)
+    beta_val, beta_err = v1 + v2, e1 + e2
+    beta = ConditionRecord("beta", ok1 and ok2 and math.isfinite(beta_val)
+                           and beta_err < 1e-8 * max(1.0, beta_val),
                            witness={"integral": float(beta_val)},
                            detail={"abs_error": float(beta_err)})
 
@@ -334,34 +368,25 @@ def check_weight_conditions(w: WeightFunction, grid: GridSpec = None,
 
     # (epsilon): int_1^inf omega(y t)/t^2 dt <= C omega(y) + C
     ys = np.logspace(math.log10(max(grid.lo, 1e-2)), math.log10(grid.hi), 30)
-    c_req = 0.0
+    c_req, clean = 0.0, True
     for y in ys:
-        val, _ = quad(lambda t: w(y * t) / (t * t), 1.0, np.inf, limit=200)
+        val, _, ok = _integral(lambda t: w(y * t) / (t * t), 1.0, np.inf)
         c_req = max(c_req, val / (w(y) + 1.0))
+        clean = clean and ok
     c_int = math.ceil(c_req - 1e-12)
-    eps_ok = c_int <= c_bound
+    eps_ok = clean and c_int <= C_BOUND
     epsilon = ConditionRecord("epsilon", eps_ok,
                               witness={"C": int(c_int)} if eps_ok else None,
                               detail={"max_ratio": float(c_req)})
 
-    # doubling: 2 omega(t) <= omega(H t) + H; monotone in H, so bisect
-    def doubling_holds(H: int) -> bool:
-        return all(2.0 * om[i] <= w(H * ts[i]) + H + 1e-12 for i in range(len(ts)))
-
-    h_witness = None
-    if doubling_holds(h_bound):
-        lo, hi = 1, h_bound
-        while lo < hi:
-            midh = (lo + hi) // 2
-            if doubling_holds(midh):
-                hi = midh
-            else:
-                lo = midh + 1
-        h_witness = lo
+    # doubling: 2 omega(t) <= omega(H t) + H; monotone in H
+    h_witness = first_true(
+        lambda H: all(2.0 * om[i] <= w(H * ts[i]) + H + 1e-12
+                      for i in range(len(ts))), 1, H_BOUND)
     doubling = ConditionRecord(
         "doubling", h_witness is not None,
         witness={"H": int(h_witness)} if h_witness is not None else None,
-        detail={"search_bound": h_bound})
+        detail={"search_bound": H_BOUND})
 
     return WeightConditionReport(weight=w.label, grid=grid.spec_string(),
                                  alpha=alpha, beta=beta, gamma=gamma,
@@ -372,16 +397,15 @@ def check_weight_conditions(w: WeightFunction, grid: GridSpec = None,
 # Log-scaling constant and the seminorm-shift inequality
 # ---------------------------------------------------------------------------
 
-def find_log_scaling_constant(w: WeightFunction, grid: GridSpec = None,
-                              bound: int = 64) -> int:
+def find_log_scaling_constant(w: WeightFunction, grid: GridSpec = None) -> int:
     """Smallest integer L with omega(e t) <= L (1 + omega(t)) on the grid."""
     if grid is None:
         grid = DEFAULT_T_GRID
     ts = np.concatenate([[0.0], grid.points()])
     ratios = [w(math.e * t) / (1.0 + w(t)) for t in ts]
     L = math.ceil(max(ratios) - 1e-12)
-    if L > bound:
-        raise BracketError(f"no L <= {bound} scales the weight (max ratio {max(ratios):g})")
+    if L > L_BOUND:
+        raise BracketError(f"no L <= {L_BOUND} scales the weight (max ratio {max(ratios):g})")
     return max(1, L)
 
 

@@ -10,6 +10,7 @@ from gsbench.functions import parse_function
 from gsbench.grids import GridSpec
 from gsbench.reports import ChainReport, format_float, to_json_bytes
 from gsbench.errors import PreconditionError
+from gsbench.sequences import parse_sequence
 from gsbench.weights import ConjugateEvaluator, WeightFunction, parse_weight
 
 
@@ -119,14 +120,32 @@ def test_unwritable_out_diagnostic():
      lambda: parse_weight("gevrey:d=nan")),
     (["conjugate", "--weight", "gevrey:d=2", "--s", "nan"], "--s",
      lambda: ConjugateEvaluator(WeightFunction.gevrey(2))(float("nan"))),
-], ids=["weight-abc", "poly-x", "monbump-missing-a", "weight-nan", "s-nan"])
-def test_bad_spec_exits_2(argv, flag, parse, capsys):
+    (["weight-check", "--weight", "table:missing.csv"], "--weight",
+     lambda: parse_weight("table:missing.csv")),
+    (["sequence-check", "--sequence", "table:missing.csv"], "--sequence",
+     lambda: parse_sequence("table:missing.csv")),
+    (["weight-check", "--weight", "table:bad.csv"], "--weight",
+     lambda: parse_weight("table:bad.csv")),
+    (["sequence-check", "--sequence", "table:bad.csv"], "--sequence",
+     lambda: parse_sequence("table:bad.csv")),
+    (["weight-check", "--weight", "table:short.csv"], "--weight",
+     lambda: parse_weight("table:short.csv")),
+], ids=["weight-abc", "poly-x", "monbump-missing-a", "weight-nan", "s-nan",
+        "weight-table-missing", "sequence-table-missing",
+        "weight-table-bad-cell", "sequence-table-bad-cell",
+        "weight-table-short-row"])
+def test_bad_spec_exits_2(argv, flag, parse, capsys, tmp_path, monkeypatch):
+    (tmp_path / "bad.csv").write_text("0,0\n1,abc\n")
+    (tmp_path / "short.csv").write_text("1,0\n2\n")
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(PreconditionError):
         parse()
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert flag in out.err and "Traceback" not in out.err
+    if argv[-1].startswith("table:"):  # the diagnostic names the file
+        assert argv[-1][len("table:"):] in out.err
 
 
 # a valid flag set per experiment; the test below drops one required flag
@@ -258,6 +277,24 @@ def test_weight_check_exit_zero():
     assert r.returncode == 0
     d = json.loads(r.stdout)
     assert all(c["verdict"] for c in d["conditions"])
+
+
+@pytest.mark.parametrize("weight", ["gevrey:d=0.5", "gevrey:d=1"])
+def test_weight_check_divergent_integrals_exit_1(weight, capsys):
+    # omega = t^2 and omega = t: int omega(t)/(1+t^2) dt and
+    # int_1^inf omega(y t)/t^2 dt diverge, which quad only warns about
+    assert main(["weight-check", "--weight", weight]) == 1
+    verdicts = {c["condition"]: c["verdict"]
+                for c in json.loads(capsys.readouterr().out)["conditions"]}
+    assert not verdicts["beta"] and not verdicts["epsilon"]
+
+
+def test_format_csv_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["experiment", "nuclear", "--weight", "gevrey:d=2",
+                 "--out", str(out), "--format", "csv"]) == 2
+    assert "--format" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_determinism_small():

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from gsbench.errors import BracketError, PreconditionError, RangeError
 from gsbench.grids import GridSpec
-from gsbench.weights import (ConjugateEvaluator, WeightFunction,
+from gsbench.weights import (H_BOUND, ConjugateEvaluator, WeightFunction,
                              check_weight_conditions, conjugate_shift_bound,
                              factorial_domination, find_log_scaling_constant,
-                             parse_weight, scaled_weight,
+                             first_true, parse_weight, scaled_weight,
                              verify_log_scaling_constant)
 
 GRID = GridSpec("log", 1e-2, 1e6, 400)
@@ -109,6 +109,52 @@ def test_conjugate_convex_in_s(s1, s2):
     c = ConjugateEvaluator(WeightFunction.gevrey(2))
     mid = 0.5 * (s1 + s2)
     assert c(mid) <= 0.5 * (c(s1) + c(s2)) + 1e-9
+
+
+# -- minimal-witness search -------------------------------------------------
+
+def _first_true_checked(threshold, lo, hi):
+    """first_true on n >= threshold, checked against a linear scan; every
+    probe must lie in [lo, hi]."""
+    probes = []
+
+    def holds(n):
+        probes.append(n)
+        return n >= threshold
+
+    got = first_true(holds, lo, hi)
+    assert got == next((n for n in range(lo, hi + 1) if n >= threshold), None)
+    assert all(lo <= n <= hi for n in probes)
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=300),
+       st.integers(min_value=0, max_value=3000), st.data())
+def test_first_true_matches_linear_scan(lo, span, data):
+    hi = lo + span
+    # hi + 1 leaves no witness in [lo, hi]
+    threshold = data.draw(st.integers(min_value=lo, max_value=hi + 1))
+    _first_true_checked(threshold, lo, hi)
+
+
+@pytest.mark.parametrize("threshold", sorted(
+    {2 ** k + e for k in range(1, 13) for e in (-1, 0, 1)}))
+def test_first_true_at_powers_of_two(threshold):
+    assert _first_true_checked(threshold, 1, 5000) == threshold
+
+
+def test_first_true_past_the_last_power_of_two():
+    # (2^19, 10^6] is reached only by the probe clamped to hi
+    assert _first_true_checked(700_001, 1, H_BOUND) == 700_001
+    assert _first_true_checked(H_BOUND, 1, H_BOUND) == H_BOUND
+
+
+def test_first_true_bounds():
+    assert _first_true_checked(5, 5, 5) == 5
+    assert _first_true_checked(6, 5, 5) is None
+    assert _first_true_checked(1, 7, 100) == 7
+    assert _first_true_checked(101, 7, 100) is None
 
 
 # -- condition report -------------------------------------------------------
