@@ -2,15 +2,17 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gsbench.cli import EXPERIMENTS, build_parser, main, validate_config
-from gsbench.functions import parse_function
+from gsbench.functions import ModelFunction, parse_function
 from gsbench.grids import GridSpec
 from gsbench.reports import ChainReport, format_float, to_json_bytes
 from gsbench.errors import PreconditionError
-from gsbench.sequences import parse_sequence
+from gsbench.sequences import WeightSequence, parse_sequence
 from gsbench.weights import ConjugateEvaluator, WeightFunction, parse_weight
 
 
@@ -95,16 +97,47 @@ def test_regime_diagnostic_names_flag():
     assert len(diags) == 1 and "--dprime" in diags[0]
 
 
-def test_bad_weight_diagnostic():
-    cfg = parse_cfg(["conjugate", "--weight", "gevrey:q=2", "--s", "1"])
-    diags = validate_config(cfg)
-    assert any("--weight" in d for d in diags)
+def test_bad_weight_diagnostic(capsys):
+    assert main(["conjugate", "--weight", "gevrey:q=2", "--s", "1"]) == 2
+    assert "--weight" in capsys.readouterr().err
 
 
-def test_unwritable_out_diagnostic():
-    cfg = parse_cfg(["identities", "--out", "/no/such/dir/x.json"])
-    diags = validate_config(cfg)
-    assert any("--out" in d for d in diags)
+def test_unwritable_out_diagnostic(capsys):
+    assert main(["identities", "--out", "/no/such/dir/x.json"]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+# -- each flag is range-checked by its argparse type (exit 2) ---------------
+
+FDB_JETS = ["--h", '["0","0","2"]', "--psi", '["1","1","1"]']
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["seminorm", "--family", "p", "--function", "gaussian", "--weight",
+      "gevrey:d=2", "--lam", "1", "--kmax", "-1"], "--kmax"),
+    (["experiment", "sufficient", "--psi", "poly:0,0,1", "--weight",
+      "gevrey:d=2", "--m", "0"], "--m"),
+    (["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "1.7"], "--m"),
+    (["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "-1"], "--m"),
+    (["fdb", *FDB_JETS, "--order", "-1"], "--order"),
+    (["fdb", *FDB_JETS, "--order", "2", "--base", "abc"], "--base"),
+    (["fdb", *FDB_JETS, "--order", "2", "--base", "1/0"], "--base"),
+    (["fdb", "--h", "5", "--psi", '["1","1","1"]', "--order", "2"], "--h"),
+    (["fdb", "--h", '["1"]', "--psi", "[]", "--order", "0"], "--psi"),
+    (["experiment", "equicont", "--weight", "gevrey:d=2", "--x-seq", "1,inf",
+      "--lam-seq", "1,2"], "--x-seq"),
+], ids=["kmax-negative", "m-zero", "m-fraction", "m-negative", "order-negative",
+        "base-abc", "base-1/0", "h-not-array", "psi-empty", "x-seq-inf"])
+def test_bad_flag_value_exits_2(argv, flag, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {flag}:" in out.err and "Traceback" not in out.err
+
+
+def test_whole_number_orders_accepted():
+    a = parse_cfg(["experiment", "sufficient", "--m", "2.0,1e0,3"])
+    assert a.m == [2, 1, 3] and all(type(m) is int for m in a.m)
 
 
 # -- malformed or non-finite specs are usage errors (exit 2) ----------------
@@ -146,6 +179,138 @@ def test_bad_spec_exits_2(argv, flag, parse, capsys, tmp_path, monkeypatch):
     assert flag in out.err and "Traceback" not in out.err
     if argv[-1].startswith("table:"):  # the diagnostic names the file
         assert argv[-1][len("table:"):] in out.err
+
+
+# -- parse layer: a typed flag yields an in-range value or exits 2 ---------
+
+def _finite(v):
+    return type(v) is float and math.isfinite(v)
+
+
+def _joined(values):
+    return st.lists(values, min_size=1, max_size=4).map(",".join)
+
+
+def _numbers(t):
+    return [float(x) for x in t.split(",")]
+
+
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+# kind -> (valid tokens, check(parsed value, token)): in range, and equal to
+# what the token says
+FLAG_KINDS = {
+    "count": (st.integers(1, 10**6).map(str),
+              lambda v, t: type(v) is int and 1 <= v == int(t)),
+    "count0": (st.integers(0, 10**6).map(str),
+               lambda v, t: type(v) is int and 0 <= v == int(t)),
+    "real": (_reals.map(repr), lambda v, t: _finite(v) and v == float(t)),
+    "positive": (st.floats(0, exclude_min=True, allow_infinity=False).map(repr),
+                 lambda v, t: _finite(v) and 0 < v == float(t)),
+    "threshold": (st.floats(1, exclude_min=True,
+                            allow_infinity=False).map(repr),
+                  lambda v, t: _finite(v) and 1 < v == float(t)),
+    "reals": (_joined(_reals.map(repr)),
+              lambda v, t: all(map(_finite, v)) and v == _numbers(t)),
+    "orders": (_joined(st.integers(1, 50).map(str)),
+               lambda v, t: all(type(x) is int and x >= 1 for x in v)
+               and v == _numbers(t)),
+    "rational": (st.fractions().map(str), lambda v, t: v == Fraction(t)),
+    "rationals": (st.lists(st.fractions().map(str), min_size=1,
+                           max_size=4).map(json.dumps),
+                  lambda v, t: len(v) > 0 and all(
+                      type(x) is Fraction and x == Fraction(str(y))
+                      for x, y in zip(v, json.loads(t), strict=True))),
+    "weight": (st.sampled_from(["gevrey:d=2", "gevrey:d=1.5", "logpow:s=2"]),
+               lambda v, t: isinstance(v, WeightFunction)),
+    "sequence": (st.sampled_from(["gevreyseq:d=2", "gevreyseq:d=3"]),
+                 lambda v, t: isinstance(v, WeightSequence)),
+    "function": (st.sampled_from(["gaussian", "expsqr", "sqrt1px2",
+                                  "poly:0,1/2,3", "pow1px2:a=1.5",
+                                  "monbump:n=8,a=1", "gbump:g=1,r=1"]),
+                 lambda v, t: isinstance(v, ModelFunction)),
+    "grid": (st.sampled_from(["log:1e-2,1e8,2000", "lin:0,1,2",
+                              "lin:-3,5,10"]),
+             lambda v, t: v == GridSpec.parse(t)),
+    "out": (st.sampled_from(["r.json", "r.csv", "./r"]),
+            lambda v, t: v == t),
+}
+# subcommand -> (valid required flags, {typed flag: kind})
+PARSE_TABLE = {
+    "conjugate": (["--weight", "gevrey:d=2", "--s", "1"],
+                  {"--weight": "weight", "--s": "positive"}),
+    "weight-check": (["--weight", "gevrey:d=2"], {"--weight": "weight"}),
+    "sequence-check": (["--sequence", "gevreyseq:d=2"],
+                       {"--sequence": "sequence", "--pmax": "count"}),
+    "fdb": (["--h", '["1"]', "--psi", '["1"]', "--order", "0"],
+            {"--h": "rationals", "--psi": "rationals", "--base": "rational",
+             "--order": "count0"}),
+    "identities": ([], {"--jmax": "count"}),
+    "seminorm": (["--family", "p", "--function", "gaussian", "--weight",
+                  "gevrey:d=2", "--lam", "1"],
+                 {"--function": "function", "--weight": "weight",
+                  "--lam": "positive", "--mu": "real", "--jmax": "count",
+                  "--kmax": "count0"}),
+    "estimate-index": (["--function", "gaussian"],
+                       {"--function": "function", "--x": "real",
+                        "--jmax": "count"}),
+    "experiment": (["nuclear"],
+                   {"--d": "real", "--k": "real", "--dprime": "real",
+                    "--jmax": "count", "--psi": "function",
+                    "--function": "function", "--weight": "weight",
+                    "--sigma": "weight", "--omega": "weight", "--x0": "real",
+                    "--p": "count", "--nmax": "count", "--mmax": "count",
+                    "--a": "real", "--m": "orders", "--L": "count",
+                    "--n": "count", "--K": "count", "--x-seq": "reals",
+                    "--lam-seq": "reals", "--delta": "real"}),
+}
+PARSE_SLOTS = [(cmd, flag, kind) for cmd, (_, flags) in PARSE_TABLE.items()
+               for flag, kind in {**flags, "--grid": "grid",
+                                  "--threshold": "threshold",
+                                  "--out": "out"}.items()]
+HOSTILE = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1.7", "1e400", "1/0",
+           "[]", "5", "2.0", "1,inf", "1,,2", ",", "[1e400]", '["1","x"]',
+           '{"1": 2}', '"12"', "[[1]]", "gevrey:d=", "gevrey:q=2",
+           "gevrey:d=nan", "logpow:s=inf", "gevreyseq:d=abc", "poly:1,x",
+           "poly:", "monbump:n=2", "pow1px2:a=nan", "lin:0,1", "log:0,1,10",
+           "lin:1,0,5", "lin:0,1,1", "lin:0,inf,5", "cubic:1,2,3",
+           "table:missing.csv", "table:.", "no/such/dir/x.json"]
+
+
+def _check_parse(parser, cmd, flag, kind, token, must_parse, capsys):
+    argv = [cmd, *PARSE_TABLE[cmd][0], f"{flag}={token}"]
+    try:
+        a = parser.parse_args(argv)
+    except SystemExit as exc:
+        err = capsys.readouterr().err
+        assert not must_parse, err
+        assert exc.code == 2 and f"argument {flag}:" in err, err
+    else:
+        value = getattr(a, flag.lstrip("-").replace("-", "_"))
+        assert FLAG_KINDS[kind][1](value, token), (argv, value)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(slot=st.sampled_from(PARSE_SLOTS), data=st.data())
+def test_typed_flags_parse_in_range_or_exit_2(slot, data, capsys, tmp_path,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative table: and --out paths stay here
+    cmd, flag, kind = slot
+    token, must_parse = data.draw(st.one_of(
+        FLAG_KINDS[kind][0].map(lambda t: (t, True)),
+        st.sampled_from(HOSTILE).map(lambda t: (t, False)),
+        st.text(st.characters(blacklist_characters="/\\"), max_size=8)
+        .map(lambda t: (t, False))))
+    _check_parse(build_parser(), cmd, flag, kind, token, must_parse, capsys)
+
+
+def test_every_typed_flag_meets_every_hostile_token(capsys, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    parser = build_parser()
+    for cmd, flag, kind in PARSE_SLOTS:
+        for token in HOSTILE:
+            _check_parse(parser, cmd, flag, kind, token, False, capsys)
 
 
 # a valid flag set per experiment; the test below drops one required flag
