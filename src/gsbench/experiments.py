@@ -192,12 +192,25 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
 # Bounded-derivative chain
 # ---------------------------------------------------------------------------
 
+def _witness_probes(y_cap: float):
+    """200 geomspace points per decade from 1e-3, decades up to y_cap."""
+    lo = 1e-3
+    while lo < y_cap:
+        hi = lo * 10.0
+        for y in np.geomspace(lo, hi, 200):
+            yield float(y)
+        lo = hi
+
+
 def bounded_derivative_chain(d: float, psi: ModelFunction, mmax: int,
                              threshold: float = DEFAULT_THRESHOLD,
                              y_cap: float = 1e12) -> ChainReport:
     """For each m find a witness y_m with |psi'(y_m)| >= 2^(m d), bracket
     x_m = psi(y_m) on the grid x_{m,j} = (j d / m)^d, and track the divergent
-    term (2^m / (m e))^(j(m) d)."""
+    term (2^m / (m e))^(j(m) d).  The targets grow with m, so a probe that
+    fails for m fails for m+1 too: the search for m+1 resumes at y_m."""
+    if not d > 0:
+        raise PreconditionError(f"--d: the bounded chain needs d > 0, got d={d:g}")
     log_thresh = math.log(threshold)
     report = ChainReport(
         experiment="bounded-derivative",
@@ -205,20 +218,13 @@ def bounded_derivative_chain(d: float, psi: ModelFunction, mmax: int,
         columns=["m", "y_m", "x_m", "j_m", "x_bracket_lo", "x_bracket_hi",
                  "log_term", "verdict"])
     first_cross = None
+    probes = _witness_probes(y_cap)
+    y_m = next(probes, None)
     for m in range(1, mmax + 1):
         target = 2.0 ** (m * d)
-        y_m = None
-        lo = 1e-3
-        while lo < y_cap:
-            hi = lo * 10.0
-            ys = np.geomspace(lo, hi, 200)
-            for y in ys:
-                if abs(psi.jet(float(y), 1).entry_float(1)) >= target and psi.value(float(y)) > 0:
-                    y_m = float(y)
-                    break
-            if y_m is not None:
-                break
-            lo = hi
+        while y_m is not None and not (abs(psi.jet(y_m, 1).entry_float(1)) >= target
+                                       and psi.value(y_m) > 0):
+            y_m = next(probes, None)
         if y_m is None:
             raise SearchExhaustedError(
                 f"no y with |psi'(y)| >= 2^(md)={target:g} below {y_cap:g}")

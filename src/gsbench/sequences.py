@@ -6,6 +6,7 @@ summation, so the quotient identity m_p = p^d is exact in log domain.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,13 +31,15 @@ class WeightSequence:
         # log_quotient(p) = log m_p for p >= 1
         self._log_quotient = log_quotient
         self._cum = [0.0]  # log M_0 = 0
+        self._quot = [None]  # log m_p at index p; there is no m_0
         self.label = label
         self.log_convex = log_convex
 
     def _extend(self, p: int) -> None:
         while len(self._cum) <= p:
-            q = len(self._cum)
-            self._cum.append(self._cum[-1] + self._log_quotient(q))
+            q = self._log_quotient(len(self._cum))
+            self._quot.append(q)
+            self._cum.append(self._cum[-1] + q)
 
     def log_M(self, p: int) -> float:
         if p < 0:
@@ -47,7 +50,7 @@ class WeightSequence:
     def log_m(self, p: int) -> float:
         if p < 1:
             raise PreconditionError("quotients start at p = 1")
-        return self._log_quotient(p)
+        return self._quot[p] if p < len(self._quot) else self._log_quotient(p)
 
     @staticmethod
     def gevrey(d: float) -> "WeightSequence":
@@ -112,32 +115,23 @@ class AssociatedWeight:
             return 0.0, 0
         lt = math.log(t)
         if self.source.log_convex:
-            # terms p*lt - log M_p increase while log m_p <= lt, then decrease;
-            # the argmax is the largest p with log m_p <= lt (found by bisection).
-            # This hot search keeps its own loop: routing it through
-            # weights.first_true's predicate callable cost ~40% per call.
-            if self.source.log_m(1) > lt:
+            # terms p*lt - log M_p increase while log m_p < lt, then decrease:
+            # double hi past the argmax, then bisect the cached quotients for
+            # the largest p with log m_p < lt (the smallest maximizer)
+            src = self.source
+            if src.log_m(1) > lt:
                 return 0.0, 0
-            lo = 1
             hi = 2
-            while hi <= self.pmax and self.source.log_m(hi) <= lt:
-                lo, hi = hi, hi * 2
+            while hi <= self.pmax and src.log_m(hi) <= lt:
+                hi *= 2
             hi = min(hi, self.pmax)
-            if hi == self.pmax and self.source.log_m(hi) <= lt:
+            if hi == self.pmax and src.log_m(hi) <= lt:
                 raise TruncationError(
                     f"associated-weight argmax hit pmax={self.pmax} at t={t:g}; "
                     "increase pmax")
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if self.source.log_m(mid) <= lt:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            best_p = lo
-            # ties (log m_p == log t) resolve to the smallest maximizer
-            while best_p > 0 and self.source.log_m(best_p) == lt:
-                best_p -= 1
-            return max(0.0, best_p * lt - self.source.log_M(best_p)), best_p
+            src._extend(hi)
+            best_p = bisect.bisect_left(src._quot, lt, 1, hi) - 1
+            return max(0.0, best_p * lt - src.log_M(best_p)), best_p
         best, best_p = 0.0, 0  # p = 0 term is always 0
         for p in range(1, self.pmax + 1):
             v = p * lt - self.source.log_M(p)

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import BracketError, PreconditionError, RangeError
 from .grids import DEFAULT_T_GRID, GridSpec
@@ -315,6 +314,7 @@ class WeightConditionReport(Result):
 def _integral(f: Callable[[float], float], a: float, b: float) -> tuple:
     """(value, abs_error, ok) of quad for a nonnegative integrand: not ok when
     quad warns (e.g. a divergent integral) or the value is negative."""
+    from scipy.integrate import IntegrationWarning, quad  # lazy: only weight-check integrates
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         v, e = quad(f, a, b, limit=200)

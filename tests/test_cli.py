@@ -341,6 +341,15 @@ def test_experiment_missing_flag_exits_2(name, flag, capsys):
     assert option in out.err and "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_bounded_nonpositive_d_exits_2(d, capsys):
+    argv = ["experiment", "bounded", "--d", d, "--psi", "poly:0,0,0,1"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--d" in out.err and "Traceback" not in out.err
+
+
 def test_nuclear_overflow_exits_2(capsys):
     argv = ["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "400",
             "--L", "2"]
@@ -442,6 +451,34 @@ def test_weight_check_exit_zero():
     assert r.returncode == 0
     d = json.loads(r.stdout)
     assert all(c["verdict"] for c in d["conditions"])
+
+
+# python -m gsbench in a fresh interpreter; stderr ends with whether scipy
+# was imported by the time the interpreter exits
+SCIPY_PROBE = ("import atexit, runpy, sys; atexit.register(lambda: sys.stderr.write("
+               "'scipy=%s' % ('scipy' in sys.modules))); "
+               "runpy.run_module('gsbench', run_name='__main__')")
+
+
+def run_cold(*argv):
+    return subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                          capture_output=True, text=True)
+
+
+def test_cold_start_leaves_scipy_unloaded():
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, gsbench; print('scipy' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout == "False\n"
+    r = run_cold("conjugate", "--weight", "gevrey:d=2", "--s", "1")
+    assert r.returncode == 0 and r.stderr.endswith("scipy=False")
+
+
+def test_weight_check_imports_scipy_on_first_call(capsys):
+    r = run_cold("weight-check", "--weight", "logpow:s=2")
+    assert r.returncode == 0 and r.stderr.endswith("scipy=True")
+    assert main(["weight-check", "--weight", "logpow:s=2"]) == 0
+    assert r.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("weight", ["gevrey:d=0.5", "gevrey:d=1"])

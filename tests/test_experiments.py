@@ -1,6 +1,9 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gsbench.errors import (CapabilityError, PreconditionError, RegimeError,
                             SearchExhaustedError)
@@ -13,6 +16,7 @@ from gsbench.experiments import (bounded_derivative_chain,
 from gsbench.functions import (Gaussian, Polynomial, Pow1px2, Sqrt1px2,
                                parse_function)
 from gsbench.grids import GridSpec
+from gsbench.reports import ChainReport
 from gsbench.weights import WeightFunction
 
 W2 = WeightFunction.gevrey(2)
@@ -106,6 +110,78 @@ def test_bounded_chain_cube():
 def test_bounded_chain_flat_function_exhausts():
     with pytest.raises(SearchExhaustedError):
         bounded_derivative_chain(2, Polynomial([0, 1]), 8, y_cap=1e6)
+
+
+def restart_bounded_chain(d, psi, mmax, threshold=1e6, y_cap=1e12):
+    """Oracle: the bounded-derivative chain with the witness search restarted
+    at y = 1e-3 for every m (the probe test is memoized per y)."""
+    passes = {}
+
+    def slope_value(y):
+        if y not in passes:
+            passes[y] = (abs(psi.jet(y, 1).entry_float(1)), psi.value(y))
+        return passes[y]
+
+    report = ChainReport(
+        experiment="bounded-derivative",
+        params={"d": d, "psi": psi.label, "mmax": mmax, "threshold": threshold},
+        columns=["m", "y_m", "x_m", "j_m", "x_bracket_lo", "x_bracket_hi",
+                 "log_term", "verdict"])
+    first_cross = None
+    for m in range(1, mmax + 1):
+        target = 2.0 ** (m * d)
+        y_m = None
+        lo = 1e-3
+        while lo < y_cap:
+            hi = lo * 10.0
+            for y in np.geomspace(lo, hi, 200):
+                slope, value = slope_value(float(y))
+                if slope >= target and value > 0:
+                    y_m = float(y)
+                    break
+            if y_m is not None:
+                break
+            lo = hi
+        if y_m is None:
+            raise SearchExhaustedError(
+                f"no y with |psi'(y)| >= 2^(md)={target:g} below {y_cap:g}")
+        x_m = psi.value(y_m)
+        j_m = int(m * x_m ** (1.0 / d) / d)
+        b_lo = (j_m * d / m) ** d
+        b_hi = ((j_m + 1) * d / m) ** d
+        log_term = j_m * d * (m * math.log(2.0) - math.log(m) - 1.0)
+        if first_cross is None and log_term > math.log(threshold):
+            first_cross = m
+        report.add_row({"m": m, "y_m": y_m, "x_m": x_m, "j_m": j_m,
+                        "x_bracket_lo": b_lo, "x_bracket_hi": b_hi,
+                        "log_term": log_term, "verdict": b_lo <= x_m < b_hi})
+    report.verdict = report.all_hold() and first_cross is not None
+    report.first_crossing_index = first_cross
+    return report
+
+
+def _outcome(run):
+    try:
+        return run().to_dict()
+    except (SearchExhaustedError, OverflowError) as exc:
+        return repr(exc)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(SMALL_RATIONALS, min_size=2, max_size=5),
+       st.floats(min_value=0.0, max_value=4.0, exclude_min=True),
+       st.integers(1, 12), st.sampled_from([1e2, 1e4]))
+@example([0, -3, 0, 1], 2.0, 12, 1e4)
+@example([1, -7, 3, 0, Fraction(1, 2)], 1.5, 12, 1e4)
+@example([0, 0, 0, 1], 4.0, 12, 1e4)
+@example([-1000, 0, 0, 1], 2.0, 6, 1e4)  # y_1 = ... = y_4: psi turns positive late
+def test_bounded_resumed_search_matches_restart_oracle(coeffs, d, mmax, y_cap):
+    psi = Polynomial(coeffs)
+    assert _outcome(lambda: bounded_derivative_chain(d, psi, mmax, y_cap=y_cap)) \
+        == _outcome(lambda: restart_bounded_chain(d, psi, mmax, y_cap=y_cap))
 
 
 # -- sufficiency ------------------------------------------------------------

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gsbench.errors import PreconditionError, TruncationError
 from gsbench.sequences import (AssociatedWeight, WeightSequence,
@@ -20,6 +21,38 @@ def brute_force_assoc(M, t, pmax=300):
         if v > best:
             best, best_p = v, p
     return best, best_p
+
+
+def doubling_bisection_assoc(M, t, pmax):
+    """Oracle for the log-convex argmax: double hi while log m_hi <= log t,
+    bisect for the largest p with log m_p <= log t, then step down past
+    quotients equal to log t."""
+    lt = math.log(t)
+    if M.log_m(1) > lt:
+        return 0.0, 0
+    lo, hi = 1, 2
+    while hi <= pmax and M.log_m(hi) <= lt:
+        lo, hi = hi, hi * 2
+    hi = min(hi, pmax)
+    if hi == pmax and M.log_m(hi) <= lt:
+        raise TruncationError(
+            f"associated-weight argmax hit pmax={pmax} at t={t:g}; increase pmax")
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if M.log_m(mid) <= lt:
+            lo = mid
+        else:
+            hi = mid - 1
+    while lo > 0 and M.log_m(lo) == lt:
+        lo -= 1
+    return max(0.0, lo * lt - M.log_M(lo)), lo
+
+
+def _assoc_outcome(run):
+    try:
+        return run()
+    except TruncationError as exc:
+        return str(exc)
 
 
 # -- sequence basics --------------------------------------------------------
@@ -73,6 +106,36 @@ def test_assoc_bisection_matches_brute_force(t):
     want, p_want = brute_force_assoc(M, t, pmax=1000)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert p_got == p_want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.1, max_value=4.0), st.floats(min_value=1e-3, max_value=1e12),
+       st.sampled_from([50, 4000, 500000]))
+def test_assoc_bisect_matches_doubling_bisection_gevrey(d, t, pmax):
+    M = WeightSequence.gevrey(d)
+    assert _assoc_outcome(lambda: AssociatedWeight(M, pmax).eval_with_argmax(t)) \
+        == _assoc_outcome(lambda: doubling_bisection_assoc(M, t, pmax))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=80,
+                unique=True).map(sorted),
+       st.data())
+def test_assoc_bisect_matches_doubling_bisection_tables(ts, data):
+    # quotients log m_p = log ts[p-1], strictly increasing; a t drawn from
+    # the ts gives log t == log m_p exactly, a tie
+    qs = [math.log(x) for x in ts]
+    assume(all(a < b for a, b in zip(qs, qs[1:])))
+    M = WeightSequence(lambda p: qs[p - 1])
+    pmax = data.draw(st.integers(1, len(qs)))
+    t = data.draw(st.sampled_from(ts) | st.floats(min_value=1e-4, max_value=1e4))
+    assert _assoc_outcome(lambda: AssociatedWeight(M, pmax).eval_with_argmax(t)) \
+        == _assoc_outcome(lambda: doubling_bisection_assoc(M, t, pmax))
+    # the same quotients summed into a tabulated log M_p
+    T = WeightSequence.from_log_values(np.concatenate([[0.0], np.cumsum(qs)]))
+    assume(T.log_convex)
+    assert _assoc_outcome(lambda: AssociatedWeight(T, pmax).eval_with_argmax(t)) \
+        == _assoc_outcome(lambda: doubling_bisection_assoc(T, t, pmax))
 
 
 def test_assoc_at_zero_and_one():
