@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import experiments
 from .errors import GsbenchError
-from .fdb import Jet, faa_di_bruno, identity_lah, identity_two_power
+from .fdb import Jet, faa_di_bruno, identity_sums
 from .functions import (estimate_growth_exponent, parse_function,
                         seminorm_p_lambda, seminorm_pi)
 from .grids import DEFAULT_T_GRID, GridSpec
@@ -208,8 +208,10 @@ def _fdb(a):
 
 
 def _identities(a):
-    rows = [{"j": j, "two_power": identity_two_power(j),
-             "lah": identity_lah(j)} for j in range(1, a.jmax + 1)]
+    rows = []
+    for j in range(1, a.jmax + 1):
+        two_power, lah = identity_sums(j)
+        rows.append({"j": j, "two_power": two_power, "lah": lah})
     return {"jmax": a.jmax, "rows": rows, "verdict": True}
 
 

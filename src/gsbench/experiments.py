@@ -41,7 +41,11 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
     """Single-order jets b_n(n) = exp(p phi*(n/p)) pushed through the
     composition; the full expansion must match the one-term shortcut exactly,
     and |psi'(x0)|^n must cross the divergence threshold."""
-    psi_jet = psi.jet(x0, nmax).to_log()
+    try:
+        psi_jet = psi.jet(x0, nmax).to_log()
+    except OverflowError:
+        raise PreconditionError(
+            f"--x0: psi's jet at x0={x0:g} overflows a float") from None
     psi1 = psi_jet.values[1]
     if psi1.is_zero() or psi1.log_abs <= 0.0:
         raise PreconditionError(
@@ -62,7 +66,7 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
         bn = LogReal.from_log(1, p * conj(n / p))
         h_vals = [LogReal.zero()] * (nmax + 1)
         h_vals[n] = bn
-        h_jet = Jet.from_logreals(base, h_vals)
+        h_jet = Jet(base, tuple(h_vals), "log")
         full = bell.derivative(h_jet, n)
         short = single_jet_compose(h_jet, psi_jet, n)
         agree = (full.sign == short.sign
@@ -119,7 +123,11 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
     c_omega_num = ConjugateEvaluator(omega, method="numeric-sup")
     c_sigma = ConjugateEvaluator(sigma)
     c_tilde = ConjugateEvaluator(tilde)
-    L = find_log_scaling_constant(tilde)
+    try:
+        L = find_log_scaling_constant(tilde)
+    except OverflowError:
+        raise PreconditionError(
+            f"--d: omega(t) = t^(1/((k+1)d)) overflows a float at d={d:g}") from None
 
     # blocks I_m = (j_{m-1}, j_m] with j_n = max(2^n, s_{n+1}); the report
     # covers the first jmax indices of the construction, j in (j_0, j_0+jmax]
@@ -217,6 +225,8 @@ def bounded_derivative_chain(d: float, psi: ModelFunction, mmax: int,
         params={"d": d, "psi": psi.label, "mmax": mmax, "threshold": threshold},
         columns=["m", "y_m", "x_m", "j_m", "x_bracket_lo", "x_bracket_hi",
                  "log_term", "verdict"])
+    if mmax * d >= 1024:
+        raise PreconditionError(f"--d: 2^(md) overflows a float at m={mmax}, d={d:g}")
     first_cross = None
     probes = _witness_probes(y_cap)
     y_m = next(probes, None)
@@ -229,7 +239,11 @@ def bounded_derivative_chain(d: float, psi: ModelFunction, mmax: int,
             raise SearchExhaustedError(
                 f"no y with |psi'(y)| >= 2^(md)={target:g} below {y_cap:g}")
         x_m = psi.value(y_m)
-        j_m = int(m * x_m ** (1.0 / d) / d)
+        try:
+            j_m = int(m * x_m ** (1.0 / d) / d)
+        except OverflowError:  # from ** or from int(inf)
+            raise PreconditionError(f"--d: (m/d) x_m^(1/d) overflows a float "
+                                    f"at m={m}, d={d:g}, x_m={x_m:g}") from None
         b_lo = (j_m * d / m) ** d
         b_hi = ((j_m + 1) * d / m) ** d
         ok = b_lo <= x_m < b_hi
@@ -277,7 +291,7 @@ def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
     c0 = max(abs(float(x)) / (1.0 + abs(v)) ** a for x, v in zip(xs, psis))
     rep = SufficientConditionReport(psi=psi.label, weight=w.label, a=a, p=p,
                                     C0=c0)
-    tables = np.array([jet_log_abs(psi.jet(float(x), jmax)) for x in xs])
+    tables = psi.log_jet_table(xs, jmax)[1]
     tables[:, 0] = LOG_ZERO  # orders j >= 1 only
     lp = [-p * math.log1p(abs(v)) for v in psis]
     for m in m_list:
@@ -309,14 +323,16 @@ class ComposedSeminormResult:
 
 def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
                            xs: Sequence[float], J: int) -> list:
-    """Per grid point, log |(f o psi)^(j)(x)| for j = 0..J via full FdB."""
-    table = []
-    for x in xs:
-        psi_jet = psi.jet(float(x), J).to_log()
-        h_jet = f.jet(psi.value(float(x)), J).to_log()
-        composed = compose_jet(h_jet, psi_jet, J)
-        table.append(jet_log_abs(composed))
-    return table
+    """Per grid point, log |(f o psi)^(j)(x)| for j = 0..J via full FdB, from
+    one jet table of psi over xs and one of f over psi(xs)."""
+    xs = [float(x) for x in xs]
+    ys = [psi.value(x) for x in xs]
+    psi_sign, psi_log = psi.log_jet_table(xs, J)
+    f_sign, f_log = f.log_jet_table(ys, J)
+    return [jet_log_abs(compose_jet(Jet.from_log_row(y, f_sign[i], f_log[i]),
+                                    Jet.from_log_row(x, psi_sign[i], psi_log[i]),
+                                    J))
+            for i, (x, y) in enumerate(zip(xs, ys))]
 
 
 def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
@@ -469,7 +485,7 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
             grid = GridSpec("lin", 0.05, 8.0, 160)
         conj = ConjugateEvaluator(w)
         us = grid.symmetric_points()
-        logs_f = [jet_log_abs(f.jet(float(u), EQUICONT_J)) for u in us]
+        logs_f = f.log_jet_table(us, EQUICONT_J)[1]
         # pi_{m,m}(f) on the box
         pi_m, _ = weighted_log_sup(logs_f, conj, m,
                                    extra=[m * w(float(u)) for u in us])
@@ -519,8 +535,7 @@ def cauchy_derivative_bound(psi: ModelFunction, delta: float,
         raise PreconditionError("grid must contain points with |x| >= 1")
     best, witness = -math.inf, None
     excess = -math.inf
-    for x in xs:
-        logs = jet_log_abs(psi.jet(x, jmax))
+    for x, logs in zip(xs, psi.log_jet_table(xs, jmax)[1].tolist()):
         for j in range(jmax + 1):
             if logs[j] == LOG_ZERO:
                 continue

@@ -152,8 +152,11 @@ class Jet:
                    tuple(LogReal.from_float(v) for v in values), "log")
 
     @staticmethod
-    def from_logreals(base_point: float, values: Sequence[LogReal]) -> "Jet":
-        return Jet(float(base_point), tuple(values), "log")
+    def from_log_row(base_point: float, signs, logs) -> "Jet":
+        """Log jet from one row of a (sign, log|value|) jet table."""
+        return Jet(float(base_point), tuple(
+            LogReal.from_log(int(s), float(v)) for s, v in zip(signs, logs)),
+            "log")
 
     def to_log(self) -> "Jet":
         if self.kind == "log":
@@ -311,31 +314,33 @@ def compose_jet(h_jet: Jet, psi_jet: Jet, J: int) -> Jet:
 # Summation identities
 # ---------------------------------------------------------------------------
 
-def identity_two_power(j: int) -> int:
-    """sum over multi-indices of k!/(k_1!...k_j!) equals 2^(j-1), exactly."""
+def identity_sums(j: int) -> tuple:
+    """(two_power, lah) from one walk over the multi-indices of order j,
+    exactly: sum k!/(k_1!...k_j!) = 2^(j-1), and sum j!/(k_1!...k_j!) equals
+    the Lah-number sum sum_k C(j-1, k-1) j!/k!."""
     if not 1 <= j <= 30:
         raise PreconditionError("identity checked for 1 <= j <= 30")
-    total = 0
+    two_power = lah = 0
+    fact_j = math.factorial(j)
     for mi in iter_partition_multi_indices(j):
-        t = math.factorial(mi.k)
-        for kl in mi.k_vec:
-            if kl:
-                t //= math.factorial(kl)
-        total += t
-    expected = 2 ** (j - 1)
-    if total != expected:
-        raise AssertionError(f"two-power identity failed at j={j}: {total} != {expected}")
-    return total
+        denom = math.prod(math.factorial(kl) for kl in mi.k_vec if kl)
+        two_power += math.factorial(mi.k) // denom
+        lah += fact_j // denom
+    if two_power != 2 ** (j - 1):
+        raise AssertionError(
+            f"two-power identity failed at j={j}: {two_power} != {2 ** (j - 1)}")
+    rhs = sum(math.comb(j - 1, k - 1) * fact_j // math.factorial(k)
+              for k in range(1, j + 1))
+    if lah != rhs:
+        raise AssertionError(f"Lah identity failed at j={j}: {lah} != {rhs}")
+    return two_power, lah
+
+
+def identity_two_power(j: int) -> int:
+    """sum over multi-indices of k!/(k_1!...k_j!) = 2^(j-1), checked."""
+    return identity_sums(j)[0]
 
 
 def identity_lah(j: int) -> int:
-    """sum over multi-indices of j!/(k_1!...k_j!) equals the Lah-number sum
-    sum_k C(j-1, k-1) j!/k!; both sides computed exactly and compared."""
-    if not 1 <= j <= 30:
-        raise PreconditionError("identity checked for 1 <= j <= 30")
-    lhs = sum(mi.multinomial() for mi in iter_partition_multi_indices(j))
-    rhs = sum(math.comb(j - 1, k - 1) * math.factorial(j) // math.factorial(k)
-              for k in range(1, j + 1))
-    if lhs != rhs:
-        raise AssertionError(f"Lah identity failed at j={j}: {lhs} != {rhs}")
-    return lhs
+    """sum over multi-indices of j!/(k_1!...k_j!), checked against Lah."""
+    return identity_sums(j)[1]

@@ -4,14 +4,16 @@ Every seminorm sup runs through one kernel, ``weighted_log_sup``: the max over
 grid points x, orders j and powers k of
 log|f^(j)(x)| - lam phi*((j+k)/lam) + k log|x| + extra(x).
 
-Jet strategy per family:
-  * polynomial, monomial bump at 0, gaussian/expsqr at 0: exact rationals
-  * gaussian/expsqr elsewhere: Hermite-type three-term recurrence in signed
-    log domain
-  * sqrt(1+x^2) and (1+x^2)^a: recurrences from their algebraic first-order
-    ODE (1+x^2) f' = 2a x f
+Jets on a grid come from one call, ``log_jet_table(xs, J)``: the sign and
+log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
+  * gaussian/expsqr (Hermite) and (1+x^2)^a, sqrt(1+x^2) (Leibniz on
+    (1+x^2) f' = 2a x f): one three-term recurrence run over all points at
+    once on float mantissas with a power-of-two scale per point, no log or exp
+    per operation (``_Recurrence``).  A single-point jet is a one-row table;
+    gaussian/expsqr at 0 stay exact rationals.
+  * polynomial, monomial bump at 0: exact rationals, one jet per point
   * compactly supported bump: recurrences for the inner rational power
-    composed with exp, capped at order 40
+    composed with exp, capped at order 40, one jet per point
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import CapabilityError, DegenerateInputError, PreconditionError
 from .fdb import Jet
 from .grids import GridSpec
-from .logdomain import LOG_ZERO, LogReal
+from .logdomain import LOG_ZERO
 from .reports import Result
 from .weights import ConjugateEvaluator, WeightFunction, parse_real
 
@@ -34,7 +36,7 @@ _BUMP_JMAX = 40
 
 
 class ModelFunction:
-    """Base: value(x) plus jet(x, J); families override both."""
+    """Base: value(x) plus jet(x, J) and its batched form log_jet_table."""
 
     label = "model"
     analytic: Optional[str] = None  # "cone" | "strip" | None
@@ -45,29 +47,78 @@ class ModelFunction:
     def jet(self, x, J: int) -> Jet:
         raise NotImplementedError
 
+    def log_jet_table(self, xs, J: int) -> tuple:
+        """(sign, log|f^(j)(x)|), each (len(xs), J+1); default: one jet per x."""
+        sign, log_abs = np.zeros((2, len(xs), J + 1))
+        for i, x in enumerate(xs):
+            jet = self.jet(float(x), J)
+            sign[i] = [v.sign if jet.kind == "log" else (v > 0) - (v < 0)
+                       for v in jet.values]
+            log_abs[i] = jet_log_abs(jet)
+        return sign, log_abs
+
     def _check_order(self, J: int, cap: int) -> None:
         if J > cap:
             raise CapabilityError(
                 f"{self.label}: jets supported up to order {cap}, asked {J}")
 
 
-def _ode_recurrence_jet(x: float, J: int, f0: LogReal, f1: LogReal,
-                        two_a: float) -> Jet:
-    """Jet from (1+x^2) f' = two_a * x * f via the Leibniz recurrence
+class _Recurrence(ModelFunction):
+    """Even f with f^(n) = f r^(pn) (x/r)^(n mod 2) h_n, r = sqrt(1+x^2), and
+    h_(n+1) = a_n c_n h_n + b_n beta h_(n-1), c_n = 1 or (x/r)^2 at even or
+    odd n: p = 1, beta = 1/r^2 for exp(s x^2); p = -1, beta = 1 for
+    (1+x^2)^a.  Every multiplier is bounded at every x; log|x/r| = -inf at
+    x = 0 makes odd orders there exact zeros.  ``_recurrence(xs, log r, J)``
+    gives (log f, p, beta, [a_n], [b_n])."""
 
-        f^(n+1) = [ (two_a - 2n) x f^(n) + n (two_a - n + 1) f^(n-1) ] / (1+x^2)
-    """
-    inv = -math.log1p(x * x)  # log of 1/(1+x^2)
-    vals = [f0, f1]
-    cx = LogReal.from_float(x)
-    for n in range(1, J):
-        t1 = LogReal.from_float(two_a - 2.0 * n) * cx * vals[n]
-        t2 = LogReal.from_float(n * (two_a - n + 1.0)) * vals[n - 1]
-        vals.append((t1 + t2).scaled(inv))
-    return Jet.from_logreals(x, vals[: J + 1])
+    def log_jet_table(self, xs, J: int) -> tuple:
+        self._check_order(J, _CLOSED_FORM_JMAX)
+        xs = np.asarray(xs, dtype=float)
+        r = np.hypot(1.0, xs)
+        xr, log_r = xs / r, np.log(r)
+        log_f, p, beta, a, b = self._recurrence(xs, log_r, J)
+        # h_n = mant[n] 2^expo[n]; each order rescales both live mantissas by
+        # the power of two (exact) that puts the larger in [1/2, 1)
+        mant, expo = np.ones((J + 1, len(xs))), np.zeros((J + 1, len(xs)))
+        prev, cur, e, xr2 = np.zeros(len(xs)), mant[0], 0, xr * xr
+        for n in range(J):
+            nxt = (a[n] * xr2 if n % 2 else a[n]) * cur + b[n] * beta * prev
+            k = np.frexp(np.maximum(np.abs(cur), np.abs(nxt)))[1]
+            prev, cur, e = np.ldexp(cur, -k), np.ldexp(nxt, -k), e + k
+            mant[n + 1], expo[n + 1] = cur, e
+        sign = np.sign(mant)
+        sign[1::2] *= np.sign(xs)
+        with np.errstate(divide="ignore"):  # log 0 at exact zeros
+            log_abs = (np.log(np.abs(mant)) + expo * math.log(2.0) + log_f
+                       + p * np.arange(J + 1)[:, None] * log_r)
+            log_abs[1::2] += np.log(np.abs(xr))
+        return sign.T, log_abs.T
+
+    def jet(self, x, J: int) -> Jet:
+        sign, log_abs = self.log_jet_table([x], J)
+        return Jet.from_log_row(x, sign[0], log_abs[0])
 
 
-class Gaussian(ModelFunction):
+class _ExpQuadratic(_Recurrence):
+    """f(x) = exp(s x^2): f^(n+1) = 2s x f^(n) + 2s n f^(n-1) (Hermite)."""
+
+    s = -1
+
+    def jet(self, x, J: int) -> Jet:
+        if x != 0:
+            return super().jet(x, J)
+        self._check_order(J, _CLOSED_FORM_JMAX)
+        return Jet.from_rationals(0, [
+            0 if j % 2 else self.s ** (j // 2) * math.factorial(j)
+            // math.factorial(j // 2) for j in range(J + 1)])
+
+    def _recurrence(self, xs, log_r, J):
+        c = 2.0 * self.s
+        return (self.s * xs * xs, 1, 1.0 / (1.0 + xs * xs), [c] * J,
+                [c * n for n in range(J)])
+
+
+class Gaussian(_ExpQuadratic):
     """f(x) = exp(-x^2)."""
 
     label = "gaussian"
@@ -75,55 +126,15 @@ class Gaussian(ModelFunction):
     def value(self, x: float) -> float:
         return math.exp(-x * x)
 
-    def jet(self, x, J: int) -> Jet:
-        self._check_order(J, _CLOSED_FORM_JMAX)
-        if x == 0:
-            vals = []
-            for j in range(J + 1):
-                if j % 2:
-                    vals.append(Fraction(0))
-                else:
-                    m = j // 2
-                    vals.append(Fraction((-1) ** m * math.factorial(j)
-                                         // math.factorial(m)))
-            return Jet.from_rationals(0, vals)
-        x = float(x)
-        vals = [LogReal.from_log(1, -x * x)]
-        if J >= 1:
-            vals.append(LogReal.from_float(-2.0 * x) * vals[0])
-        c = LogReal.from_float(-2.0 * x)
-        for n in range(1, J):
-            vals.append(c * vals[n] + LogReal.from_float(-2.0 * n) * vals[n - 1])
-        return Jet.from_logreals(x, vals[: J + 1])
 
-
-class ExpSqr(ModelFunction):
+class ExpSqr(_ExpQuadratic):
     """f(x) = exp(x^2)."""
 
     label = "expsqr"
+    s = 1
 
     def value(self, x: float) -> float:
-        return math.exp(min(x * x, 700.0)) if x * x < 700 else math.inf
-
-    def jet(self, x, J: int) -> Jet:
-        self._check_order(J, _CLOSED_FORM_JMAX)
-        if x == 0:
-            vals = []
-            for j in range(J + 1):
-                if j % 2:
-                    vals.append(Fraction(0))
-                else:
-                    m = j // 2
-                    vals.append(Fraction(math.factorial(j) // math.factorial(m)))
-            return Jet.from_rationals(0, vals)
-        x = float(x)
-        vals = [LogReal.from_log(1, x * x)]
-        if J >= 1:
-            vals.append(LogReal.from_float(2.0 * x) * vals[0])
-        c = LogReal.from_float(2.0 * x)
-        for n in range(1, J):
-            vals.append(c * vals[n] + LogReal.from_float(2.0 * n) * vals[n - 1])
-        return Jet.from_logreals(x, vals[: J + 1])
+        return math.exp(x * x) if x * x < 700 else math.inf
 
 
 class Polynomial(ModelFunction):
@@ -203,27 +214,11 @@ class MonomialBump(ModelFunction):
         return Jet.from_rationals(0, vals)
 
 
-class Sqrt1px2(ModelFunction):
-    """psi(x) = sqrt(1 + x^2); holomorphic on a cone around the real axis."""
+class Pow1px2(_Recurrence):
+    """psi(x) = (1 + x^2)^a; holomorphic on a strip around the real axis.
 
-    label = "sqrt1px2"
-    analytic = "cone"
-
-    def value(self, x: float) -> float:
-        return math.hypot(1.0, x)
-
-    def jet(self, x, J: int) -> Jet:
-        self._check_order(J, _CLOSED_FORM_JMAX)
-        x = float(x)
-        f0 = LogReal.from_float(self.value(x))
-        if J == 0:
-            return Jet.from_logreals(x, [f0])
-        f1 = LogReal.from_float(x / self.value(x))
-        return _ode_recurrence_jet(x, J, f0, f1, two_a=1.0)
-
-
-class Pow1px2(ModelFunction):
-    """psi(x) = (1 + x^2)^a; holomorphic on a strip around the real axis."""
+    Leibniz on (1+x^2) f' = 2a x f gives the recurrence
+    (1+x^2) f^(n+1) = (2a - 2n) x f^(n) + n (2a - n + 1) f^(n-1)."""
 
     analytic = "strip"
 
@@ -234,14 +229,23 @@ class Pow1px2(ModelFunction):
     def value(self, x: float) -> float:
         return (1.0 + x * x) ** self.a
 
-    def jet(self, x, J: int) -> Jet:
-        self._check_order(J, _CLOSED_FORM_JMAX)
-        x = float(x)
-        f0 = LogReal.from_float(self.value(x))
-        if J == 0:
-            return Jet.from_logreals(x, [f0])
-        f1 = LogReal.from_float(2.0 * self.a * x * self.value(x) / (1.0 + x * x))
-        return _ode_recurrence_jet(x, J, f0, f1, two_a=2.0 * self.a)
+    def _recurrence(self, xs, log_r, J):
+        two_a = 2.0 * self.a
+        return (two_a * log_r, -1, 1.0, [two_a - 2.0 * n for n in range(J)],
+                [n * (two_a + (1 - n)) for n in range(J)])
+
+
+class Sqrt1px2(Pow1px2):
+    """psi(x) = sqrt(1 + x^2); holomorphic on a cone around the real axis."""
+
+    label = "sqrt1px2"
+    analytic = "cone"
+
+    def __init__(self):
+        self.a = 0.5
+
+    def value(self, x: float) -> float:
+        return math.hypot(1.0, x)
 
 
 class GevreyBump(ModelFunction):
@@ -265,7 +269,7 @@ class GevreyBump(ModelFunction):
         self._check_order(J, _BUMP_JMAX)
         x = float(x)
         if abs(x) >= self.r:
-            return Jet.from_logreals(x, [LogReal.zero()] * (J + 1))
+            return Jet.from_floats(x, [0.0] * (J + 1))
         g = self.gamma
         r = self.r
         # v = 1 - (x/r)^2, u = -v^(-gamma): v u' = -gamma u v' (Leibniz below)
@@ -333,16 +337,10 @@ def parse_function(spec: str) -> ModelFunction:
 
 def jet_log_abs(jet: Jet) -> list:
     """log |f^(j)| per entry (exact jets converted via big-int logs)."""
-    out = []
-    for v in jet.values:
-        if jet.kind == "log":
-            out.append(v.log_abs)
-        else:
-            if v == 0:
-                out.append(LOG_ZERO)
-            else:
-                out.append(math.log(abs(v.numerator)) - math.log(v.denominator))
-    return out
+    if jet.kind == "log":
+        return [v.log_abs for v in jet.values]
+    return [math.log(abs(v.numerator)) - math.log(v.denominator) if v
+            else LOG_ZERO for v in jet.values]
 
 
 def weighted_log_sup(logs, conj: ConjugateEvaluator, lam: float, xs=None,
@@ -412,10 +410,6 @@ class SeminormReport(Result):
         return d
 
 
-def _jet_logs(f: ModelFunction, xs, J: int) -> list:
-    return [jet_log_abs(f.jet(float(x), J)) for x in xs]
-
-
 def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
                       grid: GridSpec, J: int, K: int,
                       check_stability: bool = True) -> SeminormReport:
@@ -425,13 +419,13 @@ def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
         raise PreconditionError("J + K too large")
     conj = ConjugateEvaluator(w)
     xs = grid.symmetric_points()
-    best, at = weighted_log_sup(_jet_logs(f, xs, J), conj, lam, xs, K)
+    best, at = weighted_log_sup(f.log_jet_table(xs, J)[1], conj, lam, xs, K)
     witness = None if at is None else {"j": at[1], "k": at[2],
                                        "x": float(xs[at[0]])}
     stable = None
     if check_stability and witness is not None:
         xs2 = grid.scaled(1.25).symmetric_points()
-        b2, _ = weighted_log_sup(_jet_logs(f, xs2, math.ceil(J * 1.25)),
+        b2, _ = weighted_log_sup(f.log_jet_table(xs2, math.ceil(J * 1.25))[1],
                                  conj, lam, xs2, math.ceil(K * 1.25))
         stable = abs(b2 - best) < 1e-6 * max(1.0, abs(best))
     return SeminormReport("p_lambda", lam, None, w.label, grid.spec_string(),
@@ -447,7 +441,7 @@ def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
     conj = ConjugateEvaluator(w)
 
     def scan(xs, J):
-        return weighted_log_sup(_jet_logs(f, xs, J), conj, lam,
+        return weighted_log_sup(f.log_jet_table(xs, J)[1], conj, lam,
                                 extra=[mu * w(float(x)) for x in xs])
 
     xs = grid.symmetric_points()

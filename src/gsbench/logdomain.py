@@ -58,13 +58,6 @@ class LogReal:
             return LogReal.zero()
         return LogReal(sign, log_abs)
 
-    @staticmethod
-    def from_int(n: int) -> "LogReal":
-        if n == 0:
-            return LogReal.zero()
-        # math.log accepts arbitrary-precision ints
-        return LogReal(1 if n > 0 else -1, math.log(abs(n)))
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -84,19 +77,10 @@ class LogReal:
     def __neg__(self) -> "LogReal":
         return LogReal(-self.sign, self.log_abs)
 
-    def __abs__(self) -> "LogReal":
-        return LogReal(abs(self.sign), self.log_abs)
-
     def __mul__(self, other: "LogReal") -> "LogReal":
         if self.sign == 0 or other.sign == 0:
             return LogReal.zero()
         return LogReal(self.sign * other.sign, self.log_abs + other.log_abs)
-
-    def scaled(self, factor: float) -> "LogReal":
-        """Multiply by exp(factor)."""
-        if self.sign == 0:
-            return self
-        return LogReal(self.sign, self.log_abs + factor)
 
     def pow_int(self, n: int) -> "LogReal":
         if n < 0:

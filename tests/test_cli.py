@@ -358,6 +358,22 @@ def test_nuclear_overflow_exits_2(capsys):
     assert out.out == "" and "m*L" in out.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["negative", "--d", "1e-300", "--dprime", "1e-300", "--jmax", "5"], "--d"),
+    (["compactness", "--psi", "poly:0,2,0,1", "--weight", "gevrey:d=2",
+      "--x0", "1e300", "--nmax", "5"], "--x0"),
+    (["bounded", "--d", "1e-56", "--psi", "poly:1,1", "--mmax", "1"], "--d"),
+    (["bounded", "--d", "2000", "--psi", "poly:1,1", "--mmax", "1"], "--d"),
+], ids=["negative-tiny-d", "compactness-huge-x0", "bounded-tiny-d",
+        "bounded-huge-d"])
+def test_in_range_value_that_overflows_exits_2(argv, flag, capsys):
+    assert main(["experiment"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"gsbench: error: {flag}:")
+    assert "overflows a float" in out.err and "Traceback" not in out.err
+
+
 # -- strict JSON: +-inf as "inf"/"-inf", never a bare Infinity token ------
 
 def _reject_constant(name):

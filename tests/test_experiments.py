@@ -161,10 +161,17 @@ def restart_bounded_chain(d, psi, mmax, threshold=1e6, y_cap=1e12):
 
 
 def _outcome(run):
+    """The report, or the error; where the oracle's float arithmetic
+    overflows, the chain raises a usage error naming --d instead."""
     try:
         return run().to_dict()
-    except (SearchExhaustedError, OverflowError) as exc:
+    except SearchExhaustedError as exc:
         return repr(exc)
+    except OverflowError:
+        return "overflow"
+    except PreconditionError as exc:
+        assert str(exc).startswith("--d:") and "overflows" in str(exc)
+        return "overflow"
 
 
 SMALL_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gsbench import fdb
 from gsbench.errors import PreconditionError
 from gsbench.fdb import (Jet, compose_jet, enumerate_partitions, faa_di_bruno,
-                         identity_lah, identity_two_power,
+                         identity_lah, identity_sums, identity_two_power,
                          iter_partition_multi_indices, partition_count,
                          single_jet_compose)
 from gsbench.functions import Gaussian, Sqrt1px2
@@ -243,6 +243,18 @@ def test_two_power_identity(j):
 @pytest.mark.parametrize("j", range(1, 26))
 def test_lah_identity(j):
     identity_lah(j)  # raises on mismatch
+
+
+@pytest.mark.parametrize("j", [1, 2, 7, 16, 25])
+def test_identity_sums_match_two_separate_walks(j):
+    two_power = sum(math.factorial(mi.k) // math.prod(
+        math.factorial(kl) for kl in mi.k_vec if kl)
+        for mi in iter_partition_multi_indices(j))
+    lah = sum(mi.multinomial() for mi in iter_partition_multi_indices(j))
+    lah_closed = sum(math.comb(j - 1, k - 1) * math.factorial(j)
+                     // math.factorial(k) for k in range(1, j + 1))
+    assert identity_sums(j) == (two_power, lah) == (2 ** (j - 1), lah_closed)
+    assert (identity_two_power(j), identity_lah(j)) == (two_power, lah)
 
 
 def test_identity_range_guard():

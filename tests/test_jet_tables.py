@@ -1,0 +1,204 @@
+"""Batched jet tables against independent oracles.
+
+* the scalar signed-log (``LogReal``) recurrences the families used before
+  their jets were batched, one log-domain operation at a time;
+* 60-digit mpmath runs of the same recurrences, which also give each entry's
+  condition number;
+* closed forms in mpmath: Hermite polynomials for exp(-+x^2), and Leibniz on
+  (x+i)^a (x-i)^a for (1+x^2)^a.
+"""
+import math
+
+import mpmath as mp
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gsbench.experiments import compactness_blowup
+from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, MonomialBump,
+                               Polynomial, Pow1px2, Sqrt1px2, jet_log_abs)
+from gsbench.logdomain import LOG_ZERO, LogReal
+from gsbench.weights import WeightFunction
+
+# entries whose first-order rounding amplification (see mp_recurrence) stays
+# below this are compared; past it the recurrence itself cannot deliver 9
+# digits, in any float arithmetic
+WELL_CONDITIONED = 1e5
+
+
+# -- oracle: the scalar LogReal recurrences ---------------------------------
+
+def _ode_recurrence_jet(x, J, f0, f1, two_a):
+    """Jet from (1+x^2) f' = two_a * x * f via the Leibniz recurrence
+
+        f^(n+1) = [ (two_a - 2n) x f^(n) + n (two_a - n + 1) f^(n-1) ] / (1+x^2)
+    """
+    inv = -math.log1p(x * x)  # log of 1/(1+x^2)
+    vals = [f0, f1]
+    cx = LogReal.from_float(x)
+    for n in range(1, J):
+        t1 = LogReal.from_float(two_a - 2.0 * n) * cx * vals[n]
+        t2 = LogReal.from_float(n * (two_a + (1 - n))) * vals[n - 1]
+        vals.append((t1 + t2) * LogReal.from_log(1, inv))
+    return vals[: J + 1]
+
+
+def logreal_jet(f, x, J):
+    """f^(0..J)(x) as LogReals: Hermite for exp(s x^2),
+    f^(n+1) = 2s x f^(n) + 2s n f^(n-1); the ODE recurrence for (1+x^2)^a."""
+    x = float(x)
+    if isinstance(f, (Gaussian, ExpSqr)):
+        c = LogReal.from_float(2.0 * f.s * x)
+        vals = [LogReal.from_log(1, f.s * x * x)]
+        if J >= 1:
+            vals.append(c * vals[0])
+        for n in range(1, J):
+            vals.append(c * vals[n]
+                        + LogReal.from_float(2.0 * f.s * n) * vals[n - 1])
+        return vals[: J + 1]
+    f0 = LogReal.from_float(f.value(x))
+    # f' = 2a x f / (1+x^2), as a log-domain product so tiny x keeps its digits
+    f1 = (LogReal.from_float(2.0 * f.a) * LogReal.from_float(x)
+          * f0 * LogReal.from_log(1, -math.log1p(x * x)))
+    return _ode_recurrence_jet(x, J, f0, f1, 2.0 * f.a)[: J + 1]
+
+
+# -- oracle: the same recurrences at 60 digits ------------------------------
+
+def mp_recurrence(f, x, J):
+    """(values, kappa) of f^(0..J)(x), F(n+1) = A_n F(n) + B_n F(n-1), at 60
+    digits.  kappa[n] is the first-order amplification of one relative
+    rounding in each term of every step, sum_m |G(n, m+1)| (|A_m F(m)| +
+    |B_m F(m-1)|) / |F(n)|, with G(., m) the solution started by
+    (F(m-1), F(m)) = (0, 1); it is infinite at a root."""
+    with mp.workdps(60):
+        x = mp.mpf(x)
+        if isinstance(f, (Gaussian, ExpSqr)):
+            A = [2 * f.s * x] * J
+            B = [2 * f.s * n for n in range(J)]
+            F = [mp.exp(f.s * x * x)]
+        else:
+            q, two_a = 1 + x * x, 2 * mp.mpf(f.a)
+            A = [(two_a - 2 * n) * x / q for n in range(J)]
+            B = [n * (two_a + (1 - n)) / q for n in range(J)]
+            F = [q ** mp.mpf(f.a)]
+        for n in range(J):
+            F.append(A[n] * F[n] + B[n] * (F[n - 1] if n else 0))
+        err = [abs(F[0])] + [mp.mpf(0)] * J
+        for m in range(J):
+            size = abs(A[m] * F[m]) + abs(B[m] * (F[m - 1] if m else 0))
+            err[m + 1] += size
+            g_prev, g = mp.mpf(0), mp.mpf(1)
+            for n in range(m + 1, J):
+                g_prev, g = g, A[n] * g + B[n] * g_prev
+                err[n + 1] += abs(g) * size
+        kappa = [float(e / abs(v)) if v else math.inf for e, v in zip(err, F)]
+        return F, kappa
+
+
+FAMILY = (st.sampled_from([Gaussian(), ExpSqr(), Sqrt1px2()])
+          | st.floats(-3.0, 3.0).map(Pow1px2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(FAMILY, st.floats(-9.0, 9.0), st.integers(0, 60))
+def test_batched_recurrence_matches_logreal_and_60_digit_oracles(f, x, J):
+    sign, logs = f.log_jet_table([x], J)
+    oracle = logreal_jet(f, x, J)
+    ref, kappa = mp_recurrence(f, x, J)
+    for n in range(J + 1):
+        if x == 0 and ref[n] == 0:  # odd orders vanish exactly at 0
+            assert sign[0, n] == 0 and logs[0, n] == LOG_ZERO
+            assert oracle[n].is_zero()
+        elif kappa[n] <= WELL_CONDITIONED:
+            want = float(mp.log(abs(ref[n])))
+            tol = 1e-9 * max(1.0, abs(want))
+            assert sign[0, n] == oracle[n].sign == mp.sign(ref[n])
+            assert abs(logs[0, n] - want) <= tol
+            assert abs(oracle[n].log_abs - want) <= tol
+
+
+# -- closed forms at fixed points --------------------------------------------
+
+def closed_form(f, x, n):
+    """f^(n)(x) to 60 digits, independent of the recurrences."""
+    with mp.workdps(60):
+        x = mp.mpf(x)
+        if isinstance(f, Gaussian):
+            return (-1) ** n * mp.hermite(n, x) * mp.exp(-x * x)
+        if isinstance(f, ExpSqr):
+            return mp.re((-1j) ** n * mp.hermite(n, 1j * x)) * mp.exp(x * x)
+        a = mp.mpf(f.a)
+        return mp.re(mp.fsum(
+            mp.binomial(n, k) * mp.ff(a, k) * (x + 1j) ** (a - k)
+            * mp.ff(a, n - k) * (x - 1j) ** (a - n + k) for k in range(n + 1)))
+
+
+FIXED_X = [-8.5, -5.2, -2.75, -1.1, -0.35, 0.004, 0.6, 1.3, 2.2, 3.9, 6.6, 9.0]
+FIXED = [  # (family, the order n paired with each of FIXED_X)
+    (Gaussian(), [0, 1, 2, 5, 8, 13, 17, 24, 31, 40, 60, 49]),
+    (ExpSqr(), [0, 1, 2, 5, 8, 13, 17, 24, 31, 40, 49, 60]),
+    (Sqrt1px2(), [40, 60, 50, 30, 20, 13, 10, 5, 2, 8, 1, 0]),
+    (Pow1px2(1.25), [0, 3, 60, 50, 40, 30, 20, 24, 17, 20, 4, 6]),
+]
+
+
+@pytest.mark.parametrize("f, orders", FIXED, ids=[f.label for f, _ in FIXED])
+def test_batched_recurrence_matches_closed_forms(f, orders):
+    sign, logs = f.log_jet_table(FIXED_X, max(orders))
+    for i, (x, n) in enumerate(zip(FIXED_X, orders)):
+        assert mp_recurrence(f, x, n)[1][n] < 1e3  # away from roots
+        want = closed_form(f, x, n)
+        assert sign[i, n] == mp.sign(want)
+        # log|f^(n)| to 1e-10: the relative error of f^(n) itself
+        assert abs(logs[i, n] - float(mp.log(abs(want)))) <= 1e-10
+
+
+@pytest.mark.parametrize("f", [Gaussian(), ExpSqr()], ids=lambda f: f.label)
+def test_zero_row_equals_exact_jet(f):
+    J = 200
+    sign, logs = f.log_jet_table([0.0], J)
+    exact = f.jet(0, J)
+    assert exact.kind == "exact"
+    for n, (v, want) in enumerate(zip(exact.values, jet_log_abs(exact))):
+        if n % 2:
+            assert v == 0 and sign[0, n] == 0 and logs[0, n] == LOG_ZERO
+        else:
+            assert sign[0, n] == (1 if v > 0 else -1)
+            assert abs(logs[0, n] - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def test_single_point_jet_is_a_table_row():
+    for f in (Gaussian(), ExpSqr(), Sqrt1px2(), Pow1px2(-0.5)):
+        sign, logs = f.log_jet_table([-2.5, 0.7], 25)
+        jet = f.jet(0.7, 25)
+        assert jet.kind == "log" and jet.base_point == 0.7
+        assert [v.sign for v in jet.values] == sign[1].tolist()
+        assert [v.log_abs for v in jet.values] == logs[1].tolist()
+
+
+def test_default_table_reads_one_jet_per_point():
+    cases = [(Polynomial([1, -2, 0, 3]), [-1.5, 0.0, 0.25, 2.0]),
+             (GevreyBump(1.0, 3.0), [-3.5, -1.0, 0.0, 2.9]),
+             (MonomialBump(3, 5), [0.0])]
+    for f, xs in cases:
+        sign, logs = f.log_jet_table(xs, 8)
+        assert sign.shape == logs.shape == (len(xs), 9)
+        for i, x in enumerate(xs):
+            jet = f.jet(x, 8)
+            assert logs[i].tolist() == jet_log_abs(jet)
+            assert sign[i].tolist() == [
+                v.sign if jet.kind == "log" else (v > 0) - (v < 0)
+                for v in jet.values]
+
+
+def test_jets_and_verdicts_hold_python_numbers():
+    # a numpy bool in a verdict serializes as 1.0, not true
+    for f in (Gaussian(), ExpSqr(), Sqrt1px2(), Pow1px2(1.5)):
+        for v in f.jet(0.7, 12).values:
+            assert type(v.sign) is int and type(v.log_abs) is float
+    rep = compactness_blowup(Pow1px2(1.5), 1.0, 1, WeightFunction.gevrey(2.0),
+                             30)
+    assert rep.rows and all(type(r["verdict"]) is bool for r in rep.rows)
+    assert all(type(r[c]) is float for r in rep.rows
+               for c in ("log_full_fdb", "log_shortcut", "log_deriv_power"))
+    assert type(rep.verdict) is bool
