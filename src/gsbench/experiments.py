@@ -29,6 +29,7 @@ S_CAP = 10 ** 12         # largest block threshold s0 searched
 NEGATIVE_TOL = 1e-9      # slack on the negative chain's inequalities
 NUCLEAR_TOL = 1e-10      # slack on the nuclearity partial sums
 EQUICONT_J = 16          # derivative orders in the equicontinuity spot checks
+NECESSARY_BLOCK = 2048   # grid points per necessary_growth block
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +288,8 @@ def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
     conj = ConjugateEvaluator(sigma)
     p = a - 1.0
     xs = grid.symmetric_points()
-    psis = [psi.value(float(x)) for x in xs]
-    c0 = max(abs(float(x)) / (1.0 + abs(v)) ** a for x, v in zip(xs, psis))
+    psis = psi.values(xs).tolist()
+    c0 = max(abs(x) / (1.0 + abs(v)) ** a for x, v in zip(xs.tolist(), psis))
     rep = SufficientConditionReport(psi=psi.label, weight=w.label, a=a, p=p,
                                     C0=c0)
     tables = psi.log_jet_table(xs, jmax)[1]
@@ -326,7 +327,7 @@ def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
     """Per grid point, log |(f o psi)^(j)(x)| for j = 0..J via full FdB, from
     one jet table of psi over xs and one of f over psi(xs)."""
     xs = [float(x) for x in xs]
-    ys = [psi.value(x) for x in xs]
+    ys = psi.values(xs).tolist()
     psi_sign, psi_log = psi.log_jet_table(xs, J)
     f_sign, f_log = f.log_jet_table(ys, J)
     return [jet_log_abs(compose_jet(Jet.from_log_row(y, f_sign[i], f_log[i]),
@@ -395,15 +396,19 @@ def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
     """Measured C = max over the grid of sigma(x) / (1 + omega(psi(x))),
     with a trend flag comparing against the inner half-radius maximum."""
     xs = grid.symmetric_points()
-    best, best_x = -math.inf, 0.0
-    inner_best = -math.inf
+    best, best_x, inner_best = -math.inf, 0.0, -math.inf
     half = grid.hi / 2.0
-    for x in xs:
-        ratio = w_sigma(float(x)) / (1.0 + w_omega(psi.value(float(x))))
-        if ratio > best:
-            best, best_x = ratio, float(x)
-        if abs(x) <= half and ratio > inner_best:
-            inner_best = ratio
+    # blocks keep the arrays small on large grids; a NaN ratio never wins
+    for lo in range(0, len(xs), NECESSARY_BLOCK):
+        xb = xs[lo:lo + NECESSARY_BLOCK]
+        with np.errstate(invalid="ignore"):  # inf / inf
+            ratio = w_sigma.values(xb) / (1.0 + w_omega.values(psi.values(xb)))
+        ratio[np.isnan(ratio)] = -math.inf
+        i = int(ratio.argmax())
+        if ratio[i] > best:
+            best, best_x = float(ratio[i]), float(xb[i])
+        inner_best = max(inner_best,
+                         float(ratio[np.abs(xb) <= half].max(initial=-math.inf)))
     return NecessaryGrowthResult(psi=psi.label, sigma=w_sigma.label,
                                  omega=w_omega.label, C=best, argmax_x=best_x,
                                  grows_with_radius=best > inner_best + 1e-9)
@@ -487,14 +492,13 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
         us = grid.symmetric_points()
         logs_f = f.log_jet_table(us, EQUICONT_J)[1]
         # pi_{m,m}(f) on the box
-        pi_m, _ = weighted_log_sup(logs_f, conj, m,
-                                   extra=[m * w(float(u)) for u in us])
+        pi_m, _ = weighted_log_sup(logs_f, conj, m, extra=m * w.values(us))
         idxs = sorted({1, len(x_seq) // 2 + 1, len(x_seq)})
         for j in idxs:
             x_j, lam_j = x_seq[j - 1], lambda_seq[j - 1]
             # pi_{n,n} of the translate, read at the translated argument
-            pi_n, _ = weighted_log_sup(
-                logs_f, conj, n, extra=[n * w(float(u) + x_j) for u in us])
+            pi_n, _ = weighted_log_sup(logs_f, conj, n,
+                                       extra=n * w.values(us + x_j))
             lhs = pi_n - lam_j * w(x_j)
             rhs = best + pi_m
             result.spot_rows.append({"j": j, "log_lhs": lhs, "log_rhs": rhs,

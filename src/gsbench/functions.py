@@ -2,7 +2,9 @@
 
 Every seminorm sup runs through one kernel, ``weighted_log_sup``: the max over
 grid points x, orders j and powers k of
-log|f^(j)(x)| - lam phi*((j+k)/lam) + k log|x| + extra(x).
+log|f^(j)(x)| - lam phi*((j+k)/lam) + k log|x| + extra(x),
+taken over blocks of grid points, one (rows, J+1, K+1) array of at most
+SUP_BLOCK_TERMS terms per block, so memory is bounded per block.
 
 Jets on a grid come from one call, ``log_jet_table(xs, J)``: the sign and
 log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
@@ -33,16 +35,22 @@ from .weights import ConjugateEvaluator, WeightFunction, parse_real
 
 _CLOSED_FORM_JMAX = 200
 _BUMP_JMAX = 40
+SUP_BLOCK_TERMS = 1 << 14  # (x, j, k) terms per weighted_log_sup block
 
 
 class ModelFunction:
-    """Base: value(x) plus jet(x, J) and its batched form log_jet_table."""
+    """Base: value(x) and values(xs), jet(x, J) and its batched form
+    log_jet_table."""
 
     label = "model"
     analytic: Optional[str] = None  # "cone" | "strip" | None
 
     def value(self, x: float) -> float:
         raise NotImplementedError
+
+    def values(self, xs) -> np.ndarray:
+        """f at every x of xs; default: one value(x) per point."""
+        return np.array([self.value(x) for x in np.asarray(xs, dtype=float).tolist()])
 
     def jet(self, x, J: int) -> Jet:
         raise NotImplementedError
@@ -146,6 +154,7 @@ class Polynomial(ModelFunction):
         self.coeffs = [Fraction(c) for c in coeffs]
         while len(self.coeffs) > 1 and self.coeffs[-1] == 0:
             self.coeffs.pop()
+        self._horner = [float(c) for c in reversed(self.coeffs)]
         self.label = "poly:" + ",".join(str(c) for c in self.coeffs)
 
     @property
@@ -154,8 +163,18 @@ class Polynomial(ModelFunction):
 
     def value(self, x: float) -> float:
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        for c in self._horner:
+            acc = acc * x + c
+        return acc
+
+    def values(self, xs) -> np.ndarray:
+        """Horner over the whole array: the same product-then-sum per step
+        (no fused multiply-add) as value, so equal bit for bit."""
+        xs = np.asarray(xs, dtype=float)
+        acc = np.zeros_like(xs)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan as in value
+            for c in self._horner:
+                acc = acc * xs + c
         return acc
 
     def jet(self, x, J: int) -> Jet:
@@ -351,8 +370,9 @@ def weighted_log_sup(logs, conj: ConjugateEvaluator, lam: float, xs=None,
 
     with one log-jet row per grid point (xs needed when K > 0).  Returns
     (value, (xi, j, k)) for the first strict maximum in (x, j, k) order, or
-    (LOG_ZERO, None) when every term is log 0.  Each x row is one
-    (J+1) x (K+1) array, so memory does not grow with the grid."""
+    (LOG_ZERO, None) when every term is log 0.  Rows go in blocks, each one
+    (rows, J+1, K+1) array of at most SUP_BLOCK_TERMS terms (or one row), so
+    memory is bounded per block and does not grow with the grid."""
     table = np.asarray(logs, dtype=float)
     J = table.shape[1] - 1
     cap = J + K if jk_cap is None else min(jk_cap, J + K)
@@ -360,25 +380,25 @@ def weighted_log_sup(logs, conj: ConjugateEvaluator, lam: float, xs=None,
     c = np.full(J + K + 1, math.inf)
     for s in range(cap + 1):
         c[s] = lam * conj(s / lam)
-    ks = np.arange(K + 1)
-    c_jk = c[np.add.outer(np.arange(J + 1), ks)]
+    ks = np.arange(1, K + 1)
+    c_jk = c[np.add.outer(np.arange(J + 1), np.arange(K + 1))]
+    rows = max(1, SUP_BLOCK_TERMS // c_jk.size)
     best, witness = LOG_ZERO, None
     with np.errstate(invalid="ignore"):  # inf - inf terms are masked below
-        for xi, row in enumerate(table):
-            v = row[:, None] - c_jk
-            if K:
-                x = float(xs[xi])
-                if x == 0:
-                    v[:, 1:] = LOG_ZERO
-                else:
-                    v[:, 1:] += ks[1:] * math.log(abs(x))
+        for lo in range(0, len(table), rows):
+            v = table[lo:lo + rows, :, None] - c_jk
+            if K:  # log|0| = -inf sends every k >= 1 term at x = 0 to log 0
+                lx = [math.log(abs(x)) if x else LOG_ZERO
+                      for x in np.asarray(xs[lo:lo + len(v)], dtype=float).tolist()]
+                v[:, :, 1:] += np.multiply.outer(lx, ks)[:, None, :]
             if extra is not None:
-                v += extra[xi]
+                v += np.asarray(extra[lo:lo + len(v)], dtype=float)[:, None, None]
             v[np.isnan(v)] = LOG_ZERO
             i = int(v.argmax())
             if v.flat[i] > best:
                 best = float(v.flat[i])
-                witness = (xi, i // (K + 1), i % (K + 1))
+                xi, jk = divmod(i, (J + 1) * (K + 1))
+                witness = (lo + xi, jk // (K + 1), jk % (K + 1))
     return best, witness
 
 
@@ -442,7 +462,7 @@ def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
 
     def scan(xs, J):
         return weighted_log_sup(f.log_jet_table(xs, J)[1], conj, lam,
-                                extra=[mu * w(float(x)) for x in xs])
+                                extra=mu * w.values(xs))
 
     xs = grid.symmetric_points()
     best, at = scan(xs, J)

@@ -116,22 +116,20 @@ class AssociatedWeight:
         lt = math.log(t)
         if self.source.log_convex:
             # terms p*lt - log M_p increase while log m_p < lt, then decrease:
-            # double hi past the argmax, then bisect the cached quotients for
-            # the largest p with log m_p < lt (the smallest maximizer)
-            src = self.source
-            if src.log_m(1) > lt:
-                return 0.0, 0
-            hi = 2
-            while hi <= self.pmax and src.log_m(hi) <= lt:
-                hi *= 2
-            hi = min(hi, self.pmax)
-            if hi == self.pmax and src.log_m(hi) <= lt:
-                raise TruncationError(
-                    f"associated-weight argmax hit pmax={self.pmax} at t={t:g}; "
-                    "increase pmax")
-            src._extend(hi)
-            best_p = bisect.bisect_left(src._quot, lt, 1, hi) - 1
-            return max(0.0, best_p * lt - src.log_M(best_p)), best_p
+            # extend the cached quotients past lt (or to pmax), then bisect
+            # them for the largest p with log m_p < lt (the smallest maximizer)
+            src, quot = self.source, self.source._quot
+            while (len(quot) == 1 or quot[-1] <= lt) and len(quot) <= self.pmax:
+                src._extend(len(quot))
+            top = len(quot) - 1  # log m_top > lt, or top >= pmax
+            if top >= self.pmax:
+                top = self.pmax
+                if src.log_m(top) <= lt:
+                    raise TruncationError(
+                        f"associated-weight argmax hit pmax={self.pmax} at "
+                        f"t={t:g}; increase pmax")
+            best_p = bisect.bisect_left(quot, lt, 1, top) - 1
+            return max(0.0, best_p * lt - src._cum[best_p]), best_p
         best, best_p = 0.0, 0  # p = 0 term is always 0
         for p in range(1, self.pmax + 1):
             v = p * lt - self.source.log_M(p)

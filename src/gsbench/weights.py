@@ -119,6 +119,18 @@ class WeightFunction:
                 f"[{math.exp(self._log_ts[0]):g}, {math.exp(self._log_ts[-1]):g}]")
         return float(np.interp(lt, self._log_ts, self._vals))
 
+    def values(self, ts) -> np.ndarray:
+        """omega at every t of ts, equal bit for bit to [w(t) for t in ts].
+        Powers and logs stay per element in math and **: numpy's vector
+        power and log may differ from them in the last bit."""
+        ts = np.abs(np.asarray(ts, dtype=float)).tolist()
+        if self.kind == "gevrey":
+            e = 1.0 / self.d
+            return np.array([t ** e for t in ts])
+        if self.kind == "logpow":
+            return np.array([0.0 if t <= 1.0 else math.log(t) ** self.s for t in ts])
+        return np.array([self(t) for t in ts], dtype=float)
+
     def phi(self, t: float) -> float:
         """phi(t) = omega(e^t); overflow of e^t reported as +inf."""
         try:
@@ -332,10 +344,10 @@ def check_weight_conditions(w: WeightFunction, grid: GridSpec = None) -> WeightC
     if grid is None:
         grid = DEFAULT_T_GRID
     ts = np.concatenate([[0.0], grid.points()])
-    om = np.array([w(t) for t in ts])
+    om = w.values(ts)
 
     # (alpha): omega(2t) <= K (omega(t) + 1)
-    om2 = np.array([w(2.0 * t) for t in ts])
+    om2 = w.values(2.0 * ts)
     k_req = math.ceil(np.max(om2 / (om + 1.0)) - 1e-12)
     alpha = ConditionRecord(
         "alpha", k_req <= K_BOUND,
@@ -381,8 +393,8 @@ def check_weight_conditions(w: WeightFunction, grid: GridSpec = None) -> WeightC
 
     # doubling: 2 omega(t) <= omega(H t) + H; monotone in H
     h_witness = first_true(
-        lambda H: all(2.0 * om[i] <= w(H * ts[i]) + H + 1e-12
-                      for i in range(len(ts))), 1, H_BOUND)
+        lambda H: bool(np.all(2.0 * om <= w.values(H * ts) + H + 1e-12)),
+        1, H_BOUND)
     doubling = ConditionRecord(
         "doubling", h_witness is not None,
         witness={"H": int(h_witness)} if h_witness is not None else None,
@@ -402,7 +414,7 @@ def find_log_scaling_constant(w: WeightFunction, grid: GridSpec = None) -> int:
     if grid is None:
         grid = DEFAULT_T_GRID
     ts = np.concatenate([[0.0], grid.points()])
-    ratios = [w(math.e * t) / (1.0 + w(t)) for t in ts]
+    ratios = (w.values(math.e * ts) / (1.0 + w.values(ts))).tolist()
     L = math.ceil(max(ratios) - 1e-12)
     if L > L_BOUND:
         raise BracketError(f"no L <= {L_BOUND} scales the weight (max ratio {max(ratios):g})")

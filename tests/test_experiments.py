@@ -1,13 +1,15 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gsbench import experiments
 from gsbench.errors import (CapabilityError, PreconditionError, RegimeError,
                             SearchExhaustedError)
-from gsbench.experiments import (bounded_derivative_chain,
+from gsbench.experiments import (NECESSARY_BLOCK, bounded_derivative_chain,
                                  cauchy_derivative_bound, compactness_blowup,
                                  composed_seminorm_bound,
                                  equicontinuity_constant, necessary_growth,
@@ -229,6 +231,60 @@ def test_necessary_growth_square():
     assert res.C == pytest.approx(0.5, abs=1e-6)
     assert abs(abs(res.argmax_x) - 1.0) <= 1e-3
     assert not res.grows_with_radius
+
+
+def naive_necessary_growth(psi, w_sigma, w_omega, grid):
+    """Oracle: the per-point loop over the grid; a NaN ratio never compares
+    greater, so it never wins either maximum."""
+    best, best_x, inner_best = -math.inf, 0.0, -math.inf
+    half = grid.hi / 2.0
+    for x in grid.symmetric_points():
+        ratio = w_sigma(float(x)) / (1.0 + w_omega(psi.value(float(x))))
+        if ratio > best:
+            best, best_x = ratio, float(x)
+        if abs(x) <= half and ratio > inner_best:
+            inner_best = ratio
+    return best, best_x, best > inner_best + 1e-9
+
+
+NAN_BAND = WeightFunction.custom(lambda t: math.nan if 0.5 < t < 2.0 else t,
+                                 label="nan-band")
+INF_TAIL = WeightFunction.custom(lambda t: math.inf if t > 3.0 else t ** 0.5,
+                                 label="inf-tail")
+ALL_NAN = WeightFunction.custom(lambda t: math.nan, label="all-nan")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([SQUARE, CUBE, Polynomial([1, -2, 0, 1]), Gaussian(),
+                        parse_function("expsqr"), Sqrt1px2()]),
+       st.sampled_from([W2, WeightFunction.gevrey(1), WeightFunction.gevrey(2.25),
+                        WeightFunction.logpow(1.5), NAN_BAND, INF_TAIL, ALL_NAN]),
+       st.sampled_from([W2, WeightFunction.logpow(2), INF_TAIL]),
+       st.sampled_from(["lin", "log"]), st.floats(1e-3, 5.0),
+       st.floats(1.0, 1e3), st.integers(2, 60),
+       st.sampled_from([1, 2, 5, NECESSARY_BLOCK]))
+def test_necessary_growth_matches_pointwise_loop(psi, w_sigma, w_omega, kind,
+                                                 lo, span, n, block):
+    grid = GridSpec(kind, lo, lo + span, n)
+    with mock.patch.object(experiments, "NECESSARY_BLOCK", block):
+        res = necessary_growth(psi, w_sigma, w_omega, grid)
+    best, best_x, grows = naive_necessary_growth(psi, w_sigma, w_omega, grid)
+    assert [res.C.hex(), res.argmax_x.hex()] == [best.hex(), best_x.hex()]
+    assert res.grows_with_radius is grows
+
+
+def test_necessary_growth_skips_nan_ratios():
+    grid = GridSpec("lin", 0.25, 6.0, 24)  # step 0.25
+    ident = Polynomial([0, 1])
+    # sigma is NaN on 0.5 < |x| < 2; omega(x) = inf past |x| = 3 sends the
+    # ratio to 0 there, and with sigma = omega = INF_TAIL to inf/inf = NaN
+    for w_sigma in (NAN_BAND, INF_TAIL):
+        res = necessary_growth(ident, w_sigma, INF_TAIL, grid)
+        assert (res.C, res.argmax_x) == naive_necessary_growth(
+            ident, w_sigma, INF_TAIL, grid)[:2]
+        assert math.isfinite(res.C) and res.argmax_x == -3.0
+    res = necessary_growth(SQUARE, ALL_NAN, W2, grid)
+    assert (res.C, res.argmax_x, res.grows_with_radius) == (-math.inf, 0.0, False)
 
 
 def test_necessary_growth_detects_unbounded_ratio():

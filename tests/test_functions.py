@@ -1,13 +1,16 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gsbench import functions
 from gsbench.errors import (CapabilityError, DegenerateInputError,
                             PreconditionError)
-from gsbench.functions import (Gaussian, GevreyBump, ExpSqr, MonomialBump,
-                               Polynomial, Pow1px2, Sqrt1px2,
+from gsbench.functions import (SUP_BLOCK_TERMS, Gaussian, GevreyBump, ExpSqr,
+                               MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
                                estimate_growth_exponent, identity_function,
                                jet_log_abs, parse_function,
                                seminorm_p_lambda, seminorm_pi,
@@ -62,6 +65,39 @@ def test_expsqr_exact_at_zero():
     assert jet.values[2] == 2
     assert jet.values[4] == 12
     assert jet.values[6] == 120
+
+
+def hexes(vals) -> list:
+    """Bit-level view: equal hex strings are equal floats, NaN equals NaN and
+    -0.0 differs from 0.0."""
+    return [float(v).hex() for v in vals]
+
+
+SMALL_RATIONAL = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+VALUE_X = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, -1e200, math.inf,
+                            -math.inf, math.nan])
+           | st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(SMALL_RATIONAL, min_size=1, max_size=7),
+       st.lists(VALUE_X, max_size=30))
+def test_polynomial_values_match_value(coeffs, xs):
+    p = Polynomial(coeffs)
+    want = []
+    for x in xs:  # the Horner loop with one float(c) per coefficient per call
+        acc = 0.0
+        for c in reversed(p.coeffs):
+            acc = acc * x + float(c)
+        want.append(acc)
+    assert hexes(p.value(x) for x in xs) == hexes(want)
+    assert hexes(p.values(xs)) == hexes(want)
+
+
+@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.label)
+def test_values_match_value(f):
+    xs = [-30.0, -2.5, -1.0, 0.0, 0.3, 1.7, 2.999, 27.0]
+    assert hexes(f.values(xs)) == hexes(f.value(x) for x in xs)
 
 
 def test_polynomial_jet_exact():
@@ -158,6 +194,14 @@ log_entry = st.sampled_from([LOG_ZERO, LOG_ZERO, -2.5, 0.0, 1.0, 3.75,
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_weighted_sup_kernel_matches_triple_loop(data):
+    # small blocks put block boundaries, and ties across them, into short
+    # grids; a budget below one row still takes a row per block
+    block = data.draw(st.sampled_from([1, 8, 40, SUP_BLOCK_TERMS]), label="block")
+    with mock.patch.object(functions, "SUP_BLOCK_TERMS", block):
+        check_kernel_against_triple_loop(data)
+
+
+def check_kernel_against_triple_loop(data):
     J = data.draw(st.integers(0, 6), label="J")
     K = data.draw(st.integers(0, 4), label="K")
     n = data.draw(st.integers(1, 6), label="n_x")
@@ -194,6 +238,40 @@ def test_weighted_sup_kernel_matches_triple_loop(data):
     value, witness = got
     assert type(value) is float
     assert witness is None or all(type(i) is int for i in witness)
+
+
+def test_weighted_sup_kernel_many_blocks():
+    # 3 full blocks and a partial one, every j, k and x = 0 in play
+    rng = np.random.default_rng(7)
+    J, K = 5, 3
+    rows = SUP_BLOCK_TERMS // ((J + 1) * (K + 1))
+    n = 3 * rows + 40
+    logs = rng.uniform(-20.0, 5.0, (n, J + 1))
+    logs[rng.random((n, J + 1)) < 0.1] = LOG_ZERO
+    xs = rng.uniform(-9.0, 9.0, n)
+    xs[[0, rows, n - 1]] = 0.0
+    extra = rng.uniform(-3.0, 3.0, n)
+    conj = ConjugateEvaluator(WeightFunction.gevrey(1.5))
+    for args in ((None, 0, None, None), (xs, K, None, extra),
+                 (xs, K, J + 1, extra.tolist())):
+        assert (weighted_log_sup(logs, conj, 1.5, *args)
+                == naive_weighted_log_sup(logs.tolist(), conj, 1.5, *args))
+
+
+def test_weighted_sup_kernel_tie_across_blocks_keeps_first():
+    conj = ConjugateEvaluator(WeightFunction.gevrey(2))
+    rows = SUP_BLOCK_TERMS // 3  # J = 2, K = 0
+    logs = np.full((2 * rows + 1, 3), -5.0)
+    # an exact tie in the last row of block 0 and the first of block 1
+    logs[rows - 1, 2] = logs[rows, 2] = 9.0
+    assert weighted_log_sup(logs, conj, 1.0)[1] == (rows - 1, 2, 0)
+    # the tie moves to the last block: block 1 still wins
+    logs[rows - 1, 2] = -5.0
+    logs[2 * rows, 2] = 9.0
+    assert weighted_log_sup(logs, conj, 1.0)[1] == (rows, 2, 0)
+    # a strictly larger term in a later block replaces the earlier best
+    logs[2 * rows, 1] = 9.5
+    assert weighted_log_sup(logs, conj, 1.0)[1] == (2 * rows, 1, 0)
 
 
 def test_weighted_sup_kernel_tie_keeps_first():

@@ -138,6 +138,39 @@ def test_assoc_bisect_matches_doubling_bisection_tables(ts, data):
         == _assoc_outcome(lambda: doubling_bisection_assoc(T, t, pmax))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.5, max_value=4.0),
+       st.floats(min_value=1e-3, max_value=1e9), st.integers(1, 5000),
+       st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1e9),
+                          st.integers(1, 5000)), min_size=1, max_size=8))
+def test_assoc_warm_cache_matches_doubling_bisection(d, warm_t, warm_pmax,
+                                                     queries):
+    # one sequence, so every query meets the quotient cache the earlier
+    # calls left behind, up to warm_pmax + 1 entries for any query's pmax
+    M = WeightSequence.gevrey(d)
+    _assoc_outcome(lambda: AssociatedWeight(M, warm_pmax).eval_with_argmax(warm_t))
+    for t, pmax in queries:
+        assert _assoc_outcome(lambda: AssociatedWeight(M, pmax).eval_with_argmax(t)) \
+            == _assoc_outcome(lambda: doubling_bisection_assoc(
+                WeightSequence.gevrey(d), t, pmax))
+
+
+@pytest.mark.parametrize("source", [
+    lambda: WeightSequence.gevrey(2),
+    lambda: WeightSequence.from_log_values(
+        [math.lgamma(p + 1) * 2 for p in range(2001)])])
+def test_assoc_cache_longer_than_pmax(source):
+    M = source()
+    AssociatedWeight(M, 2000).eval_with_argmax(1e6)  # argmax 1000
+    assert len(M._quot) > 51
+    # gevrey d = 2: log m_p = log p^2, so t = 2401 ties p = 49, 2500 hits pmax
+    for t in (1e6, 2500.0, 2401.0, 100.0, 0.5):
+        assert _assoc_outcome(lambda: AssociatedWeight(M, 50).eval_with_argmax(t)) \
+            == _assoc_outcome(lambda: doubling_bisection_assoc(source(), t, 50))
+    with pytest.raises(TruncationError):
+        AssociatedWeight(M, 50).eval_with_argmax(1e6)
+
+
 def test_assoc_at_zero_and_one():
     M = WeightSequence.gevrey(2)
     assert associated_weight(M, 0.0) == (0.0, 0)

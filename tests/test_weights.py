@@ -38,6 +38,47 @@ def test_tabulated_interpolates_in_log_t():
         w(1e5)
 
 
+def hexes(vals) -> list:
+    """Bit-level view: equal hex strings are equal floats, NaN equals NaN and
+    -0.0 differs from 0.0."""
+    return [float(v).hex() for v in vals]
+
+
+POINT_T = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.0000000000000002,
+                            math.e, -2.0, 1e-300, math.inf, math.nan])
+           | st.floats(-1e6, 1e6))
+VALUE_WEIGHTS = [WeightFunction.gevrey(2), WeightFunction.gevrey(2.25),
+                 WeightFunction.gevrey(0.7), WeightFunction.logpow(2),
+                 WeightFunction.logpow(2.25), WeightFunction.logpow(1.5),
+                 scaled_weight(WeightFunction.logpow(2), 1.5),
+                 WeightFunction.custom(lambda t: math.sqrt(t) + 1.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(POINT_T, max_size=40), st.sampled_from(VALUE_WEIGHTS))
+def test_values_match_pointwise_calls(ts, w):
+    assert hexes(w.values(ts)) == hexes([w(t) for t in ts])
+    assert hexes(w.values(np.array(ts))) == hexes([w(t) for t in ts])
+
+
+@pytest.mark.parametrize("w", VALUE_WEIGHTS[:6], ids=lambda w: w.label)
+def test_values_match_pointwise_on_a_large_grid(w):
+    # t^(1/2.25) on this grid is where a vectorized power rounded differently
+    xs = GridSpec("log", 1e-3, 1e3, 20000).symmetric_points()
+    assert hexes(w.values(xs)) == hexes([w(float(x)) for x in xs])
+
+
+def test_tabulated_values_match_pointwise_and_raise_alike():
+    w = WeightFunction.tabulated([1e-3, 1.0, 10.0, 1e6], [0.0, 1.0, 1.5, 4.0])
+    ts = [1e-3, -1e-3, 0.5, -1.0, 3.0, 10.0, -7e5, 1e6]
+    assert hexes(w.values(ts)) == hexes([w(t) for t in ts])
+    for bad in ([0.0, 1.0], [1.0, 2e6], [-1e-4]):
+        with pytest.raises(RangeError):
+            [w(t) for t in bad]
+        with pytest.raises(RangeError):
+            w.values(bad)
+
+
 def test_tabulated_rejects_decreasing():
     with pytest.raises(PreconditionError):
         WeightFunction.tabulated([1.0, 2.0], [1.0, 0.5])
