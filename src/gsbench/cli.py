@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import experiments
-from .errors import GsbenchError
+from .errors import GsbenchError, PreconditionError
 from .fdb import Jet, faa_di_bruno, identity_sums
 from .functions import (estimate_growth_exponent, parse_function,
                         seminorm_p_lambda, seminorm_pi)
@@ -24,18 +24,6 @@ from .reports import ChainReport, atomic_write_bytes, to_json_bytes
 from .sequences import check_sequence_conditions, parse_sequence
 from .weights import (ConjugateEvaluator, check_weight_conditions,
                       parse_weight)
-
-
-def validate_config(a: argparse.Namespace) -> list:
-    """Checks across flags; each argparse ``type`` has checked its own flag."""
-    required = EXPERIMENTS[a.name][0] if a.subcommand == "experiment" else ()
-    diags = [f"--{f.replace('_', '-')} is required by experiment {a.name}"
-             for f in required if getattr(a, f) is None]
-    if (a.subcommand == "experiment" and a.name == "negative" and not diags
-            and not a.d <= a.dprime < (a.k + 1) * a.d):
-        diags.append(f"--dprime: need d <= d' < (k+1)d, got d={a.d:g} "
-                     f"d'={a.dprime:g} (k+1)d={(a.k + 1) * a.d:g}")
-    return diags
 
 
 def _arg(parse):
@@ -89,15 +77,31 @@ REAL, REALS = _arg(_number(float)), _listof(_number(float))
 POSITIVE, COUNT = _arg(_number(float, 0, True)), _arg(_number(int, 1))
 WEIGHT, FUNCTION = _arg(parse_weight), _arg(parse_function)
 
+# flag -> add_argument keywords, for the experiments (each declares in
+# EXPERIMENTS the flags its runner reads) and for the --grid of two commands
+FLAGS = {
+    "d": dict(type=REAL), "dprime": dict(type=REAL), "k": dict(type=REAL, default=1.0),
+    "jmax": dict(type=COUNT, default=100), "psi": dict(type=FUNCTION),
+    "function": dict(type=FUNCTION, default="gaussian"), "weight": dict(type=WEIGHT),
+    "sigma": dict(type=WEIGHT), "omega": dict(type=WEIGHT), "x0": dict(type=REAL, default=0.0),
+    "p": dict(type=COUNT, default=1), "nmax": dict(type=COUNT, default=30),
+    "mmax": dict(type=COUNT, default=12), "a": dict(type=REAL, default=1.5),
+    "m": dict(type=_listof(_number(_whole, 1)), default="1",
+              help="comma-separated orders; nuclear takes one"),
+    "L": dict(type=COUNT, default=2), "n": dict(type=COUNT, default=1),
+    "K": dict(type=COUNT, default=2), "delta": dict(type=REAL, default=0.5),
+    "x_seq": dict(type=REALS, help="comma-separated x_j values"),
+    "lam_seq": dict(type=REALS, help="comma-separated lambda_j values"),
+    "grid": dict(type=_arg(GridSpec.parse), help='grid spec, e.g. "log:1e-2,1e8,2000"'),
+    "threshold": dict(type=_arg(_number(float, 1, True)), default=experiments.DEFAULT_THRESHOLD,
+                      help="divergence threshold (linear scale)"),
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+
+def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=_arg(_writable),
                    help="output path (CSV for experiments; JSON summary written next to it)")
     p.add_argument("--format", default="json", choices=["json", "both"])
-    p.add_argument("--grid", type=_arg(GridSpec.parse),
-                   help='grid spec, e.g. "log:1e-2,1e8,2000"')
-    p.add_argument("--threshold", type=_arg(_number(float, 1, True)),
-                   default=experiments.DEFAULT_THRESHOLD, help="divergence threshold (linear scale)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,16 +114,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=WEIGHT, required=True)
     p.add_argument("--s", type=POSITIVE, required=True)
     p.add_argument("--method", choices=["closed-form", "numeric-sup"])
-    _add_common(p)
+    _add_out(p)
 
     p = sub.add_parser("weight-check", help="weight-function condition report")
     p.add_argument("--weight", type=WEIGHT, required=True)
-    _add_common(p)
+    p.add_argument("--grid", **FLAGS["grid"])
+    _add_out(p)
 
     p = sub.add_parser("sequence-check", help="weight-sequence condition report")
     p.add_argument("--sequence", type=_arg(parse_sequence), required=True)
     p.add_argument("--pmax", type=COUNT, default=200)
-    _add_common(p)
+    _add_out(p)
 
     p = sub.add_parser("fdb", help="derivative of a composition from two jets")
     p.add_argument("--h", type=_arg(_rationals), required=True,
@@ -129,55 +134,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_arg(Fraction), default="0",
                    help="base point of the inner jet")
     p.add_argument("--order", type=_arg(_number(int, 0)), required=True)
-    _add_common(p)
+    _add_out(p)
 
     p = sub.add_parser("identities", help="combinatorial summation identities")
     p.add_argument("--jmax", type=COUNT, default=25)
-    _add_common(p)
+    _add_out(p)
 
     p = sub.add_parser("seminorm", help="finite-box seminorm estimate")
     p.add_argument("--family", required=True, choices=["p", "pi"])
     p.add_argument("--function", type=FUNCTION, required=True)
     p.add_argument("--weight", type=WEIGHT, required=True)
     p.add_argument("--lam", type=POSITIVE, required=True)
-    p.add_argument("--mu", type=REAL)
+    p.add_argument("--mu", type=REAL, help="--family pi only; defaults to --lam")
     p.add_argument("--jmax", type=COUNT, default=20)
-    p.add_argument("--kmax", type=_arg(_number(int, 0)), default=20)
-    _add_common(p)
+    p.add_argument("--kmax", type=_arg(_number(int, 0)),
+                   help="--family p only; defaults to 20")
+    p.add_argument("--grid", **FLAGS["grid"])
+    _add_out(p)
 
     p = sub.add_parser("estimate-index", help="growth-exponent fit from a jet")
     p.add_argument("--function", type=FUNCTION, required=True)
     p.add_argument("--x", type=REAL, default=0.0)
     p.add_argument("--jmax", type=COUNT, default=80)
-    _add_common(p)
+    _add_out(p)
 
-    p = sub.add_parser("experiment", help="inequality-chain experiments")
-    p.add_argument("name", choices=list(EXPERIMENTS))
-    p.add_argument("--d", type=REAL)
-    p.add_argument("--k", type=REAL, default=1.0)
-    p.add_argument("--dprime", type=REAL)
-    p.add_argument("--jmax", type=COUNT, default=100)
-    p.add_argument("--psi", type=FUNCTION)
-    p.add_argument("--function", type=FUNCTION, default="gaussian")
-    p.add_argument("--weight", type=WEIGHT)
-    p.add_argument("--sigma", type=WEIGHT)
-    p.add_argument("--omega", type=WEIGHT)
-    p.add_argument("--x0", type=REAL, default=0.0)
-    p.add_argument("--p", type=COUNT, default=1)
-    p.add_argument("--nmax", type=COUNT, default=30)
-    p.add_argument("--mmax", type=COUNT, default=12)
-    p.add_argument("--a", type=REAL, default=1.5)
-    p.add_argument("--m", type=_listof(_number(_whole, 1)),
-                   default="1", help="comma-separated list of orders")
-    p.add_argument("--L", type=COUNT, default=2)
-    p.add_argument("--n", type=COUNT, default=1)
-    p.add_argument("--K", type=COUNT, default=2)
-    p.add_argument("--x-seq", dest="x_seq", type=REALS,
-                   help="comma-separated x_j values")
-    p.add_argument("--lam-seq", dest="lam_seq", type=REALS,
-                   help="comma-separated lambda_j values")
-    p.add_argument("--delta", type=REAL, default=0.5)
-    _add_common(p)
+    names = sub.add_parser("experiment", help="inequality-chain experiments"
+                           ).add_subparsers(dest="name", required=True)
+    for name, (required, optional, _) in EXPERIMENTS.items():
+        p = names.add_parser(name)
+        for flag in required + optional:
+            p.add_argument("--" + flag.replace("_", "-"),
+                           required=flag in required, **FLAGS[flag])
+        _add_out(p)
     return ap
 
 
@@ -218,10 +206,14 @@ def _identities(a):
 def _seminorm(a):
     grid = a.grid or GridSpec("lin", 0.05, 8.0, 160)
     if a.family == "p":
+        if a.mu is not None:
+            raise PreconditionError("--mu: --family p does not read it")
         return seminorm_p_lambda(a.function, a.lam, a.weight, grid, a.jmax,
-                                 a.kmax)
-    mu = a.mu if a.mu is not None else a.lam
-    return seminorm_pi(a.function, a.lam, mu, a.weight, grid, a.jmax)
+                                 20 if a.kmax is None else a.kmax)
+    if a.kmax is not None:
+        raise PreconditionError("--kmax: --family pi does not read it")
+    return seminorm_pi(a.function, a.lam, a.lam if a.mu is None else a.mu,
+                       a.weight, grid, a.jmax)
 
 
 def _estimate_index(a):
@@ -230,23 +222,32 @@ def _estimate_index(a):
             "intercept": est.intercept, "residual_rms": est.residual_rms}
 
 
-# experiment name -> (required flags, runner)
+def _nuclear(a):
+    if len(a.m) > 1:
+        raise PreconditionError(f"--m: nuclear takes one order, got {len(a.m)}")
+    return experiments.nuclearity_sum(a.weight, a.m[0], a.L, a.jmax)
+
+
+# experiment name -> (required flags, optional flags, runner); the runner
+# reads every flag listed, and FLAGS types them
 EXPERIMENTS = {
-    "negative": (("d", "dprime"), lambda a: experiments.negative_chain(
+    "negative": (("d", "dprime"), ("k", "jmax", "threshold"), lambda a: experiments.negative_chain(
         a.d, a.k, a.dprime, a.jmax, threshold=a.threshold)),
-    "bounded": (("d", "psi"), lambda a: experiments.bounded_derivative_chain(
+    "bounded": (("d", "psi"), ("mmax", "threshold"), lambda a: experiments.bounded_derivative_chain(
         a.d, a.psi, a.mmax, threshold=a.threshold)),
-    "compactness": (("psi", "weight"), lambda a: experiments.compactness_blowup(
-        a.psi, a.x0, a.p, a.weight, a.nmax, threshold=a.threshold)),
-    "sufficient": (("psi", "weight"), lambda a: experiments.sufficient_condition_check(
-        a.psi, a.weight, a.a, a.m, a.grid or GridSpec("lin", 0.05, 6.0, 120), a.jmax)),
-    "necessary": (("psi", "sigma", "omega"), lambda a: experiments.necessary_growth(
+    "compactness": (("psi", "weight"), ("x0", "p", "nmax", "threshold"),
+                    lambda a: experiments.compactness_blowup(
+                        a.psi, a.x0, a.p, a.weight, a.nmax, threshold=a.threshold)),
+    "sufficient": (("psi", "weight"), ("a", "m", "grid", "jmax"),
+                   lambda a: experiments.sufficient_condition_check(
+                       a.psi, a.weight, a.a, a.m, a.grid or GridSpec("lin", 0.05, 6.0, 120), a.jmax)),
+    "necessary": (("psi", "sigma", "omega"), ("grid",), lambda a: experiments.necessary_growth(
         a.psi, a.sigma, a.omega, a.grid or GridSpec("log", 1e-3, 1e3, 20000))),
-    "nuclear": (("weight",), lambda a: experiments.nuclearity_sum(
-        a.weight, a.m[0], a.L, a.jmax)),
-    "equicont": (("weight", "x_seq", "lam_seq"), lambda a: experiments.equicontinuity_constant(
-        a.x_seq, a.lam_seq, a.weight, a.n, a.K, f=a.function, grid=a.grid)),
-    "cauchy": (("psi",), lambda a: experiments.cauchy_derivative_bound(
+    "nuclear": (("weight",), ("m", "L", "jmax"), _nuclear),
+    "equicont": (("weight", "x_seq", "lam_seq"), ("n", "K", "function", "grid"),
+                 lambda a: experiments.equicontinuity_constant(
+                     a.x_seq, a.lam_seq, a.weight, a.n, a.K, f=a.function, grid=a.grid)),
+    "cauchy": (("psi",), ("delta", "grid", "jmax"), lambda a: experiments.cauchy_derivative_bound(
         a.psi, a.delta, a.grid or GridSpec("log", 1.0, 20.0, 200), a.jmax)),
 }
 
@@ -261,7 +262,7 @@ COMMANDS = {
     "identities": _identities,
     "seminorm": _seminorm,
     "estimate-index": _estimate_index,
-    "experiment": lambda a: EXPERIMENTS[a.name][1](a),
+    "experiment": lambda a: EXPERIMENTS[a.name][2](a),
 }
 
 
@@ -270,11 +271,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    diags = validate_config(args)
-    if diags:
-        for d in diags:
-            print(f"gsbench: error: {d}", file=sys.stderr)
-        return 2
     try:
         result = COMMANDS[args.subcommand](args)
     except GsbenchError as exc:

@@ -115,7 +115,7 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
     divergent lower bound exp(j - 2 lambda_j L), all checked row by row."""
     if not (d <= d_prime < (k + 1) * d):
         raise RegimeError(
-            f"need d <= d' < (k+1)d, got d={d:g}, d'={d_prime:g}, "
+            f"--dprime: need d <= d' < (k+1)d, got d={d:g}, d'={d_prime:g}, "
             f"(k+1)d={(k + 1) * d:g}: the little-o comparison fails")
     omega = WeightFunction.gevrey(d)
     sigma = WeightFunction.gevrey(d_prime)

@@ -74,9 +74,6 @@ class LogReal:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __neg__(self) -> "LogReal":
-        return LogReal(-self.sign, self.log_abs)
-
     def __mul__(self, other: "LogReal") -> "LogReal":
         if self.sign == 0 or other.sign == 0:
             return LogReal.zero()
@@ -113,16 +110,6 @@ class LogReal:
             return LogReal(1 if v > 0 else -1,
                            a.log_abs + math.log(abs(v)))
         return LogReal(a.sign, a.log_abs + math.log1p(-math.exp(-d)))
-
-    def __sub__(self, other: "LogReal") -> "LogReal":
-        return self + (-other)
-
-    # ordering on the represented values
-    def __lt__(self, other: "LogReal") -> bool:
-        return (self - other).sign < 0
-
-    def __le__(self, other: "LogReal") -> bool:
-        return (self - other).sign <= 0
 
 
 def log_sum_exp(logs: Iterable[float]) -> float:

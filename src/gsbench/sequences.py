@@ -118,16 +118,19 @@ class AssociatedWeight:
             # terms p*lt - log M_p increase while log m_p < lt, then decrease:
             # extend the cached quotients past lt (or to pmax), then bisect
             # them for the largest p with log m_p < lt (the smallest maximizer)
-            src, quot = self.source, self.source._quot
-            while (len(quot) == 1 or quot[-1] <= lt) and len(quot) <= self.pmax:
-                src._extend(len(quot))
-            top = len(quot) - 1  # log m_top > lt, or top >= pmax
-            if top >= self.pmax:
-                top = self.pmax
-                if src.log_m(top) <= lt:
+            src, quot, pmax = self.source, self.source._quot, self.pmax
+            top = min(len(quot) - 1, pmax)
+            if top == 0 or quot[top] <= lt:
+                # log m_pmax <= lt puts the argmax at pmax or past it: probe it
+                # before extending, unless a table ends before pmax, where
+                # _extend raises TruncationError itself
+                if pmax <= getattr(src, "max_p", pmax) and src.log_m(pmax) <= lt:
                     raise TruncationError(
-                        f"associated-weight argmax hit pmax={self.pmax} at "
+                        f"associated-weight argmax hit pmax={pmax} at "
                         f"t={t:g}; increase pmax")
+                while (len(quot) == 1 or quot[-1] <= lt) and len(quot) <= pmax:
+                    src._extend(len(quot))
+                top = min(len(quot) - 1, pmax)  # log m_top > lt
             best_p = bisect.bisect_left(quot, lt, 1, top) - 1
             return max(0.0, best_p * lt - src._cum[best_p]), best_p
         best, best_p = 0.0, 0  # p = 0 term is always 0

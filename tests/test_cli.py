@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -7,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gsbench.cli import EXPERIMENTS, build_parser, main, validate_config
+from gsbench import cli, experiments
+from gsbench.cli import EXPERIMENTS, build_parser, main
 from gsbench.functions import ModelFunction, parse_function
 from gsbench.grids import GridSpec
 from gsbench.reports import ChainReport, format_float, to_json_bytes
@@ -84,17 +86,20 @@ def parse_cfg(argv):
     return build_parser().parse_args(argv)
 
 
-def test_valid_negative_config_clean():
-    cfg = parse_cfg(["experiment", "negative", "--d", "2", "--k", "1",
-                     "--dprime", "3.5", "--jmax", "40"])
-    assert validate_config(cfg) == []
+def test_valid_negative_config_clean(capsys):
+    assert main(["experiment", "negative", "--d", "2", "--k", "1",
+                 "--dprime", "3.5", "--jmax", "40"]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["verdict"] is True and out.err == ""
 
 
-def test_regime_diagnostic_names_flag():
-    cfg = parse_cfg(["experiment", "negative", "--d", "2", "--k", "1",
-                     "--dprime", "4", "--jmax", "10"])
-    diags = validate_config(cfg)
-    assert len(diags) == 1 and "--dprime" in diags[0]
+def test_regime_diagnostic_names_flag(capsys):
+    # negative_chain checks d <= d' < (k+1)d itself and names the flag
+    assert main(["experiment", "negative", "--d", "2", "--k", "1",
+                 "--dprime", "4", "--jmax", "10"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err.startswith("gsbench: error: --dprime: need d <= d'")
 
 
 def test_bad_weight_diagnostic(capsys):
@@ -136,8 +141,40 @@ def test_bad_flag_value_exits_2(argv, flag, capsys):
 
 
 def test_whole_number_orders_accepted():
-    a = parse_cfg(["experiment", "sufficient", "--m", "2.0,1e0,3"])
+    a = parse_cfg(["experiment", "sufficient", "--psi", "poly:0,0,1",
+                   "--weight", "gevrey:d=2", "--m", "2.0,1e0,3"])
     assert a.m == [2, 1, 3] and all(type(m) is int for m in a.m)
+
+
+SEMINORM = ["seminorm", "--function", "gaussian", "--weight", "gevrey:d=2",
+            "--lam", "1", "--grid", "lin:0.1,2,5", "--jmax", "3"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "1,2"], "--m"),
+    ([*SEMINORM, "--family", "p", "--mu", "2"], "--mu"),
+    ([*SEMINORM, "--family", "pi", "--kmax", "3"], "--kmax"),
+], ids=["nuclear-two-orders", "seminorm-p-mu", "seminorm-pi-kmax"])
+def test_value_the_command_would_drop_exits_2(argv, flag, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err.startswith(f"gsbench: error: {flag}:")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["experiment", "cauchy", "--psi", "sqrt1px2", "--weight", "gevrey:d=2"],
+     "--weight"),
+    (["conjugate", "--weight", "gevrey:d=2", "--s", "1", "--grid",
+      "lin:0,1,2"], "--grid"),
+    (["experiment", "nuclear", "--weight", "gevrey:d=2", "--threshold", "5"],
+     "--threshold"),
+], ids=["cauchy-weight", "conjugate-grid", "nuclear-threshold"])
+def test_flag_the_command_does_not_read_exits_2(argv, flag, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert f"unrecognized arguments: {flag}" in out.err
 
 
 # -- malformed or non-finite specs are usage errors (exit 2) ----------------
@@ -234,39 +271,78 @@ FLAG_KINDS = {
     "out": (st.sampled_from(["r.json", "r.csv", "./r"]),
             lambda v, t: v == t),
 }
-# subcommand -> (valid required flags, {typed flag: kind})
+# a valid flag set per experiment; test_experiment_missing_flag_exits_2 drops
+# one required flag
+EXPERIMENT_ARGV = {
+    "negative": ["--d", "2", "--dprime", "3.5", "--jmax", "10"],
+    "bounded": ["--d", "2", "--psi", "poly:0,0,0,1", "--mmax", "2"],
+    "compactness": ["--psi", "poly:0,2,0,1", "--weight", "gevrey:d=2"],
+    "sufficient": ["--psi", "poly:0,0,1", "--weight", "gevrey:d=2"],
+    "necessary": ["--psi", "poly:0,0,1", "--sigma", "gevrey:d=2",
+                  "--omega", "gevrey:d=2"],
+    "nuclear": ["--weight", "gevrey:d=2"],
+    "equicont": ["--weight", "gevrey:d=2", "--x-seq", "2,4",
+                 "--lam-seq", "1,2"],
+    "cauchy": ["--psi", "sqrt1px2"],
+}
+# command -> (valid required flags, {flag it declares: kind}); a flag with
+# argparse choices has kind None.  Every command also takes --out and --format.
 PARSE_TABLE = {
-    "conjugate": (["--weight", "gevrey:d=2", "--s", "1"],
-                  {"--weight": "weight", "--s": "positive"}),
-    "weight-check": (["--weight", "gevrey:d=2"], {"--weight": "weight"}),
-    "sequence-check": (["--sequence", "gevreyseq:d=2"],
-                       {"--sequence": "sequence", "--pmax": "count"}),
-    "fdb": (["--h", '["1"]', "--psi", '["1"]', "--order", "0"],
-            {"--h": "rationals", "--psi": "rationals", "--base": "rational",
-             "--order": "count0"}),
-    "identities": ([], {"--jmax": "count"}),
-    "seminorm": (["--family", "p", "--function", "gaussian", "--weight",
-                  "gevrey:d=2", "--lam", "1"],
-                 {"--function": "function", "--weight": "weight",
-                  "--lam": "positive", "--mu": "real", "--jmax": "count",
-                  "--kmax": "count0"}),
-    "estimate-index": (["--function", "gaussian"],
-                       {"--function": "function", "--x": "real",
-                        "--jmax": "count"}),
-    "experiment": (["nuclear"],
-                   {"--d": "real", "--k": "real", "--dprime": "real",
-                    "--jmax": "count", "--psi": "function",
-                    "--function": "function", "--weight": "weight",
-                    "--sigma": "weight", "--omega": "weight", "--x0": "real",
-                    "--p": "count", "--nmax": "count", "--mmax": "count",
-                    "--a": "real", "--m": "orders", "--L": "count",
-                    "--n": "count", "--K": "count", "--x-seq": "reals",
-                    "--lam-seq": "reals", "--delta": "real"}),
+    ("conjugate",): (["--weight", "gevrey:d=2", "--s", "1"],
+                     {"--weight": "weight", "--s": "positive",
+                      "--method": None}),
+    ("weight-check",): (["--weight", "gevrey:d=2"],
+                        {"--weight": "weight", "--grid": "grid"}),
+    ("sequence-check",): (["--sequence", "gevreyseq:d=2"],
+                          {"--sequence": "sequence", "--pmax": "count"}),
+    ("fdb",): (["--h", '["1"]', "--psi", '["1"]', "--order", "0"],
+               {"--h": "rationals", "--psi": "rationals", "--base": "rational",
+                "--order": "count0"}),
+    ("identities",): ([], {"--jmax": "count"}),
+    ("seminorm",): (["--family", "p", "--function", "gaussian", "--weight",
+                     "gevrey:d=2", "--lam", "1"],
+                    {"--family": None, "--function": "function",
+                     "--weight": "weight", "--lam": "positive", "--mu": "real",
+                     "--jmax": "count", "--kmax": "count0", "--grid": "grid"}),
+    ("estimate-index",): (["--function", "gaussian"],
+                          {"--function": "function", "--x": "real",
+                           "--jmax": "count"}),
+    ("experiment", "negative"): (
+        EXPERIMENT_ARGV["negative"],
+        {"--d": "real", "--dprime": "real", "--k": "real", "--jmax": "count",
+         "--threshold": "threshold"}),
+    ("experiment", "bounded"): (
+        EXPERIMENT_ARGV["bounded"],
+        {"--d": "real", "--psi": "function", "--mmax": "count",
+         "--threshold": "threshold"}),
+    ("experiment", "compactness"): (
+        EXPERIMENT_ARGV["compactness"],
+        {"--psi": "function", "--weight": "weight", "--x0": "real",
+         "--p": "count", "--nmax": "count", "--threshold": "threshold"}),
+    ("experiment", "sufficient"): (
+        EXPERIMENT_ARGV["sufficient"],
+        {"--psi": "function", "--weight": "weight", "--a": "real",
+         "--m": "orders", "--grid": "grid", "--jmax": "count"}),
+    ("experiment", "necessary"): (
+        EXPERIMENT_ARGV["necessary"],
+        {"--psi": "function", "--sigma": "weight", "--omega": "weight",
+         "--grid": "grid"}),
+    ("experiment", "nuclear"): (
+        EXPERIMENT_ARGV["nuclear"],
+        {"--weight": "weight", "--m": "orders", "--L": "count",
+         "--jmax": "count"}),
+    ("experiment", "equicont"): (
+        EXPERIMENT_ARGV["equicont"],
+        {"--weight": "weight", "--x-seq": "reals", "--lam-seq": "reals",
+         "--n": "count", "--K": "count", "--function": "function",
+         "--grid": "grid"}),
+    ("experiment", "cauchy"): (
+        EXPERIMENT_ARGV["cauchy"],
+        {"--psi": "function", "--delta": "real", "--grid": "grid",
+         "--jmax": "count"}),
 }
 PARSE_SLOTS = [(cmd, flag, kind) for cmd, (_, flags) in PARSE_TABLE.items()
-               for flag, kind in {**flags, "--grid": "grid",
-                                  "--threshold": "threshold",
-                                  "--out": "out"}.items()]
+               for flag, kind in {**flags, "--out": "out"}.items() if kind]
 HOSTILE = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1.7", "1e400", "1/0",
            "[]", "5", "2.0", "1,inf", "1,,2", ",", "[1e400]", '["1","x"]',
            '{"1": 2}', '"12"', "[[1]]", "gevrey:d=", "gevrey:q=2",
@@ -277,7 +353,7 @@ HOSTILE = ["", "abc", "nan", "inf", "-inf", "-1", "0", "1.7", "1e400", "1/0",
 
 
 def _check_parse(parser, cmd, flag, kind, token, must_parse, capsys):
-    argv = [cmd, *PARSE_TABLE[cmd][0], f"{flag}={token}"]
+    argv = [*cmd, *PARSE_TABLE[cmd][0], f"{flag}={token}"]
     try:
         a = parser.parse_args(argv)
     except SystemExit as exc:
@@ -313,23 +389,64 @@ def test_every_typed_flag_meets_every_hostile_token(capsys, tmp_path,
             _check_parse(parser, cmd, flag, kind, token, False, capsys)
 
 
-# a valid flag set per experiment; the test below drops one required flag
-EXPERIMENT_ARGV = {
-    "negative": ["--d", "2", "--dprime", "3.5", "--jmax", "10"],
-    "bounded": ["--d", "2", "--psi", "poly:0,0,0,1", "--mmax", "2"],
-    "compactness": ["--psi", "poly:0,2,0,1", "--weight", "gevrey:d=2"],
-    "sufficient": ["--psi", "poly:0,0,1", "--weight", "gevrey:d=2"],
-    "necessary": ["--psi", "poly:0,0,1", "--sigma", "gevrey:d=2",
-                  "--omega", "gevrey:d=2"],
-    "nuclear": ["--weight", "gevrey:d=2"],
-    "equicont": ["--weight", "gevrey:d=2", "--x-seq", "2,4",
-                 "--lam-seq", "1,2"],
-    "cauchy": ["--psi", "sqrt1px2"],
-}
+def _commands(parser, path=()):
+    """(command path, its parser) for every leaf command under ``parser``."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(path, parser)]
+    return [leaf for name, child in subs[0].choices.items()
+            for leaf in _commands(child, path + (name,))]
+
+
+def test_each_command_accepts_exactly_its_declared_flags():
+    accepted = {path: {opt for a in p._actions for opt in a.option_strings
+                       if a.dest != "help"}
+                for path, p in _commands(build_parser())}
+    assert accepted == {path: {*flags, "--out", "--format"}
+                        for path, (_, flags) in PARSE_TABLE.items()}
+    assert sum(map(len, accepted.values())) == 93
+
+
+class RecordingNamespace(argparse.Namespace):
+    """Parsed arguments that note the name of every attribute read."""
+
+    def __init__(self, parsed):
+        object.__setattr__(self, "read_", set())
+        super().__init__(**vars(parsed))
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "read_").add(name)
+        return object.__getattribute__(self, name)
+
+
+class Stub:
+    """Stands in for a callee: a call or an attribute gives the stub."""
+
+    def __call__(self, *args, **kwargs):
+        return self
+
+    def __getattr__(self, name):
+        return self
+
+
+def test_every_declared_flag_is_read_by_its_runner(monkeypatch):
+    for name, obj in list(vars(experiments).items()):
+        if callable(obj) and getattr(obj, "__module__", "") == experiments.__name__:
+            monkeypatch.setattr(experiments, name, Stub())
+    for name in ("check_weight_conditions", "check_sequence_conditions",
+                 "seminorm_p_lambda", "seminorm_pi", "estimate_growth_exponent"):
+        monkeypatch.setattr(cli, name, Stub())
+    for path, (argv, flags) in PARSE_TABLE.items():
+        a = RecordingNamespace(build_parser().parse_args([*path, *argv]))
+        cli.COMMANDS[path[0]](a)
+        unread = {f for f in flags
+                  if f.lstrip("-").replace("-", "_") not in a.read_}
+        assert not unread, (path, unread)
 
 
 @pytest.mark.parametrize("name, flag", [
-    (name, flag) for name, (required, _) in EXPERIMENTS.items()
+    (name, flag) for name, (required, _, _) in EXPERIMENTS.items()
     for flag in required])
 def test_experiment_missing_flag_exits_2(name, flag, capsys):
     option = "--" + flag.replace("_", "-")

@@ -171,6 +171,29 @@ def test_assoc_cache_longer_than_pmax(source):
         AssociatedWeight(M, 50).eval_with_argmax(1e6)
 
 
+def test_assoc_truncation_leaves_cache_short():
+    # log m_pmax = 0.5 log 500000 < log 1e12: the probe raises before the
+    # quotient cache is extended towards pmax
+    M = WeightSequence.gevrey(0.5)
+    with pytest.raises(TruncationError):
+        AssociatedWeight(M, 500000).eval_with_argmax(1e12)
+    assert len(M._quot) == 1
+    assert AssociatedWeight(M, 500000).eval_with_argmax(1e2) \
+        == brute_force_assoc(WeightSequence.gevrey(0.5), 1e2, pmax=20000)
+    assert len(M._quot) < 20000
+
+
+def test_assoc_table_shorter_than_pmax():
+    # the table cannot give log m_pmax, so there is no probe: an argmax
+    # inside the table is found, one past its end raises from the table
+    M = WeightSequence.from_log_values([math.lgamma(p + 1) * 2 for p in range(21)])
+    for t in (0.5, 3.0, 50.0, 350.0):
+        assert AssociatedWeight(M, 4000).eval_with_argmax(t) \
+            == brute_force_assoc(M, t, pmax=20)
+    with pytest.raises(TruncationError, match="tabulated sequence ends at p=20"):
+        AssociatedWeight(M, 4000).eval_with_argmax(1e3)
+
+
 def test_assoc_at_zero_and_one():
     M = WeightSequence.gevrey(2)
     assert associated_weight(M, 0.0) == (0.0, 0)
