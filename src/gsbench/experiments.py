@@ -549,6 +549,12 @@ def cauchy_derivative_bound(psi: ModelFunction, delta: float,
             r_x = delta * abs(x)
             pred = math.lgamma(j + 1) + math.log1p(abs(x) + r_x) - j * math.log(r_x)
             excess = max(excess, logs[j] - pred)
+    try:
+        B = math.exp(best)
+    except OverflowError:
+        raise PreconditionError(
+            f"--psi: the measured B = e^{best:g} of {psi.label} overflows a "
+            "float") from None
     return CauchyBoundResult(psi=psi.label, delta=delta,
-                             B=math.exp(best), log_B=best, witness=witness,
+                             B=B, log_B=best, witness=witness,
                              max_excess_vs_prediction=excess)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -147,9 +148,35 @@ class AssociatedWeight:
     def __call__(self, t: float) -> float:
         return self.eval_with_argmax(t)[0]
 
-    def as_weight_function(self) -> WeightFunction:
-        return WeightFunction.custom(self.__call__,
-                                     label=f"assoc({self.source.label})")
+    @cached_property
+    def numeric_conjugate(self) -> ConjugateEvaluator:
+        """Golden-section phi_M*: the fallback of ``conjugate``, and its oracle."""
+        return ConjugateEvaluator(WeightFunction.custom(
+            self.__call__, label=f"assoc({self.source.label})"))
+
+    def conjugate(self, s: float) -> float:
+        """Young conjugate phi_M*(s) of phi_M(u) = M(e^u), u >= 0.
+
+        For a log-convex sequence phi_M is the Legendre transform of
+        p -> log M_p, so phi_M* interpolates log M linearly:
+        (1 - theta) log M_p + theta log M_(p+1) with p = floor(s),
+        theta = s - p (Komatsu 1973, section 3).  Its maximizer
+        u = log m_(p+1) must not be cut off at u = 0, so log m_1 = log M_1 >= 0
+        is needed too; otherwise the numeric sup answers.  Past pmax, or past
+        a table's end, it raises TruncationError, as the numeric sup does."""
+        if not s >= 0:  # also rejects NaN
+            raise PreconditionError(f"conjugate argument must be >= 0, got {s}")
+        src = self.source
+        if not (src.log_convex and src.log_M(1) >= 0.0):
+            return self.numeric_conjugate(s)
+        if s > self.pmax:
+            raise TruncationError(
+                f"associated-weight conjugate at s={s:g} needs p > pmax={self.pmax}")
+        p = int(s)
+        theta = s - p
+        if not theta:
+            return src.log_M(p)
+        return (1.0 - theta) * src.log_M(p) + theta * src.log_M(p + 1)
 
 
 def associated_weight(M: WeightSequence, t: float, pmax: int = 4000) -> tuple:
@@ -303,8 +330,7 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
 
     "Found" means the log ratio's running max is attained away from the top of
     the tested range, i.e. the finite scan shows a stabilized constant."""
-    aw = AssociatedWeight(M, pmax=SANDWICH_ASSOC_PMAX)
-    conj = ConjugateEvaluator(aw.as_weight_function())
+    conj = AssociatedWeight(M, pmax=SANDWICH_ASSOC_PMAX).conjugate
 
     if direction == "seq<=conj":
         if h is None or not 0.0 < h < 1.0:

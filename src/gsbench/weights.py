@@ -6,9 +6,11 @@ phi(t) = omega(e^t) is
 
     phi*(s) = sup { s t - omega(e^t) : t >= 0 },
 
-computed in closed form for the Gevrey family and by bracketing plus
-golden-section search otherwise (phi is convex, so the objective is concave
-and unimodal).
+computed in closed form for the gevrey and logpow kinds, and for tabulated
+and custom weights by bracketing plus golden-section search (phi is convex,
+so the objective is concave and unimodal).  The associated weight of a
+log-convex sequence has its own closed form, ``AssociatedWeight.conjugate``
+in ``sequences``.
 """
 from __future__ import annotations
 
@@ -132,12 +134,11 @@ class WeightFunction:
         return np.array([self(t) for t in ts], dtype=float)
 
     def phi(self, t: float) -> float:
-        """phi(t) = omega(e^t); overflow of e^t reported as +inf."""
+        """phi(t) = omega(e^t); overflow of e^t or of omega reported as +inf."""
         try:
-            et = math.exp(t)
+            return self(math.exp(t))
         except OverflowError:
             return math.inf
-        return self(et)
 
     # -- constructors ------------------------------------------------------
 
@@ -220,18 +221,23 @@ def scaled_weight(w: WeightFunction, a: float) -> WeightFunction:
 class ConjugateEvaluator:
     """Young conjugate phi*(s) with a per-s cache.
 
-    method "closed-form" is available for the Gevrey family:
-        phi*(s) = s d log(s d / e)   if s d >= 1
-        phi*(s) = -1                 if s d <= 1 (maximizer pinned at t = 0)
+    method "closed-form" (the default where it exists) covers two kinds:
+        gevrey(d):  phi*(s) = s d log(s d / e)   if s d >= 1
+                    phi*(s) = -1                 if s d <= 1 (maximizer t = 0)
+        logpow(q):  phi(t) = t^q, so phi*(s) = (q - 1) (s / q)^(q / (q - 1))
     method "numeric-sup" maximizes the concave t -> s t - omega(e^t) by
-    geometric bracketing plus golden-section refinement.
+    geometric bracketing plus golden-section refinement; it is the only
+    method for tabulated and custom weights, and the oracle of the others.
     """
 
     def __init__(self, weight: WeightFunction, method: str = None):
+        closed = weight.kind in ("gevrey", "logpow")
         if method is None:
-            method = "closed-form" if weight.kind == "gevrey" else "numeric-sup"
-        if method == "closed-form" and weight.kind != "gevrey":
-            raise PreconditionError("closed form only available for gevrey weights")
+            method = "closed-form" if closed else "numeric-sup"
+        if method == "closed-form" and not closed:
+            raise PreconditionError(
+                f"closed form only available for gevrey and logpow weights, "
+                f"not {weight.kind}")
         self.weight = weight
         self.method = method
         self._cache: dict = {}
@@ -249,7 +255,13 @@ class ConjugateEvaluator:
         return v
 
     def _closed_form(self, s: float) -> float:
-        sd = s * self.weight.d
+        w = self.weight
+        if w.kind == "logpow":  # the maximizer t = (s/q)^(1/(q-1)) is interior
+            try:
+                return (w.s - 1.0) * (s / w.s) ** (w.s / (w.s - 1.0))
+            except OverflowError:
+                raise RangeError(f"phi*({s:g}) of {w.label} overflows a float") from None
+        sd = s * w.d
         if sd <= 1.0:
             return -1.0
         return sd * (math.log(sd) - 1.0)
@@ -283,6 +295,10 @@ class ConjugateEvaluator:
                 a, c, fc = c, d, fd
                 d = a + _GOLDEN * (b - a)
                 fd = g(d)
+        if g(b) == -math.inf:  # the turn lies past the overflow of phi
+            raise BracketError(
+                f"the maximizer for s={s:g} lies past t={a:g}, where "
+                "omega(e^t) overflows a float")
         t_star = 0.5 * (a + b)
         return max(g(t_star), g(0.0))
 
@@ -339,10 +355,21 @@ def check_weight_conditions(w: WeightFunction, grid: GridSpec = None) -> WeightC
     doubling inequality 2 omega(t) <= omega(H t) + H.
 
     Witness constants are the smallest integers that satisfy the inequality at
-    every grid point; failures are recorded in the report, never raised.
+    every grid point; failures are recorded in the report, never raised.  A
+    weight that overflows a float on the way cannot be audited in floats:
+    that raises PreconditionError naming --weight.
     """
     if grid is None:
         grid = DEFAULT_T_GRID
+    try:
+        return _audit_weight(w, grid)
+    except OverflowError:
+        raise PreconditionError(
+            f"--weight: omega of {w.label} overflows a float on the audit of "
+            f"grid {grid.spec_string()}") from None
+
+
+def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
     ts = np.concatenate([[0.0], grid.points()])
     om = w.values(ts)
 

@@ -476,15 +476,25 @@ def test_nuclear_overflow_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["negative", "--d", "1e-300", "--dprime", "1e-300", "--jmax", "5"], "--d"),
-    (["compactness", "--psi", "poly:0,2,0,1", "--weight", "gevrey:d=2",
-      "--x0", "1e300", "--nmax", "5"], "--x0"),
-    (["bounded", "--d", "1e-56", "--psi", "poly:1,1", "--mmax", "1"], "--d"),
-    (["bounded", "--d", "2000", "--psi", "poly:1,1", "--mmax", "1"], "--d"),
+    (["experiment", "negative", "--d", "1e-300", "--dprime", "1e-300",
+      "--jmax", "5"], "--d"),
+    (["experiment", "compactness", "--psi", "poly:0,2,0,1", "--weight",
+      "gevrey:d=2", "--x0", "1e300", "--nmax", "5"], "--x0"),
+    (["experiment", "bounded", "--d", "1e-56", "--psi", "poly:1,1",
+      "--mmax", "1"], "--d"),
+    (["experiment", "bounded", "--d", "2000", "--psi", "poly:1,1",
+      "--mmax", "1"], "--d"),
+    (["experiment", "cauchy", "--psi", "pow1px2:a=300", "--delta", "0.5",
+      "--jmax", "10"], "--psi"),
+    # omega(t) = t^50 overflows on the default grid, t^20 inside the
+    # epsilon integral
+    (["weight-check", "--weight", "gevrey:d=0.02"], "--weight"),
+    (["weight-check", "--weight", "gevrey:d=0.05"], "--weight"),
 ], ids=["negative-tiny-d", "compactness-huge-x0", "bounded-tiny-d",
-        "bounded-huge-d"])
+        "bounded-huge-d", "cauchy-huge-B", "weight-check-grid",
+        "weight-check-epsilon"])
 def test_in_range_value_that_overflows_exits_2(argv, flag, capsys):
-    assert main(["experiment"] + argv) == 2
+    assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith(f"gsbench: error: {flag}:")
@@ -533,6 +543,19 @@ def test_conjugate_near_zero_at_sd_equals_e():
     r = run_cli("conjugate", "--weight", "gevrey:d=2", "--s", "1.35914")
     assert r.returncode == 0
     assert abs(json.loads(r.stdout)["value"]) < 1e-4
+
+
+def test_conjugate_logpow_closed_form_cli(capsys):
+    # the maximizer t* = 2844 lies past log(float max): only the closed form
+    # reaches it; the numeric sup refuses instead of stopping at t = 709.78
+    argv = ["conjugate", "--weight", "logpow:s=1.5", "--s", "80"]
+    for method in ([], ["--method", "closed-form"]):
+        assert main(argv + method) == 0
+        assert json.loads(capsys.readouterr().out)["value"] \
+            == pytest.approx(2048000.0 / 27.0, rel=1e-14)
+    assert main(argv + ["--method", "numeric-sup"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "overflows a float" in out.err
 
 
 def test_identities_cli():

@@ -224,6 +224,77 @@ def test_assoc_non_convex_linear_scan_path():
         assert p_got == p_want
 
 
+# -- closed-form conjugate of the associated weight --------------------------
+
+def _interpolated(log_Ms, s):
+    p = int(s)
+    return log_Ms[p] if s == p else (p + 1 - s) * log_Ms[p] + (s - p) * log_Ms[p + 1]
+
+
+@pytest.mark.parametrize("d", [1.5, 2.0, 3.0])
+def test_assoc_conjugate_matches_numeric_sup_gevrey(d):
+    aw = AssociatedWeight(WeightSequence.gevrey(d), pmax=500000)
+    for k in (1, 2, 3, 5):
+        for p in range(301):
+            assert aw.conjugate(p / k) == pytest.approx(
+                aw.numeric_conjugate(p / k), rel=1e-12, abs=1e-12)
+
+
+def test_assoc_conjugate_matches_numeric_sup_table():
+    # log-convex table with log m_p = 0.1 p + 0.25; from s = 117 on, the
+    # numeric sup's doubling bracket (t = 32) passes log m_200 = 20.25 and
+    # the table raises, so the oracle stops at 116
+    log_Ms = [0.05 * p * p + 0.3 * p for p in range(201)]
+    aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms))
+    for s in np.linspace(0.0, 116.0, 233):
+        s = float(s)
+        assert aw.conjugate(s) == pytest.approx(aw.numeric_conjugate(s),
+                                                rel=1e-12, abs=1e-12)
+        assert aw.conjugate(s) == pytest.approx(_interpolated(log_Ms, s),
+                                                rel=1e-14, abs=1e-14)
+
+
+def test_assoc_conjugate_below_unit_first_quotient_keeps_numeric_sup():
+    # log m_p = -0.5 + 0.1 (p - 1): log-convex, but phi_M(0) = 1.5 at p = 5, 6,
+    # so the cut at u = 0 binds for s <= 6 and phi_M* = -1.5 there, not the
+    # interpolation (-0.1 at s = 0.2)
+    log_Ms = [0.0]
+    for p in range(1, 61):
+        log_Ms.append(log_Ms[-1] - 0.5 + 0.1 * (p - 1))
+    aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms))
+    assert aw.source.log_convex
+    for s in (0.0, 0.2, 1.0, 3.5, 8.5, 12.25):
+        assert aw.conjugate(s) == aw.numeric_conjugate(s)
+    assert aw.conjugate(0.2) == pytest.approx(-1.5, abs=1e-12)
+    assert _interpolated(log_Ms, 0.2) == pytest.approx(-0.1)
+    assert aw.conjugate(8.5) == pytest.approx(_interpolated(log_Ms, 8.5), abs=1e-12)
+
+
+def test_assoc_conjugate_non_log_convex_keeps_numeric_sup():
+    # lower convex hull of log M runs (0, 0) -> (3, 3.5): phi_M*(2.5) = 35/12,
+    # while interpolating log M itself would give 3.25
+    aw = AssociatedWeight(
+        WeightSequence.from_log_values([0.0, 2.0, 3.0, 3.5, 6.0, 9.0, 13.0]), pmax=6)
+    for s in (0.0, 0.5, 1.0, 2.5, 3.0):
+        assert aw.conjugate(s) == aw.numeric_conjugate(s)
+    assert aw.conjugate(2.5) == pytest.approx(35.0 / 12.0, abs=1e-12)
+
+
+def test_assoc_conjugate_past_the_table_or_pmax_raises():
+    log_Ms = [0.05 * p * p + 0.3 * p for p in range(201)]
+    aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms))
+    assert aw.conjugate(200.0) == pytest.approx(log_Ms[200])
+    for conj in (aw.conjugate, aw.numeric_conjugate):
+        with pytest.raises(TruncationError, match="tabulated sequence ends at p=200"):
+            conj(200.5)
+    aw = AssociatedWeight(WeightSequence.gevrey(2), pmax=50)
+    assert aw.conjugate(50.0) == pytest.approx(2.0 * math.lgamma(51.0))
+    with pytest.raises(TruncationError, match="pmax=50"):
+        aw.conjugate(50.5)
+    with pytest.raises(PreconditionError):
+        aw.conjugate(-1.0)
+
+
 # -- condition report -------------------------------------------------------
 
 def test_gevrey2_conditions():
@@ -278,6 +349,19 @@ def test_sandwich_conj_le_seq():
     res = sandwich_check(M, "conj<=seq", k=2, pmax=120)
     assert res.stable
     assert 0.0 < res.h < 1.0
+
+
+@pytest.mark.parametrize("direction, kw", [
+    ("seq<=conj", {"h": 0.5}), ("seq<=conj", {"h": 0.45}),
+    ("seq<=conj", {"h": 0.55}), ("seq<=conj", {"h": 0.6}),
+    ("conj<=seq", {"k": 2}), ("conj<=seq", {"k": 3}),
+], ids=["h=0.5", "h=0.45", "h=0.55", "h=0.6", "k=2", "k=3"])
+def test_sandwich_closed_form_equals_numeric_sup(direction, kw, monkeypatch):
+    closed = sandwich_check(parse_sequence("gevreyseq:d=2"), direction, **kw)
+    monkeypatch.setattr(AssociatedWeight, "conjugate",
+                        lambda self, s: self.numeric_conjugate(s))
+    numeric = sandwich_check(parse_sequence("gevreyseq:d=2"), direction, **kw)
+    assert closed == numeric
 
 
 def test_sandwich_bad_inputs():

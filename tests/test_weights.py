@@ -127,14 +127,46 @@ def test_numeric_sup_matches_closed_form(d):
 
 
 def test_numeric_sup_monotone_in_s():
-    c = ConjugateEvaluator(WeightFunction.logpow(2))
+    c = ConjugateEvaluator(WeightFunction.logpow(2), method="numeric-sup")
     vals = [c(float(s)) for s in np.linspace(0.5, 20, 30)]
     assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
 def test_closed_form_rejected_for_non_gevrey():
-    with pytest.raises(PreconditionError):
-        ConjugateEvaluator(WeightFunction.logpow(2), method="closed-form")
+    # gevrey and logpow have closed forms; tabulated and custom weights do not
+    for w in (WeightFunction.tabulated([1.0, 10.0, 100.0], [0.0, 1.0, 4.0]),
+              WeightFunction.custom(lambda t: t)):
+        with pytest.raises(PreconditionError, match=w.kind):
+            ConjugateEvaluator(w, method="closed-form")
+        assert ConjugateEvaluator(w).method == "numeric-sup"
+
+
+@pytest.mark.parametrize("q", [1.75, 2.0, 2.25, 2.5])
+def test_logpow_closed_form_matches_numeric_sup(q):
+    w = WeightFunction.logpow(q)
+    cf = ConjugateEvaluator(w)
+    ns = ConjugateEvaluator(w, method="numeric-sup")
+    assert cf.method == "closed-form"
+    for s in np.linspace(0.0, 80.0, 161):
+        s = float(s)
+        assert cf(s) == pytest.approx(ns(s), rel=1e-12, abs=1e-12)
+
+
+def test_logpow_closed_form_past_the_overflow_of_phi():
+    # logpow:s=1.5 at 80: the maximizer t* = (80/1.5)^2 = 2844 lies past
+    # log(float max) = 709.78, where phi(t) = omega(e^t) overflows
+    assert ConjugateEvaluator(WeightFunction.logpow(1.5))(80.0) \
+        == pytest.approx(2048000.0 / 27.0, rel=1e-14)
+    ns = ConjugateEvaluator(WeightFunction.logpow(1.5), method="numeric-sup")
+    for s in (40.0, 80.0):  # t* = 711 and 2844
+        with pytest.raises(BracketError, match="overflows a float"):
+            ns(s)
+    assert ns(20.0) == pytest.approx(0.5 * (20.0 / 1.5) ** 3, rel=1e-12)  # t* = 178
+
+
+def test_logpow_closed_form_overflow_is_a_range_error():
+    with pytest.raises(RangeError, match="overflows a float"):
+        ConjugateEvaluator(WeightFunction.logpow(1.001))(80.0)
 
 
 def test_negative_s_rejected():
