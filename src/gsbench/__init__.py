@@ -18,8 +18,8 @@ from .experiments import (bounded_derivative_chain, cauchy_derivative_bound,
                           sufficient_condition_check)
 from .fdb import (BellTable, Jet, compose_jet, enumerate_partitions,
                   faa_di_bruno, identity_lah, identity_two_power,
-                  iter_partition_multi_indices, partition_count,
-                  single_jet_compose)
+                  iter_partition_multi_indices, log_compose_table,
+                  partition_count, single_jet_compose)
 from .functions import (Gaussian, GevreyBump, IndexEstimate, ModelFunction,
                         MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
                         estimate_growth_exponent, identity_function,

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import (CapabilityError, PreconditionError, RegimeError,
                      SearchExhaustedError)
-from .fdb import BellTable, Jet, compose_jet, single_jet_compose
-from .functions import ModelFunction, jet_log_abs, weighted_log_sup
+from .fdb import BellTable, Jet, log_compose_table, single_jet_compose
+from .functions import ModelFunction, weighted_log_sup
 from .grids import GridSpec
 from .logdomain import LOG_ZERO, LogReal, log_sum_exp
 from .reports import ChainReport, Result
@@ -325,15 +325,11 @@ class ComposedSeminormResult:
 def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
                            xs: Sequence[float], J: int) -> list:
     """Per grid point, log |(f o psi)^(j)(x)| for j = 0..J via full FdB, from
-    one jet table of psi over xs and one of f over psi(xs)."""
-    xs = [float(x) for x in xs]
-    ys = psi.values(xs).tolist()
-    psi_sign, psi_log = psi.log_jet_table(xs, J)
-    f_sign, f_log = f.log_jet_table(ys, J)
-    return [jet_log_abs(compose_jet(Jet.from_log_row(y, f_sign[i], f_log[i]),
-                                    Jet.from_log_row(x, psi_sign[i], psi_log[i]),
-                                    J))
-            for i, (x, y) in enumerate(zip(xs, ys))]
+    one jet table of psi over xs and one of f over psi(xs), composed by one
+    ``log_compose_table``."""
+    xs = np.asarray(xs, dtype=float)
+    return log_compose_table(*f.log_jet_table(psi.values(xs), J),
+                             *psi.log_jet_table(xs, J), J)[1].tolist()
 
 
 def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
@@ -390,6 +386,15 @@ class NecessaryGrowthResult(Result):
         return not self.grows_with_radius
 
 
+def _weight_values(w: WeightFunction, ts, flag: str) -> np.ndarray:
+    try:
+        return w.values(ts)
+    except OverflowError:
+        raise PreconditionError(
+            f"{flag}: {w.label} overflows a float on the grid, at "
+            f"|t| <= {float(np.abs(ts).max()):g}") from None
+
+
 def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
                      w_omega: WeightFunction,
                      grid: GridSpec) -> NecessaryGrowthResult:
@@ -401,8 +406,10 @@ def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
     # blocks keep the arrays small on large grids; a NaN ratio never wins
     for lo in range(0, len(xs), NECESSARY_BLOCK):
         xb = xs[lo:lo + NECESSARY_BLOCK]
+        sigma = _weight_values(w_sigma, xb, "--sigma")
+        omega = _weight_values(w_omega, psi.values(xb), "--omega")
         with np.errstate(invalid="ignore"):  # inf / inf
-            ratio = w_sigma.values(xb) / (1.0 + w_omega.values(psi.values(xb)))
+            ratio = sigma / (1.0 + omega)
         ratio[np.isnan(ratio)] = -math.inf
         i = int(ratio.argmax())
         if ratio[i] > best:

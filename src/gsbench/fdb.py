@@ -12,28 +12,39 @@ where the partial Bell polynomials B(n, k) of psi'(x0), psi''(x0), ... obey
 for 0 <= k <= n <= J costs O(J^3) terms; orders i with psi^(i) = 0 are
 skipped, so an inner jet with a bounded number of nonzero derivatives (a
 polynomial such as x^2) costs O(J^2).  The table depends on psi alone and is
-shared by every outer jet h and every order n.  One recurrence serves both
-jet kinds: exact rationals, and signed log magnitudes where every entry is a
-max-shifted ``math.fsum`` of its terms, as in ``signed_log_sum``.
+shared by every outer jet h and every order n.
+
+Two recurrences, one per jet kind:
+  * exact rationals (``BellTable`` on a Fraction jet), per jet;
+  * signed log magnitudes, (sign, log|.|) arrays, batched over a whole grid
+    (``log_compose_table``): each order n is one numpy gather over points, k
+    and the orders i nonzero at some point, and each entry is a max-shifted
+    sum compensated by a pairwise TwoSum tree (``_log_sum``), so it stays
+    within a few ulps of the correctly rounded ``math.fsum``.  Points go in
+    blocks of at most TERM_BLOCK Bell entries.  A single log jet
+    (``compose_jet``, ``faa_di_bruno``, ``BellTable``) is a one-row table.
 
 Partition multi-indices (k_1, ..., k_j) with sum(l k_l) = j remain here for
-the summation identities and the partition count; the partition-sum form of
-Faa di Bruno is the independent oracle in the tests.
+the partition count; the summation identities walk the partitions directly,
+and the partition-sum form of Faa di Bruno is the independent oracle in the
+tests.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import PreconditionError
-from .logdomain import LogReal
+from .logdomain import LOG_ZERO, LogReal
 
 JetValue = Union[Fraction, LogReal]
 
 _LIST_CAP = 80  # partition counts explode beyond this; stream instead
+TERM_BLOCK = 1 << 16  # Bell entries (point, n, k) per log_compose_table block
 
 
 @dataclass(frozen=True)
@@ -177,74 +188,125 @@ class Jet:
 # Composition
 # ---------------------------------------------------------------------------
 
-class _Ring(NamedTuple):
-    """What the Bell recurrence needs of a jet kind; ``None`` is a zero."""
+def _two_sum(v: np.ndarray) -> np.ndarray:
+    """Sum along the last axis by a pairwise TwoSum tree.  Each level adds
+    neighbours and keeps the exact rounding error of every addition
+    (Knuth's TwoSum); the errors are summed alongside and added at the end,
+    as in Sum2 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005).  The
+    axis is padded with zeros to a power of two, so trailing zero terms never
+    change the result, and a term next to its negative leaves an exact 0."""
+    n = v.shape[-1]
+    width = 1 << (n - 1).bit_length()
+    if width > n:
+        v = np.concatenate([v, np.zeros(v.shape[:-1] + (width - n,))], axis=-1)
+    err = None
+    while v.shape[-1] > 1:
+        a, b = v[..., 0::2], v[..., 1::2]
+        v = a + b
+        z = v - a
+        e = (a - (v - z)) + (b - z)
+        err = e if err is None else err[..., 0::2] + err[..., 1::2] + e
+    return v[..., 0] if err is None else v[..., 0] + err[..., 0]
 
-    one: object
-    lift: Callable    # jet entry -> ring value, or None
-    lower: Callable   # ring value or None -> jet entry
-    weight: Callable  # positive int -> ring value
-    mul: Callable
-    total: Callable   # list of ring values -> their sum, or None
+
+def _log_sum(sign: np.ndarray, log: np.ndarray) -> tuple:
+    """(sign, log|sum|) over the last axis of the terms sign * exp(log): the
+    largest log is factored out, the rest is a compensated linear sum, as in
+    ``signed_log_sum``.  A sum of no nonzero terms, or one that is exactly 0,
+    is (0, -inf); a sum of one nonzero term is that term, bit for bit."""
+    m = log.max(axis=-1)
+    m = np.where(m == LOG_ZERO, 0.0, m)  # all terms 0: any finite shift
+    total = _two_sum(sign * np.exp(log - m[..., None]))
+    with np.errstate(divide="ignore"):  # log 0 at exact zeros
+        return np.sign(total), m + np.log(np.abs(total))
 
 
-def _log_total(terms):
-    """Max-shifted compensated signed sum, as in ``signed_log_sum``."""
-    if len(terms) < 2:
-        return terms[0] if terms else None
-    m = max(t[1] for t in terms)
-    s = math.fsum(sign * math.exp(la - m) for sign, la in terms)
-    if s == 0.0:
-        return None
-    return (1 if s > 0 else -1, m + math.log(abs(s)))
+def log_bell_table(psi_sign, psi_log, J: int) -> tuple:
+    """Partial Bell polynomials B(n, k), 0 <= k, n <= J, of one inner jet per
+    row of a (sign, log|psi^(i)|) table: (sign, log|B|), each
+    (rows, J+1, J+1), zeros as (0, -inf).  Order n is one gather of the
+    terms C(n-1, i-1) psi^(i) B(n-i, k-1) for every row, every k and every
+    order i that is nonzero in some row, and one ``_log_sum`` over i."""
+    rows = len(psi_log)
+    sign = np.zeros((rows, J + 1, J + 1), dtype=np.int8)
+    log = np.full((rows, J + 1, J + 1), LOG_ZERO)
+    sign[:, 0, 0], log[:, 0, 0] = 1, 0.0
+    support = [i for i in range(1, J + 1) if np.any(psi_sign[:, i])]
+    k = np.arange(J)[:, None]  # k - 1 for k = 1..J
+    for n in range(1, J + 1):
+        idx = [i for i in support if i <= n]
+        if not idx:
+            continue
+        i, r = np.array(idx), n - np.array(idx)
+        c = [math.log(math.comb(n - 1, j - 1)) for j in idx] + psi_log[:, i]
+        # B(n - i, k - 1) = 0 when k - 1 > n - i, so no k needs masking
+        sign[:, n, 1:n + 1], log[:, n, 1:n + 1] = _log_sum(
+            sign[:, r, k[:n]] * psi_sign[:, None, i],
+            log[:, r, k[:n]] + c[:, None, :])
+    return sign, log
 
 
-_RINGS = {
-    "exact": _Ring(one=Fraction(1),
-                   lift=lambda v: v or None,
-                   lower=lambda v: v or Fraction(0),
-                   weight=int, mul=operator.mul,
-                   total=lambda terms: sum(terms) or None),
-    "log": _Ring(one=(1, 0.0),  # (sign, log|v|)
-                 lift=lambda v: (v.sign, v.log_abs) if v.sign else None,
-                 lower=lambda v: LogReal(*v) if v else LogReal.zero(),
-                 weight=lambda c: (1, math.log(c)),
-                 mul=lambda a, b: (a[0] * b[0], a[1] + b[1]),
-                 total=_log_total),
-}
+def _log_contract(b_sign, b_log, f_sign, f_log, n: int) -> tuple:
+    """(f o psi)^(n) = sum_k f^(k) B(n, k), k <= n, per row of (sign, log|.|)
+    Bell tables and outer-jet tables."""
+    return _log_sum(b_sign[:, n, :n + 1] * f_sign[:, :n + 1],
+                    b_log[:, n, :n + 1] + f_log[:, :n + 1])
+
+
+def log_compose_table(f_sign, f_log, psi_sign, psi_log, J: int) -> tuple:
+    """(sign, log|(f o psi)^(n)(x)|), each (points, J+1), from the
+    (sign, log|.|) jet tables of f over psi(xs) and of psi over xs.
+    Points go in blocks of at most TERM_BLOCK Bell entries (point, n, k), so
+    memory is bounded per block and does not grow with the grid."""
+    f_sign, f_log, psi_sign, psi_log = (np.asarray(a, dtype=float)
+                                        for a in (f_sign, f_log, psi_sign, psi_log))
+    sign, log = np.empty((2, len(f_log), J + 1))
+    rows = max(1, TERM_BLOCK // (J + 1) ** 2)
+    for lo in range(0, len(f_log), rows):
+        bell = log_bell_table(psi_sign[lo:lo + rows], psi_log[lo:lo + rows], J)
+        f = f_sign[lo:lo + rows], f_log[lo:lo + rows]
+        for n in range(J + 1):
+            sign[lo:lo + rows, n], log[lo:lo + rows, n] = _log_contract(
+                *bell, *f, n)
+        del bell  # before the next block's table is built
+    return sign, log
+
+
+def _log_row(values) -> tuple:
+    """One (sign, log|v|) table row of LogReal entries, shape (1, len)."""
+    return (np.array([[v.sign for v in values]], dtype=float),
+            np.array([[v.log_abs for v in values]]))
 
 
 class BellTable:
     """Partial Bell polynomials B(n, k), 0 <= k <= n <= order, of one inner
-    jet, in that jet's representation."""
+    jet, in that jet's representation: the exact recurrence on Fractions, or
+    a one-row ``log_bell_table``."""
 
     def __init__(self, psi_jet: Jet, order: int):
         if psi_jet.order < order:
             raise PreconditionError(
                 f"inner jet has order {psi_jet.order}, need >= {order}")
-        ring = _RINGS[psi_jet.kind]
-        mul, total = ring.mul, ring.total
-        self.kind, self.order, self._ring = psi_jet.kind, order, ring
-        psi = [ring.lift(v) for v in psi_jet.values[:order + 1]]
-        support = [i for i in range(1, order + 1) if psi[i] is not None]
-        rows = [[ring.one]]
+        self.kind, self.order = psi_jet.kind, order
+        if self.kind == "log":
+            self._sign, self._log = log_bell_table(
+                *_log_row(psi_jet.values[:order + 1]), order)
+            return
+        psi = psi_jet.values[:order + 1]
+        support = [i for i in range(1, order + 1) if psi[i]]
+        rows = [[Fraction(1)]]
         for n in range(1, order + 1):
             # C(n-1, i-1) psi^(i) for each nonzero order i <= n, ascending
-            parts = [(i, mul(ring.weight(math.comb(n - 1, i - 1)), psi[i]))
+            parts = [(i, math.comb(n - 1, i - 1) * psi[i])
                      for i in support if i <= n]
-            row = [None] * (n + 1)
+            row = [Fraction(0)] * (n + 1)
             # B(n, k) = 0 unless k parts from the support can sum to n
             k_lo, k_hi = ((-(-n // support[-1]), n // support[0]) if support
                           else (1, 0))
             for k in range(k_lo, k_hi + 1):
-                terms = []
-                for i, c in parts:
-                    if i > n - k + 1:
-                        break
-                    b = rows[n - i][k - 1]
-                    if b is not None:
-                        terms.append(mul(c, b))
-                row[k] = total(terms)
+                row[k] = sum((c * rows[n - i][k - 1] for i, c in parts
+                              if i <= n - k + 1 and rows[n - i][k - 1]),
+                             Fraction(0))
             rows.append(row)
         self._rows = rows
 
@@ -258,14 +320,12 @@ class BellTable:
             raise PreconditionError(
                 f"order mismatch: need order >= {n}, got h:{h_jet.order} "
                 f"table:{self.order}")
-        ring = self._ring
-        terms = []
-        for k, b in enumerate(self._rows[n]):
-            if b is not None:
-                h = ring.lift(h_jet.values[k])
-                if h is not None:
-                    terms.append(ring.mul(h, b))
-        return ring.lower(ring.total(terms))
+        if self.kind == "exact":
+            return sum((h * b for h, b in zip(h_jet.values, self._rows[n])
+                        if h and b), Fraction(0))
+        sign, log = _log_contract(self._sign, self._log,
+                                  *_log_row(h_jet.values[:n + 1]), n)
+        return LogReal.from_log(int(sign[0]), float(log[0]))
 
 
 def _check_orders(h_jet: Jet, psi_jet: Jet, j: int) -> None:
@@ -317,19 +377,29 @@ def compose_jet(h_jet: Jet, psi_jet: Jet, J: int) -> Jet:
 def identity_sums(j: int) -> tuple:
     """(two_power, lah) from one walk over the multi-indices of order j,
     exactly: sum k!/(k_1!...k_j!) = 2^(j-1), and sum j!/(k_1!...k_j!) equals
-    the Lah-number sum sum_k C(j-1, k-1) j!/k!."""
+    the Lah-number sum sum_k C(j-1, k-1) j!/k!.  The walk picks part sizes in
+    decreasing order, each with its multiplicity k_l >= 1, and carries
+    k = sum k_l and k_1!...k_j! down, so no multi-index is built."""
     if not 1 <= j <= 30:
         raise PreconditionError("identity checked for 1 <= j <= 30")
+    fact = [math.factorial(i) for i in range(j + 1)]
     two_power = lah = 0
-    fact_j = math.factorial(j)
-    for mi in iter_partition_multi_indices(j):
-        denom = math.prod(math.factorial(kl) for kl in mi.k_vec if kl)
-        two_power += math.factorial(mi.k) // denom
-        lah += fact_j // denom
+
+    def walk(remaining: int, largest: int, k: int, denom: int) -> None:
+        nonlocal two_power, lah
+        if remaining == 0:
+            two_power += fact[k] // denom
+            lah += fact[j] // denom
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            for kl in range(1, remaining // part + 1):
+                walk(remaining - kl * part, part - 1, k + kl, denom * fact[kl])
+
+    walk(j, j, 0, 1)
     if two_power != 2 ** (j - 1):
         raise AssertionError(
             f"two-power identity failed at j={j}: {two_power} != {2 ** (j - 1)}")
-    rhs = sum(math.comb(j - 1, k - 1) * fact_j // math.factorial(k)
+    rhs = sum(math.comb(j - 1, k - 1) * fact[j] // fact[k]
               for k in range(1, j + 1))
     if lah != rhs:
         raise AssertionError(f"Lah identity failed at j={j}: {lah} != {rhs}")

@@ -18,7 +18,7 @@ from .errors import PreconditionError, SearchExhaustedError, TruncationError
 from .grids import GridSpec
 from .reports import Result
 from .weights import (H_BOUND, ConjugateEvaluator, WeightFunction,
-                      first_true, parse_real, read_table)
+                      first_true, label_real, parse_real, read_table)
 
 SANDWICH_ASSOC_PMAX = 500000  # associated-weight p cap in sandwich_check
 DOUBLING_ASSOC_PMAX = 20000   # associated-weight p cap in doubling_from_sequence
@@ -58,7 +58,7 @@ class WeightSequence:
         if d <= 0:
             raise PreconditionError("gevrey sequence requires d > 0")
         seq = WeightSequence(lambda p: d * math.log(p),
-                             label=f"gevreyseq:d={d:g}")
+                             label=f"gevreyseq:d={label_real(d)}")
         seq.d = d
         return seq
 
@@ -150,9 +150,22 @@ class AssociatedWeight:
 
     @cached_property
     def numeric_conjugate(self) -> ConjugateEvaluator:
-        """Golden-section phi_M*: the fallback of ``conjugate``, and its oracle."""
+        """Golden-section phi_M*: the fallback of ``conjugate``, and its oracle.
+        With P = pmax, or a table's last index when that comes first, phi_M(u)
+        has its argmax below P for u below every chord slope
+        (log M_P - log M_q) / (P - q), q < P.  The largest of them bounds the
+        bracket; for a log-convex sequence it is the last quotient log m_P."""
+        src = self.source
+        P = min(self.pmax, getattr(src, "max_p", self.pmax))
+        if src.log_convex:
+            end = src.log_m(P)
+        else:
+            end = max((src.log_M(P) - src.log_M(q)) / (P - q) for q in range(P))
+        cap = (f"pmax={P}" if P == self.pmax
+               else f"tabulated sequence ends at p={P}")
         return ConjugateEvaluator(WeightFunction.custom(
-            self.__call__, label=f"assoc({self.source.label})"))
+            self.__call__, label=f"assoc({src.label}; {cap})"),
+            t_end=end - 1e-12 * max(1.0, abs(end)))
 
     def conjugate(self, s: float) -> float:
         """Young conjugate phi_M*(s) of phi_M(u) = M(e^u), u >= 0.

@@ -22,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BracketError, PreconditionError, RangeError
+from .errors import (BracketError, PreconditionError, RangeError,
+                     TruncationError)
 from .grids import DEFAULT_T_GRID, GridSpec
 from .reports import ChainReport, Result
 
@@ -144,11 +145,11 @@ class WeightFunction:
 
     @staticmethod
     def gevrey(d: float) -> "WeightFunction":
-        return WeightFunction("gevrey", d=d, label=f"gevrey:d={d:g}")
+        return WeightFunction("gevrey", d=d, label=f"gevrey:d={label_real(d)}")
 
     @staticmethod
     def logpow(s: float) -> "WeightFunction":
-        return WeightFunction("logpow", s=s, label=f"logpow:s={s:g}")
+        return WeightFunction("logpow", s=s, label=f"logpow:s={label_real(s)}")
 
     @staticmethod
     def tabulated(ts, vals) -> "WeightFunction":
@@ -163,6 +164,13 @@ class WeightFunction:
         rows = read_table(path, ("t", "x"))
         return WeightFunction.tabulated([t for t, _ in rows],
                                         [v for _, v in rows])
+
+
+def label_real(v: float) -> str:
+    """v for a label: its ``:g`` form when that reads back as v, else repr,
+    so a label names its weight exactly."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
 
 
 def parse_real(text, spec: str) -> float:
@@ -215,7 +223,7 @@ def scaled_weight(w: WeightFunction, a: float) -> WeightFunction:
     if w.kind == "gevrey":
         return WeightFunction.gevrey(w.d * a)
     return WeightFunction.custom(lambda t, _w=w, _a=a: _w(t ** (1.0 / _a)),
-                                 label=f"{w.label}^(1/{a:g})")
+                                 label=f"{w.label}^(1/{label_real(a)})")
 
 
 class ConjugateEvaluator:
@@ -230,7 +238,12 @@ class ConjugateEvaluator:
     method for tabulated and custom weights, and the oracle of the others.
     """
 
-    def __init__(self, weight: WeightFunction, method: str = None):
+    def __init__(self, weight: WeightFunction, method: str = None,
+                 t_end: float = math.inf):
+        """``t_end``: phi is known only on [0, t_end], as an associated
+        weight is below its last quotient.  The numeric sup brackets up to
+        t_end and raises TruncationError when the objective still rises
+        there."""
         closed = weight.kind in ("gevrey", "logpow")
         if method is None:
             method = "closed-form" if closed else "numeric-sup"
@@ -240,6 +253,7 @@ class ConjugateEvaluator:
                 f"not {weight.kind}")
         self.weight = weight
         self.method = method
+        self.t_end = t_end
         self._cache: dict = {}
 
     def __call__(self, s: float) -> float:
@@ -274,10 +288,11 @@ class ConjugateEvaluator:
 
     def _numeric_sup(self, s: float) -> float:
         g = lambda t: self._objective(s, t)
-        # expand until the objective has turned down
-        hi = 1.0
-        while g(hi) >= g(hi / 2.0):
-            hi *= 2.0
+        # expand until the objective has turned down, or to t_end
+        end = self.t_end
+        hi = min(1.0, end)
+        while hi < end and g(hi) >= g(hi / 2.0):
+            hi = min(2.0 * hi, end)
             if hi > BRACKET_T_CAP:
                 raise BracketError(
                     f"no bracket for s={s:g} below t={BRACKET_T_CAP:g}; "
@@ -295,6 +310,10 @@ class ConjugateEvaluator:
                 a, c, fc = c, d, fd
                 d = a + _GOLDEN * (b - a)
                 fd = g(d)
+        if b == end:  # ties move b down, so the objective rises up to t_end
+            raise TruncationError(
+                f"the maximizer for s={s:g} lies past t={end:g}, the end of "
+                f"{self.weight.label}")
         if g(b) == -math.inf:  # the turn lies past the overflow of phi
             raise BracketError(
                 f"the maximizer for s={s:g} lies past t={a:g}, where "

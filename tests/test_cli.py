@@ -490,9 +490,14 @@ def test_nuclear_overflow_exits_2(capsys):
     # epsilon integral
     (["weight-check", "--weight", "gevrey:d=0.02"], "--weight"),
     (["weight-check", "--weight", "gevrey:d=0.05"], "--weight"),
+    # sigma(x) = x^200 at x = 1e3; omega(psi(x)) = (x^2)^200
+    (["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma",
+      "gevrey:d=0.005", "--omega", "gevrey:d=2"], "--sigma"),
+    (["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma",
+      "gevrey:d=2", "--omega", "gevrey:d=0.005"], "--omega"),
 ], ids=["negative-tiny-d", "compactness-huge-x0", "bounded-tiny-d",
         "bounded-huge-d", "cauchy-huge-B", "weight-check-grid",
-        "weight-check-epsilon"])
+        "weight-check-epsilon", "necessary-sigma", "necessary-omega"])
 def test_in_range_value_that_overflows_exits_2(argv, flag, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()
@@ -556,6 +561,14 @@ def test_conjugate_logpow_closed_form_cli(capsys):
     assert main(argv + ["--method", "numeric-sup"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "overflows a float" in out.err
+
+
+def test_conjugate_names_its_weight_exactly(capsys):
+    argv = ["conjugate", "--weight", "logpow:s=1.0000001", "--s"]
+    assert main(argv + ["1"]) == 0
+    assert json.loads(capsys.readouterr().out)["weight"] == "logpow:s=1.0000001"
+    assert main(argv + ["80"]) == 2
+    assert "of logpow:s=1.0000001 overflows" in capsys.readouterr().err
 
 
 def test_identities_cli():

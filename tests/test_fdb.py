@@ -4,13 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsbench import fdb
+import numpy as np
+
+from gsbench import experiments, fdb
 from gsbench.errors import PreconditionError
 from gsbench.fdb import (Jet, compose_jet, enumerate_partitions, faa_di_bruno,
                          identity_lah, identity_sums, identity_two_power,
-                         iter_partition_multi_indices, partition_count,
-                         single_jet_compose)
-from gsbench.functions import Gaussian, Sqrt1px2
+                         iter_partition_multi_indices, log_compose_table,
+                         partition_count, single_jet_compose)
+from gsbench.functions import Gaussian, Polynomial, Pow1px2, Sqrt1px2
+from gsbench.grids import GridSpec
+from gsbench.weights import WeightFunction
 
 # -- independent oracle: polynomial composition -----------------------------
 
@@ -205,6 +209,162 @@ def test_mixed_kinds_rejected():
         faa_di_bruno(h, psi, 1)
 
 
+# -- the batched log-domain kernel ------------------------------------------
+
+def pointwise_log_compose(f_sign, f_log, psi_sign, psi_log, J):
+    """Oracle for ``log_compose_table``: the Bell recurrence one grid point at
+    a time on (sign, log|.|) pairs, each entry a max-shifted ``math.fsum`` of
+    its terms.  Returns (sign, log|(f o psi)^(n)|) as two lists of rows."""
+    def total(terms):
+        if len(terms) < 2:
+            return terms[0] if terms else None
+        m = max(la for _, la in terms)
+        s = math.fsum(sg * math.exp(la - m) for sg, la in terms)
+        return None if s == 0.0 else (1 if s > 0 else -1, m + math.log(abs(s)))
+
+    signs, logs = [], []
+    for fs, fl, ps, pl in zip(f_sign, f_log, psi_sign, psi_log):
+        h = [(int(s), float(v)) if s else None for s, v in zip(fs, fl)]
+        psi = [(int(s), float(v)) if s else None for s, v in zip(ps, pl)]
+        support = [i for i in range(1, J + 1) if psi[i]]
+        bell = [[(1, 0.0)]]
+        for n in range(1, J + 1):
+            row = [None] * (n + 1)
+            for k in range(1, n + 1):
+                terms = []
+                for i in support:
+                    b = bell[n - i][k - 1] if k - 1 <= n - i else None
+                    if b:
+                        c = math.log(math.comb(n - 1, i - 1)) + psi[i][1]
+                        terms.append((psi[i][0] * b[0], c + b[1]))
+                row[k] = total(terms)
+            bell.append(row)
+        out = [total([(h[k][0] * b[0], h[k][1] + b[1])
+                      for k, b in enumerate(bell[n]) if b and h[k]])
+               for n in range(J + 1)]
+        signs.append([v[0] if v else 0 for v in out])
+        logs.append([v[1] if v else -math.inf for v in out])
+    return signs, logs
+
+
+def composed_tables(f, psi, xs, J):
+    xs = np.asarray(xs, dtype=float)
+    return (*f.log_jet_table(psi.values(xs), J), *psi.log_jet_table(xs, J))
+
+
+def assert_close_logs(got_sign, got_log, want_sign, want_log, tol):
+    """Equal signs (so equal zero patterns) and log drift <= tol relative."""
+    got_sign, got_log = np.asarray(got_sign), np.asarray(got_log)
+    want_sign, want_log = np.asarray(want_sign), np.asarray(want_log)
+    assert np.array_equal(got_sign, want_sign)
+    assert np.array_equal(got_log == -math.inf, want_log == -math.inf)
+    live = want_log > -math.inf
+    drift = np.abs(got_log[live] - want_log[live]) / np.maximum(
+        1.0, np.abs(want_log[live]))
+    assert drift.max(initial=0.0) <= tol, drift.max()
+
+
+# the gaussian over x^2 (sparse inner jet), sqrt(1+x^2) and (1+x^2)^a (full
+# support) on the grids the composed seminorm sups use, x = 0 included
+KERNEL_CASES = {
+    "square": (Polynomial([0, 0, 1]), GridSpec("lin", 0.05, 5.25, 100), 24),
+    "sqrt1px2": (Sqrt1px2(), GridSpec("lin", 0.12, 2.1, 10), 24),
+    "pow1px2": (Pow1px2(1.25), GridSpec("lin", 0.55, 1.6, 2), 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_matches_pointwise_oracle(name):
+    psi, grid, J = KERNEL_CASES[name]
+    tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
+    sign, log = log_compose_table(*tables, J)
+    assert_close_logs(sign, log, *pointwise_log_compose(*tables, J), 1e-10)
+
+
+# at x = 0, exp(-x^4) has nonzero orders 4i only; exp(-(1+x^2)) all even ones
+@pytest.mark.parametrize("name, period", [("square", 4), ("sqrt1px2", 2)])
+def test_kernel_zero_orders_at_zero_are_exact(name, period):
+    psi, grid, J = KERNEL_CASES[name]
+    xs = grid.symmetric_points()
+    sign, log = log_compose_table(*composed_tables(Gaussian(), psi, xs, J), J)
+    at0 = int(np.flatnonzero(xs == 0.0)[0])
+    live = np.arange(J + 1) % period == 0
+    assert (sign[at0, ~live] == 0).all() and (log[at0, ~live] == -math.inf).all()
+    assert (sign[at0, live] != 0).all()
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_kernel_blocks_do_not_change_results(block, monkeypatch):
+    psi, grid, J = KERNEL_CASES["sqrt1px2"]  # 21 points
+    tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
+    whole = log_compose_table(*tables, J)
+    monkeypatch.setattr(fdb, "TERM_BLOCK", block * (J + 1) ** 2)
+    assert_close_logs(*log_compose_table(*tables, J), *whole, 1e-13)
+
+
+def test_kernel_one_point_is_compose_jet():
+    psi_jet = Sqrt1px2().jet(0.7, 20)
+    h_jet = Gaussian().jet(psi_jet.entry_float(0), 20)
+    row = lambda jet: ([[v.sign for v in jet.values]],
+                       [[v.log_abs for v in jet.values]])
+    sign, log = log_compose_table(*row(h_jet), *row(psi_jet), 20)
+    want = compose_jet(h_jet, psi_jet, 20).values
+    assert [(int(s), l) for s, l in zip(sign[0], log[0])] == [
+        (v.sign, v.log_abs) for v in want]
+
+
+def test_kernel_order_zero_is_outer_value():
+    tables = composed_tables(Gaussian(), Sqrt1px2(), [-1.5, 0.0, 2.0], 0)
+    sign, log = log_compose_table(*tables, 0)
+    assert sign.shape == log.shape == (3, 1)
+    assert np.array_equal(sign, tables[0]) and np.array_equal(log, tables[1])
+
+
+def test_kernel_exact_cancellation_is_zero():
+    # h' = 1, h'' = -1, psi' = psi'' = 1: (h o psi)'' = -1 + 1 = 0 exactly
+    sign, log = log_compose_table([[1, 1, -1]], [[0.0, 0.0, 0.0]],
+                                  [[1, 1, 1]], [[0.0, 0.0, 0.0]], 2)
+    assert list(sign[0]) == [1, 1, 0] and log[0, 2] == -math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeff_list, coeff_list, st.integers(1, 12),
+       st.lists(rational, min_size=1, max_size=4))
+def test_kernel_matches_exact_composition(h_c, psi_c, J, xs):
+    """Signed rational polynomials at rational points, where the terms of
+    a derivative cancel: the error is bounded relative to the sum of the
+    absolute values of the partition terms."""
+    h_rows = [poly_jet(h_c, poly_eval(psi_c, x0), J).values for x0 in xs]
+    psi_rows = [poly_jet(psi_c, x0, J).values for x0 in xs]
+
+    def table(rows):
+        return ([[(v > 0) - (v < 0) for v in row] for row in rows],
+                [[math.log(abs(v)) if v else -math.inf for v in row]
+                 for row in rows])
+
+    sign, log = log_compose_table(*table(h_rows), *table(psi_rows), J)
+    for p, (h_vals, psi_vals) in enumerate(zip(h_rows, psi_rows)):
+        for n in range(J + 1):
+            want, mass = partition_fdb(h_vals, psi_vals, n)
+            got = sign[p, n] * math.exp(log[p, n]) if sign[p, n] else 0.0
+            assert abs(Fraction(got) - want) <= LOG_PATH_TOL * mass
+
+
+def test_composed_table_runs_the_kernel_once_per_table(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return log_compose_table(*args)
+
+    monkeypatch.setattr(experiments, "log_compose_table", spy)
+    rep = experiments.composed_seminorm_bound(
+        Gaussian(), Polynomial([0, 0, 1]), WeightFunction.gevrey(3), 2,
+        GridSpec("lin", 0.05, 5.0, 100), 16, 16, check_stability=True)
+    assert calls == [201, 251]  # the grid, then the rescan's 1.25x grid
+    assert rep.stable
+
+
 # -- single-jet shortcut ----------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -245,7 +405,7 @@ def test_lah_identity(j):
     identity_lah(j)  # raises on mismatch
 
 
-@pytest.mark.parametrize("j", [1, 2, 7, 16, 25])
+@pytest.mark.parametrize("j", [1, 2, 7, 16, 25, 30])
 def test_identity_sums_match_two_separate_walks(j):
     two_power = sum(math.factorial(mi.k) // math.prod(
         math.factorial(kl) for kl in mi.k_vec if kl)

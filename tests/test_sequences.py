@@ -241,17 +241,33 @@ def test_assoc_conjugate_matches_numeric_sup_gevrey(d):
 
 
 def test_assoc_conjugate_matches_numeric_sup_table():
-    # log-convex table with log m_p = 0.1 p + 0.25; from s = 117 on, the
-    # numeric sup's doubling bracket (t = 32) passes log m_200 = 20.25 and
-    # the table raises, so the oracle stops at 116
+    # log-convex table with log m_p = 0.1 p + 0.25; the numeric sup's bracket
+    # stops short of log m_200 = 20.25, so the oracle reaches s = 199, whose
+    # maximizers fill [log m_199, log m_200]
     log_Ms = [0.05 * p * p + 0.3 * p for p in range(201)]
     aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms))
-    for s in np.linspace(0.0, 116.0, 233):
+    for s in np.linspace(0.0, 199.0, 399):
         s = float(s)
         assert aw.conjugate(s) == pytest.approx(aw.numeric_conjugate(s),
                                                 rel=1e-12, abs=1e-12)
         assert aw.conjugate(s) == pytest.approx(_interpolated(log_Ms, s),
                                                 rel=1e-14, abs=1e-14)
+
+
+def test_assoc_numeric_conjugate_brackets_up_to_the_last_quotient():
+    # pmax = 200 at the table's end: s = 117 has its maximizer
+    # log m_118 = 12.05 inside the table, where the doubling bracket once
+    # reached t = 32 and raised
+    log_Ms = [0.05 * p * p + 0.3 * p for p in range(201)]
+    aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms), pmax=200)
+    assert aw.numeric_conjugate(117.0) == pytest.approx(719.55, rel=1e-12)
+    for s in np.arange(1, 797) * 0.25:  # 0.25 .. 199
+        assert aw.numeric_conjugate(float(s)) == pytest.approx(
+            aw.conjugate(float(s)), rel=1e-9, abs=1e-9)
+    # past s = 199 the objective still rises at log m_200: truncated
+    for s in (199.25, 199.75, 200.0):
+        with pytest.raises(TruncationError, match="pmax=200"):
+            aw.numeric_conjugate(s)
 
 
 def test_assoc_conjugate_below_unit_first_quotient_keeps_numeric_sup():
@@ -278,6 +294,21 @@ def test_assoc_conjugate_non_log_convex_keeps_numeric_sup():
     for s in (0.0, 0.5, 1.0, 2.5, 3.0):
         assert aw.conjugate(s) == aw.numeric_conjugate(s)
     assert aw.conjugate(2.5) == pytest.approx(35.0 / 12.0, abs=1e-12)
+
+
+def test_assoc_numeric_conjugate_non_log_convex_brackets_past_the_last_quotient():
+    # hull of log M runs (0, 0) -> (1, 1) -> (3, 5.5); phi_M picks p = 3 only
+    # past the chord slope 2.25 into it, above the last quotient log m_3 = 0.5,
+    # so s <= 1 keeps its maximizers (u = 1 at s = 0.5) inside the bracket
+    aw = AssociatedWeight(WeightSequence.from_log_values([0.0, 1.0, 5.0, 5.5]),
+                          pmax=3)
+    assert not aw.source.log_convex
+    assert aw.numeric_conjugate(0.5) == pytest.approx(0.5, abs=1e-9)
+    assert aw.conjugate(1.0) == pytest.approx(1.0, abs=1e-9)
+    # s in (1, 3] has its maximizer at the chord slope 2.25 or past it
+    for s in (2.0, 3.5):
+        with pytest.raises(TruncationError, match="pmax=3"):
+            aw.numeric_conjugate(s)
 
 
 def test_assoc_conjugate_past_the_table_or_pmax_raises():

@@ -24,6 +24,19 @@ def test_gevrey_values():
     assert w(0.0) == 0.0
 
 
+def test_labels_name_the_parameter_exactly():
+    from gsbench.sequences import WeightSequence
+    assert WeightFunction.gevrey(2.0).label == "gevrey:d=2"
+    assert WeightFunction.gevrey(3.5).label == "gevrey:d=3.5"
+    assert WeightFunction.logpow(1.0000001).label == "logpow:s=1.0000001"
+    assert WeightFunction.gevrey(2.2 * 1.5).label == "gevrey:d=3.3000000000000003"
+    assert WeightSequence.gevrey(1 / 3).label == "gevreyseq:d=0.3333333333333333"
+    w = scaled_weight(WeightFunction.logpow(2.0), 1.0000001)
+    assert w.label == "logpow:s=2^(1/1.0000001)"
+    for v in (0.1, 1e-7, 123456.0, 1234567.0, 2.0 ** -40, 1e300):
+        assert float(WeightFunction.gevrey(v).label.split("=")[1]) == v
+
+
 def test_logpow_vanishes_below_one():
     w = WeightFunction.logpow(2)
     assert w(0.5) == 0.0
