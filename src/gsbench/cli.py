@@ -100,7 +100,7 @@ FLAGS = {
 
 def _add_out(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=_arg(_writable),
-                   help="output path (CSV for experiments; JSON summary written next to it)")
+                   help="output path (CSV rows, JSON next to it; a .json path names the JSON)")
     p.add_argument("--format", default="json", choices=["json", "both"])
 
 
@@ -172,11 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(payload: dict, a: argparse.Namespace, result=None) -> None:
     data = to_json_bytes(payload)
     if a.out:
-        if isinstance(result, ChainReport) and a.format == "both":
-            result.write_csv(a.out)
+        # --out names the CSV, or the JSON if it ends in .json; the other goes next to it
         stem = os.path.splitext(a.out)[0]
-        json_path = a.out if a.out.endswith(".json") else stem + ".json"
-        atomic_write_bytes(json_path, data + b"\n")
+        json_out = a.out.endswith(".json")
+        if isinstance(result, ChainReport) and a.format == "both":
+            result.write_csv(stem + ".csv" if json_out else a.out)
+        atomic_write_bytes(a.out if json_out else stem + ".json", data + b"\n")
     sys.stdout.write(data.decode("utf-8") + "\n")
 
 

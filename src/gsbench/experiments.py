@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (CapabilityError, PreconditionError, RegimeError,
                      SearchExhaustedError)
 from .fdb import BellTable, Jet, log_compose_table, single_jet_compose
-from .functions import ModelFunction, weighted_log_sup
+from .functions import ModelFunction, stable_sup, weighted_log_sup
 from .grids import GridSpec
 from .logdomain import LOG_ZERO, LogReal, log_sum_exp
 from .reports import ChainReport, Result
@@ -350,18 +350,14 @@ def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
         xs = grid.symmetric_points()
     if jet_table is None:
         jet_table = composed_jet_log_table(f, psi, xs, Jmax)
-    best, at = weighted_log_sup([logs[:Jmax + 1] for logs in jet_table], conj,
-                                m, xs, Qmax, jq_cap)
-    witness = None if at is None else {"j": at[1], "q": at[2],
-                                       "x": float(xs[at[0]])}
-    stable = None
-    if check_stability:
-        J2 = math.ceil(Jmax * 1.25)
-        xs2 = grid.scaled(1.25).symmetric_points()
-        b2, _ = weighted_log_sup(composed_jet_log_table(f, psi, xs2, J2), conj,
-                                 m, xs2, math.ceil(Qmax * 1.25),
-                                 math.ceil(jq_cap * 1.25))
-        stable = abs(b2 - best) < 1e-6 * max(1.0, abs(best))
+
+    def scan(pts, J, Q, cap):  # the rescan's 1.25x grid needs its own table
+        table = ([logs[:J + 1] for logs in jet_table] if pts is xs
+                 else composed_jet_log_table(f, psi, pts, J))
+        return weighted_log_sup(table, conj, m, pts, Q, cap)
+
+    best, witness, stable = stable_sup(scan, grid, (Jmax, Qmax, jq_cap), "q",
+                                       check_stability, xs)
     return ComposedSeminormResult(f=f.label, psi=psi.label, sigma=sigma.label,
                                   m=m, grid=grid.spec_string(), jq_cap=jq_cap,
                                   value_log=best, witness=witness,

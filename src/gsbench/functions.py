@@ -20,6 +20,7 @@ log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -243,6 +244,9 @@ class Pow1px2(_Recurrence):
 
     def __init__(self, a: float):
         self.a = float(a)
+        if 0.0 < abs(self.a) < sys.float_info.min:  # 2a and mantissas subnormal
+            raise PreconditionError(
+                f"pow1px2 needs a = 0 or a normal float, got subnormal a={a!r}")
         self.label = f"pow1px2:a={a:g}"
 
     def value(self, x: float) -> float:
@@ -430,6 +434,25 @@ class SeminormReport(Result):
         return d
 
 
+def stable_sup(scan, grid: GridSpec, sizes: tuple, power: str = None,
+               check_stability: bool = True, xs=None) -> tuple:
+    """(value, witness, stable) of scan(xs, *sizes) -> (value, (xi, j, k)) on
+    the grid's symmetric points (or xs).  The witness names j, k as ``power``
+    and x, or is None when every term is log 0.  ``stable``: with a witness
+    and check_stability, the scan on the grid extended 1.25x, every size
+    raised 1.25x rounded up, agrees to 1e-6 relative; else None."""
+    if xs is None:
+        xs = grid.symmetric_points()
+    best, at = scan(xs, *sizes)
+    if at is None:
+        return best, None, None
+    witness = {"j": at[1], **({power: at[2]} if power else {}), "x": float(xs[at[0]])}
+    if not check_stability:
+        return best, witness, None
+    b2, _ = scan(grid.scaled(1.25).symmetric_points(), *(math.ceil(n * 1.25) for n in sizes))
+    return best, witness, abs(b2 - best) < 1e-6 * max(1.0, abs(best))
+
+
 def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
                       grid: GridSpec, J: int, K: int,
                       check_stability: bool = True) -> SeminormReport:
@@ -438,16 +461,11 @@ def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
     if J + K > 2 * _CLOSED_FORM_JMAX:
         raise PreconditionError("J + K too large")
     conj = ConjugateEvaluator(w)
-    xs = grid.symmetric_points()
-    best, at = weighted_log_sup(f.log_jet_table(xs, J)[1], conj, lam, xs, K)
-    witness = None if at is None else {"j": at[1], "k": at[2],
-                                       "x": float(xs[at[0]])}
-    stable = None
-    if check_stability and witness is not None:
-        xs2 = grid.scaled(1.25).symmetric_points()
-        b2, _ = weighted_log_sup(f.log_jet_table(xs2, math.ceil(J * 1.25))[1],
-                                 conj, lam, xs2, math.ceil(K * 1.25))
-        stable = abs(b2 - best) < 1e-6 * max(1.0, abs(best))
+
+    def scan(xs, J, K):
+        return weighted_log_sup(f.log_jet_table(xs, J)[1], conj, lam, xs, K)
+
+    best, witness, stable = stable_sup(scan, grid, (J, K), "k", check_stability)
     return SeminormReport("p_lambda", lam, None, w.label, grid.spec_string(),
                           J, K, best, witness, stable,
                           degenerate=witness is None)
@@ -464,13 +482,7 @@ def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
         return weighted_log_sup(f.log_jet_table(xs, J)[1], conj, lam,
                                 extra=mu * w.values(xs))
 
-    xs = grid.symmetric_points()
-    best, at = scan(xs, J)
-    witness = None if at is None else {"j": at[1], "x": float(xs[at[0]])}
-    stable = None
-    if check_stability and witness is not None:
-        b2, _ = scan(grid.scaled(1.25).symmetric_points(), math.ceil(J * 1.25))
-        stable = abs(b2 - best) < 1e-6 * max(1.0, abs(best))
+    best, witness, stable = stable_sup(scan, grid, (J,), None, check_stability)
     return SeminormReport("pi", lam, mu, w.label, grid.spec_string(),
                           J, None, best, witness, stable,
                           degenerate=witness is None)

@@ -3,13 +3,16 @@
 Everything is carried as log M_p.  The builtin Gevrey-type sequence
 M_p = (p!)^d is generated from its quotients log m_p = d log p by cumulative
 summation, so the quotient identity m_p = p^d is exact in log domain.
+
+The associated weight M(t) = sup_p log(t^p / M_p) depends only on the lower
+convex hull of the points (p, log M_p) (Komatsu 1973, section 3): M(t)
+bisects the hull's quotients and its conjugate interpolates the hull.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -17,15 +20,15 @@ import numpy as np
 from .errors import PreconditionError, SearchExhaustedError, TruncationError
 from .grids import GridSpec
 from .reports import Result
-from .weights import (H_BOUND, ConjugateEvaluator, WeightFunction,
-                      first_true, label_real, parse_real, read_table)
+from .weights import H_BOUND, first_true, label_real, parse_real, read_table
 
 SANDWICH_ASSOC_PMAX = 500000  # associated-weight p cap in sandwich_check
 DOUBLING_ASSOC_PMAX = 20000   # associated-weight p cap in doubling_from_sequence
 
 
 class WeightSequence:
-    """Log-domain generator of M_p with quotients m_p = M_p / M_{p-1}."""
+    """Log-domain generator of M_p with quotients m_p = M_p / M_{p-1}.
+    ``max_p`` is the last index a table holds (math.inf for a generator)."""
 
     def __init__(self, log_quotient, label: str = "sequence",
                  log_convex: bool = True):
@@ -35,6 +38,7 @@ class WeightSequence:
         self._quot = [None]  # log m_p at index p; there is no m_0
         self.label = label
         self.log_convex = log_convex
+        self.max_p = math.inf
 
     def _extend(self, p: int) -> None:
         while len(self._cum) <= p:
@@ -53,31 +57,32 @@ class WeightSequence:
             raise PreconditionError("quotients start at p = 1")
         return self._quot[p] if p < len(self._quot) else self._log_quotient(p)
 
+    def convex_minorant(self, P: int) -> "WeightSequence":
+        """The lower convex hull of the points (p, log M_p), p <= P, as a table
+        whose quotients are the hull's slopes: equal along a segment and
+        increasing from one segment to the next."""
+        slope = lambda a, b: (self.log_M(b) - self.log_M(a)) / (b - a)
+        hull = [0]
+        for c in range(1, P + 1):
+            while len(hull) > 1 and slope(hull[-2], hull[-1]) >= slope(hull[-1], c):
+                hull.pop()
+            hull.append(c)
+        return _table([None] + [slope(a, b) for a, b in zip(hull, hull[1:])
+                                for _ in range(a, b)], self.label)
+
     @staticmethod
     def gevrey(d: float) -> "WeightSequence":
         if d <= 0:
             raise PreconditionError("gevrey sequence requires d > 0")
-        seq = WeightSequence(lambda p: d * math.log(p),
-                             label=f"gevreyseq:d={label_real(d)}")
-        seq.d = d
-        return seq
+        return WeightSequence(lambda p: d * math.log(p),
+                              label=f"gevreyseq:d={label_real(d)}")
 
     @staticmethod
     def from_log_values(log_Ms, label: str = "table") -> "WeightSequence":
         log_Ms = [float(v) for v in log_Ms]
         if not log_Ms or abs(log_Ms[0]) > 1e-12:
             raise PreconditionError("table must start with log M_0 = 0")
-
-        def quot(p: int) -> float:
-            if p >= len(log_Ms):
-                raise TruncationError(f"tabulated sequence ends at p={len(log_Ms) - 1}")
-            return log_Ms[p] - log_Ms[p - 1]
-
-        diffs = [log_Ms[i] - log_Ms[i - 1] for i in range(1, len(log_Ms))]
-        convex = all(diffs[i] >= diffs[i - 1] - 1e-12 for i in range(1, len(diffs)))
-        seq = WeightSequence(quot, label=label, log_convex=convex)
-        seq.max_p = len(log_Ms) - 1
-        return seq
+        return _table([None] + [b - a for a, b in zip(log_Ms, log_Ms[1:])], label)
 
     @staticmethod
     def from_csv(path: str) -> "WeightSequence":
@@ -85,6 +90,22 @@ class WeightSequence:
         if [p for p, _ in rows] != list(range(len(rows))):
             raise PreconditionError("sequence table must cover p = 0..P contiguously")
         return WeightSequence.from_log_values([v for _, v in rows])
+
+
+def _table(quot: list, label: str) -> WeightSequence:
+    """The sequence with quotients log m_p = quot[p], p <= P = len(quot) - 1:
+    TruncationError past P; log-convex when no quotient falls by over 1e-12."""
+    P = len(quot) - 1
+
+    def quotient(p: int) -> float:
+        if p > P:
+            raise TruncationError(f"tabulated sequence ends at p={P}")
+        return quot[p]
+
+    seq = WeightSequence(quotient, label, all(
+        b >= a - 1e-12 for a, b in zip(quot[1:], quot[2:])))
+    seq.max_p = P
+    return seq
 
 
 def parse_sequence(spec: str) -> WeightSequence:
@@ -106,8 +127,19 @@ def parse_sequence(spec: str) -> WeightSequence:
 
 @dataclass
 class AssociatedWeight:
+    """M(t) = sup_{0 <= p <= pmax} log(t^p / M_p) and its Young conjugate, both
+    read from ``hull``: the source if log-convex, else its convex minorant over
+    p <= P (pmax, or a table's last index if smaller).  The sup is the same
+    over the hull; its smallest maximizer is a hull vertex, a source point."""
     source: WeightSequence
     pmax: int = 4000
+    hull: WeightSequence = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        src = self.source
+        self.hull = src if src.log_convex else src.convex_minorant(
+            min(self.pmax, src.max_p))
+        self._q0 = None  # argmax of M(1), set by conjugate; a cached_property slows reads
 
     def eval_with_argmax(self, t: float) -> tuple:
         t = abs(float(t))
@@ -115,81 +147,52 @@ class AssociatedWeight:
             # the sup formula gives 0 via the p=0 term; see module notes
             return 0.0, 0
         lt = math.log(t)
-        if self.source.log_convex:
-            # terms p*lt - log M_p increase while log m_p < lt, then decrease:
-            # extend the cached quotients past lt (or to pmax), then bisect
-            # them for the largest p with log m_p < lt (the smallest maximizer)
-            src, quot, pmax = self.source, self.source._quot, self.pmax
-            top = min(len(quot) - 1, pmax)
-            if top == 0 or quot[top] <= lt:
-                # log m_pmax <= lt puts the argmax at pmax or past it: probe it
-                # before extending, unless a table ends before pmax, where
-                # _extend raises TruncationError itself
-                if pmax <= getattr(src, "max_p", pmax) and src.log_m(pmax) <= lt:
-                    raise TruncationError(
-                        f"associated-weight argmax hit pmax={pmax} at "
-                        f"t={t:g}; increase pmax")
-                while (len(quot) == 1 or quot[-1] <= lt) and len(quot) <= pmax:
-                    src._extend(len(quot))
-                top = min(len(quot) - 1, pmax)  # log m_top > lt
-            best_p = bisect.bisect_left(quot, lt, 1, top) - 1
-            return max(0.0, best_p * lt - src._cum[best_p]), best_p
-        best, best_p = 0.0, 0  # p = 0 term is always 0
-        for p in range(1, self.pmax + 1):
-            v = p * lt - self.source.log_M(p)
-            if v > best:
-                best, best_p = v, p
-        if best_p == self.pmax:
-            raise TruncationError(
-                f"associated-weight argmax hit pmax={self.pmax} at t={t:g}; "
-                "increase pmax")
-        return best, best_p
+        # terms p*lt - log M_p increase while log m_p < lt, then decrease:
+        # extend the cached quotients past lt (or to pmax), then bisect
+        # them for the largest p with log m_p < lt (the smallest maximizer)
+        seq, quot, pmax = self.hull, self.hull._quot, self.pmax
+        top = min(len(quot) - 1, pmax)
+        if top == 0 or quot[top] <= lt:
+            # log m_pmax <= lt puts the argmax at pmax or past it: probe it
+            # before extending, unless a table ends before pmax, where
+            # _extend raises TruncationError itself
+            if pmax <= seq.max_p and seq.log_m(pmax) <= lt:
+                raise TruncationError(
+                    f"associated-weight argmax hit pmax={pmax} at "
+                    f"t={t:g}; increase pmax")
+            while (len(quot) == 1 or quot[-1] <= lt) and len(quot) <= pmax:
+                seq._extend(len(quot))
+            top = min(len(quot) - 1, pmax)  # log m_top > lt
+        best_p = bisect.bisect_left(quot, lt, 1, top) - 1
+        return max(0.0, best_p * lt - seq._cum[best_p]), best_p
 
     def __call__(self, t: float) -> float:
         return self.eval_with_argmax(t)[0]
 
-    @cached_property
-    def numeric_conjugate(self) -> ConjugateEvaluator:
-        """Golden-section phi_M*: the fallback of ``conjugate``, and its oracle.
-        With P = pmax, or a table's last index when that comes first, phi_M(u)
-        has its argmax below P for u below every chord slope
-        (log M_P - log M_q) / (P - q), q < P.  The largest of them bounds the
-        bracket; for a log-convex sequence it is the last quotient log m_P."""
-        src = self.source
-        P = min(self.pmax, getattr(src, "max_p", self.pmax))
-        if src.log_convex:
-            end = src.log_m(P)
-        else:
-            end = max((src.log_M(P) - src.log_M(q)) / (P - q) for q in range(P))
-        cap = (f"pmax={P}" if P == self.pmax
-               else f"tabulated sequence ends at p={P}")
-        return ConjugateEvaluator(WeightFunction.custom(
-            self.__call__, label=f"assoc({src.label}; {cap})"),
-            t_end=end - 1e-12 * max(1.0, abs(end)))
-
     def conjugate(self, s: float) -> float:
         """Young conjugate phi_M*(s) of phi_M(u) = M(e^u), u >= 0.
 
-        For a log-convex sequence phi_M is the Legendre transform of
-        p -> log M_p, so phi_M* interpolates log M linearly:
-        (1 - theta) log M_p + theta log M_(p+1) with p = floor(s),
-        theta = s - p (Komatsu 1973, section 3).  Its maximizer
-        u = log m_(p+1) must not be cut off at u = 0, so log m_1 = log M_1 >= 0
-        is needed too; otherwise the numeric sup answers.  Past pmax, or past
-        a table's end, it raises TruncationError, as the numeric sup does."""
+        phi_M is the Legendre transform of the hull p -> log M_p, so phi_M*
+        interpolates it, (1 - theta) log M_p + theta log M_(p+1) with
+        p = floor(s), theta = s - p, maximizer u = log m_(p+1) (Komatsu 1973,
+        section 3).  The cut at u = 0 binds for s <= q0, where phi_M* =
+        -phi_M(0) = log M_q0, so the hull is read at max(s, q0).  It raises
+        TruncationError past pmax or a table's end, or where M(1) raises."""
         if not s >= 0:  # also rejects NaN
             raise PreconditionError(f"conjugate argument must be >= 0, got {s}")
-        src = self.source
-        if not (src.log_convex and src.log_M(1) >= 0.0):
-            return self.numeric_conjugate(s)
+        if self._q0 is None:
+            self._q0 = self.eval_with_argmax(1.0)[1]
+        if s < self._q0:
+            s = self._q0
         if s > self.pmax:
             raise TruncationError(
                 f"associated-weight conjugate at s={s:g} needs p > pmax={self.pmax}")
+        hull = self.hull
         p = int(s)
         theta = s - p
         if not theta:
-            return src.log_M(p)
-        return (1.0 - theta) * src.log_M(p) + theta * src.log_M(p + 1)
+            return hull.log_M(p)
+        return (1.0 - theta) * hull.log_M(p) + theta * hull.log_M(p + 1)
 
 
 def associated_weight(M: WeightSequence, t: float, pmax: int = 4000) -> tuple:

@@ -8,9 +8,9 @@ phi(t) = omega(e^t) is
 
 computed in closed form for the gevrey and logpow kinds, and for tabulated
 and custom weights by bracketing plus golden-section search (phi is convex,
-so the objective is concave and unimodal).  The associated weight of a
-log-convex sequence has its own closed form, ``AssociatedWeight.conjugate``
-in ``sequences``.
+so the objective is concave and unimodal).  The associated weight of any
+weight sequence has its own exact conjugate, ``AssociatedWeight.conjugate``
+in ``sequences``: the interpolated convex hull of log M_p.
 """
 from __future__ import annotations
 
@@ -22,8 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BracketError, PreconditionError, RangeError,
-                     TruncationError)
+from .errors import BracketError, PreconditionError, RangeError
 from .grids import DEFAULT_T_GRID, GridSpec
 from .reports import ChainReport, Result
 
@@ -61,9 +60,11 @@ class WeightFunction:
     Builtin kinds:
       gevrey(d):  omega(t) = t^(1/d), d > 0
       logpow(s):  omega(t) = (log t)^s for t > 1, else 0; s > 1
-      tabulated:  monotone piecewise-linear interpolation in (log t, omega)
-      custom:     arbitrary callable (used for associated weights and
-                  rescalings); assumed to satisfy the weight conditions
+      tabulated:  monotone piecewise-linear in (log t, omega); the first value
+                  below the first knot, the last segment continued past the
+                  last, so phi(t) = omega(e^t) is convex where the table is
+      custom:     arbitrary callable (used for rescalings); assumed to
+                  satisfy the weight conditions
     """
 
     def __init__(self, kind: str, *, d: float = None, s: float = None,
@@ -111,16 +112,13 @@ class WeightFunction:
             return math.log(t) ** self.s
         if self.kind == "custom":
             return self._fn(t)
-        # tabulated
-        if t == 0.0:
-            lt = -math.inf
-        else:
-            lt = math.log(t)
-        if lt < self._log_ts[0] - 1e-12 or lt > self._log_ts[-1] + 1e-12:
-            raise RangeError(
-                f"t={t:g} outside tabulated range "
-                f"[{math.exp(self._log_ts[0]):g}, {math.exp(self._log_ts[-1]):g}]")
-        return float(np.interp(lt, self._log_ts, self._vals))
+        # tabulated: np.interp holds the first value below the first knot
+        lt = math.log(t) if t else -math.inf
+        xs, vs = self._log_ts, self._vals
+        if not lt > xs[-1]:
+            return float(np.interp(lt, xs, vs))
+        slope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
+        return float(vs[-1] + slope * (lt - xs[-1])) if slope else float(vs[-1])
 
     def values(self, ts) -> np.ndarray:
         """omega at every t of ts, equal bit for bit to [w(t) for t in ts].
@@ -238,12 +236,7 @@ class ConjugateEvaluator:
     method for tabulated and custom weights, and the oracle of the others.
     """
 
-    def __init__(self, weight: WeightFunction, method: str = None,
-                 t_end: float = math.inf):
-        """``t_end``: phi is known only on [0, t_end], as an associated
-        weight is below its last quotient.  The numeric sup brackets up to
-        t_end and raises TruncationError when the objective still rises
-        there."""
+    def __init__(self, weight: WeightFunction, method: str = None):
         closed = weight.kind in ("gevrey", "logpow")
         if method is None:
             method = "closed-form" if closed else "numeric-sup"
@@ -253,7 +246,6 @@ class ConjugateEvaluator:
                 f"not {weight.kind}")
         self.weight = weight
         self.method = method
-        self.t_end = t_end
         self._cache: dict = {}
 
     def __call__(self, s: float) -> float:
@@ -288,11 +280,10 @@ class ConjugateEvaluator:
 
     def _numeric_sup(self, s: float) -> float:
         g = lambda t: self._objective(s, t)
-        # expand until the objective has turned down, or to t_end
-        end = self.t_end
-        hi = min(1.0, end)
-        while hi < end and g(hi) >= g(hi / 2.0):
-            hi = min(2.0 * hi, end)
+        # expand until the objective has turned down
+        hi = 1.0
+        while g(hi) >= g(hi / 2.0):
+            hi *= 2.0
             if hi > BRACKET_T_CAP:
                 raise BracketError(
                     f"no bracket for s={s:g} below t={BRACKET_T_CAP:g}; "
@@ -310,10 +301,6 @@ class ConjugateEvaluator:
                 a, c, fc = c, d, fd
                 d = a + _GOLDEN * (b - a)
                 fd = g(d)
-        if b == end:  # ties move b down, so the objective rises up to t_end
-            raise TruncationError(
-                f"the maximizer for s={s:g} lies past t={end:g}, the end of "
-                f"{self.weight.label}")
         if g(b) == -math.inf:  # the turn lies past the overflow of phi
             raise BracketError(
                 f"the maximizer for s={s:g} lies past t={a:g}, where "

@@ -131,8 +131,11 @@ FDB_JETS = ["--h", '["0","0","2"]', "--psi", '["1","1","1"]']
     (["fdb", "--h", '["1"]', "--psi", "[]", "--order", "0"], "--psi"),
     (["experiment", "equicont", "--weight", "gevrey:d=2", "--x-seq", "1,inf",
       "--lam-seq", "1,2"], "--x-seq"),
+    # a subnormal exponent would cost the jets most of their digits
+    (["experiment", "cauchy", "--psi", "pow1px2:a=5e-324", "--jmax", "3"], "--psi"),
 ], ids=["kmax-negative", "m-zero", "m-fraction", "m-negative", "order-negative",
-        "base-abc", "base-1/0", "h-not-array", "psi-empty", "x-seq-inf"])
+        "base-abc", "base-1/0", "h-not-array", "psi-empty", "x-seq-inf",
+        "psi-subnormal"])
 def test_bad_flag_value_exits_2(argv, flag, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()
@@ -612,6 +615,45 @@ def test_experiment_writes_csv_and_json(tmp_path):
     summary = json.loads((tmp_path / "nuc.json").read_text())
     assert summary["verdict"] is True
     assert summary["columns"][0] == "j"
+
+
+def test_json_out_with_format_both_writes_the_csv_next_to_it(tmp_path, capsys):
+    argv = ["experiment", "nuclear", "--weight", "gevrey:d=2", "--jmax", "3",
+            "--format", "both", "--out"]
+    assert main(argv + [str(tmp_path / "a.csv")]) == 0
+    assert main(argv + [str(tmp_path / "b.json")]) == 0
+    stdout = capsys.readouterr().out.splitlines(keepends=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.csv", "a.json", "b.csv", "b.json"]
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert (tmp_path / "b.csv").read_text().startswith("j,log_ratio,")
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+    # a result without rows writes the JSON alone, as its stdout
+    out = tmp_path / "w" / "weight-check.json"
+    out.parent.mkdir()
+    assert main(["weight-check", "--weight", "gevrey:d=2", "--grid",
+                 "log:1e-2,1e6,100", "--out", str(out), "--format", "both"]) == 0
+    assert [p.name for p in out.parent.iterdir()] == ["weight-check.json"]
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_weight_check_tabulated_weight(tmp_path, capsys):
+    # omega = log(1 + t)^2 at 61 knots, t = 1e-3 .. 1e12: the audit reads
+    # omega at t = 0, below the first knot, and past the last knot
+    table = tmp_path / "w.csv"
+    table.write_text("t,omega\n" + "".join(
+        f"{t!r},{math.log1p(t) ** 2!r}\n"
+        for t in (10.0 ** (k / 4) for k in range(-12, 49))))
+    code = main(["weight-check", "--weight", f"table:{table}"])
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    conds = {c["condition"]: c for c in report["conditions"]}
+    assert report["weight"] == "table" and "Traceback" not in out.err
+    assert code == (0 if all(c["verdict"] for c in conds.values()) else 1)
+    assert conds["alpha"]["witness"] == {"K": 2}
+    assert conds["delta"]["detail"]["violations"] == 0
+    assert conds["doubling"]["witness"]["H"] >= 1
+    assert math.isfinite(conds["beta"]["witness"]["integral"])
 
 
 def test_weight_check_exit_zero():

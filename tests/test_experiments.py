@@ -224,6 +224,17 @@ def test_composed_seminorm_internal_stability_flag():
     assert rep.witness is not None
 
 
+def test_composed_seminorm_degenerate_has_no_stability_verdict():
+    # f = 0: every term is log 0, so there is no witness and no rescan, and
+    # stable is None as in seminorm_p_lambda and seminorm_pi
+    rep = composed_seminorm_bound(Polynomial([0]), SQUARE,
+                                  WeightFunction.gevrey(3), 2,
+                                  GridSpec("lin", 0.05, 5.0, 40), 8, 8,
+                                  check_stability=True)
+    assert rep.witness is None and rep.stable is None
+    assert rep.value_log == -math.inf
+
+
 # -- necessary growth -------------------------------------------------------
 
 def test_necessary_growth_square():

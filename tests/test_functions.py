@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -13,7 +14,7 @@ from gsbench.functions import (SUP_BLOCK_TERMS, Gaussian, GevreyBump, ExpSqr,
                                MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
                                estimate_growth_exponent, identity_function,
                                jet_log_abs, parse_function,
-                               seminorm_p_lambda, seminorm_pi,
+                               seminorm_p_lambda, seminorm_pi, stable_sup,
                                weighted_log_sup)
 from gsbench.grids import GridSpec
 from gsbench.logdomain import LOG_ZERO
@@ -314,6 +315,55 @@ def test_seminorm_degenerate_for_zero_function():
                             check_stability=False)
     assert rep.degenerate
     assert rep.value_log == LOG_ZERO
+
+
+def test_stable_sup_rescans_with_every_size_raised():
+    calls = []
+
+    def scan(xs, *sizes):
+        calls.append((len(xs), sizes))
+        return 1.0 + 1e-7 * (len(calls) - 1), (3, 2, 1)
+
+    grid = GridSpec("lin", 0.5, 2.0, 4)
+    best, witness, stable = stable_sup(scan, grid, (10, 3, 7), "q")
+    assert (best, stable) == (1.0, True)
+    assert witness == {"j": 2, "q": 1, "x": float(grid.symmetric_points()[3])}
+    # the grid, then the grid extended 1.25x with ceil(1.25 n) per size
+    assert calls == [(len(grid.symmetric_points()), (10, 3, 7)),
+                     (len(grid.scaled(1.25).symmetric_points()), (13, 4, 9))]
+    calls.clear()
+    assert stable_sup(scan, grid, (10,), check_stability=False)[1:] == (
+        {"j": 2, "x": float(grid.symmetric_points()[3])}, None)
+    assert len(calls) == 1
+
+
+def test_stable_sup_of_a_degenerate_sup_is_not_rescanned():
+    # every term log 0: no witness and no stability verdict, in all three
+    # estimators alike
+    calls = []
+
+    def scan(xs, J):
+        calls.append(J)
+        return LOG_ZERO, None
+
+    assert stable_sup(scan, GRID, (4,)) == (LOG_ZERO, None, None)
+    assert calls == [4]
+    zero = Polynomial([0])
+    for rep in (seminorm_p_lambda(zero, 1.0, W2, GRID, J=4, K=4),
+                seminorm_pi(zero, 1.0, 1.0, W2, GRID, J=4)):
+        assert rep.degenerate and rep.stable is None
+
+
+def test_pow1px2_rejects_subnormal_exponent():
+    tiny = sys.float_info.min
+    for a in (5e-324, -5e-324, 1e-310, tiny / 2):
+        with pytest.raises(PreconditionError, match="subnormal"):
+            Pow1px2(a)
+    with pytest.raises(PreconditionError, match="subnormal"):
+        parse_function("pow1px2:a=5e-324")
+    assert Pow1px2(tiny).a == tiny and Pow1px2(-tiny).a == -tiny
+    assert Pow1px2(0.0).log_jet_table([2.0], 2)[1].tolist() == [
+        [0.0, LOG_ZERO, LOG_ZERO]]
 
 
 def test_seminorm_monotone_in_lambda():

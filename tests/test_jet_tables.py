@@ -95,8 +95,9 @@ def mp_recurrence(f, x, J):
         return F, kappa
 
 
+# Pow1px2 rejects subnormal exponents (test_functions), so a is a normal float
 FAMILY = (st.sampled_from([Gaussian(), ExpSqr(), Sqrt1px2()])
-          | st.floats(-3.0, 3.0).map(Pow1px2))
+          | st.floats(-3.0, 3.0, allow_subnormal=False).map(Pow1px2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,6 +12,8 @@ from gsbench.sequences import (AssociatedWeight, WeightSequence,
 
 
 def brute_force_assoc(M, t, pmax=300):
+    """The linear scan: M(t) and its smallest maximizer over p <= pmax,
+    read from the raw sequence."""
     if t == 0:
         return 0.0, 0
     lt = math.log(t)
@@ -21,6 +23,65 @@ def brute_force_assoc(M, t, pmax=300):
         if v > best:
             best, best_p = v, p
     return best, best_p
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_sup(g, end):
+    """max of a concave g on [0, end] by doubling a bracket from 1 (capped at
+    end) and golden-section refinement to width 1e-12 max(1, b); None when
+    g still rises at end.  This was the associated weight's conjugate
+    before the hull interpolation replaced it."""
+    hi = min(1.0, end)
+    while hi < end and g(hi) >= g(hi / 2.0):
+        hi = min(2.0 * hi, end)
+    a, b = 0.0, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = g(c), g(d)
+    while (b - a) > 1e-12 * max(1.0, b):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = g(d)
+    if b == end:  # ties move b down, so the objective rises up to end
+        return None
+    return max(g(0.5 * (a + b)), g(0.0))
+
+
+def numeric_conjugate(aw):
+    """Golden-section oracle for aw.conjugate on the raw sequence, one value
+    per s cached: sup over 0 <= u < end of s u - M(e^u).  With P = pmax, or
+    the table's last index when that comes first, M(e^u) has its argmax
+    below P for u below every chord slope (log M_P - log M_q) / (P - q),
+    q < P; the largest of them, less 1e-12 relative, is end.  M is the
+    bisection for a log-convex sequence and the linear scan
+    ``brute_force_assoc`` otherwise.  Raises TruncationError naming the cap
+    when the maximizer lies at end or past it."""
+    M = aw.source
+    P = min(aw.pmax, M.max_p)
+    if M.log_convex:
+        end, phi = M.log_m(P), lambda u: aw(math.exp(u))
+    else:
+        end = max((M.log_M(P) - M.log_M(q)) / (P - q) for q in range(P))
+        phi = lambda u: brute_force_assoc(M, math.exp(u), P)[0]
+    end -= 1e-12 * max(1.0, abs(end))
+    cap = f"pmax={P}" if P == aw.pmax else f"tabulated sequence ends at p={P}"
+    cache = {}
+
+    def conj(s):
+        if s not in cache:
+            cache[s] = golden_section_sup(lambda u: s * u - phi(u), end)
+        if cache[s] is None:
+            raise TruncationError(
+                f"the maximizer for s={s:g} lies past u={end:g}, the end of {cap}")
+        return cache[s]
+    return conj
 
 
 def doubling_bisection_assoc(M, t, pmax):
@@ -214,9 +275,11 @@ def test_assoc_truncation_guard():
 
 
 def test_assoc_non_convex_linear_scan_path():
-    # non-convex table forces the linear scan; compare against brute force
+    # a non-log-convex table: the hull's bisection against the linear scan
+    # on the raw table
     M = WeightSequence.from_log_values([0.0, 2.0, 3.0, 3.5, 6.0, 9.0, 13.0])
     aw = AssociatedWeight(M, pmax=6)
+    assert M.log_convex is False and aw.source is M
     for t in (1.5, 3.0, 8.0):
         want, p_want = brute_force_assoc(M, t, pmax=5)
         got, p_got = aw.eval_with_argmax(t)
@@ -224,7 +287,48 @@ def test_assoc_non_convex_linear_scan_path():
         assert p_got == p_want
 
 
-# -- closed-form conjugate of the associated weight --------------------------
+def _raw_tables(first=st.floats(min_value=-5.0, max_value=50.0)):
+    """log M_0 = 0 followed by arbitrary log M_1..log M_P, P <= 40."""
+    rest = st.lists(st.floats(min_value=-5.0, max_value=50.0), max_size=39)
+    return st.tuples(first, rest).map(lambda fr: [0.0, fr[0], *fr[1]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_raw_tables(), st.floats(min_value=1e-3, max_value=1e6), st.data())
+def test_assoc_hull_matches_linear_scan_on_raw_tables(log_Ms, t, data):
+    M = WeightSequence.from_log_values(log_Ms)
+    pmax = data.draw(st.integers(1, len(log_Ms) - 1))
+    want, p_want = brute_force_assoc(M, t, pmax=pmax)
+    term = lambda p: max(0.0, p * math.log(t) - log_Ms[p])
+    try:
+        got, p_got = AssociatedWeight(M, pmax).eval_with_argmax(t)
+    except TruncationError:
+        # log t is at least the hull's last slope: pmax attains the sup
+        assert term(pmax) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        return
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # the smallest maximizer, up to a tie within rounding
+    assert p_got == p_want or term(p_got) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_convex_minorant_is_the_lower_hull():
+    M = WeightSequence.from_log_values([0.0, 2.0, 3.0, 3.5, 6.0, 9.0, 13.0])
+    hull = M.convex_minorant(6)
+    assert hull.log_convex and hull.max_p == 6
+    assert [hull.log_m(p) for p in range(1, 7)] == [7 / 6] * 3 + [2.5, 3.0, 4.0]
+    for p, want in enumerate([0.0, 7 / 6, 7 / 3, 3.5, 6.0, 9.0, 13.0]):
+        assert hull.log_M(p) == pytest.approx(want, rel=1e-15, abs=1e-15)
+    assert M.convex_minorant(2).max_p == 2
+    with pytest.raises(TruncationError, match="tabulated sequence ends at p=2"):
+        M.convex_minorant(2).log_M(3)
+
+
+def test_max_p_is_an_attribute():
+    assert WeightSequence.gevrey(2).max_p == math.inf
+    assert WeightSequence.from_log_values([0.0, 1.0, 3.0]).max_p == 2
+
+
+# -- exact conjugate of the associated weight --------------------------------
 
 def _interpolated(log_Ms, s):
     p = int(s)
@@ -234,10 +338,11 @@ def _interpolated(log_Ms, s):
 @pytest.mark.parametrize("d", [1.5, 2.0, 3.0])
 def test_assoc_conjugate_matches_numeric_sup_gevrey(d):
     aw = AssociatedWeight(WeightSequence.gevrey(d), pmax=500000)
+    oracle = numeric_conjugate(aw)
     for k in (1, 2, 3, 5):
         for p in range(301):
             assert aw.conjugate(p / k) == pytest.approx(
-                aw.numeric_conjugate(p / k), rel=1e-12, abs=1e-12)
+                oracle(p / k), rel=1e-12, abs=1e-12)
 
 
 def test_assoc_conjugate_matches_numeric_sup_table():
@@ -246,31 +351,35 @@ def test_assoc_conjugate_matches_numeric_sup_table():
     # maximizers fill [log m_199, log m_200]
     log_Ms = [0.05 * p * p + 0.3 * p for p in range(201)]
     aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms))
+    oracle = numeric_conjugate(aw)
     for s in np.linspace(0.0, 199.0, 399):
         s = float(s)
-        assert aw.conjugate(s) == pytest.approx(aw.numeric_conjugate(s),
-                                                rel=1e-12, abs=1e-12)
+        assert aw.conjugate(s) == pytest.approx(oracle(s), rel=1e-12, abs=1e-12)
         assert aw.conjugate(s) == pytest.approx(_interpolated(log_Ms, s),
                                                 rel=1e-14, abs=1e-14)
 
 
 def test_assoc_numeric_conjugate_brackets_up_to_the_last_quotient():
     # pmax = 200 at the table's end: s = 117 has its maximizer
-    # log m_118 = 12.05 inside the table, where the doubling bracket once
-    # reached t = 32 and raised
+    # log m_118 = 12.05 inside the table, where a doubling bracket without
+    # the cap at the last quotient reached t = 32 and raised
     log_Ms = [0.05 * p * p + 0.3 * p for p in range(201)]
     aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms), pmax=200)
-    assert aw.numeric_conjugate(117.0) == pytest.approx(719.55, rel=1e-12)
+    oracle = numeric_conjugate(aw)
+    assert oracle(117.0) == pytest.approx(719.55, rel=1e-12)
     for s in np.arange(1, 797) * 0.25:  # 0.25 .. 199
-        assert aw.numeric_conjugate(float(s)) == pytest.approx(
+        assert oracle(float(s)) == pytest.approx(
             aw.conjugate(float(s)), rel=1e-9, abs=1e-9)
-    # past s = 199 the objective still rises at log m_200: truncated
+    # past s = 199 the objective still rises at log m_200: the oracle stops,
+    # while the hull's last segment still answers
     for s in (199.25, 199.75, 200.0):
         with pytest.raises(TruncationError, match="pmax=200"):
-            aw.numeric_conjugate(s)
+            oracle(s)
+        assert aw.conjugate(s) == pytest.approx(_interpolated(log_Ms, s),
+                                                rel=1e-14, abs=1e-14)
 
 
-def test_assoc_conjugate_below_unit_first_quotient_keeps_numeric_sup():
+def test_assoc_conjugate_below_unit_first_quotient_matches_numeric_sup():
     # log m_p = -0.5 + 0.1 (p - 1): log-convex, but phi_M(0) = 1.5 at p = 5, 6,
     # so the cut at u = 0 binds for s <= 6 and phi_M* = -1.5 there, not the
     # interpolation (-0.1 at s = 0.2)
@@ -279,20 +388,22 @@ def test_assoc_conjugate_below_unit_first_quotient_keeps_numeric_sup():
         log_Ms.append(log_Ms[-1] - 0.5 + 0.1 * (p - 1))
     aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms))
     assert aw.source.log_convex
+    oracle = numeric_conjugate(aw)
     for s in (0.0, 0.2, 1.0, 3.5, 8.5, 12.25):
-        assert aw.conjugate(s) == aw.numeric_conjugate(s)
+        assert aw.conjugate(s) == pytest.approx(oracle(s), rel=1e-12, abs=1e-12)
     assert aw.conjugate(0.2) == pytest.approx(-1.5, abs=1e-12)
     assert _interpolated(log_Ms, 0.2) == pytest.approx(-0.1)
     assert aw.conjugate(8.5) == pytest.approx(_interpolated(log_Ms, 8.5), abs=1e-12)
 
 
-def test_assoc_conjugate_non_log_convex_keeps_numeric_sup():
+def test_assoc_conjugate_non_log_convex_matches_numeric_sup():
     # lower convex hull of log M runs (0, 0) -> (3, 3.5): phi_M*(2.5) = 35/12,
     # while interpolating log M itself would give 3.25
     aw = AssociatedWeight(
         WeightSequence.from_log_values([0.0, 2.0, 3.0, 3.5, 6.0, 9.0, 13.0]), pmax=6)
+    oracle = numeric_conjugate(aw)
     for s in (0.0, 0.5, 1.0, 2.5, 3.0):
-        assert aw.conjugate(s) == aw.numeric_conjugate(s)
+        assert aw.conjugate(s) == pytest.approx(oracle(s), rel=1e-12, abs=1e-12)
     assert aw.conjugate(2.5) == pytest.approx(35.0 / 12.0, abs=1e-12)
 
 
@@ -303,19 +414,60 @@ def test_assoc_numeric_conjugate_non_log_convex_brackets_past_the_last_quotient(
     aw = AssociatedWeight(WeightSequence.from_log_values([0.0, 1.0, 5.0, 5.5]),
                           pmax=3)
     assert not aw.source.log_convex
-    assert aw.numeric_conjugate(0.5) == pytest.approx(0.5, abs=1e-9)
-    assert aw.conjugate(1.0) == pytest.approx(1.0, abs=1e-9)
-    # s in (1, 3] has its maximizer at the chord slope 2.25 or past it
-    for s in (2.0, 3.5):
-        with pytest.raises(TruncationError, match="pmax=3"):
-            aw.numeric_conjugate(s)
+    oracle = numeric_conjugate(aw)
+    assert oracle(0.5) == pytest.approx(0.5, abs=1e-9)
+    assert aw.conjugate(0.5) == pytest.approx(0.5, abs=1e-12)
+    assert aw.conjugate(1.0) == pytest.approx(1.0, abs=1e-12)
+    # s in (1, 3] has its maximizer at the chord slope 2.25 or past it: the
+    # oracle stops there, the hull's last segment answers up to s = 3
+    with pytest.raises(TruncationError, match="pmax=3"):
+        oracle(2.0)
+    assert aw.conjugate(2.0) == pytest.approx(3.25, abs=1e-12)
+    with pytest.raises(TruncationError, match="pmax=3"):
+        aw.conjugate(3.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_tables(), st.data())
+def test_assoc_conjugate_matches_numeric_sup_on_raw_tables(log_Ms, data):
+    M = WeightSequence.from_log_values(log_Ms)
+    assume(not M.log_convex)
+    _conjugate_matches_oracle(M, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_tables(first=st.floats(min_value=-5.0, max_value=-1e-3)), st.data())
+def test_assoc_conjugate_matches_numeric_sup_below_unit_first_quotient(log_Ms, data):
+    _conjugate_matches_oracle(WeightSequence.from_log_values(log_Ms), data)
+
+
+def _conjugate_matches_oracle(M, data):
+    P = M.max_p
+    pmax = data.draw(st.sampled_from([P, P + 5]))
+    aw = AssociatedWeight(M, pmax)
+    if all(M.log_M(P) <= M.log_M(q) for q in range(P)):
+        # no hull quotient is positive: M(1) = phi_M(0), whose argmax bounds
+        # the cut, has its argmax at P or past it
+        with pytest.raises(TruncationError,
+                           match=f"pmax={P}" if pmax == P else f"ends at p={P}"):
+            aw.conjugate(0.0)
+        return
+    oracle = numeric_conjugate(aw)
+    for s in data.draw(st.lists(st.floats(min_value=0.0, max_value=P),
+                                min_size=1, max_size=8)):
+        got = aw.conjugate(s)
+        try:
+            want = oracle(s)
+        except TruncationError:  # the maximizer is on the hull's last segment
+            continue
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_assoc_conjugate_past_the_table_or_pmax_raises():
     log_Ms = [0.05 * p * p + 0.3 * p for p in range(201)]
     aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms))
     assert aw.conjugate(200.0) == pytest.approx(log_Ms[200])
-    for conj in (aw.conjugate, aw.numeric_conjugate):
+    for conj in (aw.conjugate, numeric_conjugate(aw)):
         with pytest.raises(TruncationError, match="tabulated sequence ends at p=200"):
             conj(200.5)
     aw = AssociatedWeight(WeightSequence.gevrey(2), pmax=50)
@@ -324,6 +476,13 @@ def test_assoc_conjugate_past_the_table_or_pmax_raises():
         aw.conjugate(50.5)
     with pytest.raises(PreconditionError):
         aw.conjugate(-1.0)
+
+
+def test_assoc_conjugate_cut_needs_p_past_pmax():
+    # log m_p = -1 for every p: phi_M(0) = sup_p p has no maximizer <= pmax
+    aw = AssociatedWeight(WeightSequence(lambda p: -1.0), pmax=30)
+    with pytest.raises(TruncationError, match="pmax=30"):
+        aw.conjugate(1.0)
 
 
 # -- condition report -------------------------------------------------------
@@ -390,7 +549,7 @@ def test_sandwich_conj_le_seq():
 def test_sandwich_closed_form_equals_numeric_sup(direction, kw, monkeypatch):
     closed = sandwich_check(parse_sequence("gevreyseq:d=2"), direction, **kw)
     monkeypatch.setattr(AssociatedWeight, "conjugate",
-                        lambda self, s: self.numeric_conjugate(s))
+                        lambda self, s: numeric_conjugate(self)(s))
     numeric = sandwich_check(parse_sequence("gevreyseq:d=2"), direction, **kw)
     assert closed == numeric
 

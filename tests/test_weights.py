@@ -47,8 +47,9 @@ def test_logpow_vanishes_below_one():
 def test_tabulated_interpolates_in_log_t():
     w = WeightFunction.tabulated([1.0, 100.0], [0.0, 2.0])
     assert w(10.0) == pytest.approx(1.0)  # midpoint in log t
-    with pytest.raises(RangeError):
-        w(1e5)
+    # past the table: the first value below it, the last segment above it
+    assert w(0.0) == w(0.5) == 0.0
+    assert w(1e5) == pytest.approx(5.0, rel=1e-15)
 
 
 def hexes(vals) -> list:
@@ -81,15 +82,19 @@ def test_values_match_pointwise_on_a_large_grid(w):
     assert hexes(w.values(xs)) == hexes([w(float(x)) for x in xs])
 
 
-def test_tabulated_values_match_pointwise_and_raise_alike():
+def test_tabulated_values_match_pointwise_beyond_the_knots():
     w = WeightFunction.tabulated([1e-3, 1.0, 10.0, 1e6], [0.0, 1.0, 1.5, 4.0])
-    ts = [1e-3, -1e-3, 0.5, -1.0, 3.0, 10.0, -7e5, 1e6]
+    ts = [1e-3, -1e-3, 0.5, -1.0, 3.0, 10.0, -7e5, 1e6,
+          0.0, -0.0, 1e-4, -1e-300, 2e6, -1e12, 1e300]
     assert hexes(w.values(ts)) == hexes([w(t) for t in ts])
-    for bad in ([0.0, 1.0], [1.0, 2e6], [-1e-4]):
-        with pytest.raises(RangeError):
-            [w(t) for t in bad]
-        with pytest.raises(RangeError):
-            w.values(bad)
+    slope = 2.5 / math.log(1e5)  # the last segment, per unit of log t
+    assert [w(t) for t in (0.0, 1e-4, -1e-300)] == [0.0, 0.0, 0.0]
+    for t in (2e6, 1e12, 1e300):
+        assert w(t) == pytest.approx(4.0 + slope * math.log(t / 1e6), rel=1e-14)
+    # phi(x) = omega(e^x) stays convex across both ends of the table
+    xs = np.linspace(math.log(1e-6), math.log(1e9), 301)
+    ph = np.array([w.phi(x) for x in xs])
+    assert np.all(ph[1:-1] <= 0.5 * (ph[:-2] + ph[2:]) + 1e-12)
 
 
 def test_tabulated_rejects_decreasing():
