@@ -34,6 +34,6 @@ from .sequences import (AssociatedWeight, WeightSequence, associated_weight,
 from .weights import (ConjugateEvaluator, WeightFunction,
                       check_weight_conditions, conjugate_shift_bound,
                       factorial_domination, find_log_scaling_constant,
-                      parse_weight, scaled_weight, verify_log_scaling_constant)
+                      parse_weight, verify_log_scaling_constant)
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every verdict passes, 1 when an inequality fails or a
 divergence threshold is not reached, 2 for usage/config errors.  All JSON is
-UTF-8 with sorted keys and 17-significant-digit floats, so identical
+UTF-8 with sorted keys and round-trip float reprs, so identical
 invocations produce byte-identical artifacts.
 """
 from __future__ import annotations
@@ -85,7 +85,7 @@ FLAGS = {
     "function": dict(type=FUNCTION, default="gaussian"), "weight": dict(type=WEIGHT),
     "sigma": dict(type=WEIGHT), "omega": dict(type=WEIGHT), "x0": dict(type=REAL, default=0.0),
     "p": dict(type=COUNT, default=1), "nmax": dict(type=COUNT, default=30),
-    "mmax": dict(type=COUNT, default=12), "a": dict(type=REAL, default=1.5),
+    "mmax": dict(type=COUNT, default=12), "a": dict(type=POSITIVE, default=1.5),
     "m": dict(type=_listof(_number(_whole, 1)), default="1",
               help="comma-separated orders; nuclear takes one"),
     "L": dict(type=COUNT, default=2), "n": dict(type=COUNT, default=1),

@@ -21,7 +21,7 @@ from .grids import GridSpec
 from .logdomain import LOG_ZERO, LogReal, log_sum_exp
 from .reports import ChainReport, Result
 from .weights import (ConjugateEvaluator, WeightFunction,
-                      find_log_scaling_constant, first_true, scaled_weight,
+                      find_log_scaling_constant, first_true,
                       verify_log_scaling_constant)
 
 DEFAULT_THRESHOLD = 1e6  # linear scale; log crossing at ~13.8
@@ -132,16 +132,10 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
 
     # blocks I_m = (j_{m-1}, j_m] with j_n = max(2^n, s_{n+1}); the report
     # covers the first jmax indices of the construction, j in (j_0, j_0+jmax]
-    s_thresholds = {1: _block_threshold(c_sigma, c_tilde, L, 1)}
     j_bounds = []  # j_bounds[n] = j_n
-    n = 0
-    while True:
-        s_thresholds.setdefault(n + 1,
-                                _block_threshold(c_sigma, c_tilde, L, n + 1))
-        j_bounds.append(max(2 ** n, s_thresholds[n + 1]))
-        if j_bounds[-1] >= j_bounds[0] + jmax:
-            break
-        n += 1
+    while not j_bounds or j_bounds[-1] < j_bounds[0] + jmax:
+        n = len(j_bounds)
+        j_bounds.append(max(2 ** n, _block_threshold(c_sigma, c_tilde, L, n + 1)))
 
     def block_of(j: int) -> int:
         for m in range(1, len(j_bounds)):
@@ -283,9 +277,12 @@ def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
     """Measure C0 in |x| <= C0 (1+|psi(x)|)^a and, for each m, the minimal C_m
     dominating |psi^(j)(x)| by exp(m phi_sigma*(j/m)) (1+|psi(x)|)^p with
     sigma(t) = omega(t^(1/a)) and p = a-1.  A growing C_m trend across the
-    upper half of the order range flags a likely failure."""
-    sigma = scaled_weight(w, a)
-    conj = ConjugateEvaluator(sigma)
+    upper half of the order range flags a likely failure.  No sigma is built:
+    phi_sigma(u) = phi_omega(u/a), so phi_sigma*(s) = phi_omega*(a s)."""
+    if not a > 0:
+        raise PreconditionError(f"--a: the scaling exponent must be > 0, got {a:g}")
+    conj_omega = ConjugateEvaluator(w)
+    conj = lambda s: conj_omega(a * s)
     p = a - 1.0
     xs = grid.symmetric_points()
     psis = psi.values(xs).tolist()

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -366,7 +366,7 @@ def jet_log_abs(jet: Jet) -> list:
             else LOG_ZERO for v in jet.values]
 
 
-def weighted_log_sup(logs, conj: ConjugateEvaluator, lam: float, xs=None,
+def weighted_log_sup(logs, conj: Callable[[float], float], lam: float, xs=None,
                      K: int = 0, jk_cap: int = None, extra=None) -> tuple:
     """max over rows x, orders j and powers k <= K (j + k <= jk_cap) of
 

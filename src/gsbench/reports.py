@@ -1,7 +1,7 @@
 """Report containers and deterministic CSV/JSON emission.
 
-All float fields are normalized through a fixed 17-significant-digit format
-before serialization so that identical runs produce byte-identical output;
+JSON floats are Python's shortest round-trip repr and CSV floats a fixed
+17-significant-digit format, so identical runs produce byte-identical output;
 +-inf is written as the strings "inf"/"-inf", the CSV spelling, so the JSON
 is strict.  Files are written atomically (temp file + rename).
 """
@@ -17,20 +17,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 
-def format_float(x: float) -> float:
-    """Round-trip a float through 17 significant digits (identity on doubles)."""
-    if math.isinf(x) or math.isnan(x):
-        return x
-    return float(format(x, ".17g"))
-
-
 def _normalize(obj: Any) -> Any:
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return format_float(obj)
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
     if isinstance(obj, dict):
         return {str(k): _normalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -7,8 +7,8 @@ phi(t) = omega(e^t) is
     phi*(s) = sup { s t - omega(e^t) : t >= 0 },
 
 computed in closed form for the gevrey and logpow kinds, and for tabulated
-and custom weights by bracketing plus golden-section search (phi is convex,
-so the objective is concave and unimodal).  The associated weight of any
+weights by bracketing plus golden-section search (phi is convex, so the
+objective is concave and unimodal).  The associated weight of any
 weight sequence has its own exact conjugate, ``AssociatedWeight.conjugate``
 in ``sequences``: the interpolated convex hull of log M_p.
 """
@@ -57,23 +57,21 @@ def first_true(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
 class WeightFunction:
     """Evaluator for a weight omega(t) with parsed metadata.
 
-    Builtin kinds:
+    Kinds:
       gevrey(d):  omega(t) = t^(1/d), d > 0
       logpow(s):  omega(t) = (log t)^s for t > 1, else 0; s > 1
       tabulated:  monotone piecewise-linear in (log t, omega); the first value
                   below the first knot, the last segment continued past the
                   last, so phi(t) = omega(e^t) is convex where the table is
-      custom:     arbitrary callable (used for rescalings); assumed to
-                  satisfy the weight conditions
     """
 
     def __init__(self, kind: str, *, d: float = None, s: float = None,
-                 table: tuple = None, fn: Callable[[float], float] = None,
-                 label: str = None):
+                 table: tuple = None, label: str = None):
         self.kind = kind
         self.d = d
         self.s = s
         self.label = label or kind
+        self.knots = ()  # the t of each table row, where omega has a kink
         if kind == "gevrey":
             if d is None or d <= 0:
                 raise PreconditionError("gevrey weight requires d > 0")
@@ -92,12 +90,11 @@ class WeightFunction:
                 raise PreconditionError("table t values must be positive")
             if np.any(np.diff(vals) < 0):
                 raise PreconditionError("table omega values must be nondecreasing")
+            self.knots = tuple(ts.tolist())
             self._log_ts = np.log(ts)
             self._vals = vals
-        elif kind == "custom":
-            if fn is None:
-                raise PreconditionError("custom weight requires a callable")
-            self._fn = fn
+            # d omega / d log t of the last segment, continued past the table
+            self.tail_slope = (vals[-1] - vals[-2]) / (self._log_ts[-1] - self._log_ts[-2])
         else:
             raise PreconditionError(f"unknown weight kind {kind!r}")
 
@@ -110,14 +107,12 @@ class WeightFunction:
             if t <= 1.0:
                 return 0.0
             return math.log(t) ** self.s
-        if self.kind == "custom":
-            return self._fn(t)
         # tabulated: np.interp holds the first value below the first knot
         lt = math.log(t) if t else -math.inf
         xs, vs = self._log_ts, self._vals
         if not lt > xs[-1]:
             return float(np.interp(lt, xs, vs))
-        slope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
+        slope = self.tail_slope
         return float(vs[-1] + slope * (lt - xs[-1])) if slope else float(vs[-1])
 
     def values(self, ts) -> np.ndarray:
@@ -152,10 +147,6 @@ class WeightFunction:
     @staticmethod
     def tabulated(ts, vals) -> "WeightFunction":
         return WeightFunction("tabulated", table=(ts, vals), label="table")
-
-    @staticmethod
-    def custom(fn: Callable[[float], float], label: str = "custom") -> "WeightFunction":
-        return WeightFunction("custom", fn=fn, label=label)
 
     @staticmethod
     def from_csv(path: str) -> "WeightFunction":
@@ -214,16 +205,6 @@ def parse_weight(spec: str) -> WeightFunction:
     raise PreconditionError(f"unknown weight spec {spec!r}")
 
 
-def scaled_weight(w: WeightFunction, a: float) -> WeightFunction:
-    """sigma(t) = omega(t^(1/a)).  For gevrey(d) this is gevrey(a*d)."""
-    if a <= 0:
-        raise PreconditionError("scaling exponent must be positive")
-    if w.kind == "gevrey":
-        return WeightFunction.gevrey(w.d * a)
-    return WeightFunction.custom(lambda t, _w=w, _a=a: _w(t ** (1.0 / _a)),
-                                 label=f"{w.label}^(1/{label_real(a)})")
-
-
 class ConjugateEvaluator:
     """Young conjugate phi*(s) with a per-s cache.
 
@@ -233,7 +214,7 @@ class ConjugateEvaluator:
         logpow(q):  phi(t) = t^q, so phi*(s) = (q - 1) (s / q)^(q / (q - 1))
     method "numeric-sup" maximizes the concave t -> s t - omega(e^t) by
     geometric bracketing plus golden-section refinement; it is the only
-    method for tabulated and custom weights, and the oracle of the others.
+    method for tabulated weights, and the oracle of the others.
     """
 
     def __init__(self, weight: WeightFunction, method: str = None):
@@ -345,15 +326,19 @@ class WeightConditionReport(Result):
                 "conditions": [asdict(r) for r in self.records()]}
 
 
-def _integral(f: Callable[[float], float], a: float, b: float) -> tuple:
-    """(value, abs_error, ok) of quad for a nonnegative integrand: not ok when
-    quad warns (e.g. a divergent integral) or the value is negative."""
+def _integral(f: Callable[[float], float], points: list) -> tuple:
+    """(value, abs_error, ok) of a nonnegative integrand over [points[0],
+    points[-1]], one quad per gap between consecutive points: not ok when
+    quad warns (e.g. a divergent integral) or a piece is negative."""
     from scipy.integrate import IntegrationWarning, quad  # lazy: only weight-check integrates
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        v, e = quad(f, a, b, limit=200)
-    warned = any(issubclass(c.category, IntegrationWarning) for c in caught)
-    return v, e, not warned and v >= 0.0
+    total, err, ok = 0.0, 0.0, True
+    for a, b in zip(points, points[1:]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", IntegrationWarning)
+            v, e = quad(f, a, b, limit=200)
+        warned = any(issubclass(c.category, IntegrationWarning) for c in caught)
+        total, err, ok = total + v, err + e, ok and not warned and v >= 0.0
+    return total, err, ok
 
 
 def check_weight_conditions(w: WeightFunction, grid: GridSpec = None) -> WeightConditionReport:
@@ -387,11 +372,20 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
         witness={"K": int(k_req)} if k_req <= K_BOUND else None,
         detail={"max_ratio": float(np.max(om2 / (om + 1.0)))})
 
-    # (beta): integral of omega(t)/(1+t^2), split at t = 1
+    # (beta): integral of omega(t)/(1+t^2), split at t = 1 and at a table's
+    # knots.  Past a table's last cut T, quad's own map of [T, inf) returns ~0
+    # for a tail ~ omega(T)/T; t = T/v gives (1/T) int_0^1 omega(T/v) /
+    # (1 + (v/T)^2) dv instead, an integrand the size of omega.
     f = lambda t: w(t) / (1.0 + t * t)
-    (v1, e1, ok1), (v2, e2, ok2) = _integral(f, 0.0, 1.0), _integral(f, 1.0, np.inf)
-    beta_val, beta_err = v1 + v2, e1 + e2
-    beta = ConditionRecord("beta", ok1 and ok2 and math.isfinite(beta_val)
+    if not w.knots:
+        beta_val, beta_err, beta_ok = _integral(f, [0.0, 1.0, np.inf])
+    else:
+        cuts = sorted({1.0, *w.knots})
+        top = cuts[-1]
+        v1, e1, ok1 = _integral(f, [0.0, *cuts])
+        v2, e2, ok2 = _integral(lambda u: w(top / u) / (1.0 + (u / top) ** 2), [0.0, 1.0])
+        beta_val, beta_err, beta_ok = v1 + v2 / top, e1 + e2 / top, ok1 and ok2
+    beta = ConditionRecord("beta", beta_ok and math.isfinite(beta_val)
                            and beta_err < 1e-8 * max(1.0, beta_val),
                            witness={"integral": float(beta_val)},
                            detail={"abs_error": float(beta_err)})
@@ -415,7 +409,14 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
     ys = np.logspace(math.log10(max(grid.lo, 1e-2)), math.log10(grid.hi), 30)
     c_req, clean = 0.0, True
     for y in ys:
-        val, _, ok = _integral(lambda t: w(y * t) / (t * t), 1.0, np.inf)
+        # a table's omega(y t) has a kink at t = t_k / y for every knot t_k;
+        # past T = t_K / y it is c + b log t, and int_T^inf omega(y t)/t^2 dt
+        # = (omega(y T) + b)/T
+        top = max(1.0, w.knots[-1] / y) if w.knots else np.inf
+        cuts = [t / y for t in w.knots if 1.0 < t / y < top]
+        val, _, ok = _integral(lambda t: w(y * t) / (t * t), [1.0, *cuts, top])
+        if w.knots:
+            val += (w(y * top) + w.tail_slope) / top
         c_req = max(c_req, val / (w(y) + 1.0))
         clean = clean and ok
     c_int = math.ceil(c_req - 1e-12)

@@ -12,7 +12,7 @@ from gsbench import cli, experiments
 from gsbench.cli import EXPERIMENTS, build_parser, main
 from gsbench.functions import ModelFunction, parse_function
 from gsbench.grids import GridSpec
-from gsbench.reports import ChainReport, format_float, to_json_bytes
+from gsbench.reports import ChainReport, to_json_bytes
 from gsbench.errors import PreconditionError
 from gsbench.sequences import WeightSequence, parse_sequence
 from gsbench.weights import ConjugateEvaluator, WeightFunction, parse_weight
@@ -58,8 +58,9 @@ def test_scaled_grid_keeps_spacing():
 
 
 def test_float_formatting_round_trips():
-    for x in (0.1, 1.0 / 3.0, 1e300, -2.5e-300):
-        assert format_float(x) == x
+    xs = [0.1, 1.0 / 3.0, 1e300, -2.5e-300, 0.0, -0.0, 5e-324, sys.float_info.max]
+    back = json.loads(to_json_bytes({"xs": xs}))["xs"]
+    assert [x.hex() for x in back] == [x.hex() for x in xs]
 
 
 def test_json_bytes_deterministic_and_sorted():
@@ -122,6 +123,10 @@ FDB_JETS = ["--h", '["0","0","2"]', "--psi", '["1","1","1"]']
       "gevrey:d=2", "--lam", "1", "--kmax", "-1"], "--kmax"),
     (["experiment", "sufficient", "--psi", "poly:0,0,1", "--weight",
       "gevrey:d=2", "--m", "0"], "--m"),
+    (["experiment", "sufficient", "--psi", "poly:0,0,1", "--weight",
+      "gevrey:d=2", "--a", "0"], "--a"),
+    (["experiment", "sufficient", "--psi", "poly:0,0,1", "--weight",
+      "gevrey:d=2", "--a", "-1"], "--a"),
     (["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "1.7"], "--m"),
     (["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "-1"], "--m"),
     (["fdb", *FDB_JETS, "--order", "-1"], "--order"),
@@ -133,7 +138,7 @@ FDB_JETS = ["--h", '["0","0","2"]', "--psi", '["1","1","1"]']
       "--lam-seq", "1,2"], "--x-seq"),
     # a subnormal exponent would cost the jets most of their digits
     (["experiment", "cauchy", "--psi", "pow1px2:a=5e-324", "--jmax", "3"], "--psi"),
-], ids=["kmax-negative", "m-zero", "m-fraction", "m-negative", "order-negative",
+], ids=["kmax-negative", "m-zero", "a-zero", "a-negative", "m-fraction", "m-negative", "order-negative",
         "base-abc", "base-1/0", "h-not-array", "psi-empty", "x-seq-inf",
         "psi-subnormal"])
 def test_bad_flag_value_exits_2(argv, flag, capsys):
@@ -324,7 +329,7 @@ PARSE_TABLE = {
          "--p": "count", "--nmax": "count", "--threshold": "threshold"}),
     ("experiment", "sufficient"): (
         EXPERIMENT_ARGV["sufficient"],
-        {"--psi": "function", "--weight": "weight", "--a": "real",
+        {"--psi": "function", "--weight": "weight", "--a": "positive",
          "--m": "orders", "--grid": "grid", "--jmax": "count"}),
     ("experiment", "necessary"): (
         EXPERIMENT_ARGV["necessary"],
@@ -638,22 +643,26 @@ def test_json_out_with_format_both_writes_the_csv_next_to_it(tmp_path, capsys):
 
 
 def test_weight_check_tabulated_weight(tmp_path, capsys):
-    # omega = log(1 + t)^2 at 61 knots, t = 1e-3 .. 1e12: the audit reads
-    # omega at t = 0, below the first knot, and past the last knot
-    table = tmp_path / "w.csv"
-    table.write_text("t,omega\n" + "".join(
-        f"{t!r},{math.log1p(t) ** 2!r}\n"
-        for t in (10.0 ** (k / 4) for k in range(-12, 49))))
-    code = main(["weight-check", "--weight", f"table:{table}"])
-    out = capsys.readouterr()
-    report = json.loads(out.out)
-    conds = {c["condition"]: c for c in report["conditions"]}
-    assert report["weight"] == "table" and "Traceback" not in out.err
-    assert code == (0 if all(c["verdict"] for c in conds.values()) else 1)
-    assert conds["alpha"]["witness"] == {"K": 2}
-    assert conds["delta"]["detail"]["violations"] == 0
-    assert conds["doubling"]["witness"]["H"] >= 1
-    assert math.isfinite(conds["beta"]["witness"]["integral"])
+    # omega = log(1 + t)^2 and t^(1/2) at 61 knots, t = 1e-3 .. 1e12: the
+    # audit reads omega at t = 0, below the first knot, and past the last
+    # knot; both integrals are split at the knots, where omega has a kink
+    for omega in (lambda t: math.log1p(t) ** 2, math.sqrt):
+        table = tmp_path / "w.csv"
+        table.write_text("t,omega\n" + "".join(
+            f"{t!r},{omega(t)!r}\n"
+            for t in (10.0 ** (k / 4) for k in range(-12, 49))))
+        code = main(["weight-check", "--weight", f"table:{table}"])
+        out = capsys.readouterr()
+        report = json.loads(out.out)
+        conds = {c["condition"]: c for c in report["conditions"]}
+        assert report["weight"] == "table" and "Traceback" not in out.err
+        assert code == 0 and all(c["verdict"] for c in conds.values()), conds
+        assert conds["alpha"]["witness"] == {"K": 2}
+        assert conds["delta"]["detail"]["violations"] == 0
+        assert conds["doubling"]["witness"]["H"] >= 1
+        assert math.isfinite(conds["beta"]["witness"]["integral"])
+        assert conds["beta"]["detail"]["abs_error"] < 1e-12
+        assert conds["epsilon"]["witness"] == {"C": 3}
 
 
 def test_weight_check_exit_zero():

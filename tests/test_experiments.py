@@ -19,7 +19,9 @@ from gsbench.functions import (Gaussian, Polynomial, Pow1px2, Sqrt1px2,
                                parse_function)
 from gsbench.grids import GridSpec
 from gsbench.reports import ChainReport
-from gsbench.weights import WeightFunction
+from gsbench.weights import ConjugateEvaluator, WeightFunction
+
+from fnweight import FnWeight
 
 W2 = WeightFunction.gevrey(2)
 CUBE = Polynomial([0, 0, 0, 1])
@@ -205,6 +207,27 @@ def test_sufficient_square_not_growing():
                                    abs=1e-3)
 
 
+@pytest.mark.parametrize("w", [W2, WeightFunction.logpow(2.5)], ids=lambda w: w.label)
+def test_sufficient_matches_golden_section_on_sigma(w):
+    # oracle: psi = x^2 has |psi'| = 2|x|, |psi''| = 2 and no higher orders,
+    # and phi_sigma* comes from the golden section on sigma(t) = omega(t^(1/a))
+    a, grid = 1.5, GridSpec("lin", 0.05, 3.0, 40)
+    c_sigma = ConjugateEvaluator(FnWeight(lambda t: w(t ** (1.0 / a))))
+    rep = sufficient_condition_check(SQUARE, w, a, [1, 2, 4], grid, 10)
+    for m, rec in rep.per_m.items():
+        want = max(math.log(2.0 * abs(x) if j == 1 else 2.0) - m * c_sigma(j / m)
+                   - (a - 1.0) * math.log1p(x * x)
+                   for x in grid.symmetric_points().tolist() for j in (1, 2)
+                   if x or j == 2)
+        assert rec["log_C_m"] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+def test_sufficient_rejects_nonpositive_a(a):
+    with pytest.raises(PreconditionError, match="--a"):
+        sufficient_condition_check(SQUARE, W2, a, [1], GridSpec("lin", 0.1, 2.0, 5), 5)
+
+
 def test_sufficient_cm_stable_under_doubling_jmax():
     g = GridSpec("lin", 0.05, 6.0, 120)
     a = sufficient_condition_check(SQUARE, W2, 1.5, [2], g, 15)
@@ -258,11 +281,9 @@ def naive_necessary_growth(psi, w_sigma, w_omega, grid):
     return best, best_x, best > inner_best + 1e-9
 
 
-NAN_BAND = WeightFunction.custom(lambda t: math.nan if 0.5 < t < 2.0 else t,
-                                 label="nan-band")
-INF_TAIL = WeightFunction.custom(lambda t: math.inf if t > 3.0 else t ** 0.5,
-                                 label="inf-tail")
-ALL_NAN = WeightFunction.custom(lambda t: math.nan, label="all-nan")
+NAN_BAND = FnWeight(lambda t: math.nan if 0.5 < t < 2.0 else t, label="nan-band")
+INF_TAIL = FnWeight(lambda t: math.inf if t > 3.0 else t ** 0.5, label="inf-tail")
+ALL_NAN = FnWeight(lambda t: math.nan, label="all-nan")
 
 
 @settings(max_examples=120, deadline=None)

@@ -9,8 +9,10 @@ from gsbench.grids import GridSpec
 from gsbench.weights import (H_BOUND, ConjugateEvaluator, WeightFunction,
                              check_weight_conditions, conjugate_shift_bound,
                              factorial_domination, find_log_scaling_constant,
-                             first_true, parse_weight, scaled_weight,
+                             first_true, label_real, parse_weight,
                              verify_log_scaling_constant)
+
+from fnweight import FnWeight
 
 GRID = GridSpec("log", 1e-2, 1e6, 400)
 
@@ -31,8 +33,7 @@ def test_labels_name_the_parameter_exactly():
     assert WeightFunction.logpow(1.0000001).label == "logpow:s=1.0000001"
     assert WeightFunction.gevrey(2.2 * 1.5).label == "gevrey:d=3.3000000000000003"
     assert WeightSequence.gevrey(1 / 3).label == "gevreyseq:d=0.3333333333333333"
-    w = scaled_weight(WeightFunction.logpow(2.0), 1.0000001)
-    assert w.label == "logpow:s=2^(1/1.0000001)"
+    assert label_real(1.0000001) == "1.0000001" and label_real(1.5) == "1.5"
     for v in (0.1, 1e-7, 123456.0, 1234567.0, 2.0 ** -40, 1e300):
         assert float(WeightFunction.gevrey(v).label.split("=")[1]) == v
 
@@ -64,8 +65,8 @@ POINT_T = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.0000000000000002,
 VALUE_WEIGHTS = [WeightFunction.gevrey(2), WeightFunction.gevrey(2.25),
                  WeightFunction.gevrey(0.7), WeightFunction.logpow(2),
                  WeightFunction.logpow(2.25), WeightFunction.logpow(1.5),
-                 scaled_weight(WeightFunction.logpow(2), 1.5),
-                 WeightFunction.custom(lambda t: math.sqrt(t) + 1.0)]
+                 FnWeight(lambda t: WeightFunction.logpow(2)(t ** (1.0 / 1.5))),
+                 FnWeight(lambda t: math.sqrt(t) + 1.0)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -111,18 +112,6 @@ def test_parse_weight_specs():
         parse_weight("mystery")
 
 
-def test_scaled_weight_gevrey_closed_form():
-    w = scaled_weight(WeightFunction.gevrey(2), 1.5)
-    assert w.kind == "gevrey"
-    assert w.d == pytest.approx(3.0)
-
-
-def test_scaled_weight_generic():
-    w = scaled_weight(WeightFunction.logpow(2), 2.0)
-    base = WeightFunction.logpow(2)
-    assert w(100.0) == pytest.approx(base(10.0))
-
-
 # -- Young conjugate --------------------------------------------------------
 
 def test_closed_form_plateau_and_value():
@@ -151,9 +140,9 @@ def test_numeric_sup_monotone_in_s():
 
 
 def test_closed_form_rejected_for_non_gevrey():
-    # gevrey and logpow have closed forms; tabulated and custom weights do not
+    # gevrey and logpow have closed forms; tabulated and other weights do not
     for w in (WeightFunction.tabulated([1.0, 10.0, 100.0], [0.0, 1.0, 4.0]),
-              WeightFunction.custom(lambda t: t)):
+              FnWeight(lambda t: t)):
         with pytest.raises(PreconditionError, match=w.kind):
             ConjugateEvaluator(w, method="closed-form")
         assert ConjugateEvaluator(w).method == "numeric-sup"
@@ -168,6 +157,31 @@ def test_logpow_closed_form_matches_numeric_sup(q):
     for s in np.linspace(0.0, 80.0, 161):
         s = float(s)
         assert cf(s) == pytest.approx(ns(s), rel=1e-12, abs=1e-12)
+
+
+# log(1 + t)^2 at 61 knots, t = 1e-3 .. 1e12; past the last knot it grows
+# like b log t with b = 54.7, so phi*(s) is finite for s < b only
+LOG2_KNOTS = [10.0 ** (k / 4) for k in range(-12, 49)]
+LOG2_TABLE = WeightFunction.tabulated(LOG2_KNOTS,
+                                      [math.log1p(t) ** 2 for t in LOG2_KNOTS])
+
+
+def test_scaled_conjugate_matches_golden_section_on_sigma():
+    # sigma(t) = omega(t^(1/a)) has phi_sigma(u) = phi_omega(u / a), so
+    # phi_sigma*(s) = phi_omega*(a s), the conjugate sufficient_condition_check
+    # reads; the oracle runs the golden section on sigma itself
+    weights = [WeightFunction.gevrey(1.5), WeightFunction.gevrey(2),
+               WeightFunction.gevrey(3), WeightFunction.logpow(2),
+               WeightFunction.logpow(2.5), LOG2_TABLE]
+    for w in weights:
+        c_omega = ConjugateEvaluator(w)
+        for a in (0.5, 1.5, 3.0):
+            sigma = FnWeight(lambda t, w=w, a=a: w(t ** (1.0 / a)))
+            c_sigma = ConjugateEvaluator(sigma)
+            assert c_sigma.method == "numeric-sup"
+            for s in np.linspace(0.0, 15.0, 31).tolist():
+                assert c_omega(a * s) == pytest.approx(
+                    c_sigma(s), rel=1e-9, abs=1e-12), (w.label, a, s)
 
 
 def test_logpow_closed_form_past_the_overflow_of_phi():
@@ -266,6 +280,39 @@ def test_logpow_beta_integral_value():
     rep = check_weight_conditions(WeightFunction.logpow(2), GRID)
     # int_1^inf (log t)^2/(1+t^2) dt = pi^3 / 16
     assert rep.beta.witness["integral"] == pytest.approx(math.pi ** 3 / 16.0, rel=1e-8)
+
+
+def table_epsilon_integral(y: float) -> float:
+    """int_1^inf omega(y t)/t^2 dt = y int_y^inf omega(u)/u^2 du for
+    LOG2_TABLE in closed form: omega(u) = c + b log u on each piece, and
+    G(u) = (c + b log u + b)/u is minus an antiderivative of (c + b log u)/u^2."""
+    ts, vs = LOG2_KNOTS, [math.log1p(t) ** 2 for t in LOG2_KNOTS]
+    ls = [math.log(t) for t in ts]
+    slopes = [(v1 - v0) / (l1 - l0) for v0, v1, l0, l1 in zip(vs, vs[1:], ls, ls[1:])]
+    pieces = [(0.0, ts[0], vs[0], 0.0)] + [
+        (ts[k], ts[k + 1] if k + 1 < len(ts) else math.inf,
+         vs[k] - b * ls[k], b)
+        for k, b in enumerate(slopes + slopes[-1:])]
+    G = lambda c, b, u: (c + b * math.log(u) + b) / u if u < math.inf else 0.0
+    return y * math.fsum(G(c, b, max(lo, y)) - G(c, b, hi)
+                         for lo, hi, c, b in pieces if hi > y)
+
+
+def test_table_integrals_match_their_closed_forms():
+    # the audit splits both integrals at the knots, where the table has a kink
+    import mpmath
+    rep = check_weight_conditions(LOG2_TABLE, GRID)
+    assert all(r.verdict for r in rep.records())
+    assert rep.beta.detail["abs_error"] < 1e-12
+    want = mpmath.quad(lambda t: LOG2_TABLE(float(t)) / (1 + t * t),
+                       [0.0, *LOG2_KNOTS, mpmath.inf])
+    assert rep.beta.witness["integral"] == pytest.approx(float(want), rel=1e-12)
+    # epsilon below the last knot, and past it, where only the tail is left
+    for grid in (GRID, GridSpec("log", 1e13, 1e15, 10)):
+        ys = np.logspace(math.log10(max(grid.lo, 1e-2)), math.log10(grid.hi), 30)
+        want = max(table_epsilon_integral(y) / (LOG2_TABLE(y) + 1.0) for y in ys.tolist())
+        rep = check_weight_conditions(LOG2_TABLE, grid)
+        assert rep.epsilon.detail["max_ratio"] == pytest.approx(want, rel=1e-10)
 
 
 def test_report_serializes():
