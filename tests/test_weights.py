@@ -112,6 +112,28 @@ def test_parse_weight_specs():
         parse_weight("mystery")
 
 
+def test_scaled_weight_gevrey_closed_form():
+    # gevrey:d=2 at t^(1/1.5) is gevrey:d=3: the conjugate of the scaled
+    # weight, phi_omega*(1.5 s), is the closed form of d = 3, and so is the
+    # golden section on the scaled weight itself
+    c2 = ConjugateEvaluator(WeightFunction.gevrey(2))
+    c3 = ConjugateEvaluator(WeightFunction.gevrey(3))
+    sigma = FnWeight(lambda t: WeightFunction.gevrey(2)(t ** (1.0 / 1.5)))
+    ns = ConjugateEvaluator(sigma)
+    for s in np.linspace(0.0, 20.0, 41).tolist():
+        assert c2(1.5 * s) == pytest.approx(c3(s), rel=1e-14, abs=1e-14)
+        assert ns(s) == pytest.approx(c3(s), rel=1e-9, abs=1e-12)
+
+
+def test_scaled_weight_generic():
+    base = WeightFunction.logpow(2)
+    sigma = FnWeight(lambda t: base(t ** 0.5))
+    assert sigma(100.0) == pytest.approx(base(10.0))
+    c_base, c_sigma = ConjugateEvaluator(base), ConjugateEvaluator(sigma)
+    for s in (0.5, 1.0, 4.0, 10.0):
+        assert c_base(2.0 * s) == pytest.approx(c_sigma(s), rel=1e-9)
+
+
 # -- Young conjugate --------------------------------------------------------
 
 def test_closed_form_plateau_and_value():
