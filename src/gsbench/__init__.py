@@ -16,8 +16,8 @@ from .experiments import (bounded_derivative_chain, cauchy_derivative_bound,
                           equicontinuity_constant, necessary_growth,
                           negative_chain, nuclearity_sum,
                           sufficient_condition_check)
-from .fdb import (BellTable, Jet, compose_jet, enumerate_partitions,
-                  faa_di_bruno, identity_lah, identity_two_power,
+from .fdb import (Jet, compose_jet, enumerate_partitions, faa_di_bruno,
+                  identity_lah, identity_two_power,
                   iter_partition_multi_indices, log_compose_table,
                   partition_count, single_jet_compose)
 from .functions import (Gaussian, GevreyBump, IndexEstimate, ModelFunction,

@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import (CapabilityError, PreconditionError, RegimeError,
                      SearchExhaustedError)
-from .fdb import BellTable, Jet, log_compose_table, single_jet_compose
+from .fdb import log_bell_table, log_compose_table
 from .functions import ModelFunction, stable_sup, weighted_log_sup
 from .grids import GridSpec
-from .logdomain import LOG_ZERO, LogReal, log_sum_exp
+from .logdomain import LOG_ZERO, log_sum_exp
 from .reports import ChainReport, Result
 from .weights import (ConjugateEvaluator, WeightFunction,
                       find_log_scaling_constant, first_true,
@@ -41,14 +41,20 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
                        threshold: float = DEFAULT_THRESHOLD) -> ChainReport:
     """Single-order jets b_n(n) = exp(p phi*(n/p)) pushed through the
     composition; the full expansion must match the one-term shortcut exactly,
-    and |psi'(x0)|^n must cross the divergence threshold."""
+    and |psi'(x0)|^n must cross the divergence threshold.
+
+    A jet concentrated at order n composes to b_n B(n, n), so the full
+    column reads the diagonal of one Bell table of psi's jet,
+    log b_n + log|B(n, n)|, and the shortcut column is
+    log b_n + n log|psi'(x0)|, each with its sign."""
     try:
         psi_jet = psi.jet(x0, nmax).to_log()
     except OverflowError:
         raise PreconditionError(
             f"--x0: psi's jet at x0={x0:g} overflows a float") from None
-    psi1 = psi_jet.values[1]
-    if psi1.is_zero() or psi1.log_abs <= 0.0:
+    psi_sign = np.array([[v.sign for v in psi_jet.values]], dtype=float)
+    psi_log = np.array([[v.log_abs for v in psi_jet.values]])
+    if psi_sign[0, 1] == 0 or psi_log[0, 1] <= 0.0:
         raise PreconditionError(
             f"|psi'(x0)| = {abs(psi_jet.entry_float(1)):g} <= 1 at x0={x0:g}; "
             "rescale the argument (sigma(x) = psi(a x)) first")
@@ -60,28 +66,20 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
                 "nmax": nmax, "threshold": threshold},
         columns=["n", "log_b_n", "log_full_fdb", "log_shortcut",
                  "log_deriv_power", "verdict"])
-    base = psi_jet.values[0].to_float()
-    bell = BellTable(psi_jet, nmax)
-    first_cross = None
-    for n in range(1, nmax + 1):
-        bn = LogReal.from_log(1, p * conj(n / p))
-        h_vals = [LogReal.zero()] * (nmax + 1)
-        h_vals[n] = bn
-        h_jet = Jet(base, tuple(h_vals), "log")
-        full = bell.derivative(h_jet, n)
-        short = single_jet_compose(h_jet, psi_jet, n)
-        agree = (full.sign == short.sign
-                 and abs(full.log_abs - short.log_abs)
-                 <= 1e-10 * max(1.0, abs(short.log_abs)))
-        power = n * psi1.log_abs
-        if first_cross is None and power > log_thresh:
-            first_cross = n
-        report.add_row({"n": n, "log_b_n": bn.log_abs,
-                        "log_full_fdb": full.log_abs,
-                        "log_shortcut": short.log_abs,
-                        "log_deriv_power": power, "verdict": agree})
-    report.verdict = report.all_hold() and first_cross is not None
-    report.first_crossing_index = first_cross
+    ns = np.arange(1, nmax + 1)
+    log_b = np.array([p * conj(n / p) for n in ns.tolist()])
+    b_sign, b_log = log_bell_table(psi_sign, psi_log, nmax)
+    full_sign, full = b_sign[0, ns, ns], log_b + b_log[0, ns, ns]
+    power = ns * psi_log[0, 1]
+    short_sign, short = psi_sign[0, 1] ** ns, log_b + power
+    agree = (full_sign == short_sign) & (
+        np.abs(full - short) <= 1e-10 * np.maximum(1.0, np.abs(short)))
+    crossed = np.flatnonzero(power > log_thresh)
+    for row in zip(ns.tolist(), log_b.tolist(), full.tolist(), short.tolist(),
+                   power.tolist(), agree.tolist()):
+        report.add_row(dict(zip(report.columns, row)))
+    report.verdict = report.all_hold() and len(crossed) > 0
+    report.first_crossing_index = int(ns[crossed[0]]) if len(crossed) else None
     return report
 
 
@@ -320,20 +318,20 @@ class ComposedSeminormResult:
 
 
 def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
-                           xs: Sequence[float], J: int) -> list:
-    """Per grid point, log |(f o psi)^(j)(x)| for j = 0..J via full FdB, from
-    one jet table of psi over xs and one of f over psi(xs), composed by one
-    ``log_compose_table``."""
+                           xs: Sequence[float], J: int) -> np.ndarray:
+    """log |(f o psi)^(j)(x)|, one row per grid point x and one column per
+    order j = 0..J, via full FdB: one jet table of psi over xs and one of f
+    over psi(xs), composed by one ``log_compose_table``."""
     xs = np.asarray(xs, dtype=float)
     return log_compose_table(*f.log_jet_table(psi.values(xs), J),
-                             *psi.log_jet_table(xs, J), J)[1].tolist()
+                             *psi.log_jet_table(xs, J), J)[1]
 
 
 def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
                             sigma: WeightFunction, m: int, grid: GridSpec,
                             Jmax: int, Qmax: int, jq_cap: int = None,
                             check_stability: bool = False,
-                            jet_table: list = None,
+                            jet_table: np.ndarray = None,
                             xs: Sequence[float] = None) -> ComposedSeminormResult:
     """sup over (j <= Jmax, q <= Qmax, grid x) of
     |x^q (f o psi)^(j)(x)| exp(-m phi_sigma*((j+q)/m)), in log domain.
@@ -349,7 +347,7 @@ def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
         jet_table = composed_jet_log_table(f, psi, xs, Jmax)
 
     def scan(pts, J, Q, cap):  # the rescan's 1.25x grid needs its own table
-        table = ([logs[:J + 1] for logs in jet_table] if pts is xs
+        table = (np.asarray(jet_table)[:, :J + 1] if pts is xs
                  else composed_jet_log_table(f, psi, pts, J))
         return weighted_log_sup(table, conj, m, pts, Q, cap)
 
@@ -537,18 +535,19 @@ def cauchy_derivative_bound(psi: ModelFunction, delta: float,
     xs = [float(x) for x in x_grid.symmetric_points() if abs(x) >= 1.0]
     if not xs:
         raise PreconditionError("grid must contain points with |x| >= 1")
-    best, witness = -math.inf, None
-    excess = -math.inf
-    for x, logs in zip(xs, psi.log_jet_table(xs, jmax)[1].tolist()):
-        for j in range(jmax + 1):
-            if logs[j] == LOG_ZERO:
-                continue
-            lb = (logs[j] - math.lgamma(j + 1)) / (j + 1)
-            if lb > best:
-                best, witness = lb, {"j": j, "x": x}
-            r_x = delta * abs(x)
-            pred = math.lgamma(j + 1) + math.log1p(abs(x) + r_x) - j * math.log(r_x)
-            excess = max(excess, logs[j] - pred)
+    logs = psi.log_jet_table(xs, jmax)[1]
+    j = np.arange(jmax + 1)
+    lgam = np.array([math.lgamma(i + 1) for i in j.tolist()])
+    log1p_x = np.array([math.log1p(abs(x) + delta * abs(x)) for x in xs])
+    log_r = np.array([math.log(delta * abs(x)) for x in xs])
+    pred = lgam + log1p_x[:, None] - j * log_r[:, None]
+    live = logs > LOG_ZERO  # False at NaN too: a NaN entry is never the max
+    lb = np.where(live, (logs - lgam) / (j + 1), -math.inf)
+    i = int(lb.argmax())  # the first strict maximum in (x, j) order
+    best = float(lb.flat[i])
+    witness = (None if best == -math.inf
+               else {"j": i % (jmax + 1), "x": xs[i // (jmax + 1)]})
+    excess = float(np.where(live, logs - pred, -math.inf).max())
     try:
         B = math.exp(best)
     except OverflowError:

@@ -14,15 +14,16 @@ skipped, so an inner jet with a bounded number of nonzero derivatives (a
 polynomial such as x^2) costs O(J^2).  The table depends on psi alone and is
 shared by every outer jet h and every order n.
 
-Two recurrences, one per jet kind:
-  * exact rationals (``BellTable`` on a Fraction jet), per jet;
+Two recurrences, one per jet kind, both behind ``compose_jet``:
+  * exact rationals, on one Fraction jet;
   * signed log magnitudes, (sign, log|.|) arrays, batched over a whole grid
     (``log_compose_table``): each order n is one numpy gather over points, k
     and the orders i nonzero at some point, and each entry is a max-shifted
     sum compensated by a pairwise TwoSum tree (``_log_sum``), so it stays
     within a few ulps of the correctly rounded ``math.fsum``.  Points go in
-    blocks of at most TERM_BLOCK Bell entries.  A single log jet
-    (``compose_jet``, ``faa_di_bruno``, ``BellTable``) is a one-row table.
+    blocks of at most TERM_BLOCK Bell entries.  A single log jet is a one-row
+    table, and ``log_bell_table`` gives the Bell table itself (the
+    compactness experiment reads its diagonal B(n, n) = psi'^n).
 
 Partition multi-indices (k_1, ..., k_j) with sum(l k_l) = j remain here for
 the partition count; the summation identities walk the partitions directly,
@@ -278,56 +279,6 @@ def _log_row(values) -> tuple:
             np.array([[v.log_abs for v in values]]))
 
 
-class BellTable:
-    """Partial Bell polynomials B(n, k), 0 <= k <= n <= order, of one inner
-    jet, in that jet's representation: the exact recurrence on Fractions, or
-    a one-row ``log_bell_table``."""
-
-    def __init__(self, psi_jet: Jet, order: int):
-        if psi_jet.order < order:
-            raise PreconditionError(
-                f"inner jet has order {psi_jet.order}, need >= {order}")
-        self.kind, self.order = psi_jet.kind, order
-        if self.kind == "log":
-            self._sign, self._log = log_bell_table(
-                *_log_row(psi_jet.values[:order + 1]), order)
-            return
-        psi = psi_jet.values[:order + 1]
-        support = [i for i in range(1, order + 1) if psi[i]]
-        rows = [[Fraction(1)]]
-        for n in range(1, order + 1):
-            # C(n-1, i-1) psi^(i) for each nonzero order i <= n, ascending
-            parts = [(i, math.comb(n - 1, i - 1) * psi[i])
-                     for i in support if i <= n]
-            row = [Fraction(0)] * (n + 1)
-            # B(n, k) = 0 unless k parts from the support can sum to n
-            k_lo, k_hi = ((-(-n // support[-1]), n // support[0]) if support
-                          else (1, 0))
-            for k in range(k_lo, k_hi + 1):
-                row[k] = sum((c * rows[n - i][k - 1] for i, c in parts
-                              if i <= n - k + 1 and rows[n - i][k - 1]),
-                             Fraction(0))
-            rows.append(row)
-        self._rows = rows
-
-    def derivative(self, h_jet: Jet, n: int) -> JetValue:
-        """(h o psi)^(n), for h's jet at psi's value."""
-        if n == 0:
-            return h_jet.values[0]
-        if h_jet.kind != self.kind:
-            raise PreconditionError("mixed jet representations are not summed")
-        if h_jet.order < n or self.order < n:
-            raise PreconditionError(
-                f"order mismatch: need order >= {n}, got h:{h_jet.order} "
-                f"table:{self.order}")
-        if self.kind == "exact":
-            return sum((h * b for h, b in zip(h_jet.values, self._rows[n])
-                        if h and b), Fraction(0))
-        sign, log = _log_contract(self._sign, self._log,
-                                  *_log_row(h_jet.values[:n + 1]), n)
-        return LogReal.from_log(int(sign[0]), float(log[0]))
-
-
 def _check_orders(h_jet: Jet, psi_jet: Jet, j: int) -> None:
     if h_jet.order < j or psi_jet.order < j:
         raise PreconditionError(
@@ -337,11 +288,40 @@ def _check_orders(h_jet: Jet, psi_jet: Jet, j: int) -> None:
         raise PreconditionError("mixed jet representations are not summed")
 
 
+def compose_jet(h_jet: Jet, psi_jet: Jet, J: int) -> Jet:
+    """Jet of h o psi at psi_jet's base point, orders 0..J, for h's jet at
+    psi's value.  Log jets run ``log_compose_table`` on one row; exact jets
+    run the Bell recurrence on Fractions, skipping the B(n, k) that no k
+    parts from psi's nonzero orders can reach."""
+    _check_orders(h_jet, psi_jet, J)
+    h, psi = h_jet.values[:J + 1], psi_jet.values[:J + 1]
+    if h_jet.kind == "log":
+        sign, log = log_compose_table(*_log_row(h), *_log_row(psi), J)
+        return Jet.from_log_row(psi_jet.base_point, sign[0], log[0])
+    support = [i for i in range(1, J + 1) if psi[i]]
+    rows = [[Fraction(1)]]
+    for n in range(1, J + 1):
+        # C(n-1, i-1) psi^(i) for each nonzero order i <= n, ascending
+        parts = [(i, math.comb(n - 1, i - 1) * psi[i])
+                 for i in support if i <= n]
+        row = [Fraction(0)] * (n + 1)
+        # B(n, k) = 0 unless k parts from the support can sum to n
+        k_lo, k_hi = ((-(-n // support[-1]), n // support[0]) if support
+                      else (1, 0))
+        for k in range(k_lo, k_hi + 1):
+            row[k] = sum((c * rows[n - i][k - 1] for i, c in parts
+                          if i <= n - k + 1 and rows[n - i][k - 1]),
+                         Fraction(0))
+        rows.append(row)
+    return Jet(psi_jet.base_point, tuple(
+        sum((a * b for a, b in zip(h, row) if a and b), Fraction(0))
+        for row in rows), "exact")
+
+
 def faa_di_bruno(h_jet: Jet, psi_jet: Jet, j: int) -> JetValue:
-    """(h o psi)^(j) at psi_jet's base point; exact rationals in, exact
-    rational out.  Several orders or outer jets over one inner jet share a
-    single :class:`BellTable` instead."""
-    return BellTable(psi_jet, j).derivative(h_jet, j)
+    """(h o psi)^(j) at psi_jet's base point, in the jets' representation:
+    ``compose_jet``'s order j."""
+    return compose_jet(h_jet, psi_jet, j).values[j]
 
 
 def single_jet_compose(h_jet: Jet, psi_jet: Jet, n: int) -> JetValue:
@@ -361,13 +341,6 @@ def single_jet_compose(h_jet: Jet, psi_jet: Jet, n: int) -> JetValue:
     if h_jet.kind == "exact":
         return hn * p1 ** n
     return hn * p1.pow_int(n)
-
-
-def compose_jet(h_jet: Jet, psi_jet: Jet, J: int) -> Jet:
-    """Jet of h o psi at psi_jet's base point, orders 0..J."""
-    bell = BellTable(psi_jet, J)
-    values = tuple(bell.derivative(h_jet, j) for j in range(J + 1))
-    return Jet(psi_jet.base_point, values, h_jet.kind)
 
 
 # ---------------------------------------------------------------------------

@@ -153,16 +153,20 @@ class AssociatedWeight:
         seq, quot, pmax = self.hull, self.hull._quot, self.pmax
         top = min(len(quot) - 1, pmax)
         if top == 0 or quot[top] <= lt:
-            # log m_pmax <= lt puts the argmax at pmax or past it: probe it
-            # before extending, unless a table ends before pmax, where
-            # _extend raises TruncationError itself
-            if pmax <= seq.max_p and seq.log_m(pmax) <= lt:
+            # probe the last index P before extending.  A source table that
+            # ends at P <= pmax has no term past P: log m_P == lt is a tie
+            # that P - 1 attains, and only log m_P < lt is truncated.  Past
+            # pmax the terms may still tie or grow, so log m_pmax <= lt is.
+            P = min(self.source.max_p, pmax)
+            last = seq.log_m(P) if P else -math.inf
+            if last < lt or (last == lt and self.source.max_p > pmax):
                 raise TruncationError(
-                    f"associated-weight argmax hit pmax={pmax} at "
-                    f"t={t:g}; increase pmax")
-            while (len(quot) == 1 or quot[-1] <= lt) and len(quot) <= pmax:
+                    f"tabulated sequence ends at p={P}" if P < pmax else
+                    f"associated-weight argmax hit pmax={pmax} at t={t:g}; "
+                    "increase pmax")
+            while (len(quot) == 1 or quot[-1] <= lt) and len(quot) <= P:
                 seq._extend(len(quot))
-            top = min(len(quot) - 1, pmax)  # log m_top > lt
+            top = min(len(quot) - 1, pmax)  # log m_top > lt, or a tie at end
         best_p = bisect.bisect_left(quot, lt, 1, top) - 1
         return max(0.0, best_p * lt - seq._cum[best_p]), best_p
 

@@ -7,10 +7,11 @@ phi(t) = omega(e^t) is
     phi*(s) = sup { s t - omega(e^t) : t >= 0 },
 
 computed in closed form for the gevrey and logpow kinds, and for tabulated
-weights by bracketing plus golden-section search (phi is convex, so the
-objective is concave and unimodal).  The associated weight of any
-weight sequence has its own exact conjugate, ``AssociatedWeight.conjugate``
-in ``sequences``: the interpolated convex hull of log M_p.
+weights by bracketing plus golden-section search (the evaluator requires
+phi to be convex on t >= 0, so the objective is concave and unimodal).
+The associated weight of any weight sequence has its own exact conjugate,
+``AssociatedWeight.conjugate`` in ``sequences``: the interpolated convex
+hull of log M_p.
 """
 from __future__ import annotations
 
@@ -205,6 +206,20 @@ def parse_weight(spec: str) -> WeightFunction:
     raise PreconditionError(f"unknown weight spec {spec!r}")
 
 
+def _require_convex_phi(w: WeightFunction) -> None:
+    """Raise unless phi(u) = omega(e^u) of a table is convex on u >= 0: no
+    segment slope of (log t_k, omega_k) may fall below the one before it at
+    a knot t_k > 1, with 1e-12 relative slack.  The golden section assumes a
+    concave objective; on a non-convex phi it can return a local sup."""
+    slopes = np.diff(w._vals) / np.diff(w._log_ts)
+    for k in range(1, len(slopes)):
+        if w._log_ts[k] > 0.0 and slopes[k] < slopes[k - 1] * (1.0 - 1e-12):
+            raise PreconditionError(
+                f"--weight: phi(u) = omega(e^u) of {w.label} is not convex: "
+                f"its slope falls from {slopes[k - 1]:g} to {slopes[k]:g} at "
+                f"t = {w.knots[k]:g}, so phi* has no golden-section sup")
+
+
 class ConjugateEvaluator:
     """Young conjugate phi*(s) with a per-s cache.
 
@@ -214,7 +229,8 @@ class ConjugateEvaluator:
         logpow(q):  phi(t) = t^q, so phi*(s) = (q - 1) (s / q)^(q / (q - 1))
     method "numeric-sup" maximizes the concave t -> s t - omega(e^t) by
     geometric bracketing plus golden-section refinement; it is the only
-    method for tabulated weights, and the oracle of the others.
+    method for tabulated weights, and the oracle of the others.  A table
+    whose phi is not convex on t >= 0 raises PreconditionError.
     """
 
     def __init__(self, weight: WeightFunction, method: str = None):
@@ -225,6 +241,8 @@ class ConjugateEvaluator:
             raise PreconditionError(
                 f"closed form only available for gevrey and logpow weights, "
                 f"not {weight.kind}")
+        if weight.kind == "tabulated":
+            _require_convex_phi(weight)
         self.weight = weight
         self.method = method
         self._cache: dict = {}

@@ -579,6 +579,17 @@ def test_conjugate_names_its_weight_exactly(capsys):
     assert "of logpow:s=1.0000001 overflows" in capsys.readouterr().err
 
 
+def test_conjugate_non_convex_table_exits_2(tmp_path, capsys):
+    table = tmp_path / "w.csv"
+    table.write_text("t,omega\n" + "".join(
+        f"{math.e ** k!r},{v!r}\n"
+        for k, v in enumerate([0.0, 0.0, 10.0, 10.5, 100.0])))
+    assert main(["conjugate", "--weight", f"table:{table}", "--s", "8"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not convex" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_identities_cli():
     r = run_cli("identities", "--jmax", "25")
     assert r.returncode == 0

@@ -17,7 +17,9 @@ from gsbench.experiments import (NECESSARY_BLOCK, bounded_derivative_chain,
                                  sufficient_condition_check)
 from gsbench.functions import (Gaussian, Polynomial, Pow1px2, Sqrt1px2,
                                parse_function)
+from gsbench.fdb import Jet, faa_di_bruno, single_jet_compose
 from gsbench.grids import GridSpec
+from gsbench.logdomain import LOG_ZERO, LogReal
 from gsbench.reports import ChainReport
 from gsbench.weights import ConjugateEvaluator, WeightFunction
 
@@ -52,6 +54,61 @@ def test_compactness_full_support_at_nmax_60():
     assert len(rep.rows) == 60
     assert all(row["verdict"] for row in rep.rows)
     assert rep.verdict
+
+
+def per_n_compactness(psi, x0, p, w, nmax, threshold=1e6):
+    """Oracle for ``compactness_blowup``: one outer log jet per n, b_n at
+    order n and 0 elsewhere, composed by ``faa_di_bruno`` and by the
+    ``single_jet_compose`` shortcut.  Returns (rows, verdict, first
+    crossing)."""
+    psi_jet = psi.jet(x0, nmax).to_log()
+    psi1 = psi_jet.values[1]
+    conj = ConjugateEvaluator(w)
+    base = psi_jet.values[0].to_float()
+    rows, first_cross = [], None
+    for n in range(1, nmax + 1):
+        bn = LogReal.from_log(1, p * conj(n / p))
+        h_vals = [LogReal.zero()] * (nmax + 1)
+        h_vals[n] = bn
+        h_jet = Jet(base, tuple(h_vals), "log")
+        full = faa_di_bruno(h_jet, psi_jet, n)
+        short = single_jet_compose(h_jet, psi_jet, n)
+        agree = (full.sign == short.sign
+                 and abs(full.log_abs - short.log_abs)
+                 <= 1e-10 * max(1.0, abs(short.log_abs)))
+        power = n * psi1.log_abs
+        if first_cross is None and power > math.log(threshold):
+            first_cross = n
+        rows.append({"n": n, "log_b_n": bn.log_abs,
+                     "log_full_fdb": full.log_abs,
+                     "log_shortcut": short.log_abs,
+                     "log_deriv_power": power, "verdict": agree})
+    return rows, all(r["verdict"] for r in rows) and first_cross is not None, \
+        first_cross
+
+
+COMPACTNESS_CASES = (
+    [(Pow1px2(a), 1.0 + 0.1 * k, 1, WeightFunction.gevrey(d), 30)
+     for k, (a, d) in enumerate(zip((1.5, 1.25, 1.75, 2.5),
+                                    (2.0, 2.5, 3.0, 1.5)))]
+    + [(parse_function(f"poly:0,{c},0,1"), 0.0, 1, W2, 25)
+       for c in ("2", "3", "5/2", "4")]
+    + [(parse_function("poly:1,3,-1,2"), 0.0, 2, W2, 15),
+       (Pow1px2(1.5), 1.0, 1, W2, 60),
+       (Pow1px2(1.5), -1.3, 3, W2, 40)])
+
+
+@pytest.mark.parametrize("case", COMPACTNESS_CASES,
+                         ids=lambda c: f"{c[0].label}@{c[1]:g},p={c[2]},n={c[4]}")
+def test_compactness_rows_equal_per_n_oracle(case):
+    # the full column is the Bell table's diagonal plus log b_n: bit-equal
+    # to one composition per n, because a sum of one term is that term
+    rep = compactness_blowup(*case)
+    rows, verdict, first = per_n_compactness(*case)
+    assert rep.rows == rows
+    assert all(type(a) is type(b) for r, o in zip(rep.rows, rows)
+               for a, b in zip(r.values(), o.values()))
+    assert (rep.verdict, rep.first_crossing_index) == (verdict, first)
 
 
 def test_compactness_rejects_flat_slope():
@@ -378,6 +435,56 @@ def test_cauchy_bound_sqrt():
                                   GridSpec("log", 1.0, 20.0, 100), 10)
     assert math.isfinite(res.B)
     assert res.max_excess_vs_prediction <= 0.0  # within the radius prediction
+
+
+def double_loop_cauchy(psi, delta, grid, jmax):
+    """Oracle for ``cauchy_derivative_bound``: one scalar pass over every
+    (x, j) of the jet table.  Returns (log_B, witness, excess)."""
+    xs = [float(x) for x in grid.symmetric_points() if abs(x) >= 1.0]
+    best, witness, excess = -math.inf, None, -math.inf
+    for x, logs in zip(xs, psi.log_jet_table(xs, jmax)[1].tolist()):
+        for j in range(jmax + 1):
+            if logs[j] == LOG_ZERO:
+                continue
+            lb = (logs[j] - math.lgamma(j + 1)) / (j + 1)
+            if lb > best:
+                best, witness = lb, {"j": j, "x": x}
+            r_x = delta * abs(x)
+            pred = (math.lgamma(j + 1) + math.log1p(abs(x) + r_x)
+                    - j * math.log(r_x))
+            excess = max(excess, logs[j] - pred)
+    return best, witness, excess
+
+
+CAUCHY_CASES = (
+    [(Sqrt1px2(), d, GridSpec("log", 1.0, 20.0 + k, 200), 10)
+     for k, d in enumerate((0.5, 0.4, 0.6, 0.3))]
+    + [(SQUARE, 0.5, GridSpec("lin", 0.5, 30.0, 300), 12),
+       (Pow1px2(2.25), 0.5, GridSpec("log", 1.0, 1e3, 500), 40)])
+
+
+class NanJets(Sqrt1px2):
+    """sqrt(1+x^2) with a NaN in every fifth log-jet entry: NaN is never
+    the max, in the scalar comparisons or the array max."""
+
+    def log_jet_table(self, xs, J):
+        sign, logs = super().log_jet_table(xs, J)
+        logs.flat[::5] = math.nan
+        return sign, logs
+
+
+CAUCHY_CASES += [(NanJets(), 0.5, GridSpec("log", 1.0, 20.0, 50), 10)]
+
+
+@pytest.mark.parametrize("case", CAUCHY_CASES,
+                         ids=lambda c: f"{c[0].label}-{c[2].spec_string()}")
+def test_cauchy_equals_double_loop_oracle(case):
+    res = cauchy_derivative_bound(*case)
+    best, witness, excess = double_loop_cauchy(*case)
+    assert (res.log_B, res.witness, res.max_excess_vs_prediction) \
+        == (best, witness, excess)
+    assert type(res.log_B) is type(res.max_excess_vs_prediction) is float
+    assert res.B == math.exp(best)
 
 
 def test_cauchy_requires_analyticity_metadata():

@@ -87,7 +87,8 @@ def numeric_conjugate(aw):
 def doubling_bisection_assoc(M, t, pmax):
     """Oracle for the log-convex argmax: double hi while log m_hi <= log t,
     bisect for the largest p with log m_p <= log t, then step down past
-    quotients equal to log t."""
+    quotients equal to log t.  A table ending at pmax has no term past it,
+    so there log m_pmax == log t is a tie, not a truncation."""
     lt = math.log(t)
     if M.log_m(1) > lt:
         return 0.0, 0
@@ -95,7 +96,8 @@ def doubling_bisection_assoc(M, t, pmax):
     while hi <= pmax and M.log_m(hi) <= lt:
         lo, hi = hi, hi * 2
     hi = min(hi, pmax)
-    if hi == pmax and M.log_m(hi) <= lt:
+    if hi == pmax and (M.log_m(hi) < lt if M.max_p <= pmax
+                       else M.log_m(hi) <= lt):
         raise TruncationError(
             f"associated-weight argmax hit pmax={pmax} at t={t:g}; increase pmax")
     while lo < hi:
@@ -253,6 +255,38 @@ def test_assoc_table_shorter_than_pmax():
             == brute_force_assoc(M, t, pmax=20)
     with pytest.raises(TruncationError, match="tabulated sequence ends at p=20"):
         AssociatedWeight(M, 4000).eval_with_argmax(1e3)
+
+
+def test_assoc_table_ending_in_a_tie():
+    # log M = [0, -1, -1]: log m_2 = 0 = log 1, so p = 1 and p = 2 tie at
+    # t = 1 and the table attains M(1) = 1 at p = 1; phi_M(u) = 2u + 1, so
+    # phi_M* = -1 on [0, 2]
+    for pmax in (2, 5):
+        aw = AssociatedWeight(WeightSequence.from_log_values([0, -1, -1]), pmax)
+        assert aw.eval_with_argmax(1.0) == (1.0, 1) \
+            == brute_force_assoc(aw.source, 1.0, pmax=2)
+        assert [aw.conjugate(s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)] == [-1.0] * 5
+        # log m_2 < log t: the argmax lies past the table
+        with pytest.raises(TruncationError,
+                           match="pmax=2" if pmax == 2 else "ends at p=2"):
+            aw.eval_with_argmax(1.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=30),
+       st.sampled_from([0, 5]))
+def test_assoc_tie_at_the_table_end_matches_linear_scan(head, extra):
+    # integer log M_p ending at their minimum: the hull's last quotient is
+    # exactly 0 = log 1, a tie that the table's last index attains
+    log_Ms = [0, *head, min(0, *head)]
+    M = WeightSequence.from_log_values(log_Ms)
+    P = M.max_p
+    aw = AssociatedWeight(M, P + extra)
+    got, p_got = aw.eval_with_argmax(1.0)
+    want, p_want = brute_force_assoc(M, 1.0, pmax=P)
+    assert p_got == p_want
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert aw.conjugate(0.0) == pytest.approx(min(log_Ms), rel=1e-12, abs=1e-12)
 
 
 def test_assoc_at_zero_and_one():
@@ -445,9 +479,10 @@ def _conjugate_matches_oracle(M, data):
     P = M.max_p
     pmax = data.draw(st.sampled_from([P, P + 5]))
     aw = AssociatedWeight(M, pmax)
-    if all(M.log_M(P) <= M.log_M(q) for q in range(P)):
-        # no hull quotient is positive: M(1) = phi_M(0), whose argmax bounds
-        # the cut, has its argmax at P or past it
+    if all(M.log_M(P) < M.log_M(q) for q in range(P)):
+        # every hull quotient up to P is negative: M(1) = phi_M(0), whose
+        # argmax bounds the cut, has its argmax past P (a last quotient of
+        # 0 is a tie that the table attains)
         with pytest.raises(TruncationError,
                            match=f"pmax={P}" if pmax == P else f"ends at p={P}"):
             aw.conjugate(0.0)

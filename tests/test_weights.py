@@ -170,6 +170,37 @@ def test_closed_form_rejected_for_non_gevrey():
         assert ConjugateEvaluator(w).method == "numeric-sup"
 
 
+# phi(u) = omega(e^u) has slopes 0, 10, 0.5, 89.5 on [0, 1], ..., [3, 4]:
+# not convex, so a golden section on s u - phi(u) at s = 8 stops near u = 1
+# (value 8) and misses the sup 13.5 at u = 3
+NON_CONVEX_TABLE = ([1.0, math.e, math.e ** 2, math.e ** 3, math.e ** 4],
+                    [0.0, 0.0, 10.0, 10.5, 100.0])
+
+
+def test_conjugate_rejects_non_convex_table():
+    w = WeightFunction.tabulated(*NON_CONVEX_TABLE)
+    with pytest.raises(PreconditionError, match="not convex"):
+        ConjugateEvaluator(w)
+    # the weight itself stays usable: the (delta) audit reports the kinks
+    rep = check_weight_conditions(w, GRID)
+    assert not rep.delta.verdict and rep.delta.detail["violations"] > 0
+
+
+def test_convex_tables_keep_their_conjugate():
+    # a kink that only lies below t = 1 does not matter on u >= 0, and
+    # collinear knots pass within the 1e-12 slack: omega = 0.3 log t at
+    # t = 10^(k/4) has float slopes that fall by an ulp here and there
+    line = [10.0 ** (k / 4) for k in range(17)]
+    for ts, vals in ((LOG2_KNOTS, [math.log1p(t) ** 2 for t in LOG2_KNOTS]),
+                     (line, [0.3 * math.log(t) for t in line]),
+                     (LOG2_KNOTS, [math.sqrt(t) for t in LOG2_KNOTS]),
+                     ([1.0, 10.0, 100.0], [0.0, 1.0, 4.0]),
+                     ([1e-3, 1.0, 10.0, 1e6], [0.0, 1.0, 1.5, 4.0]),
+                     ([1e-3, 0.5, 1.0, 10.0], [0.0, 1.0, 1.1, 4.0])):
+        c = ConjugateEvaluator(WeightFunction.tabulated(ts, vals))
+        assert math.isfinite(c(0.1))  # below every tail slope
+
+
 @pytest.mark.parametrize("q", [1.75, 2.0, 2.25, 2.5])
 def test_logpow_closed_form_matches_numeric_sup(q):
     w = WeightFunction.logpow(q)
