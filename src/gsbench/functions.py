@@ -32,7 +32,7 @@ from .fdb import Jet
 from .grids import GridSpec
 from .logdomain import LOG_ZERO
 from .reports import Result
-from .weights import ConjugateEvaluator, WeightFunction, parse_real
+from .weights import ConjugateEvaluator, WeightFunction, parse_keyed_real, parse_real
 
 _CLOSED_FORM_JMAX = 200
 _BUMP_JMAX = 40
@@ -337,10 +337,7 @@ def parse_function(spec: str) -> ModelFunction:
             raise PreconditionError(
                 f"poly spec needs rational coefficients, got {spec!r}") from None
     if head == "pow1px2":
-        key, _, val = rest.partition("=")
-        if key != "a":
-            raise PreconditionError(f"pow1px2 spec needs a=<real>, got {spec!r}")
-        return Pow1px2(parse_real(val, spec))
+        return Pow1px2(parse_keyed_real(spec, "a"))
     if head in ("monbump", "gbump"):
         kv = {}
         for item in rest.split(","):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PreconditionError, SearchExhaustedError, TruncationError
 from .grids import GridSpec
 from .reports import Result
-from .weights import H_BOUND, first_true, label_real, parse_real, read_table
+from .weights import H_BOUND, first_true, label_real, parse_keyed_real, read_table
 
 SANDWICH_ASSOC_PMAX = 500000  # associated-weight p cap in sandwich_check
 DOUBLING_ASSOC_PMAX = 20000   # associated-weight p cap in doubling_from_sequence
@@ -39,6 +39,7 @@ class WeightSequence:
         self.label = label
         self.log_convex = log_convex
         self.max_p = math.inf
+        self.last_rise = None  # set by convex_minorant
 
     def _extend(self, p: int) -> None:
         while len(self._cum) <= p:
@@ -60,15 +61,19 @@ class WeightSequence:
     def convex_minorant(self, P: int) -> "WeightSequence":
         """The lower convex hull of the points (p, log M_p), p <= P, as a table
         whose quotients are the hull's slopes: equal along a segment and
-        increasing from one segment to the next."""
+        increasing from one segment to the next.  ``last_rise`` is (P - a,
+        log M_P - log M_a) of the source over the last segment [a, P]."""
         slope = lambda a, b: (self.log_M(b) - self.log_M(a)) / (b - a)
         hull = [0]
         for c in range(1, P + 1):
             while len(hull) > 1 and slope(hull[-2], hull[-1]) >= slope(hull[-1], c):
                 hull.pop()
             hull.append(c)
-        return _table([None] + [slope(a, b) for a, b in zip(hull, hull[1:])
-                                for _ in range(a, b)], self.label)
+        seq = _table([None] + [slope(a, b) for a, b in zip(hull, hull[1:])
+                               for _ in range(a, b)], self.label)
+        if P:
+            seq.last_rise = (P - hull[-2], self.log_M(P) - self.log_M(hull[-2]))
+        return seq
 
     @staticmethod
     def gevrey(d: float) -> "WeightSequence":
@@ -112,10 +117,7 @@ def parse_sequence(spec: str) -> WeightSequence:
     """Sequence mini-language: gevreyseq:d=2 | table:file.csv"""
     head, _, rest = spec.partition(":")
     if head == "gevreyseq":
-        key, _, val = rest.partition("=")
-        if key != "d":
-            raise PreconditionError(f"gevreyseq spec needs d=<real>, got {spec!r}")
-        return WeightSequence.gevrey(parse_real(val, spec))
+        return WeightSequence.gevrey(parse_keyed_real(spec, "d"))
     if head == "table":
         return WeightSequence.from_csv(rest)
     raise PreconditionError(f"unknown sequence spec {spec!r}")
@@ -157,9 +159,10 @@ class AssociatedWeight:
             # ends at P <= pmax has no term past P: log m_P == lt is a tie
             # that P - 1 attains, and only log m_P < lt is truncated.  Past
             # pmax the terms may still tie or grow, so log m_pmax <= lt is.
+            # A hull decides on its last rise: its slope can underflow to -0.
             P = min(self.source.max_p, pmax)
-            last = seq.log_m(P) if P else -math.inf
-            if last < lt or (last == lt and self.source.max_p > pmax):
+            n, rise = seq.last_rise or (1, seq.log_m(P) if P else -math.inf)
+            if rise < n * lt or (rise == n * lt and self.source.max_p > pmax):
                 raise TruncationError(
                     f"tabulated sequence ends at p={P}" if P < pmax else
                     f"associated-weight argmax hit pmax={pmax} at t={t:g}; "

@@ -6,12 +6,11 @@ phi(t) = omega(e^t) is
 
     phi*(s) = sup { s t - omega(e^t) : t >= 0 },
 
-computed in closed form for the gevrey and logpow kinds, and for tabulated
-weights by bracketing plus golden-section search (the evaluator requires
-phi to be convex on t >= 0, so the objective is concave and unimodal).
-The associated weight of any weight sequence has its own exact conjugate,
-``AssociatedWeight.conjugate`` in ``sequences``: the interpolated convex
-hull of log M_p.
+computed exactly for the built-in kinds; a table's phi is piecewise linear,
+so its phi* is a max over the breakpoints (Rockafellar 1970, section 19).
+The golden section is the oracle of gevrey and logpow.  The associated weight
+of any weight sequence has its own exact conjugate, ``AssociatedWeight.
+conjugate`` in ``sequences``: the interpolated convex hull of log M_p.
 """
 from __future__ import annotations
 
@@ -63,7 +62,7 @@ class WeightFunction:
       logpow(s):  omega(t) = (log t)^s for t > 1, else 0; s > 1
       tabulated:  monotone piecewise-linear in (log t, omega); the first value
                   below the first knot, the last segment continued past the
-                  last, so phi(t) = omega(e^t) is convex where the table is
+                  last, so phi(u) = omega(e^u) is piecewise linear
     """
 
     def __init__(self, kind: str, *, d: float = None, s: float = None,
@@ -85,17 +84,24 @@ class WeightFunction:
             vals = np.asarray(vals, dtype=float)
             if ts.ndim != 1 or ts.shape != vals.shape or len(ts) < 2:
                 raise PreconditionError("table must be two equal 1-d columns")
-            if not np.all(np.diff(ts) > 0):
-                raise PreconditionError("table t-column must be strictly increasing")
             if np.any(ts <= 0):
                 raise PreconditionError("table t values must be positive")
+            self.knots, log_ts = tuple(ts.tolist()), np.log(ts)
+            k = int(np.argmin(np.diff(log_ts)))  # the two closest knots in log t
+            if not log_ts[k] < log_ts[k + 1]:
+                raise PreconditionError(
+                    f"table t-column must be strictly increasing in log t: t = "
+                    f"{self.knots[k]!r} is followed by t = {self.knots[k + 1]!r}")
             if np.any(np.diff(vals) < 0):
                 raise PreconditionError("table omega values must be nondecreasing")
-            self.knots = tuple(ts.tolist())
-            self._log_ts = np.log(ts)
+            self._log_ts = log_ts
             self._vals = vals
             # d omega / d log t of the last segment, continued past the table
-            self.tail_slope = (vals[-1] - vals[-2]) / (self._log_ts[-1] - self._log_ts[-2])
+            self.tail_slope = (vals[-1] - vals[-2]) / (log_ts[-1] - log_ts[-2])
+            # phi is linear on u >= 0 between u = 0, where it is omega(1),
+            # and each log t_k > 0, where it is omega_k
+            up = log_ts > 0.0
+            self._breaks = (np.r_[0.0, log_ts[up]], np.r_[self(1.0), vals[up]])
         else:
             raise PreconditionError(f"unknown weight kind {kind!r}")
 
@@ -188,61 +194,53 @@ def read_table(path: str, headers: tuple) -> list:
     return [(parse_real(r[0], path), parse_real(r[1], path)) for r in rows]
 
 
+def parse_keyed_real(spec: str, key: str) -> float:
+    """The parameter of a one-parameter spec ``head:key=<real>``."""
+    head, _, rest = spec.partition(":")
+    name, _, val = rest.partition("=")
+    if name != key:
+        raise PreconditionError(f"{head} spec needs {key}=<real>, got {spec!r}")
+    return parse_real(val, spec)
+
+
 def parse_weight(spec: str) -> WeightFunction:
     """Parse the weight mini-language: gevrey:d=2 | logpow:s=2 | table:file.csv"""
     head, _, rest = spec.partition(":")
     if head == "gevrey":
-        key, _, val = rest.partition("=")
-        if key != "d":
-            raise PreconditionError(f"gevrey spec needs d=<real>, got {spec!r}")
-        return WeightFunction.gevrey(parse_real(val, spec))
+        return WeightFunction.gevrey(parse_keyed_real(spec, "d"))
     if head == "logpow":
-        key, _, val = rest.partition("=")
-        if key != "s":
-            raise PreconditionError(f"logpow spec needs s=<real>, got {spec!r}")
-        return WeightFunction.logpow(parse_real(val, spec))
+        return WeightFunction.logpow(parse_keyed_real(spec, "s"))
     if head == "table":
         return WeightFunction.from_csv(rest)
     raise PreconditionError(f"unknown weight spec {spec!r}")
 
 
-def _require_convex_phi(w: WeightFunction) -> None:
-    """Raise unless phi(u) = omega(e^u) of a table is convex on u >= 0: no
-    segment slope of (log t_k, omega_k) may fall below the one before it at
-    a knot t_k > 1, with 1e-12 relative slack.  The golden section assumes a
-    concave objective; on a non-convex phi it can return a local sup."""
-    slopes = np.diff(w._vals) / np.diff(w._log_ts)
-    for k in range(1, len(slopes)):
-        if w._log_ts[k] > 0.0 and slopes[k] < slopes[k - 1] * (1.0 - 1e-12):
-            raise PreconditionError(
-                f"--weight: phi(u) = omega(e^u) of {w.label} is not convex: "
-                f"its slope falls from {slopes[k - 1]:g} to {slopes[k]:g} at "
-                f"t = {w.knots[k]:g}, so phi* has no golden-section sup")
+# conjugate methods of each weight kind, default first; other kinds: numeric-sup
+METHODS = {"gevrey": ("closed-form", "numeric-sup"),
+           "logpow": ("closed-form", "numeric-sup"),
+           "tabulated": ("closed-form",)}
 
 
 class ConjugateEvaluator:
     """Young conjugate phi*(s) with a per-s cache.
 
-    method "closed-form" (the default where it exists) covers two kinds:
+    method "closed-form":
         gevrey(d):  phi*(s) = s d log(s d / e)   if s d >= 1
                     phi*(s) = -1                 if s d <= 1 (maximizer t = 0)
         logpow(q):  phi(t) = t^q, so phi*(s) = (q - 1) (s / q)^(q / (q - 1))
-    method "numeric-sup" maximizes the concave t -> s t - omega(e^t) by
-    geometric bracketing plus golden-section refinement; it is the only
-    method for tabulated weights, and the oracle of the others.  A table
-    whose phi is not convex on t >= 0 raises PreconditionError.
+        tabulated:  the max of s u - phi(u) over phi's breakpoints u >= 0 for
+                    s <= b, the tail slope; RangeError (phi* = +inf) past b
+    method "numeric-sup" maximizes t -> s t - omega(e^t), concave when phi
+    is convex, by geometric bracketing plus golden-section refinement.
     """
 
     def __init__(self, weight: WeightFunction, method: str = None):
-        closed = weight.kind in ("gevrey", "logpow")
-        if method is None:
-            method = "closed-form" if closed else "numeric-sup"
-        if method == "closed-form" and not closed:
+        methods = METHODS.get(weight.kind, ("numeric-sup",))
+        method = method or methods[0]
+        if method not in methods:
             raise PreconditionError(
-                f"closed form only available for gevrey and logpow weights, "
-                f"not {weight.kind}")
-        if weight.kind == "tabulated":
-            _require_convex_phi(weight)
+                f"--method: {method} is not available for {weight.kind} "
+                f"weights, only {' and '.join(methods)}")
         self.weight = weight
         self.method = method
         self._cache: dict = {}
@@ -261,6 +259,13 @@ class ConjugateEvaluator:
 
     def _closed_form(self, s: float) -> float:
         w = self.weight
+        if w.kind == "tabulated":
+            if s > w.tail_slope:  # s u - phi(u) grows without bound
+                raise RangeError(
+                    f"phi*({label_real(s)}) of {w.label} is +inf: s exceeds "
+                    f"the tail slope b = {label_real(float(w.tail_slope))}")
+            us, phis = w._breaks
+            return float(np.max(s * us - phis))
         if w.kind == "logpow":  # the maximizer t = (s/q)^(1/(q-1)) is interior
             try:
                 return (w.s - 1.0) * (s / w.s) ** (w.s / (w.s - 1.0))
@@ -271,14 +276,8 @@ class ConjugateEvaluator:
             return -1.0
         return sd * (math.log(sd) - 1.0)
 
-    def _objective(self, s: float, t: float) -> float:
-        p = self.weight.phi(t)
-        if math.isinf(p):
-            return -math.inf
-        return s * t - p
-
     def _numeric_sup(self, s: float) -> float:
-        g = lambda t: self._objective(s, t)
+        g = lambda t: s * t - self.weight.phi(t)  # -inf where phi overflows
         # expand until the objective has turned down
         hi = 1.0
         while g(hi) >= g(hi / 2.0):

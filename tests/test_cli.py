@@ -1,9 +1,11 @@
 import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -579,15 +581,57 @@ def test_conjugate_names_its_weight_exactly(capsys):
     assert "of logpow:s=1.0000001 overflows" in capsys.readouterr().err
 
 
-def test_conjugate_non_convex_table_exits_2(tmp_path, capsys):
+def test_conjugate_of_non_convex_table_cli(tmp_path, capsys):
+    # phi has slopes 0, 10, 0.5, 89.5: the sup at s = 8 is 13.5, at u = 3
     table = tmp_path / "w.csv"
     table.write_text("t,omega\n" + "".join(
         f"{math.e ** k!r},{v!r}\n"
         for k, v in enumerate([0.0, 0.0, 10.0, 10.5, 100.0])))
-    assert main(["conjugate", "--weight", f"table:{table}", "--s", "8"]) == 2
+    argv = ["conjugate", "--weight", f"table:{table}", "--s"]
+    for method in ([], ["--method", "closed-form"]):
+        assert main(argv + ["8"] + method) == 0
+        assert json.loads(capsys.readouterr().out)["value"] \
+            == pytest.approx(13.5, rel=1e-15)
+    # the table's conjugate is exact: no golden section; past the tail
+    # slope b = 89.5 it is +inf
+    for extra, msg in ((["8", "--method", "numeric-sup"], "--method"),
+                       (["90"], "phi*(90) of table is +inf: s exceeds the "
+                                "tail slope b = 89.5")):
+        assert main(argv + extra) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and msg in out.err and "Traceback" not in out.err
+
+
+def test_conjugate_of_coincident_log_knots_exits_2(tmp_path):
+    # 1e300 and the next float up share one log t
+    table = tmp_path / "w.csv"
+    table.write_text(f"t,omega\n1,0\n1e300,1\n{math.nextafter(1e300, 2e300)!r},2\n")
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "gsbench",
+                        "conjugate", "--weight", f"table:{table}", "--s", "1"],
+                       capture_output=True, text=True)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    assert r.stderr.endswith(
+        "error: argument --weight: table t-column must be strictly increasing "
+        "in log t: t = 1e+300 is followed by t = 1.0000000000000002e+300\n")
+
+
+def _readme_cli_examples() -> list:
+    """The ``gsbench ...`` lines of README's CLI code block, with backslash
+    continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [" ".join(line.split()) for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line.startswith("gsbench ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_examples_run(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) in (0, 1)
     out = capsys.readouterr()
-    assert out.out == "" and "not convex" in out.err
     assert "Traceback" not in out.err
+    json.loads(out.out, parse_constant=_reject_constant)
 
 
 def test_identities_cli():

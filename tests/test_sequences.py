@@ -475,6 +475,17 @@ def test_assoc_conjugate_matches_numeric_sup_below_unit_first_quotient(log_Ms, d
     _conjugate_matches_oracle(WeightSequence.from_log_values(log_Ms), data)
 
 
+@pytest.mark.parametrize("pmax, cap", [(3, "pmax=3"), (8, "ends at p=3")])
+def test_assoc_conjugate_hull_slope_underflow(pmax, cap):
+    # log M = [0, 1, 0, -5e-324] summed from its quotients: the hull's one
+    # segment (0, 0) -> (3, -5e-324) has a slope that underflows to -0.0, but
+    # log M_3 < log M_0, so M(1) has its argmax past p = 3
+    M = WeightSequence.from_log_values([0.0, 1.0, 5e-324, 0.0])
+    assert M.log_M(3) == -5e-324
+    with pytest.raises(TruncationError, match=cap):
+        AssociatedWeight(M, pmax).conjugate(0.5)
+
+
 def _conjugate_matches_oracle(M, data):
     P = M.max_p
     pmax = data.draw(st.sampled_from([P, P + 5]))

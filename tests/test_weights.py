@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from gsbench.errors import BracketError, PreconditionError, RangeError
 from gsbench.grids import GridSpec
-from gsbench.weights import (H_BOUND, ConjugateEvaluator, WeightFunction,
-                             check_weight_conditions, conjugate_shift_bound,
-                             factorial_domination, find_log_scaling_constant,
-                             first_true, label_real, parse_weight,
+from gsbench.weights import (GOLDEN_REL_TOL, H_BOUND, ConjugateEvaluator,
+                             WeightFunction, check_weight_conditions,
+                             conjugate_shift_bound, factorial_domination,
+                             find_log_scaling_constant, first_true,
+                             label_real, parse_weight,
                              verify_log_scaling_constant)
 
 from fnweight import FnWeight
@@ -103,6 +105,19 @@ def test_tabulated_rejects_decreasing():
         WeightFunction.tabulated([1.0, 2.0], [1.0, 0.5])
 
 
+def test_tabulated_rejects_coincident_log_knots():
+    # 1e300 and the next float up share one log t: the slope between them
+    # would divide by zero
+    t1 = math.nextafter(1e300, math.inf)
+    assert math.log(t1) == math.log(1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ts in ([1.0, 1e300, t1], [2.0, 1.0]):
+            with pytest.raises(PreconditionError, match="strictly increasing in log t") as exc:
+                WeightFunction.tabulated(ts, [0.0, 1.0, 2.0][:len(ts)])
+            assert f"t = {ts[-2]!r} is followed by t = {ts[-1]!r}" in str(exc.value)
+
+
 def test_parse_weight_specs():
     assert parse_weight("gevrey:d=2").d == 2
     assert parse_weight("logpow:s=2").s == 2
@@ -162,12 +177,18 @@ def test_numeric_sup_monotone_in_s():
 
 
 def test_closed_form_rejected_for_non_gevrey():
-    # gevrey and logpow have closed forms; tabulated and other weights do not
-    for w in (WeightFunction.tabulated([1.0, 10.0, 100.0], [0.0, 1.0, 4.0]),
-              FnWeight(lambda t: t)):
-        with pytest.raises(PreconditionError, match=w.kind):
-            ConjugateEvaluator(w, method="closed-form")
-        assert ConjugateEvaluator(w).method == "numeric-sup"
+    # the built-in kinds have closed forms, other weights do not; a table's
+    # conjugate is exact, so it has no golden-section method
+    w = FnWeight(lambda t: t)
+    with pytest.raises(PreconditionError, match=w.kind):
+        ConjugateEvaluator(w, method="closed-form")
+    assert ConjugateEvaluator(w).method == "numeric-sup"
+    w = WeightFunction.tabulated([1.0, 10.0, 100.0], [0.0, 1.0, 4.0])
+    assert ConjugateEvaluator(w).method == "closed-form"
+    assert ConjugateEvaluator(w, method="closed-form")(1.0) == pytest.approx(
+        math.log(10.0) - 1.0, rel=1e-15)  # at u = log 10
+    with pytest.raises(PreconditionError, match="--method"):
+        ConjugateEvaluator(w, method="numeric-sup")
 
 
 # phi(u) = omega(e^u) has slopes 0, 10, 0.5, 89.5 on [0, 1], ..., [3, 4]:
@@ -177,28 +198,88 @@ NON_CONVEX_TABLE = ([1.0, math.e, math.e ** 2, math.e ** 3, math.e ** 4],
                     [0.0, 0.0, 10.0, 10.5, 100.0])
 
 
-def test_conjugate_rejects_non_convex_table():
+def test_conjugate_of_non_convex_table_is_exact():
     w = WeightFunction.tabulated(*NON_CONVEX_TABLE)
-    with pytest.raises(PreconditionError, match="not convex"):
-        ConjugateEvaluator(w)
+    c = ConjugateEvaluator(w)
+    assert c(8.0) == pytest.approx(13.5, rel=1e-15)
+    assert c(0.0) == 0.0 and c(89.5) == pytest.approx(4 * 89.5 - 100.0, rel=1e-15)
+    with pytest.raises(RangeError, match="tail slope b = 89.5"):
+        c(90.0)
     # the weight itself stays usable: the (delta) audit reports the kinks
     rep = check_weight_conditions(w, GRID)
     assert not rep.delta.verdict and rep.delta.detail["violations"] > 0
 
 
 def test_convex_tables_keep_their_conjugate():
-    # a kink that only lies below t = 1 does not matter on u >= 0, and
-    # collinear knots pass within the 1e-12 slack: omega = 0.3 log t at
-    # t = 10^(k/4) has float slopes that fall by an ulp here and there
+    # the exact conjugate agrees with the golden section on the same omega,
+    # from s = 0 up to just below the tail slope b.  A kink that lies below
+    # t = 1 does not matter on u >= 0; omega = 0.3 log t at t = 10^(k/4) has
+    # float slopes that fall by an ulp here and there
     line = [10.0 ** (k / 4) for k in range(17)]
     for ts, vals in ((LOG2_KNOTS, [math.log1p(t) ** 2 for t in LOG2_KNOTS]),
                      (line, [0.3 * math.log(t) for t in line]),
                      (LOG2_KNOTS, [math.sqrt(t) for t in LOG2_KNOTS]),
                      ([1.0, 10.0, 100.0], [0.0, 1.0, 4.0]),
                      ([1e-3, 1.0, 10.0, 1e6], [0.0, 1.0, 1.5, 4.0]),
-                     ([1e-3, 0.5, 1.0, 10.0], [0.0, 1.0, 1.1, 4.0])):
-        c = ConjugateEvaluator(WeightFunction.tabulated(ts, vals))
-        assert math.isfinite(c(0.1))  # below every tail slope
+                     ([1e-3, 0.5, 1.0, 10.0], [0.0, 1.0, 1.1, 4.0]),
+                     ([1.0, 100.0], [0.0, 2.0])):
+        w = WeightFunction.tabulated(ts, vals)
+        c, oracle = ConjugateEvaluator(w), ConjugateEvaluator(FnWeight(w))
+        b = float(w.tail_slope)
+        for s in np.linspace(0.0, 0.999 * b, 25).tolist():
+            assert c(s) == pytest.approx(oracle(s), rel=1e-12, abs=1e-12), (ts, s)
+        with pytest.raises(RangeError, match="tail slope"):
+            c(1.001 * b)
+
+
+def _phi_of_table(xs, vals, us):
+    """phi(u) = omega(e^u) at each u of us for the table (log t_k, omega_k),
+    read from the knots: np.interp between them, the first value below, the
+    last segment continued above."""
+    b = (vals[-1] - vals[-2]) / (xs[-1] - xs[-2])
+    return np.where(us <= xs[-1], np.interp(us, xs, vals),
+                    vals[-1] + b * (us - xs[-1]))
+
+
+_SLOPES = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=2.0),
+       st.lists(st.tuples(st.floats(min_value=0.05, max_value=2.0), _SLOPES),
+                min_size=1, max_size=8),
+       st.floats(min_value=0.0, max_value=3.0), st.booleans(), st.data())
+def test_table_conjugate_is_the_max_over_its_breakpoints(x0, segs, v0, convex, data):
+    # knots on both sides of t = 1, flat segments and flat tails; with
+    # convex, the slopes ascend and phi is convex
+    if convex:
+        segs = list(zip([dx for dx, _ in segs], sorted(b for _, b in segs)))
+    xs, vals = [x0], [v0]
+    for dx, b in segs:
+        xs.append(xs[-1] + dx)
+        vals.append(vals[-1] + b * dx)
+    w = WeightFunction.tabulated(np.exp(xs), vals)
+    xs = w._log_ts.tolist()  # the knots as the weight reads them
+    b = float(w.tail_slope)
+    c = ConjugateEvaluator(w)
+    # brute force: breakpoints and a dense grid of u >= 0
+    top = max(xs[-1], 0.0)
+    us = np.concatenate(([0.0], [x for x in xs if x > 0.0],
+                         np.linspace(0.0, top + 2.0, 20001)))
+    phis = _phi_of_table(xs, vals, us)
+    # the golden section stops at a bracket 1e-12 max(1, hi) wide around
+    # its maximizer, hi < 4 max(1, top), on an objective of slope below b
+    golden_tol = 2.0 * GOLDEN_REL_TOL * b * max(1.0, top)
+    frac = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                              min_size=1, max_size=6))
+    for s in (f * b for f in frac):
+        assert c(s) == pytest.approx(float(np.max(s * us - phis)),
+                                     rel=1e-12, abs=1e-12)
+        if convex and s < 0.999 * b:  # the golden section needs a bracket
+            oracle = ConjugateEvaluator(FnWeight(w))(s)
+            assert c(s) == pytest.approx(oracle, rel=1e-12, abs=golden_tol)
+    with pytest.raises(RangeError, match=f"tail slope b = {label_real(b)}"):
+        c(b + data.draw(st.floats(min_value=1e-9, max_value=5.0)))
 
 
 @pytest.mark.parametrize("q", [1.75, 2.0, 2.25, 2.5])
