@@ -269,6 +269,14 @@ class SufficientConditionReport(Result):
         return not any(rec["growing"] for rec in self.per_m.values())
 
 
+def _c0_term(x: float, v: float, a: float) -> float:
+    """|x| / (1 + |v|)^a; in logs where the power overflows."""
+    try:
+        return abs(x) / (1.0 + abs(v)) ** a
+    except OverflowError:
+        return math.exp(math.log(abs(x)) - a * math.log1p(abs(v))) if x else 0.0
+
+
 def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
                                m_list: Sequence[int], grid: GridSpec,
                                jmax: int) -> SufficientConditionReport:
@@ -284,7 +292,7 @@ def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
     p = a - 1.0
     xs = grid.symmetric_points()
     psis = psi.values(xs).tolist()
-    c0 = max(abs(x) / (1.0 + abs(v)) ** a for x, v in zip(xs.tolist(), psis))
+    c0 = max(_c0_term(x, v, a) for x, v in zip(xs.tolist(), psis))
     rep = SufficientConditionReport(psi=psi.label, weight=w.label, a=a, p=p,
                                     C0=c0)
     tables = psi.log_jet_table(xs, jmax)[1]

@@ -13,7 +13,10 @@ log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
     once on float mantissas with a power-of-two scale per point, no log or exp
     per operation (``_Recurrence``).  A single-point jet is a one-row table;
     gaussian/expsqr at 0 stay exact rationals.
-  * polynomial, monomial bump at 0: exact rationals, one jet per point
+  * polynomial: exact rationals, orders up to the degree only, each by one
+    integer Horner on x = m/q (``Polynomial._derivatives``); past the degree
+    exact zeros
+  * monomial bump at 0: exact rationals, one jet per point
   * compactly supported bump: recurrences for the inner rational power
     composed with exp, capped at order 40, one jet per point
 """
@@ -178,15 +181,47 @@ class Polynomial(ModelFunction):
                 acc = acc * xs + c
         return acc
 
+    def _derivatives(self, xs, J: int):
+        """Per x of xs (floats or rationals): [(N_j, d_j)] with f^(j)(x) =
+        N_j / d_j exactly, for j <= min(J, degree).  Once per call, the
+        integer rows A_ji = D c_i i!/(i-j)! (D the lcm of the denominators);
+        per x = m/q, one integer Horner in m per order, scaled by powers of q:
+        N_j = sum_i A_ji m^(i-j) q^(deg-i), d_j = D q^(deg-j)."""
+        deg = self.degree
+        D = math.lcm(*(c.denominator for c in self.coeffs))
+        rows = [[c.numerator * (D // c.denominator) * math.perm(i, j)
+                 for i, c in enumerate(self.coeffs[j:], j)][::-1]
+                for j in range(min(J, deg) + 1)]
+        for x in xs:
+            m, q = x.as_integer_ratio()  # OverflowError/ValueError if not finite
+            qp = [1]  # q^0 .. q^deg
+            for _ in range(deg):
+                qp.append(qp[-1] * q)
+            out = []
+            for j, row in enumerate(rows):  # row[k] multiplies x^(deg-j-k)
+                n = 0
+                for a, qk in zip(row, qp):
+                    n = n * m + a * qk
+                out.append((n, D * qp[deg - j]))
+            yield out
+
+    def log_jet_table(self, xs, J: int) -> tuple:
+        """Exact: log|N/g| - log(d/g) with g = gcd(N, d), which is log|num| -
+        log den of the reduced Fraction; orders past the degree are log 0."""
+        sign = np.zeros((len(xs), J + 1))
+        log_abs = np.full((len(xs), J + 1), LOG_ZERO)
+        for i, row in enumerate(self._derivatives([float(x) for x in xs], J)):
+            for j, (n, d) in enumerate(row):
+                if n:
+                    g = math.gcd(n, d)
+                    sign[i, j] = 1 if n > 0 else -1
+                    log_abs[i, j] = math.log(abs(n // g)) - math.log(d // g)
+        return sign, log_abs
+
     def jet(self, x, J: int) -> Jet:
         xq = Fraction(x)  # floats are rationals, so the jet stays exact
-        vals = []
-        for j in range(J + 1):
-            acc = Fraction(0)
-            for i in range(j, len(self.coeffs)):
-                acc += self.coeffs[i] * (math.factorial(i) // math.factorial(i - j)) * xq ** (i - j)
-            vals.append(acc)
-        return Jet(xq, tuple(vals), "exact")
+        vals = [Fraction(n, d) for n, d in next(self._derivatives([xq], J))]
+        return Jet(xq, tuple(vals + [Fraction(0)] * (J + 1 - len(vals))), "exact")
 
 
 def identity_function() -> Polynomial:

@@ -94,7 +94,7 @@ class WeightSequence:
         rows = sorted(read_table(path, ("p",)))
         if [p for p, _ in rows] != list(range(len(rows))):
             raise PreconditionError("sequence table must cover p = 0..P contiguously")
-        return WeightSequence.from_log_values([v for _, v in rows])
+        return WeightSequence.from_log_values([v for _, v in rows], f"table:{path}")
 
 
 def _table(quot: list, label: str) -> WeightSequence:

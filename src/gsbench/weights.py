@@ -158,8 +158,9 @@ class WeightFunction:
     @staticmethod
     def from_csv(path: str) -> "WeightFunction":
         rows = read_table(path, ("t", "x"))
-        return WeightFunction.tabulated([t for t, _ in rows],
-                                        [v for _, v in rows])
+        return WeightFunction("tabulated", table=([t for t, _ in rows],
+                                                  [v for _, v in rows]),
+                              label=f"table:{path}")
 
 
 def label_real(v: float) -> str:

@@ -595,8 +595,8 @@ def test_conjugate_of_non_convex_table_cli(tmp_path, capsys):
     # the table's conjugate is exact: no golden section; past the tail
     # slope b = 89.5 it is +inf
     for extra, msg in ((["8", "--method", "numeric-sup"], "--method"),
-                       (["90"], "phi*(90) of table is +inf: s exceeds the "
-                                "tail slope b = 89.5")):
+                       (["90"], f"phi*(90) of table:{table} is +inf: s "
+                                "exceeds the tail slope b = 89.5")):
         assert main(argv + extra) == 2
         out = capsys.readouterr()
         assert out.out == "" and msg in out.err and "Traceback" not in out.err
@@ -710,7 +710,7 @@ def test_weight_check_tabulated_weight(tmp_path, capsys):
         out = capsys.readouterr()
         report = json.loads(out.out)
         conds = {c["condition"]: c for c in report["conditions"]}
-        assert report["weight"] == "table" and "Traceback" not in out.err
+        assert report["weight"] == f"table:{table}" and "Traceback" not in out.err
         assert code == 0 and all(c["verdict"] for c in conds.values()), conds
         assert conds["alpha"]["witness"] == {"K": 2}
         assert conds["delta"]["detail"]["violations"] == 0
@@ -718,6 +718,41 @@ def test_weight_check_tabulated_weight(tmp_path, capsys):
         assert math.isfinite(conds["beta"]["witness"]["integral"])
         assert conds["beta"]["detail"]["abs_error"] < 1e-12
         assert conds["epsilon"]["witness"] == {"C": 3}
+
+
+def test_table_labels_name_their_file(tmp_path, monkeypatch, capsys):
+    # two runs on different tables are told apart by their JSON
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.csv", "b.csv"):
+        (tmp_path / name).write_text("t,omega\n1,0\n10,1\n100,3\n1000,6\n")
+        assert main(["conjugate", "--weight", f"table:{name}", "--s", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["weight"] == f"table:{name}"
+    (tmp_path / "seq.csv").write_text(
+        "p,logM\n" + "".join(f"{p},{p * p / 100!r}\n" for p in range(601)))
+    assert main(["sequence-check", "--sequence", "table:seq.csv",
+                 "--pmax", "50"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["sequence"] == "table:seq.csv"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--psi", "poly:0,0,1", "--a", "3", "--m", "1,2", "--jmax", "15",
+     "--grid", "lin:1e150,1e160,5"],
+    ["--psi", "poly:0,0,1", "--a", "1.5", "--m", "1,2", "--jmax", "15",
+     "--grid", "log:1e-300,1e300,50"],
+    ["--psi", "poly:0,0,1e300", "--a", "1.5"],
+    ["--psi", "poly:1e200", "--a", "2", "--grid", "lin:1e100,1e101,3"],
+], ids=["x2-a3-large-x", "x2-wide-grid", "huge-coeff", "const-1e200"])
+def test_sufficient_overflowing_power_exits_cleanly(argv):
+    # (1 + |psi(x)|)^a overflows a float: C0's term |x| / (1 + |psi|)^a is
+    # taken in logs there, so the run exits 0 or 1 with strict JSON
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "gsbench",
+                        "experiment", "sufficient", "--weight", "gevrey:d=2",
+                        *argv], capture_output=True, text=True)
+    assert r.returncode in (0, 1) and r.stderr == "", r.stderr
+    c0 = json.loads(r.stdout, parse_constant=_reject_constant)["C0"]
+    assert 0.0 <= c0 < math.inf
+    if argv[1] == "poly:1e200":  # every power overflows; max at x = 1e101
+        assert c0 == pytest.approx(1e101 / 1e200 / 1e200, rel=1e-12)
 
 
 def test_weight_check_exit_zero():

@@ -5,17 +5,22 @@
 * 60-digit mpmath runs of the same recurrences, which also give each entry's
   condition number;
 * closed forms in mpmath: Hermite polynomials for exp(-+x^2), and Leibniz on
-  (x+i)^a (x-i)^a for (1+x^2)^a.
+  (x+i)^a (x-i)^a for (1+x^2)^a;
+* for polynomials, the per-point ``Fraction`` jet (every order a ``Fraction``
+  sum) read into a table one jet per point.
 """
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsbench.experiments import compactness_blowup
-from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, MonomialBump,
-                               Polynomial, Pow1px2, Sqrt1px2, jet_log_abs)
+from gsbench.fdb import Jet
+from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, ModelFunction,
+                               MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
+                               jet_log_abs, parse_function)
 from gsbench.logdomain import LOG_ZERO, LogReal
 from gsbench.weights import WeightFunction
 
@@ -203,3 +208,85 @@ def test_jets_and_verdicts_hold_python_numbers():
     assert all(type(r[c]) is float for r in rep.rows
                for c in ("log_full_fdb", "log_shortcut", "log_deriv_power"))
     assert type(rep.verdict) is bool
+
+
+# -- polynomials: the exact Fraction-sum oracle -----------------------------
+
+class FractionPolynomial(Polynomial):
+    """The oracle: every order j <= J of the jet a ``Fraction`` sum of
+    c_i i!/(i-j)! x^(i-j), and the ``ModelFunction`` table, one such jet per
+    point."""
+
+    log_jet_table = ModelFunction.log_jet_table
+
+    def jet(self, x, J: int) -> Jet:
+        xq = Fraction(x)
+        vals = []
+        for j in range(J + 1):
+            acc = Fraction(0)
+            for i in range(j, len(self.coeffs)):
+                acc += (self.coeffs[i] * (math.factorial(i) // math.factorial(i - j))
+                        * xq ** (i - j))
+            vals.append(acc)
+        return Jet(xq, tuple(vals), "exact")
+
+
+EDGE_XS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+           -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -0.5]
+POLY_X = st.one_of(
+    st.sampled_from(EDGE_XS),
+    st.floats(-1e-307, 1e-307),  # subnormals and tiny normals
+    st.floats(1e299, 1e301) | st.floats(-1e301, -1e299),
+    st.floats(allow_nan=False, allow_infinity=False))
+COEFF = st.one_of(st.just(Fraction(0)), st.integers(-10 ** 6, 10 ** 6).map(Fraction),
+                  st.fractions(max_denominator=10 ** 40))
+
+
+def assert_poly_equals_oracle(coeffs, xs, J):
+    p, oracle = Polynomial(coeffs), FractionPolynomial(coeffs)
+    sign, logs = p.log_jet_table(xs, J)
+    want_sign, want_logs = oracle.log_jet_table(xs, J)
+    assert sign.tolist() == want_sign.tolist()
+    assert logs.tolist() == want_logs.tolist()
+    for x in xs:
+        jet, want = p.jet(x, J), oracle.jet(x, J)
+        assert jet.kind == "exact" and jet.base_point == want.base_point
+        assert jet.values == want.values
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(COEFF, min_size=1, max_size=9), st.integers(-3, 4),
+       st.lists(POLY_X, min_size=1, max_size=6))
+def test_polynomial_table_and_jet_equal_fraction_oracle(coeffs, dj, xs):
+    # J below, at and above the degree: orders past it are exact zeros
+    J = max(0, len(Polynomial(coeffs).coeffs) - 1 + dj)
+    assert_poly_equals_oracle(coeffs, xs, J)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0, 0, 1], [1, -7, 3, 0, Fraction(1, 2)], [0, 2, 0, 1],
+    [Fraction(1, 3), Fraction(-2, 7), Fraction(5, 9)], [4]], ids=str)
+@pytest.mark.parametrize("J", [0, 1, 2, 5, 24])
+def test_polynomial_table_equals_fraction_oracle_on_edges(coeffs, J):
+    assert_poly_equals_oracle(coeffs, EDGE_XS, J)
+
+
+def test_zero_polynomial_table_is_log_zero():
+    p = parse_function("poly:0")
+    sign, logs = p.log_jet_table(EDGE_XS, 6)
+    assert (sign == 0).all() and (logs == LOG_ZERO).all()
+    assert p.jet(2.5, 6).values == (Fraction(0),) * 7
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_polynomial_jet_rejects_non_finite_x_like_oracle(x):
+    oracle = FractionPolynomial([1, -2, 0, 3])
+    with pytest.raises((OverflowError, ValueError)) as want:
+        oracle.jet(x, 4)
+    with pytest.raises((OverflowError, ValueError)) as want_table:
+        oracle.log_jet_table([0.5, x], 4)
+    p = Polynomial([1, -2, 0, 3])
+    with pytest.raises(want.type):
+        p.jet(x, 4)
+    with pytest.raises(want_table.type):
+        p.log_jet_table([0.5, x], 4)
