@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import experiments
 from .errors import GsbenchError, PreconditionError
-from .fdb import Jet, faa_di_bruno, identity_sums
+from .fdb import Jet, faa_di_bruno, identity_table
 from .functions import (estimate_growth_exponent, parse_function,
                         seminorm_p_lambda, seminorm_pi)
 from .grids import DEFAULT_T_GRID, GridSpec
@@ -197,10 +197,8 @@ def _fdb(a):
 
 
 def _identities(a):
-    rows = []
-    for j in range(1, a.jmax + 1):
-        two_power, lah = identity_sums(j)
-        rows.append({"j": j, "two_power": two_power, "lah": lah})
+    rows = [{"j": j, "two_power": two_power, "lah": lah}
+            for j, (two_power, lah) in enumerate(identity_table(a.jmax), 1)]
     return {"jmax": a.jmax, "rows": rows, "verdict": True}
 
 

@@ -26,9 +26,9 @@ Two recurrences, one per jet kind, both behind ``compose_jet``:
     compactness experiment reads its diagonal B(n, n) = psi'^n).
 
 Partition multi-indices (k_1, ..., k_j) with sum(l k_l) = j remain here for
-the partition count; the summation identities walk the partitions directly,
-and the partition-sum form of Faa di Bruno is the independent oracle in the
-tests.
+the partition count; the summation identities read every order j <= jmax off
+one exact integer table over part sizes (``identity_table``), and the
+partition-sum form of Faa di Bruno is the independent oracle in the tests.
 """
 from __future__ import annotations
 
@@ -347,43 +347,50 @@ def single_jet_compose(h_jet: Jet, psi_jet: Jet, n: int) -> JetValue:
 # Summation identities
 # ---------------------------------------------------------------------------
 
-def identity_sums(j: int) -> tuple:
-    """(two_power, lah) from one walk over the multi-indices of order j,
-    exactly: sum k!/(k_1!...k_j!) = 2^(j-1), and sum j!/(k_1!...k_j!) equals
-    the Lah-number sum sum_k C(j-1, k-1) j!/k!.  The walk picks part sizes in
-    decreasing order, each with its multiplicity k_l >= 1, and carries
-    k = sum k_l and k_1!...k_j! down, so no multi-index is built."""
-    if not 1 <= j <= 30:
+def identity_table(jmax: int) -> list:
+    """[(two_power, lah) for j = 1..jmax] from one exact integer table:
+    sum k!/(k_1!...k_j!) = 2^(j-1), and sum j!/(k_1!...k_j!) equals the
+    Lah-number sum sum_k C(j-1, k-1) j!/k!, over the multi-indices of order j.
+
+    U[r][k] = sum jmax!/(k_1!...k_jmax!) over the multi-indices of weight
+    r = sum l k_l with k = sum k_l parts.  It is filled one part size l at a
+    time, as a knapsack over multiplicities m >= 1 with r descending, so each
+    size is used once: U[r][k] += U[r - m l][k - m] // m!.  Every division is
+    exact, since each term's k_1!...k_l! divides k!, which divides jmax!."""
+    if not 1 <= jmax <= 30:
         raise PreconditionError("identity checked for 1 <= j <= 30")
-    fact = [math.factorial(i) for i in range(j + 1)]
-    two_power = lah = 0
-
-    def walk(remaining: int, largest: int, k: int, denom: int) -> None:
-        nonlocal two_power, lah
-        if remaining == 0:
-            two_power += fact[k] // denom
-            lah += fact[j] // denom
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            for kl in range(1, remaining // part + 1):
-                walk(remaining - kl * part, part - 1, k + kl, denom * fact[kl])
-
-    walk(j, j, 0, 1)
-    if two_power != 2 ** (j - 1):
-        raise AssertionError(
-            f"two-power identity failed at j={j}: {two_power} != {2 ** (j - 1)}")
-    rhs = sum(math.comb(j - 1, k - 1) * fact[j] // fact[k]
-              for k in range(1, j + 1))
-    if lah != rhs:
-        raise AssertionError(f"Lah identity failed at j={j}: {lah} != {rhs}")
-    return two_power, lah
+    fact = [math.factorial(i) for i in range(jmax + 1)]
+    u = [[0] * (jmax + 1) for _ in range(jmax + 1)]
+    u[0][0] = fact[jmax]
+    for part in range(1, jmax + 1):
+        for r in range(jmax, part - 1, -1):
+            row = u[r]
+            for m in range(1, r // part + 1):
+                src = u[r - m * part]
+                for k in range(r - m * part + 1):
+                    if src[k]:
+                        row[k + m] += src[k] // fact[m]
+    rows = []
+    for j in range(1, jmax + 1):
+        two_power = sum(c * f for c, f in zip(u[j], fact)) // fact[jmax]
+        if two_power != 2 ** (j - 1):
+            raise AssertionError(f"two-power identity failed at j={j}: "
+                                 f"{two_power} != {2 ** (j - 1)}")
+        lah = sum(u[j]) * fact[j] // fact[jmax]
+        rhs = sum(math.comb(j - 1, k - 1) * fact[j] // fact[k]
+                  for k in range(1, j + 1))
+        if lah != rhs:
+            raise AssertionError(
+                f"Lah identity failed at j={j}: {lah} != {rhs}")
+        rows.append((two_power, lah))
+    return rows
 
 
 def identity_two_power(j: int) -> int:
     """sum over multi-indices of k!/(k_1!...k_j!) = 2^(j-1), checked."""
-    return identity_sums(j)[0]
+    return identity_table(j)[-1][0]
 
 
 def identity_lah(j: int) -> int:
     """sum over multi-indices of j!/(k_1!...k_j!), checked against Lah."""
-    return identity_sums(j)[1]
+    return identity_table(j)[-1][1]

@@ -33,6 +33,8 @@ class GridSpec:
             raise PreconditionError("log grid requires lo > 0")
         if self.hi <= self.lo:
             raise PreconditionError("grid requires hi > lo")
+        if not math.isfinite(self.hi - self.lo):
+            raise PreconditionError("grid span hi - lo overflows a float")
 
     def points(self) -> np.ndarray:
         if self.kind == "log":
@@ -60,7 +62,14 @@ class GridSpec:
         if self.kind == "lin":
             hi = self.lo + (n - 1) * step
         else:
-            hi = float(self.lo * np.exp((n - 1) * step))
+            with np.errstate(over="ignore"):
+                hi = float(self.lo * np.exp((n - 1) * step))
+                if not math.isfinite(hi):  # exp overflowed; lo < 1 may undo it
+                    hi = float(np.exp(np.log(self.lo) + (n - 1) * step))
+        if not math.isfinite(hi):
+            raise PreconditionError(
+                f"grid {self.spec_string()} extended {factor:g}x overflows "
+                "a float; lower its hi")
         return GridSpec(self.kind, self.lo, hi, n)
 
     def spec_string(self) -> str:

@@ -59,6 +59,50 @@ def test_scaled_grid_keeps_spacing():
     assert g2.hi >= 1.25 * g.hi - step
 
 
+# (kind, lo, hi, n) -> (hi, n) of scaled(1.25) on the bench's seminorm,
+# necessary and cauchy grids and the default t grid: the overflow guard must
+# leave these endpoints bit for bit as lo * exp((n - 1) step) gives them.
+SCALED_ENDPOINTS = [
+    (("lin", 0.05, 8.0, 160), (10.000000000000002, 200)),
+    (("lin", 0.05, 8.25, 160), (10.312893081761006, 200)),
+    (("lin", 0.05, 8.5, 160), (10.625786163522012, 200)),
+    (("lin", 0.05, 8.75, 160), (10.93867924528302, 200)),
+    (("log", 0.001, 1000.0, 20000), (1249.9851260628925, 20323)),
+    (("log", 0.001, 1250.0, 20000), (1562.6284588918084, 20318)),
+    (("log", 0.001, 1500.0, 20000), (1875.2567625799834, 20314)),
+    (("log", 0.001, 1750.0, 20000), (2186.8045912748275, 20310)),
+    (("log", 1.0, 20.0, 200), (25.066724235079377, 215)),
+    (("log", 1.0, 21.0, 200), (26.41703464132227, 215)),
+    (("log", 1.0, 22.0, 200), (27.34415312917121, 214)),
+    (("log", 1.0, 23.0, 200), (28.67660830233771, 214)),
+    (("log", 0.01, 1e8, 2000), (124465080.33525372, 2019)),
+]
+
+
+@pytest.mark.parametrize("spec, expect", SCALED_ENDPOINTS)
+def test_scaled_grid_keeps_in_range_endpoints(spec, expect):
+    g = GridSpec(*spec).scaled(1.25)
+    assert (g.hi, g.n) == expect
+
+
+def test_scaled_log_grid_past_exp_range_stays_finite():
+    # lo * exp((n - 1) step) overflows in exp, but the product is ~1e212
+    g = GridSpec("log", 1e-300, 1e200, 40).scaled(1.25)
+    assert g.n == 41 and 1e200 < g.hi < 1e214
+
+
+@pytest.mark.parametrize("grid", ["log:1e-300,1e300,40", "log:1,1.7e308,3",
+                                  "lin:0,1.5e308,40", "lin:-1e308,1.7e308,40"])
+def test_grid_overflowing_a_float_exits_2(grid):
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "gsbench",
+                        "seminorm", "--family", "p", "--function", "poly:0,0,1",
+                        "--weight", "gevrey:d=2", "--lam", "1", "--grid", grid],
+                       capture_output=True, text=True)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    assert "overflows a float" in r.stderr
+
+
 def test_float_formatting_round_trips():
     xs = [0.1, 1.0 / 3.0, 1e300, -2.5e-300, 0.0, -0.0, 5e-324, sys.float_info.max]
     back = json.loads(to_json_bytes({"xs": xs}))["xs"]
@@ -640,6 +684,13 @@ def test_identities_cli():
     d = json.loads(r.stdout)
     assert len(d["rows"]) == 25 and d["verdict"]
     assert d["rows"][24]["two_power"] == 2 ** 24
+
+
+def test_identities_jmax_past_30_exits_2():
+    r = run_cli("identities", "--jmax", "31")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "identity checked for 1 <= j <= 30" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_unknown_subcommand_exits_2():

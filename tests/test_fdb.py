@@ -9,7 +9,7 @@ import numpy as np
 from gsbench import experiments, fdb
 from gsbench.errors import PreconditionError
 from gsbench.fdb import (Jet, compose_jet, enumerate_partitions, faa_di_bruno,
-                         identity_lah, identity_sums, identity_two_power,
+                         identity_lah, identity_table, identity_two_power,
                          iter_partition_multi_indices, log_compose_table,
                          partition_count, single_jet_compose)
 from gsbench.functions import Gaussian, Polynomial, Pow1px2, Sqrt1px2
@@ -405,6 +405,28 @@ def test_lah_identity(j):
     identity_lah(j)  # raises on mismatch
 
 
+def walk_identity_sums(j):
+    """(two_power, lah) of order j by one recursive walk over its
+    multi-indices (the oracle for ``identity_table``).  The walk picks part
+    sizes in decreasing order, each with its multiplicity k_l >= 1, and
+    carries k = sum k_l and k_1!...k_j! down, so no multi-index is built."""
+    fact = [math.factorial(i) for i in range(j + 1)]
+    two_power = lah = 0
+
+    def walk(remaining, largest, k, denom):
+        nonlocal two_power, lah
+        if remaining == 0:
+            two_power += fact[k] // denom
+            lah += fact[j] // denom
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            for kl in range(1, remaining // part + 1):
+                walk(remaining - kl * part, part - 1, k + kl, denom * fact[kl])
+
+    walk(j, j, 0, 1)
+    return two_power, lah
+
+
 @pytest.mark.parametrize("j", [1, 2, 7, 16, 25, 30])
 def test_identity_sums_match_two_separate_walks(j):
     two_power = sum(math.factorial(mi.k) // math.prod(
@@ -413,8 +435,15 @@ def test_identity_sums_match_two_separate_walks(j):
     lah = sum(mi.multinomial() for mi in iter_partition_multi_indices(j))
     lah_closed = sum(math.comb(j - 1, k - 1) * math.factorial(j)
                      // math.factorial(k) for k in range(1, j + 1))
-    assert identity_sums(j) == (two_power, lah) == (2 ** (j - 1), lah_closed)
+    assert (identity_table(j)[-1] == walk_identity_sums(j) == (two_power, lah)
+            == (2 ** (j - 1), lah_closed))
     assert (identity_two_power(j), identity_lah(j)) == (two_power, lah)
+
+
+def test_identity_table_rows_equal_walk_for_every_jmax():
+    walks = [walk_identity_sums(j) for j in range(1, 31)]
+    for jmax in range(1, 31):
+        assert identity_table(jmax) == walks[:jmax]
 
 
 def test_identity_range_guard():
