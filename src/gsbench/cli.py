@@ -8,22 +8,16 @@ invocations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from fractions import Fraction
 
-from . import experiments
+from . import specs
 from .errors import GsbenchError, PreconditionError
-from .fdb import Jet, faa_di_bruno, identity_table
-from .functions import (estimate_growth_exponent, parse_function,
-                        seminorm_p_lambda, seminorm_pi)
 from .grids import DEFAULT_T_GRID, GridSpec
-from .reports import ChainReport, atomic_write_bytes, to_json_bytes
-from .sequences import check_sequence_conditions, parse_sequence
-from .weights import (ConjugateEvaluator, check_weight_conditions,
-                      parse_weight)
 
 
 def _arg(parse):
@@ -75,7 +69,7 @@ def _listof(parse):
 
 REAL, REALS = _arg(_number(float)), _listof(_number(float))
 POSITIVE, COUNT = _arg(_number(float, 0, True)), _arg(_number(int, 1))
-WEIGHT, FUNCTION = _arg(parse_weight), _arg(parse_function)
+WEIGHT, FUNCTION = _arg(specs.parse_weight), _arg(specs.parse_function)
 
 # flag -> add_argument keywords, for the experiments (each declares in
 # EXPERIMENTS the flags its runner reads) and for the --grid of two commands
@@ -93,7 +87,7 @@ FLAGS = {
     "x_seq": dict(type=REALS, help="comma-separated x_j values"),
     "lam_seq": dict(type=REALS, help="comma-separated lambda_j values"),
     "grid": dict(type=_arg(GridSpec.parse), help='grid spec, e.g. "log:1e-2,1e8,2000"'),
-    "threshold": dict(type=_arg(_number(float, 1, True)), default=experiments.DEFAULT_THRESHOLD,
+    "threshold": dict(type=_arg(_number(float, 1, True)),  # None: experiments.DEFAULT_THRESHOLD
                       help="divergence threshold (linear scale)"),
 }
 
@@ -122,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
 
     p = sub.add_parser("sequence-check", help="weight-sequence condition report")
-    p.add_argument("--sequence", type=_arg(parse_sequence), required=True)
+    p.add_argument("--sequence", type=_arg(specs.parse_sequence), required=True)
     p.add_argument("--pmax", type=COUNT, default=200)
     _add_out(p)
 
@@ -170,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, a: argparse.Namespace, result=None) -> None:
+    from .reports import ChainReport, atomic_write_bytes, to_json_bytes
     data = to_json_bytes(payload)
     if a.out:
         # --out names the CSV, or the JSON if it ends in .json; the other goes next to it
@@ -181,28 +176,43 @@ def _emit(payload: dict, a: argparse.Namespace, result=None) -> None:
     sys.stdout.write(data.decode("utf-8") + "\n")
 
 
-# Runners take the parsed arguments and return a result with ``verdict`` and
-# ``to_dict()``, or a plain dict that always passes.  They look functions up
-# at call time, so a wrapper patched onto a module attribute is seen.
+# Runners take the parsed arguments, specs built, and return a result with
+# ``verdict`` and ``to_dict()``, or a plain dict that always passes.  They
+# import what they run at call time: a usage error exits before numpy loads,
+# and a wrapper patched onto a module attribute is seen.
 
 def _conjugate(a):
+    from .weights import ConjugateEvaluator
     return {"weight": a.weight.label, "s": a.s,
             "value": ConjugateEvaluator(a.weight, method=a.method)(a.s)}
 
 
+def _weight_check(a):
+    from .weights import check_weight_conditions
+    return check_weight_conditions(a.weight, a.grid or DEFAULT_T_GRID)
+
+
+def _sequence_check(a):
+    from .sequences import check_sequence_conditions
+    return check_sequence_conditions(a.sequence, P=a.pmax, J=10 * a.pmax)
+
+
 def _fdb(a):
+    from .fdb import Jet, faa_di_bruno
     psi_jet = Jet.from_rationals(a.base, a.psi)
     value = faa_di_bruno(Jet.from_rationals(a.psi[0], a.h), psi_jet, a.order)
     return {"order": a.order, "value": str(value)}
 
 
 def _identities(a):
+    from .fdb import identity_table
     rows = [{"j": j, "two_power": two_power, "lah": lah}
             for j, (two_power, lah) in enumerate(identity_table(a.jmax), 1)]
     return {"jmax": a.jmax, "rows": rows, "verdict": True}
 
 
 def _seminorm(a):
+    from .functions import seminorm_p_lambda, seminorm_pi
     grid = a.grid or GridSpec("lin", 0.05, 8.0, 160)
     if a.family == "p":
         if a.mu is not None:
@@ -216,62 +226,79 @@ def _seminorm(a):
 
 
 def _estimate_index(a):
+    from .functions import estimate_growth_exponent
     est = estimate_growth_exponent(a.function.jet(a.x, a.jmax))
     return {"function": a.function.label, "x": a.x, "s_hat": est.s_hat,
             "intercept": est.intercept, "residual_rms": est.residual_rms}
 
 
-def _nuclear(a):
+def _experiment(a):
+    from . import experiments
+    return EXPERIMENTS[a.name][2](experiments, a)
+
+
+def _nuclear(ex, a):
     if len(a.m) > 1:
         raise PreconditionError(f"--m: nuclear takes one order, got {len(a.m)}")
-    return experiments.nuclearity_sum(a.weight, a.m[0], a.L, a.jmax)
+    return ex.nuclearity_sum(a.weight, a.m[0], a.L, a.jmax)
 
 
 # experiment name -> (required flags, optional flags, runner); the runner
-# reads every flag listed, and FLAGS types them
+# takes the experiments module and the arguments and reads every flag listed,
+# and FLAGS types them
 EXPERIMENTS = {
-    "negative": (("d", "dprime"), ("k", "jmax", "threshold"), lambda a: experiments.negative_chain(
-        a.d, a.k, a.dprime, a.jmax, threshold=a.threshold)),
-    "bounded": (("d", "psi"), ("mmax", "threshold"), lambda a: experiments.bounded_derivative_chain(
-        a.d, a.psi, a.mmax, threshold=a.threshold)),
+    "negative": (("d", "dprime"), ("k", "jmax", "threshold"), lambda ex, a: ex.negative_chain(
+        a.d, a.k, a.dprime, a.jmax, threshold=a.threshold or ex.DEFAULT_THRESHOLD)),
+    "bounded": (("d", "psi"), ("mmax", "threshold"), lambda ex, a: ex.bounded_derivative_chain(
+        a.d, a.psi, a.mmax, threshold=a.threshold or ex.DEFAULT_THRESHOLD)),
     "compactness": (("psi", "weight"), ("x0", "p", "nmax", "threshold"),
-                    lambda a: experiments.compactness_blowup(
-                        a.psi, a.x0, a.p, a.weight, a.nmax, threshold=a.threshold)),
+                    lambda ex, a: ex.compactness_blowup(
+                        a.psi, a.x0, a.p, a.weight, a.nmax,
+                        threshold=a.threshold or ex.DEFAULT_THRESHOLD)),
     "sufficient": (("psi", "weight"), ("a", "m", "grid", "jmax"),
-                   lambda a: experiments.sufficient_condition_check(
+                   lambda ex, a: ex.sufficient_condition_check(
                        a.psi, a.weight, a.a, a.m, a.grid or GridSpec("lin", 0.05, 6.0, 120), a.jmax)),
-    "necessary": (("psi", "sigma", "omega"), ("grid",), lambda a: experiments.necessary_growth(
+    "necessary": (("psi", "sigma", "omega"), ("grid",), lambda ex, a: ex.necessary_growth(
         a.psi, a.sigma, a.omega, a.grid or GridSpec("log", 1e-3, 1e3, 20000))),
     "nuclear": (("weight",), ("m", "L", "jmax"), _nuclear),
     "equicont": (("weight", "x_seq", "lam_seq"), ("n", "K", "function", "grid"),
-                 lambda a: experiments.equicontinuity_constant(
+                 lambda ex, a: ex.equicontinuity_constant(
                      a.x_seq, a.lam_seq, a.weight, a.n, a.K, f=a.function, grid=a.grid)),
-    "cauchy": (("psi",), ("delta", "grid", "jmax"), lambda a: experiments.cauchy_derivative_bound(
+    "cauchy": (("psi",), ("delta", "grid", "jmax"), lambda ex, a: ex.cauchy_derivative_bound(
         a.psi, a.delta, a.grid or GridSpec("log", 1.0, 20.0, 200), a.jmax)),
 }
 
 # subcommand -> runner
 COMMANDS = {
     "conjugate": _conjugate,
-    "weight-check": lambda a: check_weight_conditions(
-        a.weight, a.grid or DEFAULT_T_GRID),
-    "sequence-check": lambda a: check_sequence_conditions(
-        a.sequence, P=a.pmax, J=10 * a.pmax),
+    "weight-check": _weight_check,
+    "sequence-check": _sequence_check,
     "fdb": _fdb,
     "identities": _identities,
     "seminorm": _seminorm,
     "estimate-index": _estimate_index,
-    "experiment": lambda a: EXPERIMENTS[a.name][2](a),
+    "experiment": _experiment,
 }
+
+# one parser per process: building it costs more than parsing with it
+_parser = functools.cache(build_parser)
+
+
+def run(args: argparse.Namespace):
+    """The result of the command ``args`` name, each spec built first."""
+    for name, value in vars(args).items():
+        if isinstance(value, specs.Spec):
+            setattr(args, name, value.build())
+    return COMMANDS[args.subcommand](args)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = COMMANDS[args.subcommand](args)
+        result = run(args)
     except GsbenchError as exc:
         print(f"gsbench: error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,6 @@ log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -35,7 +34,9 @@ from .fdb import Jet
 from .grids import GridSpec
 from .logdomain import LOG_ZERO
 from .reports import Result
-from .weights import ConjugateEvaluator, WeightFunction, parse_keyed_real, parse_real
+from . import specs
+from .specs import check_gbump, check_monbump, check_pow1px2
+from .weights import ConjugateEvaluator, WeightFunction
 
 _CLOSED_FORM_JMAX = 200
 _BUMP_JMAX = 40
@@ -245,8 +246,7 @@ class MonomialBump(ModelFunction):
     The jet at 0 is the prescribed one: f^(l)(0) = a * delta_{l n}."""
 
     def __init__(self, n: int, a, r: float = 1.0, gamma: float = 1.0):
-        if n < 0 or r <= 0 or gamma <= 0:
-            raise PreconditionError("monomial bump needs n >= 0, r > 0, gamma > 0")
+        check_monbump(n, r, gamma)
         self.n = n
         self.a = Fraction(a)
         self.r = float(r)
@@ -278,10 +278,8 @@ class Pow1px2(_Recurrence):
     analytic = "strip"
 
     def __init__(self, a: float):
+        check_pow1px2(a)
         self.a = float(a)
-        if 0.0 < abs(self.a) < sys.float_info.min:  # 2a and mantissas subnormal
-            raise PreconditionError(
-                f"pow1px2 needs a = 0 or a normal float, got subnormal a={a!r}")
         self.label = f"pow1px2:a={a:g}"
 
     def value(self, x: float) -> float:
@@ -310,8 +308,7 @@ class GevreyBump(ModelFunction):
     """f(x) = exp(-(1-(x/r)^2)^(-gamma)) inside (-r, r), identically 0 outside."""
 
     def __init__(self, gamma: float = 1.0, r: float = 1.0):
-        if gamma <= 0 or r <= 0:
-            raise PreconditionError("bump needs gamma > 0, r > 0")
+        check_gbump(gamma, r)
         self.gamma = float(gamma)
         self.r = float(r)
         self.label = f"gbump:g={gamma:g},r={r:g}"
@@ -356,38 +353,14 @@ class GevreyBump(ModelFunction):
         return Jet.from_floats(x, f)
 
 
+FAMILIES = {"gaussian": Gaussian, "expsqr": ExpSqr, "sqrt1px2": Sqrt1px2,
+            "poly": Polynomial, "pow1px2": Pow1px2, "monbump": MonomialBump,
+            "gbump": GevreyBump}  # spec kind -> model class
+
+
 def parse_function(spec: str) -> ModelFunction:
-    """Function mini-language, e.g. gaussian | poly:1,0,2 | pow1px2:a=1.5"""
-    head, _, rest = spec.partition(":")
-    if head == "gaussian":
-        return Gaussian()
-    if head == "expsqr":
-        return ExpSqr()
-    if head == "sqrt1px2":
-        return Sqrt1px2()
-    if head == "poly":
-        try:
-            return Polynomial([Fraction(c) for c in rest.split(",")])
-        except (ValueError, ZeroDivisionError):
-            raise PreconditionError(
-                f"poly spec needs rational coefficients, got {spec!r}") from None
-    if head == "pow1px2":
-        return Pow1px2(parse_keyed_real(spec, "a"))
-    if head in ("monbump", "gbump"):
-        kv = {}
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            kv[key] = val
-        r = parse_real(kv.get("r", 1.0), spec)
-        g = parse_real(kv.get("g", 1.0), spec)
-        if head == "gbump":
-            return GevreyBump(g, r)
-        try:
-            return MonomialBump(int(kv["n"]), Fraction(kv["a"]), r, g)
-        except (KeyError, ValueError, ZeroDivisionError):
-            raise PreconditionError(
-                f"monbump spec needs n=<int>,a=<rational>, got {spec!r}") from None
-    raise PreconditionError(f"unknown function spec {spec!r}")
+    """The function a spec names, e.g. gaussian | poly:1,0,2 | pow1px2:a=1.5"""
+    return specs.parse_function(spec).build()
 
 
 def jet_log_abs(jet: Jet) -> list:

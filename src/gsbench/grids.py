@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PreconditionError
 
 
@@ -36,13 +34,15 @@ class GridSpec:
         if not math.isfinite(self.hi - self.lo):
             raise PreconditionError("grid span hi - lo overflows a float")
 
-    def points(self) -> np.ndarray:
+    def points(self):
+        import numpy as np  # at call time: parsing a grid loads no numpy
         if self.kind == "log":
             return np.logspace(np.log10(self.lo), np.log10(self.hi), self.n)
         return np.linspace(self.lo, self.hi, self.n)
 
-    def symmetric_points(self) -> np.ndarray:
+    def symmetric_points(self):
         """Grid mirrored through 0 (with 0 included)."""
+        import numpy as np
         p = self.points()
         return np.concatenate([-p[::-1], [0.0], p])
 
@@ -50,6 +50,7 @@ class GridSpec:
         """Extend hi by ``factor`` while keeping the point spacing, so the
         original points stay on the enlarged grid (stability comparisons do
         not see witnesses move between grid cells)."""
+        import numpy as np
         if factor <= 1.0:
             raise PreconditionError("scale factor must exceed 1")
         if self.kind == "lin":

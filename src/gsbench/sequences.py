@@ -20,7 +20,9 @@ import numpy as np
 from .errors import PreconditionError, SearchExhaustedError, TruncationError
 from .grids import GridSpec
 from .reports import Result
-from .weights import H_BOUND, first_true, label_real, parse_keyed_real, read_table
+from . import specs
+from .specs import SequenceSpec, gevrey_sequence, table_sequence
+from .weights import H_BOUND, first_true
 
 SANDWICH_ASSOC_PMAX = 500000  # associated-weight p cap in sandwich_check
 DOUBLING_ASSOC_PMAX = 20000   # associated-weight p cap in doubling_from_sequence
@@ -76,25 +78,20 @@ class WeightSequence:
         return seq
 
     @staticmethod
+    def from_spec(spec: SequenceSpec) -> "WeightSequence":
+        if spec.d is not None:
+            d = spec.d
+            return WeightSequence(lambda p: d * math.log(p), label=spec.label)
+        log_Ms = spec.log_Ms
+        return _table([None] + [b - a for a, b in zip(log_Ms, log_Ms[1:])], spec.label)
+
+    @staticmethod
     def gevrey(d: float) -> "WeightSequence":
-        if d <= 0:
-            raise PreconditionError("gevrey sequence requires d > 0")
-        return WeightSequence(lambda p: d * math.log(p),
-                              label=f"gevreyseq:d={label_real(d)}")
+        return WeightSequence.from_spec(gevrey_sequence(d))
 
     @staticmethod
     def from_log_values(log_Ms, label: str = "table") -> "WeightSequence":
-        log_Ms = [float(v) for v in log_Ms]
-        if not log_Ms or abs(log_Ms[0]) > 1e-12:
-            raise PreconditionError("table must start with log M_0 = 0")
-        return _table([None] + [b - a for a, b in zip(log_Ms, log_Ms[1:])], label)
-
-    @staticmethod
-    def from_csv(path: str) -> "WeightSequence":
-        rows = sorted(read_table(path, ("p",)))
-        if [p for p, _ in rows] != list(range(len(rows))):
-            raise PreconditionError("sequence table must cover p = 0..P contiguously")
-        return WeightSequence.from_log_values([v for _, v in rows], f"table:{path}")
+        return WeightSequence.from_spec(table_sequence(log_Ms, label))
 
 
 def _table(quot: list, label: str) -> WeightSequence:
@@ -114,13 +111,8 @@ def _table(quot: list, label: str) -> WeightSequence:
 
 
 def parse_sequence(spec: str) -> WeightSequence:
-    """Sequence mini-language: gevreyseq:d=2 | table:file.csv"""
-    head, _, rest = spec.partition(":")
-    if head == "gevreyseq":
-        return WeightSequence.gevrey(parse_keyed_real(spec, "d"))
-    if head == "table":
-        return WeightSequence.from_csv(rest)
-    raise PreconditionError(f"unknown sequence spec {spec!r}")
+    """The sequence a spec names: gevreyseq:d=2 | table:file.csv"""
+    return WeightSequence.from_spec(specs.parse_sequence(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,247 @@
+"""The spec grammar of weights, weight sequences and model functions, free
+of numpy:
+
+    weight    gevrey:d=<real> | logpow:s=<real> | table:<file.csv>
+    sequence  gevreyseq:d=<real> | table:<file.csv>
+    function  gaussian | expsqr | sqrt1px2 | poly:<c0>,<c1>,... |
+              pow1px2:a=<real> | monbump:n=<int>,a=<rational>[,r=..][,g=..] |
+              gbump[:g=<real>][,r=<real>]
+
+A parser returns a small frozen spec whose every range check has run here,
+so a malformed or out-of-range spec is a usage error before numpy loads.
+``build()`` makes the numeric object from the checked spec.  Grids have
+their own numpy-free grammar, ``grids.GridSpec.parse``.
+"""
+from __future__ import annotations
+
+import csv
+import math
+import sys
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .errors import PreconditionError
+
+
+def label_real(v: float) -> str:
+    """v for a label: its ``:g`` form when that reads back as v, else repr,
+    so a label names its weight exactly."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(v)
+
+
+def parse_real(text, spec: str) -> float:
+    """A finite float parameter of a mini-language ``spec``."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise PreconditionError(f"bad number {text!r} in {spec!r}") from None
+    if not math.isfinite(v):
+        raise PreconditionError(f"non-finite parameter {text!r} in {spec!r}")
+    return v
+
+
+def read_table(path: str, headers: tuple) -> list:
+    """Pairs of finite floats from the first two cells of each CSV row,
+    skipping blank rows, '#' comments and rows whose first cell is a header."""
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")
+                    and r[0].strip().lower() not in headers]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise PreconditionError(f"cannot read table {path!r}: {exc}") from None
+    if any(len(r) < 2 for r in rows):
+        raise PreconditionError(f"every row of {path!r} needs two cells")
+    return [(parse_real(r[0], path), parse_real(r[1], path)) for r in rows]
+
+
+def parse_keyed_real(spec: str, key: str) -> float:
+    """The parameter of a one-parameter spec ``head:key=<real>``."""
+    head, _, rest = spec.partition(":")
+    name, _, val = rest.partition("=")
+    if name != key:
+        raise PreconditionError(f"{head} spec needs {key}=<real>, got {spec!r}")
+    return parse_real(val, spec)
+
+
+class Spec:
+    """Base of the checked specs: ``build()`` makes the numeric object."""
+
+
+# -- weights ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WeightSpec(Spec):
+    """A checked weight: gevrey (d > 0), logpow (s > 1) or tabulated, whose
+    t-column is positive and strictly increasing in log t and whose omega
+    column is nondecreasing.  The log of each knot is taken once, here."""
+    kind: str  # "gevrey" | "logpow" | "tabulated"
+    label: str
+    d: float = None
+    s: float = None
+    knots: tuple = ()      # the t of each table row
+    log_knots: tuple = ()  # math.log of each t
+    values: tuple = ()     # omega at each t
+
+    def build(self):
+        from .weights import WeightFunction
+        return WeightFunction(self)
+
+
+def gevrey_weight(d: float) -> WeightSpec:
+    if d <= 0:
+        raise PreconditionError("gevrey weight requires d > 0")
+    return WeightSpec("gevrey", f"gevrey:d={label_real(d)}", d=d)
+
+
+def logpow_weight(s: float) -> WeightSpec:
+    if s <= 1:
+        raise PreconditionError("logpow weight requires s > 1")
+    return WeightSpec("logpow", f"logpow:s={label_real(s)}", s=s)
+
+
+def table_weight(ts, vals, label: str = "table") -> WeightSpec:
+    try:
+        ts, vals = tuple(map(float, ts)), tuple(map(float, vals))
+    except (TypeError, ValueError):
+        ts = vals = ()
+    if len(ts) != len(vals) or len(ts) < 2:
+        raise PreconditionError("table must be two equal 1-d columns")
+    if any(t <= 0 for t in ts):
+        raise PreconditionError("table t values must be positive")
+    log_ts = tuple(map(math.log, ts))
+    gaps = [b - a for a, b in zip(log_ts, log_ts[1:])]
+    # the two closest knots in log t; a NaN gap counts as the closest
+    k = min(range(len(gaps)), key=lambda i: (not math.isnan(gaps[i]), gaps[i]))
+    if not log_ts[k] < log_ts[k + 1]:
+        raise PreconditionError(
+            f"table t-column must be strictly increasing in log t: t = "
+            f"{ts[k]!r} is followed by t = {ts[k + 1]!r}")
+    if any(b < a for a, b in zip(vals, vals[1:])):
+        raise PreconditionError("table omega values must be nondecreasing")
+    return WeightSpec("tabulated", label, knots=ts, log_knots=log_ts, values=vals)
+
+
+def parse_weight(spec: str) -> WeightSpec:
+    """Parse the weight mini-language: gevrey:d=2 | logpow:s=2 | table:file.csv"""
+    head, _, rest = spec.partition(":")
+    if head == "gevrey":
+        return gevrey_weight(parse_keyed_real(spec, "d"))
+    if head == "logpow":
+        return logpow_weight(parse_keyed_real(spec, "s"))
+    if head == "table":
+        rows = read_table(rest, ("t", "x"))
+        return table_weight([t for t, _ in rows], [v for _, v in rows], f"table:{rest}")
+    raise PreconditionError(f"unknown weight spec {spec!r}")
+
+
+# -- weight sequences -------------------------------------------------------
+
+@dataclass(frozen=True)
+class SequenceSpec(Spec):
+    """A checked weight sequence: log m_p = d log p with d > 0 when ``d`` is
+    set, else the table log M_0, ..., log M_P with log M_0 = 0."""
+    label: str
+    d: float = None
+    log_Ms: tuple = ()
+
+    def build(self):
+        from .sequences import WeightSequence
+        return WeightSequence.from_spec(self)
+
+
+def gevrey_sequence(d: float) -> SequenceSpec:
+    if d <= 0:
+        raise PreconditionError("gevrey sequence requires d > 0")
+    return SequenceSpec(f"gevreyseq:d={label_real(d)}", d=d)
+
+
+def table_sequence(log_Ms, label: str = "table") -> SequenceSpec:
+    log_Ms = tuple(float(v) for v in log_Ms)
+    if not log_Ms or abs(log_Ms[0]) > 1e-12:
+        raise PreconditionError("table must start with log M_0 = 0")
+    return SequenceSpec(label, log_Ms=log_Ms)
+
+
+def parse_sequence(spec: str) -> SequenceSpec:
+    """Sequence mini-language: gevreyseq:d=2 | table:file.csv"""
+    head, _, rest = spec.partition(":")
+    if head == "gevreyseq":
+        return gevrey_sequence(parse_keyed_real(spec, "d"))
+    if head == "table":
+        rows = sorted(read_table(rest, ("p",)))
+        if [p for p, _ in rows] != list(range(len(rows))):
+            raise PreconditionError("sequence table must cover p = 0..P contiguously")
+        return table_sequence([v for _, v in rows], f"table:{rest}")
+    raise PreconditionError(f"unknown sequence spec {spec!r}")
+
+
+# -- model functions --------------------------------------------------------
+
+@dataclass(frozen=True)
+class FunctionSpec(Spec):
+    """A checked model function: its family ``kind`` and the arguments of
+    the family's constructor in ``functions``."""
+    kind: str
+    args: tuple = ()
+
+    def build(self):
+        from .functions import FAMILIES
+        return FAMILIES[self.kind](*self.args)
+
+
+# the range checks of the function families; each constructor runs its own,
+# so a function made without a spec is checked too
+
+def check_pow1px2(a: float) -> None:
+    if 0.0 < abs(float(a)) < sys.float_info.min:  # 2a and the mantissas subnormal
+        raise PreconditionError(
+            f"pow1px2 needs a = 0 or a normal float, got subnormal a={a!r}")
+
+
+def check_monbump(n: int, r: float, gamma: float) -> None:
+    if n < 0 or r <= 0 or gamma <= 0:
+        raise PreconditionError("monomial bump needs n >= 0, r > 0, gamma > 0")
+
+
+def check_gbump(gamma: float, r: float) -> None:
+    if gamma <= 0 or r <= 0:
+        raise PreconditionError("bump needs gamma > 0, r > 0")
+
+
+def parse_function(spec: str) -> FunctionSpec:
+    """Function mini-language, e.g. gaussian | poly:1,0,2 | pow1px2:a=1.5"""
+    head, _, rest = spec.partition(":")
+    if head in ("gaussian", "expsqr", "sqrt1px2"):
+        return FunctionSpec(head)
+    if head == "poly":
+        try:
+            coeffs = tuple(Fraction(c) for c in rest.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(
+                f"poly spec needs rational coefficients, got {spec!r}") from None
+        for c in coeffs:  # Horner runs in floats: OverflowError past their range
+            float(c)
+        return FunctionSpec(head, (coeffs,))
+    if head == "pow1px2":
+        a = parse_keyed_real(spec, "a")
+        check_pow1px2(a)
+        return FunctionSpec(head, (a,))
+    if head in ("monbump", "gbump"):
+        kv = {}
+        for item in rest.split(","):
+            key, _, val = item.partition("=")
+            kv[key] = val
+        r = parse_real(kv.get("r", 1.0), spec)
+        g = parse_real(kv.get("g", 1.0), spec)
+        if head == "gbump":
+            check_gbump(g, r)
+            return FunctionSpec(head, (g, r))
+        try:
+            n, a = int(kv["n"]), Fraction(kv["a"])
+        except (KeyError, ValueError, ZeroDivisionError):
+            raise PreconditionError(
+                f"monbump spec needs n=<int>,a=<rational>, got {spec!r}") from None
+        check_monbump(n, r, g)
+        return FunctionSpec(head, (n, a, r, g))
+    raise PreconditionError(f"unknown function spec {spec!r}")

@@ -14,7 +14,6 @@ conjugate`` in ``sequences``: the interpolated convex hull of log M_p.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -25,6 +24,7 @@ import numpy as np
 from .errors import BracketError, PreconditionError, RangeError
 from .grids import DEFAULT_T_GRID, GridSpec
 from .reports import ChainReport, Result
+from .specs import WeightSpec, gevrey_weight, label_real, logpow_weight, table_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_REL_TOL = 1e-12  # golden-section stops at this width relative to max(1, b)
@@ -55,7 +55,7 @@ def first_true(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
 
 
 class WeightFunction:
-    """Evaluator for a weight omega(t) with parsed metadata.
+    """Evaluator for a weight omega(t), built from a checked ``WeightSpec``.
 
     Kinds:
       gevrey(d):  omega(t) = t^(1/d), d > 0
@@ -65,35 +65,12 @@ class WeightFunction:
                   last, so phi(u) = omega(e^u) is piecewise linear
     """
 
-    def __init__(self, kind: str, *, d: float = None, s: float = None,
-                 table: tuple = None, label: str = None):
-        self.kind = kind
-        self.d = d
-        self.s = s
-        self.label = label or kind
-        self.knots = ()  # the t of each table row, where omega has a kink
-        if kind == "gevrey":
-            if d is None or d <= 0:
-                raise PreconditionError("gevrey weight requires d > 0")
-        elif kind == "logpow":
-            if s is None or s <= 1:
-                raise PreconditionError("logpow weight requires s > 1")
-        elif kind == "tabulated":
-            ts, vals = table
-            ts = np.asarray(ts, dtype=float)
-            vals = np.asarray(vals, dtype=float)
-            if ts.ndim != 1 or ts.shape != vals.shape or len(ts) < 2:
-                raise PreconditionError("table must be two equal 1-d columns")
-            if np.any(ts <= 0):
-                raise PreconditionError("table t values must be positive")
-            self.knots, log_ts = tuple(ts.tolist()), np.log(ts)
-            k = int(np.argmin(np.diff(log_ts)))  # the two closest knots in log t
-            if not log_ts[k] < log_ts[k + 1]:
-                raise PreconditionError(
-                    f"table t-column must be strictly increasing in log t: t = "
-                    f"{self.knots[k]!r} is followed by t = {self.knots[k + 1]!r}")
-            if np.any(np.diff(vals) < 0):
-                raise PreconditionError("table omega values must be nondecreasing")
+    def __init__(self, spec: WeightSpec):
+        self.kind, self.label, self.d, self.s = spec.kind, spec.label, spec.d, spec.s
+        self.knots = spec.knots  # the t of each table row, where omega has a kink
+        if self.kind == "tabulated":
+            # the logs the spec checked for strict increase, not recomputed
+            log_ts, vals = np.array(spec.log_knots), np.array(spec.values)
             self._log_ts = log_ts
             self._vals = vals
             # d omega / d log t of the last segment, continued past the table
@@ -102,8 +79,6 @@ class WeightFunction:
             # and each log t_k > 0, where it is omega_k
             up = log_ts > 0.0
             self._breaks = (np.r_[0.0, log_ts[up]], np.r_[self(1.0), vals[up]])
-        else:
-            raise PreconditionError(f"unknown weight kind {kind!r}")
 
     # omega(x) = omega(|x|)
     def __call__(self, t: float) -> float:
@@ -145,75 +120,15 @@ class WeightFunction:
 
     @staticmethod
     def gevrey(d: float) -> "WeightFunction":
-        return WeightFunction("gevrey", d=d, label=f"gevrey:d={label_real(d)}")
+        return WeightFunction(gevrey_weight(d))
 
     @staticmethod
     def logpow(s: float) -> "WeightFunction":
-        return WeightFunction("logpow", s=s, label=f"logpow:s={label_real(s)}")
+        return WeightFunction(logpow_weight(s))
 
     @staticmethod
     def tabulated(ts, vals) -> "WeightFunction":
-        return WeightFunction("tabulated", table=(ts, vals), label="table")
-
-    @staticmethod
-    def from_csv(path: str) -> "WeightFunction":
-        rows = read_table(path, ("t", "x"))
-        return WeightFunction("tabulated", table=([t for t, _ in rows],
-                                                  [v for _, v in rows]),
-                              label=f"table:{path}")
-
-
-def label_real(v: float) -> str:
-    """v for a label: its ``:g`` form when that reads back as v, else repr,
-    so a label names its weight exactly."""
-    text = f"{v:g}"
-    return text if float(text) == v else repr(v)
-
-
-def parse_real(text, spec: str) -> float:
-    """A finite float parameter of a mini-language ``spec``."""
-    try:
-        v = float(text)
-    except ValueError:
-        raise PreconditionError(f"bad number {text!r} in {spec!r}") from None
-    if not math.isfinite(v):
-        raise PreconditionError(f"non-finite parameter {text!r} in {spec!r}")
-    return v
-
-
-def read_table(path: str, headers: tuple) -> list:
-    """Pairs of finite floats from the first two cells of each CSV row,
-    skipping blank rows, '#' comments and rows whose first cell is a header."""
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")
-                    and r[0].strip().lower() not in headers]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise PreconditionError(f"cannot read table {path!r}: {exc}") from None
-    if any(len(r) < 2 for r in rows):
-        raise PreconditionError(f"every row of {path!r} needs two cells")
-    return [(parse_real(r[0], path), parse_real(r[1], path)) for r in rows]
-
-
-def parse_keyed_real(spec: str, key: str) -> float:
-    """The parameter of a one-parameter spec ``head:key=<real>``."""
-    head, _, rest = spec.partition(":")
-    name, _, val = rest.partition("=")
-    if name != key:
-        raise PreconditionError(f"{head} spec needs {key}=<real>, got {spec!r}")
-    return parse_real(val, spec)
-
-
-def parse_weight(spec: str) -> WeightFunction:
-    """Parse the weight mini-language: gevrey:d=2 | logpow:s=2 | table:file.csv"""
-    head, _, rest = spec.partition(":")
-    if head == "gevrey":
-        return WeightFunction.gevrey(parse_keyed_real(spec, "d"))
-    if head == "logpow":
-        return WeightFunction.logpow(parse_keyed_real(spec, "s"))
-    if head == "table":
-        return WeightFunction.from_csv(rest)
-    raise PreconditionError(f"unknown weight spec {spec!r}")
+        return WeightFunction(table_weight(ts, vals))
 
 
 # conjugate methods of each weight kind, default first; other kinds: numeric-sup

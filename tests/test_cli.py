@@ -10,14 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gsbench import cli, experiments
+from gsbench import cli, experiments, functions, sequences, weights
 from gsbench.cli import EXPERIMENTS, build_parser, main
 from gsbench.functions import ModelFunction, parse_function
 from gsbench.grids import GridSpec
 from gsbench.reports import ChainReport, to_json_bytes
 from gsbench.errors import PreconditionError
 from gsbench.sequences import WeightSequence, parse_sequence
-from gsbench.weights import ConjugateEvaluator, WeightFunction, parse_weight
+from gsbench.specs import FunctionSpec, SequenceSpec, WeightSpec, parse_weight
+from gsbench.weights import ConjugateEvaluator, WeightFunction
 
 
 def run_cli(*argv, cwd=None):
@@ -235,25 +236,25 @@ def test_flag_the_command_does_not_read_exits_2(argv, flag, capsys):
 
 @pytest.mark.parametrize("argv, flag, parse", [
     (["conjugate", "--weight", "gevrey:d=abc", "--s", "1"], "--weight",
-     lambda: parse_weight("gevrey:d=abc")),
+     lambda: parse_weight("gevrey:d=abc").build()),
     (["estimate-index", "--function", "poly:1,x"], "--function",
      lambda: parse_function("poly:1,x")),
     (["estimate-index", "--function", "monbump:n=2"], "--function",
      lambda: parse_function("monbump:n=2")),
     (["conjugate", "--weight", "gevrey:d=nan", "--s", "1"], "--weight",
-     lambda: parse_weight("gevrey:d=nan")),
+     lambda: parse_weight("gevrey:d=nan").build()),
     (["conjugate", "--weight", "gevrey:d=2", "--s", "nan"], "--s",
      lambda: ConjugateEvaluator(WeightFunction.gevrey(2))(float("nan"))),
     (["weight-check", "--weight", "table:missing.csv"], "--weight",
-     lambda: parse_weight("table:missing.csv")),
+     lambda: parse_weight("table:missing.csv").build()),
     (["sequence-check", "--sequence", "table:missing.csv"], "--sequence",
      lambda: parse_sequence("table:missing.csv")),
     (["weight-check", "--weight", "table:bad.csv"], "--weight",
-     lambda: parse_weight("table:bad.csv")),
+     lambda: parse_weight("table:bad.csv").build()),
     (["sequence-check", "--sequence", "table:bad.csv"], "--sequence",
      lambda: parse_sequence("table:bad.csv")),
     (["weight-check", "--weight", "table:short.csv"], "--weight",
-     lambda: parse_weight("table:short.csv")),
+     lambda: parse_weight("table:short.csv").build()),
 ], ids=["weight-abc", "poly-x", "monbump-missing-a", "weight-nan", "s-nan",
         "weight-table-missing", "sequence-table-missing",
         "weight-table-bad-cell", "sequence-table-bad-cell",
@@ -312,13 +313,16 @@ FLAG_KINDS = {
                       type(x) is Fraction and x == Fraction(str(y))
                       for x, y in zip(v, json.loads(t), strict=True))),
     "weight": (st.sampled_from(["gevrey:d=2", "gevrey:d=1.5", "logpow:s=2"]),
-               lambda v, t: isinstance(v, WeightFunction)),
+               lambda v, t: isinstance(v, WeightSpec)
+               and isinstance(v.build(), WeightFunction)),
     "sequence": (st.sampled_from(["gevreyseq:d=2", "gevreyseq:d=3"]),
-                 lambda v, t: isinstance(v, WeightSequence)),
+                 lambda v, t: isinstance(v, SequenceSpec)
+                 and isinstance(v.build(), WeightSequence)),
     "function": (st.sampled_from(["gaussian", "expsqr", "sqrt1px2",
                                   "poly:0,1/2,3", "pow1px2:a=1.5",
                                   "monbump:n=8,a=1", "gbump:g=1,r=1"]),
-                 lambda v, t: isinstance(v, ModelFunction)),
+                 lambda v, t: isinstance(v, FunctionSpec)
+                 and isinstance(v.build(), ModelFunction)),
     "grid": (st.sampled_from(["log:1e-2,1e8,2000", "lin:0,1,2",
                               "lin:-3,5,10"]),
              lambda v, t: v == GridSpec.parse(t)),
@@ -488,12 +492,16 @@ def test_every_declared_flag_is_read_by_its_runner(monkeypatch):
     for name, obj in list(vars(experiments).items()):
         if callable(obj) and getattr(obj, "__module__", "") == experiments.__name__:
             monkeypatch.setattr(experiments, name, Stub())
-    for name in ("check_weight_conditions", "check_sequence_conditions",
-                 "seminorm_p_lambda", "seminorm_pi", "estimate_growth_exponent"):
-        monkeypatch.setattr(cli, name, Stub())
+    # the runners import these from their defining modules at call time
+    for module, name in ((weights, "check_weight_conditions"),
+                         (sequences, "check_sequence_conditions"),
+                         (functions, "seminorm_p_lambda"),
+                         (functions, "seminorm_pi"),
+                         (functions, "estimate_growth_exponent")):
+        monkeypatch.setattr(module, name, Stub())
     for path, (argv, flags) in PARSE_TABLE.items():
         a = RecordingNamespace(build_parser().parse_args([*path, *argv]))
-        cli.COMMANDS[path[0]](a)
+        cli.run(a)
         unread = {f for f in flags
                   if f.lstrip("-").replace("-", "_") not in a.read_}
         assert not unread, (path, unread)
@@ -814,16 +822,22 @@ def test_weight_check_exit_zero():
     assert all(c["verdict"] for c in d["conditions"])
 
 
-# python -m gsbench in a fresh interpreter; stderr ends with whether scipy
-# was imported by the time the interpreter exits
+# python -m gsbench in a fresh interpreter; stderr ends with whether numpy
+# and scipy were imported by the time the interpreter exits
 SCIPY_PROBE = ("import atexit, runpy, sys; atexit.register(lambda: sys.stderr.write("
-               "'scipy=%s' % ('scipy' in sys.modules))); "
+               "'numpy=%s scipy=%s' % ('numpy' in sys.modules, 'scipy' in sys.modules))); "
                "runpy.run_module('gsbench', run_name='__main__')")
 
 
 def run_cold(*argv):
     return subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
                           capture_output=True, text=True)
+
+
+def split_probe(stderr):
+    """(the command's own stderr, the probe's 'numpy=... scipy=...')"""
+    i = stderr.rindex("numpy=")
+    return stderr[:i], stderr[i:]
 
 
 def test_cold_start_leaves_scipy_unloaded():
@@ -840,6 +854,71 @@ def test_weight_check_imports_scipy_on_first_call(capsys):
     assert r.returncode == 0 and r.stderr.endswith("scipy=True")
     assert main(["weight-check", "--weight", "logpow:s=2"]) == 0
     assert r.stdout == capsys.readouterr().out
+
+
+def test_bare_import_leaves_numpy_unloaded():
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, gsbench; print('numpy' in sys.modules)"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout == "False\n"
+
+
+# the usage-error probes of the benchmark's reference workload, and a table
+# that does not exist: argparse rejects each before numpy is imported
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "--weight", "gevrey:d=abc", "--s", "1"],
+    ["estimate-index", "--function", "poly:1,x"],
+    ["estimate-index", "--function", "monbump:n=2"],
+    ["conjugate", "--weight", "gevrey:d=nan", "--s", "1"],
+    ["conjugate", "--weight", "gevrey:d=2", "--s", "nan"],
+    ["conjugate", "--weight", "gevrey:d=2", "--s", "-1"],
+    ["weight-check", "--weight", "table:no-such-table.csv"],
+    ["estimate-index", "--function", "poly:1e400"],
+    ["experiment", "bounded", "--d", "2", "--psi", "poly:0,1e400"],
+], ids=["weight-abc", "poly-x", "monbump-n", "weight-nan", "s-nan",
+        "s-negative", "table-missing", "poly-overflow", "psi-poly-overflow"])
+def test_usage_error_exits_before_numpy_loads(argv, capsys):
+    r = run_cold(*argv)
+    err, probe = split_probe(r.stderr)
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in err
+    assert probe.startswith("numpy=False ")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["estimate-index", "--function", "poly:1e400"], "--function"),
+    (["experiment", "bounded", "--d", "2", "--psi", "poly:0,1e400"], "--psi"),
+    (["estimate-index", "--function", "poly:1e400,x"], None),
+])
+def test_poly_coefficient_past_float_range_exits_2(argv, flag, capsys):
+    # Horner runs in floats, so the coefficient's OverflowError is a usage
+    # error of its flag; a malformed coefficient is reported first
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    if flag:
+        assert out.err.endswith(
+            f"argument {flag}: integer division result too large for a float\n")
+    else:
+        assert "poly spec needs rational coefficients" in out.err
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # an ok run, a usage error, then another command, all through one
+    # cached parser: each call prints what a fresh interpreter prints
+    calls = [["conjugate", "--weight", "gevrey:d=2", "--s", "1.5"],
+             ["conjugate", "--weight", "gevrey:d=2", "--s", "nan"],
+             ["identities", "--jmax", "6"],
+             ["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "1,2"],
+             ["conjugate", "--weight", "logpow:s=2", "--s", "3"]]
+    for argv in calls:
+        code = main(argv)
+        out = capsys.readouterr()
+        r = run_cold(*argv)
+        assert (code, out.out, out.err) == (r.returncode, r.stdout,
+                                            split_probe(r.stderr)[0]), argv
+    assert cli._parser.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("weight", ["gevrey:d=0.5", "gevrey:d=1"])

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from gsbench.errors import BracketError, PreconditionError, RangeError
 from gsbench.grids import GridSpec
+from gsbench.specs import parse_weight, table_weight
 from gsbench.weights import (GOLDEN_REL_TOL, H_BOUND, ConjugateEvaluator,
                              WeightFunction, check_weight_conditions,
                              conjugate_shift_bound, factorial_domination,
                              find_log_scaling_constant, first_true,
-                             label_real, parse_weight,
+                             label_real,
                              verify_log_scaling_constant)
 
 from fnweight import FnWeight
@@ -119,8 +120,8 @@ def test_tabulated_rejects_coincident_log_knots():
 
 
 def test_parse_weight_specs():
-    assert parse_weight("gevrey:d=2").d == 2
-    assert parse_weight("logpow:s=2").s == 2
+    assert parse_weight("gevrey:d=2").build().d == 2
+    assert parse_weight("logpow:s=2").build().s == 2
     with pytest.raises(PreconditionError):
         parse_weight("gevrey:q=2")
     with pytest.raises(PreconditionError):
@@ -298,6 +299,21 @@ def test_logpow_closed_form_matches_numeric_sup(q):
 LOG2_KNOTS = [10.0 ** (k / 4) for k in range(-12, 49)]
 LOG2_TABLE = WeightFunction.tabulated(LOG2_KNOTS,
                                       [math.log1p(t) ** 2 for t in LOG2_KNOTS])
+
+
+def test_table_logs_are_the_checked_ones_and_equal_np_log():
+    # the spec checks strict increase on math.log of each knot, and the
+    # evaluator reads those same values; on the tables of these tests they
+    # equal np.log bit for bit, as the evaluator computed them before
+    line = [10.0 ** (k / 4) for k in range(17)]
+    for ts in (LOG2_KNOTS, NON_CONVEX_TABLE[0], line, [1.0, 100.0],
+               [1e-3, 1.0, 10.0, 1e6], [1e-3, 0.5, 1.0, 10.0],
+               [1.0, 10.0, 100.0]):
+        spec = table_weight(ts, range(len(ts)))
+        w = WeightFunction(spec)
+        assert w._log_ts.tolist() == list(spec.log_knots)
+        assert (w._log_ts.view(np.int64)
+                == np.log(np.array(ts)).view(np.int64)).all(), ts
 
 
 def test_scaled_conjugate_matches_golden_section_on_sigma():
