@@ -119,6 +119,10 @@ def table_weight(ts, vals, label: str = "table") -> WeightSpec:
             f"{ts[k]!r} is followed by t = {ts[k + 1]!r}")
     if any(b < a for a, b in zip(vals, vals[1:])):
         raise PreconditionError("table omega values must be nondecreasing")
+    if vals[-1] - vals[0] == math.inf:  # the slopes and the tail would be inf
+        raise PreconditionError(
+            f"table omega values span {vals[0]!r} to {vals[-1]!r}, which "
+            "overflows a float")
     return WeightSpec("tabulated", label, knots=ts, log_knots=log_ts, values=vals)
 
 
@@ -243,5 +247,6 @@ def parse_function(spec: str) -> FunctionSpec:
             raise PreconditionError(
                 f"monbump spec needs n=<int>,a=<rational>, got {spec!r}") from None
         check_monbump(n, r, g)
+        float(a)  # the bump runs in floats: OverflowError past their range
         return FunctionSpec(head, (n, a, r, g))
     raise PreconditionError(f"unknown function spec {spec!r}")

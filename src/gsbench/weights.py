@@ -15,7 +15,6 @@ conjugate`` in ``sequences``: the interpolated convex hull of log M_p.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -106,7 +105,8 @@ class WeightFunction:
             e = 1.0 / self.d
             return np.array([t ** e for t in ts])
         if self.kind == "logpow":
-            return np.array([0.0 if t <= 1.0 else math.log(t) ** self.s for t in ts])
+            s, log = self.s, math.log
+            return np.array([0.0 if t <= 1.0 else log(t) ** s for t in ts])
         return np.array([self(t) for t in ts], dtype=float)
 
     def phi(self, t: float) -> float:
@@ -259,18 +259,16 @@ class WeightConditionReport(Result):
                 "conditions": [asdict(r) for r in self.records()]}
 
 
-def _integral(f: Callable[[float], float], points: list) -> tuple:
-    """(value, abs_error, ok) of a nonnegative integrand over [points[0],
-    points[-1]], one quad per gap between consecutive points: not ok when
-    quad warns (e.g. a divergent integral) or a piece is negative."""
-    from scipy.integrate import IntegrationWarning, quad  # lazy: only weight-check integrates
+def _integral(f: Callable[[np.ndarray], np.ndarray], points: list) -> tuple:
+    """(value, abs_error, ok) of a nonnegative integrand, taking an array of
+    nodes, over [points[0], points[-1]]: one QUADPACK integral per gap
+    between consecutive points, not ok when one reports ier != 0 (e.g. a
+    divergent integral) or a piece is negative."""
+    from . import quadpack  # lazy: only weight-check integrates
     total, err, ok = 0.0, 0.0, True
     for a, b in zip(points, points[1:]):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", IntegrationWarning)
-            v, e = quad(f, a, b, limit=200)
-        warned = any(issubclass(c.category, IntegrationWarning) for c in caught)
-        total, err, ok = total + v, err + e, ok and not warned and v >= 0.0
+        v, e, ier = quadpack.quad(f, a, b, limit=200)
+        total, err, ok = total + v, err + e, ok and ier == 0 and v >= 0.0
     return total, err, ok
 
 
@@ -306,17 +304,20 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
         detail={"max_ratio": float(np.max(om2 / (om + 1.0)))})
 
     # (beta): integral of omega(t)/(1+t^2), split at t = 1 and at a table's
-    # knots.  Past a table's last cut T, quad's own map of [T, inf) returns ~0
+    # knots.  Past a table's last cut T, dqagie's map of [T, inf) returns ~0
     # for a tail ~ omega(T)/T; t = T/v gives (1/T) int_0^1 omega(T/v) /
-    # (1 + (v/T)^2) dv instead, an integrand the size of omega.
-    f = lambda t: w(t) / (1.0 + t * t)
+    # (1 + (v/T)^2) dv instead, an integrand the size of omega.  Each
+    # integrand takes an array of nodes and equals its scalar formula bit for
+    # bit: (v/T)**2 stays a per-element pow, which x*x does not always equal.
+    f = lambda t: w.values(t) / (1.0 + t * t)
     if not w.knots:
         beta_val, beta_err, beta_ok = _integral(f, [0.0, 1.0, np.inf])
     else:
         cuts = sorted({1.0, *w.knots})
         top = cuts[-1]
         v1, e1, ok1 = _integral(f, [0.0, *cuts])
-        v2, e2, ok2 = _integral(lambda u: w(top / u) / (1.0 + (u / top) ** 2), [0.0, 1.0])
+        v2, e2, ok2 = _integral(lambda u: w.values(top / u) / np.array(
+            [1.0 + (v / top) ** 2 for v in u.tolist()]), [0.0, 1.0])
         beta_val, beta_err, beta_ok = v1 + v2 / top, e1 + e2 / top, ok1 and ok2
     beta = ConditionRecord("beta", beta_ok and math.isfinite(beta_val)
                            and beta_err < 1e-8 * max(1.0, beta_val),
@@ -347,7 +348,7 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
         # = (omega(y T) + b)/T
         top = max(1.0, w.knots[-1] / y) if w.knots else np.inf
         cuts = [t / y for t in w.knots if 1.0 < t / y < top]
-        val, _, ok = _integral(lambda t: w(y * t) / (t * t), [1.0, *cuts, top])
+        val, _, ok = _integral(lambda t: w.values(y * t) / (t * t), [1.0, *cuts, top])
         if w.knots:
             val += (w(y * top) + w.tail_slope) / top
         c_req = max(c_req, val / (w(y) + 1.0))
@@ -358,9 +359,12 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
                               witness={"C": int(c_int)} if eps_ok else None,
                               detail={"max_ratio": float(c_req)})
 
-    # doubling: 2 omega(t) <= omega(H t) + H; monotone in H
+    # doubling: 2 omega(t) <= omega(H t) + H; monotone in H.  The largest t
+    # is tried alone first: a failing H mostly fails there
+    t_max, om_max = ts[-1], om[-1]
     h_witness = first_true(
-        lambda H: bool(np.all(2.0 * om <= w.values(H * ts) + H + 1e-12)),
+        lambda H: 2.0 * om_max <= w(H * t_max) + H + 1e-12
+        and bool(np.all(2.0 * om <= w.values(H * ts) + H + 1e-12)),
         1, H_BOUND)
     doubling = ConditionRecord(
         "doubling", h_witness is not None,

@@ -849,9 +849,10 @@ def test_cold_start_leaves_scipy_unloaded():
     assert r.returncode == 0 and r.stderr.endswith("scipy=False")
 
 
-def test_weight_check_imports_scipy_on_first_call(capsys):
+def test_weight_check_never_loads_scipy(capsys):
+    # its integrals run on gsbench.quadpack, not scipy.integrate
     r = run_cold("weight-check", "--weight", "logpow:s=2")
-    assert r.returncode == 0 and r.stderr.endswith("scipy=True")
+    assert r.returncode == 0 and r.stderr.endswith("scipy=False")
     assert main(["weight-check", "--weight", "logpow:s=2"]) == 0
     assert r.stdout == capsys.readouterr().out
 
@@ -875,8 +876,11 @@ def test_bare_import_leaves_numpy_unloaded():
     ["weight-check", "--weight", "table:no-such-table.csv"],
     ["estimate-index", "--function", "poly:1e400"],
     ["experiment", "bounded", "--d", "2", "--psi", "poly:0,1e400"],
+    ["experiment", "sufficient", "--psi", "monbump:n=2,a=1e400",
+     "--weight", "gevrey:d=2"],
 ], ids=["weight-abc", "poly-x", "monbump-n", "weight-nan", "s-nan",
-        "s-negative", "table-missing", "poly-overflow", "psi-poly-overflow"])
+        "s-negative", "table-missing", "poly-overflow", "psi-poly-overflow",
+        "psi-monbump-overflow"])
 def test_usage_error_exits_before_numpy_loads(argv, capsys):
     r = run_cold(*argv)
     err, probe = split_probe(r.stderr)
@@ -890,10 +894,13 @@ def test_usage_error_exits_before_numpy_loads(argv, capsys):
     (["estimate-index", "--function", "poly:1e400"], "--function"),
     (["experiment", "bounded", "--d", "2", "--psi", "poly:0,1e400"], "--psi"),
     (["estimate-index", "--function", "poly:1e400,x"], None),
+    (["experiment", "sufficient", "--psi", "monbump:n=2,a=1e400",
+      "--weight", "gevrey:d=2"], "--psi"),
 ])
 def test_poly_coefficient_past_float_range_exits_2(argv, flag, capsys):
-    # Horner runs in floats, so the coefficient's OverflowError is a usage
-    # error of its flag; a malformed coefficient is reported first
+    # Horner and the monomial bump run in floats, so a rational's
+    # OverflowError is a usage error of its flag; a malformed coefficient is
+    # reported first
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
@@ -921,10 +928,24 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert cli._parser.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["weight-check"],
+    ["experiment", "equicont", "--x-seq", "1,2", "--lam-seq", "1,1"]])
+def test_table_whose_omega_span_overflows_exits_2(command, tmp_path):
+    # omega_K - omega_1 = inf: the table's slopes would be inf and NaN
+    table = tmp_path / "span.csv"
+    table.write_text("t,omega\n1,-1.7e308\n2,1.7e308\n")
+    r = run_cold(*command, "--weight", f"table:{table}")
+    err, probe = split_probe(r.stderr)
+    assert r.returncode == 2 and r.stdout == "" and "Traceback" not in err
+    assert "argument --weight: table omega values span" in err
+    assert "overflows a float" in err and probe.startswith("numpy=False ")
+
+
 @pytest.mark.parametrize("weight", ["gevrey:d=0.5", "gevrey:d=1"])
 def test_weight_check_divergent_integrals_exit_1(weight, capsys):
     # omega = t^2 and omega = t: int omega(t)/(1+t^2) dt and
-    # int_1^inf omega(y t)/t^2 dt diverge, which quad only warns about
+    # int_1^inf omega(y t)/t^2 dt diverge, which QUADPACK reports as ier != 0
     assert main(["weight-check", "--weight", weight]) == 1
     verdicts = {c["condition"]: c["verdict"]
                 for c in json.loads(capsys.readouterr().out)["conditions"]}
