@@ -233,6 +233,8 @@ def _estimate_index(a):
 
 
 def _experiment(a):
+    if a.name == "negative":  # its regime d <= d' < (k+1)d, before numpy loads
+        specs.check_negative_regime(a.d, a.k, a.dprime)
     from . import experiments
     return EXPERIMENTS[a.name][2](experiments, a)
 

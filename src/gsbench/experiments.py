@@ -20,6 +20,7 @@ from .functions import ModelFunction, stable_sup, weighted_log_sup
 from .grids import GridSpec
 from .logdomain import LOG_ZERO, log_sum_exp
 from .reports import ChainReport, Result
+from .specs import check_negative_regime
 from .weights import (ConjugateEvaluator, WeightFunction,
                       find_log_scaling_constant, first_true,
                       verify_log_scaling_constant)
@@ -68,8 +69,8 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
                  "log_deriv_power", "verdict"])
     ns = np.arange(1, nmax + 1)
     log_b = np.array([p * conj(n / p) for n in ns.tolist()])
-    b_sign, b_log = log_bell_table(psi_sign, psi_log, nmax)
-    full_sign, full = b_sign[0, ns, ns], log_b + b_log[0, ns, ns]
+    b_sign, b_log = log_bell_table(psi_sign.T, psi_log.T, nmax)
+    full_sign, full = b_sign[ns, ns, 0], log_b + b_log[ns, ns, 0]
     power = ns * psi_log[0, 1]
     short_sign, short = psi_sign[0, 1] ** ns, log_b + power
     agree = (full_sign == short_sign) & (
@@ -111,10 +112,7 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
     """Loss-of-regularity chain for omega = t^(1/d), sigma = t^(1/d'),
     psi' >= psi^k: block construction, stationary points x_j, and the
     divergent lower bound exp(j - 2 lambda_j L), all checked row by row."""
-    if not (d <= d_prime < (k + 1) * d):
-        raise RegimeError(
-            f"--dprime: need d <= d' < (k+1)d, got d={d:g}, d'={d_prime:g}, "
-            f"(k+1)d={(k + 1) * d:g}: the little-o comparison fails")
+    check_negative_regime(d, k, d_prime)
     omega = WeightFunction.gevrey(d)
     sigma = WeightFunction.gevrey(d_prime)
     tilde = WeightFunction.gevrey((k + 1) * d)

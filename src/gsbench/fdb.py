@@ -17,13 +17,13 @@ shared by every outer jet h and every order n.
 Two recurrences, one per jet kind, both behind ``compose_jet``:
   * exact rationals, on one Fraction jet;
   * signed log magnitudes, (sign, log|.|) arrays, batched over a whole grid
-    (``log_compose_table``): each order n is one numpy gather over points, k
-    and the orders i nonzero at some point, and each entry is a max-shifted
-    sum compensated by a pairwise TwoSum tree (``_log_sum``), so it stays
-    within a few ulps of the correctly rounded ``math.fsum``.  Points go in
-    blocks of at most TERM_BLOCK Bell entries.  A single log jet is a one-row
-    table, and ``log_bell_table`` gives the Bell table itself (the
-    compactness experiment reads its diagonal B(n, n) = psi'^n).
+    (``log_compose_table``), summed axis first and points last: order n
+    gathers its terms as (i, k, points) for the orders i nonzero at some
+    point, and each entry is a max-shifted sum compensated by a pairwise
+    TwoSum tree (``_log_sum``), within a few ulps of the correctly rounded
+    ``math.fsum``.  Points go in blocks of at most TERM_BLOCK Bell entries.
+    A single log jet is a one-row table; ``log_bell_table`` is the Bell table
+    itself, whose diagonal B(n, n) = psi'^n the compactness experiment reads.
 
 Partition multi-indices (k_1, ..., k_j) with sum(l k_l) = j remain here for
 the partition count; the summation identities read every order j <= jmax off
@@ -32,6 +32,7 @@ partition-sum form of Faa di Bruno is the independent oracle in the tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,93 +191,84 @@ class Jet:
 # ---------------------------------------------------------------------------
 
 def _two_sum(v: np.ndarray) -> np.ndarray:
-    """Sum along the last axis by a pairwise TwoSum tree.  Each level adds
-    neighbours and keeps the exact rounding error of every addition
-    (Knuth's TwoSum); the errors are summed alongside and added at the end,
-    as in Sum2 (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26(6), 2005).  The
-    axis is padded with zeros to a power of two, so trailing zero terms never
-    change the result, and a term next to its negative leaves an exact 0."""
-    n = v.shape[-1]
-    width = 1 << (n - 1).bit_length()
-    if width > n:
-        v = np.concatenate([v, np.zeros(v.shape[:-1] + (width - n,))], axis=-1)
+    """Sum along the first axis, of a power-of-two length, by a pairwise
+    TwoSum tree.  Each level adds neighbours 2m and 2m+1 and keeps the exact
+    rounding error of every addition (Knuth's TwoSum); the errors are summed
+    alongside and added at the end, as in Sum2 (Ogita, Rump & Oishi, SIAM J.
+    Sci. Comput. 26(6), 2005).  Trailing zero terms never change the result,
+    and a term next to its negative leaves an exact 0."""
     err = None
-    while v.shape[-1] > 1:
-        a, b = v[..., 0::2], v[..., 1::2]
+    while len(v) > 1:
+        a, b = v[0::2], v[1::2]
         v = a + b
         z = v - a
-        e = (a - (v - z)) + (b - z)
-        err = e if err is None else err[..., 0::2] + err[..., 1::2] + e
-    return v[..., 0] if err is None else v[..., 0] + err[..., 0]
+        e = v - z  # then (a - (v - z)) + (b - z), in place
+        np.add(np.subtract(a, e, out=e), np.subtract(b, z, out=z), out=e)
+        err = e if err is None else np.add(err[0::2] + err[1::2], e, out=e)
+    return v[0] if err is None else v[0] + err[0]
 
 
 def _log_sum(sign: np.ndarray, log: np.ndarray) -> tuple:
-    """(sign, log|sum|) over the last axis of the terms sign * exp(log): the
-    largest log is factored out, the rest is a compensated linear sum, as in
-    ``signed_log_sum``.  A sum of no nonzero terms, or one that is exactly 0,
-    is (0, -inf); a sum of one nonzero term is that term, bit for bit."""
-    m = log.max(axis=-1)
-    m = np.where(m == LOG_ZERO, 0.0, m)  # all terms 0: any finite shift
-    total = _two_sum(sign * np.exp(log - m[..., None]))
-    with np.errstate(divide="ignore"):  # log 0 at exact zeros
-        return np.sign(total), m + np.log(np.abs(total))
+    """(sign, log|sum|) over the first axis of the terms sign * exp(log),
+    padded with zeros to a power of two and max-shifted as in
+    ``signed_log_sum``.  A zero sum is (0, -inf), with a divide warning for
+    the caller's errstate; one nonzero term is itself, bit for bit."""
+    m = np.maximum.reduce(log)
+    m[m == LOG_ZERO] = 0.0  # all terms 0: any finite shift
+    terms = np.zeros((1 << (len(log) - 1).bit_length(),) + m.shape)
+    live = terms[:len(log)]
+    np.multiply(np.exp(np.subtract(log, m, out=live), out=live), sign, out=live)
+    total = _two_sum(terms)
+    return np.sign(total), m + np.log(np.abs(total))
+
+
+@functools.cache
+def _log_binomials(J: int) -> np.ndarray:
+    """log C(n-1, i-1) at [n, i], 1 <= i <= n <= J, read-only."""
+    table = np.array([[math.log(math.comb(n - 1, i - 1)) if 0 < i <= n else 0.0
+                       for i in range(J + 1)] for n in range(J + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def log_bell_table(psi_sign, psi_log, J: int) -> tuple:
     """Partial Bell polynomials B(n, k), 0 <= k, n <= J, of one inner jet per
-    row of a (sign, log|psi^(i)|) table: (sign, log|B|), each
-    (rows, J+1, J+1), zeros as (0, -inf).  Order n is one gather of the
-    terms C(n-1, i-1) psi^(i) B(n-i, k-1) for every row, every k and every
-    order i that is nonzero in some row, and one ``_log_sum`` over i."""
-    rows = len(psi_log)
-    sign = np.zeros((rows, J + 1, J + 1), dtype=np.int8)
-    log = np.full((rows, J + 1, J + 1), LOG_ZERO)
-    sign[:, 0, 0], log[:, 0, 0] = 1, 0.0
-    support = [i for i in range(1, J + 1) if np.any(psi_sign[:, i])]
-    k = np.arange(J)[:, None]  # k - 1 for k = 1..J
-    for n in range(1, J + 1):
-        idx = [i for i in support if i <= n]
-        if not idx:
-            continue
-        i, r = np.array(idx), n - np.array(idx)
-        c = [math.log(math.comb(n - 1, j - 1)) for j in idx] + psi_log[:, i]
-        # B(n - i, k - 1) = 0 when k - 1 > n - i, so no k needs masking
-        sign[:, n, 1:n + 1], log[:, n, 1:n + 1] = _log_sum(
-            sign[:, r, k[:n]] * psi_sign[:, None, i],
-            log[:, r, k[:n]] + c[:, None, :])
+    column of (J+1, rows) arrays (sign, log|psi^(i)|): (sign, log|B|), each
+    (J+1, J+1, rows), int8 signs, zeros as (0, -inf).  Order n gathers the
+    terms C(n-1, i-1) psi^(i) B(n-i, k-1) as (i, k, rows), for the orders i
+    nonzero in some column, and sums over i by one ``_log_sum``."""
+    sign = np.zeros((J + 1, J + 1, psi_log.shape[1]), dtype=np.int8)
+    log = np.full(sign.shape, LOG_ZERO)
+    sign[0, 0], log[0, 0] = 1, 0.0
+    support = np.flatnonzero(psi_sign[1:J + 1].any(axis=1)) + 1
+    with np.errstate(divide="ignore"):
+        for n in range(1, J + 1):
+            i = support[support <= n]
+            if len(i):  # B(n - i, k - 1) = 0 for k - 1 > n - i, so no k is masked
+                c = _log_binomials(J)[n, i, None] + psi_log[i]
+                sign[n, 1:n + 1], log[n, 1:n + 1] = _log_sum(
+                    sign[n - i, :n] * psi_sign[i, None], log[n - i, :n] + c[:, None])
     return sign, log
-
-
-def _log_contract(b_sign, b_log, f_sign, f_log, n: int) -> tuple:
-    """(f o psi)^(n) = sum_k f^(k) B(n, k), k <= n, per row of (sign, log|.|)
-    Bell tables and outer-jet tables."""
-    return _log_sum(b_sign[:, n, :n + 1] * f_sign[:, :n + 1],
-                    b_log[:, n, :n + 1] + f_log[:, :n + 1])
 
 
 def log_compose_table(f_sign, f_log, psi_sign, psi_log, J: int) -> tuple:
     """(sign, log|(f o psi)^(n)(x)|), each (points, J+1), from the
-    (sign, log|.|) jet tables of f over psi(xs) and of psi over xs.
-    Points go in blocks of at most TERM_BLOCK Bell entries (point, n, k), so
-    memory is bounded per block and does not grow with the grid."""
+    (sign, log|.|) jet tables of f over psi(xs) and of psi over xs; order n is
+    one ``_log_sum`` over k of f^(k) B(n, k).  Points go in blocks of at most
+    TERM_BLOCK Bell entries (point, n, k): memory does not grow with the grid."""
     f_sign, f_log, psi_sign, psi_log = (np.asarray(a, dtype=float)
                                         for a in (f_sign, f_log, psi_sign, psi_log))
     sign, log = np.empty((2, len(f_log), J + 1))
     rows = max(1, TERM_BLOCK // (J + 1) ** 2)
-    for lo in range(0, len(f_log), rows):
-        bell = log_bell_table(psi_sign[lo:lo + rows], psi_log[lo:lo + rows], J)
-        f = f_sign[lo:lo + rows], f_log[lo:lo + rows]
-        for n in range(J + 1):
-            sign[lo:lo + rows, n], log[lo:lo + rows, n] = _log_contract(
-                *bell, *f, n)
-        del bell  # before the next block's table is built
+    with np.errstate(divide="ignore"):
+        for at in (slice(lo, lo + rows) for lo in range(0, len(f_log), rows)):
+            bell_sign, bell_log = log_bell_table(psi_sign[at].T, psi_log[at].T, J)
+            fs, fl = f_sign[at].T, f_log[at].T
+            for n in range(J + 1):
+                sign[at, n], log[at, n] = _log_sum(
+                    bell_sign[n, :n + 1] * fs[:n + 1], bell_log[n, :n + 1] + fl[:n + 1])
+            del bell_sign, bell_log  # before the next block's table is built
     return sign, log
-
-
-def _log_row(values) -> tuple:
-    """One (sign, log|v|) table row of LogReal entries, shape (1, len)."""
-    return (np.array([[v.sign for v in values]], dtype=float),
-            np.array([[v.log_abs for v in values]]))
 
 
 def _check_orders(h_jet: Jet, psi_jet: Jet, j: int) -> None:
@@ -296,7 +288,8 @@ def compose_jet(h_jet: Jet, psi_jet: Jet, J: int) -> Jet:
     _check_orders(h_jet, psi_jet, J)
     h, psi = h_jet.values[:J + 1], psi_jet.values[:J + 1]
     if h_jet.kind == "log":
-        sign, log = log_compose_table(*_log_row(h), *_log_row(psi), J)
+        rows = [([[v.sign for v in vs]], [[v.log_abs for v in vs]]) for vs in (h, psi)]
+        sign, log = log_compose_table(*rows[0], *rows[1], J)
         return Jet.from_log_row(psi_jet.base_point, sign[0], log[0])
     support = [i for i in range(1, J + 1) if psi[i]]
     rows = [[Fraction(1)]]

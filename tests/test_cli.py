@@ -878,9 +878,11 @@ def test_bare_import_leaves_numpy_unloaded():
     ["experiment", "bounded", "--d", "2", "--psi", "poly:0,1e400"],
     ["experiment", "sufficient", "--psi", "monbump:n=2,a=1e400",
      "--weight", "gevrey:d=2"],
+    ["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "5",
+     "--jmax", "10"],
 ], ids=["weight-abc", "poly-x", "monbump-n", "weight-nan", "s-nan",
         "s-negative", "table-missing", "poly-overflow", "psi-poly-overflow",
-        "psi-monbump-overflow"])
+        "psi-monbump-overflow", "negative-regime"])
 def test_usage_error_exits_before_numpy_loads(argv, capsys):
     r = run_cold(*argv)
     err, probe = split_probe(r.stderr)

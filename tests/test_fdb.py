@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from gsbench.fdb import (Jet, compose_jet, enumerate_partitions, faa_di_bruno,
                          partition_count, single_jet_compose)
 from gsbench.functions import Gaussian, Polynomial, Pow1px2, Sqrt1px2
 from gsbench.grids import GridSpec
+from gsbench.logdomain import LOG_ZERO
 from gsbench.weights import WeightFunction
 
 # -- independent oracle: polynomial composition -----------------------------
@@ -273,6 +275,156 @@ KERNEL_CASES = {
 }
 
 
+# -- exact-bit oracle: the kernel with the summed axis last ----------------
+# The kernel sums each entry's terms along the first axis; these sum them
+# along the last one, each TwoSum level a strided gather, in the same tree
+# over the same zero-padded terms.  Rows are independent, so the two agree
+# bit for bit.
+
+def rows_last_two_sum(v):
+    n = v.shape[-1]
+    width = 1 << (n - 1).bit_length()
+    if width > n:
+        v = np.concatenate([v, np.zeros(v.shape[:-1] + (width - n,))], axis=-1)
+    err = None
+    while v.shape[-1] > 1:
+        a, b = v[..., 0::2], v[..., 1::2]
+        v = a + b
+        z = v - a
+        e = (a - (v - z)) + (b - z)
+        err = e if err is None else err[..., 0::2] + err[..., 1::2] + e
+    return v[..., 0] if err is None else v[..., 0] + err[..., 0]
+
+
+def rows_last_log_sum(sign, log):
+    m = log.max(axis=-1)
+    m = np.where(m == LOG_ZERO, 0.0, m)
+    total = rows_last_two_sum(sign * np.exp(log - m[..., None]))
+    with np.errstate(divide="ignore"):
+        return np.sign(total), m + np.log(np.abs(total))
+
+
+def rows_last_log_bell_table(psi_sign, psi_log, J):
+    """(sign, log|B(n, k)|), each (rows, J+1, J+1), from (rows, J+1) jets."""
+    rows = len(psi_log)
+    sign = np.zeros((rows, J + 1, J + 1), dtype=np.int8)
+    log = np.full((rows, J + 1, J + 1), LOG_ZERO)
+    sign[:, 0, 0], log[:, 0, 0] = 1, 0.0
+    support = [i for i in range(1, J + 1) if np.any(psi_sign[:, i])]
+    k = np.arange(J)[:, None]
+    for n in range(1, J + 1):
+        idx = [i for i in support if i <= n]
+        if not idx:
+            continue
+        i, r = np.array(idx), n - np.array(idx)
+        c = [math.log(math.comb(n - 1, j - 1)) for j in idx] + psi_log[:, i]
+        sign[:, n, 1:n + 1], log[:, n, 1:n + 1] = rows_last_log_sum(
+            sign[:, r, k[:n]] * psi_sign[:, None, i],
+            log[:, r, k[:n]] + c[:, None, :])
+    return sign, log
+
+
+def rows_last_log_compose_table(f_sign, f_log, psi_sign, psi_log, J):
+    f_sign, f_log, psi_sign, psi_log = (
+        np.asarray(a, dtype=float) for a in (f_sign, f_log, psi_sign, psi_log))
+    sign, log = np.empty((2, len(f_log), J + 1))
+    rows = max(1, fdb.TERM_BLOCK // (J + 1) ** 2)
+    for lo in range(0, len(f_log), rows):
+        b_sign, b_log = rows_last_log_bell_table(
+            psi_sign[lo:lo + rows], psi_log[lo:lo + rows], J)
+        fs, fl = f_sign[lo:lo + rows], f_log[lo:lo + rows]
+        for n in range(J + 1):
+            sign[lo:lo + rows, n], log[lo:lo + rows, n] = rows_last_log_sum(
+                b_sign[:, n, :n + 1] * fs[:, :n + 1],
+                b_log[:, n, :n + 1] + fl[:, :n + 1])
+    return sign, log
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, dtype, shape and every byte, signed zeros included."""
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+# logs of 1, 1 + 2^-52, of terms below an ulp of 1 and of 0: their signed
+# sums cancel down to the last bits, where a tree of another shape rounds
+# otherwise in about one sum in fifty
+NEAR_CANCELLING_LOGS = [0.0, math.log1p(2.0 ** -52), -36.7, -37.5, -73.7,
+                        -math.inf]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 17, 31, 40])
+def test_log_sum_bits_match_rows_last_tree(n):
+    rng = np.random.default_rng(n)  # 2000 independent sums of n terms each
+    log = rng.choice(NEAR_CANCELLING_LOGS, (n, 2000))
+    sign = np.where(log > -math.inf, rng.choice([-1, 1], log.shape), 0)
+    with np.errstate(divide="ignore"):
+        got = fdb._log_sum(sign.astype(np.int8), log)
+    assert_same_bits(got, rows_last_log_sum(sign.T.astype(float), log.T))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_bits_match_rows_last_oracle(name):
+    psi, grid, J = KERNEL_CASES[name]
+    tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
+    assert_same_bits(log_compose_table(*tables, J),
+                     rows_last_log_compose_table(*tables, J))
+
+
+# magnitudes 1, 2, 3 and 1/2 with either sign: equal terms of opposite sign
+# cancel exactly, and sums of them round
+log_magnitude = st.sampled_from([0.0, math.log(2.0), math.log(3.0), -math.log(2.0)])
+
+
+@st.composite
+def signed_jet_table(draw, rows, J):
+    # a zero may be signed -0.0, as log_jet_table's odd orders are at x = 0
+    signs = draw(st.lists(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                                   min_size=J + 1, max_size=J + 1),
+                          min_size=rows, max_size=rows))
+    logs = [[draw(log_magnitude) if s else -math.inf for s in row] for row in signs]
+    return np.array(signs, dtype=float), np.array(logs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_bits_match_rows_last_oracle_on_cancelling_jets(data):
+    J = data.draw(st.integers(0, 12), label="J")
+    rows = data.draw(st.integers(1, 4), label="rows")
+    f = data.draw(signed_jet_table(rows, J), label="f")
+    psi = data.draw(signed_jet_table(rows, J), label="psi")
+    assert_same_bits(log_compose_table(*f, *psi, J),
+                     rows_last_log_compose_table(*f, *psi, J))
+
+
+@pytest.mark.parametrize("psi, x0", [(Pow1px2(1.5), 1.0), (Sqrt1px2(), 2.0)])
+def test_bell_table_bits_match_rows_last_oracle(psi, x0):
+    # the one-row table of experiments.compactness_blowup, nmax = 30
+    jet = psi.jet(x0, 30).to_log()
+    sign = np.array([[v.sign for v in jet.values]], dtype=float)
+    log = np.array([[v.log_abs for v in jet.values]])
+    got = fdb.log_bell_table(sign.T, log.T, 30)
+    want = rows_last_log_bell_table(sign, log, 30)
+    assert_same_bits([a.transpose(2, 0, 1) for a in got], want)
+
+
+def test_kernel_memory_stays_within_its_block_bound():
+    # a block's Bell table takes 9 bytes an entry (a float64 log and an int8
+    # sign); 16 bytes an entry leave room for one order's terms at a time,
+    # not for the terms of several orders batched together (~2 MB more here)
+    psi, grid, J = KERNEL_CASES["square"]  # 201 points: two blocks
+    tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
+    log_compose_table(*tables, J)
+    tracemalloc.start()
+    try:
+        log_compose_table(*tables, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * fdb.TERM_BLOCK, peak
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_kernel_matches_pointwise_oracle(name):
     psi, grid, J = KERNEL_CASES[name]
@@ -299,7 +451,7 @@ def test_kernel_blocks_do_not_change_results(block, monkeypatch):
     tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
     whole = log_compose_table(*tables, J)
     monkeypatch.setattr(fdb, "TERM_BLOCK", block * (J + 1) ** 2)
-    assert_close_logs(*log_compose_table(*tables, J), *whole, 1e-13)
+    assert_same_bits(log_compose_table(*tables, J), whole)  # rows independent
 
 
 def test_kernel_one_point_is_compose_jet():
