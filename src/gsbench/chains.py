@@ -1,0 +1,156 @@
+"""The scalar inequality chains, loss of regularity and nuclearity: walks
+over Young conjugates that build no array, so unlike ``experiments`` (which
+re-exports them) this module imports no numpy.  Each row is checked in log
+domain at finite index ranges only.
+"""
+from __future__ import annotations
+
+import math
+
+from .errors import PreconditionError, RegimeError
+from .logdomain import log_sum_exp
+from .reports import ChainReport
+from .specs import check_negative_regime
+from .weights import (ConjugateEvaluator, WeightFunction, find_log_scaling_constant,
+                      first_true, verify_log_scaling_constant)
+
+DEFAULT_THRESHOLD = 1e6  # linear scale; log crossing at ~13.8
+S_CAP = 10 ** 12         # largest block threshold s0 searched
+NEGATIVE_TOL = 1e-9      # slack on the negative chain's inequalities
+NUCLEAR_TOL = 1e-10      # slack on the nuclearity partial sums
+
+
+# ---------------------------------------------------------------------------
+# The loss-of-regularity chain (Gevrey scale)
+# ---------------------------------------------------------------------------
+
+def _block_threshold(c_sigma: ConjugateEvaluator, c_tilde: ConjugateEvaluator,
+                     L: int, n: int) -> int:
+    """Smallest integer s0 <= S_CAP with phi_sigma*(s) <= 2Ln phi_tilde*(s/(2Ln))
+    for all s >= s0.  The per-unit margin (rhs - lhs)/s is increasing in
+    log s, so the violation set is an initial segment of the integers."""
+    c = 2 * L * n
+
+    def holds(s: int) -> bool:
+        return c_sigma(s) <= c * c_tilde(s / c) + 1e-12
+
+    s0 = first_true(holds, 1, S_CAP)
+    if s0 is None:
+        raise RegimeError(f"block threshold exceeds {S_CAP}; weights too close")
+    # guard against stray non-monotonicity just past the boundary
+    if not all(holds(s) for s in range(s0, s0 + 64)):
+        raise RegimeError("block boundary not clean; condition not monotone")
+    return s0
+
+
+def negative_chain(d: float, k: float, d_prime: float, jmax: int,
+                   threshold: float = DEFAULT_THRESHOLD) -> ChainReport:
+    """Loss-of-regularity chain for omega = t^(1/d), sigma = t^(1/d'),
+    psi' >= psi^k: block construction, stationary points x_j, and the
+    divergent lower bound exp(j - 2 lambda_j L), all checked row by row."""
+    check_negative_regime(d, k, d_prime)
+    omega = WeightFunction.gevrey(d)
+    sigma = WeightFunction.gevrey(d_prime)
+    tilde = WeightFunction.gevrey((k + 1) * d)
+    c_omega = ConjugateEvaluator(omega)
+    c_omega_num = ConjugateEvaluator(omega, method="numeric-sup")
+    c_sigma = ConjugateEvaluator(sigma)
+    c_tilde = ConjugateEvaluator(tilde)
+    try:
+        L = find_log_scaling_constant(tilde)
+    except OverflowError:
+        raise PreconditionError(
+            f"--d: omega(t) = t^(1/((k+1)d)) overflows a float at d={d:g}") from None
+
+    # blocks I_m = (j_{m-1}, j_m] with j_n = max(2^n, s_{n+1}); the report
+    # covers the first jmax indices of the construction, j in (j_0, j_0+jmax]
+    j_bounds = []  # j_bounds[n] = j_n
+    while not j_bounds or j_bounds[-1] < j_bounds[0] + jmax:
+        n = len(j_bounds)
+        j_bounds.append(max(2 ** n, _block_threshold(c_sigma, c_tilde, L, n + 1)))
+
+    def block_of(j: int) -> int:
+        for m in range(1, len(j_bounds)):
+            if j_bounds[m - 1] < j <= j_bounds[m]:
+                return m
+        raise RegimeError(f"index {j} not covered by blocks")
+
+    log_thresh = math.log(threshold)
+    report = ChainReport(
+        experiment="negative-chain",
+        params={"d": d, "k": k, "d_prime": d_prime, "jmax": jmax, "L": L,
+                "j0": j_bounds[0], "threshold": threshold,
+                "tol": NEGATIVE_TOL, "blocks": [int(b) for b in j_bounds]},
+        columns=["j", "lambda", "x_j", "log_a_j", "stationarity_lhs",
+                 "stationarity_rhs", "numeric_conjugate", "convexity_lhs",
+                 "convexity_rhs", "shift_lhs", "shift_rhs", "block_lhs",
+                 "block_rhs", "log_lower_bound", "verdict"])
+    first_cross = None
+    for j in range(j_bounds[0] + 1, j_bounds[0] + jmax + 1):
+        lam = float(block_of(j))
+        x_j = (k * j * d / lam) ** d
+        st_lhs = k * j * math.log(x_j) - lam * omega(x_j)
+        st_rhs = lam * c_omega(k * j / lam)
+        st_num = lam * c_omega_num(k * j / lam)
+        ok_st = (abs(st_lhs - st_rhs) <= 1e-9 * max(1.0, abs(st_rhs))
+                 and abs(st_num - st_rhs) <= 1e-9 * max(1.0, abs(st_rhs)))
+        conv_lhs = lam * c_omega(j / lam) + lam * c_omega(k * j / lam)
+        conv_rhs = 2 * lam * c_omega((k + 1) * j / (2 * lam))
+        tilde_same = 2 * lam * c_tilde(j / (2 * lam))
+        ok_conv = (conv_lhs >= conv_rhs - NEGATIVE_TOL
+                   and abs(conv_rhs - tilde_same) <= 1e-9 * max(1.0, abs(conv_rhs)))
+        shift_lhs = 2 * lam * c_tilde(j / (2 * lam))
+        shift_rhs = 2 * L * lam * c_tilde(j / (2 * L * lam)) + j - 2 * lam * L
+        ok_shift = shift_lhs >= shift_rhs - NEGATIVE_TOL
+        block_lhs = 2 * L * lam * c_tilde(j / (2 * L * lam))
+        block_rhs = c_sigma(j)
+        ok_block = block_lhs >= block_rhs - NEGATIVE_TOL
+        log_lb = j - 2 * lam * L
+        if first_cross is None and log_lb > log_thresh:
+            first_cross = j
+        log_a_j = lam * c_omega(j / lam)
+        report.add_row({
+            "j": j, "lambda": lam, "x_j": x_j, "log_a_j": log_a_j,
+            "stationarity_lhs": st_lhs, "stationarity_rhs": st_rhs,
+            "numeric_conjugate": st_num,
+            "convexity_lhs": conv_lhs, "convexity_rhs": conv_rhs,
+            "shift_lhs": shift_lhs, "shift_rhs": shift_rhs,
+            "block_lhs": block_lhs, "block_rhs": block_rhs,
+            "log_lower_bound": log_lb,
+            "verdict": ok_st and ok_conv and ok_shift and ok_block})
+    report.verdict = report.all_hold() and first_cross is not None
+    report.first_crossing_index = first_cross
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Nuclearity: summability of the weight-ratio series
+# ---------------------------------------------------------------------------
+
+def nuclearity_sum(w: WeightFunction, m: int, L: int,
+                   jmax: int) -> ChainReport:
+    """Partial sums of sum_j v_m(j)/v_l(j) with v_n(j) = exp(-n phi*(j/n)) and
+    l = L m, checked against the geometric cap e^(mL)/(e-1)."""
+    verify_log_scaling_constant(w, L)
+    try:
+        bound = math.exp(m * L) / (math.e - 1.0)
+    except OverflowError:
+        raise PreconditionError(
+            f"m*L = {m * L} exceeds log(float max); the bound e^(mL)/(e-1) "
+            "overflows") from None
+    conj = ConjugateEvaluator(w)
+    ell = L * m
+    report = ChainReport(
+        experiment="nuclearity",
+        params={"weight": w.label, "m": m, "L": L, "ell": ell, "jmax": jmax,
+                "bound": bound, "tol": NUCLEAR_TOL},
+        columns=["j", "log_ratio", "partial_sum", "verdict"])
+    log_ratios = []
+    for j in range(1, jmax + 1):
+        log_ratios.append(ell * conj(j / ell) - m * conj(j / m))
+        partial = math.exp(log_sum_exp(log_ratios)) if log_ratios else 0.0
+        report.add_row({"j": j, "log_ratio": log_ratios[-1],
+                        "partial_sum": partial,
+                        "verdict": partial <= bound + NUCLEAR_TOL})
+    report.verdict = report.all_hold()
+    return report

@@ -87,7 +87,7 @@ FLAGS = {
     "x_seq": dict(type=REALS, help="comma-separated x_j values"),
     "lam_seq": dict(type=REALS, help="comma-separated lambda_j values"),
     "grid": dict(type=_arg(GridSpec.parse), help='grid spec, e.g. "log:1e-2,1e8,2000"'),
-    "threshold": dict(type=_arg(_number(float, 1, True)),  # None: experiments.DEFAULT_THRESHOLD
+    "threshold": dict(type=_arg(_number(float, 1, True)),  # None: chains.DEFAULT_THRESHOLD
                       help="divergence threshold (linear scale)"),
 }
 
@@ -233,10 +233,11 @@ def _estimate_index(a):
 
 
 def _experiment(a):
-    if a.name == "negative":  # its regime d <= d' < (k+1)d, before numpy loads
-        specs.check_negative_regime(a.d, a.k, a.dprime)
-    from . import experiments
-    return EXPERIMENTS[a.name][2](experiments, a)
+    if a.name in ("negative", "nuclear"):  # the scalar chains load no numpy
+        from . import chains as module
+    else:
+        from . import experiments as module
+    return EXPERIMENTS[a.name][2](module, a)
 
 
 def _nuclear(ex, a):
@@ -246,8 +247,8 @@ def _nuclear(ex, a):
 
 
 # experiment name -> (required flags, optional flags, runner); the runner
-# takes the experiments module and the arguments and reads every flag listed,
-# and FLAGS types them
+# takes the module that defines the experiment and the arguments and reads
+# every flag listed, and FLAGS types them
 EXPERIMENTS = {
     "negative": (("d", "dprime"), ("k", "jmax", "threshold"), lambda ex, a: ex.negative_chain(
         a.d, a.k, a.dprime, a.jmax, threshold=a.threshold or ex.DEFAULT_THRESHOLD)),

@@ -4,13 +4,26 @@ Grammar used by the CLI and config files:
 
     log:<lo>,<hi>,<n>   n points log-spaced on [lo, hi], lo > 0
     lin:<lo>,<hi>,<n>   n points linearly spaced on [lo, hi]
+
+Points are floats from np.linspace's formula, i (hi - lo)/(n - 1) + lo, hi
+last: a lin grid equals np.linspace bit for bit.  A log grid raises 10 to
+that formula on math.log10 of its ends with libm's pow, not numpy's SIMD
+power, so its points do not depend on the CPU.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import PreconditionError
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -33,40 +46,51 @@ class GridSpec:
             raise PreconditionError("grid requires hi > lo")
         if not math.isfinite(self.hi - self.lo):
             raise PreconditionError("grid span hi - lo overflows a float")
+        try:
+            self._iter()  # computes a log grid's top point 10^log10(hi) eagerly
+        except OverflowError:
+            raise PreconditionError(f"grid {self.spec_string()}: its top point "
+                                    "10^log10(hi) overflows a float; lower its hi") from None
 
-    def points(self):
-        import numpy as np  # at call time: parsing a grid loads no numpy
-        if self.kind == "log":
-            return np.logspace(np.log10(self.lo), np.log10(self.hi), self.n)
-        return np.linspace(self.lo, self.hi, self.n)
+    def _iter(self):
+        """The points one at a time (see the module notes)."""
+        log, div = self.kind == "log", self.n - 1
+        lo, hi = (math.log10(self.lo), math.log10(self.hi)) if log else (self.lo, self.hi)
+        step = (hi - lo) / div
+        if log:
+            return chain((10.0 ** (i * step + lo) for i in range(div)), (10.0 ** hi,))
+        if not step:  # a subnormal span: np.linspace scales i/div instead
+            return chain((i / div * (hi - lo) + lo for i in range(div)), (hi,))
+        return chain((i * step + lo for i in range(div)), (hi,))
+
+    def points(self) -> list:
+        return list(self._iter())
 
     def symmetric_points(self):
-        """Grid mirrored through 0 (with 0 included)."""
+        """Grid mirrored through 0 (with 0 included), as an array."""
         import numpy as np
-        p = self.points()
+        p = np.fromiter(self._iter(), float, self.n)
         return np.concatenate([-p[::-1], [0.0], p])
 
     def scaled(self, factor: float) -> "GridSpec":
         """Extend hi by ``factor`` while keeping the point spacing, so the
         original points stay on the enlarged grid (stability comparisons do
         not see witnesses move between grid cells)."""
-        import numpy as np
         if factor <= 1.0:
             raise PreconditionError("scale factor must exceed 1")
         if self.kind == "lin":
             step = (self.hi - self.lo) / (self.n - 1)
             extra = max(1, round(self.hi * (factor - 1.0) / step))
         else:
-            step = (np.log(self.hi) - np.log(self.lo)) / (self.n - 1)
-            extra = max(1, round(np.log(factor) / step))
+            step = (math.log(self.hi) - math.log(self.lo)) / (self.n - 1)
+            extra = max(1, round(math.log(factor) / step))
         n = self.n + extra
         if self.kind == "lin":
             hi = self.lo + (n - 1) * step
         else:
-            with np.errstate(over="ignore"):
-                hi = float(self.lo * np.exp((n - 1) * step))
-                if not math.isfinite(hi):  # exp overflowed; lo < 1 may undo it
-                    hi = float(np.exp(np.log(self.lo) + (n - 1) * step))
+            hi = self.lo * _exp((n - 1) * step)
+            if not math.isfinite(hi):  # exp overflowed; lo < 1 may undo it
+                hi = _exp(math.log(self.lo) + (n - 1) * step)
         if not math.isfinite(hi):
             raise PreconditionError(
                 f"grid {self.spec_string()} extended {factor:g}x overflows "

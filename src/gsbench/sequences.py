@@ -13,9 +13,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
-
-import numpy as np
 
 from .errors import PreconditionError, SearchExhaustedError, TruncationError
 from .grids import GridSpec
@@ -283,7 +282,7 @@ def check_sequence_conditions(M: WeightSequence, P: int = 200,
                       "note": "tail does not converge at a power rate > 1"
                       if M.log_convex else "non-log-convex: inconclusive"}
     else:
-        suffix = np.cumsum(inv_m[::-1])[::-1]  # suffix[p-1] = sum_{j=p}^J 1/m_j
+        suffix = list(accumulate(reversed(inv_m)))[::-1]  # suffix[p-1] = sum_{j=p}^J 1/m_j
         best, best_p = -math.inf, 1
         for p in range(1, P + 1):
             v = math.exp(M.log_m(p)) / p * (suffix[p - 1] + tail)
@@ -345,6 +344,7 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
 
     "Found" means the log ratio's running max is attained away from the top of
     the tested range, i.e. the finite scan shows a stabilized constant."""
+    import numpy as np
     conj = AssociatedWeight(M, pmax=SANDWICH_ASSOC_PMAX).conjugate
 
     if direction == "seq<=conj":
@@ -385,7 +385,7 @@ def doubling_from_sequence(M: WeightSequence, grid: GridSpec = None) -> Optional
     if grid is None:
         grid = GridSpec("log", 1e-2, 1e6, 400)
     aw = AssociatedWeight(M, pmax=DOUBLING_ASSOC_PMAX)
-    ts = np.concatenate([[0.0], grid.points()])
+    ts = [0.0, *grid.points()]
     vals = [aw(t) for t in ts]
 
     def holds(H: int) -> bool:  # monotone in H

@@ -11,14 +11,14 @@ so its phi* is a max over the breakpoints (Rockafellar 1970, section 19).
 The golden section is the oracle of gevrey and logpow.  The associated weight
 of any weight sequence has its own exact conjugate, ``AssociatedWeight.
 conjugate`` in ``sequences``: the interpolated convex hull of log M_p.
+numpy is imported only where an array is built, so gevrey and logpow
+conjugates and the log-scaling constant run on the standard library.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import BracketError, PreconditionError, RangeError
 from .grids import DEFAULT_T_GRID, GridSpec
@@ -68,6 +68,7 @@ class WeightFunction:
         self.kind, self.label, self.d, self.s = spec.kind, spec.label, spec.d, spec.s
         self.knots = spec.knots  # the t of each table row, where omega has a kink
         if self.kind == "tabulated":
+            import numpy as np  # at call time: only a table builds arrays
             # the logs the spec checked for strict increase, not recomputed
             log_ts, vals = np.array(spec.log_knots), np.array(spec.values)
             self._log_ts = log_ts
@@ -92,14 +93,16 @@ class WeightFunction:
         lt = math.log(t) if t else -math.inf
         xs, vs = self._log_ts, self._vals
         if not lt > xs[-1]:
+            import numpy as np
             return float(np.interp(lt, xs, vs))
         slope = self.tail_slope
         return float(vs[-1] + slope * (lt - xs[-1])) if slope else float(vs[-1])
 
-    def values(self, ts) -> np.ndarray:
+    def values(self, ts):
         """omega at every t of ts, equal bit for bit to [w(t) for t in ts].
         Powers and logs stay per element in math and **: numpy's vector
         power and log may differ from them in the last bit."""
+        import numpy as np
         ts = np.abs(np.asarray(ts, dtype=float)).tolist()
         if self.kind == "gevrey":
             e = 1.0 / self.d
@@ -181,7 +184,7 @@ class ConjugateEvaluator:
                     f"phi*({label_real(s)}) of {w.label} is +inf: s exceeds "
                     f"the tail slope b = {label_real(float(w.tail_slope))}")
             us, phis = w._breaks
-            return float(np.max(s * us - phis))
+            return float((s * us - phis).max())
         if w.kind == "logpow":  # the maximizer t = (s/q)^(1/(q-1)) is interior
             try:
                 return (w.s - 1.0) * (s / w.s) ** (w.s / (w.s - 1.0))
@@ -259,7 +262,7 @@ class WeightConditionReport(Result):
                 "conditions": [asdict(r) for r in self.records()]}
 
 
-def _integral(f: Callable[[np.ndarray], np.ndarray], points: list) -> tuple:
+def _integral(f: Callable, points: list) -> tuple:
     """(value, abs_error, ok) of a nonnegative integrand, taking an array of
     nodes, over [points[0], points[-1]]: one QUADPACK integral per gap
     between consecutive points, not ok when one reports ier != 0 (e.g. a
@@ -292,7 +295,8 @@ def check_weight_conditions(w: WeightFunction, grid: GridSpec = None) -> WeightC
 
 
 def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
-    ts = np.concatenate([[0.0], grid.points()])
+    import numpy as np
+    ts = np.array([0.0, *grid.points()])
     om = w.values(ts)
 
     # (alpha): omega(2t) <= K (omega(t) + 1)
@@ -325,8 +329,8 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
                            detail={"abs_error": float(beta_err)})
 
     # (gamma): log(1+t^2) = o(omega(t)) -- ratio trend only
-    tail = [t for t in grid.points() if t >= 10.0]
-    samples = [(float(t), float(w(t) / math.log1p(t * t))) for t in tail[:: max(1, len(tail) // 12)]]
+    tail = [t for t in ts.tolist() if t >= 10.0]
+    samples = [(t, w(t) / math.log1p(t * t)) for t in tail[:: max(1, len(tail) // 12)]]
     ratios = [r for _, r in samples]
     gamma = ConditionRecord("gamma", bool(ratios and ratios[-1] > ratios[0]),
                             detail={"ratio_samples": samples,
@@ -384,8 +388,7 @@ def find_log_scaling_constant(w: WeightFunction, grid: GridSpec = None) -> int:
     """Smallest integer L with omega(e t) <= L (1 + omega(t)) on the grid."""
     if grid is None:
         grid = DEFAULT_T_GRID
-    ts = np.concatenate([[0.0], grid.points()])
-    ratios = (w.values(math.e * ts) / (1.0 + w.values(ts))).tolist()
+    ratios = [w(math.e * t) / (1.0 + w(t)) for t in [0.0, *grid.points()]]
     L = math.ceil(max(ratios) - 1e-12)
     if L > L_BOUND:
         raise BracketError(f"no L <= {L_BOUND} scales the weight (max ratio {max(ratios):g})")
@@ -397,7 +400,7 @@ def verify_log_scaling_constant(w: WeightFunction, L: int,
     """Raise with a witness t if omega(e t) <= L (1 + omega(t)) fails."""
     if grid is None:
         grid = DEFAULT_T_GRID
-    for t in np.concatenate([[0.0], grid.points()]):
+    for t in [0.0, *grid.points()]:
         if w(math.e * t) > L * (1.0 + w(t)) + 1e-9:
             raise PreconditionError(
                 f"L={L} invalid: omega(e*t)={w(math.e * t):g} > "

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gsbench import cli, experiments, functions, sequences, weights
+from gsbench import chains, cli, experiments, functions, sequences, weights
 from gsbench.cli import EXPERIMENTS, build_parser, main
 from gsbench.functions import ModelFunction, parse_function
 from gsbench.grids import GridSpec
@@ -62,7 +63,9 @@ def test_scaled_grid_keeps_spacing():
 
 # (kind, lo, hi, n) -> (hi, n) of scaled(1.25) on the bench's seminorm,
 # necessary and cauchy grids and the default t grid: the overflow guard must
-# leave these endpoints bit for bit as lo * exp((n - 1) step) gives them.
+# leave these endpoints bit for bit as lo * exp((n - 1) step) gives them
+# with math.exp.  For log:1,22,200 that is the correctly rounded
+# 27.344153129171215; numpy's AVX-512 exp gave one ulp less.
 SCALED_ENDPOINTS = [
     (("lin", 0.05, 8.0, 160), (10.000000000000002, 200)),
     (("lin", 0.05, 8.25, 160), (10.312893081761006, 200)),
@@ -74,7 +77,7 @@ SCALED_ENDPOINTS = [
     (("log", 0.001, 1750.0, 20000), (2186.8045912748275, 20310)),
     (("log", 1.0, 20.0, 200), (25.066724235079377, 215)),
     (("log", 1.0, 21.0, 200), (26.41703464132227, 215)),
-    (("log", 1.0, 22.0, 200), (27.34415312917121, 214)),
+    (("log", 1.0, 22.0, 200), (27.344153129171215, 214)),
     (("log", 1.0, 23.0, 200), (28.67660830233771, 214)),
     (("log", 0.01, 1e8, 2000), (124465080.33525372, 2019)),
 ]
@@ -102,6 +105,24 @@ def test_grid_overflowing_a_float_exits_2(grid):
     assert r.returncode == 2 and r.stdout == ""
     assert "Traceback" not in r.stderr and "Warning" not in r.stderr
     assert "overflows a float" in r.stderr
+
+
+# a log grid whose top point 10^log10(hi) overflows: each command exits 2 at
+# parse, naming the grid
+@pytest.mark.parametrize("argv", [
+    ["weight-check", "--weight", "gevrey:d=2"],
+    ["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma", "gevrey:d=2",
+     "--omega", "gevrey:d=2"],
+    ["seminorm", "--family", "p", "--function", "poly:0,0,1",
+     "--weight", "gevrey:d=2", "--lam", "1"],
+], ids=["weight-check", "necessary", "seminorm"])
+def test_log_grid_whose_top_overflows_exits_2(argv, capsys):
+    assert main([*argv, "--grid", "log:1,1.7976931348623157e308,10"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err.rstrip().endswith(
+        "argument --grid: grid log:1,1.79769e+308,10: its top point "
+        "10^log10(hi) overflows a float; lower its hi")
 
 
 def test_float_formatting_round_trips():
@@ -489,9 +510,10 @@ class Stub:
 
 
 def test_every_declared_flag_is_read_by_its_runner(monkeypatch):
-    for name, obj in list(vars(experiments).items()):
-        if callable(obj) and getattr(obj, "__module__", "") == experiments.__name__:
-            monkeypatch.setattr(experiments, name, Stub())
+    for module in (experiments, chains):
+        for name, obj in list(vars(module).items()):
+            if callable(obj) and getattr(obj, "__module__", "") == module.__name__:
+                monkeypatch.setattr(module, name, Stub())
     # the runners import these from their defining modules at call time
     for module, name in ((weights, "check_weight_conditions"),
                          (sequences, "check_sequence_conditions"),
@@ -862,6 +884,68 @@ def test_bare_import_leaves_numpy_unloaded():
                         "import sys, gsbench; print('numpy' in sys.modules)"],
                        capture_output=True, text=True)
     assert r.returncode == 0 and r.stdout == "False\n"
+
+
+# the scalar commands: no array is built, so numpy is never imported, and the
+# cold run prints and writes what an in-process run does
+@pytest.mark.parametrize("argv", [
+    ["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "3.5",
+     "--jmax", "400"],
+    ["experiment", "nuclear", "--weight", "gevrey:d=2"],
+    ["sequence-check", "--sequence", "gevreyseq:d=2"],
+    ["conjugate", "--weight", "gevrey:d=2", "--s", "1"],
+    ["conjugate", "--weight", "logpow:s=2", "--s", "1"],
+], ids=["negative", "nuclear", "sequence-check", "conjugate-gevrey",
+        "conjugate-logpow"])
+def test_scalar_command_runs_cold_without_numpy(argv, tmp_path, capsys):
+    def out(d):
+        d.mkdir()
+        return (["--out", str(d / "r.csv"), "--format", "both"]
+                if argv[0] == "experiment" else [])
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    r = run_cold(*argv, *out(cold))
+    err, probe = split_probe(r.stderr)
+    assert (r.returncode, err) == (0, "") and probe.startswith("numpy=False ")
+    assert main([*argv, *out(warm)]) == 0
+    assert capsys.readouterr().out == r.stdout
+    files = sorted(p.name for p in cold.iterdir())
+    assert files == sorted(p.name for p in warm.iterdir())
+    assert files == (["r.csv", "r.json"] if argv[0] == "experiment" else [])
+    for name in files:
+        assert (cold / name).read_bytes() == (warm / name).read_bytes()
+
+
+# numpy's SIMD dispatch reads this in the child only; without these targets
+# it falls back to AVX2 kernels for float64 exp, log1p and power
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["weight-check", "--weight", "logpow:s=2"],
+    ["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma", "gevrey:d=2",
+     "--omega", "gevrey:d=2"],
+    ["experiment", "cauchy", "--psi", "sqrt1px2", "--delta", "0.5",
+     "--jmax", "10"],
+    ["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "3.5",
+     "--jmax", "400"],
+    ["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "1", "--L", "2",
+     "--jmax", "50"],
+    ["sequence-check", "--sequence", "gevreyseq:d=2"],
+], ids=["weight-check", "necessary", "cauchy", "negative", "nuclear",
+        "sequence-check"])
+def test_output_does_not_depend_on_the_simd_level(argv):
+    from numpy._core._multiarray_umath import __cpu_features__
+    missing = [f for f in NO_AVX512.split() if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(missing)}: numpy runs the "
+                    "same kernels with or without NPY_DISABLE_CPU_FEATURES")
+    runs = [subprocess.run([sys.executable, "-m", "gsbench", *argv],
+                           capture_output=True, env=env)
+            for env in (dict(os.environ),
+                        dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512))]
+    assert runs[0].returncode in (0, 1) and runs[0].stdout
+    assert [(r.returncode, r.stdout) for r in runs[1:]] == [
+        (runs[0].returncode, runs[0].stdout)]
 
 
 # the usage-error probes of the benchmark's reference workload, and a table

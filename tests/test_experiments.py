@@ -362,6 +362,46 @@ def test_necessary_growth_matches_pointwise_loop(psi, w_sigma, w_omega, kind,
     assert res.grows_with_radius is grows
 
 
+def per_point_sigma_necessary_growth(psi, w_sigma, w_omega, grid):
+    """Oracle: necessary_growth as it evaluated sigma at every grid point,
+    block by block, not once per |x|."""
+    xs = grid.symmetric_points()
+    best, best_x, inner_best = -math.inf, 0.0, -math.inf
+    half = grid.hi / 2.0
+    for lo in range(0, len(xs), NECESSARY_BLOCK):
+        xb = xs[lo:lo + NECESSARY_BLOCK]
+        sigma = w_sigma.values(xb)
+        omega = w_omega.values(psi.values(xb))
+        with np.errstate(invalid="ignore"):
+            ratio = sigma / (1.0 + omega)
+        ratio[np.isnan(ratio)] = -math.inf
+        i = int(ratio.argmax())
+        if ratio[i] > best:
+            best, best_x = float(ratio[i]), float(xb[i])
+        inner_best = max(inner_best,
+                         float(ratio[np.abs(xb) <= half].max(initial=-math.inf)))
+    return best, best_x, best > inner_best + 1e-9
+
+
+@pytest.mark.parametrize("psi, w_sigma, w_omega, grid", [
+    *((SQUARE, WeightFunction.gevrey(d), WeightFunction.gevrey(d),
+       GridSpec("log", 1e-3, 1e3 * (1 + 0.25 * k), 20000))
+      for k, d in enumerate((2, 2.5, 3, 1.5))),
+    (Polynomial([1, 2, 1]), W2, W2, GridSpec("lin", 0.05, 40.0, 6001)),
+    (Polynomial([1, -2, 0, 1]), WeightFunction.logpow(2), W2,
+     GridSpec("log", 1e-2, 50.0, 5000)),
+    (CUBE, WeightFunction.gevrey(1.5), WeightFunction.logpow(1.5),
+     GridSpec("lin", 0.0, 9.0, 4097)),
+], ids=["scan0", "scan1", "scan2", "scan3", "lin-shifted-square",
+        "log-cubic-logpow", "lin-odd-cube"])
+def test_necessary_growth_equals_per_point_sigma(psi, w_sigma, w_omega, grid):
+    res = necessary_growth(psi, w_sigma, w_omega, grid)
+    best, best_x, grows = per_point_sigma_necessary_growth(psi, w_sigma,
+                                                           w_omega, grid)
+    assert [res.C.hex(), res.argmax_x.hex()] == [best.hex(), best_x.hex()]
+    assert res.grows_with_radius is grows
+
+
 def test_necessary_growth_skips_nan_ratios():
     grid = GridSpec("lin", 0.25, 6.0, 24)  # step 0.25
     ident = Polynomial([0, 1])

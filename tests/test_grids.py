@@ -1,0 +1,91 @@
+"""Grid points against numpy's linspace/logspace, bit for bit or to the ulp."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from gsbench.errors import PreconditionError
+from gsbench.grids import DEFAULT_T_GRID, GridSpec
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+# the log grids the commands, the scripts and the benchmark use
+REPO_LOG_GRIDS = [DEFAULT_T_GRID, GridSpec("log", 1e-3, 1e3, 20000),
+                  GridSpec("log", 1.0, 20.0, 200), GridSpec("log", 1e-2, 1e6, 400),
+                  *(GridSpec("log", 1e-3, hi, 20000) for hi in (1250.0, 1500.0, 1750.0)),
+                  *(GridSpec("log", 1.0, hi, 200) for hi in (21.0, 22.0, 23.0))]
+
+
+def libm_log_points(g):
+    """numpy's linspace formula on math.log10 of the ends, raised by libm."""
+    lo, hi = math.log10(g.lo), math.log10(g.hi)
+    step = (hi - lo) / (g.n - 1)
+    return [10.0 ** (i * step + lo) for i in range(g.n - 1)] + [10.0 ** hi]
+
+
+def ulps_apart(a, b) -> np.ndarray:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.abs(a - b) / np.spacing(np.minimum(a, b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_finite, _finite, st.integers(2, 3000))
+def test_lin_points_equal_np_linspace(lo, hi, n):
+    lo, hi = min(lo, hi), max(lo, hi)
+    assume(hi > lo and math.isfinite(hi - lo))
+    pts = GridSpec("lin", lo, hi, n).points()
+    assert all(type(x) is float for x in pts)
+    with np.errstate(over="ignore"):  # linspace's i * step at i = n - 1
+        ref = np.linspace(lo, hi, n)
+    assert np.array(pts).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 5e-324, 3), (0.0, 1e-322, 7),
+                                       (-5e-324, 5e-324, 5), (-1.0, -0.0, 4)])
+def test_lin_points_on_subnormal_spans_equal_np_linspace(lo, hi, n):
+    # the step (hi - lo)/(n - 1) rounds to 0: linspace scales i/(n - 1)
+    pts = GridSpec("lin", lo, hi, n).points()
+    assert np.array(pts).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(2, 2000))
+def test_log_points_are_libm_powers_near_np_logspace(lo, hi, n):
+    lo, hi = min(lo, hi), max(lo, hi)
+    assume(hi > lo)
+    g = GridSpec("log", lo, hi, n)
+    pts = g.points()
+    assert [x.hex() for x in pts] == [x.hex() for x in libm_log_points(g)]
+    # on the same exponents, numpy's power and libm's pow each round once
+    ref = np.logspace(math.log10(lo), math.log10(hi), n)
+    assert ulps_apart(pts, ref).max() <= 2
+
+
+@pytest.mark.parametrize("g", REPO_LOG_GRIDS, ids=GridSpec.spec_string)
+def test_repository_log_grids_stay_within_an_ulp_of_np_logspace(g):
+    # np.log10 and math.log10 agree on these ends, so only the power moves
+    assert (np.log10(g.lo), np.log10(g.hi)) == (math.log10(g.lo), math.log10(g.hi))
+    pts = g.points()
+    assert pts == libm_log_points(g)
+    assert ulps_apart(pts, np.logspace(np.log10(g.lo), np.log10(g.hi), g.n)).max() <= 1
+
+
+@pytest.mark.parametrize("g", [GridSpec("lin", 0.05, 8.0, 160), *REPO_LOG_GRIDS[:3]],
+                         ids=GridSpec.spec_string)
+def test_symmetric_points_mirror_points(g):
+    p = g.points()
+    assert np.asarray(g.symmetric_points()).tolist() == [-x for x in p[::-1]] + [0.0] + p
+
+
+@pytest.mark.parametrize("spec", ["log:1,1.7976931348623157e308,10",
+                                  "log:1e-5,1.7976931348623e308,3"])
+def test_log_grid_whose_top_point_overflows_is_rejected_at_parse(spec):
+    # 10 ** math.log10(hi) raises OverflowError for these his
+    with pytest.raises(PreconditionError, match="overflows a float"):
+        GridSpec.parse(spec)
+
+
+def test_log_grid_near_the_float_max_keeps_a_finite_top():
+    g = GridSpec.parse("log:1,1.7e308,3")
+    assert g.points()[-1] == 10.0 ** math.log10(1.7e308) < math.inf

@@ -1,11 +1,12 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gsbench.errors import PreconditionError, TruncationError
-from gsbench.sequences import (AssociatedWeight, WeightSequence,
+from gsbench.sequences import (AssociatedWeight, WeightSequence, _tail_bound,
                                associated_weight, check_sequence_conditions,
                                doubling_from_sequence, parse_sequence,
                                sandwich_check)
@@ -547,6 +548,39 @@ def test_gamma1_value_matches_basel_sum():
     # m_p = p^2 so the sup is at p=1: sum_j 1/j^2 = pi^2/6
     rep = check_sequence_conditions(WeightSequence.gevrey(2), P=200, J=2000)
     assert rep.gamma1["sup"] == pytest.approx(math.pi ** 2 / 6.0, abs=1e-4)
+
+
+def array_gamma1(M, P, J):
+    """(sup, attained_at) of (gamma_1) with the suffix sums np.cumsum once
+    gave them."""
+    inv_m = [math.exp(-M.log_m(p)) for p in range(1, J + 1)]
+    tail = _tail_bound(M, J)
+    suffix = np.cumsum(inv_m[::-1])[::-1]
+    best, best_p = -math.inf, 1
+    for p in range(1, P + 1):
+        v = math.exp(M.log_m(p)) / p * (suffix[p - 1] + tail)
+        if v > best:
+            best, best_p = v, p
+    return float(best), best_p
+
+
+@pytest.mark.parametrize("M", [
+    *(WeightSequence.gevrey(d) for d in (1.5, 2, 2.5, 3, 7.25)),
+    WeightSequence.from_log_values([1.3 * p * math.log(p + 1.0) + 0.01 * p * p
+                                    for p in range(0, 3001)])],
+    ids=lambda M: M.label)
+def test_gamma1_suffix_sums_equal_np_cumsum(M):
+    rep = check_sequence_conditions(M, P=200, J=2000)
+    sup, at = array_gamma1(M, 200, 2000)
+    assert (rep.gamma1["sup"].hex(), rep.gamma1["attained_at"]) == (sup.hex(), at)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e10), min_size=1, max_size=500))
+def test_accumulated_suffix_sums_are_np_cumsum_bits(xs):
+    # np.cumsum is a left fold, one rounding per term, as accumulate is
+    ours = list(accumulate(reversed(xs)))[::-1]
+    assert np.array(ours).tobytes() == np.cumsum(xs[::-1])[::-1].tobytes()
 
 
 def test_factorial_sequence_fails_gamma1():

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsbench.errors import BracketError, PreconditionError, RangeError
-from gsbench.grids import GridSpec
+from gsbench import weights
+from gsbench.grids import DEFAULT_T_GRID, GridSpec
 from gsbench.specs import parse_weight, table_weight
-from gsbench.weights import (GOLDEN_REL_TOL, H_BOUND, ConjugateEvaluator,
+from gsbench.weights import (GOLDEN_REL_TOL, H_BOUND, L_BOUND, ConjugateEvaluator,
                              WeightFunction, check_weight_conditions,
                              conjugate_shift_bound, factorial_domination,
                              find_log_scaling_constant, first_true,
@@ -480,6 +482,57 @@ def test_log_scaling_constants():
     verify_log_scaling_constant(WeightFunction.gevrey(2), 2, GRID)
     with pytest.raises(PreconditionError):
         verify_log_scaling_constant(WeightFunction.gevrey(2), 1, GRID)
+
+
+def array_log_scaling_ratios(w, grid):
+    """omega(e t)/(1 + omega(t)) at t = 0 and every grid point, by the array
+    expression find_log_scaling_constant once used."""
+    ts = np.concatenate([[0.0], grid.points()])
+    return (w.values(math.e * ts) / (1.0 + w.values(ts))).tolist()
+
+
+def array_verify_log_scaling_constant(w, L, grid):
+    """verify_log_scaling_constant as it once walked an array of t."""
+    for t in np.concatenate([[0.0], grid.points()]):
+        if w(math.e * t) > L * (1.0 + w(t)) + 1e-9:
+            raise PreconditionError(
+                f"L={L} invalid: omega(e*t)={w(math.e * t):g} > "
+                f"L(1+omega(t))={L * (1.0 + w(t)):g} at t={t:g}")
+
+
+SCALING_WEIGHTS = [WeightFunction.gevrey(d) for d in (0.5, 1.0, 2.0, 3.7)] + [
+    WeightFunction.logpow(s) for s in (1.5, 2.0, 3.0)] + [
+    WeightFunction.tabulated([1e-3, 1.0, 10.0, 1e6], [0.0, 1.0, 1.5, 4.0]),
+    WeightFunction.tabulated([1.0, 10.0, 100.0], [0.0, 1.0, 4.0])]
+
+
+@pytest.mark.parametrize("w", SCALING_WEIGHTS, ids=lambda w: w.label)
+@pytest.mark.parametrize("grid", [None, GRID, GridSpec("lin", 0.5, 300.0, 997)],
+                         ids=["default", "log", "lin"])
+def test_scalar_log_scaling_constant_equals_the_array_expression(w, grid,
+                                                                 monkeypatch):
+    # the max ratio reaches math.ceil bit for bit as the arrays gave it
+    seen = []
+    spy = types.SimpleNamespace(**vars(math))
+    spy.ceil = lambda x: seen.append(x) or math.ceil(x)
+    monkeypatch.setattr(weights, "math", spy)
+    ratios = array_log_scaling_ratios(w, grid or DEFAULT_T_GRID)
+    try:
+        L = find_log_scaling_constant(w, grid)
+    except BracketError:
+        L = L_BOUND
+    assert [x.hex() for x in seen] == [(max(ratios) - 1e-12).hex()]
+    monkeypatch.undo()
+    for k in range(1, L + 2):
+        outcomes = []
+        for verify in (verify_log_scaling_constant,
+                       array_verify_log_scaling_constant):
+            try:
+                verify(w, k, grid or DEFAULT_T_GRID)
+                outcomes.append(None)
+            except PreconditionError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_shift_bound_holds_gevrey():
