@@ -10,7 +10,6 @@ import math
 from .errors import PreconditionError, RegimeError
 from .logdomain import log_sum_exp
 from .reports import ChainReport
-from .specs import check_negative_regime
 from .weights import (ConjugateEvaluator, WeightFunction, find_log_scaling_constant,
                       first_true, verify_log_scaling_constant)
 
@@ -48,7 +47,10 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
     """Loss-of-regularity chain for omega = t^(1/d), sigma = t^(1/d'),
     psi' >= psi^k: block construction, stationary points x_j, and the
     divergent lower bound exp(j - 2 lambda_j L), all checked row by row."""
-    check_negative_regime(d, k, d_prime)
+    if not d <= d_prime < (k + 1) * d:
+        raise RegimeError(
+            f"--dprime: need d <= d' < (k+1)d, got d={d:g}, d'={d_prime:g}, "
+            f"(k+1)d={(k + 1) * d:g}: the little-o comparison fails")
     omega = WeightFunction.gevrey(d)
     sigma = WeightFunction.gevrey(d_prime)
     tilde = WeightFunction.gevrey((k + 1) * d)
@@ -94,21 +96,21 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
         st_num = lam * c_omega_num(k * j / lam)
         ok_st = (abs(st_lhs - st_rhs) <= 1e-9 * max(1.0, abs(st_rhs))
                  and abs(st_num - st_rhs) <= 1e-9 * max(1.0, abs(st_rhs)))
-        conv_lhs = lam * c_omega(j / lam) + lam * c_omega(k * j / lam)
+        log_a_j = lam * c_omega(j / lam)
+        conv_lhs = log_a_j + st_rhs
         conv_rhs = 2 * lam * c_omega((k + 1) * j / (2 * lam))
-        tilde_same = 2 * lam * c_tilde(j / (2 * lam))
-        ok_conv = (conv_lhs >= conv_rhs - NEGATIVE_TOL
-                   and abs(conv_rhs - tilde_same) <= 1e-9 * max(1.0, abs(conv_rhs)))
+        # phi_tilde*(s) = phi_omega*((k+1) s), so shift_lhs equals conv_rhs
         shift_lhs = 2 * lam * c_tilde(j / (2 * lam))
-        shift_rhs = 2 * L * lam * c_tilde(j / (2 * L * lam)) + j - 2 * lam * L
-        ok_shift = shift_lhs >= shift_rhs - NEGATIVE_TOL
+        ok_conv = (conv_lhs >= conv_rhs - NEGATIVE_TOL
+                   and abs(conv_rhs - shift_lhs) <= 1e-9 * max(1.0, abs(conv_rhs)))
         block_lhs = 2 * L * lam * c_tilde(j / (2 * L * lam))
+        shift_rhs = block_lhs + j - 2 * lam * L
+        ok_shift = shift_lhs >= shift_rhs - NEGATIVE_TOL
         block_rhs = c_sigma(j)
         ok_block = block_lhs >= block_rhs - NEGATIVE_TOL
         log_lb = j - 2 * lam * L
         if first_cross is None and log_lb > log_thresh:
             first_cross = j
-        log_a_j = lam * c_omega(j / lam)
         report.add_row({
             "j": j, "lambda": lam, "x_j": x_j, "log_a_j": log_a_j,
             "stationarity_lhs": st_lhs, "stationarity_rhs": st_rhs,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import specs
 from .errors import GsbenchError, PreconditionError
-from .grids import DEFAULT_T_GRID, GridSpec
+from .grids import DEFAULT_X_GRID, GridSpec
 
 
 def _arg(parse):
@@ -189,12 +189,12 @@ def _conjugate(a):
 
 def _weight_check(a):
     from .weights import check_weight_conditions
-    return check_weight_conditions(a.weight, a.grid or DEFAULT_T_GRID)
+    return check_weight_conditions(a.weight, a.grid)
 
 
 def _sequence_check(a):
     from .sequences import check_sequence_conditions
-    return check_sequence_conditions(a.sequence, P=a.pmax, J=10 * a.pmax)
+    return check_sequence_conditions(a.sequence, a.pmax)
 
 
 def _fdb(a):
@@ -213,7 +213,7 @@ def _identities(a):
 
 def _seminorm(a):
     from .functions import seminorm_p_lambda, seminorm_pi
-    grid = a.grid or GridSpec("lin", 0.05, 8.0, 160)
+    grid = a.grid or DEFAULT_X_GRID
     if a.family == "p":
         if a.mu is not None:
             raise PreconditionError("--mu: --family p does not read it")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CapabilityError, PreconditionError, SearchExhaustedError
 from .fdb import log_bell_table, log_compose_table
 from .functions import ModelFunction, stable_sup, weighted_log_sup
-from .grids import GridSpec
+from .grids import DEFAULT_X_GRID, GridSpec
 from .logdomain import LOG_ZERO
 from .reports import ChainReport, Result
 from .weights import ConjugateEvaluator, WeightFunction
@@ -353,10 +353,8 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
         argmax_j=best_j, m=m, lambda_warning=warning)
 
     if f is not None:
-        if grid is None:
-            grid = GridSpec("lin", 0.05, 8.0, 160)
         conj = ConjugateEvaluator(w)
-        us = grid.symmetric_points()
+        us = (grid or DEFAULT_X_GRID).symmetric_points()
         logs_f = f.log_jet_table(us, EQUICONT_J)[1]
         # pi_{m,m}(f) on the box
         pi_m, _ = weighted_log_sup(logs_f, conj, m, extra=m * w.values(us))

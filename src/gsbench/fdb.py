@@ -25,10 +25,11 @@ Two recurrences, one per jet kind, both behind ``compose_jet``:
     A single log jet is a one-row table; ``log_bell_table`` is the Bell table
     itself, whose diagonal B(n, n) = psi'^n the compactness experiment reads.
 
-Partition multi-indices (k_1, ..., k_j) with sum(l k_l) = j remain here for
-the partition count; the summation identities read every order j <= jmax off
-one exact integer table over part sizes (``identity_table``), and the
-partition-sum form of Faa di Bruno is the independent oracle in the tests.
+Composition never enumerates partitions.  ``enumerate_partitions`` lists
+the multi-indices (k_1, ..., k_j) with sum(l k_l) = j of one order, for the
+partition-count check and for the partition-sum form of Faa di Bruno, the
+independent oracle in the tests.  The summation identities read every order
+j <= jmax off one exact integer table over part sizes (``identity_table``).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .logdomain import LOG_ZERO, LogReal
 
 JetValue = Union[Fraction, LogReal]
 
-_LIST_CAP = 80  # partition counts explode beyond this; stream instead
 TERM_BLOCK = 1 << 16  # Bell entries (point, n, k) per log_compose_table block
 
 
@@ -73,15 +73,15 @@ class PartitionMultiIndex:
         return m
 
 
-def iter_partition_multi_indices(j: int) -> Iterator[PartitionMultiIndex]:
-    """Stream the multi-indices for order j in lexicographic k_vec order."""
-    if j <= 0:
-        return
+def enumerate_partitions(j: int) -> list:
+    """All multi-indices for order j in lexicographic k_vec order, none for
+    j = 0 by convention; their count is the partition number p(j)."""
+    if j < 0:
+        raise PreconditionError("order must be nonnegative")
 
     def rec(remaining: int, largest: int, counts: dict):
         if remaining == 0:
-            k_vec = tuple(counts.get(l, 0) for l in range(1, j + 1))
-            yield k_vec
+            yield tuple(counts.get(l, 0) for l in range(1, j + 1))
             return
         for part in range(min(largest, remaining), 0, -1):
             counts[part] = counts.get(part, 0) + 1
@@ -90,22 +90,7 @@ def iter_partition_multi_indices(j: int) -> Iterator[PartitionMultiIndex]:
             if counts[part] == 0:
                 del counts[part]
 
-    vecs = sorted(rec(j, j, {}))
-    for v in vecs:
-        yield PartitionMultiIndex(j, v)
-
-
-def enumerate_partitions(j: int) -> list:
-    """All multi-indices for order j; count equals the partition number p(j)."""
-    if j == 0:
-        return []  # empty by convention
-    if j < 0:
-        raise PreconditionError("order must be nonnegative")
-    if j > _LIST_CAP:
-        raise PreconditionError(
-            f"j={j} exceeds the materialization cap {_LIST_CAP}; "
-            "use iter_partition_multi_indices")
-    return list(iter_partition_multi_indices(j))
+    return [PartitionMultiIndex(j, v) for v in sorted(rec(j, j, {}))] if j else []
 
 
 def partition_count(j: int) -> int:

@@ -35,7 +35,7 @@ from .grids import GridSpec
 from .logdomain import LOG_ZERO
 from .reports import Result
 from . import specs
-from .specs import check_gbump, check_monbump, check_pow1px2
+from .specs import check_gbump, check_monbump, check_pow1px2, label_real
 from .weights import ConjugateEvaluator, WeightFunction
 
 _CLOSED_FORM_JMAX = 200
@@ -225,10 +225,6 @@ class Polynomial(ModelFunction):
         return Jet(xq, tuple(vals + [Fraction(0)] * (J + 1 - len(vals))), "exact")
 
 
-def identity_function() -> Polynomial:
-    return Polynomial([0, 1])
-
-
 def _smooth_step(t: float, gamma: float) -> float:
     """0 for t<=0, 1 for t>=1, smooth Gevrey-type bridge in between."""
     if t <= 0.0:
@@ -251,7 +247,8 @@ class MonomialBump(ModelFunction):
         self.a = Fraction(a)
         self.r = float(r)
         self.gamma = float(gamma)
-        self.label = f"monbump:n={n},a={a},r={r:g},g={gamma:g}"
+        self.label = (f"monbump:n={n},a={a},r={label_real(self.r)},"
+                      f"g={label_real(self.gamma)}")
 
     def value(self, x: float) -> float:
         u = abs(x)
@@ -280,7 +277,7 @@ class Pow1px2(_Recurrence):
     def __init__(self, a: float):
         check_pow1px2(a)
         self.a = float(a)
-        self.label = f"pow1px2:a={a:g}"
+        self.label = f"pow1px2:a={label_real(self.a)}"
 
     def value(self, x: float) -> float:
         return (1.0 + x * x) ** self.a
@@ -311,7 +308,7 @@ class GevreyBump(ModelFunction):
         check_gbump(gamma, r)
         self.gamma = float(gamma)
         self.r = float(r)
-        self.label = f"gbump:g={gamma:g},r={r:g}"
+        self.label = f"gbump:g={label_real(self.gamma)},r={label_real(self.r)}"
 
     def value(self, x: float) -> float:
         y = x / self.r
@@ -505,14 +502,12 @@ class IndexEstimate:
     j_used: list = field(default_factory=list)
 
 
-def estimate_growth_exponent(jet: Jet, j_range=None) -> IndexEstimate:
+def estimate_growth_exponent(jet: Jet) -> IndexEstimate:
     """Least-squares fit log|f^(j)| ~ s * j log j + c * j over nonzero orders.
 
     Diagnoses the factorial-power growth class of a jet at one point."""
     logs = jet_log_abs(jet)
-    if j_range is None:
-        j_range = range(1, jet.order + 1)
-    js = [j for j in j_range if 1 <= j <= jet.order and logs[j] != LOG_ZERO]
+    js = [j for j in range(1, jet.order + 1) if logs[j] != LOG_ZERO]
     if len(js) < 8:
         raise DegenerateInputError(
             f"need >= 8 nonzero derivatives in range, found {len(js)}")

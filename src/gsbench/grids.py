@@ -67,9 +67,11 @@ class GridSpec:
         return list(self._iter())
 
     def symmetric_points(self):
-        """Grid mirrored through 0 (with 0 included), as an array."""
+        """Grid mirrored through 0, with 0 included once, as an array."""
         import numpy as np
         p = np.fromiter(self._iter(), float, self.n)
+        if self.lo == 0:  # the first point is 0 itself
+            p = p[1:]
         return np.concatenate([-p[::-1], [0.0], p])
 
     def scaled(self, factor: float) -> "GridSpec":
@@ -110,4 +112,5 @@ class GridSpec:
             raise PreconditionError(f"bad grid spec {spec!r}") from exc
 
 
-DEFAULT_T_GRID = GridSpec("log", 1e-2, 1e8, 2000)
+DEFAULT_T_GRID = GridSpec("log", 1e-2, 1e8, 2000)  # t of the weight audits
+DEFAULT_X_GRID = GridSpec("lin", 0.05, 8.0, 160)   # x of the seminorm boxes, mirrored

@@ -7,6 +7,7 @@ summation, so the quotient identity m_p = p^d is exact in log domain.
 The associated weight M(t) = sup_p log(t^p / M_p) depends only on the lower
 convex hull of the points (p, log M_p) (Komatsu 1973, section 3): M(t)
 bisects the hull's quotients and its conjugate interpolates the hull.
+Everything is scalar, so this module imports no numpy.
 """
 from __future__ import annotations
 
@@ -236,16 +237,12 @@ def _tail_bound(M: WeightSequence, J: int) -> Optional[float]:
     return J / ((alpha - 1.0) * math.exp(M.log_m(J)))
 
 
-def check_sequence_conditions(M: WeightSequence, P: int = 200,
-                              J: int = None) -> SequenceConditionReport:
+def check_sequence_conditions(M: WeightSequence, P: int) -> SequenceConditionReport:
     """Audit (M0)-(M2), (gamma_1), (M3)' and the Petzsche quotient criterion
-    on indices p <= P, with tails past J estimated by an integral bound."""
+    on indices p <= P, with tails past J = 10 P estimated by an integral bound."""
     if P < 50:
         raise PreconditionError("P must be >= 50")
-    if J is None:
-        J = 10 * P
-    if J < 10 * P:
-        raise PreconditionError("J must be >= 10 P")
+    J = 10 * P
     rep = SequenceConditionReport(sequence=M.label, P=P, J=J)
 
     # (M0): maximal c with (c(p+1))^p <= M_p over tested p
@@ -344,7 +341,6 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
 
     "Found" means the log ratio's running max is attained away from the top of
     the tested range, i.e. the finite scan shows a stabilized constant."""
-    import numpy as np
     conj = AssociatedWeight(M, pmax=SANDWICH_ASSOC_PMAX).conjugate
 
     if direction == "seq<=conj":
@@ -355,7 +351,7 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
         for kk in range(1, 65):
             r = [kk * conj(p / kk) - p * logh - M.log_M(p) for p in range(pmax + 1)]
             if _tail_not_growing(r):
-                i = int(np.argmax(r))
+                i = r.index(max(r))
                 best = SandwichResult("seq<=conj", h, kk, r[i], math.exp(min(r[i], 700.0)),
                                       i, True)
                 break
@@ -371,7 +367,7 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
             logh = math.log(hh)
             r = [p * logh + M.log_M(p) - k * conj(p / k) for p in range(pmax + 1)]
             if _tail_not_growing(r):
-                i = int(np.argmax(r))
+                i = r.index(max(r))
                 return SandwichResult("conj<=seq", hh, k, r[i],
                                       math.exp(min(r[i], 700.0)), i, True)
             hh /= 2.0
@@ -380,12 +376,11 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
     raise PreconditionError(f"unknown direction {direction!r}")
 
 
-def doubling_from_sequence(M: WeightSequence, grid: GridSpec = None) -> Optional[int]:
-    """Minimal integer H <= H_BOUND with 2 M(t) <= M(H t) + H on the grid, or None."""
-    if grid is None:
-        grid = GridSpec("log", 1e-2, 1e6, 400)
+def doubling_from_sequence(M: WeightSequence) -> Optional[int]:
+    """Minimal integer H <= H_BOUND with 2 M(t) <= M(H t) + H at t = 0 and on
+    log:1e-2,1e6,400, or None."""
     aw = AssociatedWeight(M, pmax=DOUBLING_ASSOC_PMAX)
-    ts = [0.0, *grid.points()]
+    ts = [0.0, *GridSpec("log", 1e-2, 1e6, 400).points()]
     vals = [aw(t) for t in ts]
 
     def holds(H: int) -> bool:  # monotone in H

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError, RegimeError
+from .errors import PreconditionError
 
 
 def label_real(v: float) -> str:
@@ -195,7 +195,7 @@ class FunctionSpec(Spec):
 
 
 # the range checks of the function families (each constructor runs its own,
-# so a function made without a spec is checked too) and of the negative chain
+# so a function made without a spec is checked too)
 
 def check_pow1px2(a: float) -> None:
     if 0.0 < abs(float(a)) < sys.float_info.min:  # 2a and the mantissas subnormal
@@ -211,13 +211,6 @@ def check_monbump(n: int, r: float, gamma: float) -> None:
 def check_gbump(gamma: float, r: float) -> None:
     if gamma <= 0 or r <= 0:
         raise PreconditionError("bump needs gamma > 0, r > 0")
-
-
-def check_negative_regime(d: float, k: float, d_prime: float) -> None:
-    if not d <= d_prime < (k + 1) * d:
-        raise RegimeError(
-            f"--dprime: need d <= d' < (k+1)d, got d={d:g}, d'={d_prime:g}, "
-            f"(k+1)d={(k + 1) * d:g}: the little-o comparison fails")
 
 
 def parse_function(spec: str) -> FunctionSpec:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from .errors import BracketError, PreconditionError, RangeError
 from .grids import DEFAULT_T_GRID, GridSpec
-from .reports import ChainReport, Result
+from .reports import Result
 from .specs import WeightSpec, gevrey_weight, label_real, logpow_weight, table_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -381,7 +381,7 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# Log-scaling constant and the seminorm-shift inequality
+# Log-scaling constant
 # ---------------------------------------------------------------------------
 
 def find_log_scaling_constant(w: WeightFunction, grid: GridSpec = None) -> int:
@@ -405,49 +405,3 @@ def verify_log_scaling_constant(w: WeightFunction, L: int,
             raise PreconditionError(
                 f"L={L} invalid: omega(e*t)={w(math.e * t):g} > "
                 f"L(1+omega(t))={L * (1.0 + w(t)):g} at t={t:g}")
-
-
-def conjugate_shift_bound(c: ConjugateEvaluator, lam: float, N: int, L: int,
-                          jmax: int, tol: float = 1e-9,
-                          grid: GridSpec = None) -> ChainReport:
-    """Row-by-row check of the conjugate shift inequality
-
-        mu phi*(j/mu) + N j <= lam phi*(j/lam) + lam sum_{k=1}^N L^k
-
-    with mu = L^N lam, after verifying that L scales the weight."""
-    verify_log_scaling_constant(c.weight, L, grid)
-    mu = (L ** N) * lam
-    slack = lam * sum(L ** k for k in range(1, N + 1))
-    report = ChainReport(
-        experiment="conjugate-shift",
-        params={"weight": c.weight.label, "lambda": lam, "N": N, "L": L,
-                "mu": mu, "jmax": jmax, "tol": tol},
-        columns=["j", "lhs", "rhs", "margin", "verdict"])
-    for j in range(jmax + 1):
-        lhs = mu * c(j / mu) + N * j
-        rhs = lam * c(j / lam) + slack
-        ok = lhs <= rhs + tol
-        report.add_row({"j": j, "lhs": lhs, "rhs": rhs,
-                        "margin": rhs - lhs, "verdict": ok})
-    report.verdict = report.all_hold()
-    return report
-
-
-@dataclass
-class FactorialDominationResult:
-    log_C: float
-    C: float
-    argmax_j: int
-
-
-def factorial_domination(c: ConjugateEvaluator, A: float, lam: float,
-                         jmax: int) -> FactorialDominationResult:
-    """Witness C for A^j j! <= C exp(lam phi*(j/lam)), via a log-domain scan."""
-    best, best_j = -math.inf, 0
-    logA = math.log(A)
-    for j in range(jmax + 1):
-        v = j * logA + math.lgamma(j + 1) - lam * c(j / lam)
-        if v > best:
-            best, best_j = v, j
-    C = math.exp(best) if best < 700 else math.inf
-    return FactorialDominationResult(log_C=best, C=C, argmax_j=best_j)

@@ -52,6 +52,14 @@ def test_symmetric_points_mirror():
     assert list(pts) == sorted(pts)
 
 
+def test_seminorm_on_a_grid_from_0_witnesses_x_0(capsys):
+    # the maximum sits at x = 0, which a grid from 0 holds once, as 0.0
+    assert main(["seminorm", "--family", "p", "--function", "gaussian",
+                 "--weight", "gevrey:d=2", "--lam", "1", "--grid", "lin:0,2,5"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness == {"j": 0, "k": 0, "x": 0.0} and witness["x"].hex() == "0x0.0p+0"
+
+
 def test_scaled_grid_keeps_spacing():
     g = GridSpec("lin", 0.05, 5.0, 100)
     g2 = g.scaled(1.25)
@@ -931,14 +939,14 @@ NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
     ["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "1", "--L", "2",
      "--jmax", "50"],
     ["sequence-check", "--sequence", "gevreyseq:d=2"],
+    ["seminorm", "--family", "p", "--function", "sqrt1px2", "--weight",
+     "logpow:s=2", "--lam", "1", "--grid", "log:1e-2,8,80"],
+    ["seminorm", "--family", "pi", "--function", "gaussian", "--weight",
+     "gevrey:d=2", "--lam", "1", "--grid", "log:1e-2,8,80"],
 ], ids=["weight-check", "necessary", "cauchy", "negative", "nuclear",
-        "sequence-check"])
+        "sequence-check", "seminorm-p-log", "seminorm-pi-log"])
 def test_output_does_not_depend_on_the_simd_level(argv):
-    from numpy._core._multiarray_umath import __cpu_features__
-    missing = [f for f in NO_AVX512.split() if not __cpu_features__.get(f)]
-    if missing:
-        pytest.skip(f"this CPU lacks {', '.join(missing)}: numpy runs the "
-                    "same kernels with or without NPY_DISABLE_CPU_FEATURES")
+    skip_without_avx512()
     runs = [subprocess.run([sys.executable, "-m", "gsbench", *argv],
                            capture_output=True, env=env)
             for env in (dict(os.environ),
@@ -946,6 +954,28 @@ def test_output_does_not_depend_on_the_simd_level(argv):
     assert runs[0].returncode in (0, 1) and runs[0].stdout
     assert [(r.returncode, r.stdout) for r in runs[1:]] == [
         (runs[0].returncode, runs[0].stdout)]
+
+
+def skip_without_avx512():
+    from numpy._core._multiarray_umath import __cpu_features__
+    missing = [f for f in NO_AVX512.split() if not __cpu_features__.get(f)]
+    if missing:
+        pytest.skip(f"this CPU lacks {', '.join(missing)}: numpy runs the "
+                    "same kernels with or without NPY_DISABLE_CPU_FEATURES")
+
+
+def test_reference_artifacts_do_not_depend_on_the_simd_level(tmp_path):
+    skip_without_avx512()
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    runs = []
+    for name, env in (("default", {}), ("avx2", {"NPY_DISABLE_CPU_FEATURES": NO_AVX512})):
+        out = tmp_path / name
+        r = subprocess.run([sys.executable, str(script), "--outdir", str(out)],
+                           capture_output=True, env=dict(os.environ, **env))
+        runs.append((r.returncode, r.stdout,
+                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert runs[0][0] == 0 and len(runs[0][2]) == 12
+    assert runs[1] == runs[0]
 
 
 # the usage-error probes of the benchmark's reference workload, and a table

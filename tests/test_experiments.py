@@ -352,6 +352,7 @@ ALL_NAN = FnWeight(lambda t: math.nan, label="all-nan")
        st.sampled_from(["lin", "log"]), st.floats(1e-3, 5.0),
        st.floats(1.0, 1e3), st.integers(2, 60),
        st.sampled_from([1, 2, 5, NECESSARY_BLOCK]))
+@example(CUBE, W2, W2, "lin", 0.0, 2.0, 5, 2)  # a grid from 0 holds 0 once
 def test_necessary_growth_matches_pointwise_loop(psi, w_sigma, w_omega, kind,
                                                  lo, span, n, block):
     grid = GridSpec(kind, lo, lo + span, n)

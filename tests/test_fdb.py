@@ -11,8 +11,7 @@ from gsbench import experiments, fdb
 from gsbench.errors import PreconditionError
 from gsbench.fdb import (Jet, compose_jet, enumerate_partitions, faa_di_bruno,
                          identity_lah, identity_table, identity_two_power,
-                         iter_partition_multi_indices, log_compose_table,
-                         partition_count, single_jet_compose)
+                         log_compose_table, partition_count, single_jet_compose)
 from gsbench.functions import Gaussian, Polynomial, Pow1px2, Sqrt1px2
 from gsbench.grids import GridSpec
 from gsbench.logdomain import LOG_ZERO
@@ -65,7 +64,7 @@ def partition_fdb(h_vals, psi_vals, j):
     if j == 0:
         return h_vals[0], abs(h_vals[0])
     total = mass = Fraction(0)
-    for mi in iter_partition_multi_indices(j):
+    for mi in enumerate_partitions(j):
         term = mi.multinomial() * h_vals[mi.k]
         for l, kl in enumerate(mi.k_vec, start=1):
             if kl and term:
@@ -115,14 +114,14 @@ def test_enumeration_count_matches_pentagonal_oracle(j):
 
 
 def test_multi_index_invariant():
-    for mi in iter_partition_multi_indices(7):
+    for mi in enumerate_partitions(7):
         assert sum((l + 1) * kl for l, kl in enumerate(mi.k_vec)) == 7
         assert 1 <= mi.k <= 7
 
 
 def test_enumeration_deterministic():
-    a = [mi.k_vec for mi in iter_partition_multi_indices(9)]
-    b = [mi.k_vec for mi in iter_partition_multi_indices(9)]
+    a = [mi.k_vec for mi in enumerate_partitions(9)]
+    b = [mi.k_vec for mi in enumerate_partitions(9)]
     assert a == b == sorted(a)
 
 
@@ -186,7 +185,6 @@ def test_composition_never_enumerates_partitions(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("partition enumeration on the composition path")
 
-    monkeypatch.setattr(fdb, "iter_partition_multi_indices", forbidden)
     monkeypatch.setattr(fdb, "enumerate_partitions", forbidden)
     monkeypatch.setattr(fdb.PartitionMultiIndex, "__post_init__", forbidden)
     psi_jet = Sqrt1px2().jet(1.3, 30)
@@ -583,8 +581,8 @@ def walk_identity_sums(j):
 def test_identity_sums_match_two_separate_walks(j):
     two_power = sum(math.factorial(mi.k) // math.prod(
         math.factorial(kl) for kl in mi.k_vec if kl)
-        for mi in iter_partition_multi_indices(j))
-    lah = sum(mi.multinomial() for mi in iter_partition_multi_indices(j))
+        for mi in enumerate_partitions(j))
+    lah = sum(mi.multinomial() for mi in enumerate_partitions(j))
     lah_closed = sum(math.comb(j - 1, k - 1) * math.factorial(j)
                      // math.factorial(k) for k in range(1, j + 1))
     assert (identity_table(j)[-1] == walk_identity_sums(j) == (two_power, lah)

@@ -12,7 +12,7 @@ from gsbench.errors import (CapabilityError, DegenerateInputError,
                             PreconditionError)
 from gsbench.functions import (SUP_BLOCK_TERMS, Gaussian, GevreyBump, ExpSqr,
                                MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
-                               estimate_growth_exponent, identity_function,
+                               estimate_growth_exponent,
                                jet_log_abs, parse_function,
                                seminorm_p_lambda, seminorm_pi, stable_sup,
                                weighted_log_sup)
@@ -106,7 +106,7 @@ def test_polynomial_jet_exact():
     jet = p.jet(Fraction(3), 4)
     assert list(jet.values) == [9, 6, 2, 0, 0]
     assert p.degree == 2
-    assert identity_function().degree == 1
+    assert Polynomial([0, 1]).degree == 1
 
 
 def test_sqrt1px2_low_orders_closed_form():
@@ -148,6 +148,20 @@ def test_parse_function_specs():
     assert parse_function("monbump:n=2,a=3").n == 2
     with pytest.raises(PreconditionError):
         parse_function("wavelet")
+
+
+def test_labels_name_the_parameters_exactly():
+    # a :g label would read pow1px2:a=1 and gbump:g=1,r=2 here
+    assert Pow1px2(1.0000001).label == "pow1px2:a=1.0000001"
+    assert GevreyBump(1.0000001, 2.0000001).label == "gbump:g=1.0000001,r=2.0000001"
+    for f in (Pow1px2(1.0000001), GevreyBump(0.1 + 0.2, 1e-7),
+              MonomialBump(2, Fraction(1, 3), 1.0000001, 0.1 + 0.2)):
+        assert vars(parse_function(f.label)) == vars(f)
+    # the labels the benchmark prints keep their bytes
+    for spec in ("pow1px2:a=1.5", "pow1px2:a=1.25", "pow1px2:a=1.75",
+                 "pow1px2:a=2.5", "gbump:g=1,r=1", "monbump:n=2,a=3,r=1,g=1"):
+        assert parse_function(spec).label == spec
+    assert GevreyBump().label == "gbump:g=1,r=1"
 
 
 def test_jet_log_abs_exact_and_log():
@@ -384,5 +398,5 @@ def test_index_estimator_gaussian():
 
 def test_index_estimator_needs_enough_orders():
     with pytest.raises(DegenerateInputError):
-        estimate_growth_exponent(Gaussian().jet(0.0, 10),
-                                 j_range=range(1, 8))
+        # orders 2, 4 and 6 only: the odd orders at 0 are exact zeros
+        estimate_growth_exponent(Gaussian().jet(0.0, 7))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gsbench.errors import PreconditionError
-from gsbench.grids import DEFAULT_T_GRID, GridSpec
+from gsbench.grids import DEFAULT_T_GRID, DEFAULT_X_GRID, GridSpec
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -71,11 +71,32 @@ def test_repository_log_grids_stay_within_an_ulp_of_np_logspace(g):
     assert ulps_apart(pts, np.logspace(np.log10(g.lo), np.log10(g.hi), g.n)).max() <= 1
 
 
-@pytest.mark.parametrize("g", [GridSpec("lin", 0.05, 8.0, 160), *REPO_LOG_GRIDS[:3]],
+# the lin grids the commands and the benchmark use; none starts at 0
+REPO_LIN_GRIDS = [DEFAULT_X_GRID, GridSpec("lin", 0.05, 6.0, 120),
+                  *(GridSpec("lin", 0.05, 8.0 + 0.25 * k, 160) for k in range(1, 4)),
+                  *(GridSpec("lin", 0.05, 6.0 + 0.25 * k, 120) for k in range(1, 4)),
+                  *(GridSpec("lin", 0.05, 5.0 + 0.25 * k, 100) for k in range(4)),
+                  *(GridSpec("lin", 0.1 + 0.02 * k, 2.0 + 0.1 * k, 10) for k in range(4)),
+                  *(GridSpec("lin", 0.5 + 0.05 * k, 1.5 + 0.1 * k, 2) for k in range(4))]
+
+
+@pytest.mark.parametrize("g", [*REPO_LIN_GRIDS, *REPO_LOG_GRIDS],
                          ids=GridSpec.spec_string)
 def test_symmetric_points_mirror_points(g):
-    p = g.points()
-    assert np.asarray(g.symmetric_points()).tolist() == [-x for x in p[::-1]] + [0.0] + p
+    # the plain mirror, bit for bit, on each grid and on the 1.25x extension
+    # of the stability rescans
+    for grid in (g, g.scaled(1.25)):
+        p = grid.points()
+        assert np.asarray(grid.symmetric_points()).tolist() == [-x for x in p[::-1]] + [0.0] + p
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("lin:0,1,3", [-1.0, -0.5, 0.0, 0.5, 1.0]),
+    ("lin:0,2,2", [-2.0, 0.0, 2.0]),
+    ("lin:-0,4,5", [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0])])
+def test_symmetric_points_of_a_grid_from_0_hold_0_once(spec, want):
+    xs = GridSpec.parse(spec).symmetric_points().tolist()
+    assert [x.hex() for x in xs] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize("spec", ["log:1,1.7976931348623157e308,10",

@@ -536,7 +536,7 @@ def test_assoc_conjugate_cut_needs_p_past_pmax():
 
 def test_gevrey2_conditions():
     M = WeightSequence.gevrey(2)
-    rep = check_sequence_conditions(M, P=100, J=1000)
+    rep = check_sequence_conditions(M, P=100)
     assert rep.m0["verdict"] and rep.m1["verdict"] and rep.m2["verdict"]
     assert rep.gamma1["verdict"]
     assert rep.gamma1["attained_at"] == 1
@@ -546,7 +546,7 @@ def test_gevrey2_conditions():
 
 def test_gamma1_value_matches_basel_sum():
     # m_p = p^2 so the sup is at p=1: sum_j 1/j^2 = pi^2/6
-    rep = check_sequence_conditions(WeightSequence.gevrey(2), P=200, J=2000)
+    rep = check_sequence_conditions(WeightSequence.gevrey(2), P=200)
     assert rep.gamma1["sup"] == pytest.approx(math.pi ** 2 / 6.0, abs=1e-4)
 
 
@@ -570,7 +570,7 @@ def array_gamma1(M, P, J):
                                     for p in range(0, 3001)])],
     ids=lambda M: M.label)
 def test_gamma1_suffix_sums_equal_np_cumsum(M):
-    rep = check_sequence_conditions(M, P=200, J=2000)
+    rep = check_sequence_conditions(M, P=200)
     sup, at = array_gamma1(M, 200, 2000)
     assert (rep.gamma1["sup"].hex(), rep.gamma1["attained_at"]) == (sup.hex(), at)
 
@@ -585,13 +585,13 @@ def test_accumulated_suffix_sums_are_np_cumsum_bits(xs):
 
 def test_factorial_sequence_fails_gamma1():
     # m_p = p gives the harmonic tail
-    rep = check_sequence_conditions(WeightSequence.gevrey(1), P=100, J=1000)
+    rep = check_sequence_conditions(WeightSequence.gevrey(1), P=100)
     assert not rep.gamma1["verdict"]
     assert rep.gamma1["sup"] == math.inf
 
 
 def test_petzsche_quotients_exact():
-    rep = check_sequence_conditions(WeightSequence.gevrey(2), P=100, J=1000)
+    rep = check_sequence_conditions(WeightSequence.gevrey(2), P=100)
     assert rep.petzsche["per_Q"][2] == pytest.approx(4.0, rel=1e-12)
     assert rep.petzsche["per_Q"][3] == pytest.approx(9.0, rel=1e-12)
 
@@ -600,8 +600,6 @@ def test_condition_preconditions():
     M = WeightSequence.gevrey(2)
     with pytest.raises(PreconditionError):
         check_sequence_conditions(M, P=10)
-    with pytest.raises(PreconditionError):
-        check_sequence_conditions(M, P=100, J=200)
 
 
 # -- sandwich inequalities and doubling -------------------------------------

@@ -1,6 +1,7 @@
 import math
 import types
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from gsbench.errors import BracketError, PreconditionError, RangeError
 from gsbench import weights
 from gsbench.grids import DEFAULT_T_GRID, GridSpec
 from gsbench.specs import parse_weight, table_weight
+from gsbench.reports import ChainReport
 from gsbench.weights import (GOLDEN_REL_TOL, H_BOUND, L_BOUND, ConjugateEvaluator,
                              WeightFunction, check_weight_conditions,
-                             conjugate_shift_bound, factorial_domination,
                              find_log_scaling_constant, first_true,
                              label_real,
                              verify_log_scaling_constant)
@@ -533,6 +534,54 @@ def test_scalar_log_scaling_constant_equals_the_array_expression(w, grid,
             except PreconditionError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+
+
+# -- test-local oracles: the conjugate shift inequality and factorial
+# domination, row by row over the conjugate (no command runs them) ---------
+
+def conjugate_shift_bound(c: ConjugateEvaluator, lam: float, N: int, L: int,
+                          jmax: int, tol: float = 1e-9) -> ChainReport:
+    """Row-by-row check of the conjugate shift inequality
+
+        mu phi*(j/mu) + N j <= lam phi*(j/lam) + lam sum_{k=1}^N L^k
+
+    with mu = L^N lam, after verifying that L scales the weight."""
+    verify_log_scaling_constant(c.weight, L)
+    mu = (L ** N) * lam
+    slack = lam * sum(L ** k for k in range(1, N + 1))
+    report = ChainReport(
+        experiment="conjugate-shift",
+        params={"weight": c.weight.label, "lambda": lam, "N": N, "L": L,
+                "mu": mu, "jmax": jmax, "tol": tol},
+        columns=["j", "lhs", "rhs", "margin", "verdict"])
+    for j in range(jmax + 1):
+        lhs = mu * c(j / mu) + N * j
+        rhs = lam * c(j / lam) + slack
+        ok = lhs <= rhs + tol
+        report.add_row({"j": j, "lhs": lhs, "rhs": rhs,
+                        "margin": rhs - lhs, "verdict": ok})
+    report.verdict = report.all_hold()
+    return report
+
+
+@dataclass
+class FactorialDominationResult:
+    log_C: float
+    C: float
+    argmax_j: int
+
+
+def factorial_domination(c: ConjugateEvaluator, A: float, lam: float,
+                         jmax: int) -> FactorialDominationResult:
+    """Witness C for A^j j! <= C exp(lam phi*(j/lam)), via a log-domain scan."""
+    best, best_j = -math.inf, 0
+    logA = math.log(A)
+    for j in range(jmax + 1):
+        v = j * logA + math.lgamma(j + 1) - lam * c(j / lam)
+        if v > best:
+            best, best_j = v, j
+    C = math.exp(best) if best < 700 else math.inf
+    return FactorialDominationResult(log_C=best, C=C, argmax_j=best_j)
 
 
 def test_shift_bound_holds_gevrey():
