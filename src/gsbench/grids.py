@@ -67,7 +67,10 @@ class GridSpec:
         return list(self._iter())
 
     def symmetric_points(self):
-        """Grid mirrored through 0, with 0 included once, as an array."""
+        """Grid mirrored through 0, with 0 included once, as an array: lo >= 0."""
+        if self.lo < 0:
+            raise PreconditionError(
+                f"grid {self.spec_string()} is mirrored through 0, so it needs lo >= 0")
         import numpy as np
         p = np.fromiter(self._iter(), float, self.n)
         if self.lo == 0:  # the first point is 0 itself
@@ -75,9 +78,9 @@ class GridSpec:
         return np.concatenate([-p[::-1], [0.0], p])
 
     def scaled(self, factor: float) -> "GridSpec":
-        """Extend hi by ``factor`` while keeping the point spacing, so the
-        original points stay on the enlarged grid (stability comparisons do
-        not see witnesses move between grid cells)."""
+        """The grid with the same lo and more points at about the original
+        step, so hi grows about ``factor``-fold.  The step is recomputed from
+        the new hi, so the original points need not stay on it bit for bit."""
         if factor <= 1.0:
             raise PreconditionError("scale factor must exceed 1")
         if self.kind == "lin":

@@ -2,11 +2,15 @@
 
 Everything is carried as log M_p.  The builtin Gevrey-type sequence
 M_p = (p!)^d is generated from its quotients log m_p = d log p by cumulative
-summation, so the quotient identity m_p = p^d is exact in log domain.
+summation, so the quotient identity m_p = p^d is exact in log domain.  A
+table keeps its log M_p as given, and its quotients are their differences.
 
 The associated weight M(t) = sup_p log(t^p / M_p) depends only on the lower
 convex hull of the points (p, log M_p) (Komatsu 1973, section 3): M(t)
-bisects the hull's quotients and its conjugate interpolates the hull.
+bisects the hull's quotients and its conjugate interpolates the hull.  A
+generator is log-convex by construction, so it is its own hull.  A table's
+hull is decided exactly, on the integer ratios of its floats, and its
+vertices keep the table's values bit for bit.
 Everything is scalar, so this module imports no numpy.
 """
 from __future__ import annotations
@@ -32,16 +36,13 @@ class WeightSequence:
     """Log-domain generator of M_p with quotients m_p = M_p / M_{p-1}.
     ``max_p`` is the last index a table holds (math.inf for a generator)."""
 
-    def __init__(self, log_quotient, label: str = "sequence",
-                 log_convex: bool = True):
+    def __init__(self, log_quotient, label: str = "sequence"):
         # log_quotient(p) = log m_p for p >= 1
         self._log_quotient = log_quotient
         self._cum = [0.0]  # log M_0 = 0
         self._quot = [None]  # log m_p at index p; there is no m_0
         self.label = label
-        self.log_convex = log_convex
         self.max_p = math.inf
-        self.last_rise = None  # set by convex_minorant
 
     def _extend(self, p: int) -> None:
         while len(self._cum) <= p:
@@ -60,30 +61,39 @@ class WeightSequence:
             raise PreconditionError("quotients start at p = 1")
         return self._quot[p] if p < len(self._quot) else self._log_quotient(p)
 
-    def convex_minorant(self, P: int) -> "WeightSequence":
-        """The lower convex hull of the points (p, log M_p), p <= P, as a table
-        whose quotients are the hull's slopes: equal along a segment and
-        increasing from one segment to the next.  ``last_rise`` is (P - a,
-        log M_P - log M_a) of the source over the last segment [a, P]."""
-        slope = lambda a, b: (self.log_M(b) - self.log_M(a)) / (b - a)
+    def convex_minorant(self, P: int) -> tuple:
+        """The lower convex hull of the points (p, log M_p), p <= P: its
+        vertices, and the table that interpolates them.  Andrew's monotone
+        chain (Inf. Proc. Letters 9(5), 1979) decides each turn exactly on
+        the floats' integer ratios over one power-of-two denominator, and
+        drops collinear points.  Each vertex keeps log M_p bit for bit; the
+        values between and the quotients, the segments' slopes, are exact
+        ratios rounded once, so the slopes rise from one segment to the next."""
+        ys = [self.log_M(p) for p in range(P + 1)]
+        ratios = [y.as_integer_ratio() for y in ys]  # (n, 2^e)
+        D = max(d for _, d in ratios)
+        Y = [n * (D // d) for n, d in ratios]  # log M_p = Y[p] / D exactly
         hull = [0]
         for c in range(1, P + 1):
-            while len(hull) > 1 and slope(hull[-2], hull[-1]) >= slope(hull[-1], c):
+            # pop b while slope(a, b) >= slope(b, c), cross-multiplied
+            while len(hull) > 1 and ((Y[hull[-1]] - Y[hull[-2]]) * (c - hull[-1])
+                                     >= (Y[c] - Y[hull[-1]]) * (hull[-1] - hull[-2])):
                 hull.pop()
             hull.append(c)
-        seq = _table([None] + [slope(a, b) for a, b in zip(hull, hull[1:])
-                               for _ in range(a, b)], self.label)
-        if P:
-            seq.last_rise = (P - hull[-2], self.log_M(P) - self.log_M(hull[-2]))
-        return seq
+        vals, quot = [0.0], [None]
+        for a, b in zip(hull, hull[1:]):
+            den = (b - a) * D
+            quot += [(Y[b] - Y[a]) / den] * (b - a)
+            vals += [*((Y[a] * (b - p) + Y[b] * (p - a)) / den
+                       for p in range(a + 1, b)), ys[b]]
+        return hull, _table(vals, self.label, quot)
 
     @staticmethod
     def from_spec(spec: SequenceSpec) -> "WeightSequence":
         if spec.d is not None:
             d = spec.d
             return WeightSequence(lambda p: d * math.log(p), label=spec.label)
-        log_Ms = spec.log_Ms
-        return _table([None] + [b - a for a, b in zip(log_Ms, log_Ms[1:])], spec.label)
+        return _table(spec.log_Ms, spec.label)
 
     @staticmethod
     def gevrey(d: float) -> "WeightSequence":
@@ -94,18 +104,17 @@ class WeightSequence:
         return WeightSequence.from_spec(table_sequence(log_Ms, label))
 
 
-def _table(quot: list, label: str) -> WeightSequence:
-    """The sequence with quotients log m_p = quot[p], p <= P = len(quot) - 1:
-    TruncationError past P; log-convex when no quotient falls by over 1e-12."""
-    P = len(quot) - 1
+def _table(log_Ms, label: str, quot: list = None) -> WeightSequence:
+    """log M_p = log_Ms[p] as given (log M_0 = 0.0) and log m_p = quot[p], by
+    default the differences, for p <= P = len(log_Ms) - 1; TruncationError past P."""
+    P = len(log_Ms) - 1
 
-    def quotient(p: int) -> float:
-        if p > P:
-            raise TruncationError(f"tabulated sequence ends at p={P}")
-        return quot[p]
+    def past_the_end(p: int) -> float:
+        raise TruncationError(f"tabulated sequence ends at p={P}")
 
-    seq = WeightSequence(quotient, label, all(
-        b >= a - 1e-12 for a, b in zip(quot[1:], quot[2:])))
+    seq = WeightSequence(past_the_end, label)
+    seq._cum = [0.0, *log_Ms[1:]]
+    seq._quot = quot or [None, *(b - a for a, b in zip(seq._cum, seq._cum[1:]))]
     seq.max_p = P
     return seq
 
@@ -122,8 +131,8 @@ def parse_sequence(spec: str) -> WeightSequence:
 @dataclass
 class AssociatedWeight:
     """M(t) = sup_{0 <= p <= pmax} log(t^p / M_p) and its Young conjugate, both
-    read from ``hull``: the source if log-convex, else its convex minorant over
-    p <= P (pmax, or a table's last index if smaller).  The sup is the same
+    read from ``hull``: a generator itself, a table's convex minorant over
+    p <= P (pmax, or the table's last index if smaller).  The sup is the same
     over the hull; its smallest maximizer is a hull vertex, a source point."""
     source: WeightSequence
     pmax: int = 4000
@@ -131,8 +140,13 @@ class AssociatedWeight:
 
     def __post_init__(self):
         src = self.source
-        self.hull = src if src.log_convex else src.convex_minorant(
-            min(self.pmax, src.max_p))
+        P = min(self.pmax, src.max_p)
+        if src.max_p == math.inf:  # every p <= pmax is a vertex
+            self.hull, a = src, P - 1
+        else:
+            vertices, self.hull = src.convex_minorant(P)
+            a = vertices[-2] if P else -1
+        self._last = (a, P)  # the hull's last segment, read by the truncation probe
         self._q0 = None  # argmax of M(1), set by conjugate; a cached_property slows reads
 
     def eval_with_argmax(self, t: float) -> tuple:
@@ -147,14 +161,16 @@ class AssociatedWeight:
         seq, quot, pmax = self.hull, self.hull._quot, self.pmax
         top = min(len(quot) - 1, pmax)
         if top == 0 or quot[top] <= lt:
-            # probe the last index P before extending.  A source table that
-            # ends at P <= pmax has no term past P: log m_P == lt is a tie
-            # that P - 1 attains, and only log m_P < lt is truncated.  Past
-            # pmax the terms may still tie or grow, so log m_pmax <= lt is.
-            # A hull decides on its last rise: its slope can underflow to -0.
-            P = min(self.source.max_p, pmax)
-            n, rise = seq.last_rise or (1, seq.log_m(P) if P else -math.inf)
-            if rise < n * lt or (rise == n * lt and self.source.max_p > pmax):
+            # probe the last index P before extending, on the rise of the
+            # hull's last segment [a, P] from its vertex values (of a one-step
+            # segment: its quotient, so a generator is not extended to pmax).
+            # A table that ends at P <= pmax has no term past P, so a rise of
+            # (P - a) lt is a tie that a attains; where pmax cuts a longer
+            # sequence, the terms past it may tie or grow, so it is truncated.
+            a, P = self._last
+            rise = (-math.inf if not P else seq.log_m(P) if a == P - 1
+                    else seq.log_M(P) - seq.log_M(a))
+            if rise < (P - a) * lt or (rise == (P - a) * lt and self.source.max_p > pmax):
                 raise TruncationError(
                     f"tabulated sequence ends at p={P}" if P < pmax else
                     f"associated-weight argmax hit pmax={pmax} at t={t:g}; "
@@ -244,68 +260,55 @@ def check_sequence_conditions(M: WeightSequence, P: int) -> SequenceConditionRep
         raise PreconditionError("P must be >= 50")
     J = 10 * P
     rep = SequenceConditionReport(sequence=M.label, P=P, J=J)
+    q = [None, *(M.log_m(p) for p in range(1, J + 1))]  # log m_p at index p
 
     # (M0): maximal c with (c(p+1))^p <= M_p over tested p
     logc = min((M.log_M(p) / p) - math.log(p + 1) for p in range(1, P + 1))
     rep.m0 = {"c": math.exp(logc), "verdict": math.isfinite(logc)}
 
-    # (M1): log-convexity violations
-    viol = sum(1 for p in range(2, P + 1)
-               if M.log_m(p) < M.log_m(p - 1) - 1e-12)
-    rep.m1 = {"violations": viol, "verdict": viol == 0 and abs(M.log_M(0)) < 1e-12}
+    # (M1): log-convexity violations, quotients that fall by over 1e-12;
+    # (gamma_1) needs none up to J
+    falls = [p for p in range(2, J + 1) if q[p] < q[p - 1] - 1e-12]
+    viol = bisect.bisect_right(falls, P)
+    rep.m1 = {"violations": viol, "verdict": viol == 0}
 
     # (M2): minimal integer H whose required prefactor trend does not grow
-    def min_split(p: int) -> float:
-        return min(M.log_M(q) + M.log_M(p - q) for q in range(p + 1))
-
-    splits = [min_split(p) for p in range(P + 1)]
-    m2 = {"verdict": False, "A": None, "H": None}
+    splits = [min(M.log_M(i) + M.log_M(p - i) for i in range(p + 1))
+              for p in range(P + 1)]
+    rep.m2 = {"verdict": False, "A": None, "H": None}
     for H in range(1, 1 << 12):
         r = [M.log_M(p) - p * math.log(H) - splits[p] for p in range(P + 1)]
         peak = max(r)
         tail_peak = max(r[int(0.9 * P):])
         if tail_peak < peak - 1e-12 or peak <= 1e-9:
-            m2 = {"verdict": True, "A": math.exp(max(peak, 0.0)), "H": H}
+            rep.m2 = {"verdict": True, "A": math.exp(max(peak, 0.0)), "H": H}
             break
-    rep.m2 = m2
 
-    inv_m = [math.exp(-M.log_m(p)) for p in range(1, J + 1)]  # 1/m_1..1/m_J
+    inv_m = [math.exp(-x) for x in q[1:]]  # 1/m_1..1/m_J
     tail = _tail_bound(M, J)
 
     # (gamma_1): sup_p (m_p / p) * sum_{j >= p} 1/m_j
-    if tail is None or not M.log_convex:
-        rep.gamma1 = {"verdict": False, "sup": math.inf, "P": P, "J": J,
-                      "tail_bound": None,
-                      "note": "tail does not converge at a power rate > 1"
-                      if M.log_convex else "non-log-convex: inconclusive"}
+    if tail is None or falls:
+        rep.gamma1 = {"verdict": False, "sup": math.inf, "P": P, "J": J, "tail_bound": None,
+                      "note": "non-log-convex: inconclusive" if falls
+                      else "tail does not converge at a power rate > 1"}
     else:
         suffix = list(accumulate(reversed(inv_m)))[::-1]  # suffix[p-1] = sum_{j=p}^J 1/m_j
-        best, best_p = -math.inf, 1
-        for p in range(1, P + 1):
-            v = math.exp(M.log_m(p)) / p * (suffix[p - 1] + tail)
-            if v > best:
-                best, best_p = v, p
-        rep.gamma1 = {"verdict": True, "sup": best, "attained_at": best_p,
+        vs = [math.exp(q[p]) / p * (suffix[p - 1] + tail) for p in range(1, P + 1)]
+        best = max(vs)
+        rep.gamma1 = {"verdict": True, "sup": best, "attained_at": vs.index(best) + 1,
                       "P": P, "J": J, "tail_bound": tail}
 
     # (M3)': sum_p M_{p-1}/M_p
-    partial = math.fsum(inv_m)
-    rep.m3prime = {"partial_sum": partial, "tail_bound": tail,
+    rep.m3prime = {"partial_sum": math.fsum(inv_m), "tail_bound": tail,
                    "verdict": tail is not None}
 
     # Petzsche: liminf_{j} m_{Qj}/m_j > 1 for some integer Q
-    pz = {"per_Q": {}, "Q": None, "best_liminf": -math.inf}
-    for Q in range(2, 9):
-        lows = [math.exp(M.log_m(Q * j) - M.log_m(j))
-                for j in range(max(1, P // 2), P + 1)]
-        liminf = min(lows)
-        pz["per_Q"][Q] = liminf
-        if liminf > pz["best_liminf"]:
-            pz["best_liminf"] = liminf
-        if pz["Q"] is None and liminf > 1.0 + 1e-9:
-            pz["Q"] = Q
-    pz["verdict"] = pz["Q"] is not None
-    rep.petzsche = pz
+    per_Q = {Q: min(math.exp(q[Q * j] - q[j]) for j in range(max(1, P // 2), P + 1))
+             for Q in range(2, 9)}
+    Q = next((Q for Q, low in per_Q.items() if low > 1.0 + 1e-9), None)
+    rep.petzsche = {"per_Q": per_Q, "Q": Q, "best_liminf": max(per_Q.values()),
+                    "verdict": Q is not None}
     return rep
 
 
@@ -326,9 +329,7 @@ class SandwichResult:
 
 def _tail_not_growing(r: list) -> bool:
     peak = max(r)
-    n = len(r)
-    tail_peak = max(r[int(0.9 * n):])
-    return tail_peak < peak - 1e-9 or peak == r[0]
+    return max(r[int(0.9 * len(r)):]) < peak - 1e-9 or peak == r[0]
 
 
 def sandwich_check(M: WeightSequence, direction: str, h: float = None,
@@ -347,17 +348,13 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
         if h is None or not 0.0 < h < 1.0:
             raise PreconditionError("direction seq<=conj requires h in (0,1)")
         logh = math.log(h)
-        best = None
         for kk in range(1, 65):
             r = [kk * conj(p / kk) - p * logh - M.log_M(p) for p in range(pmax + 1)]
             if _tail_not_growing(r):
                 i = r.index(max(r))
-                best = SandwichResult("seq<=conj", h, kk, r[i], math.exp(min(r[i], 700.0)),
-                                      i, True)
-                break
-        if best is None:
-            raise SearchExhaustedError("no k <= 64 stabilizes the ratio")
-        return best
+                return SandwichResult("seq<=conj", h, kk, r[i],
+                                      math.exp(min(r[i], 700.0)), i, True)
+        raise SearchExhaustedError("no k <= 64 stabilizes the ratio")
 
     if direction == "conj<=seq":
         if k is None or k < 1:

@@ -60,6 +60,21 @@ def test_seminorm_on_a_grid_from_0_witnesses_x_0(capsys):
     assert witness == {"j": 0, "k": 0, "x": 0.0} and witness["x"].hex() == "0x0.0p+0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["seminorm", "--family", "p", "--function", "gaussian", "--weight",
+     "gevrey:d=2", "--lam", "1", "--grid", "lin:-2,2,5"],
+    ["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma", "gevrey:d=2",
+     "--omega", "gevrey:d=2", "--grid", "lin:-2,2,5"],
+], ids=["seminorm", "necessary"])
+def test_mirrored_grid_with_negative_lo_exits_2(argv, capsys):
+    # mirrored through 0, lin:-2,2,5 would hold each point twice, unsorted,
+    # with a -0.0 witness: the grid is named and nothing is scanned
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert "grid lin:-2,2,5 is mirrored through 0, so it needs lo >= 0" in out.err
+
+
 def test_scaled_grid_keeps_spacing():
     g = GridSpec("lin", 0.05, 5.0, 100)
     g2 = g.scaled(1.25)
@@ -895,17 +910,26 @@ def test_bare_import_leaves_numpy_unloaded():
 
 
 # the scalar commands: no array is built, so numpy is never imported, and the
-# cold run prints and writes what an in-process run does
+# cold run prints and writes what an in-process run does.  {table} is a
+# sequence table that is not log-convex: log M_p = (p^2 + 50 (p mod 2))/100
 @pytest.mark.parametrize("argv", [
     ["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "3.5",
      "--jmax", "400"],
     ["experiment", "nuclear", "--weight", "gevrey:d=2"],
     ["sequence-check", "--sequence", "gevreyseq:d=2"],
+    ["sequence-check", "--sequence", "table:{table}", "--pmax", "50"],
     ["conjugate", "--weight", "gevrey:d=2", "--s", "1"],
     ["conjugate", "--weight", "logpow:s=2", "--s", "1"],
-], ids=["negative", "nuclear", "sequence-check", "conjugate-gevrey",
-        "conjugate-logpow"])
+], ids=["negative", "nuclear", "sequence-check", "sequence-check-table",
+        "conjugate-gevrey", "conjugate-logpow"])
 def test_scalar_command_runs_cold_without_numpy(argv, tmp_path, capsys):
+    table = tmp_path / "seq.csv"
+    vs = [p * p + 50 * (p % 2) for p in range(501)]
+    table.write_text("p,logM\n" + "".join(f"{p},{v // 100}.{v % 100:02d}\n"
+                                          for p, v in enumerate(vs)))
+    argv = [a.format(table=table) for a in argv]
+    code = int(any(a.startswith("table:") for a in argv))  # it fails (M1): exit 1
+
     def out(d):
         d.mkdir()
         return (["--out", str(d / "r.csv"), "--format", "both"]
@@ -913,8 +937,8 @@ def test_scalar_command_runs_cold_without_numpy(argv, tmp_path, capsys):
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     r = run_cold(*argv, *out(cold))
     err, probe = split_probe(r.stderr)
-    assert (r.returncode, err) == (0, "") and probe.startswith("numpy=False ")
-    assert main([*argv, *out(warm)]) == 0
+    assert (r.returncode, err) == (code, "") and probe.startswith("numpy=False ")
+    assert main([*argv, *out(warm)]) == code
     assert capsys.readouterr().out == r.stdout
     files = sorted(p.name for p in cold.iterdir())
     assert files == sorted(p.name for p in warm.iterdir())

@@ -1,15 +1,26 @@
 import math
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gsbench.errors import PreconditionError, TruncationError
 from gsbench.sequences import (AssociatedWeight, WeightSequence, _tail_bound,
                                associated_weight, check_sequence_conditions,
                                doubling_from_sequence, parse_sequence,
                                sandwich_check)
+
+
+def log_convex(M):
+    """A generator, log-convex by construction, or a table whose second
+    differences of log M_p are all >= 0 exactly: a table that is its own
+    lower convex hull."""
+    if M.max_p == math.inf:
+        return True
+    ys = [Fraction(M.log_M(p)) for p in range(M.max_p + 1)]
+    return all(c - b >= b - a for a, b, c in zip(ys, ys[1:], ys[2:]))
 
 
 def brute_force_assoc(M, t, pmax=300):
@@ -66,7 +77,7 @@ def numeric_conjugate(aw):
     when the maximizer lies at end or past it."""
     M = aw.source
     P = min(aw.pmax, M.max_p)
-    if M.log_convex:
+    if log_convex(M):
         end, phi = M.log_m(P), lambda u: aw(math.exp(u))
     else:
         end = max((M.log_M(P) - M.log_M(q)) / (P - q) for q in range(P))
@@ -142,10 +153,36 @@ def test_gevrey_d1_is_factorial():
 
 
 def test_from_log_values_detects_convexity():
+    # the exact hull keeps every point of a log-convex table, collinear ones
+    # included in its values, and drops a bump
     convex = WeightSequence.from_log_values([0.0, 0.0, 1.0, 3.0])
-    assert convex.log_convex
+    assert convex.convex_minorant(3)[0] == [0, 1, 2, 3]
+    line = WeightSequence.from_log_values([0.0, 1.0, 2.0, 3.0])
+    vertices, hull = line.convex_minorant(3)
+    assert vertices == [0, 3]
+    assert [hull.log_M(p) for p in range(4)] == [0.0, 1.0, 2.0, 3.0]
     bumpy = WeightSequence.from_log_values([0.0, 2.0, 3.0, 3.5])
-    assert not bumpy.log_convex
+    assert bumpy.convex_minorant(3)[0] == [0, 3]
+    assert (log_convex(convex), log_convex(line), log_convex(bumpy)) \
+        == (True, True, False)
+
+
+_FLOATS = (st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.0, -0.0, 1e-13, -5e-324]), st.lists(_FLOATS, max_size=30))
+@example(0.0, [1.0, 5e-324, 0.0, 0.0])
+def test_from_log_values_keeps_the_values(log_M0, rest):
+    # log M_p as given, bit for bit, subnormals and -0.0 included; log M_0
+    # is the 0.0 the grammar normalises to, and a quotient is a difference
+    M = WeightSequence.from_log_values([log_M0, *rest])
+    assert [M.log_M(p).hex() for p in range(len(rest) + 1)] \
+        == [0.0.hex(), *(v.hex() for v in rest)]
+    vals = [0.0, *rest]
+    assert [M.log_m(p).hex() for p in range(1, len(vals))] \
+        == [(b - a).hex() for a, b in zip(vals, vals[1:])]
 
 
 def test_from_log_values_requires_normalized_start():
@@ -197,7 +234,7 @@ def test_assoc_bisect_matches_doubling_bisection_tables(ts, data):
         == _assoc_outcome(lambda: doubling_bisection_assoc(M, t, pmax))
     # the same quotients summed into a tabulated log M_p
     T = WeightSequence.from_log_values(np.concatenate([[0.0], np.cumsum(qs)]))
-    assume(T.log_convex)
+    assume(log_convex(T))
     assert _assoc_outcome(lambda: AssociatedWeight(T, pmax).eval_with_argmax(t)) \
         == _assoc_outcome(lambda: doubling_bisection_assoc(T, t, pmax))
 
@@ -314,7 +351,7 @@ def test_assoc_non_convex_linear_scan_path():
     # on the raw table
     M = WeightSequence.from_log_values([0.0, 2.0, 3.0, 3.5, 6.0, 9.0, 13.0])
     aw = AssociatedWeight(M, pmax=6)
-    assert M.log_convex is False and aw.source is M
+    assert not log_convex(M) and aw.source is M
     for t in (1.5, 3.0, 8.0):
         want, p_want = brute_force_assoc(M, t, pmax=5)
         got, p_got = aw.eval_with_argmax(t)
@@ -322,10 +359,42 @@ def test_assoc_non_convex_linear_scan_path():
         assert p_got == p_want
 
 
-def _raw_tables(first=st.floats(min_value=-5.0, max_value=50.0)):
-    """log M_0 = 0 followed by arbitrary log M_1..log M_P, P <= 40."""
-    rest = st.lists(st.floats(min_value=-5.0, max_value=50.0), max_size=39)
+def _raw_tables(first=st.floats(min_value=-5.0, max_value=50.0), max_size=39):
+    """log M_0 = 0 followed by arbitrary log M_1..log M_P, P <= max_size + 1."""
+    rest = st.lists(st.floats(min_value=-5.0, max_value=50.0), max_size=max_size)
     return st.tuples(first, rest).map(lambda fr: [0.0, fr[0], *fr[1]])
+
+
+def envelope_vertices(log_Ms):
+    """The lower convex hull's vertices by brute force on exact Fractions:
+    the ends, and each point strictly below every chord across it."""
+    ys = [Fraction(y) for y in log_Ms]
+    P = len(ys) - 1
+    return [j for j in range(P + 1) if j in (0, P) or all(
+        ys[j] * (b - a) < ys[a] * (b - j) + ys[b] * (j - a)
+        for a in range(j) for b in range(j + 1, P + 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_tables(first=_FLOATS, max_size=20)
+       | st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0]),
+                  min_size=1, max_size=12).map(lambda r: [0.0, *r]))
+@example([0.0, 1.0, 5e-324, 0.0, 0.0])
+@example([0.0, 1.0, -5e-324, -5e-324])
+def test_convex_minorant_vertices_are_the_exact_envelope(log_Ms):
+    # vertices from the exact envelope keep their values bit for bit; the
+    # points between and the slopes are the exact segment, correctly rounded
+    M = WeightSequence.from_log_values(log_Ms)
+    P = M.max_p
+    vertices, hull = M.convex_minorant(P)
+    assert vertices == envelope_vertices(log_Ms)
+    ys = [Fraction(M.log_M(p)) for p in range(P + 1)]
+    for a, b in zip(vertices, vertices[1:]):
+        assert hull.log_M(a).hex() == M.log_M(a).hex()
+        for p in range(a + 1, b + 1):
+            assert hull.log_m(p) == float((ys[b] - ys[a]) / (b - a))
+            assert hull.log_M(p) == float(ys[a] + (ys[b] - ys[a]) * (p - a) / (b - a))
+    assert hull.log_M(P).hex() == M.log_M(P).hex()
 
 
 @settings(max_examples=100, deadline=None)
@@ -348,14 +417,16 @@ def test_assoc_hull_matches_linear_scan_on_raw_tables(log_Ms, t, data):
 
 def test_convex_minorant_is_the_lower_hull():
     M = WeightSequence.from_log_values([0.0, 2.0, 3.0, 3.5, 6.0, 9.0, 13.0])
-    hull = M.convex_minorant(6)
-    assert hull.log_convex and hull.max_p == 6
+    vertices, hull = M.convex_minorant(6)
+    assert vertices == [0, 3, 4, 5, 6]
+    assert hull.max_p == 6
     assert [hull.log_m(p) for p in range(1, 7)] == [7 / 6] * 3 + [2.5, 3.0, 4.0]
     for p, want in enumerate([0.0, 7 / 6, 7 / 3, 3.5, 6.0, 9.0, 13.0]):
         assert hull.log_M(p) == pytest.approx(want, rel=1e-15, abs=1e-15)
-    assert M.convex_minorant(2).max_p == 2
+    assert [hull.log_M(p) for p in vertices] == [0.0, 3.5, 6.0, 9.0, 13.0]
+    assert M.convex_minorant(2)[1].max_p == 2
     with pytest.raises(TruncationError, match="tabulated sequence ends at p=2"):
-        M.convex_minorant(2).log_M(3)
+        M.convex_minorant(2)[1].log_M(3)
 
 
 def test_max_p_is_an_attribute():
@@ -422,7 +493,7 @@ def test_assoc_conjugate_below_unit_first_quotient_matches_numeric_sup():
     for p in range(1, 61):
         log_Ms.append(log_Ms[-1] - 0.5 + 0.1 * (p - 1))
     aw = AssociatedWeight(WeightSequence.from_log_values(log_Ms))
-    assert aw.source.log_convex
+    assert log_convex(aw.source)
     oracle = numeric_conjugate(aw)
     for s in (0.0, 0.2, 1.0, 3.5, 8.5, 12.25):
         assert aw.conjugate(s) == pytest.approx(oracle(s), rel=1e-12, abs=1e-12)
@@ -448,7 +519,7 @@ def test_assoc_numeric_conjugate_non_log_convex_brackets_past_the_last_quotient(
     # so s <= 1 keeps its maximizers (u = 1 at s = 0.5) inside the bracket
     aw = AssociatedWeight(WeightSequence.from_log_values([0.0, 1.0, 5.0, 5.5]),
                           pmax=3)
-    assert not aw.source.log_convex
+    assert not log_convex(aw.source)
     oracle = numeric_conjugate(aw)
     assert oracle(0.5) == pytest.approx(0.5, abs=1e-9)
     assert aw.conjugate(0.5) == pytest.approx(0.5, abs=1e-12)
@@ -462,34 +533,45 @@ def test_assoc_numeric_conjugate_non_log_convex_brackets_past_the_last_quotient(
         aw.conjugate(3.5)
 
 
+# the conjugate's arguments: the table's end, P or P + 5, as pmax, and s as
+# fractions of P
+_PMAX_EXTRA = st.sampled_from([0, 5])
+_S_FRACTIONS = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8)
+
+
 @settings(max_examples=60, deadline=None)
-@given(_raw_tables(), st.data())
-def test_assoc_conjugate_matches_numeric_sup_on_raw_tables(log_Ms, data):
+@given(_raw_tables(), _PMAX_EXTRA, _S_FRACTIONS)
+@example([0.0, 1.0, 5e-324, 0.0, 0.0], 0, [0.0])
+def test_assoc_conjugate_matches_numeric_sup_on_raw_tables(log_Ms, extra, fracs):
     M = WeightSequence.from_log_values(log_Ms)
-    assume(not M.log_convex)
-    _conjugate_matches_oracle(M, data)
+    assume(not log_convex(M))
+    _conjugate_matches_oracle(M, extra, fracs)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_raw_tables(first=st.floats(min_value=-5.0, max_value=-1e-3)), st.data())
-def test_assoc_conjugate_matches_numeric_sup_below_unit_first_quotient(log_Ms, data):
-    _conjugate_matches_oracle(WeightSequence.from_log_values(log_Ms), data)
+@given(_raw_tables(first=st.floats(min_value=-5.0, max_value=-1e-3)), _PMAX_EXTRA,
+       _S_FRACTIONS)
+def test_assoc_conjugate_matches_numeric_sup_below_unit_first_quotient(log_Ms, extra,
+                                                                       fracs):
+    _conjugate_matches_oracle(WeightSequence.from_log_values(log_Ms), extra, fracs)
 
 
 @pytest.mark.parametrize("pmax, cap", [(3, "pmax=3"), (8, "ends at p=3")])
 def test_assoc_conjugate_hull_slope_underflow(pmax, cap):
-    # log M = [0, 1, 0, -5e-324] summed from its quotients: the hull's one
-    # segment (0, 0) -> (3, -5e-324) has a slope that underflows to -0.0, but
-    # log M_3 < log M_0, so M(1) has its argmax past p = 3
-    M = WeightSequence.from_log_values([0.0, 1.0, 5e-324, 0.0])
+    # log M = [0, 1, 0, -5e-324]: the hull's one segment (0, 0) -> (3, -5e-324)
+    # has a slope that underflows to -0.0, but log M_3 < log M_0, so M(1) has
+    # its argmax past p = 3
+    M = WeightSequence.from_log_values([0.0, 1.0, 0.0, -5e-324])
+    vertices, hull = M.convex_minorant(3)
+    assert vertices == [0, 3] and hull.log_m(3) == 0.0
     assert M.log_M(3) == -5e-324
     with pytest.raises(TruncationError, match=cap):
         AssociatedWeight(M, pmax).conjugate(0.5)
 
 
-def _conjugate_matches_oracle(M, data):
+def _conjugate_matches_oracle(M, extra, fracs):
     P = M.max_p
-    pmax = data.draw(st.sampled_from([P, P + 5]))
+    pmax = P + extra
     aw = AssociatedWeight(M, pmax)
     if all(M.log_M(P) < M.log_M(q) for q in range(P)):
         # every hull quotient up to P is negative: M(1) = phi_M(0), whose
@@ -500,8 +582,7 @@ def _conjugate_matches_oracle(M, data):
             aw.conjugate(0.0)
         return
     oracle = numeric_conjugate(aw)
-    for s in data.draw(st.lists(st.floats(min_value=0.0, max_value=P),
-                                min_size=1, max_size=8)):
+    for s in (f * P for f in fracs):
         got = aw.conjugate(s)
         try:
             want = oracle(s)
