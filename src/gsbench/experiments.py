@@ -233,27 +233,18 @@ def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
     """sup over (j <= Jmax, q <= Qmax, grid x) of
     |x^q (f o psi)^(j)(x)| exp(-m phi_sigma*((j+q)/m)), in log domain.
 
-    A precomputed (xs, jet_table) pair may be supplied to amortize the FdB
-    work across several m values."""
-    if jq_cap is None:
-        jq_cap = Jmax + Qmax
+    A precomputed (xs, jet_table) pair amortizes the FdB work across several
+    m values; check_stability composes one table over the extended grid."""
+    jq_cap = Jmax + Qmax if jq_cap is None else jq_cap
+    if check_stability and jet_table is not None:
+        raise PreconditionError("check_stability composes its own jet table")
     conj = ConjugateEvaluator(sigma)
-    if xs is None:
-        xs = grid.symmetric_points()
-    if jet_table is None:
-        jet_table = composed_jet_log_table(f, psi, xs, Jmax)
-
-    def scan(pts, J, Q, cap):  # the rescan's 1.25x grid needs its own table
-        table = (np.asarray(jet_table)[:, :J + 1] if pts is xs
-                 else composed_jet_log_table(f, psi, pts, J))
-        return weighted_log_sup(table, conj, m, pts, Q, cap)
-
-    best, witness, stable = stable_sup(scan, grid, (Jmax, Qmax, jq_cap), "q",
-                                       check_stability, xs)
-    return ComposedSeminormResult(f=f.label, psi=psi.label, sigma=sigma.label,
-                                  m=m, grid=grid.spec_string(), jq_cap=jq_cap,
-                                  value_log=best, witness=witness,
-                                  stable=stable)
+    return ComposedSeminormResult(
+        f.label, psi.label, sigma.label, m, grid.spec_string(), jq_cap, *stable_sup(
+            lambda pts, J: (composed_jet_log_table(f, psi, pts, J) if jet_table is None
+                            else np.asarray(jet_table)[:, :J + 1]),
+            lambda logs, pts, Q, cap: weighted_log_sup(logs, conj, m, pts, Q, cap),
+            grid, (Jmax, Qmax, jq_cap), "q", check_stability, xs))
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,10 @@ class SeminormReport(Result):
     value_log: float
     witness: Optional[dict]
     stable: Optional[bool] = None
-    degenerate: bool = False
+    degenerate: bool = field(init=False)  # every term log 0, so no witness
+
+    def __post_init__(self):
+        self.degenerate = self.witness is None
 
     @property
     def verdict(self) -> bool:
@@ -436,22 +439,30 @@ class SeminormReport(Result):
         return d
 
 
-def stable_sup(scan, grid: GridSpec, sizes: tuple, power: str = None,
+def stable_sup(table, scan, grid: GridSpec, sizes: tuple, power: str = None,
                check_stability: bool = True, xs=None) -> tuple:
-    """(value, witness, stable) of scan(xs, *sizes) -> (value, (xi, j, k)) on
-    the grid's symmetric points (or xs).  The witness names j, k as ``power``
-    and x, or is None when every term is log 0.  ``stable``: with a witness
-    and check_stability, the scan on the grid extended 1.25x, every size
-    raised 1.25x rounded up, agrees to 1e-6 relative; else None."""
-    if xs is None:
-        xs = grid.symmetric_points()
-    best, at = scan(xs, *sizes)
+    """(value, witness, stable) of scan(logs, xs, *sizes[1:]) -> (value,
+    (xi, j, k)) on the log-jet rows logs = table(xs, sizes[0]) over the grid's
+    symmetric points (or xs); the witness names j, k as ``power`` and x, or
+    is None when every term is log 0.  With check_stability, one table over
+    GridSpec.extended_symmetric_points at every size raised 1.25x rounded up
+    gives logs as its middle rows and low orders (a row depends on its own
+    point only, an order on lower ones only), and ``stable``, with a witness:
+    the scan of that whole table agrees to 1e-6 relative.  Else None."""
+    if check_stability:
+        ext, pad = grid.extended_symmetric_points()
+        whole = table(ext, math.ceil(sizes[0] * 1.25))
+        xs, logs = ext[pad:-pad], whole[pad:-pad, :sizes[0] + 1]
+    else:
+        xs = grid.symmetric_points() if xs is None else xs
+        logs = table(xs, sizes[0])
+    best, at = scan(logs, xs, *sizes[1:])
     if at is None:
         return best, None, None
     witness = {"j": at[1], **({power: at[2]} if power else {}), "x": float(xs[at[0]])}
     if not check_stability:
         return best, witness, None
-    b2, _ = scan(grid.scaled(1.25).symmetric_points(), *(math.ceil(n * 1.25) for n in sizes))
+    b2, _ = scan(whole, ext, *(math.ceil(n * 1.25) for n in sizes[1:]))
     return best, witness, abs(b2 - best) < 1e-6 * max(1.0, abs(best))
 
 
@@ -463,14 +474,11 @@ def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
     if J + K > 2 * _CLOSED_FORM_JMAX:
         raise PreconditionError("J + K too large")
     conj = ConjugateEvaluator(w)
-
-    def scan(xs, J, K):
-        return weighted_log_sup(f.log_jet_table(xs, J)[1], conj, lam, xs, K)
-
-    best, witness, stable = stable_sup(scan, grid, (J, K), "k", check_stability)
-    return SeminormReport("p_lambda", lam, None, w.label, grid.spec_string(),
-                          J, K, best, witness, stable,
-                          degenerate=witness is None)
+    return SeminormReport(
+        "p_lambda", lam, None, w.label, grid.spec_string(), J, K, *stable_sup(
+            lambda xs, J: f.log_jet_table(xs, J)[1],
+            lambda logs, xs, K: weighted_log_sup(logs, conj, lam, xs, K),
+            grid, (J, K), "k", check_stability))
 
 
 def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
@@ -479,15 +487,11 @@ def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
     """Finite-box lower estimate of
     sup_{j,x} |f^(j)(x)| exp(-lam phi*(j/lam) + mu omega(x))."""
     conj = ConjugateEvaluator(w)
-
-    def scan(xs, J):
-        return weighted_log_sup(f.log_jet_table(xs, J)[1], conj, lam,
-                                extra=mu * w.values(xs))
-
-    best, witness, stable = stable_sup(scan, grid, (J,), None, check_stability)
-    return SeminormReport("pi", lam, mu, w.label, grid.spec_string(),
-                          J, None, best, witness, stable,
-                          degenerate=witness is None)
+    return SeminormReport(
+        "pi", lam, mu, w.label, grid.spec_string(), J, None, *stable_sup(
+            lambda xs, J: f.log_jet_table(xs, J)[1],
+            lambda logs, xs: weighted_log_sup(logs, conj, lam, extra=mu * w.values(xs)),
+            grid, (J,), None, check_stability))
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,17 @@ Grammar used by the CLI and config files:
 Points are floats from np.linspace's formula, i (hi - lo)/(n - 1) + lo, hi
 last: a lin grid equals np.linspace bit for bit.  A log grid raises 10 to
 that formula on math.log10 of its ends with libm's pow, not numpy's SIMD
-power, so its points do not depend on the CPU.
+power, so its points do not depend on the CPU.  The box of a stability
+check extends a grid past hi by the same formula at i >= n, so the grid's
+points stay the first n of the extension bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, islice
 
 from .errors import PreconditionError
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -53,54 +48,52 @@ class GridSpec:
                                     "10^log10(hi) overflows a float; lower its hi") from None
 
     def _iter(self):
-        """The points one at a time (see the module notes)."""
+        """The points one at a time (see the module notes), then on past hi."""
         log, div = self.kind == "log", self.n - 1
         lo, hi = (math.log10(self.lo), math.log10(self.hi)) if log else (self.lo, self.hi)
         step = (hi - lo) / div
         if log:
-            return chain((10.0 ** (i * step + lo) for i in range(div)), (10.0 ** hi,))
-        if not step:  # a subnormal span: np.linspace scales i/div instead
-            return chain((i / div * (hi - lo) + lo for i in range(div)), (hi,))
-        return chain((i * step + lo for i in range(div)), (hi,))
+            at, hi = (lambda i: 10.0 ** (i * step + lo)), 10.0 ** hi
+        elif not step:  # a subnormal span: np.linspace scales i/div instead
+            at = lambda i: i / div * (hi - lo) + lo
+        else:
+            at = lambda i: i * step + lo
+        return chain(map(at, range(div)), (hi,), map(at, count(self.n)))
 
     def points(self) -> list:
-        return list(self._iter())
+        return list(islice(self._iter(), self.n))
 
     def symmetric_points(self):
         """Grid mirrored through 0, with 0 included once, as an array: lo >= 0."""
+        return self._mirrored(self.n)
+
+    def extended_symmetric_points(self) -> tuple:
+        """(xs, pad): the stability checks' box, the symmetric points extended
+        past +-hi by pad points of the grid's formula, so xs[pad:-pad] is
+        symmetric_points() bit for bit.  pad >= 1 grows hi about 1.25-fold:
+        round(0.25 hi / step), or round(ln 1.25 / step) on a log grid."""
+        lin = self.kind == "lin"
+        step = (self.hi - self.lo if lin else math.log(self.hi) - math.log(self.lo)) / (self.n - 1)
+        pad = max(1, round((self.hi * 0.25 if lin else math.log(1.25)) / step)) if step else 1
+        try:
+            xs = self._mirrored(self.n + pad)
+            if math.isfinite(xs[-1]):
+                return xs, pad
+        except OverflowError:  # a log grid's 10 ** x
+            pass
+        raise PreconditionError(
+            f"grid {self.spec_string()} extended 1.25x overflows a float; lower its hi")
+
+    def _mirrored(self, n: int):
+        """The first n points of _iter mirrored through 0, with 0 once."""
         if self.lo < 0:
             raise PreconditionError(
                 f"grid {self.spec_string()} is mirrored through 0, so it needs lo >= 0")
         import numpy as np
-        p = np.fromiter(self._iter(), float, self.n)
+        p = np.fromiter(self._iter(), float, n)
         if self.lo == 0:  # the first point is 0 itself
             p = p[1:]
         return np.concatenate([-p[::-1], [0.0], p])
-
-    def scaled(self, factor: float) -> "GridSpec":
-        """The grid with the same lo and more points at about the original
-        step, so hi grows about ``factor``-fold.  The step is recomputed from
-        the new hi, so the original points need not stay on it bit for bit."""
-        if factor <= 1.0:
-            raise PreconditionError("scale factor must exceed 1")
-        if self.kind == "lin":
-            step = (self.hi - self.lo) / (self.n - 1)
-            extra = max(1, round(self.hi * (factor - 1.0) / step))
-        else:
-            step = (math.log(self.hi) - math.log(self.lo)) / (self.n - 1)
-            extra = max(1, round(math.log(factor) / step))
-        n = self.n + extra
-        if self.kind == "lin":
-            hi = self.lo + (n - 1) * step
-        else:
-            hi = self.lo * _exp((n - 1) * step)
-            if not math.isfinite(hi):  # exp overflowed; lo < 1 may undo it
-                hi = _exp(math.log(self.lo) + (n - 1) * step)
-        if not math.isfinite(hi):
-            raise PreconditionError(
-                f"grid {self.spec_string()} extended {factor:g}x overflows "
-                "a float; lower its hi")
-        return GridSpec(self.kind, self.lo, hi, n)
 
     def spec_string(self) -> str:
         return f"{self.kind}:{self.lo:g},{self.hi:g},{self.n}"

@@ -142,11 +142,9 @@ class AssociatedWeight:
         src = self.source
         P = min(self.pmax, src.max_p)
         if src.max_p == math.inf:  # every p <= pmax is a vertex
-            self.hull, a = src, P - 1
+            self.hull, self._vertices = src, range(P + 1)
         else:
-            vertices, self.hull = src.convex_minorant(P)
-            a = vertices[-2] if P else -1
-        self._last = (a, P)  # the hull's last segment, read by the truncation probe
+            self._vertices, self.hull = src.convex_minorant(P)
         self._q0 = None  # argmax of M(1), set by conjugate; a cached_property slows reads
 
     def eval_with_argmax(self, t: float) -> tuple:
@@ -167,7 +165,8 @@ class AssociatedWeight:
             # A table that ends at P <= pmax has no term past P, so a rise of
             # (P - a) lt is a tie that a attains; where pmax cuts a longer
             # sequence, the terms past it may tie or grow, so it is truncated.
-            a, P = self._last
+            V = self._vertices
+            a, P = V[-2] if len(V) > 1 else -1, V[-1]
             rise = (-math.inf if not P else seq.log_m(P) if a == P - 1
                     else seq.log_M(P) - seq.log_M(a))
             if rise < (P - a) * lt or (rise == (P - a) * lt and self.source.max_p > pmax):
@@ -179,6 +178,13 @@ class AssociatedWeight:
                 seq._extend(len(quot))
             top = min(len(quot) - 1, pmax)  # log m_top > lt, or a tie at end
         best_p = bisect.bisect_left(quot, lt, 1, top) - 1
+        if seq is not self.source and quot[best_p + 1] == lt:
+            # a table's hull slopes that round to lt may lie either side of it:
+            # go on along the vertices while a segment rises below (b - a) lt
+            V, i = self._vertices, bisect.bisect_left(self._vertices, best_p)
+            while i + 1 < len(V) and seq._cum[V[i + 1]] - seq._cum[V[i]] < (V[i + 1] - V[i]) * lt:
+                i += 1
+            best_p = V[i]
         return max(0.0, best_p * lt - seq._cum[best_p]), best_p
 
     def __call__(self, t: float) -> float:
@@ -249,8 +255,10 @@ def _tail_bound(M: WeightSequence, J: int) -> Optional[float]:
     alpha = a / b
     if alpha <= 1.0 + 1e-9:
         return None
-    # integral of c^-1 j^-alpha from J: J / (m_J (alpha - 1))
-    return J / ((alpha - 1.0) * math.exp(M.log_m(J)))
+    try:  # integral of c^-1 j^-alpha from J: J / (m_J (alpha - 1)); in logs past exp's range
+        return J / ((alpha - 1.0) * math.exp(M.log_m(J)))
+    except OverflowError:
+        return math.exp(math.log(J / (alpha - 1.0)) - M.log_m(J))
 
 
 def check_sequence_conditions(M: WeightSequence, P: int) -> SequenceConditionReport:

@@ -164,6 +164,9 @@ def table_sequence(log_Ms, label: str = "table") -> SequenceSpec:
     log_Ms = tuple(float(v) for v in log_Ms)
     if not log_Ms or abs(log_Ms[0]) > 1e-12:
         raise PreconditionError("table must start with log M_0 = 0")
+    big = [p for p in range(1, len(log_Ms)) if not math.isfinite(log_Ms[p] - log_Ms[p - 1])]
+    if big:  # the steps are the quotients log m_p
+        raise PreconditionError(f"table step log M_p - log M_(p-1) at p={big[0]} overflows a float")
     return SequenceSpec(label, log_Ms=log_Ms)
 
 

@@ -76,46 +76,50 @@ def test_mirrored_grid_with_negative_lo_exits_2(argv, capsys):
 
 
 def test_scaled_grid_keeps_spacing():
+    # the stability checks' box, about 1.25x the grid: its points past hi
+    # keep the grid's step
     g = GridSpec("lin", 0.05, 5.0, 100)
-    g2 = g.scaled(1.25)
+    xs, pad = g.extended_symmetric_points()
     step = (g.hi - g.lo) / (g.n - 1)
-    step2 = (g2.hi - g2.lo) / (g2.n - 1)
-    assert step2 == pytest.approx(step, rel=1e-12)
-    assert g2.hi >= 1.25 * g.hi - step
+    tail = xs[-pad - 2:].tolist()  # hi and the pad points past it
+    assert [b - a for a, b in zip(tail, tail[1:])] == pytest.approx(
+        [step] * (pad + 1), rel=1e-12)
+    assert xs[-1] >= 1.25 * g.hi - step
 
 
-# (kind, lo, hi, n) -> (hi, n) of scaled(1.25) on the bench's seminorm,
-# necessary and cauchy grids and the default t grid: the overflow guard must
-# leave these endpoints bit for bit as lo * exp((n - 1) step) gives them
-# with math.exp.  For log:1,22,200 that is the correctly rounded
-# 27.344153129171215; numpy's AVX-512 exp gave one ulp less.
+# (kind, lo, hi, n) -> (top point, point count) of the 1.25x box of the
+# stability checks on the bench's seminorm, necessary and cauchy grids and
+# the default t grid.  The counts are those of the box the checks scanned
+# before it kept the grid's points, round(0.25 hi / step) or round(ln 1.25 /
+# step) more; the top point is the grid's formula at i = n + pad - 1.
 SCALED_ENDPOINTS = [
     (("lin", 0.05, 8.0, 160), (10.000000000000002, 200)),
     (("lin", 0.05, 8.25, 160), (10.312893081761006, 200)),
     (("lin", 0.05, 8.5, 160), (10.625786163522012, 200)),
     (("lin", 0.05, 8.75, 160), (10.93867924528302, 200)),
-    (("log", 0.001, 1000.0, 20000), (1249.9851260628925, 20323)),
-    (("log", 0.001, 1250.0, 20000), (1562.6284588918084, 20318)),
-    (("log", 0.001, 1500.0, 20000), (1875.2567625799834, 20314)),
-    (("log", 0.001, 1750.0, 20000), (2186.8045912748275, 20310)),
-    (("log", 1.0, 20.0, 200), (25.066724235079377, 215)),
-    (("log", 1.0, 21.0, 200), (26.41703464132227, 215)),
-    (("log", 1.0, 22.0, 200), (27.344153129171215, 214)),
-    (("log", 1.0, 23.0, 200), (28.67660830233771, 214)),
-    (("log", 0.01, 1e8, 2000), (124465080.33525372, 2019)),
+    (("log", 0.001, 1000.0, 20000), (1249.9851260628923, 20323)),
+    (("log", 0.001, 1250.0, 20000), (1562.628458891814, 20318)),
+    (("log", 0.001, 1500.0, 20000), (1875.2567625799868, 20314)),
+    (("log", 0.001, 1750.0, 20000), (2186.8045912748303, 20310)),
+    (("log", 1.0, 20.0, 200), (25.066724235079388, 215)),
+    (("log", 1.0, 21.0, 200), (26.417034641322285, 215)),
+    (("log", 1.0, 22.0, 200), (27.34415312917121, 214)),
+    (("log", 1.0, 23.0, 200), (28.676608302337705, 214)),
+    (("log", 0.01, 1e8, 2000), (124465080.33525382, 2019)),
 ]
 
 
 @pytest.mark.parametrize("spec, expect", SCALED_ENDPOINTS)
 def test_scaled_grid_keeps_in_range_endpoints(spec, expect):
-    g = GridSpec(*spec).scaled(1.25)
-    assert (g.hi, g.n) == expect
+    g = GridSpec(*spec)
+    xs, pad = g.extended_symmetric_points()
+    assert (xs[-1], g.n + pad) == expect
 
 
 def test_scaled_log_grid_past_exp_range_stays_finite():
-    # lo * exp((n - 1) step) overflows in exp, but the product is ~1e212
-    g = GridSpec("log", 1e-300, 1e200, 40).scaled(1.25)
-    assert g.n == 41 and 1e200 < g.hi < 1e214
+    # the box's top 10^(40 step + log10 lo) is ~6.6e212, past exp's range
+    xs, pad = GridSpec("log", 1e-300, 1e200, 40).extended_symmetric_points()
+    assert pad == 1 and 1e200 < xs[-1] < 1e214
 
 
 @pytest.mark.parametrize("grid", ["log:1e-300,1e300,40", "log:1,1.7e308,3",
@@ -647,6 +651,29 @@ def test_infinite_fields_are_strict_json(argv, path, tmp_path, monkeypatch,
     for key in path:
         value = value[key]
     assert value == "inf"
+
+
+def test_sequence_check_whose_last_quotient_overflows_exp_reports(tmp_path, capsys):
+    # log M_p = p^2 + 50 (p mod 2), p <= 500: the tail bound reads
+    # log m_500 = 949, past exp's range, so it is taken in logs
+    table = tmp_path / "seq.csv"
+    table.write_text("p,logM\n" + "".join(f"{p},{p * p + 50 * (p % 2)}\n"
+                                          for p in range(501)))
+    assert main(["sequence-check", "--sequence", f"table:{table}", "--pmax", "50"]) == 1
+    out = capsys.readouterr()
+    rep = json.loads(out.out, parse_constant=_reject_constant)
+    assert rep["m1"] == {"verdict": False, "violations": 25}
+    assert 0.0 <= rep["m3prime"]["tail_bound"] < 1e-300
+    assert out.err == ""
+
+
+def test_sequence_table_whose_step_overflows_exits_2(tmp_path, capsys):
+    table = tmp_path / "seq.csv"
+    table.write_text("p,logM\n0,0\n1,-1e308\n2,1e308\n")
+    assert main(["sequence-check", "--sequence", f"table:{table}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert "at p=2 overflows a float" in out.err
 
 
 # -- end-to-end CLI ---------------------------------------------------------

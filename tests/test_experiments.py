@@ -11,7 +11,7 @@ from gsbench.errors import (CapabilityError, PreconditionError, RegimeError,
                             SearchExhaustedError)
 from gsbench.experiments import (NECESSARY_BLOCK, bounded_derivative_chain,
                                  cauchy_derivative_bound, compactness_blowup,
-                                 composed_seminorm_bound,
+                                 composed_jet_log_table, composed_seminorm_bound,
                                  equicontinuity_constant, necessary_growth,
                                  negative_chain, nuclearity_sum,
                                  sufficient_condition_check)
@@ -313,6 +313,18 @@ def test_composed_seminorm_degenerate_has_no_stability_verdict():
                                   check_stability=True)
     assert rep.witness is None and rep.stable is None
     assert rep.value_log == -math.inf
+
+
+def test_composed_seminorm_supplied_table_serves_the_unchecked_sup_only():
+    g = GridSpec("lin", 0.05, 5.0, 40)
+    xs = g.symmetric_points()
+    t = composed_jet_log_table(Gaussian(), SQUARE, xs, 8)
+    args = (Gaussian(), SQUARE, WeightFunction.gevrey(3), 2, g, 8, 8)
+    rep = composed_seminorm_bound(*args, jet_table=t, xs=xs)
+    plain = composed_seminorm_bound(*args)
+    assert (rep.value_log, rep.witness) == (plain.value_log, plain.witness)
+    with pytest.raises(PreconditionError, match="composes its own jet table"):
+        composed_seminorm_bound(*args, check_stability=True, jet_table=t, xs=xs)
 
 
 # -- necessary growth -------------------------------------------------------

@@ -332,23 +332,32 @@ def test_seminorm_degenerate_for_zero_function():
 
 
 def test_stable_sup_rescans_with_every_size_raised():
-    calls = []
+    tables, scans = [], []
 
-    def scan(xs, *sizes):
-        calls.append((len(xs), sizes))
-        return 1.0 + 1e-7 * (len(calls) - 1), (3, 2, 1)
+    def table(xs, J):
+        tables.append((len(xs), J))
+        return np.zeros((len(xs), J + 1))
+
+    def scan(logs, xs, *sizes):
+        scans.append((logs.shape, len(xs), sizes))
+        return 1.0 + 1e-7 * (len(scans) - 1), (3, 2, 1)
 
     grid = GridSpec("lin", 0.5, 2.0, 4)
-    best, witness, stable = stable_sup(scan, grid, (10, 3, 7), "q")
+    sym = grid.symmetric_points()
+    ext, pad = grid.extended_symmetric_points()
+    best, witness, stable = stable_sup(table, scan, grid, (10, 3, 7), "q")
     assert (best, stable) == (1.0, True)
-    assert witness == {"j": 2, "q": 1, "x": float(grid.symmetric_points()[3])}
-    # the grid, then the grid extended 1.25x with ceil(1.25 n) per size
-    assert calls == [(len(grid.symmetric_points()), (10, 3, 7)),
-                     (len(grid.scaled(1.25).symmetric_points()), (13, 4, 9))]
-    calls.clear()
-    assert stable_sup(scan, grid, (10,), check_stability=False)[1:] == (
-        {"j": 2, "x": float(grid.symmetric_points()[3])}, None)
-    assert len(calls) == 1
+    assert witness == {"j": 2, "q": 1, "x": float(sym[3])}
+    # one table, over the extended grid with ceil(1.25 n) per size; its
+    # middle rows and orders <= 10 at the sizes, then all of it raised
+    assert tables == [(len(ext), 13)]
+    assert scans == [((len(sym), 11), len(sym), (3, 7)),
+                     ((len(ext), 14), len(ext), (4, 9))]
+    tables.clear()
+    scans.clear()
+    assert stable_sup(table, scan, grid, (10,), check_stability=False)[1:] == (
+        {"j": 2, "x": float(sym[3])}, None)
+    assert tables == [(len(sym), 10)] and len(scans) == 1
 
 
 def test_stable_sup_of_a_degenerate_sup_is_not_rescanned():
@@ -356,16 +365,93 @@ def test_stable_sup_of_a_degenerate_sup_is_not_rescanned():
     # estimators alike
     calls = []
 
-    def scan(xs, J):
-        calls.append(J)
+    def scan(logs, xs):
+        calls.append(logs.shape[1] - 1)
         return LOG_ZERO, None
 
-    assert stable_sup(scan, GRID, (4,)) == (LOG_ZERO, None, None)
+    assert stable_sup(lambda xs, J: np.zeros((len(xs), J + 1)), scan, GRID,
+                      (4,)) == (LOG_ZERO, None, None)
     assert calls == [4]
     zero = Polynomial([0])
     for rep in (seminorm_p_lambda(zero, 1.0, W2, GRID, J=4, K=4),
                 seminorm_pi(zero, 1.0, 1.0, W2, GRID, J=4)):
         assert rep.degenerate and rep.stable is None
+
+
+def old_scaled_grid(g):
+    """The 1.25x box the stability check scanned before it kept the grid's
+    points: the same point count past hi, but the step recomputed from the
+    new hi, so few of the grid's points stay on it bit for bit."""
+    if g.kind == "lin":
+        step = (g.hi - g.lo) / (g.n - 1)
+        n = g.n + max(1, round(g.hi * 0.25 / step))
+        return GridSpec("lin", g.lo, g.lo + (n - 1) * step, n)
+    step = (math.log(g.hi) - math.log(g.lo)) / (g.n - 1)
+    n = g.n + max(1, round(math.log(1.25) / step))
+    return GridSpec("log", g.lo, g.lo * math.exp((n - 1) * step), n)
+
+
+def two_scan_stable_sup(table, scan, grid, sizes, power=None):
+    """Oracle: the table and sup on the grid, then a fresh table and sup on
+    old_scaled_grid at every size raised 1.25x rounded up."""
+    def sup(g, sizes):
+        xs = g.symmetric_points()
+        return xs, *scan(table(xs, sizes[0]), xs, *sizes[1:])
+
+    xs, best, at = sup(grid, sizes)
+    if at is None:
+        return best, None, None
+    witness = {"j": at[1], **({power: at[2]} if power else {}), "x": float(xs[at[0]])}
+    b2 = sup(old_scaled_grid(grid), [math.ceil(n * 1.25) for n in sizes])[1]
+    return best, witness, abs(b2 - best) < 1e-6 * max(1.0, abs(best))
+
+
+def seminorm_cases():
+    """(f, family, lam, weight, grid) of the bench's seminorm variants, then
+    the README's seminorm example."""
+    for k in range(4):
+        d, lam = (2.0, 2.25, 2.5, 1.75)[k], (1.0, 1.25, 1.5, 0.75)[k]
+        grid = GridSpec("lin", 0.05, 8.0 + 0.25 * k, 160)
+        for f in (Gaussian(), ExpSqr(), Sqrt1px2()):
+            for w in (WeightFunction.gevrey(d), WeightFunction.logpow(d)):
+                yield from ((f, fam, lam, w, grid) for fam in ("p", "pi"))
+    yield Gaussian(), "p", 2.0, W2, GridSpec.parse("lin:0.05,8,160")
+
+
+def test_one_table_sup_equals_the_two_scan_oracle():
+    # value, witness and stable flag alike, on every case
+    for f, family, lam, w, grid in seminorm_cases():
+        conj = ConjugateEvaluator(w)
+        table = lambda xs, J: f.log_jet_table(xs, J)[1]
+        if family == "p":
+            rep = seminorm_p_lambda(f, lam, w, grid, 20, 20)
+            want = two_scan_stable_sup(
+                table, lambda logs, xs, K: weighted_log_sup(logs, conj, lam, xs, K),
+                grid, (20, 20), "k")
+        else:
+            rep = seminorm_pi(f, lam, lam, w, grid, 20)
+            want = two_scan_stable_sup(
+                table, lambda logs, xs: weighted_log_sup(
+                    logs, conj, lam, extra=lam * w.values(xs)), grid, (20,))
+        assert (rep.value_log.hex(), rep.witness, rep.stable) == (
+            want[0].hex(), *want[1:]), (f.label, family, w.label, grid)
+
+
+@pytest.mark.parametrize("family", ["p", "pi"])
+def test_stable_seminorm_builds_one_jet_table(family, monkeypatch):
+    sizes, real = [], Gaussian.log_jet_table
+
+    def spy(self, xs, J):
+        sizes.append((len(xs), J))
+        return real(self, xs, J)
+
+    monkeypatch.setattr(Gaussian, "log_jet_table", spy)
+    if family == "p":
+        rep = seminorm_p_lambda(Gaussian(), 1.0, W2, GRID, J=12, K=12)
+    else:
+        rep = seminorm_pi(Gaussian(), 1.0, 1.0, W2, GRID, J=12)
+    assert sizes == [(len(GRID.extended_symmetric_points()[0]), 15)]
+    assert rep.stable
 
 
 def test_pow1px2_rejects_subnormal_exponent():

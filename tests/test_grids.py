@@ -80,14 +80,49 @@ REPO_LIN_GRIDS = [DEFAULT_X_GRID, GridSpec("lin", 0.05, 6.0, 120),
                   *(GridSpec("lin", 0.5 + 0.05 * k, 1.5 + 0.1 * k, 2) for k in range(4))]
 
 
+def formula_extension(g, pad):
+    """pad points past hi by numpy's linspace formula at i = n .. n + pad - 1,
+    on math.log10 of the ends raised by libm for a log grid."""
+    log = g.kind == "log"
+    lo, hi = (math.log10(g.lo), math.log10(g.hi)) if log else (g.lo, g.hi)
+    step = (hi - lo) / (g.n - 1)
+    return [10.0 ** (i * step + lo) if log else i * step + lo
+            for i in range(g.n, g.n + pad)]
+
+
 @pytest.mark.parametrize("g", [*REPO_LIN_GRIDS, *REPO_LOG_GRIDS],
                          ids=GridSpec.spec_string)
 def test_symmetric_points_mirror_points(g):
-    # the plain mirror, bit for bit, on each grid and on the 1.25x extension
-    # of the stability rescans
-    for grid in (g, g.scaled(1.25)):
-        p = grid.points()
-        assert np.asarray(grid.symmetric_points()).tolist() == [-x for x in p[::-1]] + [0.0] + p
+    # the plain mirror, bit for bit, on each grid and on its extension for
+    # the stability checks
+    xs, pad = g.extended_symmetric_points()
+    p = g.points()
+    for got, pts in ((g.symmetric_points(), p), (xs, p + formula_extension(g, pad))):
+        assert np.asarray(got).tolist() == [-x for x in pts[::-1]] + [0.0] + pts
+
+
+@pytest.mark.parametrize("g", [*REPO_LIN_GRIDS, *REPO_LOG_GRIDS,
+                               GridSpec("lin", 0.0, 4.0, 41)],
+                         ids=GridSpec.spec_string)
+def test_extended_grid_holds_the_grid_as_its_middle_block(g):
+    xs, pad = g.extended_symmetric_points()
+    sym = g.symmetric_points()
+    assert len(xs) == len(sym) + 2 * pad
+    assert xs[pad:-pad].tobytes() == sym.tobytes()
+    # the box grows about 1.25-fold, by points at the grid's own step
+    top, want = xs[-1], 1.25 * g.hi
+    if g.kind == "lin":
+        assert abs(top - want) <= (g.hi - g.lo) / (g.n - 1)
+    else:
+        assert abs(math.log(top / want)) <= math.log(g.hi / g.lo) / (g.n - 1)
+
+
+def test_extension_of_a_subnormal_span_is_one_point():
+    # the step rounds to 0: the formula scales i/(n - 1), as for the grid
+    g = GridSpec("lin", 0.0, 5e-324, 3)
+    xs, pad = g.extended_symmetric_points()
+    assert pad == 1 and xs[1:-1].tobytes() == g.symmetric_points().tobytes()
+    assert xs[-1] == 2 * 5e-324
 
 
 @pytest.mark.parametrize("spec, want", [

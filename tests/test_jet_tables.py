@@ -16,11 +16,12 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsbench.experiments import compactness_blowup
+from gsbench.experiments import compactness_blowup, composed_jet_log_table
 from gsbench.fdb import Jet
 from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, ModelFunction,
                                MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
                                jet_log_abs, parse_function)
+from gsbench.grids import GridSpec
 from gsbench.logdomain import LOG_ZERO, LogReal
 from gsbench.weights import WeightFunction
 
@@ -290,3 +291,47 @@ def test_polynomial_jet_rejects_non_finite_x_like_oracle(x):
         p.jet(x, 4)
     with pytest.raises(want_table.type):
         p.log_jet_table([0.5, x], 4)
+
+
+# -- what a stability check's one table rests on ----------------------------
+
+def family(f):
+    """f's (sign, log) table pair."""
+    return lambda xs, J: f.log_jet_table(xs, J)
+
+
+def composed(f, psi):
+    """The composed table of f o psi, its log only."""
+    return lambda xs, J: (composed_jet_log_table(f, psi, xs, J),)
+
+
+# (name, (xs, J) -> tables, grid, J): every family and the composed tables of
+# the composed seminorms
+STABILITY_TABLES = [
+    *((f.label, family(f), g, 20)
+      for f in (Gaussian(), ExpSqr(), Sqrt1px2(), parse_function("pow1px2:a=1.5"),
+                parse_function("poly:0,0,1"), parse_function("poly:1,-2,0,3/2"))
+      for g in (GridSpec.parse("lin:0.05,8,160"), GridSpec.parse("log:0.01,8,80"))),
+    ("gaussian o x^2", composed(Gaussian(), parse_function("poly:0,0,1")),
+     GridSpec.parse("lin:0.05,5,100"), 16),
+    ("gaussian o x^2", composed(Gaussian(), parse_function("poly:0,0,1")),
+     GridSpec.parse("log:0.01,8,80"), 12),
+    ("gaussian o sqrt1px2", composed(Gaussian(), Sqrt1px2()),
+     GridSpec.parse("lin:0.1,2,10"), 24),
+]
+
+
+@pytest.mark.parametrize("name, table, grid, J", STABILITY_TABLES,
+                         ids=[f"{n}-{g.spec_string()}" for n, _, g, _ in STABILITY_TABLES])
+def test_tables_keep_low_orders_and_rows_bit_for_bit(name, table, grid, J):
+    # stable_sup reads the table over the symmetric points as the middle
+    # rows and low orders of one table over the extended grid at the raised
+    # order: an order does not depend on higher ones, a row on other points
+    xs = grid.symmetric_points()
+    ext, pad = grid.extended_symmetric_points()
+    raised = math.ceil(J * 1.25)
+    for want, higher, wider, both in zip(table(xs, J), table(xs, raised),
+                                         table(ext, J), table(ext, raised)):
+        assert higher[:, :J + 1].tobytes() == want.tobytes()
+        assert wider[pad:-pad].tobytes() == want.tobytes()
+        assert both[pad:-pad, :J + 1].tobytes() == want.tobytes()

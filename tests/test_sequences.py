@@ -174,20 +174,35 @@ _FLOATS = (st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([0.0, -0.0, 1e-13, -5e-324]), st.lists(_FLOATS, max_size=30))
 @example(0.0, [1.0, 5e-324, 0.0, 0.0])
+@example(0.0, [1.7976931348623157e308, -1e292])
 def test_from_log_values_keeps_the_values(log_M0, rest):
     # log M_p as given, bit for bit, subnormals and -0.0 included; log M_0
-    # is the 0.0 the grammar normalises to, and a quotient is a difference
+    # is the 0.0 the grammar normalises to, and a quotient is a difference.
+    # A table with a difference past the float range is refused instead
+    vals = [0.0, *rest]
+    steps = [b - a for a, b in zip(vals, vals[1:])]
+    if not all(map(math.isfinite, steps)):
+        with pytest.raises(PreconditionError, match="overflows a float"):
+            WeightSequence.from_log_values([log_M0, *rest])
+        return
     M = WeightSequence.from_log_values([log_M0, *rest])
     assert [M.log_M(p).hex() for p in range(len(rest) + 1)] \
         == [0.0.hex(), *(v.hex() for v in rest)]
-    vals = [0.0, *rest]
-    assert [M.log_m(p).hex() for p in range(1, len(vals))] \
-        == [(b - a).hex() for a, b in zip(vals, vals[1:])]
+    assert [M.log_m(p).hex() for p in range(1, len(vals))] == [q.hex() for q in steps]
 
 
 def test_from_log_values_requires_normalized_start():
     with pytest.raises(PreconditionError):
         WeightSequence.from_log_values([1.0, 2.0])
+
+
+def test_table_whose_step_overflows_a_float_is_rejected():
+    # log m_2 = 1e308 - (-1e308) is past the float range: the table is
+    # refused where it is made, naming p, before a hull reads the step
+    with pytest.raises(PreconditionError, match="at p=2 overflows a float"):
+        WeightSequence.from_log_values([0.0, -1e308, 1e308])
+    M = WeightSequence.from_log_values([0.0, 1e308, 1.5e308])
+    assert M.log_m(2) == 0.5e308
 
 
 def test_parse_sequence():
@@ -308,6 +323,17 @@ def test_assoc_table_ending_in_a_tie():
         with pytest.raises(TruncationError,
                            match="pmax=2" if pmax == 2 else "ends at p=2"):
             aw.eval_with_argmax(1.5)
+
+
+def test_assoc_run_of_slopes_that_round_to_log_t():
+    # the hull of [0, 1, -5e-324, -5e-324] has slopes -2.5e-324 and 0, which
+    # both round to log 1 = 0: the bisection stops at p = 0, but the sup
+    # 5e-324 is first attained at the vertex p = 2
+    M = WeightSequence.from_log_values([0.0, 1.0, -5e-324, -5e-324])
+    aw = AssociatedWeight(M, 3)
+    assert aw.hull._quot[1:3] == [0.0, 0.0]
+    assert aw.eval_with_argmax(1.0) == (5e-324, 2) == brute_force_assoc(M, 1.0, pmax=3)
+    assert aw.conjugate(0.0) == -5e-324
 
 
 @settings(max_examples=80, deadline=None)
