@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapabilityError, PreconditionError, SearchExhaustedError
 from .fdb import log_bell_table, log_compose_table
-from .functions import ModelFunction, stable_sup, weighted_log_sup
+from .functions import ModelFunction, box_size, stable_sup, weighted_log_sup
 from .grids import DEFAULT_X_GRID, GridSpec
 from .logdomain import LOG_ZERO
 from .reports import ChainReport, Result
@@ -83,12 +83,11 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
 # ---------------------------------------------------------------------------
 
 def _witness_probes(y_cap: float):
-    """200 geomspace points per decade from 1e-3, decades up to y_cap."""
+    """The 200 points of a log grid per decade from 1e-3, decades up to y_cap."""
     lo = 1e-3
     while lo < y_cap:
         hi = lo * 10.0
-        for y in np.geomspace(lo, hi, 200):
-            yield float(y)
+        yield from GridSpec("log", lo, hi, 200).points()
         lo = hi
 
 
@@ -227,24 +226,24 @@ def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
 def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
                             sigma: WeightFunction, m: int, grid: GridSpec,
                             Jmax: int, Qmax: int, jq_cap: int = None,
-                            check_stability: bool = False,
                             jet_table: np.ndarray = None,
                             xs: Sequence[float] = None) -> ComposedSeminormResult:
     """sup over (j <= Jmax, q <= Qmax, grid x) of
     |x^q (f o psi)^(j)(x)| exp(-m phi_sigma*((j+q)/m)), in log domain.
 
-    A precomputed (xs, jet_table) pair amortizes the FdB work across several
-    m values; check_stability composes one table over the extended grid."""
+    A precomputed jet_table over xs (the grid's symmetric points by default),
+    or xs alone, is scanned as it is; else stable_sup checks its own box."""
     jq_cap = Jmax + Qmax if jq_cap is None else jq_cap
-    if check_stability and jet_table is not None:
-        raise PreconditionError("check_stability composes its own jet table")
+    xs = grid.symmetric_points() if jet_table is not None and xs is None else xs
+    if jet_table is None and xs is None:  # its own box
+        box_size(Jmax, f, psi)
     conj = ConjugateEvaluator(sigma)
     return ComposedSeminormResult(
         f.label, psi.label, sigma.label, m, grid.spec_string(), jq_cap, *stable_sup(
             lambda pts, J: (composed_jet_log_table(f, psi, pts, J) if jet_table is None
                             else np.asarray(jet_table)[:, :J + 1]),
             lambda logs, pts, Q, cap: weighted_log_sup(logs, conj, m, pts, Q, cap),
-            grid, (Jmax, Qmax, jq_cap), "q", check_stability, xs))
+            grid, (Jmax, Qmax, jq_cap), "q", xs))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CapabilityError, DegenerateInputError, PreconditionError
 from .fdb import Jet
-from .grids import GridSpec
+from .grids import BOX_GROWTH, GridSpec
 from .logdomain import LOG_ZERO
 from .reports import Result
 from . import specs
@@ -39,7 +39,6 @@ from .specs import check_gbump, check_monbump, check_pow1px2, label_real
 from .weights import ConjugateEvaluator, WeightFunction
 
 _CLOSED_FORM_JMAX = 200
-_BUMP_JMAX = 40
 SUP_BLOCK_TERMS = 1 << 14  # (x, j, k) terms per weighted_log_sup block
 
 
@@ -49,6 +48,7 @@ class ModelFunction:
 
     label = "model"
     analytic: Optional[str] = None  # "cone" | "strip" | None
+    jet_cap = math.inf  # the highest jet order the family computes
 
     def value(self, x: float) -> float:
         raise NotImplementedError
@@ -70,10 +70,10 @@ class ModelFunction:
             log_abs[i] = jet_log_abs(jet)
         return sign, log_abs
 
-    def _check_order(self, J: int, cap: int) -> None:
-        if J > cap:
+    def _check_order(self, J: int) -> None:
+        if J > self.jet_cap:
             raise CapabilityError(
-                f"{self.label}: jets supported up to order {cap}, asked {J}")
+                f"{self.label}: jets supported up to order {self.jet_cap}, asked {J}")
 
 
 class _Recurrence(ModelFunction):
@@ -84,8 +84,10 @@ class _Recurrence(ModelFunction):
     x = 0 makes odd orders there exact zeros.  ``_recurrence(xs, log r, J)``
     gives (log f, p, beta, [a_n], [b_n])."""
 
+    jet_cap = _CLOSED_FORM_JMAX
+
     def log_jet_table(self, xs, J: int) -> tuple:
-        self._check_order(J, _CLOSED_FORM_JMAX)
+        self._check_order(J)
         xs = np.asarray(xs, dtype=float)
         r = np.hypot(1.0, xs)
         xr, log_r = xs / r, np.log(r)
@@ -120,7 +122,7 @@ class _ExpQuadratic(_Recurrence):
     def jet(self, x, J: int) -> Jet:
         if x != 0:
             return super().jet(x, J)
-        self._check_order(J, _CLOSED_FORM_JMAX)
+        self._check_order(J)
         return Jet.from_rationals(0, [
             0 if j % 2 else self.s ** (j // 2) * math.factorial(j)
             // math.factorial(j // 2) for j in range(J + 1)])
@@ -304,6 +306,8 @@ class Sqrt1px2(Pow1px2):
 class GevreyBump(ModelFunction):
     """f(x) = exp(-(1-(x/r)^2)^(-gamma)) inside (-r, r), identically 0 outside."""
 
+    jet_cap = 40
+
     def __init__(self, gamma: float = 1.0, r: float = 1.0):
         check_gbump(gamma, r)
         self.gamma = float(gamma)
@@ -318,7 +322,7 @@ class GevreyBump(ModelFunction):
         return math.exp(-v ** -self.gamma)
 
     def jet(self, x, J: int) -> Jet:
-        self._check_order(J, _BUMP_JMAX)
+        self._check_order(J)
         x = float(x)
         if abs(x) >= self.r:
             return Jet.from_floats(x, [0.0] * (J + 1))
@@ -439,59 +443,71 @@ class SeminormReport(Result):
         return d
 
 
+def box_size(n: int, *fns: ModelFunction) -> int:
+    """ceil(BOX_GROWTH n), a size of the stability box.  As its jet order, it
+    is refused up front where it passes the jet cap of one of fns."""
+    raised = math.ceil(n * BOX_GROWTH)
+    for f in fns:
+        if raised > f.jet_cap:
+            raise CapabilityError(
+                f"{f.label}: jets supported up to order {f.jet_cap}, and the "
+                f"stability box raises J = {n} to ceil({BOX_GROWTH:g} J) = "
+                f"{raised}: J <= {math.floor(f.jet_cap / BOX_GROWTH)} fits")
+    return raised
+
+
 def stable_sup(table, scan, grid: GridSpec, sizes: tuple, power: str = None,
-               check_stability: bool = True, xs=None) -> tuple:
+               xs=None) -> tuple:
     """(value, witness, stable) of scan(logs, xs, *sizes[1:]) -> (value,
-    (xi, j, k)) on the log-jet rows logs = table(xs, sizes[0]) over the grid's
-    symmetric points (or xs); the witness names j, k as ``power`` and x, or
-    is None when every term is log 0.  With check_stability, one table over
-    GridSpec.extended_symmetric_points at every size raised 1.25x rounded up
-    gives logs as its middle rows and low orders (a row depends on its own
-    point only, an order on lower ones only), and ``stable``, with a witness:
-    the scan of that whole table agrees to 1e-6 relative.  Else None."""
-    if check_stability:
+    (xi, j, k)) on the log-jet rows logs = table(xs, sizes[0]); the witness
+    names j, k as ``power`` and x, or is None when every term is log 0.
+    Handed xs, it scans their rows as they are: ``stable`` is None.  Else one
+    table over GridSpec.extended_symmetric_points at every size raised by
+    box_size gives logs as its middle rows and low orders (a row depends on
+    its own point only, an order on lower ones only), and ``stable``, with a
+    witness: the scan of that whole table agrees to 1e-6 relative."""
+    if xs is None:
         ext, pad = grid.extended_symmetric_points()
-        whole = table(ext, math.ceil(sizes[0] * 1.25))
+        whole = table(ext, box_size(sizes[0]))
         xs, logs = ext[pad:-pad], whole[pad:-pad, :sizes[0] + 1]
     else:
-        xs = grid.symmetric_points() if xs is None else xs
-        logs = table(xs, sizes[0])
+        whole, logs = None, table(xs, sizes[0])
     best, at = scan(logs, xs, *sizes[1:])
     if at is None:
         return best, None, None
     witness = {"j": at[1], **({power: at[2]} if power else {}), "x": float(xs[at[0]])}
-    if not check_stability:
+    if whole is None:
         return best, witness, None
-    b2, _ = scan(whole, ext, *(math.ceil(n * 1.25) for n in sizes[1:]))
+    b2, _ = scan(whole, ext, *map(box_size, sizes[1:]))
     return best, witness, abs(b2 - best) < 1e-6 * max(1.0, abs(best))
 
 
 def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
-                      grid: GridSpec, J: int, K: int,
-                      check_stability: bool = True) -> SeminormReport:
+                      grid: GridSpec, J: int, K: int) -> SeminormReport:
     """Finite-box lower estimate of
     sup_{j,k,x} |x^k f^(j)(x)| exp(-lam phi*((j+k)/lam)), in log domain."""
     if J + K > 2 * _CLOSED_FORM_JMAX:
         raise PreconditionError("J + K too large")
+    box_size(J, f)
     conj = ConjugateEvaluator(w)
     return SeminormReport(
         "p_lambda", lam, None, w.label, grid.spec_string(), J, K, *stable_sup(
             lambda xs, J: f.log_jet_table(xs, J)[1],
             lambda logs, xs, K: weighted_log_sup(logs, conj, lam, xs, K),
-            grid, (J, K), "k", check_stability))
+            grid, (J, K), "k"))
 
 
 def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
-                grid: GridSpec, J: int,
-                check_stability: bool = True) -> SeminormReport:
+                grid: GridSpec, J: int) -> SeminormReport:
     """Finite-box lower estimate of
     sup_{j,x} |f^(j)(x)| exp(-lam phi*(j/lam) + mu omega(x))."""
+    box_size(J, f)
     conj = ConjugateEvaluator(w)
     return SeminormReport(
         "pi", lam, mu, w.label, grid.spec_string(), J, None, *stable_sup(
             lambda xs, J: f.log_jet_table(xs, J)[1],
             lambda logs, xs: weighted_log_sup(logs, conj, lam, extra=mu * w.values(xs)),
-            grid, (J,), None, check_stability))
+            grid, (J,)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ last: a lin grid equals np.linspace bit for bit.  A log grid raises 10 to
 that formula on math.log10 of its ends with libm's pow, not numpy's SIMD
 power, so its points do not depend on the CPU.  The box of a stability
 check extends a grid past hi by the same formula at i >= n, so the grid's
-points stay the first n of the extension bit for bit.
+points stay the first n of the extension bit for bit.  Points must strictly
+increase: a grid whose span is too narrow for its n in floats is refused
+where its points are made.
 """
 from __future__ import annotations
 
@@ -54,43 +56,55 @@ class GridSpec:
         step = (hi - lo) / div
         if log:
             at, hi = (lambda i: 10.0 ** (i * step + lo)), 10.0 ** hi
-        elif not step:  # a subnormal span: np.linspace scales i/div instead
-            at = lambda i: i / div * (hi - lo) + lo
         else:
             at = lambda i: i * step + lo
         return chain(map(at, range(div)), (hi,), map(at, count(self.n)))
 
     def points(self) -> list:
-        return list(islice(self._iter(), self.n))
+        pts = list(islice(self._iter(), self.n))
+        if not all(a < b for a, b in zip(pts, pts[1:])):
+            self._refuse_repeats()
+        return pts
+
+    def _refuse_repeats(self):
+        raise PreconditionError(
+            f"grid {self.kind}:{self.lo!r},{self.hi!r},{self.n}: its points do not "
+            "strictly increase in floats; widen the grid or lower its n")
 
     def symmetric_points(self):
         """Grid mirrored through 0, with 0 included once, as an array: lo >= 0."""
-        return self._mirrored(self.n)
+        return self._mirrored()
 
     def extended_symmetric_points(self) -> tuple:
         """(xs, pad): the stability checks' box, the symmetric points extended
         past +-hi by pad points of the grid's formula, so xs[pad:-pad] is
-        symmetric_points() bit for bit.  pad >= 1 grows hi about 1.25-fold:
-        round(0.25 hi / step), or round(ln 1.25 / step) on a log grid."""
+        symmetric_points() bit for bit; pad >= 1 grows hi about BOX_GROWTH-fold."""
         lin = self.kind == "lin"
         step = (self.hi - self.lo if lin else math.log(self.hi) - math.log(self.lo)) / (self.n - 1)
-        pad = max(1, round((self.hi * 0.25 if lin else math.log(1.25)) / step)) if step else 1
-        try:
-            xs = self._mirrored(self.n + pad)
-            if math.isfinite(xs[-1]):
-                return xs, pad
-        except OverflowError:  # a log grid's 10 ** x
-            pass
-        raise PreconditionError(
-            f"grid {self.spec_string()} extended 1.25x overflows a float; lower its hi")
+        # a log grid's ends can share one natural log, but not one log10:
+        # log:8.959179882484833,8.959179882484834,2 has two points and step 0
+        grow = self.hi * (BOX_GROWTH - 1) if lin else math.log(BOX_GROWTH)
+        pad = max(1, round(grow / step)) if step else 1
+        return self._mirrored(pad), pad
 
-    def _mirrored(self, n: int):
-        """The first n points of _iter mirrored through 0, with 0 once."""
+    def _mirrored(self, pad: int = 0):
+        """The grid's points and pad more of _iter, mirrored through 0, with 0
+        once.  The grid's own points are checked before any past hi is made."""
         if self.lo < 0:
             raise PreconditionError(
                 f"grid {self.spec_string()} is mirrored through 0, so it needs lo >= 0")
         import numpy as np
-        p = np.fromiter(self._iter(), float, n)
+        it = self._iter()
+        p = np.fromiter(it, float, self.n)
+        if not (p[1:] > p[:-1]).all():
+            self._refuse_repeats()
+        try:
+            p = np.append(p, np.fromiter(it, float, pad))
+        except OverflowError:  # a log grid's 10 ** x past hi
+            p = [math.inf]
+        if not math.isfinite(p[-1]):  # only a point past hi can be
+            raise PreconditionError(f"grid {self.spec_string()} extended "
+                                    f"{BOX_GROWTH:g}x overflows a float; lower its hi")
         if self.lo == 0:  # the first point is 0 itself
             p = p[1:]
         return np.concatenate([-p[::-1], [0.0], p])
@@ -110,3 +124,4 @@ class GridSpec:
 
 DEFAULT_T_GRID = GridSpec("log", 1e-2, 1e8, 2000)  # t of the weight audits
 DEFAULT_X_GRID = GridSpec("lin", 0.05, 8.0, 160)   # x of the seminorm boxes, mirrored
+BOX_GROWTH = 1.25  # a stability box's size over its grid's, in hi and every order

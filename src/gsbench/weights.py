@@ -286,6 +286,9 @@ def check_weight_conditions(w: WeightFunction, grid: GridSpec = None) -> WeightC
     """
     if grid is None:
         grid = DEFAULT_T_GRID
+    if not grid.hi > 1.0:  # delta samples t on [0, log hi], epsilon y on [1e-2, hi]
+        raise PreconditionError(f"--grid: the weight audit samples t past 1, so "
+                                f"grid {grid.spec_string()} needs hi > 1")
     try:
         return _audit_weight(w, grid)
     except OverflowError:
@@ -337,14 +340,14 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
                                     "note": "little-o not certifiable from finite samples"})
 
     # (delta): midpoint convexity of phi(t) = omega(e^t) on a t-grid
-    tgrid = np.linspace(0.0, math.log(grid.hi), 400)
+    tgrid = GridSpec("lin", 0.0, math.log(grid.hi), 400).points()
     ph = np.array([w.phi(t) for t in tgrid])
     mid = np.array([w.phi(0.5 * (tgrid[i] + tgrid[i + 2])) for i in range(len(tgrid) - 2)])
     viol = int(np.sum(mid > 0.5 * (ph[:-2] + ph[2:]) + 1e-9 * (1.0 + np.abs(ph[:-2]) + np.abs(ph[2:]))))
     delta = ConditionRecord("delta", viol == 0, detail={"violations": viol})
 
     # (epsilon): int_1^inf omega(y t)/t^2 dt <= C omega(y) + C
-    ys = np.logspace(math.log10(max(grid.lo, 1e-2)), math.log10(grid.hi), 30)
+    ys = GridSpec("log", max(grid.lo, 1e-2), grid.hi, 30).points()
     c_req, clean = 0.0, True
     for y in ys:
         # a table's omega(y t) has a kink at t = t_k / y for every knot t_k;

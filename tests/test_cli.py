@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -132,6 +133,60 @@ def test_grid_overflowing_a_float_exits_2(grid):
     assert r.returncode == 2 and r.stdout == ""
     assert "Traceback" not in r.stderr and "Warning" not in r.stderr
     assert "overflows a float" in r.stderr
+
+
+SEMINORM_PI = ["seminorm", "--family", "pi", "--weight", "gevrey:d=2", "--lam", "1"]
+
+
+@pytest.mark.parametrize("function, label, jmax, raised, cap, fits", [
+    ("gaussian", "gaussian", 170, 213, 200, 160),
+    ("gbump", "gbump:g=1,r=1", 35, 44, 40, 32)])
+def test_stability_box_past_a_jet_cap_exits_2_naming_the_limits(
+        function, label, jmax, raised, cap, fits, capsys, monkeypatch):
+    # the box's raised order is refused before a box or a table is built
+    argv = [*SEMINORM_PI, "--function", function, "--grid", "lin:0.5,2,4"]
+    with monkeypatch.context() as m:
+        m.setattr(functions, "stable_sup", None)
+        assert main([*argv, "--jmax", str(jmax)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"gsbench: error: {label}: jets supported up to order {cap}, and the "
+        f"stability box raises J = {jmax} to ceil(1.25 J) = {raised}: J <= {fits} fits\n")
+    assert main([*argv, "--jmax", str(fits)]) == 0
+    assert json.loads(capsys.readouterr().out)["J"] == fits
+
+
+def test_capability_error_off_the_box_keeps_its_message(capsys):
+    # a monomial bump has jets at 0 only: no cap, so no box context
+    assert main([*SEMINORM_PI, "--function", "monbump:n=2,a=1"]) == 2
+    assert capsys.readouterr().err == (
+        "gsbench: error: monomial bump jets available at the base point 0 only\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [*SEMINORM_PI, "--function", "gaussian"],
+    ["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma", "gevrey:d=2",
+     "--omega", "gevrey:d=2"],
+], ids=["seminorm", "necessary"])
+@pytest.mark.parametrize("grid, named", [
+    ("lin:0,5e-324,3", "lin:0.0,5e-324,3"),  # [0, 0, 5e-324]
+    # 6 distinct points of 10, refused before its ~2e15-point box is made
+    ("lin:1,1.000000000000001,10", "lin:1.0,1.000000000000001,10")])
+def test_grid_whose_points_repeat_exits_2(argv, grid, named, capsys):
+    assert main([*argv, "--grid", grid]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"gsbench: error: grid {named}: its points do not strictly "
+        "increase in floats; widen the grid or lower its n\n")
+
+
+def test_weight_check_grid_up_to_1_exits_2(capsys):
+    # the delta and epsilon audits sample t in (1, hi]
+    assert main(["weight-check", "--weight", "gevrey:d=2", "--grid",
+                 "log:1e-3,1,100"]) == 2
+    assert capsys.readouterr().err == (
+        "gsbench: error: --grid: the weight audit samples t past 1, so grid "
+        "log:0.001,1,100 needs hi > 1\n")
 
 
 # a log grid whose top point 10^log10(hi) overflows: each command exits 2 at
@@ -1015,18 +1070,54 @@ def skip_without_avx512():
                     "same kernels with or without NPY_DISABLE_CPU_FEATURES")
 
 
-def test_reference_artifacts_do_not_depend_on_the_simd_level(tmp_path):
+def _load_record_digests():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "record_digests.py"
+    spec = importlib.util.spec_from_file_location("record_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+record_digests = _load_record_digests()
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """One scripts/run_all_experiments.py run, shared by the SIMD comparison
+    and the digests: (exit code, stdout, its output directory)."""
+    out = tmp_path_factory.mktemp("reference")
+    r = record_digests.run_script("run_all_experiments.py", "--outdir", str(out))
+    return r.returncode, r.stdout, out
+
+
+def _artifacts(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+def test_reference_artifacts_do_not_depend_on_the_simd_level(reference_run, tmp_path):
     skip_without_avx512()
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
-    runs = []
-    for name, env in (("default", {}), ("avx2", {"NPY_DISABLE_CPU_FEATURES": NO_AVX512})):
-        out = tmp_path / name
-        r = subprocess.run([sys.executable, str(script), "--outdir", str(out)],
-                           capture_output=True, env=dict(os.environ, **env))
-        runs.append((r.returncode, r.stdout,
-                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
-    assert runs[0][0] == 0 and len(runs[0][2]) == 12
-    assert runs[1] == runs[0]
+    code, stdout, outdir = reference_run
+    r = subprocess.run([sys.executable, str(record_digests.ROOT / "scripts" / "run_all_experiments.py"),
+                        "--outdir", str(tmp_path)], capture_output=True,
+                       env=dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512))
+    assert code == 0 and len(_artifacts(outdir)) == 12
+    assert (r.returncode, r.stdout, _artifacts(tmp_path)) == (code, stdout, _artifacts(outdir))
+
+
+def test_reference_outputs_keep_their_pinned_digests(reference_run):
+    # rounding that numpy or libc own is not a fault of this repository: on
+    # another platform the digests are not compared, and the skip says why
+    recorded = json.loads((record_digests.DIGESTS).read_text())
+    here = record_digests.fingerprint()
+    differ = [f"{k} {recorded['fingerprint'].get(k)!r} recorded, {v!r} here"
+              for k, v in here.items() if recorded["fingerprint"].get(k) != v]
+    if differ:
+        pytest.skip("tests/digests.json is from another platform: " + "; ".join(differ))
+    code, stdout, outdir = reference_run
+    assert code == 0
+    got = record_digests.digests(outdir, stdout)
+    want = recorded["digests"]
+    assert [k for k in sorted(want.keys() | got.keys()) if want.get(k) != got.get(k)] == []
 
 
 # the usage-error probes of the benchmark's reference workload, and a table

@@ -195,10 +195,10 @@ def restart_bounded_chain(d, psi, mmax, threshold=1e6, y_cap=1e12):
         lo = 1e-3
         while lo < y_cap:
             hi = lo * 10.0
-            for y in np.geomspace(lo, hi, 200):
-                slope, value = slope_value(float(y))
+            for y in GridSpec("log", lo, hi, 200).points():
+                slope, value = slope_value(y)
                 if slope >= target and value > 0:
-                    y_m = float(y)
+                    y_m = y
                     break
             if y_m is not None:
                 break
@@ -298,7 +298,7 @@ def test_sufficient_cm_stable_under_doubling_jmax():
 def test_composed_seminorm_internal_stability_flag():
     rep = composed_seminorm_bound(Gaussian(), SQUARE, WeightFunction.gevrey(3),
                                   2, GridSpec("lin", 0.05, 5.0, 100), 16, 16,
-                                  jq_cap=16, check_stability=True)
+                                  jq_cap=16)
     assert rep.stable
     assert math.isfinite(rep.value_log)
     assert rep.witness is not None
@@ -309,8 +309,7 @@ def test_composed_seminorm_degenerate_has_no_stability_verdict():
     # stable is None as in seminorm_p_lambda and seminorm_pi
     rep = composed_seminorm_bound(Polynomial([0]), SQUARE,
                                   WeightFunction.gevrey(3), 2,
-                                  GridSpec("lin", 0.05, 5.0, 40), 8, 8,
-                                  check_stability=True)
+                                  GridSpec("lin", 0.05, 5.0, 40), 8, 8)
     assert rep.witness is None and rep.stable is None
     assert rep.value_log == -math.inf
 
@@ -321,10 +320,24 @@ def test_composed_seminorm_supplied_table_serves_the_unchecked_sup_only():
     t = composed_jet_log_table(Gaussian(), SQUARE, xs, 8)
     args = (Gaussian(), SQUARE, WeightFunction.gevrey(3), 2, g, 8, 8)
     rep = composed_seminorm_bound(*args, jet_table=t, xs=xs)
-    plain = composed_seminorm_bound(*args)
-    assert (rep.value_log, rep.witness) == (plain.value_log, plain.witness)
-    with pytest.raises(PreconditionError, match="composes its own jet table"):
-        composed_seminorm_bound(*args, check_stability=True, jet_table=t, xs=xs)
+    checked = composed_seminorm_bound(*args)
+    # the same sup, but only the composition's own box is checked; a table
+    # given without xs is read over the grid's symmetric points
+    assert (rep.value_log, rep.witness) == (checked.value_log, checked.witness)
+    assert (rep.stable, checked.stable) == (None, True)
+    assert composed_seminorm_bound(*args, jet_table=t) == rep
+
+
+def test_composed_box_past_a_jet_cap_is_refused_before_composing(monkeypatch):
+    # jets of f and psi stop at order 200, and the box raises 170 to 213; a
+    # supplied table is no box, so it is scanned at any order it holds
+    monkeypatch.setattr(experiments, "composed_jet_log_table", None)
+    args = (Gaussian(), Sqrt1px2(), WeightFunction.gevrey(3), 2,
+            GridSpec("lin", 0.5, 2.0, 4), 170, 0)
+    with pytest.raises(CapabilityError, match=r"raises J = 170 to ceil\(1.25 J\) = 213: J <= 160"):
+        composed_seminorm_bound(*args)
+    t = np.zeros((7, 171))
+    assert composed_seminorm_bound(*args, jet_table=t).stable is None
 
 
 # -- necessary growth -------------------------------------------------------

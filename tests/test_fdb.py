@@ -510,7 +510,7 @@ def test_composed_table_runs_the_kernel_once_per_table(monkeypatch):
     monkeypatch.setattr(experiments, "log_compose_table", spy)
     rep = experiments.composed_seminorm_bound(
         Gaussian(), Polynomial([0, 0, 1]), WeightFunction.gevrey(3), 2,
-        GridSpec("lin", 0.05, 5.0, 100), 16, 16, check_stability=True)
+        GridSpec("lin", 0.05, 5.0, 100), 16, 16)
     assert calls == [251]  # one table, over the grid extended 1.25x
     assert rep.stable
 

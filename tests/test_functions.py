@@ -325,8 +325,7 @@ def test_pi_seminorm_gaussian_stable():
 
 def test_seminorm_degenerate_for_zero_function():
     zero = Polynomial([0])
-    rep = seminorm_p_lambda(zero, 1.0, W2, GRID, J=4, K=4,
-                            check_stability=False)
+    rep = seminorm_p_lambda(zero, 1.0, W2, GRID, J=4, K=4)
     assert rep.degenerate
     assert rep.value_log == LOG_ZERO
 
@@ -355,7 +354,8 @@ def test_stable_sup_rescans_with_every_size_raised():
                      ((len(ext), 14), len(ext), (4, 9))]
     tables.clear()
     scans.clear()
-    assert stable_sup(table, scan, grid, (10,), check_stability=False)[1:] == (
+    # handed rows, it scans them as they are
+    assert stable_sup(table, scan, grid, (10,), xs=sym)[1:] == (
         {"j": 2, "x": float(sym[3])}, None)
     assert tables == [(len(sym), 10)] and len(scans) == 1
 
@@ -468,10 +468,8 @@ def test_pow1px2_rejects_subnormal_exponent():
 
 def test_seminorm_monotone_in_lambda():
     # e^{-lam phi*((j+k)/lam)} grows with lam, so p_lam does too
-    r1 = seminorm_p_lambda(Gaussian(), 1.0, W2, GRID, J=10, K=10,
-                           check_stability=False)
-    r2 = seminorm_p_lambda(Gaussian(), 2.0, W2, GRID, J=10, K=10,
-                           check_stability=False)
+    r1 = seminorm_p_lambda(Gaussian(), 1.0, W2, GRID, J=10, K=10)
+    r2 = seminorm_p_lambda(Gaussian(), 2.0, W2, GRID, J=10, K=10)
     assert r2.value_log >= r1.value_log - 1e-12
 
 

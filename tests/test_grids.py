@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gsbench.errors import PreconditionError
 from gsbench.grids import DEFAULT_T_GRID, DEFAULT_X_GRID, GridSpec
@@ -29,34 +29,57 @@ def ulps_apart(a, b) -> np.ndarray:
     return np.abs(a - b) / np.spacing(np.minimum(a, b))
 
 
+def increasing(pts) -> bool:
+    return all(a < b for a, b in zip(pts, pts[1:]))
+
+
+def assert_refused(points):
+    with pytest.raises(PreconditionError, match="do not strictly increase"):
+        points()
+
+
 @settings(max_examples=400, deadline=None)
 @given(_finite, _finite, st.integers(2, 3000))
+@example(0.0, 5e-324, 3)
 def test_lin_points_equal_np_linspace(lo, hi, n):
     lo, hi = min(lo, hi), max(lo, hi)
     assume(hi > lo and math.isfinite(hi - lo))
-    pts = GridSpec("lin", lo, hi, n).points()
-    assert all(type(x) is float for x in pts)
+    g = GridSpec("lin", lo, hi, n)
     with np.errstate(over="ignore"):  # linspace's i * step at i = n - 1
         ref = np.linspace(lo, hi, n)
+    if not increasing(ref.tolist()):  # the span has fewer floats than n
+        return assert_refused(g.points)
+    pts = g.points()
+    assert all(type(x) is float for x in pts)
     assert np.array(pts).tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("lo, hi, n", [(0.0, 5e-324, 3), (0.0, 1e-322, 7),
-                                       (-5e-324, 5e-324, 5), (-1.0, -0.0, 4)])
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 1e-322, 7), (-1.0, -0.0, 4)])
 def test_lin_points_on_subnormal_spans_equal_np_linspace(lo, hi, n):
-    # the step (hi - lo)/(n - 1) rounds to 0: linspace scales i/(n - 1)
     pts = GridSpec("lin", lo, hi, n).points()
     assert np.array(pts).tobytes() == np.linspace(lo, hi, n).tobytes()
 
 
+# [0, 0, 5e-324]; five points on three floats; 6 distinct of 10; [1e300, 1e300]
+@pytest.mark.parametrize("spec", [
+    "lin:0,5e-324,3", "lin:-5e-324,5e-324,5", "lin:1,1.000000000000001,10",
+    "log:9.999999999999346e299,9.999999999999348e299,2"])
+def test_grid_whose_points_do_not_strictly_increase_is_refused(spec):
+    assert_refused(GridSpec.parse(spec).points)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300), st.integers(2, 2000))
+@example(9.999999999999346e299, 9.999999999999348e299, 2)
 def test_log_points_are_libm_powers_near_np_logspace(lo, hi, n):
     lo, hi = min(lo, hi), max(lo, hi)
     assume(hi > lo)
     g = GridSpec("log", lo, hi, n)
+    want = libm_log_points(g)
+    if not increasing(want):
+        return assert_refused(g.points)
     pts = g.points()
-    assert [x.hex() for x in pts] == [x.hex() for x in libm_log_points(g)]
+    assert [x.hex() for x in pts] == [x.hex() for x in want]
     # on the same exponents, numpy's power and libm's pow each round once
     ref = np.logspace(math.log10(lo), math.log10(hi), n)
     assert ulps_apart(pts, ref).max() <= 2
@@ -117,12 +140,20 @@ def test_extended_grid_holds_the_grid_as_its_middle_block(g):
         assert abs(math.log(top / want)) <= math.log(g.hi / g.lo) / (g.n - 1)
 
 
-def test_extension_of_a_subnormal_span_is_one_point():
-    # the step rounds to 0: the formula scales i/(n - 1), as for the grid
+def test_extension_of_a_subnormal_span_is_refused():
+    # its points [0, 0, 5e-324] repeat: refused before a point past hi is
+    # made, where a step that rounds to 0 asks for ~1e15 of them
     g = GridSpec("lin", 0.0, 5e-324, 3)
+    assert_refused(g.symmetric_points)
+    assert_refused(g.extended_symmetric_points)
+
+
+def test_extension_of_a_log_grid_with_a_zero_natural_log_step():
+    # its ends share one natural log but not one log10: two points, step 0
+    # in ln, and a box of one point more on each side
+    g = GridSpec.parse("log:8.959179882484833,8.959179882484834,2")
     xs, pad = g.extended_symmetric_points()
     assert pad == 1 and xs[1:-1].tobytes() == g.symmetric_points().tobytes()
-    assert xs[-1] == 2 * 5e-324
 
 
 @pytest.mark.parametrize("spec, want", [
