@@ -487,7 +487,8 @@ def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
     """Finite-box lower estimate of
     sup_{j,k,x} |x^k f^(j)(x)| exp(-lam phi*((j+k)/lam)), in log domain."""
     if J + K > 2 * _CLOSED_FORM_JMAX:
-        raise PreconditionError("J + K too large")
+        raise PreconditionError(f"--jmax + --kmax: J + K = {J} + {K} = {J + K} "
+                                f"is past the limit {2 * _CLOSED_FORM_JMAX}")
     box_size(J, f)
     conj = ConjugateEvaluator(w)
     return SeminormReport(

@@ -7,10 +7,11 @@ table keeps its log M_p as given, and its quotients are their differences.
 
 The associated weight M(t) = sup_p log(t^p / M_p) depends only on the lower
 convex hull of the points (p, log M_p) (Komatsu 1973, section 3): M(t)
-bisects the hull's quotients and its conjugate interpolates the hull.  A
-generator is log-convex by construction, so it is its own hull.  A table's
-hull is decided exactly, on the integer ratios of its floats, and its
-vertices keep the table's values bit for bit.
+bisects the hull's slopes for log t and its conjugate interpolates the hull.
+A generator is log-convex by construction, so it is its own hull, and its
+float quotients are its slopes.  A table's hull is decided exactly, on the
+integer ratios of its floats: its vertices keep the table's values bit for
+bit, and M(t) compares log t with its slopes as exact Fractions.
 Everything is scalar, so this module imports no numpy.
 """
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
@@ -141,51 +143,42 @@ class AssociatedWeight:
     def __post_init__(self):
         src = self.source
         P = min(self.pmax, src.max_p)
-        if src.max_p == math.inf:  # every p <= pmax is a vertex
-            self.hull, self._vertices = src, range(P + 1)
+        if src.max_p == math.inf:
+            # every p <= pmax is a vertex, and the slopes into them are the
+            # quotients, cached as far as a call has needed them
+            self.hull, self._vertices, self._slopes = src, range(P + 1), src._quot
+            self._last = src.log_m(P) if P else -math.inf
         else:
-            self._vertices, self.hull = src.convex_minorant(P)
+            # the exact slopes of the hull's segments, the vertex values' Fractions
+            self._vertices, self.hull = V, hull = src.convex_minorant(P)
+            ys = [Fraction(hull._cum[p]) for p in V]
+            self._slopes = [None, *((y1 - y0) / (p1 - p0) for p0, p1, y0, y1
+                                    in zip(V, V[1:], ys, ys[1:]))]
+            self._last = self._slopes[-1] if P else -math.inf
         self._q0 = None  # argmax of M(1), set by conjugate; a cached_property slows reads
 
     def eval_with_argmax(self, t: float) -> tuple:
+        """(M(t), p*): the term p log t - log M_p rises along a hull segment
+        whose slope is below log t, so the smallest maximizer p* is the vertex
+        after the slopes below log t, and the last vertex P when log t passes
+        every slope.  There the sup may lie past P, so that raises
+        TruncationError; at log t equal to the last slope, P ties the vertex
+        before it, which attains the sup unless pmax cuts a longer source."""
         t = abs(float(t))
         if t == 0.0:
             # the sup formula gives 0 via the p=0 term; see module notes
             return 0.0, 0
         lt = math.log(t)
-        # terms p*lt - log M_p increase while log m_p < lt, then decrease:
-        # extend the cached quotients past lt (or to pmax), then bisect
-        # them for the largest p with log m_p < lt (the smallest maximizer)
-        seq, quot, pmax = self.hull, self.hull._quot, self.pmax
-        top = min(len(quot) - 1, pmax)
-        if top == 0 or quot[top] <= lt:
-            # probe the last index P before extending, on the rise of the
-            # hull's last segment [a, P] from its vertex values (of a one-step
-            # segment: its quotient, so a generator is not extended to pmax).
-            # A table that ends at P <= pmax has no term past P, so a rise of
-            # (P - a) lt is a tie that a attains; where pmax cuts a longer
-            # sequence, the terms past it may tie or grow, so it is truncated.
-            V = self._vertices
-            a, P = V[-2] if len(V) > 1 else -1, V[-1]
-            rise = (-math.inf if not P else seq.log_m(P) if a == P - 1
-                    else seq.log_M(P) - seq.log_M(a))
-            if rise < (P - a) * lt or (rise == (P - a) * lt and self.source.max_p > pmax):
-                raise TruncationError(
-                    f"tabulated sequence ends at p={P}" if P < pmax else
-                    f"associated-weight argmax hit pmax={pmax} at t={t:g}; "
-                    "increase pmax")
-            while (len(quot) == 1 or quot[-1] <= lt) and len(quot) <= P:
-                seq._extend(len(quot))
-            top = min(len(quot) - 1, pmax)  # log m_top > lt, or a tie at end
-        best_p = bisect.bisect_left(quot, lt, 1, top) - 1
-        if seq is not self.source and quot[best_p + 1] == lt:
-            # a table's hull slopes that round to lt may lie either side of it:
-            # go on along the vertices while a segment rises below (b - a) lt
-            V, i = self._vertices, bisect.bisect_left(self._vertices, best_p)
-            while i + 1 < len(V) and seq._cum[V[i + 1]] - seq._cum[V[i]] < (V[i + 1] - V[i]) * lt:
-                i += 1
-            best_p = V[i]
-        return max(0.0, best_p * lt - seq._cum[best_p]), best_p
+        V, slopes = self._vertices, self._slopes
+        if lt > self._last or lt == self._last and self.source.max_p > self.pmax:
+            raise TruncationError(
+                f"tabulated sequence ends at p={V[-1]}" if V[-1] < self.pmax else
+                f"associated-weight argmax hit pmax={self.pmax} at t={t:g}; "
+                "increase pmax")
+        while len(slopes) < len(V) and (len(slopes) == 1 or slopes[-1] < lt):
+            self.source._extend(len(slopes))  # a generator's slopes, up to lt
+        p = V[bisect.bisect_left(slopes, lt, 1, min(len(slopes), len(V))) - 1]
+        return max(0.0, p * lt - self.hull._cum[p]), p
 
     def __call__(self, t: float) -> float:
         return self.eval_with_argmax(t)[0]

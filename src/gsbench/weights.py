@@ -11,11 +11,14 @@ so its phi* is a max over the breakpoints (Rockafellar 1970, section 19).
 The golden section is the oracle of gevrey and logpow.  The associated weight
 of any weight sequence has its own exact conjugate, ``AssociatedWeight.
 conjugate`` in ``sequences``: the interpolated convex hull of log M_p.
-numpy is imported only where an array is built, so gevrey and logpow
-conjugates and the log-scaling constant run on the standard library.
+A table's omega is np.interp's formula written out, so its values are
+numpy's bit for bit.  numpy is imported only where an array is built, so
+every closed-form conjugate and the log-scaling constant run on the
+standard library.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -68,17 +71,14 @@ class WeightFunction:
         self.kind, self.label, self.d, self.s = spec.kind, spec.label, spec.d, spec.s
         self.knots = spec.knots  # the t of each table row, where omega has a kink
         if self.kind == "tabulated":
-            import numpy as np  # at call time: only a table builds arrays
             # the logs the spec checked for strict increase, not recomputed
-            log_ts, vals = np.array(spec.log_knots), np.array(spec.values)
-            self._log_ts = log_ts
-            self._vals = vals
+            self._log_ts, self._vals = xs, vs = spec.log_knots, spec.values
             # d omega / d log t of the last segment, continued past the table
-            self.tail_slope = (vals[-1] - vals[-2]) / (log_ts[-1] - log_ts[-2])
+            self.tail_slope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
             # phi is linear on u >= 0 between u = 0, where it is omega(1),
             # and each log t_k > 0, where it is omega_k
-            up = log_ts > 0.0
-            self._breaks = (np.r_[0.0, log_ts[up]], np.r_[self(1.0), vals[up]])
+            k = bisect.bisect_right(xs, 0.0)
+            self._breaks = ((0.0, *xs[k:]), (self(1.0), *vs[k:]))
 
     # omega(x) = omega(|x|)
     def __call__(self, t: float) -> float:
@@ -89,14 +89,17 @@ class WeightFunction:
             if t <= 1.0:
                 return 0.0
             return math.log(t) ** self.s
-        # tabulated: np.interp holds the first value below the first knot
+        # tabulated: the first value below the first knot, and between knots
+        # np.interp's formula, so the values are its own
         lt = math.log(t) if t else -math.inf
         xs, vs = self._log_ts, self._vals
-        if not lt > xs[-1]:
-            import numpy as np
-            return float(np.interp(lt, xs, vs))
-        slope = self.tail_slope
-        return float(vs[-1] + slope * (lt - xs[-1])) if slope else float(vs[-1])
+        if not lt <= xs[-1]:
+            slope = self.tail_slope
+            return vs[-1] + slope * (lt - xs[-1]) if slope else vs[-1]
+        j = bisect.bisect_right(xs, lt) - 1
+        if j < 0 or xs[j] == lt:
+            return vs[max(j, 0)]
+        return (vs[j + 1] - vs[j]) / (xs[j + 1] - xs[j]) * (lt - xs[j]) + vs[j]
 
     def values(self, ts):
         """omega at every t of ts, equal bit for bit to [w(t) for t in ts].
@@ -182,9 +185,8 @@ class ConjugateEvaluator:
             if s > w.tail_slope:  # s u - phi(u) grows without bound
                 raise RangeError(
                     f"phi*({label_real(s)}) of {w.label} is +inf: s exceeds "
-                    f"the tail slope b = {label_real(float(w.tail_slope))}")
-            us, phis = w._breaks
-            return float((s * us - phis).max())
+                    f"the tail slope b = {label_real(w.tail_slope)}")
+            return max(s * u - phi for u, phi in zip(*w._breaks))
         if w.kind == "logpow":  # the maximizer t = (s/q)^(1/(q-1)) is interior
             try:
                 return (w.s - 1.0) * (s / w.s) ** (w.s / (w.s - 1.0))

@@ -23,6 +23,17 @@ from gsbench.specs import FunctionSpec, SequenceSpec, WeightSpec, parse_weight
 from gsbench.weights import ConjugateEvaluator, WeightFunction
 
 
+def _load_record_digests():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "record_digests.py"
+    spec = importlib.util.spec_from_file_location("record_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+record_digests = _load_record_digests()
+
+
 def run_cli(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "gsbench", *argv],
                           capture_output=True, text=True, cwd=cwd)
@@ -74,6 +85,16 @@ def test_mirrored_grid_with_negative_lo_exits_2(argv, capsys):
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
     assert "grid lin:-2,2,5 is mirrored through 0, so it needs lo >= 0" in out.err
+
+
+def test_seminorm_jmax_plus_kmax_past_the_limit_exits_2(capsys):
+    # the refusal names both flags, their sum and the limit
+    assert main(["seminorm", "--family", "p", "--function", "gaussian", "--weight",
+                 "gevrey:d=2", "--lam", "1", "--jmax", "150", "--kmax", "300"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err == ("gsbench: error: --jmax + --kmax: J + K = 150 + 300 = 450 "
+                       "is past the limit 400\n")
 
 
 def test_scaled_grid_keeps_spacing():
@@ -795,16 +816,7 @@ def test_conjugate_of_coincident_log_knots_exits_2(tmp_path):
         "in log t: t = 1e+300 is followed by t = 1.0000000000000002e+300\n")
 
 
-def _readme_cli_examples() -> list:
-    """The ``gsbench ...`` lines of README's CLI code block, with backslash
-    continuations joined."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [" ".join(line.split()) for line in block.replace("\\\n", " ").splitlines()]
-    return [line for line in lines if line.startswith("gsbench ")]
-
-
-@pytest.mark.parametrize("line", _readme_cli_examples())
+@pytest.mark.parametrize("line", record_digests.readme_cli_examples())
 def test_readme_cli_examples_run(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(line)[1:]) in (0, 1)
@@ -993,24 +1005,30 @@ def test_bare_import_leaves_numpy_unloaded():
 
 # the scalar commands: no array is built, so numpy is never imported, and the
 # cold run prints and writes what an in-process run does.  {table} is a
-# sequence table that is not log-convex: log M_p = (p^2 + 50 (p mod 2))/100
-@pytest.mark.parametrize("argv", [
-    ["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "3.5",
-     "--jmax", "400"],
-    ["experiment", "nuclear", "--weight", "gevrey:d=2"],
-    ["sequence-check", "--sequence", "gevreyseq:d=2"],
-    ["sequence-check", "--sequence", "table:{table}", "--pmax", "50"],
-    ["conjugate", "--weight", "gevrey:d=2", "--s", "1"],
-    ["conjugate", "--weight", "logpow:s=2", "--s", "1"],
+# sequence table that is not log-convex: log M_p = (p^2 + 50 (p mod 2))/100,
+# so sequence-check fails (M1), exit 1.  {weight} is a weight table whose
+# tail slope is b = 1/log 10: phi*(1) is past b, exit 2
+@pytest.mark.parametrize("argv, code", [
+    (["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "3.5",
+      "--jmax", "400"], 0),
+    (["experiment", "nuclear", "--weight", "gevrey:d=2"], 0),
+    (["sequence-check", "--sequence", "gevreyseq:d=2"], 0),
+    (["sequence-check", "--sequence", "table:{table}", "--pmax", "50"], 1),
+    (["conjugate", "--weight", "gevrey:d=2", "--s", "1"], 0),
+    (["conjugate", "--weight", "logpow:s=2", "--s", "1"], 0),
+    (["conjugate", "--weight", "table:{weight}", "--s", "0.25"], 0),
+    (["conjugate", "--weight", "table:{weight}", "--s", "1"], 2),
 ], ids=["negative", "nuclear", "sequence-check", "sequence-check-table",
-        "conjugate-gevrey", "conjugate-logpow"])
-def test_scalar_command_runs_cold_without_numpy(argv, tmp_path, capsys):
+        "conjugate-gevrey", "conjugate-logpow", "conjugate-table",
+        "conjugate-table-past-b"])
+def test_scalar_command_runs_cold_without_numpy(argv, code, tmp_path, capsys):
     table = tmp_path / "seq.csv"
     vs = [p * p + 50 * (p % 2) for p in range(501)]
     table.write_text("p,logM\n" + "".join(f"{p},{v // 100}.{v % 100:02d}\n"
                                           for p, v in enumerate(vs)))
-    argv = [a.format(table=table) for a in argv]
-    code = int(any(a.startswith("table:") for a in argv))  # it fails (M1): exit 1
+    weight = tmp_path / "w.csv"
+    weight.write_text("t,omega\n0.1,0\n1,0.25\n10,1\n100,2\n")
+    argv = [a.format(table=table, weight=weight) for a in argv]
 
     def out(d):
         d.mkdir()
@@ -1019,9 +1037,9 @@ def test_scalar_command_runs_cold_without_numpy(argv, tmp_path, capsys):
     cold, warm = tmp_path / "cold", tmp_path / "warm"
     r = run_cold(*argv, *out(cold))
     err, probe = split_probe(r.stderr)
-    assert (r.returncode, err) == (code, "") and probe.startswith("numpy=False ")
+    assert r.returncode == code and probe.startswith("numpy=False ")
     assert main([*argv, *out(warm)]) == code
-    assert capsys.readouterr().out == r.stdout
+    assert (capsys.readouterr(), err == "") == ((r.stdout, err), code != 2)
     files = sorted(p.name for p in cold.iterdir())
     assert files == sorted(p.name for p in warm.iterdir())
     assert files == (["r.csv", "r.json"] if argv[0] == "experiment" else [])
@@ -1070,17 +1088,6 @@ def skip_without_avx512():
                     "same kernels with or without NPY_DISABLE_CPU_FEATURES")
 
 
-def _load_record_digests():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "record_digests.py"
-    spec = importlib.util.spec_from_file_location("record_digests", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-record_digests = _load_record_digests()
-
-
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
     """One scripts/run_all_experiments.py run, shared by the SIMD comparison
@@ -1104,20 +1111,45 @@ def test_reference_artifacts_do_not_depend_on_the_simd_level(reference_run, tmp_
     assert (r.returncode, r.stdout, _artifacts(tmp_path)) == (code, stdout, _artifacts(outdir))
 
 
-def test_reference_outputs_keep_their_pinned_digests(reference_run):
-    # rounding that numpy or libc own is not a fault of this repository: on
-    # another platform the digests are not compared, and the skip says why
+def _recorded_digests(section):
+    """The recorded digests of one section of tests/digests.json.  Rounding
+    that numpy or libc own is not a fault of this repository: on another
+    platform a section other than "platform_free" is not compared, and the
+    skip says why."""
     recorded = json.loads((record_digests.DIGESTS).read_text())
     here = record_digests.fingerprint()
     differ = [f"{k} {recorded['fingerprint'].get(k)!r} recorded, {v!r} here"
               for k, v in here.items() if recorded["fingerprint"].get(k) != v]
-    if differ:
+    if differ and section != "platform_free":
         pytest.skip("tests/digests.json is from another platform: " + "; ".join(differ))
+    return recorded[section]
+
+
+def _moved(want, got):
+    return [k for k in sorted(want.keys() | got.keys()) if want.get(k) != got.get(k)]
+
+
+def test_reference_outputs_keep_their_pinned_digests(reference_run):
+    want = _recorded_digests("digests")
     code, stdout, outdir = reference_run
     assert code == 0
-    got = record_digests.digests(outdir, stdout)
-    want = recorded["digests"]
-    assert [k for k in sorted(want.keys() | got.keys()) if want.get(k) != got.get(k)] == []
+    assert _moved(want, record_digests.digests(outdir, stdout)) == []
+
+
+def test_cli_battery_keeps_its_pinned_digests():
+    # exit codes, stdout, written files and exit-2 stderr lines of the
+    # README examples, table weights and sequences and --out, and the
+    # associated weight's library calls
+    want = _recorded_digests("battery")
+    got = {**record_digests.run_battery(record_digests.battery()[0]),
+           **record_digests.run_library()}
+    assert _moved(want, got) == []
+
+
+def test_platform_free_outputs_keep_their_digests():
+    # integers, Fractions and usage errors: compared on every platform
+    want = _recorded_digests("platform_free")
+    assert _moved(want, record_digests.run_battery(record_digests.battery()[1])) == []
 
 
 # the usage-error probes of the benchmark's reference workload, and a table

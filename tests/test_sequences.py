@@ -130,6 +130,47 @@ def _assoc_outcome(run):
         return str(exc)
 
 
+def exact_assoc(M, t, pmax):
+    """Exact oracle of the associated weight: the terms p log t - log M_p as
+    Fractions of the floats, scanned over every p <= P = min(pmax, M.max_p),
+    with no hull.  (M(t), the smallest exact maximizer p*), M(t) in floats as
+    the evaluator rounds it, or "truncated" where term(P) is the max and
+    either P is p* or pmax cuts a longer source."""
+    t = abs(t)
+    if t == 0.0:
+        return 0.0, 0
+    lt = math.log(t)
+    P = min(pmax, M.max_p)
+    terms = [p * Fraction(lt) - Fraction(M.log_M(p)) for p in range(P + 1)]
+    best = max(terms)
+    p = terms.index(best)
+    if terms[P] == best and (p == P or M.max_p > pmax):
+        return "truncated"
+    return max(0.0, p * lt - M.log_M(p)), p
+
+
+def _exact_outcome(run):
+    try:
+        return run()
+    except TruncationError:
+        return "truncated"
+
+
+def t_with_log(s):
+    """A float t with math.log(t) == s exactly, among exp(s) and the four
+    floats on each side of it, or None."""
+    if not -700.0 < s < 700.0:
+        return None
+    t = math.exp(s)
+    near = [t]
+    for toward in (math.inf, 0.0):
+        x = t
+        for _ in range(4):
+            x = math.nextafter(x, toward)
+            near.append(x)
+    return next((x for x in near if math.log(x) == s), None)
+
+
 # -- sequence basics --------------------------------------------------------
 
 def test_gevrey_quotients_exact_in_log_domain():
@@ -247,11 +288,45 @@ def test_assoc_bisect_matches_doubling_bisection_tables(ts, data):
     t = data.draw(st.sampled_from(ts) | st.floats(min_value=1e-4, max_value=1e4))
     assert _assoc_outcome(lambda: AssociatedWeight(M, pmax).eval_with_argmax(t)) \
         == _assoc_outcome(lambda: doubling_bisection_assoc(M, t, pmax))
-    # the same quotients summed into a tabulated log M_p
+    # the same quotients summed into a tabulated log M_p, whose hull slopes
+    # are exact: the exact scan decides ties there, not the rounded quotients
     T = WeightSequence.from_log_values(np.concatenate([[0.0], np.cumsum(qs)]))
-    assume(log_convex(T))
-    assert _assoc_outcome(lambda: AssociatedWeight(T, pmax).eval_with_argmax(t)) \
-        == _assoc_outcome(lambda: doubling_bisection_assoc(T, t, pmax))
+    assert _exact_outcome(lambda: AssociatedWeight(T, pmax).eval_with_argmax(t)) \
+        == exact_assoc(T, t, pmax)
+
+
+# log M_p drawn with repeats, ±0.0 and subnormals among them
+_TIE_VALUES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, 1.0, 2.0,
+                                -1.0, 3.0])
+               | st.floats(min_value=-50.0, max_value=50.0, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TIE_VALUES, min_size=1, max_size=24), st.integers(-3, 3),
+       st.booleans(), st.integers(0, 23),
+       st.sampled_from([0.0, -0.0, 5e-324, 1.0, math.e, -2.0, 1e300])
+       | st.floats(min_value=1e-300, max_value=1e300))
+@example([0.0, 0.0, -5.5], 0, True, 0, 1.0)  # log t just above the slope -11/6
+@example([0.0, -5e-324], 0, True, 0, 1.0)  # a slope -2.5e-324 that rounds to log 1
+@example([1.0, -5e-324, -5e-324], 0, True, 0, 1.0)
+def test_assoc_matches_the_exact_scan_on_tables(rest, extra, tie, pick, t):
+    # M(t) and its smallest maximizer on a table, against the exact scan of
+    # every term, with pmax near the table's end P.  With tie, t is one
+    # whose log t is a slope of the hull over p <= pmax rounded to a float:
+    # an exact slope ties, and a slope that rounds to log t lies on one side
+    # of it, which decides p* and the truncation
+    log_Ms = [0.0, *rest]
+    M = WeightSequence.from_log_values(log_Ms)
+    pmax = max(0, M.max_p + extra)
+    head = log_Ms[:pmax + 1]
+    V = envelope_vertices(head)
+    ys = [Fraction(y) for y in head]
+    ties = [t for t in (t_with_log(float((ys[b] - ys[a]) / (b - a)))
+                        for a, b in zip(V, V[1:])) if t is not None]
+    if tie and ties:
+        t = ties[pick % len(ties)]
+    assert _exact_outcome(lambda: AssociatedWeight(M, pmax).eval_with_argmax(t)) \
+        == exact_assoc(M, t, pmax)
 
 
 @settings(max_examples=60, deadline=None)

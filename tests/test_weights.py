@@ -263,7 +263,7 @@ def test_table_conjugate_is_the_max_over_its_breakpoints(x0, segs, v0, convex, d
         xs.append(xs[-1] + dx)
         vals.append(vals[-1] + b * dx)
     w = WeightFunction.tabulated(np.exp(xs), vals)
-    xs = w._log_ts.tolist()  # the knots as the weight reads them
+    xs = list(w._log_ts)  # the knots as the weight reads them
     b = float(w.tail_slope)
     c = ConjugateEvaluator(w)
     # brute force: breakpoints and a dense grid of u >= 0
@@ -271,12 +271,21 @@ def test_table_conjugate_is_the_max_over_its_breakpoints(x0, segs, v0, convex, d
     us = np.concatenate(([0.0], [x for x in xs if x > 0.0],
                          np.linspace(0.0, top + 2.0, 20001)))
     phis = _phi_of_table(xs, vals, us)
+    nb = 1 + sum(x > 0.0 for x in xs)  # the breakpoints lead us
+    # omega up to the last knot is np.interp in log t, and phi* the numpy
+    # max over the breakpoints, both bit for bit
+    lx, vs = np.array(xs), np.array(vals)
+    for t in [0.0, *np.exp([*xs, xs[0] - 1.0, *us[nb::1000]]).tolist()]:
+        lt = math.log(t) if t else -math.inf
+        if lt <= xs[-1]:
+            assert w(t).hex() == float(np.interp(lt, lx, vs)).hex(), t
     # the golden section stops at a bracket 1e-12 max(1, hi) wide around
     # its maximizer, hi < 4 max(1, top), on an objective of slope below b
     golden_tol = 2.0 * GOLDEN_REL_TOL * b * max(1.0, top)
     frac = data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
                               min_size=1, max_size=6))
     for s in (f * b for f in frac):
+        assert c(s).hex() == float(np.max(s * us[:nb] - phis[:nb])).hex()
         assert c(s) == pytest.approx(float(np.max(s * us - phis)),
                                      rel=1e-12, abs=1e-12)
         if convex and s < 0.999 * b:  # the golden section needs a bracket
@@ -314,8 +323,8 @@ def test_table_logs_are_the_checked_ones_and_equal_np_log():
                [1.0, 10.0, 100.0]):
         spec = table_weight(ts, range(len(ts)))
         w = WeightFunction(spec)
-        assert w._log_ts.tolist() == list(spec.log_knots)
-        assert (w._log_ts.view(np.int64)
+        assert list(w._log_ts) == list(spec.log_knots)
+        assert (np.array(w._log_ts).view(np.int64)
                 == np.log(np.array(ts)).view(np.int64)).all(), ts
 
 
