@@ -21,9 +21,12 @@ Two recurrences, one per jet kind, both behind ``compose_jet``:
     gathers its terms as (i, k, points) for the orders i nonzero at some
     point, and each entry is a max-shifted sum compensated by a pairwise
     TwoSum tree (``_log_sum``), within a few ulps of the correctly rounded
-    ``math.fsum``.  Points go in blocks of at most TERM_BLOCK Bell entries.
-    A single log jet is a one-row table; ``log_bell_table`` is the Bell table
-    itself, whose diagonal B(n, n) = psi'^n the compactness experiment reads.
+    ``math.fsum``.  The terms sit in bit-reversed slots, so every tree level
+    adds two contiguous halves.  Points go in blocks of at most TERM_BLOCK
+    Bell entries, and the contraction sums several orders per call, up to
+    SUM_TERMS terms.  A single log jet is a one-row table;
+    ``log_bell_table`` is the Bell table itself, whose diagonal
+    B(n, n) = psi'^n the compactness experiment reads.
 
 Composition never enumerates partitions.  ``enumerate_partitions`` lists
 the multi-indices (k_1, ..., k_j) with sum(l k_l) = j of one order, for the
@@ -47,6 +50,7 @@ from .logdomain import LOG_ZERO, LogReal
 JetValue = Union[Fraction, LogReal]
 
 TERM_BLOCK = 1 << 16  # Bell entries (point, n, k) per log_compose_table block
+SUM_TERMS = TERM_BLOCK // 8  # padded terms (k, n, point) per contraction sum
 
 
 @dataclass(frozen=True)
@@ -177,32 +181,50 @@ class Jet:
 
 def _two_sum(v: np.ndarray) -> np.ndarray:
     """Sum along the first axis, of a power-of-two length, by a pairwise
-    TwoSum tree.  Each level adds neighbours 2m and 2m+1 and keeps the exact
-    rounding error of every addition (Knuth's TwoSum); the errors are summed
-    alongside and added at the end, as in Sum2 (Ogita, Rump & Oishi, SIAM J.
-    Sci. Comput. 26(6), 2005).  Trailing zero terms never change the result,
-    and a term next to its negative leaves an exact 0."""
+    TwoSum tree.  Each level adds the contiguous halves v[:h] and v[h:] and
+    keeps the exact rounding error of every addition (Knuth's TwoSum); the
+    errors are summed alongside and added at the end, as in Sum2 (Ogita, Rump
+    & Oishi, SIAM J. Sci. Comput. 26(6), 2005).  On terms in bit-reversed
+    slots (``_slots``) the halves are the neighbours 2m and 2m+1 of the
+    terms' own order at every level.  Trailing zero terms never change the
+    result, and a term next to its negative leaves an exact 0."""
     err = None
     while len(v) > 1:
-        a, b = v[0::2], v[1::2]
+        h = len(v) // 2
+        a, b = v[:h], v[h:]
         v = a + b
         z = v - a
         e = v - z  # then (a - (v - z)) + (b - z), in place
         np.add(np.subtract(a, e, out=e), np.subtract(b, z, out=z), out=e)
-        err = e if err is None else np.add(err[0::2] + err[1::2], e, out=e)
+        err = e if err is None else np.add(err[:h] + err[h:], e, out=e)
     return v[0] if err is None else v[0] + err[0]
+
+
+@functools.cache
+def _slots(n: int) -> np.ndarray:
+    """Slot of each of n terms in a tree of 2^ceil(log2 n) leaves: term t
+    goes to the bit reversal of t, read-only."""
+    bits = (n - 1).bit_length()
+    slots = np.array([int(f"{t:0{bits}b}"[::-1], 2) if bits else 0
+                      for t in range(n)])
+    slots.flags.writeable = False
+    return slots
 
 
 def _log_sum(sign: np.ndarray, log: np.ndarray) -> tuple:
     """(sign, log|sum|) over the first axis of the terms sign * exp(log),
-    padded with zeros to a power of two and max-shifted as in
-    ``signed_log_sum``.  A zero sum is (0, -inf), with a divide warning for
-    the caller's errstate; one nonzero term is itself, bit for bit."""
+    max-shifted as in ``signed_log_sum`` and scattered into the bit-reversed
+    slots of a power-of-two array of +0.0 (``_slots``), so ``_two_sum`` adds
+    the neighbours' tree of the terms in their given order.  A zero sum is
+    (0, -inf), with a divide warning for the caller's errstate; one nonzero
+    term is itself, bit for bit."""
     m = np.maximum.reduce(log)
     m[m == LOG_ZERO] = 0.0  # all terms 0: any finite shift
+    live = np.subtract(log, m)
+    np.multiply(np.exp(live, out=live), sign, out=live)
     terms = np.zeros((1 << (len(log) - 1).bit_length(),) + m.shape)
-    live = terms[:len(log)]
-    np.multiply(np.exp(np.subtract(log, m, out=live), out=live), sign, out=live)
+    terms[_slots(len(log))] = live
+    del live  # before the tree's temporaries
     total = _two_sum(terms)
     return np.sign(total), m + np.log(np.abs(total))
 
@@ -236,11 +258,25 @@ def log_bell_table(psi_sign, psi_log, J: int) -> tuple:
     return sign, log
 
 
+def _order_batches(J: int, rows: int):
+    """Contraction orders [lo, hi) per ``_log_sum``: as many as keep the
+    (k, n, rows) terms, k padded to a power of two, within SUM_TERMS."""
+    lo = 0
+    while lo <= J:
+        hi = lo + 1
+        while hi <= J and (hi + 1 - lo) * rows << hi.bit_length() <= SUM_TERMS:
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
 def log_compose_table(f_sign, f_log, psi_sign, psi_log, J: int) -> tuple:
     """(sign, log|(f o psi)^(n)(x)|), each (points, J+1), from the
     (sign, log|.|) jet tables of f over psi(xs) and of psi over xs; order n is
-    one ``_log_sum`` over k of f^(k) B(n, k).  Points go in blocks of at most
-    TERM_BLOCK Bell entries (point, n, k): memory does not grow with the grid."""
+    a sum over k of f^(k) B(n, k).  Points go in blocks of at most TERM_BLOCK
+    Bell entries (point, n, k): memory does not grow with the grid.  Orders
+    lo <= n < hi share one ``_log_sum`` over (k, n, points), k < hi, with the
+    terms k > n as zeros (+0.0, log -inf), whatever f holds there."""
     f_sign, f_log, psi_sign, psi_log = (np.asarray(a, dtype=float)
                                         for a in (f_sign, f_log, psi_sign, psi_log))
     sign, log = np.empty((2, len(f_log), J + 1))
@@ -248,10 +284,14 @@ def log_compose_table(f_sign, f_log, psi_sign, psi_log, J: int) -> tuple:
     with np.errstate(divide="ignore"):
         for at in (slice(lo, lo + rows) for lo in range(0, len(f_log), rows)):
             bell_sign, bell_log = log_bell_table(psi_sign[at].T, psi_log[at].T, J)
-            fs, fl = f_sign[at].T, f_log[at].T
-            for n in range(J + 1):
-                sign[at, n], log[at, n] = _log_sum(
-                    bell_sign[n, :n + 1] * fs[:n + 1], bell_log[n, :n + 1] + fl[:n + 1])
+            fs, fl = f_sign[at].T[:, None], f_log[at].T[:, None]
+            for lo, hi in _order_batches(J, bell_log.shape[2]):
+                above = np.tri(hi, hi, -1, dtype=bool)[:, lo:hi, None]  # k > n
+                bs = bell_sign[lo:hi, :hi].transpose(1, 0, 2) * fs[:hi]
+                bl = bell_log[lo:hi, :hi].transpose(1, 0, 2) + fl[:hi]
+                np.copyto(bs, 0.0, where=above)
+                np.copyto(bl, LOG_ZERO, where=above)
+                sign[at, lo:hi], log[at, lo:hi] = (a.T for a in _log_sum(bs, bl))
             del bell_sign, bell_log  # before the next block's table is built
     return sign, log
 

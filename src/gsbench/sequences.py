@@ -379,13 +379,13 @@ def doubling_from_sequence(M: WeightSequence) -> Optional[int]:
     log:1e-2,1e6,400, or None."""
     aw = AssociatedWeight(M, pmax=DOUBLING_ASSOC_PMAX)
     ts = [0.0, *GridSpec("log", 1e-2, 1e6, 400).points()]
-    vals = [aw(t) for t in ts]
 
     def holds(H: int) -> bool:  # monotone in H
         return all(2.0 * vals[i] <= aw(H * ts[i]) + H + 1e-9
                    for i in range(len(ts)))
 
     try:
+        vals = [aw(t) for t in ts]
         return first_true(holds, 1, H_BOUND)
     except TruncationError:
         return None

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpmath as mp
 import numpy as np
 
 from gsbench import experiments, fdb
@@ -12,7 +13,7 @@ from gsbench.errors import PreconditionError
 from gsbench.fdb import (Jet, compose_jet, enumerate_partitions, faa_di_bruno,
                          identity_lah, identity_table, identity_two_power,
                          log_compose_table, partition_count, single_jet_compose)
-from gsbench.functions import Gaussian, Polynomial, Pow1px2, Sqrt1px2
+from gsbench.functions import ExpSqr, Gaussian, Polynomial, Pow1px2, Sqrt1px2
 from gsbench.grids import GridSpec
 from gsbench.logdomain import LOG_ZERO
 from gsbench.weights import WeightFunction
@@ -352,14 +353,17 @@ NEAR_CANCELLING_LOGS = [0.0, math.log1p(2.0 ** -52), -36.7, -37.5, -73.7,
                         -math.inf]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 17, 31, 40])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 17, 25, 31, 32, 33, 40, 64])
 def test_log_sum_bits_match_rows_last_tree(n):
     rng = np.random.default_rng(n)  # 2000 independent sums of n terms each
     log = rng.choice(NEAR_CANCELLING_LOGS, (n, 2000))
-    sign = np.where(log > -math.inf, rng.choice([-1, 1], log.shape), 0)
-    with np.errstate(divide="ignore"):
-        got = fdb._log_sum(sign.astype(np.int8), log)
-    assert_same_bits(got, rows_last_log_sum(sign.T.astype(float), log.T))
+    sign = np.where(log > -math.inf, rng.choice([-1.0, 1.0], log.shape), 0.0)
+    # float signs may be -0.0 on a zero term, as the contraction's are
+    signed_zeros = np.where(sign, sign, rng.choice([0.0, -0.0], log.shape))
+    for signs in (sign.astype(np.int8), signed_zeros):
+        with np.errstate(divide="ignore"):
+            got = fdb._log_sum(signs, log)
+        assert_same_bits(got, rows_last_log_sum(signs.T.astype(float), log.T))
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -409,8 +413,8 @@ def test_bell_table_bits_match_rows_last_oracle(psi, x0):
 
 def test_kernel_memory_stays_within_its_block_bound():
     # a block's Bell table takes 9 bytes an entry (a float64 log and an int8
-    # sign); 16 bytes an entry leave room for one order's terms at a time,
-    # not for the terms of several orders batched together (~2 MB more here)
+    # sign); 16 bytes an entry leave room for SUM_TERMS terms per sum, not
+    # for the terms of every order batched together (~2 MB more here)
     psi, grid, J = KERNEL_CASES["square"]  # 201 points: two blocks
     tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
     log_compose_table(*tables, J)
@@ -450,6 +454,39 @@ def test_kernel_blocks_do_not_change_results(block, monkeypatch):
     whole = log_compose_table(*tables, J)
     monkeypatch.setattr(fdb, "TERM_BLOCK", block * (J + 1) ** 2)
     assert_same_bits(log_compose_table(*tables, J), whole)  # rows independent
+
+
+@pytest.mark.parametrize("orders", ["one", "few", "all"])
+def test_order_batches_do_not_change_results(orders, monkeypatch):
+    # the 201 points of "square" go in two blocks, the 21 of "sqrt1px2" in one
+    for name in ("square", "sqrt1px2"):
+        psi, grid, J = KERNEL_CASES[name]
+        tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
+        want = rows_last_log_compose_table(*tables, J)
+        rows = min(len(tables[0]), fdb.TERM_BLOCK // (J + 1) ** 2)
+        budget = {"one": 1, "few": 3 * 32 * rows, "all": 1 << 62}[orders]
+        monkeypatch.setattr(fdb, "SUM_TERMS", budget)
+        batches = list(fdb._order_batches(J, rows))
+        assert [lo for lo, _ in batches[1:]] == [hi for _, hi in batches[:-1]]
+        assert (batches[0][0], batches[-1][1]) == (0, J + 1)
+        if orders == "few":
+            assert 2 < len(batches) < J + 1
+        else:
+            assert len(batches) == {"one": J + 1, "all": 1}[orders]
+        assert_same_bits(log_compose_table(*tables, J), want)
+
+
+def test_orders_below_k_never_read_f_at_k():
+    # orders 16..24 of the 21-point table share one sum: f^(24) with the log
+    # +inf (overflowed) and a negative sign must leave orders 16..23 alone
+    psi, grid, J = KERNEL_CASES["sqrt1px2"]
+    tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
+    want = log_compose_table(*tables, J)
+    f_sign, f_log = tables[0].copy(), tables[1].copy()
+    f_sign[:, J], f_log[:, J] = -1.0, math.inf
+    with np.errstate(invalid="ignore"):  # order J itself is inf - inf
+        got = log_compose_table(f_sign, f_log, *tables[2:], J)
+    assert_same_bits([a[:, :J] for a in got], [a[:, :J] for a in want])
 
 
 def test_kernel_one_point_is_compose_jet():
@@ -498,6 +535,81 @@ def test_kernel_matches_exact_composition(h_c, psi_c, J, xs):
             want, mass = partition_fdb(h_vals, psi_vals, n)
             got = sign[p, n] * math.exp(log[p, n]) if sign[p, n] else 0.0
             assert abs(Fraction(got) - want) <= LOG_PATH_TOL * mass
+
+
+# -- truth oracle: compositions with a closed form --------------------------
+# exp(-+(1 + x^2)) = e^-+1 exp(-+x^2), so gaussian o sqrt1px2 is e^-1 gaussian
+# and expsqr o sqrt1px2 is e expsqr, at every order and every x.  The kernel
+# loses what the sum's conditioning costs: kappa = sum |partition terms| /
+# |value|, which the kernel itself gives run on |signs|.  It also amplifies
+# the input jets' own error, so an entry's tolerance is
+# TRUTH_C kappa (eps + acc), acc the worst relative error of that point's two
+# input rows against their exact arguments.  Entries where it reaches 1 have
+# no digit to check and are counted.
+
+TRUTH_C = 4  # the largest error seen is 1.6 kappa (eps + acc)
+
+
+def mp_jet(f, x, J):
+    """f^(0..J)(x) for the current mp precision by f's own recurrence:
+    Hermite for exp(s x^2), (1+x^2) f' = x f for sqrt(1+x^2)."""
+    if isinstance(f, Sqrt1px2):
+        q = 1 + x * x
+        F = [mp.sqrt(q), x / mp.sqrt(q)]
+        for n in range(1, J):
+            F.append(((1 - 2 * n) * x * F[n] + n * (2 - n) * F[n - 1]) / q)
+    else:
+        F = [mp.exp(f.s * x * x)]
+        F.append(2 * f.s * x * F[0])
+        for n in range(1, J):
+            F.append(2 * f.s * (x * F[n] + n * F[n - 1]))
+    return F[:J + 1]
+
+
+def mp_rel_error(sign, log, want):
+    """|value / want - 1| of the entry (sign, log|value|); 0 for an exact
+    zero of a zero, inf when the signs differ."""
+    if not want:
+        return mp.mpf(0) if sign == 0 else mp.inf
+    if sign != mp.sign(want):
+        return mp.inf
+    return abs(mp.expm1(mp.mpf(log) - mp.log(abs(want))))
+
+
+@pytest.mark.parametrize("grid, J, share", [
+    ("lin:0.1,2,10", 24, 0.0), ("lin:0.12,2.1,10", 24, 0.0),
+    ("lin:0.5,8,16", 30, 0.1), ("lin:0.05,3,60", 40, 0.1)])
+def test_kernel_matches_closed_form_compositions(grid, J, share):
+    """At most that share of the nonzero entries is skipped: on the
+    ``dense.sqrt`` grids at J = 24, none."""
+    psi, xs = Sqrt1px2(), GridSpec.parse(grid).symmetric_points()
+    eps = np.finfo(float).eps
+    for f, shift in ((Gaussian(), -1), (ExpSqr(), 1)):
+        tables = composed_tables(f, psi, xs, J)
+        sign, log = log_compose_table(*tables, J)
+        mass = log_compose_table(np.abs(tables[0]), tables[1],
+                                 np.abs(tables[2]), tables[3], J)[1]
+        checked = skipped = 0
+        with mp.workdps(60):
+            for p, x in enumerate(map(mp.mpf, xs)):
+                truth = [mp.e ** shift * v for v in mp_jet(f, x, J)]
+                inputs = [(*tables[:2], mp_jet(f, mp.sqrt(1 + x * x), J)),
+                          (*tables[2:], mp_jet(psi, x, J))]
+                acc = max(mp_rel_error(s, l, w) for sign_t, log_t, row in inputs
+                          for s, l, w in zip(sign_t[p], log_t[p], row))
+                for n, want in enumerate(truth):
+                    if not want:  # odd orders at x = 0
+                        assert sign[p, n] == 0 and log[p, n] == -math.inf
+                        continue
+                    kappa = mp.exp(mass[p, n] - mp.log(abs(want)))
+                    tol = TRUTH_C * kappa * (eps + acc)
+                    if tol >= 1:
+                        skipped += 1
+                        continue
+                    checked += 1
+                    err = mp_rel_error(sign[p, n], log[p, n], want)
+                    assert err <= tol, (f.label, float(xs[p]), n, float(err), float(tol))
+        assert skipped <= share * (checked + skipped)
 
 
 def test_composed_table_runs_the_kernel_once_per_table(monkeypatch):

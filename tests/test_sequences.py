@@ -824,3 +824,12 @@ def test_sandwich_bad_inputs():
 
 def test_doubling_constant_gevrey2():
     assert doubling_from_sequence(WeightSequence.gevrey(2)) == 4
+
+
+def test_doubling_is_none_when_the_table_ends_inside_the_t_grid():
+    # log M_p = p^2 / 100, p <= 500: at t = 1e6 the associated weight's
+    # maximizer, near 50 ln t ~ 690, lies past the table's end
+    M = WeightSequence.from_log_values([p * p / 100 for p in range(501)])
+    with pytest.raises(TruncationError):
+        AssociatedWeight(M)(1e6)
+    assert doubling_from_sequence(M) is None
