@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import CapabilityError, PreconditionError, SearchExhaustedError
 from .fdb import log_bell_table, log_compose_table
-from .functions import ModelFunction, box_size, stable_sup, weighted_log_sup
+from .functions import (ModelFunction, box_size, mirrored_half, stable_sup,
+                        weighted_log_sup)
 from .grids import DEFAULT_X_GRID, GridSpec
 from .logdomain import LOG_ZERO
 from .reports import ChainReport, Result
@@ -172,13 +173,14 @@ def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
     dominating |psi^(j)(x)| by exp(m phi_sigma*(j/m)) (1+|psi(x)|)^p with
     sigma(t) = omega(t^(1/a)) and p = a-1.  A growing C_m trend across the
     upper half of the order range flags a likely failure.  No sigma is built:
-    phi_sigma(u) = phi_omega(u/a), so phi_sigma*(s) = phi_omega*(a s)."""
+    phi_sigma(u) = phi_omega(u/a), so phi_sigma*(s) = phi_omega*(a s).  For
+    even or odd psi, only the grid's rows x <= 0 are read (``stable_sup``)."""
     if not a > 0:
         raise PreconditionError(f"--a: the scaling exponent must be > 0, got {a:g}")
     conj_omega = ConjugateEvaluator(w)
     conj = lambda s: conj_omega(a * s)
     p = a - 1.0
-    xs = grid.symmetric_points()
+    xs = mirrored_half(grid.symmetric_points(), psi.parity)
     psis = psi.values(xs).tolist()
     c0 = max(_c0_term(x, v, a) for x, v in zip(xs.tolist(), psis))
     rep = SufficientConditionReport(psi=psi.label, weight=w.label, a=a, p=p,
@@ -213,14 +215,24 @@ class ComposedSeminormResult:
     stable: Optional[bool] = None
 
 
+def composed_parity(f: ModelFunction, psi: ModelFunction):
+    """The parity of f o psi: even for even psi, f's for odd psi, else None."""
+    return 0 if psi.parity == 0 else f.parity if psi.parity == 1 else None
+
+
 def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
                            xs: Sequence[float], J: int) -> np.ndarray:
     """log |(f o psi)^(j)(x)|, one row per grid point x and one column per
     order j = 0..J, via full FdB: one jet table of psi over xs and one of f
-    over psi(xs), composed by one ``log_compose_table``."""
+    over psi(xs), composed by one ``log_compose_table``.  For even or odd
+    f o psi on mirrored xs, only the rows x <= 0 are composed and mirrored:
+    at -x every Bell and contraction term is negated or kept exactly, and a
+    TwoSum tree of negated terms sums to the negated sum, so the logs match."""
     xs = np.asarray(xs, dtype=float)
-    return log_compose_table(*f.log_jet_table(psi.values(xs), J),
-                             *psi.log_jet_table(xs, J), J)[1]
+    half = mirrored_half(xs, composed_parity(f, psi))
+    t = log_compose_table(*f.log_jet_table(psi.values(half), J),
+                          *psi.log_jet_table(half, J), J)[1]
+    return t if len(half) == len(xs) else np.concatenate([t, t[-2::-1]])
 
 
 def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
@@ -232,18 +244,23 @@ def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
     |x^q (f o psi)^(j)(x)| exp(-m phi_sigma*((j+q)/m)), in log domain.
 
     A precomputed jet_table over xs (the grid's symmetric points by default),
-    or xs alone, is scanned as it is; else stable_sup checks its own box."""
+    one row per point, or xs alone, is scanned as it is; else stable_sup
+    checks its own box.  For even or odd f o psi, only the rows x <= 0 of a
+    mirrored xs or box are read (``stable_sup``): a table's first rows."""
     jq_cap = Jmax + Qmax if jq_cap is None else jq_cap
     xs = grid.symmetric_points() if jet_table is not None and xs is None else xs
     if jet_table is None and xs is None:  # its own box
         box_size(Jmax, f, psi)
+    if jet_table is not None and len(jet_table) != len(xs):
+        raise PreconditionError(f"jet_table has {len(jet_table)} rows for "
+                                f"{len(xs)} points: one row per point")
     conj = ConjugateEvaluator(sigma)
     return ComposedSeminormResult(
         f.label, psi.label, sigma.label, m, grid.spec_string(), jq_cap, *stable_sup(
             lambda pts, J: (composed_jet_log_table(f, psi, pts, J) if jet_table is None
-                            else np.asarray(jet_table)[:, :J + 1]),
+                            else np.asarray(jet_table)[:len(pts), :J + 1]),
             lambda logs, pts, Q, cap: weighted_log_sup(logs, conj, m, pts, Q, cap),
-            grid, (Jmax, Qmax, jq_cap), "q", xs))
+            grid, (Jmax, Qmax, jq_cap), "q", xs, composed_parity(f, psi)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +294,11 @@ def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
                      w_omega: WeightFunction,
                      grid: GridSpec) -> NecessaryGrowthResult:
     """Measured C = max over the grid of sigma(x) / (1 + omega(psi(x))),
-    with a trend flag comparing against the inner half-radius maximum."""
+    with a trend flag comparing against the inner half-radius maximum.  For
+    even or odd psi, only the grid's rows x <= 0 are read (``stable_sup``)."""
     xs = grid.symmetric_points()
     c = len(xs) // 2  # xs[c] = 0 and xs[c + i] = -xs[c - i]
+    xs = mirrored_half(xs, psi.parity)
     sig = np.empty(c + 1)
     best, best_x, inner_best = -math.inf, 0.0, -math.inf
     half = grid.hi / 2.0

@@ -19,6 +19,14 @@ log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
   * monomial bump at 0: exact rationals, one jet per point
   * compactly supported bump: recurrences for the inner rational power
     composed with exp, capped at order 40, one jet per point
+
+A family declares its ``parity``: 0 for an even f, 1 for an odd one, None
+when it declares none.  For even or odd f, |f^(j)(-x)| = |f^(j)(x)| bit for
+bit (every family's arithmetic is sign-symmetric), and a weight reads |x|,
+so on a grid mirrored through 0 the x > 0 rows of a sup repeat the x < 0
+ones: the sups build and scan only the rows x <= 0 (``mirrored_half``).
+The first strict maximum in (x, j, k) order lies at x <= 0 anyway, so value
+and witness are the full scan's.
 """
 from __future__ import annotations
 
@@ -49,6 +57,7 @@ class ModelFunction:
     label = "model"
     analytic: Optional[str] = None  # "cone" | "strip" | None
     jet_cap = math.inf  # the highest jet order the family computes
+    parity: Optional[int] = None  # 0 even, 1 odd: f(-x) = (-1)^parity f(x)
 
     def value(self, x: float) -> float:
         raise NotImplementedError
@@ -85,6 +94,7 @@ class _Recurrence(ModelFunction):
     gives (log f, p, beta, [a_n], [b_n])."""
 
     jet_cap = _CLOSED_FORM_JMAX
+    parity = 0
 
     def log_jet_table(self, xs, J: int) -> tuple:
         self._check_order(J)
@@ -163,6 +173,9 @@ class Polynomial(ModelFunction):
             self.coeffs.pop()
         self._horner = [float(c) for c in reversed(self.coeffs)]
         self.label = "poly:" + ",".join(str(c) for c in self.coeffs)
+        # the parity of the nonzero coefficients' powers, if they share one
+        powers = {i % 2 for i, c in enumerate(self.coeffs) if c} or {0}
+        self.parity = powers.pop() if len(powers) == 1 else None
 
     @property
     def degree(self) -> int:
@@ -456,8 +469,20 @@ def box_size(n: int, *fns: ModelFunction) -> int:
     return raised
 
 
+def mirrored_half(xs, parity: Optional[int]) -> np.ndarray:
+    """The rows x <= 0 of xs, xs[:len(xs)//2 + 1], where parity is not None
+    and xs is mirrored through 0 exactly (odd length, 0 in the middle, and
+    each point past it the negative of its twin before it); else all of xs."""
+    xs = np.asarray(xs, dtype=float)
+    c = len(xs) // 2
+    if parity is None or not (len(xs) % 2 and xs[c] == 0
+                              and np.array_equal(xs[c + 1:], -xs[c - 1::-1])):
+        return xs
+    return xs[:c + 1]
+
+
 def stable_sup(table, scan, grid: GridSpec, sizes: tuple, power: str = None,
-               xs=None) -> tuple:
+               xs=None, parity: Optional[int] = None) -> tuple:
     """(value, witness, stable) of scan(logs, xs, *sizes[1:]) -> (value,
     (xi, j, k)) on the log-jet rows logs = table(xs, sizes[0]); the witness
     names j, k as ``power`` and x, or is None when every term is log 0.
@@ -465,12 +490,21 @@ def stable_sup(table, scan, grid: GridSpec, sizes: tuple, power: str = None,
     table over GridSpec.extended_symmetric_points at every size raised by
     box_size gives logs as its middle rows and low orders (a row depends on
     its own point only, an order on lower ones only), and ``stable``, with a
-    witness: the scan of that whole table agrees to 1e-6 relative."""
+    witness: the scan of that whole table agrees to 1e-6 relative.
+
+    For an even or odd f (``parity`` not None) the x > 0 rows of a mirrored
+    xs or box are neither built nor scanned (``mirrored_half``): each repeats
+    its twin at -x bit for bit, so the first strict maximum in (x, j, k)
+    order, the witness, lies at x <= 0 in the full scan too, and the box's
+    max is the same number."""
     if xs is None:
         ext, pad = grid.extended_symmetric_points()
+        end = len(ext) - pad  # the grid's rows are ext[pad:end], or its half
+        ext = mirrored_half(ext, parity)
         whole = table(ext, box_size(sizes[0]))
-        xs, logs = ext[pad:-pad], whole[pad:-pad, :sizes[0] + 1]
+        xs, logs = ext[pad:end], whole[pad:end, :sizes[0] + 1]
     else:
+        xs = mirrored_half(xs, parity)
         whole, logs = None, table(xs, sizes[0])
     best, at = scan(logs, xs, *sizes[1:])
     if at is None:
@@ -495,7 +529,7 @@ def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
         "p_lambda", lam, None, w.label, grid.spec_string(), J, K, *stable_sup(
             lambda xs, J: f.log_jet_table(xs, J)[1],
             lambda logs, xs, K: weighted_log_sup(logs, conj, lam, xs, K),
-            grid, (J, K), "k"))
+            grid, (J, K), "k", parity=f.parity))
 
 
 def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
@@ -508,7 +542,7 @@ def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
         "pi", lam, mu, w.label, grid.spec_string(), J, None, *stable_sup(
             lambda xs, J: f.log_jet_table(xs, J)[1],
             lambda logs, xs: weighted_log_sup(logs, conj, lam, extra=mu * w.values(xs)),
-            grid, (J,)))
+            grid, (J,), parity=f.parity))
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def test_composed_box_past_a_jet_cap_is_refused_before_composing(monkeypatch):
             GridSpec("lin", 0.5, 2.0, 4), 170, 0)
     with pytest.raises(CapabilityError, match=r"raises J = 170 to ceil\(1.25 J\) = 213: J <= 160"):
         composed_seminorm_bound(*args)
-    t = np.zeros((7, 171))
+    t = np.zeros((9, 171))  # one row per point of the 9 symmetric points
     assert composed_seminorm_bound(*args, jet_table=t).stable is None
 
 

@@ -450,7 +450,8 @@ def test_stable_seminorm_builds_one_jet_table(family, monkeypatch):
         rep = seminorm_p_lambda(Gaussian(), 1.0, W2, GRID, J=12, K=12)
     else:
         rep = seminorm_pi(Gaussian(), 1.0, 1.0, W2, GRID, J=12)
-    assert sizes == [(len(GRID.extended_symmetric_points()[0]), 15)]
+    # one table, over the box's rows x <= 0: gaussian is even
+    assert sizes == [(len(GRID.extended_symmetric_points()[0]) // 2 + 1, 15)]
     assert rep.stable
 
 
