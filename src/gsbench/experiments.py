@@ -3,7 +3,8 @@
 Each experiment evaluates the named factors of one argument row by row in log
 domain, records a verdict per row, and reports whether the chain's divergent
 lower bound crossed the configured threshold.  Nothing here claims proof-level
-verification; the chains are checked at finite index ranges only.
+verification; the chains are checked at finite index ranges only.  The
+composed seminorm sup checks no box: it scans the jet table it is given.
 """
 from __future__ import annotations
 
@@ -15,12 +16,11 @@ import numpy as np
 
 from .errors import CapabilityError, PreconditionError, SearchExhaustedError
 from .fdb import log_bell_table, log_compose_table
-from .functions import (ModelFunction, box_size, mirrored_half, stable_sup,
-                        weighted_log_sup)
+from .functions import ModelFunction, mirrored_half, weighted_log_sup
 from .grids import DEFAULT_X_GRID, GridSpec
 from .logdomain import LOG_ZERO
 from .reports import ChainReport, Result
-from .weights import ConjugateEvaluator, WeightFunction
+from .weights import ConjugateEvaluator, WeightFunction, weight_values
 # the scalar chains live in the numpy-free ``chains``; callers may name them here
 from .chains import DEFAULT_THRESHOLD, negative_chain, nuclearity_sum
 
@@ -174,7 +174,7 @@ def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
     sigma(t) = omega(t^(1/a)) and p = a-1.  A growing C_m trend across the
     upper half of the order range flags a likely failure.  No sigma is built:
     phi_sigma(u) = phi_omega(u/a), so phi_sigma*(s) = phi_omega*(a s).  For
-    even or odd psi, only the grid's rows x <= 0 are read (``stable_sup``)."""
+    even or odd psi, only the grid's rows x <= 0 are read (``mirrored_half``)."""
     if not a > 0:
         raise PreconditionError(f"--a: the scaling exponent must be > 0, got {a:g}")
     conj_omega = ConjugateEvaluator(w)
@@ -212,7 +212,7 @@ class ComposedSeminormResult:
     jq_cap: int
     value_log: float
     witness: Optional[dict]
-    stable: Optional[bool] = None
+    stable: Optional[bool] = None  # always None: no box is checked
 
 
 def composed_parity(f: ModelFunction, psi: ModelFunction):
@@ -237,30 +237,24 @@ def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
 
 def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,
                             sigma: WeightFunction, m: int, grid: GridSpec,
-                            Jmax: int, Qmax: int, jq_cap: int = None,
-                            jet_table: np.ndarray = None,
-                            xs: Sequence[float] = None) -> ComposedSeminormResult:
-    """sup over (j <= Jmax, q <= Qmax, grid x) of
-    |x^q (f o psi)^(j)(x)| exp(-m phi_sigma*((j+q)/m)), in log domain.
-
-    A precomputed jet_table over xs (the grid's symmetric points by default),
-    one row per point, or xs alone, is scanned as it is; else stable_sup
-    checks its own box.  For even or odd f o psi, only the rows x <= 0 of a
-    mirrored xs or box are read (``stable_sup``): a table's first rows."""
+                            Jmax: int, Qmax: int, jq_cap: int = None, *,
+                            jet_table: np.ndarray,
+                            xs: Sequence[float]) -> ComposedSeminormResult:
+    """sup over (j <= Jmax, q <= Qmax, j + q <= jq_cap, x of xs) of
+    |x^q (f o psi)^(j)(x)| exp(-m phi_sigma*((j+q)/m)), in log domain, read
+    off jet_table, one row per point of xs (``composed_jet_log_table``).
+    For even or odd f o psi on a mirrored xs, only the rows x <= 0 are read:
+    the table's first rows (``mirrored_half``)."""
     jq_cap = Jmax + Qmax if jq_cap is None else jq_cap
-    xs = grid.symmetric_points() if jet_table is not None and xs is None else xs
-    if jet_table is None and xs is None:  # its own box
-        box_size(Jmax, f, psi)
-    if jet_table is not None and len(jet_table) != len(xs):
+    if len(jet_table) != len(xs):
         raise PreconditionError(f"jet_table has {len(jet_table)} rows for "
                                 f"{len(xs)} points: one row per point")
-    conj = ConjugateEvaluator(sigma)
-    return ComposedSeminormResult(
-        f.label, psi.label, sigma.label, m, grid.spec_string(), jq_cap, *stable_sup(
-            lambda pts, J: (composed_jet_log_table(f, psi, pts, J) if jet_table is None
-                            else np.asarray(jet_table)[:len(pts), :J + 1]),
-            lambda logs, pts, Q, cap: weighted_log_sup(logs, conj, m, pts, Q, cap),
-            grid, (Jmax, Qmax, jq_cap), "q", xs, composed_parity(f, psi)))
+    xs = mirrored_half(xs, composed_parity(f, psi))
+    best, at = weighted_log_sup(np.asarray(jet_table)[:len(xs), :Jmax + 1],
+                                ConjugateEvaluator(sigma), m, xs, Qmax, jq_cap)
+    witness = None if at is None else {"j": at[1], "q": at[2], "x": float(xs[at[0]])}
+    return ComposedSeminormResult(f.label, psi.label, sigma.label, m,
+                                  grid.spec_string(), jq_cap, best, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +275,12 @@ class NecessaryGrowthResult(Result):
         return not self.grows_with_radius
 
 
-def _weight_values(w: WeightFunction, ts, flag: str) -> np.ndarray:
-    try:
-        return w.values(ts)
-    except OverflowError:
-        raise PreconditionError(
-            f"{flag}: {w.label} overflows a float on the grid, at "
-            f"|t| <= {float(np.abs(ts).max()):g}") from None
-
-
 def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
                      w_omega: WeightFunction,
                      grid: GridSpec) -> NecessaryGrowthResult:
     """Measured C = max over the grid of sigma(x) / (1 + omega(psi(x))),
     with a trend flag comparing against the inner half-radius maximum.  For
-    even or odd psi, only the grid's rows x <= 0 are read (``stable_sup``)."""
+    even or odd psi, only the grid's rows x <= 0 are read (``mirrored_half``)."""
     xs = grid.symmetric_points()
     c = len(xs) // 2  # xs[c] = 0 and xs[c + i] = -xs[c - i]
     xs = mirrored_half(xs, psi.parity)
@@ -307,9 +292,9 @@ def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
         xb = xs[lo:lo + NECESSARY_BLOCK]
         # sigma(x) = sigma(|x|): evaluated at x <= 0, mirrored past x = 0
         k = min(lo + NECESSARY_BLOCK, c + 1)
-        sig[lo:k] = _weight_values(w_sigma, xs[lo:k], "--sigma")
+        sig[lo:k] = weight_values(w_sigma, xs[lo:k], "--sigma")
         sigma = sig[c - np.abs(np.arange(lo, lo + len(xb)) - c)]
-        omega = _weight_values(w_omega, psi.values(xb), "--omega")
+        omega = weight_values(w_omega, psi.values(xb), "--omega")
         with np.errstate(invalid="ignore"):  # inf / inf
             ratio = sigma / (1.0 + omega)
         ratio[np.isnan(ratio)] = -math.inf
@@ -352,9 +337,10 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
         raise PreconditionError("x and lambda sequences must be equal-length, nonempty")
     m = K * n
     warning = all(lam <= m for lam in lambda_seq)
+    omegas = weight_values(w, x_seq, "--weight").tolist()  # omega(x_j)
     best, best_j = -math.inf, 0
-    for j, (x_j, lam_j) in enumerate(zip(x_seq, lambda_seq), start=1):
-        v = (-lam_j + m) * w(x_j) + m
+    for j, (w_j, lam_j) in enumerate(zip(omegas, lambda_seq), start=1):
+        v = (-lam_j + m) * w_j + m
         if v > best:
             best, best_j = v, j
     result = EquicontinuityResult(
@@ -366,14 +352,15 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
         us = (grid or DEFAULT_X_GRID).symmetric_points()
         logs_f = f.log_jet_table(us, EQUICONT_J)[1]
         # pi_{m,m}(f) on the box
-        pi_m, _ = weighted_log_sup(logs_f, conj, m, extra=m * w.values(us))
+        pi_m, _ = weighted_log_sup(logs_f, conj, m,
+                                   extra=weight_values(w, us, "--weight", m, "--K"))
         idxs = sorted({1, len(x_seq) // 2 + 1, len(x_seq)})
         for j in idxs:
             x_j, lam_j = x_seq[j - 1], lambda_seq[j - 1]
             # pi_{n,n} of the translate, read at the translated argument
-            pi_n, _ = weighted_log_sup(logs_f, conj, n,
-                                       extra=n * w.values(us + x_j))
-            lhs = pi_n - lam_j * w(x_j)
+            pi_n, _ = weighted_log_sup(logs_f, conj, n, extra=weight_values(
+                w, us + x_j, "--weight", n, "--n"))
+            lhs = pi_n - lam_j * omegas[j - 1]
             rhs = best + pi_m
             result.spot_rows.append({"j": j, "log_lhs": lhs, "log_rhs": rhs,
                                      "verdict": lhs <= rhs + 1e-9})

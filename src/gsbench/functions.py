@@ -4,7 +4,9 @@ Every seminorm sup runs through one kernel, ``weighted_log_sup``: the max over
 grid points x, orders j and powers k of
 log|f^(j)(x)| - lam phi*((j+k)/lam) + k log|x| + extra(x),
 taken over blocks of grid points, one (rows, J+1, K+1) array of at most
-SUP_BLOCK_TERMS terms per block, so memory is bounded per block.
+SUP_BLOCK_TERMS terms per block, so memory is bounded per block.  The two
+seminorms alone check their sup against a 1.25x box (``stable_sup``); the
+composed sup in ``experiments`` scans the table it is given.
 
 Jets on a grid come from one call, ``log_jet_table(xs, J)``: the sign and
 log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
@@ -44,7 +46,7 @@ from .logdomain import LOG_ZERO
 from .reports import Result
 from . import specs
 from .specs import check_gbump, check_monbump, check_pow1px2, label_real
-from .weights import ConjugateEvaluator, WeightFunction
+from .weights import ConjugateEvaluator, WeightFunction, weight_values
 
 _CLOSED_FORM_JMAX = 200
 SUP_BLOCK_TERMS = 1 << 14  # (x, j, k) terms per weighted_log_sup block
@@ -139,8 +141,9 @@ class _ExpQuadratic(_Recurrence):
 
     def _recurrence(self, xs, log_r, J):
         c = 2.0 * self.s
-        return (self.s * xs * xs, 1, 1.0 / (1.0 + xs * xs), [c] * J,
-                [c * n for n in range(J)])
+        with np.errstate(over="ignore"):  # x^2 past a float: log f = s x^2 = +-inf
+            return (self.s * xs * xs, 1, 1.0 / (1.0 + xs * xs), [c] * J,
+                    [c * n for n in range(J)])
 
 
 class Gaussian(_ExpQuadratic):
@@ -456,16 +459,15 @@ class SeminormReport(Result):
         return d
 
 
-def box_size(n: int, *fns: ModelFunction) -> int:
+def box_size(n: int, f: ModelFunction = None) -> int:
     """ceil(BOX_GROWTH n), a size of the stability box.  As its jet order, it
-    is refused up front where it passes the jet cap of one of fns."""
+    is refused up front where it passes f's jet cap."""
     raised = math.ceil(n * BOX_GROWTH)
-    for f in fns:
-        if raised > f.jet_cap:
-            raise CapabilityError(
-                f"{f.label}: jets supported up to order {f.jet_cap}, and the "
-                f"stability box raises J = {n} to ceil({BOX_GROWTH:g} J) = "
-                f"{raised}: J <= {math.floor(f.jet_cap / BOX_GROWTH)} fits")
+    if f is not None and raised > f.jet_cap:
+        raise CapabilityError(
+            f"{f.label}: jets supported up to order {f.jet_cap}, and the "
+            f"stability box raises J = {n} to ceil({BOX_GROWTH:g} J) = "
+            f"{raised}: J <= {math.floor(f.jet_cap / BOX_GROWTH)} fits")
     return raised
 
 
@@ -481,38 +483,34 @@ def mirrored_half(xs, parity: Optional[int]) -> np.ndarray:
     return xs[:c + 1]
 
 
-def stable_sup(table, scan, grid: GridSpec, sizes: tuple, power: str = None,
-               xs=None, parity: Optional[int] = None) -> tuple:
-    """(value, witness, stable) of scan(logs, xs, *sizes[1:]) -> (value,
-    (xi, j, k)) on the log-jet rows logs = table(xs, sizes[0]); the witness
-    names j, k as ``power`` and x, or is None when every term is log 0.
-    Handed xs, it scans their rows as they are: ``stable`` is None.  Else one
-    table over GridSpec.extended_symmetric_points at every size raised by
-    box_size gives logs as its middle rows and low orders (a row depends on
-    its own point only, an order on lower ones only), and ``stable``, with a
-    witness: the scan of that whole table agrees to 1e-6 relative.
+def stable_sup(f: ModelFunction, grid: GridSpec, J: int, K: Optional[int],
+               scan) -> tuple:
+    """(value, witness, stable) of scan(logs, xs, K) -> (value, (xi, j, k))
+    on f's log-jet rows logs over the grid's symmetric points xs, orders
+    0..J; K is None where the sup has no power k.  The witness names j, k
+    (unless K is None) and x, or is None when every term is log 0.  One
+    table over GridSpec.extended_symmetric_points at order box_size(J),
+    refused first where it passes f's jet cap, gives logs as its middle rows
+    and low orders (a row depends on its own point only, an order on lower
+    ones only), and ``stable``, with a witness: the scan of that whole table
+    at K raised by box_size agrees to 1e-6 relative.
 
-    For an even or odd f (``parity`` not None) the x > 0 rows of a mirrored
-    xs or box are neither built nor scanned (``mirrored_half``): each repeats
-    its twin at -x bit for bit, so the first strict maximum in (x, j, k)
-    order, the witness, lies at x <= 0 in the full scan too, and the box's
-    max is the same number."""
-    if xs is None:
-        ext, pad = grid.extended_symmetric_points()
-        end = len(ext) - pad  # the grid's rows are ext[pad:end], or its half
-        ext = mirrored_half(ext, parity)
-        whole = table(ext, box_size(sizes[0]))
-        xs, logs = ext[pad:end], whole[pad:end, :sizes[0] + 1]
-    else:
-        xs = mirrored_half(xs, parity)
-        whole, logs = None, table(xs, sizes[0])
-    best, at = scan(logs, xs, *sizes[1:])
+    For an even or odd f the x > 0 rows of the grid and of the box are
+    neither built nor scanned (``mirrored_half``): each repeats its twin at
+    -x bit for bit, so the first strict maximum in (x, j, k) order, the
+    witness, lies at x <= 0 in the full scan too, and the box's max is the
+    same number."""
+    raised = box_size(J, f)
+    ext, pad = grid.extended_symmetric_points()
+    end = len(ext) - pad  # the grid's rows are ext[pad:end], or its half
+    ext = mirrored_half(ext, f.parity)
+    whole = f.log_jet_table(ext, raised)[1]
+    xs = ext[pad:end]
+    best, at = scan(whole[pad:end, :J + 1], xs, K)
     if at is None:
         return best, None, None
-    witness = {"j": at[1], **({power: at[2]} if power else {}), "x": float(xs[at[0]])}
-    if whole is None:
-        return best, witness, None
-    b2, _ = scan(whole, ext, *map(box_size, sizes[1:]))
+    witness = {"j": at[1], **({} if K is None else {"k": at[2]}), "x": float(xs[at[0]])}
+    b2, _ = scan(whole, ext, None if K is None else box_size(K))
     return best, witness, abs(b2 - best) < 1e-6 * max(1.0, abs(best))
 
 
@@ -523,26 +521,21 @@ def seminorm_p_lambda(f: ModelFunction, lam: float, w: WeightFunction,
     if J + K > 2 * _CLOSED_FORM_JMAX:
         raise PreconditionError(f"--jmax + --kmax: J + K = {J} + {K} = {J + K} "
                                 f"is past the limit {2 * _CLOSED_FORM_JMAX}")
-    box_size(J, f)
     conj = ConjugateEvaluator(w)
     return SeminormReport(
         "p_lambda", lam, None, w.label, grid.spec_string(), J, K, *stable_sup(
-            lambda xs, J: f.log_jet_table(xs, J)[1],
-            lambda logs, xs, K: weighted_log_sup(logs, conj, lam, xs, K),
-            grid, (J, K), "k", parity=f.parity))
+            f, grid, J, K, lambda logs, xs, K: weighted_log_sup(logs, conj, lam, xs, K)))
 
 
 def seminorm_pi(f: ModelFunction, lam: float, mu: float, w: WeightFunction,
                 grid: GridSpec, J: int) -> SeminormReport:
     """Finite-box lower estimate of
     sup_{j,x} |f^(j)(x)| exp(-lam phi*(j/lam) + mu omega(x))."""
-    box_size(J, f)
     conj = ConjugateEvaluator(w)
     return SeminormReport(
         "pi", lam, mu, w.label, grid.spec_string(), J, None, *stable_sup(
-            lambda xs, J: f.log_jet_table(xs, J)[1],
-            lambda logs, xs: weighted_log_sup(logs, conj, lam, extra=mu * w.values(xs)),
-            grid, (J,), parity=f.parity))
+            f, grid, J, None, lambda logs, xs, K: weighted_log_sup(
+                logs, conj, lam, extra=weight_values(w, xs, "--weight", mu, "--mu"))))
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +547,6 @@ class IndexEstimate:
     s_hat: float
     intercept: float
     residual_rms: float
-    j_used: list = field(default_factory=list)
 
 
 def estimate_growth_exponent(jet: Jet) -> IndexEstimate:
@@ -572,4 +564,4 @@ def estimate_growth_exponent(jet: Jet) -> IndexEstimate:
     resid = A @ coef - b
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return IndexEstimate(s_hat=float(coef[0]), intercept=float(coef[1]),
-                         residual_rms=rms, j_used=list(js))
+                         residual_rms=rms)

@@ -137,6 +137,25 @@ class WeightFunction:
         return WeightFunction(table_weight(ts, vals))
 
 
+def weight_values(w: WeightFunction, ts, flag: str, scale: float = 1.0,
+                  scale_flag: str = None):
+    """scale * w.values(ts), refused with a PreconditionError where a value
+    overflows a float: naming ``flag`` where omega does, and ``scale_flag``
+    where scale * omega does at a finite omega."""
+    import numpy as np
+    try:
+        vals = w.values(ts)
+        with np.errstate(over="ignore"):
+            out = scale * vals
+        if not np.isinf(out[np.isfinite(vals)]).any():
+            return out
+        flag, what = scale_flag, f"{scale:g} x {w.label}"
+    except OverflowError:
+        what = w.label
+    raise PreconditionError(f"{flag}: {what} overflows a float at |t| <= "
+                            f"{float(np.abs(ts).max()):g}")
+
+
 # conjugate methods of each weight kind, default first; other kinds: numeric-sup
 METHODS = {"gevrey": ("closed-form", "numeric-sup"),
            "logpow": ("closed-form", "numeric-sup"),

@@ -156,6 +156,19 @@ def test_grid_overflowing_a_float_exits_2(grid):
     assert "overflows a float" in r.stderr
 
 
+@pytest.mark.parametrize("function, value_log", [
+    ("gaussian", 1.0), ("expsqr", "inf")])
+def test_exp_quadratic_jets_past_a_float_square_run_clean(function, value_log,
+                                                          capsys):
+    # x^2 overflows at |x| = 1e300: log f is -inf for gaussian, +inf for
+    # expsqr, the float limits, with no warning (warnings are errors here)
+    assert main(["seminorm", "--family", "p", "--function", function,
+                 "--weight", "gevrey:d=2", "--lam", "1",
+                 "--grid", "lin:0,1e300,3"]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and json.loads(out.out)["value_log"] == value_log
+
+
 SEMINORM_PI = ["seminorm", "--family", "pi", "--weight", "gevrey:d=2", "--lam", "1"]
 
 
@@ -166,9 +179,13 @@ def test_stability_box_past_a_jet_cap_exits_2_naming_the_limits(
         function, label, jmax, raised, cap, fits, capsys, monkeypatch):
     # the box's raised order is refused before a box or a table is built
     argv = [*SEMINORM_PI, "--function", function, "--grid", "lin:0.5,2,4"]
+    built = []
     with monkeypatch.context() as m:
-        m.setattr(functions, "stable_sup", None)
+        for owner, name in ((type(parse_function(function)), "log_jet_table"),
+                            (GridSpec, "extended_symmetric_points")):
+            m.setattr(owner, name, lambda *args, name=name: built.append(name))
         assert main([*argv, "--jmax", str(jmax)]) == 2
+    assert built == []
     out = capsys.readouterr()
     assert out.out == "" and out.err == (
         f"gsbench: error: {label}: jets supported up to order {cap}, and the "
@@ -682,9 +699,29 @@ def test_nuclear_overflow_exits_2(capsys):
       "gevrey:d=0.005", "--omega", "gevrey:d=2"], "--sigma"),
     (["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma",
       "gevrey:d=2", "--omega", "gevrey:d=0.005"], "--omega"),
+    # omega(x) = x^1000 on the grid; mu omega(x) = 1e308 sqrt(x)
+    (["seminorm", "--family", "pi", "--function", "gaussian", "--weight",
+      "gevrey:d=0.001", "--lam", "1"], "--weight"),
+    (["seminorm", "--family", "pi", "--function", "gaussian", "--weight",
+      "gevrey:d=2", "--lam", "1", "--mu", "1e308"], "--mu"),
+    # omega(x_j) = 4^1000, and (1e10)^100
+    (["experiment", "equicont", "--weight", "gevrey:d=0.001", "--x-seq",
+      "2,4", "--lam-seq", "1,2"], "--weight"),
+    (["experiment", "equicont", "--weight", "gevrey:d=0.01", "--x-seq",
+      "1e10", "--lam-seq", "1"], "--weight"),
+    # omega(x_j) = 1205^100 fits a float, omega(u + x_j) = 1213^100 does not
+    (["experiment", "equicont", "--weight", "gevrey:d=0.01", "--x-seq",
+      "1205", "--lam-seq", "1"], "--weight"),
+    # m omega(u) = 1e9 8^333.3, and n omega(u + x_j) = 1e9 1008^100
+    (["experiment", "equicont", "--weight", "gevrey:d=0.003", "--x-seq", "1",
+      "--lam-seq", "1", "--K", "1000000000"], "--K"),
+    (["experiment", "equicont", "--weight", "gevrey:d=0.01", "--x-seq", "1000",
+      "--lam-seq", "1", "--n", "1000000000", "--K", "1"], "--n"),
 ], ids=["negative-tiny-d", "compactness-huge-x0", "bounded-tiny-d",
         "bounded-huge-d", "cauchy-huge-B", "weight-check-grid",
-        "weight-check-epsilon", "necessary-sigma", "necessary-omega"])
+        "weight-check-epsilon", "necessary-sigma", "necessary-omega",
+        "pi-weight", "pi-mu", "equicont-x-seq", "equicont-huge-x",
+        "equicont-spot-row", "equicont-K", "equicont-n"])
 def test_in_range_value_that_overflows_exits_2(argv, flag, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()

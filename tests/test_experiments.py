@@ -295,49 +295,29 @@ def test_sufficient_cm_stable_under_doubling_jmax():
 
 # -- composed seminorm ------------------------------------------------------
 
-def test_composed_seminorm_internal_stability_flag():
-    rep = composed_seminorm_bound(Gaussian(), SQUARE, WeightFunction.gevrey(3),
-                                  2, GridSpec("lin", 0.05, 5.0, 100), 16, 16,
-                                  jq_cap=16)
-    assert rep.stable
-    assert math.isfinite(rep.value_log)
-    assert rep.witness is not None
-
-
 def test_composed_seminorm_degenerate_has_no_stability_verdict():
-    # f = 0: every term is log 0, so there is no witness and no rescan, and
-    # stable is None as in seminorm_p_lambda and seminorm_pi
-    rep = composed_seminorm_bound(Polynomial([0]), SQUARE,
-                                  WeightFunction.gevrey(3), 2,
-                                  GridSpec("lin", 0.05, 5.0, 40), 8, 8)
+    # f = 0: every term is log 0, so there is no witness; stable is always
+    # None, as the composed sup checks no box
+    g = GridSpec("lin", 0.05, 5.0, 40)
+    xs = g.symmetric_points()
+    zero = Polynomial([0])
+    rep = composed_seminorm_bound(zero, SQUARE, WeightFunction.gevrey(3), 2,
+                                  g, 8, 8, jet_table=composed_jet_log_table(
+                                      zero, SQUARE, xs, 8), xs=xs)
     assert rep.witness is None and rep.stable is None
     assert rep.value_log == -math.inf
 
 
-def test_composed_seminorm_supplied_table_serves_the_unchecked_sup_only():
-    g = GridSpec("lin", 0.05, 5.0, 40)
-    xs = g.symmetric_points()
-    t = composed_jet_log_table(Gaussian(), SQUARE, xs, 8)
-    args = (Gaussian(), SQUARE, WeightFunction.gevrey(3), 2, g, 8, 8)
-    rep = composed_seminorm_bound(*args, jet_table=t, xs=xs)
-    checked = composed_seminorm_bound(*args)
-    # the same sup, but only the composition's own box is checked; a table
-    # given without xs is read over the grid's symmetric points
-    assert (rep.value_log, rep.witness) == (checked.value_log, checked.witness)
-    assert (rep.stable, checked.stable) == (None, True)
-    assert composed_seminorm_bound(*args, jet_table=t) == rep
-
-
-def test_composed_box_past_a_jet_cap_is_refused_before_composing(monkeypatch):
-    # jets of f and psi stop at order 200, and the box raises 170 to 213; a
-    # supplied table is no box, so it is scanned at any order it holds
+def test_composed_supplied_table_is_scanned_at_any_order_it_holds(monkeypatch):
+    # no box, so no jet cap: at J = 170 a box would pass the order-200 jets
+    # of f and psi (ceil(1.25 J) = 213), but a supplied table is read as it
+    # is, and nothing is composed
     monkeypatch.setattr(experiments, "composed_jet_log_table", None)
-    args = (Gaussian(), Sqrt1px2(), WeightFunction.gevrey(3), 2,
-            GridSpec("lin", 0.5, 2.0, 4), 170, 0)
-    with pytest.raises(CapabilityError, match=r"raises J = 170 to ceil\(1.25 J\) = 213: J <= 160"):
-        composed_seminorm_bound(*args)
+    g = GridSpec("lin", 0.5, 2.0, 4)
     t = np.zeros((9, 171))  # one row per point of the 9 symmetric points
-    assert composed_seminorm_bound(*args, jet_table=t).stable is None
+    rep = composed_seminorm_bound(Gaussian(), Sqrt1px2(), WeightFunction.gevrey(3),
+                                  2, g, 170, 0, jet_table=t, xs=g.symmetric_points())
+    assert rep.witness is not None and rep.stable is None
 
 
 # -- necessary growth -------------------------------------------------------

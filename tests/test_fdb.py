@@ -620,12 +620,14 @@ def test_composed_table_runs_the_kernel_once_per_table(monkeypatch):
         return log_compose_table(*args)
 
     monkeypatch.setattr(experiments, "log_compose_table", spy)
+    f, psi, grid = Gaussian(), Polynomial([0, 0, 1]), GridSpec("lin", 0.05, 5.0, 100)
+    xs = grid.symmetric_points()
+    table = experiments.composed_jet_log_table(f, psi, xs, 16)
     rep = experiments.composed_seminorm_bound(
-        Gaussian(), Polynomial([0, 0, 1]), WeightFunction.gevrey(3), 2,
-        GridSpec("lin", 0.05, 5.0, 100), 16, 16)
-    # one table, over the rows x <= 0 of the grid extended 1.25x: x^2 is even
-    assert calls == [126]
-    assert rep.stable
+        f, psi, WeightFunction.gevrey(3), 2, grid, 16, 16, jet_table=table, xs=xs)
+    # one table, over the grid's rows x <= 0 (x^2 is even); the sup reads it
+    assert calls == [101]
+    assert rep.witness is not None
 
 
 # -- single-jet shortcut ----------------------------------------------------

@@ -11,7 +11,7 @@ from gsbench import functions
 from gsbench.errors import (CapabilityError, DegenerateInputError,
                             PreconditionError)
 from gsbench.functions import (SUP_BLOCK_TERMS, Gaussian, GevreyBump, ExpSqr,
-                               MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
+                               ModelFunction, MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
                                estimate_growth_exponent,
                                jet_log_abs, parse_function,
                                seminorm_p_lambda, seminorm_pi, stable_sup,
@@ -333,46 +333,53 @@ def test_seminorm_degenerate_for_zero_function():
 def test_stable_sup_rescans_with_every_size_raised():
     tables, scans = [], []
 
-    def table(xs, J):
-        tables.append((len(xs), J))
-        return np.zeros((len(xs), J + 1))
+    class Zeros(ModelFunction):
+        label = "zeros"
 
-    def scan(logs, xs, *sizes):
-        scans.append((logs.shape, len(xs), sizes))
+        def log_jet_table(self, xs, J):
+            tables.append((len(xs), J))
+            return np.zeros((2, len(xs), J + 1))
+
+    def scan(logs, xs, K):
+        scans.append((logs.shape, len(xs), K))
         return 1.0 + 1e-7 * (len(scans) - 1), (3, 2, 1)
 
     grid = GridSpec("lin", 0.5, 2.0, 4)
     sym = grid.symmetric_points()
     ext, pad = grid.extended_symmetric_points()
-    best, witness, stable = stable_sup(table, scan, grid, (10, 3, 7), "q")
-    assert (best, stable) == (1.0, True)
-    assert witness == {"j": 2, "q": 1, "x": float(sym[3])}
-    # one table, over the extended grid with ceil(1.25 n) per size; its
-    # middle rows and orders <= 10 at the sizes, then all of it raised
+    assert stable_sup(Zeros(), grid, 10, 7, scan) == (
+        1.0, {"j": 2, "k": 1, "x": float(sym[3])}, True)
+    # one table, over the extended grid at ceil(1.25 J); its middle rows and
+    # orders <= J at K, then all of it at ceil(1.25 K)
     assert tables == [(len(ext), 13)]
-    assert scans == [((len(sym), 11), len(sym), (3, 7)),
-                     ((len(ext), 14), len(ext), (4, 9))]
+    assert scans == [((len(sym), 11), len(sym), 7), ((len(ext), 14), len(ext), 9)]
     tables.clear()
     scans.clear()
-    # handed rows, it scans them as they are
-    assert stable_sup(table, scan, grid, (10,), xs=sym)[1:] == (
-        {"j": 2, "x": float(sym[3])}, None)
-    assert tables == [(len(sym), 10)] and len(scans) == 1
+    # no power k: the witness names j and x only
+    assert stable_sup(Zeros(), grid, 10, None, scan)[1] == {"j": 2, "x": float(sym[3])}
+    assert [K for *_, K in scans] == [None, None]
+    # the raised order past the jet cap is refused before anything is built
+    tables.clear()
+    scans.clear()
+    capped = Zeros()
+    capped.jet_cap = 12
+    with pytest.raises(CapabilityError, match=r"raises J = 10 to ceil\(1.25 J\) = 13"):
+        stable_sup(capped, grid, 10, 7, scan)
+    assert tables == scans == []
 
 
 def test_stable_sup_of_a_degenerate_sup_is_not_rescanned():
-    # every term log 0: no witness and no stability verdict, in all three
-    # estimators alike
+    # every term log 0: no witness and no stability verdict, in both
+    # seminorms alike
     calls = []
 
-    def scan(logs, xs):
+    def scan(logs, xs, K):
         calls.append(logs.shape[1] - 1)
         return LOG_ZERO, None
 
-    assert stable_sup(lambda xs, J: np.zeros((len(xs), J + 1)), scan, GRID,
-                      (4,)) == (LOG_ZERO, None, None)
-    assert calls == [4]
     zero = Polynomial([0])
+    assert stable_sup(zero, GRID, 4, None, scan) == (LOG_ZERO, None, None)
+    assert calls == [4]
     for rep in (seminorm_p_lambda(zero, 1.0, W2, GRID, J=4, K=4),
                 seminorm_pi(zero, 1.0, 1.0, W2, GRID, J=4)):
         assert rep.degenerate and rep.stable is None

@@ -27,8 +27,8 @@ from gsbench.experiments import (composed_jet_log_table, composed_parity,
 from gsbench.fdb import log_compose_table
 from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, ModelFunction,
                                MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
-                               box_size, mirrored_half, seminorm_p_lambda,
-                               seminorm_pi, weighted_log_sup)
+                               mirrored_half, seminorm_p_lambda, seminorm_pi,
+                               weighted_log_sup)
 from gsbench.grids import GridSpec
 from gsbench.weights import ConjugateEvaluator, WeightFunction
 
@@ -198,26 +198,19 @@ def composed_cases():
 
 
 def test_composed_sups_equal_the_full_row_scan():
-    # on a supplied table as the bench passes it, and in its own box
+    # on a supplied table, as the bench passes it
     for f, psi, sigma, ms, grid, J in composed_cases():
         conj = ConjugateEvaluator(sigma)
         xs = grid.symmetric_points()
         table = composed_jet_log_table(f, psi, xs, J)
-        ext = grid.extended_symmetric_points()[0]
-        box = log_compose_table(*f.log_jet_table(psi.values(ext), box_size(J)),
-                                *psi.log_jet_table(ext, box_size(J)), box_size(J))[1]
         for m in ms:
             scan = lambda logs, pts, Q, cap: weighted_log_sup(logs, conj, m, pts, Q, cap)
-            args = (f, psi, sigma, m, grid, J, J)
-            for rep, want in (
-                    (composed_seminorm_bound(*args, jq_cap=J, jet_table=table, xs=xs),
-                     full_row_stable_sup(lambda pts, n: table[:, :n + 1], scan,
-                                         grid, (J, J, J), "q", xs)),
-                    (composed_seminorm_bound(*args),
-                     full_row_stable_sup(lambda pts, n: box[:, :n + 1], scan,
-                                         grid, (J, J, 2 * J), "q"))):
-                assert (rep.value_log.hex(), rep.witness, rep.stable) == (
-                    want[0].hex(), *want[1:]), (f.label, psi.label, grid, m)
+            rep = composed_seminorm_bound(f, psi, sigma, m, grid, J, J, jq_cap=J,
+                                          jet_table=table, xs=xs)
+            want = full_row_stable_sup(lambda pts, n: table[:, :n + 1], scan,
+                                       grid, (J, J, J), "q", xs)
+            assert (rep.value_log.hex(), rep.witness, rep.stable) == (
+                want[0].hex(), *want[1:]), (f.label, psi.label, grid, m)
 
 
 GROWTH_PSIS = [SQUARE, Polynomial([0, 0, 0, 1]), Polynomial([0, 1, 0, -3]),
@@ -274,8 +267,7 @@ def test_composed_of_no_parity_build_every_row(psi, monkeypatch):
     t = composed_jet_log_table(Gaussian(), psi, xs, 6)
     composed_seminorm_bound(Gaussian(), psi, WeightFunction.gevrey(3), 2, GRID,
                             6, 6, jet_table=t, xs=xs)
-    composed_seminorm_bound(Gaussian(), psi, WeightFunction.gevrey(3), 2, GRID, 6, 6)
-    assert rows == [len(xs), len(GRID.extended_symmetric_points()[0])]
+    assert rows == [len(xs)]
 
 
 def test_growth_checks_of_no_parity_read_every_row(monkeypatch):
@@ -322,5 +314,3 @@ def test_composed_supplied_table_of_another_row_count_is_refused():
         with pytest.raises(PreconditionError,
                            match=f"jet_table has {len(rows)} rows for 79 points"):
             composed_seminorm_bound(*args, jet_table=rows, xs=xs)
-        with pytest.raises(PreconditionError, match="for 79 points"):
-            composed_seminorm_bound(*args, jet_table=rows)
