@@ -351,15 +351,22 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
         conj = ConjugateEvaluator(w)
         us = (grid or DEFAULT_X_GRID).symmetric_points()
         logs_f = f.log_jet_table(us, EQUICONT_J)[1]
-        # pi_{m,m}(f) on the box
-        pi_m, _ = weighted_log_sup(logs_f, conj, m,
-                                   extra=weight_values(w, us, "--weight", m, "--K"))
+        # pi_{m,m}(f) on the box: its rows x <= 0 for even or odd f
+        half = mirrored_half(us, f.parity)
+        pi_m, _ = weighted_log_sup(logs_f[:len(half)], conj, m,
+                                   extra=weight_values(w, half, "--weight", m, "--K"))
         idxs = sorted({1, len(x_seq) // 2 + 1, len(x_seq)})
         for j in idxs:
             x_j, lam_j = x_seq[j - 1], lambda_seq[j - 1]
             # pi_{n,n} of the translate, read at the translated argument
+            with np.errstate(over="ignore"):
+                moved = us + x_j
+            if not np.isfinite(moved).all():
+                raise PreconditionError(
+                    f"--x-seq: the translate u + x_j of the grid's |u| <= "
+                    f"{float(np.abs(us).max()):g} by x_j = {x_j:g} overflows a float")
             pi_n, _ = weighted_log_sup(logs_f, conj, n, extra=weight_values(
-                w, us + x_j, "--weight", n, "--n"))
+                w, moved, "--weight", n, "--n"))
             lhs = pi_n - lam_j * omegas[j - 1]
             rhs = best + pi_m
             result.spot_rows.append({"j": j, "log_lhs": lhs, "log_rhs": rhs,
@@ -395,7 +402,10 @@ def cauchy_derivative_bound(psi: ModelFunction, delta: float,
             f"{psi.label} carries no analyticity metadata; Cauchy bound n/a")
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must lie in (0, 1)")
-    xs = [float(x) for x in x_grid.symmetric_points() if abs(x) >= 1.0]
+    # for even or odd psi, the rows x <= 0 only (``mirrored_half``): each
+    # x > 0 row repeats its twin, which comes first in (x, j) order
+    xs = [x for x in mirrored_half(x_grid.symmetric_points(), psi.parity).tolist()
+          if abs(x) >= 1.0]
     if not xs:
         raise PreconditionError("grid must contain points with |x| >= 1")
     logs = psi.log_jet_table(xs, jmax)[1]

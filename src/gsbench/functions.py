@@ -4,9 +4,14 @@ Every seminorm sup runs through one kernel, ``weighted_log_sup``: the max over
 grid points x, orders j and powers k of
 log|f^(j)(x)| - lam phi*((j+k)/lam) + k log|x| + extra(x),
 taken over blocks of grid points, one (rows, J+1, K+1) array of at most
-SUP_BLOCK_TERMS terms per block, so memory is bounded per block.  The two
-seminorms alone check their sup against a 1.25x box (``stable_sup``); the
-composed sup in ``experiments`` scans the table it is given.
+SUP_BLOCK_TERMS terms per block, so memory is bounded per block.  Where
+K > 0 and the rows span more than one block, each row is first bounded from
+above, exactly up to an outward margin of 2^-49 (1 + S) that covers every
+rounding (``_row_bounds``), and only the rows whose bound reaches the max of
+the row with the largest bound are scanned: the value and witness are the
+full scan's bit for bit.  The two seminorms alone check their sup against a
+1.25x box (``stable_sup``); the composed sup in ``experiments`` scans the
+table it is given.
 
 Jets on a grid come from one call, ``log_jet_table(xs, J)``: the sign and
 log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
@@ -398,7 +403,15 @@ def weighted_log_sup(logs, conj: Callable[[float], float], lam: float, xs=None,
     (value, (xi, j, k)) for the first strict maximum in (x, j, k) order, or
     (LOG_ZERO, None) when every term is log 0.  Rows go in blocks, each one
     (rows, J+1, K+1) array of at most SUP_BLOCK_TERMS terms (or one row), so
-    memory is bounded per block and does not grow with the grid."""
+    memory is bounded per block and does not grow with the grid.
+
+    When K > 0 and the rows span more than one block, rows that cannot hold
+    the maximum are pruned first (``_row_bounds``): the row with the largest
+    bound is scanned exactly, and only the rows whose bound is not below its
+    max are block-scanned, in their order.  A pruned row's every term lies
+    strictly below a value that some term attains, so value and witness are
+    the unpruned scan's bit for bit.  With K = 0 a bound costs the scan
+    itself, and a single block has nothing to prune."""
     table = np.asarray(logs, dtype=float)
     J = table.shape[1] - 1
     cap = J + K if jk_cap is None else min(jk_cap, J + K)
@@ -406,26 +419,84 @@ def weighted_log_sup(logs, conj: Callable[[float], float], lam: float, xs=None,
     c = np.full(J + K + 1, math.inf)
     for s in range(cap + 1):
         c[s] = lam * conj(s / lam)
-    ks = np.arange(1, K + 1)
     c_jk = c[np.add.outer(np.arange(J + 1), np.arange(K + 1))]
     rows = max(1, SUP_BLOCK_TERMS // c_jk.size)
+    # log|0| = -inf sends every k >= 1 term at x = 0 to log 0
+    lx = np.array([math.log(abs(x)) if x else LOG_ZERO for x in
+                   np.asarray(xs, dtype=float)[:len(table)].tolist()]) if K else None
+    extra = None if extra is None else np.asarray(extra, dtype=float)[:len(table)]
+    if not K or len(table) <= rows:
+        return _block_sup(table, c_jk, lx, extra, rows)
+    scan = lambda at: _block_sup(table[at], c_jk, lx[at],
+                                 None if extra is None else extra[at], rows)
+    bound = _row_bounds(table, c, lx, extra, K)
+    top = int(bound.argmax())
+    threshold, _ = scan(slice(top, top + 1))
+    kept = np.flatnonzero(~(bound < threshold))
+    best, at = scan(kept)
+    return best, None if at is None else (int(kept[at[0]]), at[1], at[2])
+
+
+def _block_sup(table, c_jk, lx, extra, rows) -> tuple:
+    """weighted_log_sup's block scan: c_jk[j, k] = lam phi*((j+k)/lam), lx
+    the rows' log|x| (None when K = 0), extra an array or None."""
+    J, K = c_jk.shape[0] - 1, c_jk.shape[1] - 1
+    ks = np.arange(1, K + 1)
     best, witness = LOG_ZERO, None
     with np.errstate(invalid="ignore"):  # inf - inf terms are masked below
         for lo in range(0, len(table), rows):
             v = table[lo:lo + rows, :, None] - c_jk
-            if K:  # log|0| = -inf sends every k >= 1 term at x = 0 to log 0
-                lx = [math.log(abs(x)) if x else LOG_ZERO
-                      for x in np.asarray(xs[lo:lo + len(v)], dtype=float).tolist()]
-                v[:, :, 1:] += np.multiply.outer(lx, ks)[:, None, :]
+            if K:
+                v[:, :, 1:] += np.multiply.outer(lx[lo:lo + len(v)], ks)[:, None, :]
             if extra is not None:
-                v += np.asarray(extra[lo:lo + len(v)], dtype=float)[:, None, None]
-            v[np.isnan(v)] = LOG_ZERO
+                v += extra[lo:lo + len(v), None, None]
             i = int(v.argmax())
+            if math.isnan(v.flat[i]):  # argmax stops at the first NaN
+                v[np.isnan(v)] = LOG_ZERO
+                i = int(v.argmax())
             if v.flat[i] > best:
                 best = float(v.flat[i])
                 xi, jk = divmod(i, (J + 1) * (K + 1))
                 witness = (lo + xi, jk // (K + 1), jk % (K + 1))
     return best, witness
+
+
+def _row_bounds(table, c, lx, extra, K) -> np.ndarray:
+    """Per row x, an upper bound on every term of weighted_log_sup's row, by
+
+        L[x,j] - c[j+k] + k log|x| = (L[x,j] - j log|x|) + (n log|x| - c[n])
+
+    with n = j + k: the second part's max over the window n in [j, j+K] is
+    taken by a sliding-window max, log2(K+1) passes of np.maximum.  A row at
+    x = 0 reads log|x| as 0, which bounds its k = 0 terms (its others are
+    log 0).  The bound is widened by the margin 2^-49 (1 + S), with
+    S = max|L[x]| + max|c| + 2 (J+K) |log x| + |extra[x]| over the finite
+    parts: a term is four roundings (L - c, k log|x|, their sum, + extra),
+    its bound six (j log|x|, L minus it, n log|x|, minus c, their sum,
+    + extra) and the margin's addition one, each off by at most 2^-53 of a
+    result no larger than S (1 + 2^-50), so 16 of them cover all eleven.
+    Term and bound share one math.log value of log|x|.  An infinite or NaN
+    part makes the bound +inf or NaN, and a NaN bound keeps its row, as does
+    S >= 2^1023, where a sum's part may overflow."""
+    J = table.shape[1] - 1
+    lx = np.where(lx == LOG_ZERO, 0.0, lx)
+    ns = np.arange(J + K + 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # (n, x) layout: the window passes slice whole contiguous rows
+        q = np.multiply.outer(ns, lx) - c[:, None]
+        w = 1
+        while 2 * w <= K + 1:  # q[n]: the max of the first q over n .. n + w - 1
+            q, w = np.maximum(q[:-w], q[w:]), 2 * w
+        window = np.maximum(q[:J + 1], q[K + 1 - w:K + 2 - w + J])
+        bound = (table.T - np.multiply.outer(ns[:J + 1], lx) + window).max(axis=0)
+        finite = lambda a: np.where(np.isfinite(a), np.abs(a), 0.0)
+        scale = (finite(table).max(axis=1) + finite(c).max()
+                 + 2 * (J + K) * np.abs(lx))
+        if extra is not None:
+            bound += extra
+            scale += finite(extra)
+        bound += np.where(scale < 2.0 ** 1023, (1 + scale) * 2.0 ** -49, math.inf)
+    return np.where(np.isnan(bound), math.inf, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ Grammar used by the CLI and config files:
 Points are floats from np.linspace's formula, i (hi - lo)/(n - 1) + lo, hi
 last: a lin grid equals np.linspace bit for bit.  A log grid raises 10 to
 that formula on math.log10 of its ends with libm's pow, not numpy's SIMD
-power, so its points do not depend on the CPU.  The box of a stability
+power, so its points do not depend on the CPU.  ``points`` makes them one
+Python float at a time, with no numpy; the mirrored grids take the formula
+over a numpy int array (the same product, then sum, per point) and one
+libm pow per point of a log grid.  The box of a stability
 check extends a grid past hi by the same formula at i >= n, so the grid's
 points stay the first n of the extension bit for bit.  Points must strictly
 increase: a grid whose span is too narrow for its n in floats is refused
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import repeat
 
 from .errors import PreconditionError
 
@@ -44,24 +47,26 @@ class GridSpec:
         if not math.isfinite(self.hi - self.lo):
             raise PreconditionError("grid span hi - lo overflows a float")
         try:
-            self._iter()  # computes a log grid's top point 10^log10(hi) eagerly
+            self._axis()  # computes a log grid's top point 10^log10(hi)
         except OverflowError:
             raise PreconditionError(f"grid {self.spec_string()}: its top point "
                                     "10^log10(hi) overflows a float; lower its hi") from None
 
-    def _iter(self):
-        """The points one at a time (see the module notes), then on past hi."""
-        log, div = self.kind == "log", self.n - 1
+    def _axis(self) -> tuple:
+        """(at, top): at(i) = i * step + lo, the grid's formula (module notes)
+        for an int i or an int array, on the log10 axis for a log grid, and
+        top the last point, hi or 10^log10(hi)."""
+        log = self.kind == "log"
         lo, hi = (math.log10(self.lo), math.log10(self.hi)) if log else (self.lo, self.hi)
-        step = (hi - lo) / div
-        if log:
-            at, hi = (lambda i: 10.0 ** (i * step + lo)), 10.0 ** hi
-        else:
-            at = lambda i: i * step + lo
-        return chain(map(at, range(div)), (hi,), map(at, count(self.n)))
+        step = (hi - lo) / (self.n - 1)
+        return (lambda i: i * step + lo), 10.0 ** hi if log else hi
 
     def points(self) -> list:
-        pts = list(islice(self._iter(), self.n))
+        """The grid's points as Python floats, with no numpy."""
+        at, top = self._axis()
+        if self.kind == "log":
+            at = lambda i, e=at: 10.0 ** e(i)
+        pts = [*map(at, range(self.n - 1)), top]
         if not all(a < b for a, b in zip(pts, pts[1:])):
             self._refuse_repeats()
         return pts
@@ -88,18 +93,28 @@ class GridSpec:
         return self._mirrored(pad), pad
 
     def _mirrored(self, pad: int = 0):
-        """The grid's points and pad more of _iter, mirrored through 0, with 0
-        once.  The grid's own points are checked before any past hi is made."""
+        """The grid's points and pad more of its formula, mirrored through 0,
+        with 0 once.  The grid's own points are checked before any past hi is
+        made."""
         if self.lo < 0:
             raise PreconditionError(
                 f"grid {self.spec_string()} is mirrored through 0, so it needs lo >= 0")
         import numpy as np
-        it = self._iter()
-        p = np.fromiter(it, float, self.n)
+        at, top = self._axis()
+
+        def made(i):  # the points at the int array i; a log grid's one libm
+            # pow per point reads the exponents as floats, with no list of them
+            with np.errstate(over="ignore"):  # a lin point past hi: checked below
+                e = at(i)
+            if self.kind == "lin":
+                return e
+            return np.fromiter(map(pow, repeat(10.0), memoryview(e)), float, len(e))
+
+        p = np.append(made(np.arange(self.n - 1)), top)
         if not (p[1:] > p[:-1]).all():
             self._refuse_repeats()
         try:
-            p = np.append(p, np.fromiter(it, float, pad))
+            p = np.append(p, made(np.arange(self.n, self.n + pad)))
         except OverflowError:  # a log grid's 10 ** x past hi
             p = [math.inf]
         if not math.isfinite(p[-1]):  # only a point past hi can be

@@ -717,11 +717,15 @@ def test_nuclear_overflow_exits_2(capsys):
       "--lam-seq", "1", "--K", "1000000000"], "--K"),
     (["experiment", "equicont", "--weight", "gevrey:d=0.01", "--x-seq", "1000",
       "--lam-seq", "1", "--n", "1000000000", "--K", "1"], "--n"),
+    # u + x_j = 1e308 + 1e308 for the translate
+    (["experiment", "equicont", "--weight", "gevrey:d=2", "--x-seq", "1e308",
+      "--lam-seq", "1", "--grid", "lin:0.05,1e308,10"], "--x-seq"),
 ], ids=["negative-tiny-d", "compactness-huge-x0", "bounded-tiny-d",
         "bounded-huge-d", "cauchy-huge-B", "weight-check-grid",
         "weight-check-epsilon", "necessary-sigma", "necessary-omega",
         "pi-weight", "pi-mu", "equicont-x-seq", "equicont-huge-x",
-        "equicont-spot-row", "equicont-K", "equicont-n"])
+        "equicont-spot-row", "equicont-K", "equicont-n",
+        "equicont-translate"])
 def test_in_range_value_that_overflows_exits_2(argv, flag, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()

@@ -1,0 +1,226 @@
+"""Row pruning in the weighted-sup kernel: the same bytes as the full scan.
+
+``weighted_log_sup`` bounds every row from above (``_row_bounds``) before its
+block scan, scans the row with the largest bound exactly, and block-scans
+only the rows whose bound is not below that row's max.  Here:
+
+* the pruned kernel against a copy of the unpruned block scan, bit for bit
+  on the value's hex and the witness, over drawn tables with +-inf and NaN
+  entries, x = 0 rows, extras, index caps and exact ties;
+* every row's exact max against its bound, on drawn and on extreme rows;
+* the rows scanned for the bench's p seminorms, pinned;
+* the bench's seminorm variants against the unpruned kernel.
+"""
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gsbench import functions
+from gsbench.functions import (SUP_BLOCK_TERMS, _row_bounds, seminorm_p_lambda,
+                               seminorm_pi, weighted_log_sup)
+from gsbench.logdomain import LOG_ZERO
+from gsbench.weights import ConjugateEvaluator, WeightFunction
+
+from test_functions import seminorm_cases
+
+
+def unpruned_weighted_log_sup(logs, conj, lam, xs=None, K=0, jk_cap=None,
+                              extra=None):
+    """Reference: the kernel's block scan over every row, with no bound."""
+    table = np.asarray(logs, dtype=float)
+    J = table.shape[1] - 1
+    cap = J + K if jk_cap is None else min(jk_cap, J + K)
+    c = np.full(J + K + 1, math.inf)
+    for s in range(cap + 1):
+        c[s] = lam * conj(s / lam)
+    ks = np.arange(1, K + 1)
+    c_jk = c[np.add.outer(np.arange(J + 1), np.arange(K + 1))]
+    rows = max(1, SUP_BLOCK_TERMS // c_jk.size)
+    best, witness = LOG_ZERO, None
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, len(table), rows):
+            v = table[lo:lo + rows, :, None] - c_jk
+            if K:
+                lx = [math.log(abs(x)) if x else LOG_ZERO
+                      for x in np.asarray(xs[lo:lo + len(v)], dtype=float).tolist()]
+                v[:, :, 1:] += np.multiply.outer(lx, ks)[:, None, :]
+            if extra is not None:
+                v += np.asarray(extra[lo:lo + len(v)], dtype=float)[:, None, None]
+            v[np.isnan(v)] = LOG_ZERO
+            i = int(v.argmax())
+            if v.flat[i] > best:
+                best = float(v.flat[i])
+                xi, jk = divmod(i, (J + 1) * (K + 1))
+                witness = (lo + xi, jk // (K + 1), jk % (K + 1))
+    return best, witness
+
+
+log_entry = (st.sampled_from([LOG_ZERO, LOG_ZERO, -2.5, 0.0, 1.0, 3.75,
+                              math.inf, math.nan])
+             | st.floats(-30.0, 30.0))
+
+
+def draw_case(data):
+    """(logs, conj, lam, xs, K, jk_cap, extra) with K >= 1."""
+    J = data.draw(st.integers(0, 6), label="J")
+    K = data.draw(st.integers(1, 5), label="K")
+    n = data.draw(st.integers(2, 12), label="n_x")
+    logs = data.draw(st.lists(st.lists(log_entry, min_size=J + 1, max_size=J + 1),
+                              min_size=n, max_size=n), label="logs")
+    xs = data.draw(st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, -3.0, 1e-300])
+                            | st.floats(-9.0, 9.0), min_size=n, max_size=n),
+                   label="xs")
+    if data.draw(st.booleans(), label="x=0 row"):
+        xs[data.draw(st.integers(0, n - 1))] = 0.0
+    # exact ties: a copy of a row, at x or at -x, placed anywhere; the copy
+    # of a low row ties inside the rows pruned, of the top row among those kept
+    for _ in range(data.draw(st.integers(0, 3), label="copies")):
+        i = data.draw(st.integers(0, len(logs) - 1))
+        at = data.draw(st.integers(0, len(logs)))
+        logs.insert(at, list(logs[i]))
+        xs.insert(at, data.draw(st.sampled_from([1.0, -1.0])) * xs[i])
+    extra = data.draw(st.none() | st.lists(
+        st.sampled_from([0.0, -1.0, 2.0, math.inf, -math.inf])
+        | st.floats(-5.0, 5.0), min_size=len(xs), max_size=len(xs)),
+        label="extra")
+    jk_cap = data.draw(st.none() | st.integers(0, J + K), label="jk_cap")
+    lam = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3]), label="lam")
+    if data.draw(st.booleans(), label="gevrey conjugate"):
+        d = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]), label="d")
+        conj = ConjugateEvaluator(WeightFunction.gevrey(d))
+    else:  # any table, not even monotone
+        table = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0])
+                                   | st.floats(-10.0, 10.0),
+                                   min_size=J + K + 1, max_size=J + K + 1),
+                          label="phi*(s/lam)")
+        conj = lambda t: table[round(t * lam)]
+    return logs, conj, lam, xs, K, jk_cap, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pruned_kernel_equals_the_unpruned_scan(data):
+    # small blocks, so that the rows span several and pruning engages
+    block = data.draw(st.sampled_from([1, 8, 40, 200]), label="block")
+    logs, conj, lam, xs, K, jk_cap, extra = draw_case(data)
+    with mock.patch.object(functions, "SUP_BLOCK_TERMS", block):
+        got = weighted_log_sup(logs, conj, lam, xs, K, jk_cap, extra)
+        want = unpruned_weighted_log_sup(logs, conj, lam, xs, K, jk_cap, extra)
+    assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+    assert type(got[0]) is float
+    assert got[1] is None or all(type(i) is int for i in got[1])
+
+
+def bounds_and_row_maxima(logs, conj, lam, xs, K, jk_cap, extra):
+    table = np.asarray(logs, dtype=float)
+    J = table.shape[1] - 1
+    cap = J + K if jk_cap is None else min(jk_cap, J + K)
+    c = np.array([lam * conj(s / lam) if s <= cap else math.inf
+                  for s in range(J + K + 1)])
+    lx = np.array([math.log(abs(x)) if x else LOG_ZERO for x in xs])
+    e = None if extra is None else np.asarray(extra, dtype=float)
+    bound = _row_bounds(table, c, lx, e, K)
+    maxima = [unpruned_weighted_log_sup(
+        [row], conj, lam, [xs[i]], K, jk_cap,
+        None if extra is None else [extra[i]])[0] for i, row in enumerate(logs)]
+    return bound, maxima
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_row_max_is_within_its_bound(data):
+    case = draw_case(data)
+    bound, maxima = bounds_and_row_maxima(*case)
+    assert not np.isnan(bound).any()
+    for b, m in zip(bound.tolist(), maxima):
+        assert m <= b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bound_holds_where_the_parts_are_large_and_cancel(data):
+    # terms near a part's magnitude times 2^-53: log|f| and phi* of order
+    # 1e12 that cancel to O(1), |x| up to 1e300, powers up to 40
+    J = data.draw(st.integers(0, 20), label="J")
+    K = data.draw(st.integers(1, 20), label="K")
+    big = data.draw(st.sampled_from([1e3, 1e8, 1e12, 1e15]), label="scale")
+    n = data.draw(st.integers(1, 6), label="n_x")
+    c_table = data.draw(st.lists(st.floats(-big, big), min_size=J + K + 1,
+                                 max_size=J + K + 1), label="c")
+    logs = [[c_table[j] + data.draw(st.floats(-3.0, 3.0)) for j in range(J + 1)]
+            for _ in range(n)]
+    xs = data.draw(st.lists(st.sampled_from([1e-300, 1e-8, 0.999, 1.001, 1e8, 1e300])
+                            | st.floats(-1e300, 1e300).filter(bool),
+                            min_size=n, max_size=n), label="xs")
+    extra = data.draw(st.none() | st.lists(st.floats(-big, big),
+                                           min_size=n, max_size=n), label="extra")
+    bound, maxima = bounds_and_row_maxima(
+        logs, lambda t: c_table[round(t)], 1.0, xs, K, None, extra)
+    for b, m in zip(bound.tolist(), maxima):
+        assert m <= b
+
+
+def test_bound_keeps_rows_with_nan_or_unbounded_parts():
+    conj = ConjugateEvaluator(WeightFunction.gevrey(2))
+    logs = [[0.0, math.nan], [math.inf, 0.0], [0.0, 0.0], [LOG_ZERO, LOG_ZERO]]
+    bound, maxima = bounds_and_row_maxima(logs, conj, 1.0, [1.0, 2.0, 3.0, 4.0],
+                                          2, None, [0.0, 0.0, math.inf, 0.0])
+    assert bound.tolist()[:3] == [math.inf] * 3
+    assert bound[3] == LOG_ZERO == maxima[3]
+
+
+def spy_scans(monkeypatch):
+    """Record the rows handed to the bound and to each block scan."""
+    seen = {"bounded": [], "scanned": []}
+    bounds, scan = functions._row_bounds, functions._block_sup
+
+    def spy_bounds(table, *args):
+        seen["bounded"].append(len(table))
+        return bounds(table, *args)
+
+    def spy_scan(table, *args):
+        seen["scanned"].append(len(table))
+        return scan(table, *args)
+
+    monkeypatch.setattr(functions, "_row_bounds", spy_bounds)
+    monkeypatch.setattr(functions, "_block_sup", spy_scan)
+    return seen
+
+
+def test_bench_p_seminorms_scan_one_row_of_grid_and_box(monkeypatch):
+    # the grid's 161 rows x <= 0 and the box's 201 at J = K = 20: one row is
+    # scanned for the threshold, and it is the only row kept
+    for f, family, lam, w, grid in seminorm_cases():
+        if family != "p":
+            continue
+        seen = spy_scans(monkeypatch)
+        seminorm_p_lambda(f, lam, w, grid, 20, 20)
+        assert seen == {"bounded": [161, 201], "scanned": [1, 1, 1, 1]}, \
+            (f.label, w.label, grid)
+
+
+def test_one_block_and_k_zero_scans_skip_the_bound(monkeypatch):
+    # pi has no power k; a composed table of a few rows fits one block
+    seen = spy_scans(monkeypatch)
+    f, _, lam, w, grid = next(seminorm_cases())
+    seminorm_pi(f, lam, lam, w, grid, 20)
+    rows = SUP_BLOCK_TERMS // (21 * 21)
+    logs = np.zeros((rows, 21))
+    weighted_log_sup(logs, ConjugateEvaluator(w), 1.0, np.ones(rows), 20)
+    assert seen == {"bounded": [], "scanned": [161, 201, rows]}
+
+
+@pytest.mark.parametrize("case", list(seminorm_cases()),
+                         ids=lambda c: f"{c[0].label}-{c[1]}-{c[3].label}-{c[4].hi:g}")
+def test_bench_seminorms_equal_the_unpruned_kernel(case, monkeypatch):
+    f, family, lam, w, grid = case
+    run = ((lambda: seminorm_p_lambda(f, lam, w, grid, 20, 20)) if family == "p"
+           else (lambda: seminorm_pi(f, lam, lam, w, grid, 20)))
+    got = run()
+    monkeypatch.setattr(functions, "weighted_log_sup", unpruned_weighted_log_sup)
+    want = run()
+    assert (got.value_log.hex(), got.witness, got.stable) == (
+        want.value_log.hex(), want.witness, want.stable)
