@@ -18,7 +18,7 @@ from .errors import CapabilityError, PreconditionError, SearchExhaustedError
 from .fdb import log_bell_table, log_compose_table
 from .functions import ModelFunction, mirrored_half, weighted_log_sup
 from .grids import DEFAULT_X_GRID, GridSpec
-from .logdomain import LOG_ZERO
+from .logdomain import LOG_ZERO, LogReal
 from .reports import ChainReport, Result
 from .weights import ConjugateEvaluator, WeightFunction, weight_values
 # the scalar chains live in the numpy-free ``chains``; callers may name them here
@@ -190,11 +190,12 @@ def sufficient_condition_check(psi: ModelFunction, w: WeightFunction, a: float,
     lp = [-p * math.log1p(abs(v)) for v in psis]
     for m in m_list:
         best, at = weighted_log_sup(tables, conj, m, extra=lp)
-        best_half, _ = weighted_log_sup(tables[:, :jmax // 2 + 1], conj, m,
-                                        extra=lp)
+        # a witness at j <= jmax // 2 is the half sup's too, bit for bit
+        growing = at is not None and at[1] > jmax // 2 and best > weighted_log_sup(
+            tables[:, :jmax // 2 + 1], conj, m, extra=lp)[0] + 1e-6
         witness = None if at is None else {"j": at[1], "x": float(xs[at[0]])}
         rep.per_m[int(m)] = {"log_C_m": best, "witness": witness,
-                             "growing": best > best_half + 1e-6}
+                             "growing": growing}
     return rep
 
 
@@ -281,19 +282,13 @@ def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
     """Measured C = max over the grid of sigma(x) / (1 + omega(psi(x))),
     with a trend flag comparing against the inner half-radius maximum.  For
     even or odd psi, only the grid's rows x <= 0 are read (``mirrored_half``)."""
-    xs = grid.symmetric_points()
-    c = len(xs) // 2  # xs[c] = 0 and xs[c + i] = -xs[c - i]
-    xs = mirrored_half(xs, psi.parity)
-    sig = np.empty(c + 1)
+    xs = mirrored_half(grid.symmetric_points(), psi.parity)
     best, best_x, inner_best = -math.inf, 0.0, -math.inf
     half = grid.hi / 2.0
     # blocks keep the arrays small on large grids; a NaN ratio never wins
     for lo in range(0, len(xs), NECESSARY_BLOCK):
         xb = xs[lo:lo + NECESSARY_BLOCK]
-        # sigma(x) = sigma(|x|): evaluated at x <= 0, mirrored past x = 0
-        k = min(lo + NECESSARY_BLOCK, c + 1)
-        sig[lo:k] = weight_values(w_sigma, xs[lo:k], "--sigma")
-        sigma = sig[c - np.abs(np.arange(lo, lo + len(xb)) - c)]
+        sigma = weight_values(w_sigma, xb, "--sigma")
         omega = weight_values(w_omega, psi.values(xb), "--omega")
         with np.errstate(invalid="ignore"):  # inf / inf
             ratio = sigma / (1.0 + omega)
@@ -328,7 +323,7 @@ class EquicontinuityResult(Result):
 
 def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
                             w: WeightFunction, n: int, K: int,
-                            f: ModelFunction = None,
+                            f: ModelFunction,
                             grid: GridSpec = None) -> EquicontinuityResult:
     """C_n = sup_j exp((-lambda_j + m) omega(x_j) + m) with m = K n, plus spot
     checks that the scaled translations satisfy
@@ -336,41 +331,36 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
     if len(x_seq) != len(lambda_seq) or not x_seq:
         raise PreconditionError("x and lambda sequences must be equal-length, nonempty")
     m = K * n
-    warning = all(lam <= m for lam in lambda_seq)
     omegas = weight_values(w, x_seq, "--weight").tolist()  # omega(x_j)
-    best, best_j = -math.inf, 0
-    for j, (w_j, lam_j) in enumerate(zip(omegas, lambda_seq), start=1):
-        v = (-lam_j + m) * w_j + m
-        if v > best:
-            best, best_j = v, j
+    vs = [(-lam_j + m) * w_j + m for w_j, lam_j in zip(omegas, lambda_seq)]
+    best = max(vs)  # log C_n, first attained at j = argmax_j
     result = EquicontinuityResult(
-        log_C_n=best, C_n=math.exp(best) if best < 700 else math.inf,
-        argmax_j=best_j, m=m, lambda_warning=warning)
+        log_C_n=best, C_n=LogReal(1, best).to_float(),
+        argmax_j=vs.index(best) + 1, m=m,
+        lambda_warning=all(lam <= m for lam in lambda_seq))
 
-    if f is not None:
-        conj = ConjugateEvaluator(w)
-        us = (grid or DEFAULT_X_GRID).symmetric_points()
-        logs_f = f.log_jet_table(us, EQUICONT_J)[1]
-        # pi_{m,m}(f) on the box: its rows x <= 0 for even or odd f
-        half = mirrored_half(us, f.parity)
-        pi_m, _ = weighted_log_sup(logs_f[:len(half)], conj, m,
-                                   extra=weight_values(w, half, "--weight", m, "--K"))
-        idxs = sorted({1, len(x_seq) // 2 + 1, len(x_seq)})
-        for j in idxs:
-            x_j, lam_j = x_seq[j - 1], lambda_seq[j - 1]
-            # pi_{n,n} of the translate, read at the translated argument
-            with np.errstate(over="ignore"):
-                moved = us + x_j
-            if not np.isfinite(moved).all():
-                raise PreconditionError(
-                    f"--x-seq: the translate u + x_j of the grid's |u| <= "
-                    f"{float(np.abs(us).max()):g} by x_j = {x_j:g} overflows a float")
-            pi_n, _ = weighted_log_sup(logs_f, conj, n, extra=weight_values(
-                w, moved, "--weight", n, "--n"))
-            lhs = pi_n - lam_j * omegas[j - 1]
-            rhs = best + pi_m
-            result.spot_rows.append({"j": j, "log_lhs": lhs, "log_rhs": rhs,
-                                     "verdict": lhs <= rhs + 1e-9})
+    conj = ConjugateEvaluator(w)
+    us = (grid or DEFAULT_X_GRID).symmetric_points()
+    logs_f = f.log_jet_table(us, EQUICONT_J)[1]
+    # pi_{m,m}(f) on the box: its rows x <= 0 for even or odd f
+    half = mirrored_half(us, f.parity)
+    pi_m, _ = weighted_log_sup(logs_f[:len(half)], conj, m,
+                               extra=weight_values(w, half, "--weight", m, "--K"))
+    for j in sorted({1, len(x_seq) // 2 + 1, len(x_seq)}):
+        x_j, lam_j = x_seq[j - 1], lambda_seq[j - 1]
+        # pi_{n,n} of the translate, read at the translated argument
+        with np.errstate(over="ignore"):
+            moved = us + x_j
+        if not np.isfinite(moved).all():
+            raise PreconditionError(
+                f"--x-seq: the translate u + x_j of the grid's |u| <= "
+                f"{float(np.abs(us).max()):g} by x_j = {x_j:g} overflows a float")
+        pi_n, _ = weighted_log_sup(logs_f, conj, n, extra=weight_values(
+            w, moved, "--weight", n, "--n"))
+        lhs = pi_n - lam_j * omegas[j - 1]
+        rhs = best + pi_m
+        result.spot_rows.append({"j": j, "log_lhs": lhs, "log_rhs": rhs,
+                                 "verdict": lhs <= rhs + 1e-9})
     return result
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import CapabilityError, DegenerateInputError, PreconditionError
 from .fdb import Jet
 from .grids import BOX_GROWTH, GridSpec
-from .logdomain import LOG_ZERO
+from .logdomain import LOG_ZERO, LogReal
 from .reports import Result
 from . import specs
 from .specs import check_gbump, check_monbump, check_pow1px2, label_real
@@ -167,7 +167,7 @@ class ExpSqr(_ExpQuadratic):
     s = 1
 
     def value(self, x: float) -> float:
-        return math.exp(x * x) if x * x < 700 else math.inf
+        return LogReal(1, x * x).to_float()  # inf past the float range
 
 
 class Polynomial(ModelFunction):

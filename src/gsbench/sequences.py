@@ -256,9 +256,18 @@ def _tail_bound(M: WeightSequence, J: int) -> Optional[float]:
 
 def check_sequence_conditions(M: WeightSequence, P: int) -> SequenceConditionReport:
     """Audit (M0)-(M2), (gamma_1), (M3)' and the Petzsche quotient criterion
-    on indices p <= P, with tails past J = 10 P estimated by an integral bound."""
+    on indices p <= P, with tails past J = 10 P estimated by an integral bound.
+    A constant past the float range raises PreconditionError naming --sequence."""
     if P < 50:
         raise PreconditionError("P must be >= 50")
+    try:
+        return _audit_sequence(M, P)
+    except OverflowError:
+        raise PreconditionError(f"--sequence: a constant of {M.label} overflows "
+                                f"a float on the audit to p <= {P}") from None
+
+
+def _audit_sequence(M: WeightSequence, P: int) -> SequenceConditionReport:
     J = 10 * P
     rep = SequenceConditionReport(sequence=M.label, P=P, J=J)
     q = [None, *(M.log_m(p) for p in range(1, J + 1))]  # log m_p at index p
@@ -305,7 +314,7 @@ def check_sequence_conditions(M: WeightSequence, P: int) -> SequenceConditionRep
                    "verdict": tail is not None}
 
     # Petzsche: liminf_{j} m_{Qj}/m_j > 1 for some integer Q
-    per_Q = {Q: min(math.exp(q[Q * j] - q[j]) for j in range(max(1, P // 2), P + 1))
+    per_Q = {Q: math.exp(min(q[Q * j] - q[j] for j in range(max(1, P // 2), P + 1)))
              for Q in range(2, 9)}
     Q = next((Q for Q, low in per_Q.items() if low > 1.0 + 1e-9), None)
     rep.petzsche = {"per_Q": per_Q, "Q": Q, "best_liminf": max(per_Q.values()),

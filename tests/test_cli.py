@@ -793,6 +793,43 @@ def test_sequence_table_whose_step_overflows_exits_2(tmp_path, capsys):
     assert "at p=2 overflows a float" in out.err
 
 
+# log M_p = 2 p^2: m_p = e^(4p - 2), so each Petzsche quotient m_{Qj}/m_j =
+# e^(4 (Q-1) j) overflows a float at j = 50 while its liminf over
+# 25 <= j <= 50, e^(100 (Q-1)), does not: a full report, exit 1 ((M2) fails).
+# log M_p = 1000 p: (M0)'s c = e^(1000 - log 51) is past the float range,
+# which no float audit can report: exit 2
+@pytest.mark.parametrize("log_M, code", [(lambda p: 2 * p * p, 1),
+                                         (lambda p: 1000 * p, 2)],
+                         ids=["2p^2", "1000p"])
+def test_steep_sequence_table_reports_or_exits_2(log_M, code, tmp_path, capsys):
+    table = tmp_path / "seq.csv"
+    table.write_text("p,logM\n" + "".join(f"{p},{log_M(p)}\n" for p in range(601)))
+    argv = ["sequence-check", "--sequence", f"table:{table}", "--pmax", "50"]
+    assert main(argv) == code
+    warm = capsys.readouterr()
+    r = run_cold(*argv)
+    err, probe = split_probe(r.stderr)
+    assert (r.returncode, r.stdout, err) == (code, warm.out, warm.err)
+    assert probe.startswith("numpy=False ") and "Traceback" not in err
+    if code == 2:
+        assert warm.out == "" and warm.err == (
+            f"gsbench: error: --sequence: a constant of table:{table} "
+            "overflows a float on the audit to p <= 50\n")
+        return
+    rep = json.loads(warm.out, parse_constant=_reject_constant)
+    assert rep["petzsche"]["per_Q"] == {str(Q): math.exp(100.0 * (Q - 1))
+                                        for Q in range(2, 9)}
+    assert rep["petzsche"]["Q"] == 2 and rep["m2"]["verdict"] is False
+
+
+def test_equicont_c_n_is_finite_wherever_exp_is(capsys):
+    # log C_n = 1.5 sqrt(219650) + 2 = 705.0, and e^705 = 1.509e306
+    assert main(["experiment", "equicont", "--weight", "gevrey:d=2", "--x-seq",
+                 "219650", "--lam-seq", "0.5", "--n", "1", "--K", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rep["log_C_n"] > 700 and rep["C_n"] == math.exp(rep["log_C_n"])
+
+
 # -- end-to-end CLI ---------------------------------------------------------
 
 def test_conjugate_near_zero_at_sd_equals_e():
@@ -903,6 +940,15 @@ def test_fdb_cli_exact():
                 "--base", "0", "--order", "2")
     assert r.returncode == 0
     assert json.loads(r.stdout)["value"] == "2"
+
+
+def test_fdb_order_past_the_jets_exits_2(capsys):
+    # jets of order 1 hold no third derivative
+    assert main(["fdb", "--h", '["1","1"]', "--psi", '["0","1"]',
+                 "--order", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "gsbench: error: order mismatch: need order >= 3, got h:1 psi:1\n")
 
 
 def test_experiment_writes_csv_and_json(tmp_path):

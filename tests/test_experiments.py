@@ -16,7 +16,7 @@ from gsbench.experiments import (NECESSARY_BLOCK, bounded_derivative_chain,
                                  negative_chain, nuclearity_sum,
                                  sufficient_condition_check)
 from gsbench.functions import (Gaussian, Polynomial, Pow1px2, Sqrt1px2,
-                               parse_function)
+                               mirrored_half, parse_function, weighted_log_sup)
 from gsbench.fdb import Jet, faa_di_bruno, single_jet_compose
 from gsbench.grids import GridSpec
 from gsbench.logdomain import LOG_ZERO, LogReal
@@ -293,6 +293,80 @@ def test_sufficient_cm_stable_under_doubling_jmax():
                                                   abs=1e-9)
 
 
+def two_scan_sufficient(psi, w, a, m_list, grid, jmax):
+    """Oracle: sufficient_condition_check's per_m as it scanned each m's
+    table twice, to jmax and to jmax // 2, whatever the witness."""
+    conj_omega = ConjugateEvaluator(w)
+    conj = lambda s: conj_omega(a * s)
+    xs = mirrored_half(grid.symmetric_points(), psi.parity)
+    tables = psi.log_jet_table(xs, jmax)[1]
+    tables[:, 0] = LOG_ZERO
+    lp = [-(a - 1.0) * math.log1p(abs(v)) for v in psi.values(xs).tolist()]
+    per_m = {}
+    for m in m_list:
+        best, at = weighted_log_sup(tables, conj, m, extra=lp)
+        best_half, _ = weighted_log_sup(tables[:, :jmax // 2 + 1], conj, m,
+                                        extra=lp)
+        witness = None if at is None else {"j": at[1], "x": float(xs[at[0]])}
+        per_m[m] = (best.hex(), witness, best > best_half + 1e-6)
+    return per_m
+
+
+def _per_m(rep):
+    return {m: (rec["log_C_m"].hex(), rec["witness"], rec["growing"])
+            for m, rec in rep.per_m.items()}
+
+
+# gevrey d < 1 and high-order psi put the witness above jmax // 2
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([SQUARE, CUBE, Polynomial([1, -3, 0, 2, 0, 0, 1]),
+                        Polynomial([0, 0, 0, 0, 5]), Polynomial([0]), Gaussian(),
+                        parse_function("expsqr"), Sqrt1px2()]),
+       st.sampled_from([W2, WeightFunction.gevrey(0.5), WeightFunction.gevrey(1.25),
+                        WeightFunction.logpow(2)]),
+       st.sampled_from([0.75, 1.0, 1.5, 2.5]),
+       st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
+       st.sampled_from(["lin", "log"]), st.floats(0.05, 2.0), st.floats(0.5, 6.0),
+       st.integers(2, 40), st.integers(1, 12))
+@example(Gaussian(), WeightFunction.gevrey(0.5), 1.5, [1, 2, 4], "lin", 0.05,
+         2.95, 30, 7)  # witness j = 7 > 3 at every m, growing
+@example(Polynomial([1, -3, 0, 2, 0, 0, 1]), WeightFunction.gevrey(0.5), 1.5,
+         [1, 2, 4], "lin", 0.05, 2.95, 30, 7)  # j = 2, 5 and 6
+@example(parse_function("expsqr"), WeightFunction.logpow(2), 1.5, [2], "lin",
+         0.05, 2.95, 30, 4)  # j = 3 = jmax // 2 + 1, growing
+@example(Polynomial([0]), W2, 1.5, [1], "lin", 0.05, 1.0, 4, 3)  # no witness
+def test_sufficient_equals_the_two_scan_oracle(psi, w, a, m_list, kind, lo,
+                                               span, n, jmax):
+    grid = GridSpec(kind, lo, lo + span, n)
+    rep = sufficient_condition_check(psi, w, a, m_list, grid, jmax)
+    assert _per_m(rep) == two_scan_sufficient(psi, w, a, m_list, grid, jmax)
+
+
+# the bench's scan.sufficient variants: witness j = 1 at every m
+BENCH_SUFFICIENT = [(WeightFunction.gevrey(d), m_list,
+                     GridSpec("lin", 0.05, 6.0 + 0.25 * k, 120))
+                    for k, (d, m_list) in enumerate(zip(
+                        (2.0, 2.25, 2.5, 1.75),
+                        ((1, 2, 4), (1, 2, 3), (1, 3, 4), (2, 3, 4))))]
+
+
+@pytest.mark.parametrize("w, m_list, grid", BENCH_SUFFICIENT,
+                         ids=lambda c: getattr(c, "label", None))
+def test_bench_sufficient_scans_once_per_m(w, m_list, grid, monkeypatch):
+    calls = []
+
+    def spy(table, *args, **kw):
+        calls.append(np.shape(table))
+        return weighted_log_sup(table, *args, **kw)
+
+    monkeypatch.setattr(experiments, "weighted_log_sup", spy)
+    rep = sufficient_condition_check(SQUARE, w, 1.5, list(m_list), grid, 15)
+    assert calls == [(121, 16)] * len(m_list)
+    assert [rec["witness"]["j"] for rec in rep.per_m.values()] == [1] * len(m_list)
+    monkeypatch.undo()
+    assert _per_m(rep) == two_scan_sufficient(SQUARE, w, 1.5, m_list, grid, 15)
+
+
 # -- composed seminorm ------------------------------------------------------
 
 def test_composed_seminorm_degenerate_has_no_stability_verdict():
@@ -368,27 +442,6 @@ def test_necessary_growth_matches_pointwise_loop(psi, w_sigma, w_omega, kind,
     assert res.grows_with_radius is grows
 
 
-def per_point_sigma_necessary_growth(psi, w_sigma, w_omega, grid):
-    """Oracle: necessary_growth as it evaluated sigma at every grid point,
-    block by block, not once per |x|."""
-    xs = grid.symmetric_points()
-    best, best_x, inner_best = -math.inf, 0.0, -math.inf
-    half = grid.hi / 2.0
-    for lo in range(0, len(xs), NECESSARY_BLOCK):
-        xb = xs[lo:lo + NECESSARY_BLOCK]
-        sigma = w_sigma.values(xb)
-        omega = w_omega.values(psi.values(xb))
-        with np.errstate(invalid="ignore"):
-            ratio = sigma / (1.0 + omega)
-        ratio[np.isnan(ratio)] = -math.inf
-        i = int(ratio.argmax())
-        if ratio[i] > best:
-            best, best_x = float(ratio[i]), float(xb[i])
-        inner_best = max(inner_best,
-                         float(ratio[np.abs(xb) <= half].max(initial=-math.inf)))
-    return best, best_x, best > inner_best + 1e-9
-
-
 @pytest.mark.parametrize("psi, w_sigma, w_omega, grid", [
     *((SQUARE, WeightFunction.gevrey(d), WeightFunction.gevrey(d),
        GridSpec("log", 1e-3, 1e3 * (1 + 0.25 * k), 20000))
@@ -401,9 +454,10 @@ def per_point_sigma_necessary_growth(psi, w_sigma, w_omega, grid):
 ], ids=["scan0", "scan1", "scan2", "scan3", "lin-shifted-square",
         "log-cubic-logpow", "lin-odd-cube"])
 def test_necessary_growth_equals_per_point_sigma(psi, w_sigma, w_omega, grid):
+    # the bench's four necessary grids and three without mirror symmetry,
+    # against the loop that evaluates sigma at every point
     res = necessary_growth(psi, w_sigma, w_omega, grid)
-    best, best_x, grows = per_point_sigma_necessary_growth(psi, w_sigma,
-                                                           w_omega, grid)
+    best, best_x, grows = naive_necessary_growth(psi, w_sigma, w_omega, grid)
     assert [res.C.hex(), res.argmax_x.hex()] == [best.hex(), best_x.hex()]
     assert res.grows_with_radius is grows
 
@@ -465,13 +519,52 @@ def test_equicontinuity_spot_checks():
 
 
 def test_equicontinuity_warning_when_lambda_small():
-    res = equicontinuity_constant([1.0, 2.0], [1.0, 1.0], W2, n=1, K=2)
+    res = equicontinuity_constant([1.0, 2.0], [1.0, 1.0], W2, n=1, K=2,
+                                  f=Gaussian())
     assert res.lambda_warning  # lambda_j <= m = 2 everywhere
 
 
 def test_equicontinuity_bad_lengths():
     with pytest.raises(PreconditionError):
-        equicontinuity_constant([1.0], [1.0, 2.0], W2, 1, 2)
+        equicontinuity_constant([1.0], [1.0, 2.0], W2, 1, 2, Gaussian())
+
+
+def loop_log_c_n(x_seq, lambda_seq, w, m):
+    """Oracle: (log C_n, argmax_j) by a strict-greater loop over j, so the
+    first of tied maxima wins."""
+    best, best_j = None, None
+    for j, (x_j, lam_j) in enumerate(zip(x_seq, lambda_seq), start=1):
+        v = (-lam_j + m) * w(x_j) + m
+        if best is None or v > best:
+            best, best_j = v, j
+    return best, best_j
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.0, 4.0, 1e3]),
+                          st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 8.0, 1e308])),
+                min_size=1, max_size=6),
+       st.sampled_from([W2, WeightFunction.gevrey(1), WeightFunction.logpow(2)]),
+       st.integers(1, 3), st.integers(1, 3))
+@example([(2.0, 1.0), (2.0, 1.0), (4.0, 3.0)], W2, 1, 2)  # a tie at j = 1, 2
+@example([(1e3, 1e308), (4.0, 1e308)], W2, 1, 2)  # every v = -inf
+def test_equicontinuity_constant_is_the_loops_first_max(pairs, w, n, K):
+    xs, lams = [x for x, _ in pairs], [lam for _, lam in pairs]
+    res = equicontinuity_constant(xs, lams, w, n, K, Gaussian(),
+                                  GridSpec("lin", 0.5, 2.0, 4))
+    best, best_j = loop_log_c_n(xs, lams, w, n * K)
+    assert (res.log_C_n.hex(), res.argmax_j) == (best.hex(), best_j)
+
+
+def test_equicontinuity_c_n_is_inf_only_past_the_float_range():
+    # omega(219650) = 468.67..., so log C_n = 1.5 omega + 2 = 705.0:
+    # e^705 = 1.509e306 is a float
+    res = equicontinuity_constant([219650.0], [0.5], W2, 1, 2, Gaussian())
+    assert res.log_C_n == pytest.approx(705.0, abs=0.01)
+    assert res.C_n == math.exp(res.log_C_n) == pytest.approx(1.509e306, rel=1e-3)
+    res = equicontinuity_constant([1e6], [0.0], W2, 100, 2, Gaussian(),
+                                  GridSpec("lin", 0.05, 2.0, 10))
+    assert res.log_C_n > 709.8 and res.C_n == math.inf
 
 
 # -- Cauchy bound -----------------------------------------------------------

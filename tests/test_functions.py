@@ -128,6 +128,47 @@ def test_monomial_bump_prescribed_jet():
         b.jet(0.5, 3)
 
 
+@pytest.mark.parametrize("n, a, r, gamma", [(2, 1, 1.0, 1.0),
+                                             (3, Fraction(-5, 2), 2.0, 0.5)])
+def test_monomial_bump_value_is_the_monomial_times_its_cutoff(n, a, r, gamma):
+    b = MonomialBump(n, a, r=r, gamma=gamma)
+    mono = lambda x: float(Fraction(a)) * x ** n / math.factorial(n)
+    # chi = 1 on |x| <= r/2 and 0 on |x| >= r
+    for x in (0.0, 0.1 * r, -0.3 * r, 0.5 * r, -0.5 * r):
+        assert b.value(x) == mono(x)
+    for x in (r, -r, 1.5 * r, -40.0):
+        assert b.value(x) == 0.0
+    # in between, the bridge b / (b + b1) of t = (r - |x|) / (r/2)
+    for x in (0.55 * r, -0.7 * r, 0.75 * r, -0.9 * r, 0.99 * r):
+        t = (r - abs(x)) / (r / 2.0)
+        e, e1 = math.exp(-t ** -gamma), math.exp(-(1.0 - t) ** -gamma)
+        chi = e / (e + e1)
+        assert 0.0 < chi < 1.0 and b.value(x) == mono(x) * chi
+    xs = np.linspace(-1.2 * r, 1.2 * r, 97)
+    assert hexes(b.values(xs)) == hexes(b.value(x) for x in xs.tolist())
+
+
+def test_smooth_step_ends_and_midpoint():
+    step = functions._smooth_step
+    assert [step(t, 1.0) for t in (-1.0, 0.0, 1.0, 2.0)] == [0.0, 0.0, 1.0, 1.0]
+    assert step(0.5, 1.0) == step(0.5, 3.0) == 0.5  # b = b1 at t = 1/2
+    # increasing; strictly inside (0, 1) where neither exponential is
+    # negligible next to the other
+    vals = [step(i / 64, 1.0) for i in range(65)]
+    assert all(0.0 <= u <= v <= 1.0 for u, v in zip(vals, vals[1:]))
+    assert all(0.0 < u < v < 1.0 for u, v in zip(vals[8:56], vals[9:57]))
+
+
+def test_expsqr_value_is_inf_only_past_the_float_range():
+    # exp(26.5^2) = exp(702.25) = 9.6e304 is a float; exp(26.7^2) is not
+    assert ExpSqr().value(26.5) == math.exp(702.25) == pytest.approx(9.62e304,
+                                                                     rel=1e-3)
+    assert ExpSqr().value(-26.5) == ExpSqr().value(26.5)
+    assert ExpSqr().value(26.7) == ExpSqr().value(-1e200) == math.inf
+    assert hexes(ExpSqr().values([26.5, 26.7])) == hexes([math.exp(702.25),
+                                                          math.inf])
+
+
 def test_gevrey_bump_support():
     b = GevreyBump(1.0, 1.0)
     assert b.value(1.0) == 0.0
