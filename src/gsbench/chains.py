@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import PreconditionError, RegimeError
+from .errors import PreconditionError
 from .logdomain import log_sum_exp
 from .reports import ChainReport
 from .weights import (ConjugateEvaluator, WeightFunction, find_log_scaling_constant,
@@ -35,10 +35,10 @@ def _block_threshold(c_sigma: ConjugateEvaluator, c_tilde: ConjugateEvaluator,
 
     s0 = first_true(holds, 1, S_CAP)
     if s0 is None:
-        raise RegimeError(f"block threshold exceeds {S_CAP}; weights too close")
+        raise PreconditionError(f"--dprime: block threshold exceeds {S_CAP}; weights too close")
     # guard against stray non-monotonicity just past the boundary
     if not all(holds(s) for s in range(s0, s0 + 64)):
-        raise RegimeError("block boundary not clean; condition not monotone")
+        raise PreconditionError("--dprime: block boundary not clean; condition not monotone")
     return s0
 
 
@@ -48,7 +48,7 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
     psi' >= psi^k: block construction, stationary points x_j, and the
     divergent lower bound exp(j - 2 lambda_j L), all checked row by row."""
     if not d <= d_prime < (k + 1) * d:
-        raise RegimeError(
+        raise PreconditionError(
             f"--dprime: need d <= d' < (k+1)d, got d={d:g}, d'={d_prime:g}, "
             f"(k+1)d={(k + 1) * d:g}: the little-o comparison fails")
     omega = WeightFunction.gevrey(d)
@@ -75,7 +75,7 @@ def negative_chain(d: float, k: float, d_prime: float, jmax: int,
         for m in range(1, len(j_bounds)):
             if j_bounds[m - 1] < j <= j_bounds[m]:
                 return m
-        raise RegimeError(f"index {j} not covered by blocks")
+        raise PreconditionError(f"index {j} not covered by blocks")
 
     log_thresh = math.log(threshold)
     report = ChainReport(
@@ -138,7 +138,7 @@ def nuclearity_sum(w: WeightFunction, m: int, L: int,
         bound = math.exp(m * L) / (math.e - 1.0)
     except OverflowError:
         raise PreconditionError(
-            f"m*L = {m * L} exceeds log(float max); the bound e^(mL)/(e-1) "
+            f"--m, --L: m*L = {m * L} exceeds log(float max); the bound e^(mL)/(e-1) "
             "overflows") from None
     conj = ConjugateEvaluator(w)
     ell = L * m

@@ -5,33 +5,9 @@ class GsbenchError(Exception):
     """Base class for workbench errors."""
 
 
-class RangeError(GsbenchError):
-    """Input outside the supported/tabulated range."""
-
-
-class BracketError(GsbenchError):
-    """Numeric supremum failed to bracket a maximum."""
-
-
 class PreconditionError(GsbenchError):
     """A stated precondition failed, with a witness in the message."""
 
 
-class RegimeError(GsbenchError):
-    """Parameters outside the regime where the statement applies."""
-
-
 class TruncationError(GsbenchError):
     """A truncated scan hit its cap; rerun with a larger cap."""
-
-
-class CapabilityError(GsbenchError):
-    """Requested operation not supported by this function family."""
-
-
-class DegenerateInputError(GsbenchError):
-    """Too little usable data to produce the requested estimate."""
-
-
-class SearchExhaustedError(GsbenchError):
-    """A witness search ran out of budget without success."""

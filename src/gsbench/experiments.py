@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, PreconditionError, SearchExhaustedError
+from .errors import PreconditionError
 from .fdb import log_bell_table, log_compose_table
 from .functions import ModelFunction, mirrored_half, weighted_log_sup
 from .grids import DEFAULT_X_GRID, GridSpec
@@ -52,7 +52,7 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
     psi_log = np.array([[v.log_abs for v in psi_jet.values]])
     if psi_sign[0, 1] == 0 or psi_log[0, 1] <= 0.0:
         raise PreconditionError(
-            f"|psi'(x0)| = {abs(psi_jet.entry_float(1)):g} <= 1 at x0={x0:g}; "
+            f"--x0: |psi'(x0)| = {abs(psi_jet.entry_float(1)):g} <= 1 at x0={x0:g}; "
             "rescale the argument (sigma(x) = psi(a x)) first")
     conj = ConjugateEvaluator(w)
     log_thresh = math.log(threshold)
@@ -118,8 +118,8 @@ def bounded_derivative_chain(d: float, psi: ModelFunction, mmax: int,
                                        and psi.value(y_m) > 0):
             y_m = next(probes, None)
         if y_m is None:
-            raise SearchExhaustedError(
-                f"no y with |psi'(y)| >= 2^(md)={target:g} below {y_cap:g}")
+            raise PreconditionError(
+                f"--psi: no y with |psi'(y)| >= 2^(md)={target:g} below {y_cap:g}")
         x_m = psi.value(y_m)
         try:
             j_m = int(m * x_m ** (1.0 / d) / d)
@@ -329,7 +329,7 @@ def equicontinuity_constant(x_seq: Sequence[float], lambda_seq: Sequence[float],
     checks that the scaled translations satisfy
     pi_{n,n}(U_j f) <= C_n pi_{m,m}(f) on a finite box."""
     if len(x_seq) != len(lambda_seq) or not x_seq:
-        raise PreconditionError("x and lambda sequences must be equal-length, nonempty")
+        raise PreconditionError("--x-seq, --lam-seq: need equal-length, nonempty sequences")
     m = K * n
     omegas = weight_values(w, x_seq, "--weight").tolist()  # omega(x_j)
     vs = [(-lam_j + m) * w_j + m for w_j, lam_j in zip(omegas, lambda_seq)]
@@ -388,16 +388,16 @@ def cauchy_derivative_bound(psi: ModelFunction, delta: float,
     comparison with the radius-based Cauchy prediction
     j! (1+|x|+r_x)/r_x^j, r_x = delta |x|."""
     if psi.analytic not in ("cone", "strip"):
-        raise CapabilityError(
-            f"{psi.label} carries no analyticity metadata; Cauchy bound n/a")
+        raise PreconditionError(
+            f"--psi: {psi.label} carries no analyticity metadata; Cauchy bound n/a")
     if not 0.0 < delta < 1.0:
-        raise PreconditionError("delta must lie in (0, 1)")
+        raise PreconditionError(f"--delta: delta must lie in (0, 1), got {delta:g}")
     # for even or odd psi, the rows x <= 0 only (``mirrored_half``): each
     # x > 0 row repeats its twin, which comes first in (x, j) order
     xs = [x for x in mirrored_half(x_grid.symmetric_points(), psi.parity).tolist()
           if abs(x) >= 1.0]
     if not xs:
-        raise PreconditionError("grid must contain points with |x| >= 1")
+        raise PreconditionError("--grid: the grid must contain points with |x| >= 1")
     logs = psi.log_jet_table(xs, jmax)[1]
     j = np.arange(jmax + 1)
     lgam = np.array([math.lgamma(i + 1) for i in j.tolist()])

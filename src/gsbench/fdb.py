@@ -376,7 +376,7 @@ def identity_table(jmax: int) -> list:
     size is used once: U[r][k] += U[r - m l][k - m] // m!.  Every division is
     exact, since each term's k_1!...k_l! divides k!, which divides jmax!."""
     if not 1 <= jmax <= 30:
-        raise PreconditionError("identity checked for 1 <= j <= 30")
+        raise PreconditionError("--jmax: identity checked for 1 <= j <= 30")
     fact = [math.factorial(i) for i in range(jmax + 1)]
     u = [[0] * (jmax + 1) for _ in range(jmax + 1)]
     u[0][0] = fact[jmax]

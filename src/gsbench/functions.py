@@ -44,7 +44,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, DegenerateInputError, PreconditionError
+from .errors import PreconditionError
 from .fdb import Jet
 from .grids import BOX_GROWTH, GridSpec
 from .logdomain import LOG_ZERO, LogReal
@@ -88,7 +88,7 @@ class ModelFunction:
 
     def _check_order(self, J: int) -> None:
         if J > self.jet_cap:
-            raise CapabilityError(
+            raise PreconditionError(
                 f"{self.label}: jets supported up to order {self.jet_cap}, asked {J}")
 
 
@@ -282,7 +282,7 @@ class MonomialBump(ModelFunction):
 
     def jet(self, x, J: int) -> Jet:
         if x != 0:
-            raise CapabilityError("monomial bump jets available at the base point 0 only")
+            raise PreconditionError("monomial bump jets available at the base point 0 only")
         vals = [Fraction(0)] * (J + 1)
         if self.n <= J:
             vals[self.n] = self.a
@@ -535,7 +535,7 @@ def box_size(n: int, f: ModelFunction = None) -> int:
     is refused up front where it passes f's jet cap."""
     raised = math.ceil(n * BOX_GROWTH)
     if f is not None and raised > f.jet_cap:
-        raise CapabilityError(
+        raise PreconditionError(
             f"{f.label}: jets supported up to order {f.jet_cap}, and the "
             f"stability box raises J = {n} to ceil({BOX_GROWTH:g} J) = "
             f"{raised}: J <= {math.floor(f.jet_cap / BOX_GROWTH)} fits")
@@ -627,7 +627,7 @@ def estimate_growth_exponent(jet: Jet) -> IndexEstimate:
     logs = jet_log_abs(jet)
     js = [j for j in range(1, jet.order + 1) if logs[j] != LOG_ZERO]
     if len(js) < 8:
-        raise DegenerateInputError(
+        raise PreconditionError(
             f"need >= 8 nonzero derivatives in range, found {len(js)}")
     A = np.array([[j * math.log(j), float(j)] for j in js])
     b = np.array([logs[j] for j in js])

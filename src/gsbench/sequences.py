@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .errors import PreconditionError, SearchExhaustedError, TruncationError
+from .errors import PreconditionError, TruncationError
 from .grids import GridSpec
 from .reports import Result
 from . import specs
@@ -259,7 +259,7 @@ def check_sequence_conditions(M: WeightSequence, P: int) -> SequenceConditionRep
     on indices p <= P, with tails past J = 10 P estimated by an integral bound.
     A constant past the float range raises PreconditionError naming --sequence."""
     if P < 50:
-        raise PreconditionError("P must be >= 50")
+        raise PreconditionError("--pmax: P must be >= 50")
     try:
         return _audit_sequence(M, P)
     except OverflowError:
@@ -364,7 +364,7 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
                 i = r.index(max(r))
                 return SandwichResult("seq<=conj", h, kk, r[i],
                                       math.exp(min(r[i], 700.0)), i, True)
-        raise SearchExhaustedError("no k <= 64 stabilizes the ratio")
+        raise PreconditionError("no k <= 64 stabilizes the ratio")
 
     if direction == "conj<=seq":
         if k is None or k < 1:
@@ -378,7 +378,7 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
                 return SandwichResult("conj<=seq", hh, k, r[i],
                                       math.exp(min(r[i], 700.0)), i, True)
             hh /= 2.0
-        raise SearchExhaustedError("halving h did not stabilize the ratio")
+        raise PreconditionError("halving h did not stabilize the ratio")
 
     raise PreconditionError(f"unknown direction {direction!r}")
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
-from .errors import BracketError, PreconditionError, RangeError
+from .errors import PreconditionError
 from .grids import DEFAULT_T_GRID, GridSpec
 from .reports import Result
 from .specs import WeightSpec, gevrey_weight, label_real, logpow_weight, table_weight
@@ -103,13 +104,13 @@ class WeightFunction:
 
     def values(self, ts):
         """omega at every t of ts, equal bit for bit to [w(t) for t in ts].
-        Powers and logs stay per element in math and **: numpy's vector
-        power and log may differ from them in the last bit."""
+        Powers and logs stay per element in libm (math, pow and **): numpy's
+        vector power and log may differ from them in the last bit."""
         import numpy as np
-        ts = np.abs(np.asarray(ts, dtype=float)).tolist()
-        if self.kind == "gevrey":
-            e = 1.0 / self.d
-            return np.array([t ** e for t in ts])
+        ts = np.abs(np.asarray(ts, dtype=float))
+        if self.kind == "gevrey":  # pow mapped over the array's floats, no list
+            return np.fromiter(map(pow, memoryview(ts), repeat(1.0 / self.d)), float, ts.size)
+        ts = ts.tolist()
         if self.kind == "logpow":
             s, log = self.s, math.log
             return np.array([0.0 if t <= 1.0 else log(t) ** s for t in ts])
@@ -170,7 +171,7 @@ class ConjugateEvaluator:
                     phi*(s) = -1                 if s d <= 1 (maximizer t = 0)
         logpow(q):  phi(t) = t^q, so phi*(s) = (q - 1) (s / q)^(q / (q - 1))
         tabulated:  the max of s u - phi(u) over phi's breakpoints u >= 0 for
-                    s <= b, the tail slope; RangeError (phi* = +inf) past b
+                    s <= b, the tail slope; refused (phi* = +inf) past b
     method "numeric-sup" maximizes t -> s t - omega(e^t), concave when phi
     is convex, by geometric bracketing plus golden-section refinement.
     """
@@ -202,7 +203,7 @@ class ConjugateEvaluator:
         w = self.weight
         if w.kind == "tabulated":
             if s > w.tail_slope:  # s u - phi(u) grows without bound
-                raise RangeError(
+                raise PreconditionError(
                     f"phi*({label_real(s)}) of {w.label} is +inf: s exceeds "
                     f"the tail slope b = {label_real(w.tail_slope)}")
             return max(s * u - phi for u, phi in zip(*w._breaks))
@@ -210,7 +211,7 @@ class ConjugateEvaluator:
             try:
                 return (w.s - 1.0) * (s / w.s) ** (w.s / (w.s - 1.0))
             except OverflowError:
-                raise RangeError(f"phi*({s:g}) of {w.label} overflows a float") from None
+                raise PreconditionError(f"phi*({s:g}) of {w.label} overflows a float") from None
         sd = s * w.d
         if sd <= 1.0:
             return -1.0
@@ -223,7 +224,7 @@ class ConjugateEvaluator:
         while g(hi) >= g(hi / 2.0):
             hi *= 2.0
             if hi > BRACKET_T_CAP:
-                raise BracketError(
+                raise PreconditionError(
                     f"no bracket for s={s:g} below t={BRACKET_T_CAP:g}; "
                     "weight appears to violate condition (gamma)")
         a, b = 0.0, hi
@@ -240,7 +241,7 @@ class ConjugateEvaluator:
                 d = a + _GOLDEN * (b - a)
                 fd = g(d)
         if g(b) == -math.inf:  # the turn lies past the overflow of phi
-            raise BracketError(
+            raise PreconditionError(
                 f"the maximizer for s={s:g} lies past t={a:g}, where "
                 "omega(e^t) overflows a float")
         t_star = 0.5 * (a + b)
@@ -415,7 +416,7 @@ def find_log_scaling_constant(w: WeightFunction, grid: GridSpec = None) -> int:
     ratios = [w(math.e * t) / (1.0 + w(t)) for t in [0.0, *grid.points()]]
     L = math.ceil(max(ratios) - 1e-12)
     if L > L_BOUND:
-        raise BracketError(f"no L <= {L_BOUND} scales the weight (max ratio {max(ratios):g})")
+        raise PreconditionError(f"no L <= {L_BOUND} scales the weight (max ratio {max(ratios):g})")
     return max(1, L)
 
 
@@ -427,5 +428,5 @@ def verify_log_scaling_constant(w: WeightFunction, L: int,
     for t in [0.0, *grid.points()]:
         if w(math.e * t) > L * (1.0 + w(t)) + 1e-9:
             raise PreconditionError(
-                f"L={L} invalid: omega(e*t)={w(math.e * t):g} > "
+                f"--L: L={L} invalid: omega(e*t)={w(math.e * t):g} > "
                 f"L(1+omega(t))={L * (1.0 + w(t)):g} at t={t:g}")

@@ -291,6 +291,33 @@ def test_regime_diagnostic_names_flag(capsys):
     assert out.err.startswith("gsbench: error: --dprime: need d <= d'")
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["experiment", "compactness", "--psi", "poly:0,1", "--weight", "gevrey:d=2",
+      "--nmax", "5"], "--x0"),
+    (["experiment", "bounded", "--d", "2", "--psi", "poly:0,1", "--mmax", "8"], "--psi"),
+    (["experiment", "cauchy", "--psi", "gaussian"], "--psi"),
+    (["experiment", "cauchy", "--psi", "sqrt1px2", "--delta", "1.5"], "--delta"),
+    (["experiment", "cauchy", "--psi", "sqrt1px2", "--grid", "lin:0,0.5,11"], "--grid"),
+    (["experiment", "equicont", "--weight", "gevrey:d=2", "--x-seq", "1,2",
+      "--lam-seq", "1"], "--x-seq, --lam-seq"),
+    # d' just below (k+1)d: the block threshold is past its search cap
+    (["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "3.99",
+      "--jmax", "10"], "--dprime"),
+    (["experiment", "nuclear", "--weight", "gevrey:d=2", "--L", "1"], "--L"),
+    (["experiment", "nuclear", "--weight", "gevrey:d=2", "--m", "400", "--L", "2"],
+     "--m, --L"),
+    (["sequence-check", "--sequence", "gevreyseq:d=2", "--pmax", "10"], "--pmax"),
+    (["identities", "--jmax", "31"], "--jmax"),
+], ids=["compactness-flat", "bounded-exhausted", "cauchy-not-analytic", "cauchy-delta",
+        "cauchy-grid", "equicont-lengths", "negative-block", "nuclear-L", "nuclear-bound",
+        "sequence-pmax", "identities-jmax"])
+def test_refusal_names_its_flag_first(argv, flags, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert out.err.splitlines()[-1].startswith(f"gsbench: error: {flags}: ")
+
+
 def test_bad_weight_diagnostic(capsys):
     assert main(["conjugate", "--weight", "gevrey:q=2", "--s", "1"]) == 2
     assert "--weight" in capsys.readouterr().err
@@ -914,7 +941,7 @@ def test_identities_cli():
 def test_identities_jmax_past_30_exits_2():
     r = run_cli("identities", "--jmax", "31")
     assert r.returncode == 2 and r.stdout == ""
-    assert "identity checked for 1 <= j <= 30" in r.stderr
+    assert "--jmax: identity checked for 1 <= j <= 30" in r.stderr
     assert "Traceback" not in r.stderr
 
 

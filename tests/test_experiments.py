@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gsbench import experiments
-from gsbench.errors import (CapabilityError, PreconditionError, RegimeError,
-                            SearchExhaustedError)
+from gsbench.errors import PreconditionError
 from gsbench.experiments import (NECESSARY_BLOCK, bounded_derivative_chain,
                                  cauchy_derivative_bound, compactness_blowup,
                                  composed_jet_log_table, composed_seminorm_bound,
@@ -150,9 +149,9 @@ def test_negative_chain_lower_bound_diverges(neg_report):
 
 
 def test_negative_chain_regime_error():
-    with pytest.raises(RegimeError):
+    with pytest.raises(PreconditionError, match=r"--dprime: need d <= d' < \(k\+1\)d"):
         negative_chain(2, 1, 4.0, 10)  # d' = (k+1)d boundary
-    with pytest.raises(RegimeError):
+    with pytest.raises(PreconditionError, match=r"--dprime: need d <= d' < \(k\+1\)d"):
         negative_chain(2, 1, 1.5, 10)  # d' < d
 
 
@@ -169,7 +168,8 @@ def test_bounded_chain_cube():
 
 
 def test_bounded_chain_flat_function_exhausts():
-    with pytest.raises(SearchExhaustedError):
+    with pytest.raises(PreconditionError, match=r"--psi: no y with \|psi'\(y\)\| >= "
+                       r"2\^\(md\)=4 below 1e\+06"):
         bounded_derivative_chain(2, Polynomial([0, 1]), 8, y_cap=1e6)
 
 
@@ -204,8 +204,8 @@ def restart_bounded_chain(d, psi, mmax, threshold=1e6, y_cap=1e12):
                 break
             lo = hi
         if y_m is None:
-            raise SearchExhaustedError(
-                f"no y with |psi'(y)| >= 2^(md)={target:g} below {y_cap:g}")
+            raise PreconditionError(
+                f"--psi: no y with |psi'(y)| >= 2^(md)={target:g} below {y_cap:g}")
         x_m = psi.value(y_m)
         j_m = int(m * x_m ** (1.0 / d) / d)
         b_lo = (j_m * d / m) ** d
@@ -222,15 +222,16 @@ def restart_bounded_chain(d, psi, mmax, threshold=1e6, y_cap=1e12):
 
 
 def _outcome(run):
-    """The report, or the error; where the oracle's float arithmetic
-    overflows, the chain raises a usage error naming --d instead."""
+    """The report, or the error of an exhausted witness search; where the
+    oracle's float arithmetic overflows, the chain raises a usage error
+    naming --d instead."""
     try:
         return run().to_dict()
-    except SearchExhaustedError as exc:
-        return repr(exc)
     except OverflowError:
         return "overflow"
     except PreconditionError as exc:
+        if str(exc).startswith("--psi: no y with"):
+            return repr(exc)
         assert str(exc).startswith("--d:") and "overflows" in str(exc)
         return "overflow"
 
@@ -630,7 +631,7 @@ def test_cauchy_equals_double_loop_oracle(case):
 
 
 def test_cauchy_requires_analyticity_metadata():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(PreconditionError, match="--psi: gaussian carries no analyticity"):
         cauchy_derivative_bound(Gaussian(), 0.5,
                                 GridSpec("log", 1.0, 10.0, 50), 5)
 

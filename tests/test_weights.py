@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsbench.errors import BracketError, PreconditionError, RangeError
+from gsbench.errors import PreconditionError
 from gsbench import weights
 from gsbench.grids import DEFAULT_T_GRID, GridSpec
 from gsbench.specs import parse_weight, table_weight
@@ -207,7 +207,7 @@ def test_conjugate_of_non_convex_table_is_exact():
     c = ConjugateEvaluator(w)
     assert c(8.0) == pytest.approx(13.5, rel=1e-15)
     assert c(0.0) == 0.0 and c(89.5) == pytest.approx(4 * 89.5 - 100.0, rel=1e-15)
-    with pytest.raises(RangeError, match="tail slope b = 89.5"):
+    with pytest.raises(PreconditionError, match=r"is \+inf: s exceeds the tail slope b = 89.5"):
         c(90.0)
     # the weight itself stays usable: the (delta) audit reports the kinks
     rep = check_weight_conditions(w, GRID)
@@ -232,7 +232,7 @@ def test_convex_tables_keep_their_conjugate():
         b = float(w.tail_slope)
         for s in np.linspace(0.0, 0.999 * b, 25).tolist():
             assert c(s) == pytest.approx(oracle(s), rel=1e-12, abs=1e-12), (ts, s)
-        with pytest.raises(RangeError, match="tail slope"):
+        with pytest.raises(PreconditionError, match=r"is \+inf: s exceeds the tail slope"):
             c(1.001 * b)
 
 
@@ -291,7 +291,8 @@ def test_table_conjugate_is_the_max_over_its_breakpoints(x0, segs, v0, convex, d
         if convex and s < 0.999 * b:  # the golden section needs a bracket
             oracle = ConjugateEvaluator(FnWeight(w))(s)
             assert c(s) == pytest.approx(oracle, rel=1e-12, abs=golden_tol)
-    with pytest.raises(RangeError, match=f"tail slope b = {label_real(b)}"):
+    with pytest.raises(PreconditionError,
+                       match=rf"is \+inf: s exceeds the tail slope b = {label_real(b)}"):
         c(b + data.draw(st.floats(min_value=1e-9, max_value=5.0)))
 
 
@@ -353,13 +354,15 @@ def test_logpow_closed_form_past_the_overflow_of_phi():
         == pytest.approx(2048000.0 / 27.0, rel=1e-14)
     ns = ConjugateEvaluator(WeightFunction.logpow(1.5), method="numeric-sup")
     for s in (40.0, 80.0):  # t* = 711 and 2844
-        with pytest.raises(BracketError, match="overflows a float"):
+        with pytest.raises(PreconditionError,
+                           match=r"lies past t=709.783, where omega\(e\^t\) overflows a float"):
             ns(s)
     assert ns(20.0) == pytest.approx(0.5 * (20.0 / 1.5) ** 3, rel=1e-12)  # t* = 178
 
 
 def test_logpow_closed_form_overflow_is_a_range_error():
-    with pytest.raises(RangeError, match="overflows a float"):
+    with pytest.raises(PreconditionError,
+                       match=r"phi\*\(80\) of logpow:s=1.001 overflows a float"):
         ConjugateEvaluator(WeightFunction.logpow(1.001))(80.0)
 
 
@@ -506,7 +509,7 @@ def array_verify_log_scaling_constant(w, L, grid):
     for t in np.concatenate([[0.0], grid.points()]):
         if w(math.e * t) > L * (1.0 + w(t)) + 1e-9:
             raise PreconditionError(
-                f"L={L} invalid: omega(e*t)={w(math.e * t):g} > "
+                f"--L: L={L} invalid: omega(e*t)={w(math.e * t):g} > "
                 f"L(1+omega(t))={L * (1.0 + w(t)):g} at t={t:g}")
 
 
@@ -529,7 +532,8 @@ def test_scalar_log_scaling_constant_equals_the_array_expression(w, grid,
     ratios = array_log_scaling_ratios(w, grid or DEFAULT_T_GRID)
     try:
         L = find_log_scaling_constant(w, grid)
-    except BracketError:
+    except PreconditionError as exc:
+        assert str(exc).startswith(f"no L <= {L_BOUND} scales the weight")
         L = L_BOUND
     assert [x.hex() for x in seen] == [(max(ratios) - 1e-12).hex()]
     monkeypatch.undo()
