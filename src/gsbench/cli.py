@@ -176,15 +176,19 @@ def _emit(payload: dict, a: argparse.Namespace, result=None) -> None:
     sys.stdout.write(data.decode("utf-8") + "\n")
 
 
-# Runners take the parsed arguments, specs built, and return a result with
-# ``verdict`` and ``to_dict()``, or a plain dict that always passes.  They
-# import what they run at call time: a usage error exits before numpy loads,
-# and a wrapper patched onto a module attribute is seen.
+# Runners take the parsed arguments, function specs built, and return a
+# result with ``verdict`` and ``to_dict()``, or a plain dict that always
+# passes.  They import what they run at call time: a usage error exits before
+# numpy loads, and a wrapper patched onto a module attribute is seen.
 
 def _conjugate(a):
     from .weights import ConjugateEvaluator
-    return {"weight": a.weight.label, "s": a.s,
-            "value": ConjugateEvaluator(a.weight, method=a.method)(a.s)}
+    evaluate = ConjugateEvaluator(a.weight, method=a.method)
+    try:
+        value = evaluate(a.s)
+    except PreconditionError as exc:  # phi*(s) is +inf or past a float
+        raise PreconditionError(f"--s: {exc}") from None
+    return {"weight": a.weight.label, "s": a.s, "value": value}
 
 
 def _weight_check(a):
@@ -288,9 +292,9 @@ _parser = functools.cache(build_parser)
 
 
 def run(args: argparse.Namespace):
-    """The result of the command ``args`` name, each spec built first."""
+    """The result of the command ``args`` name, each function spec built first."""
     for name, value in vars(args).items():
-        if isinstance(value, specs.Spec):
+        if isinstance(value, specs.FunctionSpec):
             setattr(args, name, value.build())
     return COMMANDS[args.subcommand](args)
 

@@ -299,7 +299,7 @@ def log_compose_table(f_sign, f_log, psi_sign, psi_log, J: int) -> tuple:
 def _check_orders(h_jet: Jet, psi_jet: Jet, j: int) -> None:
     if h_jet.order < j or psi_jet.order < j:
         raise PreconditionError(
-            f"order mismatch: need order >= {j}, got h:{h_jet.order} "
+            f"--order: order mismatch: need order >= {j}, got h:{h_jet.order} "
             f"psi:{psi_jet.order}")
     if h_jet.kind != psi_jet.kind:
         raise PreconditionError("mixed jet representations are not summed")

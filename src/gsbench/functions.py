@@ -628,7 +628,8 @@ def estimate_growth_exponent(jet: Jet) -> IndexEstimate:
     js = [j for j in range(1, jet.order + 1) if logs[j] != LOG_ZERO]
     if len(js) < 8:
         raise PreconditionError(
-            f"need >= 8 nonzero derivatives in range, found {len(js)}")
+            f"--function, --jmax: need >= 8 nonzero derivatives in range, "
+            f"found {len(js)}")
     A = np.array([[j * math.log(j), float(j)] for j in js])
     b = np.array([logs[j] for j in js])
     coef, _, _, _ = np.linalg.lstsq(A, b, rcond=None)

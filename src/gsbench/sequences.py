@@ -25,9 +25,9 @@ from typing import Optional
 
 from .errors import PreconditionError, TruncationError
 from .grids import GridSpec
+from .logdomain import LogReal
 from .reports import Result
-from . import specs
-from .specs import SequenceSpec, gevrey_sequence, table_sequence
+from .specs import gevrey_sequence, parse_sequence, table_sequence  # parse_sequence re-exported
 from .weights import H_BOUND, first_true
 
 SANDWICH_ASSOC_PMAX = 500000  # associated-weight p cap in sandwich_check
@@ -90,20 +90,9 @@ class WeightSequence:
                        for p in range(a + 1, b)), ys[b]]
         return hull, _table(vals, self.label, quot)
 
-    @staticmethod
-    def from_spec(spec: SequenceSpec) -> "WeightSequence":
-        if spec.d is not None:
-            d = spec.d
-            return WeightSequence(lambda p: d * math.log(p), label=spec.label)
-        return _table(spec.log_Ms, spec.label)
-
-    @staticmethod
-    def gevrey(d: float) -> "WeightSequence":
-        return WeightSequence.from_spec(gevrey_sequence(d))
-
-    @staticmethod
-    def from_log_values(log_Ms, label: str = "table") -> "WeightSequence":
-        return WeightSequence.from_spec(table_sequence(log_Ms, label))
+    # constructors: the checked builders of specs
+    gevrey = staticmethod(gevrey_sequence)
+    from_log_values = staticmethod(table_sequence)
 
 
 def _table(log_Ms, label: str, quot: list = None) -> WeightSequence:
@@ -119,11 +108,6 @@ def _table(log_Ms, label: str, quot: list = None) -> WeightSequence:
     seq._quot = quot or [None, *(b - a for a, b in zip(seq._cum, seq._cum[1:]))]
     seq.max_p = P
     return seq
-
-
-def parse_sequence(spec: str) -> WeightSequence:
-    """The sequence a spec names: gevreyseq:d=2 | table:file.csv"""
-    return WeightSequence.from_spec(specs.parse_sequence(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +347,7 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
             if _tail_not_growing(r):
                 i = r.index(max(r))
                 return SandwichResult("seq<=conj", h, kk, r[i],
-                                      math.exp(min(r[i], 700.0)), i, True)
+                                      LogReal(1, r[i]).to_float(), i, True)
         raise PreconditionError("no k <= 64 stabilizes the ratio")
 
     if direction == "conj<=seq":
@@ -376,7 +360,7 @@ def sandwich_check(M: WeightSequence, direction: str, h: float = None,
             if _tail_not_growing(r):
                 i = r.index(max(r))
                 return SandwichResult("conj<=seq", hh, k, r[i],
-                                      math.exp(min(r[i], 700.0)), i, True)
+                                      LogReal(1, r[i]).to_float(), i, True)
             hh /= 2.0
         raise PreconditionError("halving h did not stabilize the ratio")
 

@@ -7,10 +7,12 @@ of numpy:
               pow1px2:a=<real> | monbump:n=<int>,a=<rational>[,r=..][,g=..] |
               gbump[:g=<real>][,r=<real>]
 
-A parser returns a small frozen spec whose every range check has run here,
-so a malformed or out-of-range spec is a usage error before numpy loads.
-``build()`` makes the numeric object from the checked spec.  Grids have
-their own numpy-free grammar, ``grids.GridSpec.parse``.
+Every range check runs here, so a malformed or out-of-range spec is a usage
+error before numpy loads.  A weight or sequence parser returns the checked
+``WeightFunction`` or ``WeightSequence`` itself, as neither loads numpy; a
+function parser returns a small frozen ``FunctionSpec``, whose ``build()``
+makes the model function once parsing is done.  Grids have their own
+numpy-free grammar, ``grids.GridSpec.parse``.
 """
 from __future__ import annotations
 
@@ -19,8 +21,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
+
+if TYPE_CHECKING:  # each builder imports its class at call time
+    from .sequences import WeightSequence
+    from .weights import WeightFunction
 
 
 def label_real(v: float) -> str:
@@ -64,43 +71,26 @@ def parse_keyed_real(spec: str, key: str) -> float:
     return parse_real(val, spec)
 
 
-class Spec:
-    """Base of the checked specs: ``build()`` makes the numeric object."""
-
-
 # -- weights ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightSpec(Spec):
-    """A checked weight: gevrey (d > 0), logpow (s > 1) or tabulated, whose
-    t-column is positive and strictly increasing in log t and whose omega
-    column is nondecreasing.  The log of each knot is taken once, here."""
-    kind: str  # "gevrey" | "logpow" | "tabulated"
-    label: str
-    d: float = None
-    s: float = None
-    knots: tuple = ()      # the t of each table row
-    log_knots: tuple = ()  # math.log of each t
-    values: tuple = ()     # omega at each t
-
-    def build(self):
-        from .weights import WeightFunction
-        return WeightFunction(self)
-
-
-def gevrey_weight(d: float) -> WeightSpec:
+def gevrey_weight(d: float) -> WeightFunction:
     if d <= 0:
         raise PreconditionError("gevrey weight requires d > 0")
-    return WeightSpec("gevrey", f"gevrey:d={label_real(d)}", d=d)
+    from .weights import WeightFunction
+    return WeightFunction("gevrey", f"gevrey:d={label_real(d)}", d=d)
 
 
-def logpow_weight(s: float) -> WeightSpec:
+def logpow_weight(s: float) -> WeightFunction:
     if s <= 1:
         raise PreconditionError("logpow weight requires s > 1")
-    return WeightSpec("logpow", f"logpow:s={label_real(s)}", s=s)
+    from .weights import WeightFunction
+    return WeightFunction("logpow", f"logpow:s={label_real(s)}", s=s)
 
 
-def table_weight(ts, vals, label: str = "table") -> WeightSpec:
+def table_weight(ts, vals, label: str = "table") -> WeightFunction:
+    """A tabulated weight whose t-column is positive and strictly increasing
+    in log t and whose omega column is nondecreasing.  The log of each knot
+    is taken once, here."""
     try:
         ts, vals = tuple(map(float, ts)), tuple(map(float, vals))
     except (TypeError, ValueError):
@@ -123,10 +113,11 @@ def table_weight(ts, vals, label: str = "table") -> WeightSpec:
         raise PreconditionError(
             f"table omega values span {vals[0]!r} to {vals[-1]!r}, which "
             "overflows a float")
-    return WeightSpec("tabulated", label, knots=ts, log_knots=log_ts, values=vals)
+    from .weights import WeightFunction
+    return WeightFunction("tabulated", label, knots=ts, log_knots=log_ts, values=vals)
 
 
-def parse_weight(spec: str) -> WeightSpec:
+def parse_weight(spec: str) -> WeightFunction:
     """Parse the weight mini-language: gevrey:d=2 | logpow:s=2 | table:file.csv"""
     head, _, rest = spec.partition(":")
     if head == "gevrey":
@@ -141,36 +132,27 @@ def parse_weight(spec: str) -> WeightSpec:
 
 # -- weight sequences -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SequenceSpec(Spec):
-    """A checked weight sequence: log m_p = d log p with d > 0 when ``d`` is
-    set, else the table log M_0, ..., log M_P with log M_0 = 0."""
-    label: str
-    d: float = None
-    log_Ms: tuple = ()
-
-    def build(self):
-        from .sequences import WeightSequence
-        return WeightSequence.from_spec(self)
-
-
-def gevrey_sequence(d: float) -> SequenceSpec:
+def gevrey_sequence(d: float) -> WeightSequence:
+    """M_p = (p!)^d, from its quotients log m_p = d log p, d > 0."""
     if d <= 0:
         raise PreconditionError("gevrey sequence requires d > 0")
-    return SequenceSpec(f"gevreyseq:d={label_real(d)}", d=d)
+    from .sequences import WeightSequence
+    return WeightSequence(lambda p: d * math.log(p), f"gevreyseq:d={label_real(d)}")
 
 
-def table_sequence(log_Ms, label: str = "table") -> SequenceSpec:
+def table_sequence(log_Ms, label: str = "table") -> WeightSequence:
+    """The table log M_0, ..., log M_P, with log M_0 = 0 and finite steps."""
     log_Ms = tuple(float(v) for v in log_Ms)
     if not log_Ms or abs(log_Ms[0]) > 1e-12:
         raise PreconditionError("table must start with log M_0 = 0")
     big = [p for p in range(1, len(log_Ms)) if not math.isfinite(log_Ms[p] - log_Ms[p - 1])]
     if big:  # the steps are the quotients log m_p
         raise PreconditionError(f"table step log M_p - log M_(p-1) at p={big[0]} overflows a float")
-    return SequenceSpec(label, log_Ms=log_Ms)
+    from .sequences import _table
+    return _table(log_Ms, label)
 
 
-def parse_sequence(spec: str) -> SequenceSpec:
+def parse_sequence(spec: str) -> WeightSequence:
     """Sequence mini-language: gevreyseq:d=2 | table:file.csv"""
     head, _, rest = spec.partition(":")
     if head == "gevreyseq":
@@ -186,7 +168,7 @@ def parse_sequence(spec: str) -> SequenceSpec:
 # -- model functions --------------------------------------------------------
 
 @dataclass(frozen=True)
-class FunctionSpec(Spec):
+class FunctionSpec:
     """A checked model function: its family ``kind`` and the arguments of
     the family's constructor in ``functions``."""
     kind: str

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from .errors import PreconditionError
 from .grids import DEFAULT_T_GRID, GridSpec
 from .reports import Result
-from .specs import WeightSpec, gevrey_weight, label_real, logpow_weight, table_weight
+from .specs import gevrey_weight, label_real, logpow_weight, table_weight
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_REL_TOL = 1e-12  # golden-section stops at this width relative to max(1, b)
@@ -58,7 +58,7 @@ def first_true(holds: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
 
 
 class WeightFunction:
-    """Evaluator for a weight omega(t), built from a checked ``WeightSpec``.
+    """Evaluator for a weight omega(t), made by a checked builder of ``specs``.
 
     Kinds:
       gevrey(d):  omega(t) = t^(1/d), d > 0
@@ -68,12 +68,13 @@ class WeightFunction:
                   last, so phi(u) = omega(e^u) is piecewise linear
     """
 
-    def __init__(self, spec: WeightSpec):
-        self.kind, self.label, self.d, self.s = spec.kind, spec.label, spec.d, spec.s
-        self.knots = spec.knots  # the t of each table row, where omega has a kink
-        if self.kind == "tabulated":
-            # the logs the spec checked for strict increase, not recomputed
-            self._log_ts, self._vals = xs, vs = spec.log_knots, spec.values
+    def __init__(self, kind: str, label: str, d: float = None, s: float = None,
+                 knots: tuple = (), log_knots: tuple = (), values: tuple = ()):
+        self.kind, self.label, self.d, self.s = kind, label, d, s
+        self.knots = knots  # the t of each table row, where omega has a kink
+        if kind == "tabulated":
+            # the logs table_weight checked for strict increase, not recomputed
+            self._log_ts, self._vals = xs, vs = log_knots, values
             # d omega / d log t of the last segment, continued past the table
             self.tail_slope = (vs[-1] - vs[-2]) / (xs[-1] - xs[-2])
             # phi is linear on u >= 0 between u = 0, where it is omega(1),
@@ -123,19 +124,11 @@ class WeightFunction:
         except OverflowError:
             return math.inf
 
-    # -- constructors ------------------------------------------------------
+    # -- constructors: the checked builders of specs ------------------------
 
-    @staticmethod
-    def gevrey(d: float) -> "WeightFunction":
-        return WeightFunction(gevrey_weight(d))
-
-    @staticmethod
-    def logpow(s: float) -> "WeightFunction":
-        return WeightFunction(logpow_weight(s))
-
-    @staticmethod
-    def tabulated(ts, vals) -> "WeightFunction":
-        return WeightFunction(table_weight(ts, vals))
+    gevrey = staticmethod(gevrey_weight)
+    logpow = staticmethod(logpow_weight)
+    tabulated = staticmethod(table_weight)
 
 
 def weight_values(w: WeightFunction, ts, flag: str, scale: float = 1.0,

@@ -19,7 +19,7 @@ from gsbench.grids import GridSpec
 from gsbench.reports import ChainReport, to_json_bytes
 from gsbench.errors import PreconditionError
 from gsbench.sequences import WeightSequence, parse_sequence
-from gsbench.specs import FunctionSpec, SequenceSpec, WeightSpec, parse_weight
+from gsbench.specs import FunctionSpec, parse_weight
 from gsbench.weights import ConjugateEvaluator, WeightFunction
 
 
@@ -308,10 +308,17 @@ def test_regime_diagnostic_names_flag(capsys):
      "--m, --L"),
     (["sequence-check", "--sequence", "gevreyseq:d=2", "--pmax", "10"], "--pmax"),
     (["identities", "--jmax", "31"], "--jmax"),
+    (["estimate-index", "--function", "poly:1,2"], "--function, --jmax"),
+    (["fdb", "--h", '["1","1"]', "--psi", '["0","1"]', "--order", "3"], "--order"),
+    # w.csv's tail slope is b = 1/log 10: phi*(1) is +inf
+    (["conjugate", "--weight", "table:w.csv", "--s", "1"], "--s"),
 ], ids=["compactness-flat", "bounded-exhausted", "cauchy-not-analytic", "cauchy-delta",
         "cauchy-grid", "equicont-lengths", "negative-block", "nuclear-L", "nuclear-bound",
-        "sequence-pmax", "identities-jmax"])
-def test_refusal_names_its_flag_first(argv, flags, capsys):
+        "sequence-pmax", "identities-jmax", "estimate-index-orders", "fdb-order",
+        "conjugate-past-tail-slope"])
+def test_refusal_names_its_flag_first(argv, flags, capsys, tmp_path, monkeypatch):
+    (tmp_path / "w.csv").write_text("t,omega\n0.1,0\n1,0.25\n10,1\n100,2\n")
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and "Traceback" not in out.err
@@ -404,25 +411,25 @@ def test_flag_the_command_does_not_read_exits_2(argv, flag, capsys):
 
 @pytest.mark.parametrize("argv, flag, parse", [
     (["conjugate", "--weight", "gevrey:d=abc", "--s", "1"], "--weight",
-     lambda: parse_weight("gevrey:d=abc").build()),
+     lambda: parse_weight("gevrey:d=abc")),
     (["estimate-index", "--function", "poly:1,x"], "--function",
      lambda: parse_function("poly:1,x")),
     (["estimate-index", "--function", "monbump:n=2"], "--function",
      lambda: parse_function("monbump:n=2")),
     (["conjugate", "--weight", "gevrey:d=nan", "--s", "1"], "--weight",
-     lambda: parse_weight("gevrey:d=nan").build()),
+     lambda: parse_weight("gevrey:d=nan")),
     (["conjugate", "--weight", "gevrey:d=2", "--s", "nan"], "--s",
      lambda: ConjugateEvaluator(WeightFunction.gevrey(2))(float("nan"))),
     (["weight-check", "--weight", "table:missing.csv"], "--weight",
-     lambda: parse_weight("table:missing.csv").build()),
+     lambda: parse_weight("table:missing.csv")),
     (["sequence-check", "--sequence", "table:missing.csv"], "--sequence",
      lambda: parse_sequence("table:missing.csv")),
     (["weight-check", "--weight", "table:bad.csv"], "--weight",
-     lambda: parse_weight("table:bad.csv").build()),
+     lambda: parse_weight("table:bad.csv")),
     (["sequence-check", "--sequence", "table:bad.csv"], "--sequence",
      lambda: parse_sequence("table:bad.csv")),
     (["weight-check", "--weight", "table:short.csv"], "--weight",
-     lambda: parse_weight("table:short.csv").build()),
+     lambda: parse_weight("table:short.csv")),
 ], ids=["weight-abc", "poly-x", "monbump-missing-a", "weight-nan", "s-nan",
         "weight-table-missing", "sequence-table-missing",
         "weight-table-bad-cell", "sequence-table-bad-cell",
@@ -481,11 +488,9 @@ FLAG_KINDS = {
                       type(x) is Fraction and x == Fraction(str(y))
                       for x, y in zip(v, json.loads(t), strict=True))),
     "weight": (st.sampled_from(["gevrey:d=2", "gevrey:d=1.5", "logpow:s=2"]),
-               lambda v, t: isinstance(v, WeightSpec)
-               and isinstance(v.build(), WeightFunction)),
+               lambda v, t: isinstance(v, WeightFunction) and v.label == t),
     "sequence": (st.sampled_from(["gevreyseq:d=2", "gevreyseq:d=3"]),
-                 lambda v, t: isinstance(v, SequenceSpec)
-                 and isinstance(v.build(), WeightSequence)),
+                 lambda v, t: isinstance(v, WeightSequence) and v.label == t),
     "function": (st.sampled_from(["gaussian", "expsqr", "sqrt1px2",
                                   "poly:0,1/2,3", "pow1px2:a=1.5",
                                   "monbump:n=8,a=1", "gbump:g=1,r=1"]),
@@ -975,7 +980,7 @@ def test_fdb_order_past_the_jets_exits_2(capsys):
                  "--order", "3"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == (
-        "gsbench: error: order mismatch: need order >= 3, got h:1 psi:1\n")
+        "gsbench: error: --order: order mismatch: need order >= 3, got h:1 psi:1\n")
 
 
 def test_experiment_writes_csv_and_json(tmp_path):
@@ -1067,6 +1072,21 @@ def test_sufficient_overflowing_power_exits_cleanly(argv):
         assert c0 == pytest.approx(1e101 / 1e200 / 1e200, rel=1e-12)
 
 
+def test_sufficient_c0_past_the_power_overflow_in_process(capsys):
+    # (1 + x^2)^300 overflows a float past |x| ~ 3.1: those rows of the
+    # default grid's mirrored half (x <= 0) take C0's term in logs; the
+    # oracle takes every term x < 0 in logs (the term at x = 0 is 0)
+    assert main(["experiment", "sufficient", "--psi", "poly:0,0,1", "--weight",
+                 "gevrey:d=2", "--a", "300", "--m", "1", "--jmax", "4"]) == 0
+    c0 = json.loads(capsys.readouterr().out)["C0"]
+    half = [x for x in GridSpec("lin", 0.05, 6.0, 120).symmetric_points().tolist()
+            if x < 0]
+    logs = [math.log(-x) - 300.0 * math.log1p(x * x) for x in half]
+    assert sum(300.0 * math.log1p(x * x) > math.log(sys.float_info.max)
+               for x in half) > 50
+    assert c0 == pytest.approx(math.exp(max(logs)), rel=1e-14)
+
+
 def test_weight_check_exit_zero():
     r = run_cli("weight-check", "--weight", "gevrey:d=2",
                 "--grid", "log:1e-2,1e6,400")
@@ -1132,9 +1152,11 @@ def test_bare_import_leaves_numpy_unloaded():
     (["conjugate", "--weight", "logpow:s=2", "--s", "1"], 0),
     (["conjugate", "--weight", "table:{weight}", "--s", "0.25"], 0),
     (["conjugate", "--weight", "table:{weight}", "--s", "1"], 2),
+    # --weight parses to its weight, importing gsbench.weights; --s is refused
+    (["conjugate", "--weight", "gevrey:d=2", "--s", "-1"], 2),
 ], ids=["negative", "nuclear", "sequence-check", "sequence-check-table",
         "conjugate-gevrey", "conjugate-logpow", "conjugate-table",
-        "conjugate-table-past-b"])
+        "conjugate-table-past-b", "conjugate-parsed-weight-bad-s"])
 def test_scalar_command_runs_cold_without_numpy(argv, code, tmp_path, capsys):
     table = tmp_path / "seq.csv"
     vs = [p * p + 50 * (p % 2) for p in range(501)]

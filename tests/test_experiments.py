@@ -280,6 +280,16 @@ def test_sufficient_matches_golden_section_on_sigma(w):
         assert rec["log_C_m"] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+def test_c0_term_takes_an_overflowing_power_in_logs():
+    # (1 + 16)^300 overflows a float; 1e300 / 17^300 ~ 1e-69 does not
+    with pytest.raises(OverflowError):
+        (1.0 + 16.0) ** 300.0
+    got = experiments._c0_term(-1e300, 16.0, 300.0)
+    assert got == math.exp(math.log(1e300) - 300.0 * math.log1p(16.0))
+    assert got == pytest.approx(float(Fraction(1e300) / 17 ** 300), rel=1e-12)
+    assert experiments._c0_term(0.0, 16.0, 300.0) == 0.0
+
+
 @pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
 def test_sufficient_rejects_nonpositive_a(a):
     with pytest.raises(PreconditionError, match="--a"):

@@ -814,6 +814,18 @@ def test_sandwich_closed_form_equals_numeric_sup(direction, kw, monkeypatch):
     assert closed == numeric
 
 
+def test_sandwich_constant_is_inf_past_the_float_range():
+    # log C = 1778.78 is past log(float max) = 709.78: C reads +inf, not e^700
+    res = sandwich_check(WeightSequence.gevrey(40), "seq<=conj", h=1e-60)
+    assert (res.k, res.argmax_p) == (34, 221)
+    assert res.log_constant == pytest.approx(1778.7847, abs=1e-4)
+    assert res.constant == math.inf
+    # inside the float range C is math.exp(log C) bit for bit
+    for res in (sandwich_check(WeightSequence.gevrey(2), "seq<=conj", h=0.5),
+                sandwich_check(WeightSequence.gevrey(2), "conj<=seq", k=2)):
+        assert res.constant == math.exp(res.log_constant) < math.inf
+
+
 def test_sandwich_bad_inputs():
     M = WeightSequence.gevrey(2)
     with pytest.raises(PreconditionError):
