@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fdb import log_bell_table, log_compose_table
-from .functions import ModelFunction, mirrored_half, weighted_log_sup
+from .functions import ModelFunction, Polynomial, mirrored_half, weighted_log_sup
 from .grids import DEFAULT_X_GRID, GridSpec
 from .logdomain import LOG_ZERO, LogReal
 from .reports import ChainReport, Result
@@ -25,7 +25,7 @@ from .weights import ConjugateEvaluator, WeightFunction, weight_values
 from .chains import DEFAULT_THRESHOLD, negative_chain, nuclearity_sum
 
 EQUICONT_J = 16          # derivative orders in the equicontinuity spot checks
-NECESSARY_BLOCK = 2048   # grid points per necessary_growth block
+NECESSARY_BLOCK = 64     # grid points per necessary_growth block
 
 
 # ---------------------------------------------------------------------------
@@ -281,26 +281,75 @@ def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
                      grid: GridSpec) -> NecessaryGrowthResult:
     """Measured C = max over the grid of sigma(x) / (1 + omega(psi(x))),
     with a trend flag comparing against the inner half-radius maximum.  For
-    even or odd psi, only the grid's rows x <= 0 are read (``mirrored_half``)."""
-    xs = mirrored_half(grid.symmetric_points(), psi.parity)
-    best, best_x, inner_best = -math.inf, 0.0, -math.inf
-    half = grid.hi / 2.0
-    # blocks keep the arrays small on large grids; a NaN ratio never wins
-    for lo in range(0, len(xs), NECESSARY_BLOCK):
-        xb = xs[lo:lo + NECESSARY_BLOCK]
-        sigma = weight_values(w_sigma, xb, "--sigma")
-        omega = weight_values(w_omega, psi.values(xb), "--omega")
-        with np.errstate(invalid="ignore"):  # inf / inf
-            ratio = sigma / (1.0 + omega)
-        ratio[np.isnan(ratio)] = -math.inf
+    even or odd psi, only the grid's rows x <= 0 are read, as
+    ``mirrored_half`` takes them.
+
+    The points go in blocks of NECESSARY_BLOCK, bounded before any point is
+    made (``_ratio_bounds``).  The blocks of bound +inf and of the largest
+    bound are read first, then all whose bound is not below the inner max:
+    C, argmax_x (the first max in order) and the flag are the full scan's,
+    and a refusal names the first block in order that overflows."""
+    count, points = grid.symmetric_points_at()
+    if psi.parity is not None:  # the rows x <= 0
+        count = count // 2 + 1
+    starts = np.arange(0, count, NECESSARY_BLOCK)
+    ends = np.minimum(starts + NECESSARY_BLOCK, count)
+    x0, x1 = points(starts), points(ends - 1)
+    bound, half = _ratio_bounds(psi, w_sigma, w_omega, x0, x1), grid.hi / 2.0
+    first = np.isinf(bound)
+    first[np.where(first, -math.inf, bound).argmax()] = True
+    best, best_at, best_x, inner_best = -math.inf, count, 0.0, -math.inf
+    for rest in (False, True):  # a block below inner_best <= best holds no max
+        ks = np.flatnonzero(~first & ~(bound < inner_best) if rest else first)
+        if not len(ks):
+            break
+        at = np.concatenate([np.arange(starts[k], ends[k]) for k in ks])
+        xb = points(at)
+        try:
+            ratio = _ratios(psi, w_sigma, w_omega, xb)
+        except PreconditionError:  # refused at the first block that overflows
+            for k in ks:
+                _ratios(psi, w_sigma, w_omega, points(np.arange(starts[k], ends[k])))
+            raise
         i = int(ratio.argmax())
-        if ratio[i] > best:
-            best, best_x = float(ratio[i]), float(xb[i])
+        if ratio[i] > best or ratio[i] == best > -math.inf and at[i] < best_at:
+            best, best_at, best_x = float(ratio[i]), at[i], float(xb[i])
         inner_best = max(inner_best,
                          float(ratio[np.abs(xb) <= half].max(initial=-math.inf)))
     return NecessaryGrowthResult(psi=psi.label, sigma=w_sigma.label,
                                  omega=w_omega.label, C=best, argmax_x=best_x,
                                  grows_with_radius=best > inner_best + 1e-9)
+
+
+def _ratios(psi, w_sigma, w_omega, xs) -> np.ndarray:
+    """sigma(x) / (1 + omega(psi(x))) at each x of xs; -inf for NaN."""
+    sigma = weight_values(w_sigma, xs, "--sigma")
+    omega = weight_values(w_omega, psi.values(xs), "--omega")
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf / inf, x / 0
+        ratio = sigma / (1.0 + omega)
+    ratio[np.isnan(ratio)] = -math.inf  # a NaN ratio never wins
+    return ratio
+
+
+def _ratio_bounds(psi, w_sigma, w_omega, x0, x1) -> np.ndarray:
+    """Per block x0 <= x <= x1, a bound on its ratios: sigma's upper envelope
+    at max |x| over 1 + omega's lower one at a polynomial psi's abs_lower,
+    else 0 (division rounds monotonically).  +inf where sigma's is negative
+    or infinite, 1 + omega's not positive or the bound NaN; everywhere where
+    a weight has no envelope, one overflows, or omega may: unless omega at
+    the largest float is below 2^1023."""
+    b = np.maximum(np.abs(x0), np.abs(x1))
+    try:
+        m = psi.abs_lower(x0, x1) if isinstance(psi, Polynomial) else np.zeros(len(b))
+        sig, om = w_sigma.envelope(b, True), w_omega.envelope(m, False)
+        if sig is None or om is None or not w_omega(np.finfo(float).max) < 2.0 ** 1023:
+            return np.full(len(b), math.inf)
+    except OverflowError:  # near a refusal: every block, in order
+        return np.full(len(b), math.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bound = sig / (1.0 + om)
+        keep = (sig >= 0) & np.isfinite(sig) & (1.0 + om > 0) & ~np.isnan(bound)
+    return np.where(keep, bound, math.inf)
 
 
 # ---------------------------------------------------------------------------

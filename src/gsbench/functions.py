@@ -205,6 +205,19 @@ class Polynomial(ModelFunction):
                 acc = acc * xs + c
         return acc
 
+    def abs_lower(self, x0, x1) -> np.ndarray:
+        """m <= |values(x)| for every x0 <= x <= x1, per entry of the arrays
+        x0 <= x1: Horner on intervals (Moore 1966) with values' products and
+        sums, each rounded to nearest, which is monotone, so the intervals
+        hold every value that values computes and need no rounding term."""
+        lo = hi = np.zeros(len(x0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in self._horner:
+                ends = (lo * x0, lo * x1, hi * x0, hi * x1)
+                lo, hi = np.minimum.reduce(ends) + c, np.maximum.reduce(ends) + c
+            m = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
+        return np.fmax(m, 0.0)  # a NaN bound: 0
+
     def _derivatives(self, xs, J: int):
         """Per x of xs (floats or rationals): [(N_j, d_j)] with f^(j)(x) =
         N_j / d_j exactly, for j <= min(J, degree).  Once per call, the

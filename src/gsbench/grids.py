@@ -100,21 +100,11 @@ class GridSpec:
             raise PreconditionError(
                 f"grid {self.spec_string()} is mirrored through 0, so it needs lo >= 0")
         import numpy as np
-        at, top = self._axis()
-
-        def made(i):  # the points at the int array i; a log grid's one libm
-            # pow per point reads the exponents as floats, with no list of them
-            with np.errstate(over="ignore"):  # a lin point past hi: checked below
-                e = at(i)
-            if self.kind == "lin":
-                return e
-            return np.fromiter(map(pow, repeat(10.0), memoryview(e)), float, len(e))
-
-        p = np.append(made(np.arange(self.n - 1)), top)
+        p = self.points_at(np.arange(self.n))
         if not (p[1:] > p[:-1]).all():
             self._refuse_repeats()
         try:
-            p = np.append(p, made(np.arange(self.n, self.n + pad)))
+            p = np.append(p, self.points_at(np.arange(self.n, self.n + pad)))
         except OverflowError:  # a log grid's 10 ** x past hi
             p = [math.inf]
         if not math.isfinite(p[-1]):  # only a point past hi can be
@@ -123,6 +113,36 @@ class GridSpec:
         if self.lo == 0:  # the first point is 0 itself
             p = p[1:]
         return np.concatenate([-p[::-1], [0.0], p])
+
+    def points_at(self, i):
+        """points()[i] for the int array i, bit for bit, and the formula past
+        hi where i >= n: one libm pow per point of a log grid."""
+        import numpy as np
+        at, top = self._axis()
+        last = i == self.n - 1  # top, not the formula's point
+        with np.errstate(over="ignore"):  # a lin point past hi: _mirrored checks
+            p = at(np.where(last, 0, i))
+        if self.kind == "log":
+            p = np.fromiter(map(pow, repeat(10.0), memoryview(p)), float, len(p))
+        p[last] = top
+        return p
+
+    def symmetric_points_at(self) -> tuple:
+        """(count, at): len(symmetric_points()) and at(k), its points at the
+        int array k, bit for bit.  A log grid whose increase is certified
+        makes only those: exponents above -300 that step by more than
+        POW_MARGIN give increasing points (libm's pow within 2^-50 relative),
+        and the last formula point is compared with top."""
+        import numpy as np
+        n = self.n  # a log grid's lo > 0: 0 is only the middle point
+        e = self._axis()[0](np.arange(n - 1))
+        end = self.points_at(np.array([n - 2, n - 1]))
+        if self.kind == "lin" or not (e[0] > -300 and (np.diff(e) > POW_MARGIN).all()
+                                      and end[0] < end[1]):
+            xs = self.symmetric_points()
+            return len(xs), xs.__getitem__
+        return 2 * n + 1, lambda k: np.copysign(np.where(
+            k == n, 0.0, self.points_at(np.maximum(np.abs(k - n) - 1, 0))), k - n)
 
     def spec_string(self) -> str:
         return f"{self.kind}:{self.lo:g},{self.hi:g},{self.n}"
@@ -140,3 +160,4 @@ class GridSpec:
 DEFAULT_T_GRID = GridSpec("log", 1e-2, 1e8, 2000)  # t of the weight audits
 DEFAULT_X_GRID = GridSpec("lin", 0.05, 8.0, 160)   # x of the seminorm boxes, mirrored
 BOX_GROWTH = 1.25  # a stability box's size over its grid's, in hi and every order
+POW_MARGIN = 2.0 ** -48  # exponent step certifying a log grid's increase

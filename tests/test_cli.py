@@ -731,6 +731,9 @@ def test_nuclear_overflow_exits_2(capsys):
       "gevrey:d=0.005", "--omega", "gevrey:d=2"], "--sigma"),
     (["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma",
       "gevrey:d=2", "--omega", "gevrey:d=0.005"], "--omega"),
+    # psi(x) = x + x^2 has no parity: both halves are read
+    (["experiment", "necessary", "--psi", "poly:0,1,1", "--sigma",
+      "gevrey:d=2", "--omega", "gevrey:d=0.005"], "--omega"),
     # omega(x) = x^1000 on the grid; mu omega(x) = 1e308 sqrt(x)
     (["seminorm", "--family", "pi", "--function", "gaussian", "--weight",
       "gevrey:d=0.001", "--lam", "1"], "--weight"),
@@ -755,6 +758,7 @@ def test_nuclear_overflow_exits_2(capsys):
 ], ids=["negative-tiny-d", "compactness-huge-x0", "bounded-tiny-d",
         "bounded-huge-d", "cauchy-huge-B", "weight-check-grid",
         "weight-check-epsilon", "necessary-sigma", "necessary-omega",
+        "necessary-no-parity",
         "pi-weight", "pi-mu", "equicont-x-seq", "equicont-huge-x",
         "equicont-spot-row", "equicont-K", "equicont-n",
         "equicont-translate"])
@@ -764,6 +768,26 @@ def test_in_range_value_that_overflows_exits_2(argv, flag, capsys):
     assert out.out == ""
     assert out.err.startswith(f"gsbench: error: {flag}:")
     assert "overflows a float" in out.err and "Traceback" not in out.err
+
+
+def test_necessary_refusal_names_the_first_block_that_overflows(capsys):
+    # psi(x) = x + x^2 on log:1e-3,1e3,20000: the first block in order holds
+    # x = -1000, where |psi| = 999000; |psi(1000)| = 1001000 lies later
+    argv = ["experiment", "necessary", "--psi", "poly:0,1,1", "--sigma",
+            "gevrey:d=2", "--omega", "gevrey:d=0.005"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "gsbench: error: --omega: gevrey:d=0.005 overflows a float at |t| <= 999000\n")
+
+
+def test_necessary_refuses_a_log_grid_too_narrow_to_increase(capsys):
+    # its exponents strictly increase in floats, but 10^e repeats a point
+    argv = ["experiment", "necessary", "--psi", "poly:0,1,1", "--sigma",
+            "gevrey:d=2", "--omega", "gevrey:d=2", "--grid", "log:1,1.0000000000000004,5"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "do not strictly increase" in out.err
+    assert "Traceback" not in out.err
 
 
 # -- strict JSON: +-inf as "inf"/"-inf", never a bare Infinity token ------

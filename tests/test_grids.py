@@ -176,3 +176,44 @@ def test_log_grid_whose_top_point_overflows_is_rejected_at_parse(spec):
 def test_log_grid_near_the_float_max_keeps_a_finite_top():
     g = GridSpec.parse("log:1,1.7e308,3")
     assert g.points()[-1] == 10.0 ** math.log10(1.7e308) < math.inf
+
+
+def symmetric_points_or_refusal(points):
+    try:
+        return np.asarray(points()).tobytes()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["lin", "log"]), st.floats(1e-300, 1e300),
+       st.integers(0, 60) | st.floats(1e-15, 1e3), st.integers(2, 300))
+@example("log", 1.0, 1, 5)  # exponents increase, points repeat
+@example("log", 1.2589254117941673, 1, 3)
+@example("log", 1e-299, 1e3, 50)  # the first exponent at -299
+def test_symmetric_points_at_equals_symmetric_points(kind, lo, span, n):
+    # span: ulps of lo past lo, or a factor of 1 + span; the certificate
+    # skips building the points only where they strictly increase
+    hi = lo
+    if isinstance(span, int):
+        for _ in range(span):
+            hi = math.nextafter(hi, math.inf)
+    else:
+        hi = lo * (1 + span)
+    assume(math.isfinite(hi) and hi > lo and hi < 1e300)
+    g = GridSpec(kind, lo, hi, n)
+
+    def made():
+        count, at = g.symmetric_points_at()
+        return at(np.arange(count))
+    assert symmetric_points_or_refusal(made) == symmetric_points_or_refusal(
+        g.symmetric_points)
+
+
+def test_narrow_log_grid_is_refused_by_the_lazy_points():
+    # exponents 0 < e_1 < ... strictly increase, but 10^e repeats a float
+    g = GridSpec.parse("log:1,1.0000000000000004,5")
+    e = [i * (math.log10(g.hi) / 4) for i in range(4)]
+    assert increasing(e)
+    assert_refused(g.points)
+    assert_refused(g.symmetric_points_at)

@@ -10,6 +10,18 @@ only the rows whose bound is not below that row's max.  Here:
 * every row's exact max against its bound, on drawn and on extreme rows;
 * the rows scanned for the bench's p seminorms, pinned;
 * the bench's seminorm variants against the unpruned kernel.
+
+``necessary_growth`` bounds each block of grid points from above before any
+of its points is made (``_ratio_bounds``) and evaluates only the blocks
+whose bound reaches the running max.  Here:
+
+* the pruned scan against the per-point loop ``naive_necessary_growth``, bit
+  for bit on C and argmax_x in hex and on the flag, over drawn weights
+  (gevrey, logpow, tables, a callable), polynomials with roots and interior
+  minima, lin and log grids and block sizes;
+* every computed ratio against its block's bound;
+* the scan against any valid bound, tight ones and exact ties included;
+* the points evaluated on the bench's four ``scan.necessary`` variants, pinned.
 """
 import math
 from unittest import mock
@@ -18,12 +30,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsbench import functions
-from gsbench.functions import (SUP_BLOCK_TERMS, _row_bounds, seminorm_p_lambda,
-                               seminorm_pi, weighted_log_sup)
+from gsbench import experiments, functions
+from gsbench.experiments import NECESSARY_BLOCK, _ratio_bounds, necessary_growth
+from gsbench.functions import (SUP_BLOCK_TERMS, Gaussian, Polynomial, _row_bounds,
+                               seminorm_p_lambda, seminorm_pi, weighted_log_sup)
+from gsbench.grids import GridSpec
 from gsbench.logdomain import LOG_ZERO
 from gsbench.weights import ConjugateEvaluator, WeightFunction
 
+from fnweight import FnWeight
+from test_experiments import naive_necessary_growth
 from test_functions import seminorm_cases
 
 
@@ -224,3 +240,163 @@ def test_bench_seminorms_equal_the_unpruned_kernel(case, monkeypatch):
     want = run()
     assert (got.value_log.hex(), got.witness, got.stable) == (
         want.value_log.hex(), want.witness, want.stable)
+
+
+# -- necessary_growth: blocks pruned by their bound ---------------------------
+
+# psi with roots (simple, double, at 0), interior minima and maxima, where
+# Horner cancels: (x^2 - 1/2)^2, (x - 1)^2, and a minimum 2^-30 above 0
+NECESSARY_PSIS = [Polynomial(c) for c in (
+    [0, 0, 1], [0, 1, 1], [1, -2, 1], [-1, 0, 1], [0, -3, 0, 1],
+    [0.25, 0, -1, 0, 1], [1 + 2 ** -30, -2, 1], [3], [1e150, 0, 1], [0, 1])]
+
+
+@st.composite
+def necessary_weight(draw):
+    kind = draw(st.sampled_from(["gevrey", "logpow", "table", "fn"]))
+    if kind == "gevrey":
+        return WeightFunction.gevrey(draw(st.sampled_from([0.5, 1.0, 2.0, 2.5, 7.0])))
+    if kind == "logpow":
+        return WeightFunction.logpow(draw(st.sampled_from([1.5, 2.0, 3.0])))
+    if kind == "fn":
+        return FnWeight(lambda t: t ** 0.5, label="sqrt")
+    # nondecreasing columns: constant, flat stretches, negative starts
+    ts = draw(st.lists(st.sampled_from([1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 10.0, 1e3]),
+                       min_size=2, max_size=5, unique=True))
+    # (the loop divides in Python: no knot at omega = -1, where 1 + omega = 0)
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.1, 3.3]),
+                          min_size=len(ts) - 1, max_size=len(ts) - 1))
+    v = [draw(st.sampled_from([-2.9, -0.5, 0.0, 1.0]))]
+    for step in steps:
+        v.append(v[-1] + step)
+    return WeightFunction.tabulated(sorted(ts), v)
+
+
+@st.composite
+def necessary_case(draw):
+    psi = draw(st.sampled_from(NECESSARY_PSIS + [Gaussian()])
+               | st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5).map(Polynomial))
+    kind = draw(st.sampled_from(["lin", "log"]))
+    lo = 0.0 if kind == "lin" and draw(st.booleans()) else draw(st.floats(1e-3, 2.0))
+    grid = GridSpec(kind, lo, lo + draw(st.floats(0.5, 50.0)), draw(st.integers(2, 400)))
+    return psi, draw(necessary_weight()), draw(necessary_weight()), grid
+
+
+def same_as_the_loop(res, psi, w_sigma, w_omega, grid):
+    best, best_x, grows = naive_necessary_growth(psi, w_sigma, w_omega, grid)
+    return (res.C.hex(), res.argmax_x.hex(), res.grows_with_radius) == (
+        best.hex(), best_x.hex(), grows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(necessary_case(), st.sampled_from([1, 2, 5, 16, 63, NECESSARY_BLOCK, 65, 200]))
+def test_pruned_necessary_equals_the_pointwise_loop(case, block):
+    with mock.patch.object(experiments, "NECESSARY_BLOCK", block):
+        res = necessary_growth(*case)
+    assert same_as_the_loop(res, *case)
+
+
+def block_ratios_and_bounds(psi, w_sigma, w_omega, grid, block):
+    """Per block as necessary_growth makes them: its computed ratios (NaN
+    where the ratio is NaN) and its bound."""
+    count, points = grid.symmetric_points_at()
+    count = count // 2 + 1 if psi.parity is not None else count
+    blocks = [np.arange(a, min(a + block, count)) for a in range(0, count, block)]
+    bound = _ratio_bounds(psi, w_sigma, w_omega, points(np.array([b[0] for b in blocks])),
+                          points(np.array([b[-1] for b in blocks])))
+    with np.errstate(all="ignore"):
+        ratios = [w_sigma.values(points(b)) / (1.0 + w_omega.values(psi.values(points(b))))
+                  for b in blocks]
+    return ratios, bound.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(necessary_case(), st.sampled_from([2, 5, 16, NECESSARY_BLOCK]))
+def test_every_necessary_ratio_is_within_its_bound(case, block):
+    ratios, bounds = block_ratios_and_bounds(*case, block)
+    for r, b in zip(ratios, bounds):
+        assert not (r > b).any(), (r.max(), b)
+
+
+def test_necessary_bound_covers_a_table_knot_and_cancellation():
+    # this table's interpolation one ulp below its knot K rounds 8.9e-16
+    # above the knot's value, which the flat segment past K keeps; and
+    # (x^2 - 1/2)^2 and (x - 1)^2 + 2^-30 cancel in Horner near their minima
+    K = 2.5788460943075933
+    step = WeightFunction.tabulated([0.8344180580863158, K, 10 * K],
+                                    [0.0, 6.5240161921520485, 6.5240161921520485])
+    flat = WeightFunction.tabulated([1.0, 2.0], [0.0, 0.0])
+    x = math.nextafter(K, 0.0)
+    assert step(x) > step(K)
+    cases = [(Polynomial([0, 1]), step, flat, GridSpec("lin", x, x + 1.0, 3)),
+             (Polynomial([0, 1]), step, flat, GridSpec("log", x, 2 * K, 300)),
+             (NECESSARY_PSIS[5], WeightFunction.gevrey(2), WeightFunction.gevrey(2),
+              GridSpec("lin", 0.0, 1.5, 3001)),
+             (NECESSARY_PSIS[6], step, WeightFunction.gevrey(2),
+              GridSpec("lin", 0.0, 1.0 + 2 ** -20, 4097))]
+    for case in cases:
+        for block in (2, 3, 16, NECESSARY_BLOCK):
+            ratios, bounds = block_ratios_and_bounds(*case, block)
+            for r, b in zip(ratios, bounds):
+                assert not (r > b).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_necessary_scan_is_exact_under_any_valid_bound(data):
+    # bounds from the exact block maxima plus drawn slack, 0 among it, or
+    # +inf: a block whose bound ties the running max must still be read,
+    # for it may hold an earlier tie; constant tables make every ratio tie
+    const = lambda v: WeightFunction.tabulated([1.0, 2.0], [v, v])
+    psi, w_sigma, w_omega, grid = data.draw(necessary_case() | st.tuples(
+        st.sampled_from(NECESSARY_PSIS), st.sampled_from([const(1.0), const(0.0)]),
+        st.sampled_from([const(0.0), const(3.0), WeightFunction.gevrey(2)]),
+        st.builds(GridSpec, st.just("lin"), st.just(0.0), st.floats(1.0, 5.0),
+                  st.integers(2, 60))))
+    block = data.draw(st.sampled_from([1, 2, 5, 16]))
+    ratios, _ = block_ratios_and_bounds(psi, w_sigma, w_omega, grid, block)
+    exact = [float(np.where(np.isnan(r), -math.inf, r).max()) for r in ratios]
+    slack = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, math.inf]),
+                               min_size=len(exact), max_size=len(exact)))
+    tight = lambda *args: np.array([e + s for e, s in zip(exact, slack)])
+    with mock.patch.object(experiments, "NECESSARY_BLOCK", block), \
+            mock.patch.object(experiments, "_ratio_bounds", tight):
+        res = necessary_growth(psi, w_sigma, w_omega, grid)
+    assert same_as_the_loop(res, psi, w_sigma, w_omega, grid)
+
+
+def test_bench_necessary_variants_evaluate_few_points(monkeypatch):
+    # the bench's scan.necessary: 20,001 points x <= 0 per variant; pinned,
+    # the points whose sigma and omega(psi) are evaluated, the blocks' two
+    # bound evaluations, and the grid's libm pows (points and block ends)
+    seen = {"sigma": 0, "omega": 0, "envelope": 0, "pow": 0}
+    weight_values, envelope = experiments.weight_values, WeightFunction.envelope
+    points_at = GridSpec.points_at
+
+    def spy_values(w, ts, flag, *args):
+        seen[flag[2:]] += len(ts)
+        return weight_values(w, ts, flag, *args)
+
+    def spy_envelope(self, ts, upper):
+        seen["envelope"] += len(ts)
+        return envelope(self, ts, upper)
+
+    def spy_points(self, i):
+        seen["pow"] += len(i)
+        return points_at(self, i)
+
+    monkeypatch.setattr(experiments, "weight_values", spy_values)
+    monkeypatch.setattr(WeightFunction, "envelope", spy_envelope)
+    monkeypatch.setattr(GridSpec, "points_at", spy_points)
+    got = []
+    for k, d in enumerate((2.0, 2.25, 2.5, 1.75)):
+        w = WeightFunction.gevrey(d)
+        necessary_growth(Polynomial([0, 0, 1]), w, w,
+                         GridSpec("log", 1e-3, 1e3 * (1 + 0.25 * k), 20000))
+        got.append(dict(seen))
+        seen.update(dict.fromkeys(seen, 0))
+    kept = [1216, 1280, 1344, 1152]  # 19, 20, 21 and 18 blocks of 64
+    assert got == [{"sigma": n, "omega": n, "envelope": 2 * 313, "pow": n + 2 * 313 + 2}
+                   for n in kept]
+    for g in got:  # at most a quarter of the 20,001 points
+        assert max(g["sigma"] + g["envelope"] // 2, g["pow"]) <= 20001 // 4
