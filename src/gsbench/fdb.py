@@ -17,16 +17,18 @@ shared by every outer jet h and every order n.
 Two recurrences, one per jet kind, both behind ``compose_jet``:
   * exact rationals, on one Fraction jet;
   * signed log magnitudes, (sign, log|.|) arrays, batched over a whole grid
-    (``log_compose_table``), summed axis first and points last: order n
-    gathers its terms as (i, k, points) for the orders i nonzero at some
-    point, and each entry is a max-shifted sum compensated by a pairwise
-    TwoSum tree (``_log_sum``), within a few ulps of the correctly rounded
-    ``math.fsum``.  The terms sit in bit-reversed slots, so every tree level
-    adds two contiguous halves.  Points go in blocks of at most TERM_BLOCK
-    Bell entries, and the contraction sums several orders per call, up to
-    SUM_TERMS terms.  A single log jet is a one-row table;
-    ``log_bell_table`` is the Bell table itself, whose diagonal
-    B(n, n) = psi'^n the compactness experiment reads.
+    (``log_compose_table``) in blocks of points, each entry a max-shifted
+    sum compensated by a pairwise TwoSum tree (``_log_sum``), within a few
+    ulps of the correctly rounded ``math.fsum``.  A single log jet is a
+    one-row table; ``log_bell_table`` is the Bell table itself, whose
+    diagonal B(n, n) = psi'^n the compactness experiment reads.
+
+The log kernel serves ``compose_jet``, compactness, and the composed tables
+of outer functions with no Taylor recurrence (polynomials, bumps).  Its sums
+of mixed-sign terms lose digits with J (3.9e-8 in log on gaussian o
+sqrt1px2 at J = 24), and numpy's exp and log make its bits depend on the
+SIMD level.  gaussian, expsqr, pow1px2 and sqrt1px2 compose by their own
+Taylor recurrence instead (``experiments.composed_taylor_table``).
 
 Composition never enumerates partitions.  ``enumerate_partitions`` lists
 the multi-indices (k_1, ..., k_j) with sum(l k_l) = j of one order, for the

@@ -27,6 +27,12 @@ log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
   * compactly supported bump: recurrences for the inner rational power
     composed with exp, capped at order 40, one jet per point
 
+For composition, ``taylor_table`` gives f^(k)(x)/k! as floats scaled by a
+power-of-two radius per point, and ``square_taylor_table`` those of f^2, a
+family's own where f^2 is one, else a Cauchy product.  gaussian, expsqr,
+pow1px2 and sqrt1px2 declare the ``ode`` that composes them as outer
+functions (``experiments.composed_taylor_table``).
+
 A family declares its ``parity``: 0 for an even f, 1 for an odd one, None
 when it declares none.  For even or odd f, |f^(j)(-x)| = |f^(j)(x)| bit for
 bit (every family's arithmetic is sign-symmetric), and a weight reads |x|,
@@ -54,6 +60,7 @@ from .specs import check_gbump, check_monbump, check_pow1px2, label_real
 from .weights import ConjugateEvaluator, WeightFunction, weight_values
 
 _CLOSED_FORM_JMAX = 200
+LN2 = math.log(2.0)
 SUP_BLOCK_TERMS = 1 << 14  # (x, j, k) terms per weighted_log_sup block
 
 
@@ -65,6 +72,7 @@ class ModelFunction:
     analytic: Optional[str] = None  # "cone" | "strip" | None
     jet_cap = math.inf  # the highest jet order the family computes
     parity: Optional[int] = None  # 0 even, 1 odd: f(-x) = (-1)^parity f(x)
+    ode = None  # f o psi's Taylor recurrence in psi^2, where f has one
 
     def value(self, x: float) -> float:
         raise NotImplementedError
@@ -85,6 +93,24 @@ class ModelFunction:
                        for v in jet.values]
             log_abs[i] = jet_log_abs(jet)
         return sign, log_abs
+
+    def square_taylor_table(self, xs, J: int) -> tuple:
+        """psi^2's ``taylor_table``: by default the Cauchy product of psi's, at
+        its radius (|w_k| <= 2 |psi(x)| + k - 1 for k >= 1)."""
+        a, e = self.taylor_table(xs, J)
+        return np.array([(a[:k + 1] * a[k::-1]).sum(axis=0) for k in range(J + 1)]), e
+
+    def taylor_table(self, xs, J: int) -> tuple:
+        """(c, e): c[k] = f^(k)(x)/k! 2^(-e k) per x of xs, (J+1, len(xs)),
+        e per x an integer >= 0 that brings every |c[k]|, k >= 1, to <= 1.
+        Default: from log_jet_table, by libm's exp per entry."""
+        sign, log = (t.T for t in self.log_jet_table(xs, J))
+        k = np.arange(J + 1)[:, None]
+        log = log - [[math.lgamma(n + 1)] for n in range(J + 1)]
+        with np.errstate(invalid="ignore"):  # log 0 = -inf
+            e = np.ceil(log[1:] / (k[1:] * LN2)).max(axis=0, initial=0.0)
+        shifted = (log - k * e * LN2).ravel().tolist()
+        return sign * np.array([math.exp(v) for v in shifted]).reshape(log.shape), e
 
     def _check_order(self, J: int) -> None:
         if J > self.jet_cap:
@@ -135,6 +161,11 @@ class _ExpQuadratic(_Recurrence):
     """f(x) = exp(s x^2): f^(n+1) = 2s x f^(n) + 2s n f^(n-1) (Hermite)."""
 
     s = -1
+
+    def ode(self, w0):
+        """g = e^q, q = s psi^2, solves g' = q' g: (alpha, beta, c, log g_0) =
+        (1, 0, s, s w0) in ``composed_taylor_table``, w0 = psi^2 per point."""
+        return 1.0, 0.0, self.s, self.s * w0
 
     def jet(self, x, J: int) -> Jet:
         if x != 0:
@@ -188,6 +219,9 @@ class Polynomial(ModelFunction):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    def square_taylor_table(self, xs, J: int) -> tuple:
+        return Polynomial(np.convolve(self.coeffs, self.coeffs)).taylor_table(xs, J)
 
     def value(self, x: float) -> float:
         acc = 0.0
@@ -255,6 +289,16 @@ class Polynomial(ModelFunction):
                     log_abs[i, j] = math.log(abs(n // g)) - math.log(d // g)
         return sign, log_abs
 
+    def taylor_table(self, xs, J: int) -> tuple:
+        """Each N_j / (d_j j!) rounded once, and e from their binary
+        exponents, so the scaling is exact."""
+        c = np.zeros((J + 1, len(xs)))
+        for i, row in enumerate(self._derivatives([float(x) for x in xs], J)):
+            c[:len(row), i] = [n / (d * math.factorial(j)) for j, (n, d) in enumerate(row)]
+        k = np.arange(J + 1)[:, None]
+        e = (-(-np.frexp(c[1:])[1] // k[1:])).max(axis=0, initial=0)
+        return np.ldexp(c, -k * e), e
+
     def jet(self, x, J: int) -> Jet:
         xq = Fraction(x)  # floats are rationals, so the jet stays exact
         vals = [Fraction(n, d) for n, d in next(self._derivatives([xq], J))]
@@ -318,6 +362,15 @@ class Pow1px2(_Recurrence):
     def value(self, x: float) -> float:
         return (1.0 + x * x) ** self.a
 
+    def ode(self, w0):
+        """g = u^a, u = 1 + psi^2, solves u g' = a u' g (J. C. P. Miller's
+        formula for the powers of a series): (a, 1, 1/u_0, a log u_0)."""
+        log_u0 = np.array([math.log1p(w) for w in w0.tolist()])
+        return self.a, 1.0, 1.0 / (1.0 + w0), self.a * log_u0
+
+    def square_taylor_table(self, xs, J: int) -> tuple:
+        return Pow1px2(2.0 * self.a).taylor_table(xs, J)
+
     def _recurrence(self, xs, log_r, J):
         two_a = 2.0 * self.a
         return (two_a * log_r, -1, 1.0, [two_a - 2.0 * n for n in range(J)],
@@ -335,6 +388,9 @@ class Sqrt1px2(Pow1px2):
 
     def value(self, x: float) -> float:
         return math.hypot(1.0, x)
+
+    def square_taylor_table(self, xs, J: int) -> tuple:
+        return Polynomial([1, 0, 1]).taylor_table(xs, J)
 
 
 class GevreyBump(ModelFunction):

@@ -613,13 +613,15 @@ def test_kernel_matches_closed_form_compositions(grid, J, share):
 
 
 def test_composed_table_runs_the_kernel_once_per_table(monkeypatch):
-    calls = []
+    # gaussian's kernel is its Taylor recurrence, and the Bell kernel never runs
+    calls, real = [], experiments.composed_taylor_table
 
     def spy(*args):
-        calls.append(len(args[0]))
-        return log_compose_table(*args)
+        calls.append(len(args[2]))
+        return real(*args)
 
-    monkeypatch.setattr(experiments, "log_compose_table", spy)
+    monkeypatch.setattr(experiments, "composed_taylor_table", spy)
+    monkeypatch.setattr(experiments, "log_compose_table", None)
     f, psi, grid = Gaussian(), Polynomial([0, 0, 1]), GridSpec("lin", 0.05, 5.0, 100)
     xs = grid.symmetric_points()
     table = experiments.composed_jet_log_table(f, psi, xs, 16)

@@ -22,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 from gsbench import experiments
 from gsbench.errors import PreconditionError
 from gsbench.experiments import (composed_jet_log_table, composed_parity,
-                                 composed_seminorm_bound, necessary_growth,
-                                 sufficient_condition_check)
+                                 composed_seminorm_bound, composed_taylor_table,
+                                 necessary_growth, sufficient_condition_check)
 from gsbench.fdb import log_compose_table
 from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, ModelFunction,
                                MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
@@ -134,9 +134,13 @@ COMPOSED = [
                               for f, p, g, _ in COMPOSED])
 def test_half_composed_table_is_the_full_composition(f, psi, grid, J, monkeypatch):
     xs = grid.symmetric_points()
-    full = log_compose_table(*f.log_jet_table(psi.values(xs), J),
-                             *psi.log_jet_table(xs, J), J)[1]
-    rows = spy_rows(monkeypatch, experiments, "log_compose_table", 0)
+    if f.ode is None:  # the Bell kernel, on f's jets over psi(xs)
+        full = log_compose_table(*f.log_jet_table(psi.values(xs), J),
+                                 *psi.log_jet_table(xs, J), J)[1]
+        rows = spy_rows(monkeypatch, experiments, "log_compose_table", 0)
+    else:  # the Taylor recurrence of f's ode
+        full = composed_taylor_table(f, psi, xs, J)[1]
+        rows = spy_rows(monkeypatch, experiments, "composed_taylor_table", 2)
     got = composed_jet_log_table(f, psi, xs, J)
     assert rows == [len(xs) // 2 + 1]  # only the rows x <= 0 are composed
     assert got.tobytes() == full.tobytes()
@@ -262,7 +266,7 @@ def test_seminorms_of_no_parity_build_every_row(f, monkeypatch):
 
 @pytest.mark.parametrize("psi", [MIXED, GevreyBump()], ids=lambda f: f.label)
 def test_composed_of_no_parity_build_every_row(psi, monkeypatch):
-    rows = spy_rows(monkeypatch, experiments, "log_compose_table", 0)
+    rows = spy_rows(monkeypatch, experiments, "composed_taylor_table", 2)
     xs = GRID.symmetric_points()
     t = composed_jet_log_table(Gaussian(), psi, xs, 6)
     composed_seminorm_bound(Gaussian(), psi, WeightFunction.gevrey(3), 2, GRID,
