@@ -369,7 +369,13 @@ class Pow1px2(_Recurrence):
         return self.a, 1.0, 1.0 / (1.0 + w0), self.a * log_u0
 
     def square_taylor_table(self, xs, J: int) -> tuple:
-        return Pow1px2(2.0 * self.a).taylor_table(xs, J)
+        """psi^2 = (1 + x^2)^m, m = 2a: for an integer 0 <= m <= J (J-bit
+        integers) the exact sum_k C(m, k) x^(2k); else pow1px2:m's jets."""
+        m = 2.0 * self.a
+        if m.is_integer() and 0 <= m <= J:
+            return Polynomial([math.comb(int(m), i // 2) * (1 - i % 2)
+                               for i in range(2 * int(m) + 1)]).taylor_table(xs, J)
+        return Pow1px2(m).taylor_table(xs, J)
 
     def _recurrence(self, xs, log_r, J):
         two_a = 2.0 * self.a
@@ -388,9 +394,6 @@ class Sqrt1px2(Pow1px2):
 
     def value(self, x: float) -> float:
         return math.hypot(1.0, x)
-
-    def square_taylor_table(self, xs, J: int) -> tuple:
-        return Polynomial([1, 0, 1]).taylor_table(xs, J)
 
 
 class GevreyBump(ModelFunction):

@@ -2,17 +2,21 @@
 (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, *QUADPACK*,
 Springer 1983), ported step for step.
 
-``quad(f, a, b)`` integrates over [a, b] with the 21-point Kronrod rule
-(dqagse), or over [a, inf) with the 15-point rule on x = a + (1 - t)/t,
-t in (0, 1] (dqagie).  Both share one adaptive loop: bisect the interval of
-largest error (dqpsrt keeps the error ordering) and extrapolate the
-sequence of areas with the epsilon algorithm (dqelg).  The integrand takes
-an array of nodes and returns an array of values; each bisection asks it
-for both halves' nodes at once.  Every sum stays a sequential Python float
-addition in QUADPACK's order, so for an integrand that stays finite, value,
-error estimate and ier equal those of the Fortran routines (and of
-``scipy.integrate.quad``) bit for bit; where it reaches inf or NaN,
-Python's max and min may part from Fortran's.
+``quad_many(f, intervals)`` integrates over each (a, b) with the 21-point
+Kronrod rule (dqagse), or over [a, inf) with the 15-point rule on
+x = a + (1 - t)/t, t in (0, 1] (dqagie).  Each integral bisects the interval
+of largest error (dqpsrt keeps the error ordering) and extrapolates its
+areas with the epsilon algorithm (dqelg), all in lockstep rounds: per round
+and rule, one call ``f(t, owner)`` takes the nodes of every unfinished
+integral's next pieces, owner[k] the index in intervals of t[k]'s integral.
+f must compute each value from its node and owner alone (elementwise numpy,
+per-element libm), so that the batch moves no bit.  The rule sums add their
+terms in QUADPACK's order by np.add.accumulate along each row, strictly left
+to right (np.sum adds pairwise), and min, max and ** keep Python's semantics
+per element.  So for an integrand that stays finite, value, error estimate
+and ier equal those of the Fortran routines (and of ``scipy.integrate.quad``)
+bit for bit; where it reaches inf or NaN, Python's max and min may part from
+Fortran's.  ``quad(f, a, b)`` is the batch of one.
 
 ier: 0 converged; 1 the subdivision limit was reached; 2 roundoff
 prevents the tolerance; 3 bad integrand behaviour at some point; 4 the
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,11 +44,14 @@ class _Rule:
     centre's weights, and the order in which the rule adds up its pairs."""
 
     def __init__(self, xk, wk, wg, wk0, wg0, order):
-        self.n, self.wk, self.wk0, self.wg0 = len(xk), wk, wk0, wg0
-        self.steps = tuple((j, wk[j], wg[j]) for j in order)
+        self.n, self.wk, self.wk0, self.wg0 = len(xk), np.array(wk), wk0, wg0
+        # the pairs in summation order, and the Gauss ones among them
+        self.order, self.wk_steps = np.array(order), np.array([wk[j] for j in order])
+        self.gauss = np.array([k for k, j in enumerate(order) if wg[j] is not None])
+        self.wg = np.array([wg[j] for j in order if wg[j] is not None])
         # the nodes of [c - h, c + h] off the centre are c + h u, for
         # c - h x equals c + h (-x)
-        self.u = (*(-x for x in xk), *xk)
+        self.u = np.array((*(-x for x in xk), *xk))
 
 
 # dqk21: the 10-point Gauss nodes are xk[1], xk[3], ..., summed first;
@@ -81,66 +89,86 @@ _K15 = _Rule(
     order=range(7))
 
 
-def _kronrod(rule: _Rule, f: Callable, boun: Optional[float], pieces: list) -> list:
-    """(result, abserr, resabs, resasc) of dqk21 (boun None) or dqk15i on
-    [boun, inf) mapped to t in (0, 1], for each (a, b) of pieces, with every
-    node in one call of f."""
-    t = []
-    for a, b in pieces:
-        centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-        t.append(centr)
-        t += [centr + hlgth * u for u in rule.u]
-    t = np.array(t)
-    fv = f(t) if boun is None else (f(boun + (1.0 - t) / t) / t) / t
-    fv = np.asarray(fv, dtype=float).tolist()
-    n, wk, wk0, wg0 = rule.n, rule.wk, rule.wk0, rule.wg0
-    out = []
-    for i, (a, b) in enumerate(pieces):
-        hlgth = 0.5 * (b - a)
-        o = i * (2 * n + 1)
-        fc, fv1, fv2 = fv[o], fv[o + 1:o + 1 + n], fv[o + 1 + n:o + 1 + 2 * n]
-        resg = 0.0 if wg0 is None else wg0 * fc
-        resk = wk0 * fc
-        resabs = abs(resk)
-        for j, wkj, wgj in rule.steps:
-            f1, f2 = fv1[j], fv2[j]
-            fsum = f1 + f2
-            if wgj is not None:
-                resg = resg + wgj * fsum
-            resk = resk + wkj * fsum
-            resabs = resabs + wkj * (abs(f1) + abs(f2))
-        reskh = resk * 0.5
-        resasc = wk0 * abs(fc - reskh)
-        for wkj, f1, f2 in zip(wk, fv1, fv2):
-            resasc = resasc + wkj * (abs(f1 - reskh) + abs(f2 - reskh))
-        result = resk * hlgth
-        resabs, resasc = resabs * abs(hlgth), resasc * abs(hlgth)
-        abserr = abs((resk - resg) * hlgth)
-        if resasc != 0.0 and abserr != 0.0:
-            abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-        if resabs > UFLOW / (50.0 * EPMACH):
-            abserr = max((EPMACH * 50.0) * resabs, abserr)
-        out.append((result, abserr, resabs, resasc))
-    return out
+def _kronrod(rule: _Rule, f: Callable, a: np.ndarray, b: np.ndarray,
+             owner: np.ndarray, boun: Optional[np.ndarray]) -> list:
+    """(result, abserr, resabs, resasc) of dqk21 (boun None) or of dqk15i on
+    [boun, inf) mapped to t in (0, 1], for each piece [a, b] of the arrays,
+    with every node in one call of f."""
+    n = rule.n
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    t = np.concatenate((centr[:, None], centr[:, None] + hlgth[:, None] * rule.u), axis=1).ravel()
+    owner = np.repeat(owner, 2 * n + 1)
+    fv = f(t, owner) if boun is None else (f(np.repeat(boun, 2 * n + 1) + (1.0 - t) / t, owner) / t) / t
+    fv = np.asarray(fv, dtype=float).reshape(len(a), 2 * n + 1)
+    fc, f1, f2 = fv[:, 0], fv[:, 1:n + 1], fv[:, n + 1:]
+    # resk, resg, resabs and resasc per row: a start, then the terms in
+    # QUADPACK's order; dqk21's resg starts at 0.0, and zeros ahead keep it
+    terms = np.empty((4, len(a), n + 1))
+    fsum = (f1 + f2)[:, rule.order]
+    terms[0, :, 0] = rule.wk0 * fc
+    terms[0, :, 1:] = rule.wk_steps * fsum
+    g = n + 1 - len(rule.wg)
+    terms[1, :, :g] = 0.0 if rule.wg0 is None else (rule.wg0 * fc)[:, None]
+    terms[1, :, g:] = rule.wg * fsum[:, rule.gauss]
+    terms[2, :, 0] = np.abs(terms[0, :, 0])
+    terms[2, :, 1:] = rule.wk_steps * (np.abs(f1) + np.abs(f2))[:, rule.order]
+    resk, resg, resabs = np.add.accumulate(terms[:3], axis=2)[:, :, -1]
+    reskh = (resk * 0.5)[:, None]
+    terms[3, :, 0] = rule.wk0 * np.abs(fc - reskh[:, 0])
+    terms[3, :, 1:] = rule.wk * (np.abs(f1 - reskh) + np.abs(f2 - reskh))
+    resasc = np.add.accumulate(terms[3], axis=1)[:, -1]
+    result = resk * hlgth
+    # resabs |h| and resasc |h| equal |resabs h| and |resasc h|: both sums are >= 0
+    resabs, resasc, abserr = np.abs(np.array([resabs, resasc, resk - resg]) * hlgth)
+    # Python's float ** per element, not numpy's power, whose last bit may
+    # differ; then min(1.0, q) and max(lo, e), taking Python's side for NaN
+    q = np.fromiter(map(pow, (200.0 * abserr / resasc).tolist(), repeat(1.5)), float, len(a))
+    abserr = np.where((resasc != 0.0) & (abserr != 0.0), resasc * np.where(q < 1.0, q, 1.0), abserr)
+    lo = (EPMACH * 50.0) * resabs
+    abserr = np.where(resabs > UFLOW / (50.0 * EPMACH), np.where(abserr > lo, abserr, lo), abserr)
+    return np.array([result, abserr, resabs, resasc]).T.tolist()
 
 
 def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
          limit: int = 50) -> tuple:
     """(value, abs_error, ier) of the integral of f over [a, b], for a
     finite a <= b and b finite or inf, to scipy.integrate.quad's default
-    tolerances.  As in Fortran, numpy overflow and invalid values stay
-    silent."""
+    tolerances."""
+    return quad_many(lambda t, owner: f(t), [(a, b)], limit)[0]
+
+
+def quad_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], intervals: list,
+              limit: int = 50) -> list:
+    """quad's (value, abs_error, ier) for each (a, b) of intervals, in lockstep
+    rounds of f(t, owner).  As in Fortran, numpy warnings stay silent."""
+    out = [None] * len(intervals)
     with np.errstate(all="ignore"):
-        return _qag(f, float(a), float(b), limit)
+        runs = [_qag(float(a), float(b), limit) for a, b in intervals]
+        asks = {i: next(run) for i, run in enumerate(runs)}
+        while asks:
+            rows = {i: [] for i in asks}
+            for rule in (_K21, _K15):
+                todo = [(i, boun, a, b) for i, (r, boun, pieces) in asks.items()
+                        if r is rule for a, b in pieces]
+                if todo:
+                    owner, boun, a, b = map(np.array, zip(*todo))
+                    for i, row in zip(owner.tolist(), _kronrod(
+                            rule, f, a, b, owner, None if rule is _K21 else boun)):
+                        rows[i].append(row)
+            asks = {}
+            for i, got in rows.items():
+                try:
+                    asks[i] = runs[i].send(got)
+                except StopIteration as done:
+                    out[i] = done.value
+    return out
 
 
-def _qag(f: Callable, a: float, b: float, limit: int) -> tuple:
-    """dqagse, or dqagie for b = inf, as one routine."""
-    if b == math.inf:
-        rule, boun, a, b = _K15, a, 0.0, 1.0
-    else:
-        rule, boun = _K21, None
-    (result, abserr, defabs, resabs), = _kronrod(rule, f, boun, [(a, b)])
+def _qag(a: float, b: float, limit: int):
+    """dqagse, or dqagie for b = inf, as one routine: yields each (rule, boun,
+    pieces), is sent their _kronrod rows, returns (value, abs_error, ier)."""
+    rule, boun, a, b = (_K15, a, 0.0, 1.0) if b == math.inf else (_K21, None, a, b)
+    (result, abserr, defabs, resabs), = yield rule, boun, [(a, b)]
     dres = abs(result)
     errbnd = max(EPSABS, EPSREL * dres)
     ier = 0
@@ -164,8 +192,8 @@ def _qag(f: Callable, a: float, b: float, limit: int) -> tuple:
         a1, b2 = alist[maxerr], blist[maxerr]
         b1 = a2 = 0.5 * (alist[maxerr] + blist[maxerr])
         erlast = errmax
-        (area1, error1, _, defab1), (area2, error2, _, defab2) = _kronrod(
-            rule, f, boun, [(a1, b1), (a2, b2)])
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield (
+            rule, boun, [(a1, b1), (a2, b2)])
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax

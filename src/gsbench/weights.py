@@ -293,15 +293,12 @@ class WeightConditionReport(Result):
                 "conditions": [asdict(r) for r in self.records()]}
 
 
-def _integral(f: Callable, points: list) -> tuple:
-    """(value, abs_error, ok) of a nonnegative integrand, taking an array of
-    nodes, over [points[0], points[-1]]: one QUADPACK integral per gap
-    between consecutive points, not ok when one reports ier != 0 (e.g. a
-    divergent integral) or a piece is negative."""
-    from . import quadpack  # lazy: only weight-check integrates
+def _integral(rows: list) -> tuple:
+    """(value, abs_error, ok) of a nonnegative integrand from the QUADPACK
+    (value, abs_error, ier) rows of its pieces: not ok when one reports
+    ier != 0 (e.g. a divergent integral) or a piece is negative."""
     total, err, ok = 0.0, 0.0, True
-    for a, b in zip(points, points[1:]):
-        v, e, ier = quadpack.quad(f, a, b, limit=200)
+    for v, e, ier in rows:
         total, err, ok = total + v, err + e, ok and ier == 0 and v >= 0.0
     return total, err, ok
 
@@ -344,19 +341,38 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
     # (beta): integral of omega(t)/(1+t^2), split at t = 1 and at a table's
     # knots.  Past a table's last cut T, dqagie's map of [T, inf) returns ~0
     # for a tail ~ omega(T)/T; t = T/v gives (1/T) int_0^1 omega(T/v) /
-    # (1 + (v/T)^2) dv instead, an integrand the size of omega.  Each
-    # integrand takes an array of nodes and equals its scalar formula bit for
-    # bit: (v/T)**2 stays a per-element pow, which x*x does not always equal.
-    f = lambda t: w.values(t) / (1.0 + t * t)
-    if not w.knots:
-        beta_val, beta_err, beta_ok = _integral(f, [0.0, 1.0, np.inf])
-    else:
-        cuts = sorted({1.0, *w.knots})
-        top = cuts[-1]
-        v1, e1, ok1 = _integral(f, [0.0, *cuts])
-        v2, e2, ok2 = _integral(lambda u: w.values(top / u) / np.array(
-            [1.0 + (v / top) ** 2 for v in u.tolist()]), [0.0, 1.0])
-        beta_val, beta_err, beta_ok = v1 + v2 / top, e1 + e2 / top, ok1 and ok2
+    # (1 + (v/T)^2) dv instead, an integrand the size of omega.  (epsilon)'s
+    # int_1^inf omega(y t)/t^2 dt is split at a table's kinks t = t_k / y up to
+    # T = t_K / y, past which omega(y t) = c + b log t and the integral is
+    # (omega(y T) + b)/T.  One QUADPACK integral per gap, all in one batch
+    ys = GridSpec("log", max(grid.lo, 1e-2), grid.hi, 30).points()
+    cuts = sorted({1.0, *w.knots})
+    top = cuts[-1]
+    beta_pts = [[0.0, *cuts], [0.0, 1.0]] if w.knots else [[0.0, 1.0, np.inf]]
+    eps_tops = [max(1.0, w.knots[-1] / y) if w.knots else np.inf for y in ys]
+    splits = beta_pts + [[1.0, *(t / y for t in w.knots if 1.0 < t / y < ty), ty]
+                         for y, ty in zip(ys, eps_tops)]
+    nb, gaps = len(beta_pts), [len(pts) - 1 for pts in splits]
+    # per piece: 0 beta, 1 a table's tail, 2 epsilon; and the y of omega(y t)
+    kind = np.repeat([0, 1, 2], [gaps[0], sum(gaps[1:nb]), sum(gaps[nb:])])
+    scale = np.repeat([1.0] * nb + ys, gaps)
+
+    def integrand(t, i):
+        # each value is its piece's scalar formula, bit for bit: the tail's
+        # (v/T)**2 stays a per-element pow, which x*x does not always equal
+        k, tt = kind[i], t * t
+        tail = k == 1
+        den = np.where(k == 2, tt, 1.0 + tt)
+        den[tail] = [1.0 + (v / top) ** 2 for v in t[tail].tolist()]
+        return w.values(np.where(tail, top / t, scale[i] * t)) / den
+    from . import quadpack  # lazy: only weight-check integrates
+    rows = iter(quadpack.quad_many(
+        integrand, [(a, b) for pts in splits for a, b in zip(pts, pts[1:])], limit=200))
+    folds = [_integral([next(rows) for _ in pts[1:]]) for pts in splits]
+    beta_val, beta_err, beta_ok = folds[0]
+    if w.knots:
+        v2, e2, ok2 = folds[1]
+        beta_val, beta_err, beta_ok = beta_val + v2 / top, beta_err + e2 / top, beta_ok and ok2
     beta = ConditionRecord("beta", beta_ok and math.isfinite(beta_val)
                            and beta_err < 1e-8 * max(1.0, beta_val),
                            witness={"integral": float(beta_val)},
@@ -377,18 +393,11 @@ def _audit_weight(w: WeightFunction, grid: GridSpec) -> WeightConditionReport:
     viol = int(np.sum(mid > 0.5 * (ph[:-2] + ph[2:]) + 1e-9 * (1.0 + np.abs(ph[:-2]) + np.abs(ph[2:]))))
     delta = ConditionRecord("delta", viol == 0, detail={"violations": viol})
 
-    # (epsilon): int_1^inf omega(y t)/t^2 dt <= C omega(y) + C
-    ys = GridSpec("log", max(grid.lo, 1e-2), grid.hi, 30).points()
+    # (epsilon): int_1^inf omega(y t)/t^2 dt <= C omega(y) + C, integrated above
     c_req, clean = 0.0, True
-    for y in ys:
-        # a table's omega(y t) has a kink at t = t_k / y for every knot t_k;
-        # past T = t_K / y it is c + b log t, and int_T^inf omega(y t)/t^2 dt
-        # = (omega(y T) + b)/T
-        top = max(1.0, w.knots[-1] / y) if w.knots else np.inf
-        cuts = [t / y for t in w.knots if 1.0 < t / y < top]
-        val, _, ok = _integral(lambda t: w.values(y * t) / (t * t), [1.0, *cuts, top])
+    for y, ty, (val, _, ok) in zip(ys, eps_tops, folds[nb:]):
         if w.knots:
-            val += (w(y * top) + w.tail_slope) / top
+            val += (w(y * ty) + w.tail_slope) / ty
         c_req = max(c_req, val / (w(y) + 1.0))
         clean = clean and ok
     c_int = math.ceil(c_req - 1e-12)

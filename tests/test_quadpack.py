@@ -36,6 +36,16 @@ def assert_bit_equal(f, a, b, limit):
     return ier
 
 
+def by_owner(fs):
+    """The batch integrand that gives node t[k] the value fs[owner[k]](t[k])."""
+    def f(t, owner):
+        y = np.empty_like(t)
+        for i, g in enumerate(fs):
+            y[owner == i] = g(t[owner == i])
+        return y
+    return f
+
+
 @pytest.mark.parametrize("w", [
     *(WeightFunction.gevrey(d) for d in (0.5, 1, 1.5, 2, 3, 4)),
     *(WeightFunction.logpow(s) for s in (1.75, 2, 2.25, 2.5, 3)),
@@ -43,17 +53,20 @@ def assert_bit_equal(f, a, b, limit):
 def test_every_weight_check_integral_equals_quad(w, monkeypatch):
     calls = []
 
-    def recording(f, a, b, limit=50):
-        calls.append((f, a, b, limit))
-        return quad(f, a, b, limit)
-    quad = quadpack.quad
-    monkeypatch.setattr(quadpack, "quad", recording)
+    def recording(f, intervals, limit=50):
+        rows = quad_many(f, intervals, limit)
+        calls.extend((f, i, a, b, limit, row) for i, ((a, b), row) in enumerate(zip(intervals, rows)))
+        return rows
+    quad_many = quadpack.quad_many
+    monkeypatch.setattr(quadpack, "quad_many", recording)
     check_weight_conditions(w)
     monkeypatch.undo()
-    # beta's pieces and (epsilon)'s 30 ordinates, each of a table's gaps too
+    # beta's pieces and (epsilon)'s 30 ordinates, each of a table's gaps too,
+    # each row of the batch equal to scipy's quad of its own integrand
     assert len(calls) >= 32
-    for f, a, b, limit in calls:
-        assert_bit_equal(f, a, b, limit)
+    for f, i, a, b, limit, (v, e, ier) in calls:
+        g = lambda x: f(x, np.zeros(x.shape, int) + i)
+        assert (v, e, ier != 0) == oracle(g, a, b, limit), (i, a, b, limit)
 
 
 # integrands of +, -, *, /, abs and sqrt, evaluated elementwise by numpy
@@ -99,6 +112,30 @@ def test_basic_operation_integrands_equal_quad(e, a, length, limit):
     assert (got[0], got[1], got[2] != 0) == (v, e_, warned)
 
 
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.lists(st.tuples(EXPRS, st.sampled_from([-2.0, 0.0, 0.5, 1.0]),
+                          st.sampled_from([1e-3, 0.5, 1.0, 4.0, math.inf])),
+                min_size=1, max_size=12), st.sampled_from(LIMITS))
+def test_a_batch_equals_quad_integral_by_integral(cases, limit):
+    # each interval its own integrand, finite or [a, inf), in one batch
+    finite = [True] * len(cases)
+
+    def integrand(i, e):
+        def g(x):
+            y = evaluate(e, x)
+            finite[i] = finite[i] and bool(np.all(np.isfinite(y)))
+            return y
+        return g
+    f = by_owner([integrand(i, e) for i, (e, _, _) in enumerate(cases)])
+    with np.errstate(all="ignore"):
+        rows = quadpack.quad_many(f, [(a, a + length) for _, a, length in cases], limit)
+        assume(any(finite))
+        for (e, a, length), (v, e_, ier), ok in zip(cases, rows, finite):
+            if ok:
+                assert (v, e_, ier != 0) == oracle(lambda x: evaluate(e, x), a, a + length, limit)
+
+
 # one integrand for each ier; the limit-10 case ends with ier 1 past
 # last = limit/2 + 2, where dqpsrt orders only the first limit + 3 - last
 # errors
@@ -127,3 +164,13 @@ def test_each_ier_equals_quad(monkeypatch):
     assert iers == [want for *_, want in IER_CASES]
     assert any(last > limit // 2 + 2 for limit, last in lasts)
 
+
+def test_each_ier_in_one_batch_per_limit():
+    for limit in sorted({limit for _, _, _, limit, _ in IER_CASES}):
+        cases = [(f, a, b, want) for f, a, b, lim, want in IER_CASES if lim == limit]
+        with np.errstate(all="ignore"):
+            rows = quadpack.quad_many(by_owner([f for f, *_ in cases]),
+                                      [(a, b) for _, a, b, _ in cases], limit)
+            for (f, a, b, want), (v, e, ier) in zip(cases, rows):
+                assert ier == want, (a, b, limit)
+                assert (v, e, ier != 0) == oracle(f, a, b, limit), (a, b, limit)
