@@ -9,7 +9,10 @@ standard library):
   fdb         Faa di Bruno by partial Bell polynomials, partitions
   logdomain   signed log-domain reals and sums
   functions   model functions, jets, seminorm estimators, growth index
-  experiments inequality-chain experiments (proof skeletons)
+  chains      the four scalar chains (compactness, bounded, negative,
+              nuclear), numpy-free
+  experiments inequality-chain experiments (proof skeletons) that build
+              arrays; re-exports the four chains
   reports     result containers and deterministic JSON/CSV emission
   errors      exception types
   cli         deterministic command-line front end

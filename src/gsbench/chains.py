@@ -1,22 +1,145 @@
-"""The scalar inequality chains, loss of regularity and nuclearity: walks
-over Young conjugates that build no array, so unlike ``experiments`` (which
-re-exports them) this module imports no numpy.  Each row is checked in log
-domain at finite index ranges only.
+"""The four scalar inequality chains: compactness' blow-up, the
+bounded-derivative chain, loss of regularity and nuclearity.  Each walks
+over Young conjugates or one jet and builds no array, so unlike
+``experiments`` (which re-exports them) this module imports no numpy.  Each
+row is checked in log domain at finite index ranges only.
 """
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
+from .grids import GridSpec
 from .logdomain import log_sum_exp
 from .reports import ChainReport
 from .weights import (ConjugateEvaluator, WeightFunction, find_log_scaling_constant,
                       first_true, verify_log_scaling_constant)
 
+if TYPE_CHECKING:
+    from .functions import ModelFunction
+
 DEFAULT_THRESHOLD = 1e6  # linear scale; log crossing at ~13.8
 S_CAP = 10 ** 12         # largest block threshold s0 searched
 NEGATIVE_TOL = 1e-9      # slack on the negative chain's inequalities
 NUCLEAR_TOL = 1e-10      # slack on the nuclearity partial sums
+
+
+# ---------------------------------------------------------------------------
+# Compactness: the blow-up sup_n |psi'(x0)|^n
+# ---------------------------------------------------------------------------
+
+def compactness_blowup(psi: ModelFunction, x0: float, p: int,
+                       w: WeightFunction, nmax: int,
+                       threshold: float = DEFAULT_THRESHOLD) -> ChainReport:
+    """Single-order jets b_n(n) = exp(p phi*(n/p)) pushed through the
+    composition; the full expansion must match the one-term shortcut exactly,
+    and |psi'(x0)|^n must cross the divergence threshold.
+
+    A jet concentrated at order n composes to b_n B(n, n).  In the Bell
+    recurrence B(n, n) = sum_i C(n-1, i-1) psi^(i) B(n-i, n-1) only i = 1 is
+    live, since B(m, k) = 0 for k > m, and the log kernel returns a sum of
+    one term as that term bit for bit.  So the full column is log b_n + L_n
+    with L_n = L_(n-1) + log|psi'(x0)|, L_0 = 0, sign psi'^n: the diagonal of
+    ``fdb.log_bell_table``, read with no table.  The shortcut column is
+    log b_n + n log|psi'(x0)|, each with its sign."""
+    try:
+        psi1 = psi.jet(x0, nmax).to_log().values[1]
+        if psi1.log_abs == math.inf:  # expsqr's log psi = x0^2 past a float
+            raise OverflowError
+    except OverflowError:
+        raise PreconditionError(
+            f"--x0: psi's jet at x0={x0:g} overflows a float") from None
+    if psi1.sign == 0 or psi1.log_abs <= 0.0:
+        raise PreconditionError(
+            f"--x0: |psi'(x0)| = {abs(psi1.to_float()):g} <= 1 at x0={x0:g}; "
+            "rescale the argument (sigma(x) = psi(a x)) first")
+    conj = ConjugateEvaluator(w)
+    log_thresh = math.log(threshold)
+    report = ChainReport(
+        experiment="compactness",
+        params={"psi": psi.label, "x0": x0, "p": p, "weight": w.label,
+                "nmax": nmax, "threshold": threshold},
+        columns=["n", "log_b_n", "log_full_fdb", "log_shortcut",
+                 "log_deriv_power", "verdict"])
+    log_d, sign_d, first_cross = 0.0, 1, None  # B(0, 0) = 1
+    for n in range(1, nmax + 1):
+        log_d, sign_d = log_d + psi1.log_abs, sign_d * psi1.sign
+        log_b = p * conj(n / p)
+        full, power = log_b + log_d, n * psi1.log_abs
+        short = log_b + power
+        if first_cross is None and power > log_thresh:
+            first_cross = n
+        report.add_row({"n": n, "log_b_n": log_b, "log_full_fdb": full,
+                        "log_shortcut": short, "log_deriv_power": power,
+                        "verdict": sign_d == psi1.sign ** n and abs(full - short)
+                        <= 1e-10 * max(1.0, abs(short))})
+    report.verdict = report.all_hold() and first_cross is not None
+    report.first_crossing_index = first_cross
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Bounded-derivative chain
+# ---------------------------------------------------------------------------
+
+def _witness_probes(y_cap: float):
+    """The 200 points of a log grid per decade from 1e-3, decades up to y_cap."""
+    lo = 1e-3
+    while lo < y_cap:
+        hi = lo * 10.0
+        yield from GridSpec("log", lo, hi, 200).points()
+        lo = hi
+
+
+def bounded_derivative_chain(d: float, psi: ModelFunction, mmax: int,
+                             threshold: float = DEFAULT_THRESHOLD,
+                             y_cap: float = 1e12) -> ChainReport:
+    """For each m find a witness y_m with |psi'(y_m)| >= 2^(m d) and
+    psi(y_m) > 0, bracket x_m = psi(y_m) on the grid x_{m,j} = (j d / m)^d,
+    and track the divergent term (2^m / (m e))^(j(m) d).  The targets grow
+    with m, so a probe that fails for m fails for m+1 too: the search for m+1
+    resumes at y_m."""
+    if not d > 0:
+        raise PreconditionError(f"--d: the bounded chain needs d > 0, got d={d:g}")
+    log_thresh = math.log(threshold)
+    report = ChainReport(
+        experiment="bounded-derivative",
+        params={"d": d, "psi": psi.label, "mmax": mmax, "threshold": threshold},
+        columns=["m", "y_m", "x_m", "j_m", "x_bracket_lo", "x_bracket_hi",
+                 "log_term", "verdict"])
+    if mmax * d >= 1024:
+        raise PreconditionError(f"--d: 2^(md) overflows a float at m={mmax}, d={d:g}")
+    first_cross = None
+    probes = _witness_probes(y_cap)
+    y_m = next(probes, None)
+    for m in range(1, mmax + 1):
+        target = 2.0 ** (m * d)
+        while y_m is not None and not (abs(psi.jet(y_m, 1).entry_float(1)) >= target
+                                       and psi.value(y_m) > 0):
+            y_m = next(probes, None)
+        if y_m is None:
+            raise PreconditionError(
+                f"--psi: no y with |psi'(y)| >= 2^(md)={target:g} below "
+                f"{y_cap:g} has psi(y) > 0")
+        x_m = psi.value(y_m)
+        try:
+            j_m = int(m * x_m ** (1.0 / d) / d)
+        except OverflowError:  # from ** or from int(inf)
+            raise PreconditionError(f"--d: (m/d) x_m^(1/d) overflows a float "
+                                    f"at m={m}, d={d:g}, x_m={x_m:g}") from None
+        b_lo = (j_m * d / m) ** d
+        b_hi = ((j_m + 1) * d / m) ** d
+        ok = b_lo <= x_m < b_hi
+        log_term = j_m * d * (m * math.log(2.0) - math.log(m) - 1.0)
+        if first_cross is None and log_term > log_thresh:
+            first_cross = m
+        report.add_row({"m": m, "y_m": y_m, "x_m": x_m, "j_m": j_m,
+                        "x_bracket_lo": b_lo, "x_bracket_hi": b_hi,
+                        "log_term": log_term, "verdict": ok})
+    report.verdict = report.all_hold() and first_cross is not None
+    report.first_crossing_index = first_cross
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -237,8 +237,8 @@ def _estimate_index(a):
 
 
 def _experiment(a):
-    if a.name in ("negative", "nuclear"):  # the scalar chains load no numpy
-        from . import chains as module
+    if a.name in ("negative", "nuclear", "bounded", "compactness"):
+        from . import chains as module  # the scalar chains load no numpy
     else:
         from . import experiments as module
     return EXPERIMENTS[a.name][2](module, a)

@@ -5,6 +5,11 @@ domain, records a verdict per row, and reports whether the chain's divergent
 lower bound crossed the configured threshold.  Nothing here claims proof-level
 verification; the chains are checked at finite index ranges only.  The
 composed seminorm sup checks no box: it scans the jet table it is given.
+
+This module holds the experiments that build arrays (sufficient, necessary,
+equicont, cauchy and the composed tables and sups).  The four scalar chains,
+compactness, bounded, negative and nuclear, build none: they live in the
+numpy-free ``chains`` and are re-exported here.
 """
 from __future__ import annotations
 
@@ -15,131 +20,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .fdb import log_bell_table, log_compose_table
+from .fdb import log_compose_table
 from .functions import (LN2, ModelFunction, Polynomial, mirrored_half,
                         weighted_log_sup)
 from .grids import DEFAULT_X_GRID, GridSpec
 from .logdomain import LOG_ZERO, LogReal
-from .reports import ChainReport, Result
+from .reports import Result
 from .weights import ConjugateEvaluator, WeightFunction, weight_values
-# the scalar chains live in the numpy-free ``chains``; callers may name them here
-from .chains import DEFAULT_THRESHOLD, negative_chain, nuclearity_sum
+# the four scalar chains live in the numpy-free ``chains``; callers may name
+# them here
+from .chains import (DEFAULT_THRESHOLD, bounded_derivative_chain,
+                     compactness_blowup, negative_chain, nuclearity_sum)
 
 EQUICONT_J = 16          # derivative orders in the equicontinuity spot checks
 NECESSARY_BLOCK = 64     # grid points per necessary_growth block
 ZERO_EXPONENT = -(1 << 40)  # composed_taylor_table's power of two of a 0
-
-
-# ---------------------------------------------------------------------------
-# Compactness: the blow-up sup_n |psi'(x0)|^n
-# ---------------------------------------------------------------------------
-
-def compactness_blowup(psi: ModelFunction, x0: float, p: int,
-                       w: WeightFunction, nmax: int,
-                       threshold: float = DEFAULT_THRESHOLD) -> ChainReport:
-    """Single-order jets b_n(n) = exp(p phi*(n/p)) pushed through the
-    composition; the full expansion must match the one-term shortcut exactly,
-    and |psi'(x0)|^n must cross the divergence threshold.
-
-    A jet concentrated at order n composes to b_n B(n, n), so the full
-    column reads the diagonal of one Bell table of psi's jet,
-    log b_n + log|B(n, n)|, and the shortcut column is
-    log b_n + n log|psi'(x0)|, each with its sign."""
-    try:
-        psi_jet = psi.jet(x0, nmax).to_log()
-    except OverflowError:
-        raise PreconditionError(
-            f"--x0: psi's jet at x0={x0:g} overflows a float") from None
-    psi_sign = np.array([[v.sign for v in psi_jet.values]], dtype=float)
-    psi_log = np.array([[v.log_abs for v in psi_jet.values]])
-    if psi_sign[0, 1] == 0 or psi_log[0, 1] <= 0.0:
-        raise PreconditionError(
-            f"--x0: |psi'(x0)| = {abs(psi_jet.entry_float(1)):g} <= 1 at x0={x0:g}; "
-            "rescale the argument (sigma(x) = psi(a x)) first")
-    conj = ConjugateEvaluator(w)
-    log_thresh = math.log(threshold)
-    report = ChainReport(
-        experiment="compactness",
-        params={"psi": psi.label, "x0": x0, "p": p, "weight": w.label,
-                "nmax": nmax, "threshold": threshold},
-        columns=["n", "log_b_n", "log_full_fdb", "log_shortcut",
-                 "log_deriv_power", "verdict"])
-    ns = np.arange(1, nmax + 1)
-    log_b = np.array([p * conj(n / p) for n in ns.tolist()])
-    b_sign, b_log = log_bell_table(psi_sign.T, psi_log.T, nmax)
-    full_sign, full = b_sign[ns, ns, 0], log_b + b_log[ns, ns, 0]
-    power = ns * psi_log[0, 1]
-    short_sign, short = psi_sign[0, 1] ** ns, log_b + power
-    agree = (full_sign == short_sign) & (
-        np.abs(full - short) <= 1e-10 * np.maximum(1.0, np.abs(short)))
-    crossed = np.flatnonzero(power > log_thresh)
-    for row in zip(ns.tolist(), log_b.tolist(), full.tolist(), short.tolist(),
-                   power.tolist(), agree.tolist()):
-        report.add_row(dict(zip(report.columns, row)))
-    report.verdict = report.all_hold() and len(crossed) > 0
-    report.first_crossing_index = int(ns[crossed[0]]) if len(crossed) else None
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Bounded-derivative chain
-# ---------------------------------------------------------------------------
-
-def _witness_probes(y_cap: float):
-    """The 200 points of a log grid per decade from 1e-3, decades up to y_cap."""
-    lo = 1e-3
-    while lo < y_cap:
-        hi = lo * 10.0
-        yield from GridSpec("log", lo, hi, 200).points()
-        lo = hi
-
-
-def bounded_derivative_chain(d: float, psi: ModelFunction, mmax: int,
-                             threshold: float = DEFAULT_THRESHOLD,
-                             y_cap: float = 1e12) -> ChainReport:
-    """For each m find a witness y_m with |psi'(y_m)| >= 2^(m d), bracket
-    x_m = psi(y_m) on the grid x_{m,j} = (j d / m)^d, and track the divergent
-    term (2^m / (m e))^(j(m) d).  The targets grow with m, so a probe that
-    fails for m fails for m+1 too: the search for m+1 resumes at y_m."""
-    if not d > 0:
-        raise PreconditionError(f"--d: the bounded chain needs d > 0, got d={d:g}")
-    log_thresh = math.log(threshold)
-    report = ChainReport(
-        experiment="bounded-derivative",
-        params={"d": d, "psi": psi.label, "mmax": mmax, "threshold": threshold},
-        columns=["m", "y_m", "x_m", "j_m", "x_bracket_lo", "x_bracket_hi",
-                 "log_term", "verdict"])
-    if mmax * d >= 1024:
-        raise PreconditionError(f"--d: 2^(md) overflows a float at m={mmax}, d={d:g}")
-    first_cross = None
-    probes = _witness_probes(y_cap)
-    y_m = next(probes, None)
-    for m in range(1, mmax + 1):
-        target = 2.0 ** (m * d)
-        while y_m is not None and not (abs(psi.jet(y_m, 1).entry_float(1)) >= target
-                                       and psi.value(y_m) > 0):
-            y_m = next(probes, None)
-        if y_m is None:
-            raise PreconditionError(
-                f"--psi: no y with |psi'(y)| >= 2^(md)={target:g} below {y_cap:g}")
-        x_m = psi.value(y_m)
-        try:
-            j_m = int(m * x_m ** (1.0 / d) / d)
-        except OverflowError:  # from ** or from int(inf)
-            raise PreconditionError(f"--d: (m/d) x_m^(1/d) overflows a float "
-                                    f"at m={m}, d={d:g}, x_m={x_m:g}") from None
-        b_lo = (j_m * d / m) ** d
-        b_hi = ((j_m + 1) * d / m) ** d
-        ok = b_lo <= x_m < b_hi
-        log_term = j_m * d * (m * math.log(2.0) - math.log(m) - 1.0)
-        if first_cross is None and log_term > log_thresh:
-            first_cross = m
-        report.add_row({"m": m, "y_m": y_m, "x_m": x_m, "j_m": j_m,
-                        "x_bracket_lo": b_lo, "x_bracket_hi": b_hi,
-                        "log_term": log_term, "verdict": ok})
-    report.verdict = report.all_hold() and first_cross is not None
-    report.first_crossing_index = first_cross
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,17 @@ Two recurrences, one per jet kind, both behind ``compose_jet``:
   * signed log magnitudes, (sign, log|.|) arrays, batched over a whole grid
     (``log_compose_table``) in blocks of points, each entry a max-shifted
     sum compensated by a pairwise TwoSum tree (``_log_sum``), within a few
-    ulps of the correctly rounded ``math.fsum``.  A single log jet is a
-    one-row table; ``log_bell_table`` is the Bell table itself, whose
-    diagonal B(n, n) = psi'^n the compactness experiment reads.
+    ulps of the correctly rounded ``math.fsum``; only these array kernels
+    import numpy.  A single log jet is a one-row table; ``log_bell_table``
+    is the Bell table itself.  Its diagonal B(n, n) = psi'^n has one live
+    term per order, so compactness reads it with no table (``chains``).
 
-The log kernel serves ``compose_jet``, compactness, and the composed tables
-of outer functions with no Taylor recurrence (polynomials, bumps).  Its sums
-of mixed-sign terms lose digits with J (3.9e-8 in log on gaussian o
-sqrt1px2 at J = 24), and numpy's exp and log make its bits depend on the
-SIMD level.  gaussian, expsqr, pow1px2 and sqrt1px2 compose by their own
-Taylor recurrence instead (``experiments.composed_taylor_table``).
+The log kernel serves ``compose_jet`` and the composed tables of outer
+functions with no Taylor recurrence (polynomials, bumps).  Its sums of
+mixed-sign terms lose digits with J (3.9e-8 in log on gaussian o sqrt1px2
+at J = 24), and numpy's exp and log make its bits depend on the SIMD level.
+gaussian, expsqr, pow1px2 and sqrt1px2 compose by their own Taylor
+recurrence instead (``experiments.composed_taylor_table``).
 
 Composition never enumerates partitions.  ``enumerate_partitions`` lists
 the multi-indices (k_1, ..., k_j) with sum(l k_l) = j of one order, for the
@@ -42,12 +43,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import PreconditionError
 from .logdomain import LOG_ZERO, LogReal
+
+if TYPE_CHECKING:  # the array kernels import numpy at call time
+    import numpy as np
 
 JetValue = Union[Fraction, LogReal]
 
@@ -190,6 +192,7 @@ def _two_sum(v: np.ndarray) -> np.ndarray:
     slots (``_slots``) the halves are the neighbours 2m and 2m+1 of the
     terms' own order at every level.  Trailing zero terms never change the
     result, and a term next to its negative leaves an exact 0."""
+    import numpy as np
     err = None
     while len(v) > 1:
         h = len(v) // 2
@@ -206,6 +209,7 @@ def _two_sum(v: np.ndarray) -> np.ndarray:
 def _slots(n: int) -> np.ndarray:
     """Slot of each of n terms in a tree of 2^ceil(log2 n) leaves: term t
     goes to the bit reversal of t, read-only."""
+    import numpy as np
     bits = (n - 1).bit_length()
     slots = np.array([int(f"{t:0{bits}b}"[::-1], 2) if bits else 0
                       for t in range(n)])
@@ -220,6 +224,7 @@ def _log_sum(sign: np.ndarray, log: np.ndarray) -> tuple:
     the neighbours' tree of the terms in their given order.  A zero sum is
     (0, -inf), with a divide warning for the caller's errstate; one nonzero
     term is itself, bit for bit."""
+    import numpy as np
     m = np.maximum.reduce(log)
     m[m == LOG_ZERO] = 0.0  # all terms 0: any finite shift
     live = np.subtract(log, m)
@@ -234,6 +239,7 @@ def _log_sum(sign: np.ndarray, log: np.ndarray) -> tuple:
 @functools.cache
 def _log_binomials(J: int) -> np.ndarray:
     """log C(n-1, i-1) at [n, i], 1 <= i <= n <= J, read-only."""
+    import numpy as np
     table = np.array([[math.log(math.comb(n - 1, i - 1)) if 0 < i <= n else 0.0
                        for i in range(J + 1)] for n in range(J + 1)])
     table.flags.writeable = False
@@ -246,6 +252,7 @@ def log_bell_table(psi_sign, psi_log, J: int) -> tuple:
     (J+1, J+1, rows), int8 signs, zeros as (0, -inf).  Order n gathers the
     terms C(n-1, i-1) psi^(i) B(n-i, k-1) as (i, k, rows), for the orders i
     nonzero in some column, and sums over i by one ``_log_sum``."""
+    import numpy as np
     sign = np.zeros((J + 1, J + 1, psi_log.shape[1]), dtype=np.int8)
     log = np.full(sign.shape, LOG_ZERO)
     sign[0, 0], log[0, 0] = 1, 0.0
@@ -279,6 +286,7 @@ def log_compose_table(f_sign, f_log, psi_sign, psi_log, J: int) -> tuple:
     Bell entries (point, n, k): memory does not grow with the grid.  Orders
     lo <= n < hi share one ``_log_sum`` over (k, n, points), k < hi, with the
     terms k > n as zeros (+0.0, log -inf), whatever f holds there."""
+    import numpy as np
     f_sign, f_log, psi_sign, psi_log = (np.asarray(a, dtype=float)
                                         for a in (f_sign, f_log, psi_sign, psi_log))
     sign, log = np.empty((2, len(f_log), J + 1))

@@ -40,15 +40,16 @@ so on a grid mirrored through 0 the x > 0 rows of a sup repeat the x < 0
 ones: the sups build and scan only the rows x <= 0 (``mirrored_half``).
 The first strict maximum in (x, j, k) order lies at x <= 0 anyway, so value
 and witness are the full scan's.
+
+numpy is imported only where an array is built, so a polynomial's exact jet
+and values at single points load none.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import PreconditionError
 from .fdb import Jet
@@ -58,6 +59,9 @@ from .reports import Result
 from . import specs
 from .specs import check_gbump, check_monbump, check_pow1px2, label_real
 from .weights import ConjugateEvaluator, WeightFunction, weight_values
+
+if TYPE_CHECKING:  # the array code imports numpy at call time
+    import numpy as np
 
 _CLOSED_FORM_JMAX = 200
 LN2 = math.log(2.0)
@@ -79,6 +83,7 @@ class ModelFunction:
 
     def values(self, xs) -> np.ndarray:
         """f at every x of xs; default: one value(x) per point."""
+        import numpy as np
         return np.array([self.value(x) for x in np.asarray(xs, dtype=float).tolist()])
 
     def jet(self, x, J: int) -> Jet:
@@ -86,6 +91,7 @@ class ModelFunction:
 
     def log_jet_table(self, xs, J: int) -> tuple:
         """(sign, log|f^(j)(x)|), each (len(xs), J+1); default: one jet per x."""
+        import numpy as np
         sign, log_abs = np.zeros((2, len(xs), J + 1))
         for i, x in enumerate(xs):
             jet = self.jet(float(x), J)
@@ -97,6 +103,7 @@ class ModelFunction:
     def square_taylor_table(self, xs, J: int) -> tuple:
         """psi^2's ``taylor_table``: by default the Cauchy product of psi's, at
         its radius (|w_k| <= 2 |psi(x)| + k - 1 for k >= 1)."""
+        import numpy as np
         a, e = self.taylor_table(xs, J)
         return np.array([(a[:k + 1] * a[k::-1]).sum(axis=0) for k in range(J + 1)]), e
 
@@ -104,6 +111,7 @@ class ModelFunction:
         """(c, e): c[k] = f^(k)(x)/k! 2^(-e k) per x of xs, (J+1, len(xs)),
         e per x an integer >= 0 that brings every |c[k]|, k >= 1, to <= 1.
         Default: from log_jet_table, by libm's exp per entry."""
+        import numpy as np
         sign, log = (t.T for t in self.log_jet_table(xs, J))
         k = np.arange(J + 1)[:, None]
         log = log - [[math.lgamma(n + 1)] for n in range(J + 1)]
@@ -130,6 +138,7 @@ class _Recurrence(ModelFunction):
     parity = 0
 
     def log_jet_table(self, xs, J: int) -> tuple:
+        import numpy as np
         self._check_order(J)
         xs = np.asarray(xs, dtype=float)
         r = np.hypot(1.0, xs)
@@ -176,6 +185,7 @@ class _ExpQuadratic(_Recurrence):
             // math.factorial(j // 2) for j in range(J + 1)])
 
     def _recurrence(self, xs, log_r, J):
+        import numpy as np
         c = 2.0 * self.s
         with np.errstate(over="ignore"):  # x^2 past a float: log f = s x^2 = +-inf
             return (self.s * xs * xs, 1, 1.0 / (1.0 + xs * xs), [c] * J,
@@ -221,6 +231,7 @@ class Polynomial(ModelFunction):
         return len(self.coeffs) - 1
 
     def square_taylor_table(self, xs, J: int) -> tuple:
+        import numpy as np
         return Polynomial(np.convolve(self.coeffs, self.coeffs)).taylor_table(xs, J)
 
     def value(self, x: float) -> float:
@@ -232,6 +243,7 @@ class Polynomial(ModelFunction):
     def values(self, xs) -> np.ndarray:
         """Horner over the whole array: the same product-then-sum per step
         (no fused multiply-add) as value, so equal bit for bit."""
+        import numpy as np
         xs = np.asarray(xs, dtype=float)
         acc = np.zeros_like(xs)
         with np.errstate(over="ignore", invalid="ignore"):  # inf/nan as in value
@@ -244,6 +256,7 @@ class Polynomial(ModelFunction):
         x0 <= x1: Horner on intervals (Moore 1966) with values' products and
         sums, each rounded to nearest, which is monotone, so the intervals
         hold every value that values computes and need no rounding term."""
+        import numpy as np
         lo = hi = np.zeros(len(x0))
         with np.errstate(over="ignore", invalid="ignore"):
             for c in self._horner:
@@ -279,6 +292,7 @@ class Polynomial(ModelFunction):
     def log_jet_table(self, xs, J: int) -> tuple:
         """Exact: log|N/g| - log(d/g) with g = gcd(N, d), which is log|num| -
         log den of the reduced Fraction; orders past the degree are log 0."""
+        import numpy as np
         sign = np.zeros((len(xs), J + 1))
         log_abs = np.full((len(xs), J + 1), LOG_ZERO)
         for i, row in enumerate(self._derivatives([float(x) for x in xs], J)):
@@ -292,6 +306,7 @@ class Polynomial(ModelFunction):
     def taylor_table(self, xs, J: int) -> tuple:
         """Each N_j / (d_j j!) rounded once, and e from their binary
         exponents, so the scaling is exact."""
+        import numpy as np
         c = np.zeros((J + 1, len(xs)))
         for i, row in enumerate(self._derivatives([float(x) for x in xs], J)):
             c[:len(row), i] = [n / (d * math.factorial(j)) for j, (n, d) in enumerate(row)]
@@ -365,6 +380,7 @@ class Pow1px2(_Recurrence):
     def ode(self, w0):
         """g = u^a, u = 1 + psi^2, solves u g' = a u' g (J. C. P. Miller's
         formula for the powers of a series): (a, 1, 1/u_0, a log u_0)."""
+        import numpy as np
         log_u0 = np.array([math.log1p(w) for w in w0.tolist()])
         return self.a, 1.0, 1.0 / (1.0 + w0), self.a * log_u0
 
@@ -484,6 +500,7 @@ def weighted_log_sup(logs, conj: Callable[[float], float], lam: float, xs=None,
     strictly below a value that some term attains, so value and witness are
     the unpruned scan's bit for bit.  With K = 0 a bound costs the scan
     itself, and a single block has nothing to prune."""
+    import numpy as np
     table = np.asarray(logs, dtype=float)
     J = table.shape[1] - 1
     cap = J + K if jk_cap is None else min(jk_cap, J + K)
@@ -512,6 +529,7 @@ def weighted_log_sup(logs, conj: Callable[[float], float], lam: float, xs=None,
 def _block_sup(table, c_jk, lx, extra, rows) -> tuple:
     """weighted_log_sup's block scan: c_jk[j, k] = lam phi*((j+k)/lam), lx
     the rows' log|x| (None when K = 0), extra an array or None."""
+    import numpy as np
     J, K = c_jk.shape[0] - 1, c_jk.shape[1] - 1
     ks = np.arange(1, K + 1)
     best, witness = LOG_ZERO, None
@@ -550,6 +568,7 @@ def _row_bounds(table, c, lx, extra, K) -> np.ndarray:
     Term and bound share one math.log value of log|x|.  An infinite or NaN
     part makes the bound +inf or NaN, and a NaN bound keeps its row, as does
     S >= 2^1023, where a sum's part may overflow."""
+    import numpy as np
     J = table.shape[1] - 1
     lx = np.where(lx == LOG_ZERO, 0.0, lx)
     ns = np.arange(J + K + 1.0)
@@ -618,6 +637,7 @@ def mirrored_half(xs, parity: Optional[int]) -> np.ndarray:
     """The rows x <= 0 of xs, xs[:len(xs)//2 + 1], where parity is not None
     and xs is mirrored through 0 exactly (odd length, 0 in the middle, and
     each point past it the negative of its twin before it); else all of xs."""
+    import numpy as np
     xs = np.asarray(xs, dtype=float)
     c = len(xs) // 2
     if parity is None or not (len(xs) % 2 and xs[c] == 0
@@ -696,6 +716,7 @@ def estimate_growth_exponent(jet: Jet) -> IndexEstimate:
     """Least-squares fit log|f^(j)| ~ s * j log j + c * j over nonzero orders.
 
     Diagnoses the factorial-power growth class of a jet at one point."""
+    import numpy as np
     logs = jet_log_abs(jet)
     js = [j for j in range(1, jet.order + 1) if logs[j] != LOG_ZERO]
     if len(js) < 8:

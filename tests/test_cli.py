@@ -325,6 +325,15 @@ def test_refusal_names_its_flag_first(argv, flags, capsys, tmp_path, monkeypatch
     assert out.err.splitlines()[-1].startswith(f"gsbench: error: {flags}: ")
 
 
+def test_bounded_exhausted_search_names_both_conditions(capsys):
+    # psi = -x^2 is steep enough at y = 2 (|psi'(2)| = 4 = 2^(md)) but never
+    # positive; a witness needs both, and the refusal names both
+    assert main(["experiment", "bounded", "--d", "2", "--psi", "poly:0,0,-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gsbench: error: --psi: no y with |psi'(y)| >= ")
+    assert "psi(y) > 0" in err
+
+
 def test_bad_weight_diagnostic(capsys):
     assert main(["conjugate", "--weight", "gevrey:q=2", "--s", "1"]) == 2
     assert "--weight" in capsys.readouterr().err
@@ -716,6 +725,9 @@ def test_nuclear_overflow_exits_2(capsys):
       "--jmax", "5"], "--d"),
     (["experiment", "compactness", "--psi", "poly:0,2,0,1", "--weight",
       "gevrey:d=2", "--x0", "1e300", "--nmax", "5"], "--x0"),
+    # log expsqr = x0^2 = 1e400 past a float: every order's log is +inf
+    (["experiment", "compactness", "--psi", "expsqr", "--weight",
+      "gevrey:d=2", "--x0", "1e200", "--nmax", "3"], "--x0"),
     (["experiment", "bounded", "--d", "1e-56", "--psi", "poly:1,1",
       "--mmax", "1"], "--d"),
     (["experiment", "bounded", "--d", "2000", "--psi", "poly:1,1",
@@ -755,7 +767,8 @@ def test_nuclear_overflow_exits_2(capsys):
     # u + x_j = 1e308 + 1e308 for the translate
     (["experiment", "equicont", "--weight", "gevrey:d=2", "--x-seq", "1e308",
       "--lam-seq", "1", "--grid", "lin:0.05,1e308,10"], "--x-seq"),
-], ids=["negative-tiny-d", "compactness-huge-x0", "bounded-tiny-d",
+], ids=["negative-tiny-d", "compactness-huge-x0", "compactness-expsqr-huge-x0",
+        "bounded-tiny-d",
         "bounded-huge-d", "cauchy-huge-B", "weight-check-grid",
         "weight-check-epsilon", "necessary-sigma", "necessary-omega",
         "necessary-no-parity",
@@ -1178,9 +1191,15 @@ def test_bare_import_leaves_numpy_unloaded():
     (["conjugate", "--weight", "table:{weight}", "--s", "1"], 2),
     # --weight parses to its weight, importing gsbench.weights; --s is refused
     (["conjugate", "--weight", "gevrey:d=2", "--s", "-1"], 2),
+    # a polynomial psi's jets are exact rationals
+    (["experiment", "bounded", "--d", "2", "--psi", "poly:0,0,0,1",
+      "--mmax", "12"], 0),
+    (["experiment", "compactness", "--psi", "poly:0,2,0,1", "--x0", "0",
+      "--weight", "gevrey:d=2", "--nmax", "25"], 0),
 ], ids=["negative", "nuclear", "sequence-check", "sequence-check-table",
         "conjugate-gevrey", "conjugate-logpow", "conjugate-table",
-        "conjugate-table-past-b", "conjugate-parsed-weight-bad-s"])
+        "conjugate-table-past-b", "conjugate-parsed-weight-bad-s", "bounded",
+        "compactness"])
 def test_scalar_command_runs_cold_without_numpy(argv, code, tmp_path, capsys):
     table = tmp_path / "seq.csv"
     vs = [p * p + 50 * (p % 2) for p in range(501)]

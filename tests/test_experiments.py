@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gsbench import experiments
+from gsbench import experiments, fdb
 from gsbench.errors import PreconditionError
 from gsbench.experiments import (NECESSARY_BLOCK, bounded_derivative_chain,
                                  cauchy_derivative_bound, compactness_blowup,
@@ -47,8 +47,8 @@ def test_compactness_shortcut_agrees_exactly():
 
 def test_compactness_full_support_at_nmax_60():
     # every derivative of (1+x^2)^1.5 at x0 = 1 is nonzero, so the full
-    # expansion at n = 60 has p(60) ~ 9.7e5 partitions; one Bell table of
-    # order 60 serves all rows
+    # expansion at n = 60 has p(60) ~ 9.7e5 partitions; B(n, n)'s Bell
+    # recurrence has one live term per order, so the column needs no table
     rep = compactness_blowup(Pow1px2(1.5), 1.0, 1, W2, 60)
     assert len(rep.rows) == 60
     assert all(row["verdict"] for row in rep.rows)
@@ -113,6 +113,61 @@ def test_compactness_rows_equal_per_n_oracle(case):
 def test_compactness_rejects_flat_slope():
     with pytest.raises(PreconditionError):
         compactness_blowup(Polynomial([0, 1]), 0.0, 1, W2, nmax=5)
+
+
+def _compactness_psi():
+    """The families of compactness' psi: pow1px2 with a in [-3, 3],
+    sqrt1px2, gaussian, expsqr and integer polynomials of degree <= 4, with
+    either sign of psi'."""
+    ints = st.integers(-5, 5)
+    return st.one_of(
+        st.floats(-3.0, 3.0, allow_subnormal=False).map(Pow1px2),
+        st.sampled_from([Sqrt1px2(), Gaussian(), parse_function("expsqr")]),
+        st.lists(ints, min_size=2, max_size=5).map(Polynomial))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compactness_psi(), st.floats(-30.0, 30.0), st.integers(1, 3),
+       st.integers(1, 60))
+@example(Pow1px2(1.5), 1.0, 1, 60)
+@example(Polynomial([0, -2, 0, 1]), 0.0, 1, 25)  # psi' = -2: signs alternate
+@example(Pow1px2(-2.5), -1.5, 2, 40)
+def test_compactness_full_column_is_the_bell_table_diagonal(psi, x0, p, nmax):
+    # the kernel stays the oracle: log_full_fdb is log b_n plus the log of
+    # B(n, n) off fdb.log_bell_table, bit for bit, and each row's verdict
+    # reads that entry's sign
+    jet = psi.jet(x0, nmax).to_log()
+    sign = np.array([[v.sign for v in jet.values]], dtype=float)
+    log = np.array([[v.log_abs for v in jet.values]])
+    with np.errstate(divide="ignore"):
+        b_sign, b_log = fdb.log_bell_table(sign.T, log.T, nmax)
+    try:
+        rep = compactness_blowup(psi, x0, p, W2, nmax)
+    except PreconditionError as exc:
+        assert str(exc).startswith("--x0: |psi'(x0)| = ")
+        assert jet.values[1].sign == 0 or jet.values[1].log_abs <= 0.0
+        return
+    assert len(rep.rows) == nmax
+    for n, row in enumerate(rep.rows, 1):
+        full = row["log_b_n"] + float(b_log[n, n, 0])
+        assert row["log_full_fdb"].hex() == full.hex()
+        short = row["log_shortcut"]
+        assert row["verdict"] == (
+            int(b_sign[n, n, 0]) == jet.values[1].sign ** n
+            and abs(full - short) <= 1e-10 * max(1.0, abs(short)))
+
+
+def test_compactness_builds_no_bell_table(monkeypatch):
+    # at nmax = 5000 a Bell table would hold 2.5e7 entries; the column is
+    # read off B(n, n)'s one-term recurrence instead
+    def no_table(*args):
+        raise AssertionError("compactness built a Bell table")
+
+    monkeypatch.setattr(fdb, "log_bell_table", no_table)
+    rep = compactness_blowup(parse_function("poly:0,2,0,1"), 0.0, 1,
+                             WeightFunction.gevrey(2.0), 5000)
+    assert len(rep.rows) == 5000 and all(r["verdict"] for r in rep.rows)
+    assert rep.verdict and rep.first_crossing_index == 20
 
 
 # -- negative chain ---------------------------------------------------------
@@ -205,7 +260,8 @@ def restart_bounded_chain(d, psi, mmax, threshold=1e6, y_cap=1e12):
             lo = hi
         if y_m is None:
             raise PreconditionError(
-                f"--psi: no y with |psi'(y)| >= 2^(md)={target:g} below {y_cap:g}")
+                f"--psi: no y with |psi'(y)| >= 2^(md)={target:g} below "
+                f"{y_cap:g} has psi(y) > 0")
         x_m = psi.value(y_m)
         j_m = int(m * x_m ** (1.0 / d) / d)
         b_lo = (j_m * d / m) ** d

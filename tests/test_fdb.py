@@ -402,7 +402,7 @@ def test_kernel_bits_match_rows_last_oracle_on_cancelling_jets(data):
 
 @pytest.mark.parametrize("psi, x0", [(Pow1px2(1.5), 1.0), (Sqrt1px2(), 2.0)])
 def test_bell_table_bits_match_rows_last_oracle(psi, x0):
-    # the one-row table of experiments.compactness_blowup, nmax = 30
+    # a one-row table of order 30 with every psi^(i) nonzero
     jet = psi.jet(x0, 30).to_log()
     sign = np.array([[v.sign for v in jet.values]], dtype=float)
     log = np.array([[v.log_abs for v in jet.values]])

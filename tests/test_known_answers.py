@@ -18,6 +18,29 @@ ROWS = [
     (["weight-check", "--weight", "logpow:s=1.01"], 0, None,
      "(log t)^s, s > 1: beta = Gamma(s+1) beta_D(s+1) and the epsilon "
      "integrals y Gamma(s+1, max(0, log y)) are finite"),
+    # the paper's first result: psi' bounded is necessary, so the chain
+    # finds its witnesses |psi'(y_m)| >= 2^(md) only where psi' is unbounded
+    (["experiment", "bounded", "--d", "2", "--psi", "poly:0,0,1"], 0, None,
+     "psi = x^2: |psi'(y)| = 2y reaches every 2^(2m), m <= 12, below 1e12"),
+    (["experiment", "bounded", "--d", "2", "--psi", "poly:0,0,0,1"], 0, None,
+     "psi = x^3: |psi'(y)| = 3y^2 reaches every 2^(2m)"),
+    (["experiment", "bounded", "--d", "2", "--psi", "poly:0,1"], 2, "--psi",
+     "psi = x: psi' = 1 never reaches 2^(md) = 4"),
+    (["experiment", "bounded", "--d", "2", "--psi", "poly:0,3"], 2, "--psi",
+     "psi = 3x: psi' = 3 never reaches 2^(md) = 4"),
+    (["experiment", "bounded", "--d", "2", "--psi", "sqrt1px2"], 2, "--psi",
+     "psi = sqrt(1+x^2): |psi'| < 1 everywhere"),
+    # (h o psi)^(n) = h^(n) psi'(0)^n with psi'(0) = 2: |psi'|^n passes the
+    # default threshold 1e6 first at n = 20, since 2^19 < 1e6 < 2^20
+    (["experiment", "compactness", "--psi", "poly:0,2,0,1", "--x0", "0",
+      "--weight", "gevrey:d=2", "--nmax", "19"], 1, None,
+     "2^n <= 2^19 < 1e6 for every n <= 19: no crossing"),
+    (["experiment", "compactness", "--psi", "poly:0,2,0,1", "--x0", "0",
+      "--weight", "gevrey:d=2", "--nmax", "20"], 0, None,
+     "2^20 > 1e6: the blow-up crosses at n = 20"),
+    (["experiment", "compactness", "--psi", "poly:0,1", "--x0", "0",
+      "--weight", "gevrey:d=2"], 2, "--x0",
+     "psi'(0) = 1: |psi'|^n never grows, refused naming --x0"),
 ]
 
 
