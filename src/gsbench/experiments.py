@@ -22,7 +22,7 @@ import numpy as np
 from .errors import PreconditionError
 from .fdb import log_compose_table
 from .functions import (LN2, ModelFunction, Polynomial, mirrored_half,
-                        weighted_log_sup)
+                        pruned_max, weighted_log_sup)
 from .grids import DEFAULT_X_GRID, GridSpec
 from .logdomain import LOG_ZERO, LogReal
 from .reports import Result
@@ -228,70 +228,59 @@ def necessary_growth(psi: ModelFunction, w_sigma: WeightFunction,
     ``mirrored_half`` takes them.
 
     The points go in blocks of NECESSARY_BLOCK, bounded before any point is
-    made (``_ratio_bounds``).  The blocks of bound +inf and of the largest
-    bound are read first, then all whose bound is not below the inner max:
-    C, argmax_x (the first max in order) and the flag are the full scan's,
-    and a refusal names the first block in order that overflows."""
+    made (``_ratio_bounds``) and read by ``pruned_max``, the inner max its
+    floor: C, argmax_x and the flag are the full scan's."""
     count, points = grid.symmetric_points_at()
     if psi.parity is not None:  # the rows x <= 0
         count = count // 2 + 1
     starts = np.arange(0, count, NECESSARY_BLOCK)
     ends = np.minimum(starts + NECESSARY_BLOCK, count)
-    x0, x1 = points(starts), points(ends - 1)
-    bound, half = _ratio_bounds(psi, w_sigma, w_omega, x0, x1), grid.hi / 2.0
-    first = np.isinf(bound)
-    first[np.where(first, -math.inf, bound).argmax()] = True
-    best, best_at, best_x, inner_best = -math.inf, count, 0.0, -math.inf
-    for rest in (False, True):  # a block below inner_best <= best holds no max
-        ks = np.flatnonzero(~first & ~(bound < inner_best) if rest else first)
-        if not len(ks):
-            break
+
+    def read(ks):
         at = np.concatenate([np.arange(starts[k], ends[k]) for k in ks])
-        xb = points(at)
-        try:
-            ratio = _ratios(psi, w_sigma, w_omega, xb)
-        except PreconditionError:  # refused at the first block that overflows
-            for k in ks:
-                _ratios(psi, w_sigma, w_omega, points(np.arange(starts[k], ends[k])))
-            raise
+        xs = points(at)
+        sigma = weight_values(w_sigma, xs, "--sigma")
+        omega = weight_values(w_omega, psi.values(xs), "--omega")
+        with np.errstate(invalid="ignore", divide="ignore"):  # inf / inf, x / 0
+            ratio = sigma / (1.0 + omega)
+        ratio[np.isnan(ratio)] = -math.inf  # a NaN ratio never wins
         i = int(ratio.argmax())
-        if ratio[i] > best or ratio[i] == best > -math.inf and at[i] < best_at:
-            best, best_at, best_x = float(ratio[i]), at[i], float(xb[i])
-        inner_best = max(inner_best,
-                         float(ratio[np.abs(xb) <= half].max(initial=-math.inf)))
+        return (float(ratio[i]), (int(at[i]), float(xs[i])),
+                float(ratio[np.abs(xs) <= grid.hi / 2.0].max(initial=-math.inf)))
+
+    bound = _ratio_bounds(psi, w_sigma, w_omega, points(starts), points(ends - 1))
+    best, at, inner_best = pruned_max(bound, read, len(starts))
     return NecessaryGrowthResult(psi=psi.label, sigma=w_sigma.label,
-                                 omega=w_omega.label, C=best, argmax_x=best_x,
+                                 omega=w_omega.label, C=best,
+                                 argmax_x=0.0 if at is None else at[1],
                                  grows_with_radius=best > inner_best + 1e-9)
-
-
-def _ratios(psi, w_sigma, w_omega, xs) -> np.ndarray:
-    """sigma(x) / (1 + omega(psi(x))) at each x of xs; -inf for NaN."""
-    sigma = weight_values(w_sigma, xs, "--sigma")
-    omega = weight_values(w_omega, psi.values(xs), "--omega")
-    with np.errstate(invalid="ignore", divide="ignore"):  # inf / inf, x / 0
-        ratio = sigma / (1.0 + omega)
-    ratio[np.isnan(ratio)] = -math.inf  # a NaN ratio never wins
-    return ratio
 
 
 def _ratio_bounds(psi, w_sigma, w_omega, x0, x1) -> np.ndarray:
     """Per block x0 <= x <= x1, a bound on its ratios: sigma's upper envelope
-    at max |x| over 1 + omega's lower one at a polynomial psi's abs_lower,
-    else 0 (division rounds monotonically).  +inf where sigma's is negative
-    or infinite, 1 + omega's not positive or the bound NaN; everywhere where
-    a weight has no envelope, one overflows, or omega may: unless omega at
-    the largest float is below 2^1023."""
+    at max |x| over 1 + omega's lower one at |psi|'s lower enclosure
+    (``abs_bounds``; 0 for psi not polynomial), as division rounds
+    monotonically.  +inf where sigma's is negative or infinite, 1 + omega's
+    not positive, or omega may overflow: where neither omega at the largest
+    float nor its upper envelope at |psi|'s upper enclosure is below 2^1023;
+    everywhere where a weight has no envelope or one overflows."""
     b = np.maximum(np.abs(x0), np.abs(x1))
     try:
-        m = psi.abs_lower(x0, x1) if isinstance(psi, Polynomial) else np.zeros(len(b))
+        m, top = (psi.abs_bounds(x0, x1) if isinstance(psi, Polynomial)
+                  else (np.zeros(len(b)), np.full(len(b), math.inf)))
         sig, om = w_sigma.envelope(b, True), w_omega.envelope(m, False)
-        if sig is None or om is None or not w_omega(np.finfo(float).max) < 2.0 ** 1023:
+        if sig is None or om is None:
             return np.full(len(b), math.inf)
+        try:
+            fits = w_omega(np.finfo(float).max) < 2.0 ** 1023
+        except OverflowError:
+            fits = False
+        fits = fits or w_omega.envelope(top, True) < 2.0 ** 1023
     except OverflowError:  # near a refusal: every block, in order
         return np.full(len(b), math.inf)
     with np.errstate(invalid="ignore", divide="ignore"):
         bound = sig / (1.0 + om)
-        keep = (sig >= 0) & np.isfinite(sig) & (1.0 + om > 0) & ~np.isnan(bound)
+        keep = fits & (sig >= 0) & np.isfinite(sig) & (1.0 + om > 0)
     return np.where(keep, bound, math.inf)
 
 

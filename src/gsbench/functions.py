@@ -4,14 +4,11 @@ Every seminorm sup runs through one kernel, ``weighted_log_sup``: the max over
 grid points x, orders j and powers k of
 log|f^(j)(x)| - lam phi*((j+k)/lam) + k log|x| + extra(x),
 taken over blocks of grid points, one (rows, J+1, K+1) array of at most
-SUP_BLOCK_TERMS terms per block, so memory is bounded per block.  Where
-K > 0 and the rows span more than one block, each row is first bounded from
-above, exactly up to an outward margin of 2^-49 (1 + S) that covers every
-rounding (``_row_bounds``), and only the rows whose bound reaches the max of
-the row with the largest bound are scanned: the value and witness are the
-full scan's bit for bit.  The two seminorms alone check their sup against a
-1.25x box (``stable_sup``); the composed sup in ``experiments`` scans the
-table it is given.
+SUP_BLOCK_TERMS terms per block, so memory is bounded per block.  Rows past
+one block are read through ``pruned_max``, which skips a row whose exact
+bound (``_row_bounds``, K > 0 only) lies below a max already reached.  The
+two seminorms alone check their sup against a 1.25x box (``stable_sup``);
+the composed sup in ``experiments`` scans the table it is given.
 
 Jets on a grid come from one call, ``log_jet_table(xs, J)``: the sign and
 log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
@@ -251,11 +248,11 @@ class Polynomial(ModelFunction):
                 acc = acc * xs + c
         return acc
 
-    def abs_lower(self, x0, x1) -> np.ndarray:
-        """m <= |values(x)| for every x0 <= x <= x1, per entry of the arrays
+    def abs_bounds(self, x0, x1) -> tuple:
+        """(m, M), m <= |values(x)| <= M for every x0 <= x <= x1 per entry of
         x0 <= x1: Horner on intervals (Moore 1966) with values' products and
-        sums, each rounded to nearest, which is monotone, so the intervals
-        hold every value that values computes and need no rounding term."""
+        sums, rounded to nearest, which is monotone, so the intervals hold
+        every value that values computes, with no rounding term."""
         import numpy as np
         lo = hi = np.zeros(len(x0))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -263,7 +260,7 @@ class Polynomial(ModelFunction):
                 ends = (lo * x0, lo * x1, hi * x0, hi * x1)
                 lo, hi = np.minimum.reduce(ends) + c, np.maximum.reduce(ends) + c
             m = np.where((lo <= 0) & (hi >= 0), 0.0, np.minimum(np.abs(lo), np.abs(hi)))
-        return np.fmax(m, 0.0)  # a NaN bound: 0
+        return np.fmax(m, 0.0), np.maximum(np.abs(lo), np.abs(hi))  # a NaN m: 0
 
     def _derivatives(self, xs, J: int):
         """Per x of xs (floats or rationals): [(N_j, d_j)] with f^(j)(x) =
@@ -481,6 +478,38 @@ def jet_log_abs(jet: Jet) -> list:
             else LOG_ZERO for v in jet.values]
 
 
+def pruned_max(bound, read, chunk: int) -> tuple:
+    """(value, at, floor): the max of read's entries over all units and its
+    first position, read only from the units that may hold it.
+
+    The bound rule: bound[u] covers every computed entry of unit u, rounding
+    included; +inf means unknown, and a NaN bound reads as +inf.  read(units)
+    takes a sorted int array and returns (max, its first position, a value
+    some entry reaches), positions ordered as the units.  Lot 1 (the +inf
+    units and the unit of the largest bound) goes first, then each other
+    unit whose bound is not below the floor, the largest value reached so
+    far, in chunks of at most ``chunk`` units.  A chunk that raises a
+    PreconditionError is read again unit by unit, so the error names the
+    first unit in order that raises."""
+    import numpy as np
+    first = ~(bound < math.inf)  # +inf or NaN
+    first[np.where(first, -math.inf, bound).argmax()] = True
+    best, at, floor = -math.inf, None, -math.inf
+    for units in (np.flatnonzero(first), np.flatnonzero(~first)):
+        while len(units := units[~(bound[units] < floor)]):
+            take, units = units[:chunk], units[chunk:]
+            try:
+                value, where, reached = read(take)
+            except PreconditionError:
+                for unit in take[:, None]:
+                    read(unit)
+                raise
+            if value > best or value == best > -math.inf and where < at:
+                best, at = value, where
+            floor = max(floor, reached)
+    return best, at, floor
+
+
 def weighted_log_sup(logs, conj: Callable[[float], float], lam: float, xs=None,
                      K: int = 0, jk_cap: int = None, extra=None) -> tuple:
     """max over rows x, orders j and powers k <= K (j + k <= jk_cap) of
@@ -491,15 +520,9 @@ def weighted_log_sup(logs, conj: Callable[[float], float], lam: float, xs=None,
     (value, (xi, j, k)) for the first strict maximum in (x, j, k) order, or
     (LOG_ZERO, None) when every term is log 0.  Rows go in blocks, each one
     (rows, J+1, K+1) array of at most SUP_BLOCK_TERMS terms (or one row), so
-    memory is bounded per block and does not grow with the grid.
-
-    When K > 0 and the rows span more than one block, rows that cannot hold
-    the maximum are pruned first (``_row_bounds``): the row with the largest
-    bound is scanned exactly, and only the rows whose bound is not below its
-    max are block-scanned, in their order.  A pruned row's every term lies
-    strictly below a value that some term attains, so value and witness are
-    the unpruned scan's bit for bit.  With K = 0 a bound costs the scan
-    itself, and a single block has nothing to prune."""
+    memory is bounded per block.  Past one block, rows go through
+    ``pruned_max``, a block per read, bounded by ``_row_bounds`` when K > 0;
+    with K = 0 a bound would cost the scan itself, so every bound is +inf."""
     import numpy as np
     table = np.asarray(logs, dtype=float)
     J = table.shape[1] - 1
@@ -514,41 +537,37 @@ def weighted_log_sup(logs, conj: Callable[[float], float], lam: float, xs=None,
     lx = np.array([math.log(abs(x)) if x else LOG_ZERO for x in
                    np.asarray(xs, dtype=float)[:len(table)].tolist()]) if K else None
     extra = None if extra is None else np.asarray(extra, dtype=float)[:len(table)]
-    if not K or len(table) <= rows:
-        return _block_sup(table, c_jk, lx, extra, rows)
-    scan = lambda at: _block_sup(table[at], c_jk, lx[at],
-                                 None if extra is None else extra[at], rows)
-    bound = _row_bounds(table, c, lx, extra, K)
-    top = int(bound.argmax())
-    threshold, _ = scan(slice(top, top + 1))
-    kept = np.flatnonzero(~(bound < threshold))
-    best, at = scan(kept)
-    return best, None if at is None else (int(kept[at[0]]), at[1], at[2])
+    if len(table) <= rows:
+        return _block_sup(table, c_jk, lx, extra)
+
+    def read(at):
+        best, w = _block_sup(table[at], c_jk, None if lx is None else lx[at],
+                             None if extra is None else extra[at])
+        return best, None if w is None else (int(at[w[0]]), w[1], w[2]), best
+
+    bound = _row_bounds(table, c, lx, extra, K) if K else np.full(len(table), math.inf)
+    return pruned_max(bound, read, rows)[:2]
 
 
-def _block_sup(table, c_jk, lx, extra, rows) -> tuple:
-    """weighted_log_sup's block scan: c_jk[j, k] = lam phi*((j+k)/lam), lx
-    the rows' log|x| (None when K = 0), extra an array or None."""
+def _block_sup(table, c_jk, lx, extra) -> tuple:
+    """weighted_log_sup's scan of one block: c_jk[j, k] = lam phi*((j+k)/lam),
+    lx the rows' log|x| (None when K = 0), extra an array or None."""
     import numpy as np
     J, K = c_jk.shape[0] - 1, c_jk.shape[1] - 1
-    ks = np.arange(1, K + 1)
-    best, witness = LOG_ZERO, None
     with np.errstate(invalid="ignore"):  # inf - inf terms are masked below
-        for lo in range(0, len(table), rows):
-            v = table[lo:lo + rows, :, None] - c_jk
-            if K:
-                v[:, :, 1:] += np.multiply.outer(lx[lo:lo + len(v)], ks)[:, None, :]
-            if extra is not None:
-                v += extra[lo:lo + len(v), None, None]
+        v = table[:, :, None] - c_jk
+        if K:
+            v[:, :, 1:] += np.multiply.outer(lx, np.arange(1, K + 1))[:, None, :]
+        if extra is not None:
+            v += extra[:, None, None]
+        i = int(v.argmax())
+        if math.isnan(v.flat[i]):  # argmax stops at the first NaN
+            v[np.isnan(v)] = LOG_ZERO
             i = int(v.argmax())
-            if math.isnan(v.flat[i]):  # argmax stops at the first NaN
-                v[np.isnan(v)] = LOG_ZERO
-                i = int(v.argmax())
-            if v.flat[i] > best:
-                best = float(v.flat[i])
-                xi, jk = divmod(i, (J + 1) * (K + 1))
-                witness = (lo + xi, jk // (K + 1), jk % (K + 1))
-    return best, witness
+    if not v.flat[i] > LOG_ZERO:
+        return LOG_ZERO, None
+    xi, jk = divmod(i, (J + 1) * (K + 1))
+    return float(v.flat[i]), (xi, jk // (K + 1), jk % (K + 1))
 
 
 def _row_bounds(table, c, lx, extra, K) -> np.ndarray:
@@ -559,15 +578,14 @@ def _row_bounds(table, c, lx, extra, K) -> np.ndarray:
     with n = j + k: the second part's max over the window n in [j, j+K] is
     taken by a sliding-window max, log2(K+1) passes of np.maximum.  A row at
     x = 0 reads log|x| as 0, which bounds its k = 0 terms (its others are
-    log 0).  The bound is widened by the margin 2^-49 (1 + S), with
-    S = max|L[x]| + max|c| + 2 (J+K) |log x| + |extra[x]| over the finite
-    parts: a term is four roundings (L - c, k log|x|, their sum, + extra),
-    its bound six (j log|x|, L minus it, n log|x|, minus c, their sum,
-    + extra) and the margin's addition one, each off by at most 2^-53 of a
-    result no larger than S (1 + 2^-50), so 16 of them cover all eleven.
-    Term and bound share one math.log value of log|x|.  An infinite or NaN
-    part makes the bound +inf or NaN, and a NaN bound keeps its row, as does
-    S >= 2^1023, where a sum's part may overflow."""
+    log 0).  The bound is widened by 2^-49 (1 + S), S = max|L[x]| + max|c| +
+    2 (J+K) |log x| + |extra[x]| over the finite parts, for the rounding
+    (``pruned_max``'s bound rule): a term is four roundings (L - c, k log|x|,
+    their sum, + extra), its bound six (j log|x|, L minus it, n log|x|, minus
+    c, their sum, + extra) and the margin's addition one, each off by at most
+    2^-53 of a result no larger than S (1 + 2^-50), so 16 of them cover all
+    eleven.  Term and bound share one math.log value of log|x|.  An infinite
+    or NaN part, or S >= 2^1023, where a sum may overflow, makes it +inf."""
     import numpy as np
     J = table.shape[1] - 1
     lx = np.where(lx == LOG_ZERO, 0.0, lx)

@@ -129,10 +129,10 @@ class GridSpec:
 
     def symmetric_points_at(self) -> tuple:
         """(count, at): len(symmetric_points()) and at(k), its points at the
-        int array k, bit for bit.  A log grid whose increase is certified
-        makes only those: exponents above -300 that step by more than
-        POW_MARGIN give increasing points (libm's pow within 2^-50 relative),
-        and the last formula point is compared with top."""
+        int array k, bit for bit.  A log grid whose increase is certified makes
+        only those: exponents above -300 that step by more than POW_MARGIN give
+        increasing points, libm's pow rounding (2^-50 relative) included as in
+        ``functions.pruned_max``'s rule, and the last formula point is below top."""
         import numpy as np
         n = self.n  # a log grid's lo > 0: 0 is only the middle point
         e = self._axis()[0](np.arange(n - 1))

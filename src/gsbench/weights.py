@@ -119,19 +119,20 @@ class WeightFunction:
         return np.array([self(t) for t in ts], dtype=float)
 
     def envelope(self, ts, upper: bool):
-        """Per t of ts, a bound on every computed w(t'), from above over
-        |t'| <= |t| or from below over |t'| >= |t|; None for a kind not known
-        to be nondecreasing.  |t| moves out by ENVELOPE_MARGIN, past libm
-        log's rounding (745 2^-52 at most, normal t); the value by the margin
-        times a table's span (7 ulps of it cover its interpolation), or for
-        libm's pow (2^-50 relative or 2^-1074 off) relative plus 2^-1070."""
+        """Per t of ts, a bound (``functions.pruned_max``'s rule) on every computed w(t'),
+        from above over |t'| <= |t| or from below over |t'| >= |t|; None for a kind not
+        known to be nondecreasing.  |t| moves out by ENVELOPE_MARGIN, past libm log's
+        rounding (745 2^-52 at most, normal t); the value by the margin times a table's
+        span (7 ulps of it cover its interpolation), or for libm's pow (2^-50 relative
+        or 2^-1074 off) as a factor, which keeps +inf, and by 2^-1070."""
         import numpy as np
         if self.kind not in ("gevrey", "logpow", "tabulated"):
             return None
         sign = 1.0 if upper else -1.0
         v = self.values(np.abs(ts) * (1.0 + sign * ENVELOPE_MARGIN))
-        return v + sign * (ENVELOPE_MARGIN * (self._vals[-1] - self._vals[0])
-                           if self.kind == "tabulated" else ENVELOPE_MARGIN * v + 2.0 ** -1070)
+        if self.kind == "tabulated":
+            return v + sign * ENVELOPE_MARGIN * (self._vals[-1] - self._vals[0])
+        return v * (1.0 + sign * ENVELOPE_MARGIN) + sign * 2.0 ** -1070
 
     def phi(self, t: float) -> float:
         """phi(t) = omega(e^t); overflow of e^t or of omega reported as +inf."""

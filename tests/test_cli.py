@@ -803,6 +803,17 @@ def test_necessary_refuses_a_log_grid_too_narrow_to_increase(capsys):
     assert "Traceback" not in out.err
 
 
+def test_necessary_where_omega_of_psi_is_infinite_runs_clean(capsys):
+    # psi = x^2 passes the float range past |x| ~ 1.3e154, so omega(psi) = inf
+    # there, and so is omega's lower envelope, not inf - inf (warnings are
+    # errors here)
+    argv = ["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma", "gevrey:d=2",
+            "--omega", "gevrey:d=2", "--grid", "log:1e-3,1e200,500"]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and json.loads(out.out)["C"] == 0.49241060160680783
+
+
 # -- strict JSON: +-inf as "inf"/"-inf", never a bare Infinity token ------
 
 def _reject_constant(name):

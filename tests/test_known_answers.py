@@ -41,6 +41,20 @@ ROWS = [
     (["experiment", "compactness", "--psi", "poly:0,1", "--x0", "0",
       "--weight", "gevrey:d=2"], 2, "--x0",
      "psi'(0) = 1: |psi'|^n never grows, refused naming --x0"),
+    # sigma(x) <= C (1 + omega(psi(x))) with gevrey sigma, omega and psi = x^r
+    # at both ends: C < inf iff 1/d_sigma <= r/d_omega
+    (["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma", "gevrey:d=1.5",
+      "--omega", "gevrey:d=2"], 0, None,
+     "psi = x^2: |x|^(2/3) against |x|^(2/2), and 2/3 <= 1"),
+    (["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma", "gevrey:d=0.9",
+      "--omega", "gevrey:d=2"], 1, None,
+     "psi = x^2: |x|^(1/0.9) against |x|^(2/2), and 1/0.9 > 1"),
+    (["experiment", "necessary", "--psi", "poly:0,1", "--sigma", "gevrey:d=1.5",
+      "--omega", "gevrey:d=2"], 1, None,
+     "psi = x: |x|^(2/3) against |x|^(1/2), and 2/3 > 1/2"),
+    (["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma", "gevrey:d=2",
+      "--omega", "gevrey:d=0.5"], 0, None,
+     "psi = x^2: |x|^(1/2) against |x|^(2/0.5), and 1/2 <= 4"),
 ]
 
 

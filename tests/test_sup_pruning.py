@@ -1,8 +1,8 @@
 """Row pruning in the weighted-sup kernel: the same bytes as the full scan.
 
 ``weighted_log_sup`` bounds every row from above (``_row_bounds``) before its
-block scan, scans the row with the largest bound exactly, and block-scans
-only the rows whose bound is not below that row's max.  Here:
+block scan, scans the row with the largest bound first, and then only the
+rows whose bound is not below the max reached.  Here:
 
 * the pruned kernel against a copy of the unpruned block scan, bit for bit
   on the value's hex and the witness, over drawn tables with +-inf and NaN
@@ -21,7 +21,11 @@ whose bound reaches the running max.  Here:
   minima, lin and log grids and block sizes;
 * every computed ratio against its block's bound;
 * the scan against any valid bound, tight ones and exact ties included;
-* the points evaluated on the bench's four ``scan.necessary`` variants, pinned.
+* the points evaluated on the bench's four ``scan.necessary`` variants, pinned,
+  and on an omega that overflows at a finite t, bounded per block.
+
+Both read their units through one driver, ``pruned_max``, checked here
+against a linear scan over drawn units, bounds, chunk sizes and refusals.
 """
 import math
 from unittest import mock
@@ -31,9 +35,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsbench import experiments, functions
+from gsbench.errors import PreconditionError
 from gsbench.experiments import NECESSARY_BLOCK, _ratio_bounds, necessary_growth
 from gsbench.functions import (SUP_BLOCK_TERMS, Gaussian, Polynomial, _row_bounds,
-                               seminorm_p_lambda, seminorm_pi, weighted_log_sup)
+                               pruned_max, seminorm_p_lambda, seminorm_pi,
+                               weighted_log_sup)
 from gsbench.grids import GridSpec
 from gsbench.logdomain import LOG_ZERO
 from gsbench.weights import ConjugateEvaluator, WeightFunction
@@ -207,14 +213,14 @@ def spy_scans(monkeypatch):
 
 
 def test_bench_p_seminorms_scan_one_row_of_grid_and_box(monkeypatch):
-    # the grid's 161 rows x <= 0 and the box's 201 at J = K = 20: one row is
-    # scanned for the threshold, and it is the only row kept
+    # the grid's 161 rows x <= 0 and the box's 201 at J = K = 20: the row of
+    # the largest bound is read, and no other row's bound reaches its max
     for f, family, lam, w, grid in seminorm_cases():
         if family != "p":
             continue
         seen = spy_scans(monkeypatch)
         seminorm_p_lambda(f, lam, w, grid, 20, 20)
-        assert seen == {"bounded": [161, 201], "scanned": [1, 1, 1, 1]}, \
+        assert seen == {"bounded": [161, 201], "scanned": [1, 1]}, \
             (f.label, w.label, grid)
 
 
@@ -400,3 +406,102 @@ def test_bench_necessary_variants_evaluate_few_points(monkeypatch):
                    for n in kept]
     for g in got:  # at most a quarter of the 20,001 points
         assert max(g["sigma"] + g["envelope"] // 2, g["pow"]) <= 20001 // 4
+
+
+def test_omega_that_overflows_at_a_finite_t_is_bounded_per_block(monkeypatch):
+    # omega = t^2 overflows past t ~ 1.3e154, so omega at the largest float
+    # says nothing; |psi| = x^2 <= 1e6 on this grid, and each block's upper
+    # enclosure keeps omega far below 2^1023: 8 blocks of 64 are read, not
+    # all 20,001 points
+    case = (Polynomial([0, 0, 1]), WeightFunction.gevrey(2), WeightFunction.gevrey(0.5),
+            GridSpec("log", 1e-3, 1e3, 20000))
+    seen = {"sigma": 0, "omega": 0}
+    weight_values = experiments.weight_values
+
+    def spy_values(w, ts, flag, *args):
+        seen[flag[2:]] += len(ts)
+        return weight_values(w, ts, flag, *args)
+
+    monkeypatch.setattr(experiments, "weight_values", spy_values)
+    res = necessary_growth(*case)
+    assert seen == {"sigma": 512, "omega": 512}
+    assert same_as_the_loop(res, *case)
+
+
+def test_envelope_of_an_infinite_value_is_infinite():
+    # psi = x^2 past 1e154 makes omega(psi) = inf: its lower envelope is +inf,
+    # not inf - inf (warnings are errors here)
+    ts = np.array([0.0, 4.0, math.inf])
+    for w in (WeightFunction.gevrey(2), WeightFunction.logpow(2)):
+        for upper in (True, False):
+            assert w.envelope(ts, upper)[-1] == math.inf
+
+
+# -- pruned_max: the one bound-then-read driver --------------------------------
+
+entry_value = (st.sampled_from([-math.inf, -1.0, 0.0, 0.0, 2.0, 2.0])
+               | st.floats(-4.0, 4.0))
+
+
+@st.composite
+def driver_case(draw):
+    """Units of (value, inner) entries, bounds from each unit's exact max
+    plus drawn slack (0 makes ties with the floor), a chunk size, and the
+    units whose read raises, each of unknown bound as the callers give it."""
+    n = draw(st.integers(1, 12), label="units")
+    units = draw(st.lists(st.lists(st.tuples(entry_value, st.booleans()),
+                                   min_size=1, max_size=4),
+                          min_size=n, max_size=n), label="entries")
+    slack = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, math.inf, math.nan]),
+                          min_size=n, max_size=n), label="slack")
+    # about half the cases raise nowhere, so most compare the scan's result
+    raising = draw(st.sets(st.integers(0, n - 1), max_size=3)
+                   | st.just(set()), label="raising")
+    bound = [math.inf if u in raising else max(v for v, _ in entries) + s
+             for u, (entries, s) in enumerate(zip(units, slack))]
+    return units, np.array(bound), draw(st.integers(1, n), label="chunk"), raising
+
+
+def linear_scan(units):
+    """(max, first (unit, entry) position of it, max of the inner entries)."""
+    best, at, floor = -math.inf, None, -math.inf
+    for u, entries in enumerate(units):
+        for i, (v, inner) in enumerate(entries):
+            if v > best:
+                best, at = v, (u, i)
+            if inner:
+                floor = max(floor, v)
+    return best, at, floor
+
+
+def linear_scan_at(units, take):
+    """linear_scan over the units ``take`` only, positions in whole units."""
+    best, at, floor = linear_scan([units[u] for u in take])
+    return best, None if at is None else (take[at[0]], at[1]), floor
+
+
+@settings(max_examples=400, deadline=None)
+@given(driver_case())
+def test_pruned_max_equals_a_linear_scan(case):
+    units, bound, chunk, raising = case
+    reads = []
+
+    def read(take):
+        take = take.tolist()
+        assert take == sorted(set(take)) and len(take) <= chunk
+        reads.append(take)
+        if raising & set(take):  # names the chunk, as a float refusal does
+            raise PreconditionError(str(take))
+        return linear_scan_at(units, take)
+
+    if raising:
+        with pytest.raises(PreconditionError) as err:
+            pruned_max(bound, read, chunk)
+        assert str(err.value) == str([min(raising)])
+        return
+    value, at, floor = pruned_max(bound, read, chunk)
+    assert (value, at, floor) == linear_scan(units)
+    assert type(value) is float
+    read_units = [u for take in reads for u in take]
+    assert len(read_units) == len(set(read_units))  # no unit read twice
+
