@@ -44,7 +44,7 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
     ``fdb.log_bell_table``, read with no table.  The shortcut column is
     log b_n + n log|psi'(x0)|, each with its sign."""
     try:
-        psi1 = psi.jet(x0, nmax).to_log().values[1]
+        psi1 = psi.jet(x0, 1).to_log().values[1]  # a row reads psi' alone
         if psi1.log_abs == math.inf:  # expsqr's log psi = x0^2 past a float
             raise OverflowError
     except OverflowError:

@@ -31,11 +31,12 @@ at J = 24), and numpy's exp and log make its bits depend on the SIMD level.
 gaussian, expsqr, pow1px2 and sqrt1px2 compose by their own Taylor
 recurrence instead (``experiments.composed_taylor_table``).
 
-Composition never enumerates partitions.  ``enumerate_partitions`` lists
-the multi-indices (k_1, ..., k_j) with sum(l k_l) = j of one order, for the
-partition-count check and for the partition-sum form of Faa di Bruno, the
-independent oracle in the tests.  The summation identities read every order
-j <= jmax off one exact integer table over part sizes (``identity_table``).
+Composition never enumerates partitions: ``enumerate_partitions`` lists one
+order's multi-indices (k_1, ..., k_j), sum(l k_l) = j, for the partition
+count and the tests' partition-sum oracle.  ``identity_table`` reads the
+summation identities for j <= jmax off the coefficients of jmax! e^(y x/(1-x)),
+whose rows the exp rule r U_r = y sum_i i U_(r-i) fills by running sums; each
+division by r is exact, since every coefficient is an integer.
 """
 from __future__ import annotations
 
@@ -381,30 +382,28 @@ def identity_table(jmax: int) -> list:
     Lah-number sum sum_k C(j-1, k-1) j!/k!, over the multi-indices of order j.
 
     U[r][k] = sum jmax!/(k_1!...k_jmax!) over the multi-indices of weight
-    r = sum l k_l with k = sum k_l parts.  It is filled one part size l at a
-    time, as a knapsack over multiplicities m >= 1 with r descending, so each
-    size is used once: U[r][k] += U[r - m l][k - m] // m!.  Every division is
-    exact, since each term's k_1!...k_l! divides k!, which divides jmax!."""
+    r = sum l k_l with k = sum k_l parts: jmax! [x^r y^k] exp(y x/(1 - x)).
+    The exp rule of Taylor arithmetic gives r U_r = y S_r for row r as a
+    polynomial in y, S_r = sum_(i=1..r) i U_(r-i) = S_(r-1) + P_(r-1), P the
+    running sum of the rows: O(J^2) additions.  U[r][k] = S_r[k-1] / r is
+    exact, as it equals jmax! C(r-1, k-1)/k! with k <= jmax; a remainder
+    raises."""
     if not 1 <= jmax <= 30:
         raise PreconditionError("--jmax: identity checked for 1 <= j <= 30")
     fact = [math.factorial(i) for i in range(jmax + 1)]
-    u = [[0] * (jmax + 1) for _ in range(jmax + 1)]
-    u[0][0] = fact[jmax]
-    for part in range(1, jmax + 1):
-        for r in range(jmax, part - 1, -1):
-            row = u[r]
-            for m in range(1, r // part + 1):
-                src = u[r - m * part]
-                for k in range(r - m * part + 1):
-                    if src[k]:
-                        row[k + m] += src[k] // fact[m]
-    rows = []
+    s, p, rows = [0] * (jmax + 1), [fact[jmax]] + [0] * jmax, []
     for j in range(1, jmax + 1):
-        two_power = sum(c * f for c, f in zip(u[j], fact)) // fact[jmax]
+        s = [a + b for a, b in zip(s, p)]
+        quot, rem = zip(*(divmod(c, j) for c in s[:-1]))
+        if any(rem):
+            raise AssertionError(f"identity table row {j} is not integral")
+        u = [0, *quot]
+        p = [a + b for a, b in zip(p, u)]
+        two_power = sum(c * f for c, f in zip(u, fact)) // fact[jmax]
         if two_power != 2 ** (j - 1):
             raise AssertionError(f"two-power identity failed at j={j}: "
                                  f"{two_power} != {2 ** (j - 1)}")
-        lah = sum(u[j]) * fact[j] // fact[jmax]
+        lah = sum(u) * fact[j] // fact[jmax]
         rhs = sum(math.comb(j - 1, k - 1) * fact[j] // fact[k]
                   for k in range(1, j + 1))
         if lah != rhs:

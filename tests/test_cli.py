@@ -1207,10 +1207,14 @@ def test_bare_import_leaves_numpy_unloaded():
       "--mmax", "12"], 0),
     (["experiment", "compactness", "--psi", "poly:0,2,0,1", "--x0", "0",
       "--weight", "gevrey:d=2", "--nmax", "25"], 0),
+    # identities sums integers, fdb composes Fraction jets
+    (["identities", "--jmax", "30"], 0),
+    (["fdb", "--h", '["1","1","1/2"]', "--psi", '["0","1","1"]', "--order",
+      "2"], 0),
 ], ids=["negative", "nuclear", "sequence-check", "sequence-check-table",
         "conjugate-gevrey", "conjugate-logpow", "conjugate-table",
         "conjugate-table-past-b", "conjugate-parsed-weight-bad-s", "bounded",
-        "compactness"])
+        "compactness", "identities", "fdb"])
 def test_scalar_command_runs_cold_without_numpy(argv, code, tmp_path, capsys):
     table = tmp_path / "seq.csv"
     vs = [p * p + 50 * (p % 2) for p in range(501)]

@@ -170,6 +170,23 @@ def test_compactness_builds_no_bell_table(monkeypatch):
     assert rep.verdict and rep.first_crossing_index == 20
 
 
+@pytest.mark.parametrize("psi, x0", [(Pow1px2(1.5), 1.0),
+                                     (parse_function("poly:0,2,0,1"), 0.0)],
+                         ids=["pow1px2", "poly"])
+def test_compactness_reads_psi_to_order_1(psi, x0, monkeypatch):
+    # only psi'(x0) enters a row, so no higher order of psi's jet is asked for
+    orders, jet = [], type(psi).jet
+
+    def spy(self, x, J):
+        orders.append(J)
+        return jet(self, x, J)
+
+    monkeypatch.setattr(type(psi), "jet", spy)
+    rep = compactness_blowup(psi, x0, 1, W2, 60)
+    assert len(rep.rows) == 60 and rep.verdict
+    assert orders and max(orders) <= 1
+
+
 # -- negative chain ---------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -41,6 +41,35 @@ ROWS = [
     (["experiment", "compactness", "--psi", "poly:0,1", "--x0", "0",
       "--weight", "gevrey:d=2"], 2, "--x0",
      "psi'(0) = 1: |psi'|^n never grows, refused naming --x0"),
+    # only psi'(x0) enters a row, so no higher order can refuse
+    (["experiment", "compactness", "--psi", "poly:0,2,0,1e308", "--x0", "0",
+      "--weight", "gevrey:d=2", "--nmax", "20"], 0, None,
+     "psi'(0) = 2 crosses at n = 20; psi'''(0) = 6e308 overflows a float, "
+     "but is never read"),
+    (["experiment", "compactness", "--psi", "pow1px2:a=1.5", "--x0", "1",
+      "--weight", "gevrey:d=2", "--nmax", "300"], 0, None,
+     "psi'(1) = 3 sqrt 2 > 1 crosses 1e6 at n = 10; orders past pow1px2's "
+     "jet cap of 200 are never read"),
+    (["identities", "--jmax", "30"], 0, None,
+     "both sums are integers, checked against 2^(j-1) and the Lah sum"),
+    (["identities", "--jmax", "31"], 2, "--jmax",
+     "the identities are checked for 1 <= j <= 30 only"),
+    # the negative chain's regime d <= d' < (k+1)d
+    (["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "3.5",
+      "--jmax", "400"], 0, None,
+     "2 <= 3.5 < 4: the lower bound diverges"),
+    (["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "4",
+      "--jmax", "400"], 2, "--dprime",
+     "d' = (k+1)d = 4: the little-o comparison fails, refused naming --dprime"),
+    (["experiment", "cauchy", "--psi", "sqrt1px2", "--delta", "0.5",
+      "--jmax", "10"], 0, None,
+     "sqrt(1+x^2) is holomorphic on a cone around the real axis, so the "
+     "Cauchy bound holds for every delta in (0, 1)"),
+    (["sequence-check", "--sequence", "gevreyseq:d=2"], 0, None,
+     "M_p = p!^2: M_(p-1)/M_p = 1/p^2 is summable, and every condition holds"),
+    (["sequence-check", "--sequence", "gevreyseq:d=1"], 1, None,
+     "M_p = p!: M_(p-1)/M_p = 1/p, so M3' (sum 1/p) diverges, and m3prime "
+     "and gamma1 fail"),
     # sigma(x) <= C (1 + omega(psi(x))) with gevrey sigma, omega and psi = x^r
     # at both ends: C < inf iff 1/d_sigma <= r/d_omega
     (["experiment", "necessary", "--psi", "poly:0,0,1", "--sigma", "gevrey:d=1.5",
