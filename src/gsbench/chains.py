@@ -38,11 +38,11 @@ def compactness_blowup(psi: ModelFunction, x0: float, p: int,
 
     A jet concentrated at order n composes to b_n B(n, n).  In the Bell
     recurrence B(n, n) = sum_i C(n-1, i-1) psi^(i) B(n-i, n-1) only i = 1 is
-    live, since B(m, k) = 0 for k > m, and the log kernel returns a sum of
-    one term as that term bit for bit.  So the full column is log b_n + L_n
-    with L_n = L_(n-1) + log|psi'(x0)|, L_0 = 0, sign psi'^n: the diagonal of
-    ``fdb.log_bell_table``, read with no table.  The shortcut column is
-    log b_n + n log|psi'(x0)|, each with its sign."""
+    live, since B(m, k) = 0 for k > m, and ``signed_log_sum`` returns a sum
+    of one term as that term bit for bit.  So the full column is
+    log b_n + L_n with L_n = L_(n-1) + log|psi'(x0)|, L_0 = 0, sign psi'^n:
+    the diagonal of ``fdb.bell_rows`` of psi's log jet, read with no table.
+    The shortcut column is log b_n + n log|psi'(x0)|, each with its sign."""
     try:
         psi1 = psi.jet(x0, 1).to_log().values[1]  # a row reads psi' alone
         if psi1.log_abs == math.inf:  # expsqr's log psi = x0^2 past a float

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .fdb import log_compose_table
+from .fdb import Jet, compose_jet
 from .functions import (LN2, ModelFunction, Polynomial, mirrored_half,
                         pruned_max, weighted_log_sup)
 from .grids import DEFAULT_X_GRID, GridSpec
@@ -122,8 +122,8 @@ def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
                            xs: Sequence[float], J: int) -> np.ndarray:
     """log |(f o psi)^(j)(x)|, one row per grid point x and one column per
     order j = 0..J: by f's Taylor recurrence where f has an ``ode``
-    (``composed_taylor_table``), else by one ``log_compose_table`` of psi's
-    jets over xs and f's over psi(xs).  For even or odd f o psi on mirrored
+    (``composed_taylor_table``), else row by row by ``fdb.compose_jet`` of
+    f's log jet at psi(x) and psi's at x.  For even or odd f o psi on mirrored
     xs, only the rows x <= 0 are built and mirrored: at -x every term is
     negated or kept exactly, and so is its sum, so the logs match."""
     xs = np.asarray(xs, dtype=float)
@@ -131,8 +131,11 @@ def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
     if f.ode is not None:
         t = composed_taylor_table(f, psi, half, J)[1]
     else:
-        t = log_compose_table(*f.log_jet_table(psi.values(half), J),
-                              *psi.log_jet_table(half, J), J)[1]
+        ys = psi.values(half)
+        rows = zip(ys, *f.log_jet_table(ys, J), half, *psi.log_jet_table(half, J))
+        t = np.array([[v.log_abs for v in compose_jet(
+            Jet.from_log_row(y, fs, fl), Jet.from_log_row(x, ps, pl), J).values]
+            for y, fs, fl, x, ps, pl in rows])
     return t if len(half) == len(xs) else np.concatenate([t, t[-2::-1]])
 
 

@@ -14,20 +14,18 @@ skipped, so an inner jet with a bounded number of nonzero derivatives (a
 polynomial such as x^2) costs O(J^2).  The table depends on psi alone and is
 shared by every outer jet h and every order n.
 
-Two recurrences, one per jet kind, both behind ``compose_jet``:
-  * exact rationals, on one Fraction jet;
-  * signed log magnitudes, (sign, log|.|) arrays, batched over a whole grid
-    (``log_compose_table``) in blocks of points, each entry a max-shifted
-    sum compensated by a pairwise TwoSum tree (``_log_sum``), within a few
-    ulps of the correctly rounded ``math.fsum``; only these array kernels
-    import numpy.  A single log jet is a one-row table; ``log_bell_table``
-    is the Bell table itself.  Its diagonal B(n, n) = psi'^n has one live
-    term per order, so compactness reads it with no table (``chains``).
+One recurrence serves both jet kinds (``bell_rows``, ``compose_jet``): it
+multiplies and sums whatever entries the jets hold.  Exact rationals sum by
+``sum``; signed log magnitudes (``LogReal``) by ``signed_log_sum``, one
+max-shifted ``math.fsum`` per entry with libm's exp and log, so their bits
+do not depend on numpy or the SIMD level, and nothing here imports numpy.
+The diagonal B(n, n) = psi'^n has one live term per order, so compactness
+reads it with no table (``chains``).
 
-The log kernel serves ``compose_jet`` and the composed tables of outer
-functions with no Taylor recurrence (polynomials, bumps).  Its sums of
-mixed-sign terms lose digits with J (3.9e-8 in log on gaussian o sqrt1px2
-at J = 24), and numpy's exp and log make its bits depend on the SIMD level.
+Log jets compose here for outer functions with no Taylor recurrence
+(polynomials, bumps), one grid point at a time
+(``experiments.composed_jet_log_table``).  Their sums of mixed-sign terms
+lose digits with J (3.9e-8 in log on gaussian o sqrt1px2 at J = 24).
 gaussian, expsqr, pow1px2 and sqrt1px2 compose by their own Taylor
 recurrence instead (``experiments.composed_taylor_table``).
 
@@ -40,22 +38,15 @@ division by r is exact, since every coefficient is an integer.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import PreconditionError
-from .logdomain import LOG_ZERO, LogReal
-
-if TYPE_CHECKING:  # the array kernels import numpy at call time
-    import numpy as np
+from .logdomain import LogReal, signed_log_sum
 
 JetValue = Union[Fraction, LogReal]
-
-TERM_BLOCK = 1 << 16  # Bell entries (point, n, k) per log_compose_table block
-SUM_TERMS = TERM_BLOCK // 8  # padded terms (k, n, point) per contraction sum
 
 
 @dataclass(frozen=True)
@@ -176,136 +167,12 @@ class Jet:
         return float(v) if self.kind == "exact" else v.to_float()
 
     def entry_is_zero(self, i: int) -> bool:
-        v = self.values[i]
-        return v == 0 if self.kind == "exact" else v.is_zero()
+        return not self.values[i]
 
 
 # ---------------------------------------------------------------------------
 # Composition
 # ---------------------------------------------------------------------------
-
-def _two_sum(v: np.ndarray) -> np.ndarray:
-    """Sum along the first axis, of a power-of-two length, by a pairwise
-    TwoSum tree.  Each level adds the contiguous halves v[:h] and v[h:] and
-    keeps the exact rounding error of every addition (Knuth's TwoSum); the
-    errors are summed alongside and added at the end, as in Sum2 (Ogita, Rump
-    & Oishi, SIAM J. Sci. Comput. 26(6), 2005).  On terms in bit-reversed
-    slots (``_slots``) the halves are the neighbours 2m and 2m+1 of the
-    terms' own order at every level.  Trailing zero terms never change the
-    result, and a term next to its negative leaves an exact 0."""
-    import numpy as np
-    err = None
-    while len(v) > 1:
-        h = len(v) // 2
-        a, b = v[:h], v[h:]
-        v = a + b
-        z = v - a
-        e = v - z  # then (a - (v - z)) + (b - z), in place
-        np.add(np.subtract(a, e, out=e), np.subtract(b, z, out=z), out=e)
-        err = e if err is None else np.add(err[:h] + err[h:], e, out=e)
-    return v[0] if err is None else v[0] + err[0]
-
-
-@functools.cache
-def _slots(n: int) -> np.ndarray:
-    """Slot of each of n terms in a tree of 2^ceil(log2 n) leaves: term t
-    goes to the bit reversal of t, read-only."""
-    import numpy as np
-    bits = (n - 1).bit_length()
-    slots = np.array([int(f"{t:0{bits}b}"[::-1], 2) if bits else 0
-                      for t in range(n)])
-    slots.flags.writeable = False
-    return slots
-
-
-def _log_sum(sign: np.ndarray, log: np.ndarray) -> tuple:
-    """(sign, log|sum|) over the first axis of the terms sign * exp(log),
-    max-shifted as in ``signed_log_sum`` and scattered into the bit-reversed
-    slots of a power-of-two array of +0.0 (``_slots``), so ``_two_sum`` adds
-    the neighbours' tree of the terms in their given order.  A zero sum is
-    (0, -inf), with a divide warning for the caller's errstate; one nonzero
-    term is itself, bit for bit."""
-    import numpy as np
-    m = np.maximum.reduce(log)
-    m[m == LOG_ZERO] = 0.0  # all terms 0: any finite shift
-    live = np.subtract(log, m)
-    np.multiply(np.exp(live, out=live), sign, out=live)
-    terms = np.zeros((1 << (len(log) - 1).bit_length(),) + m.shape)
-    terms[_slots(len(log))] = live
-    del live  # before the tree's temporaries
-    total = _two_sum(terms)
-    return np.sign(total), m + np.log(np.abs(total))
-
-
-@functools.cache
-def _log_binomials(J: int) -> np.ndarray:
-    """log C(n-1, i-1) at [n, i], 1 <= i <= n <= J, read-only."""
-    import numpy as np
-    table = np.array([[math.log(math.comb(n - 1, i - 1)) if 0 < i <= n else 0.0
-                       for i in range(J + 1)] for n in range(J + 1)])
-    table.flags.writeable = False
-    return table
-
-
-def log_bell_table(psi_sign, psi_log, J: int) -> tuple:
-    """Partial Bell polynomials B(n, k), 0 <= k, n <= J, of one inner jet per
-    column of (J+1, rows) arrays (sign, log|psi^(i)|): (sign, log|B|), each
-    (J+1, J+1, rows), int8 signs, zeros as (0, -inf).  Order n gathers the
-    terms C(n-1, i-1) psi^(i) B(n-i, k-1) as (i, k, rows), for the orders i
-    nonzero in some column, and sums over i by one ``_log_sum``."""
-    import numpy as np
-    sign = np.zeros((J + 1, J + 1, psi_log.shape[1]), dtype=np.int8)
-    log = np.full(sign.shape, LOG_ZERO)
-    sign[0, 0], log[0, 0] = 1, 0.0
-    support = np.flatnonzero(psi_sign[1:J + 1].any(axis=1)) + 1
-    with np.errstate(divide="ignore"):
-        for n in range(1, J + 1):
-            i = support[support <= n]
-            if len(i):  # B(n - i, k - 1) = 0 for k - 1 > n - i, so no k is masked
-                c = _log_binomials(J)[n, i, None] + psi_log[i]
-                sign[n, 1:n + 1], log[n, 1:n + 1] = _log_sum(
-                    sign[n - i, :n] * psi_sign[i, None], log[n - i, :n] + c[:, None])
-    return sign, log
-
-
-def _order_batches(J: int, rows: int):
-    """Contraction orders [lo, hi) per ``_log_sum``: as many as keep the
-    (k, n, rows) terms, k padded to a power of two, within SUM_TERMS."""
-    lo = 0
-    while lo <= J:
-        hi = lo + 1
-        while hi <= J and (hi + 1 - lo) * rows << hi.bit_length() <= SUM_TERMS:
-            hi += 1
-        yield lo, hi
-        lo = hi
-
-
-def log_compose_table(f_sign, f_log, psi_sign, psi_log, J: int) -> tuple:
-    """(sign, log|(f o psi)^(n)(x)|), each (points, J+1), from the
-    (sign, log|.|) jet tables of f over psi(xs) and of psi over xs; order n is
-    a sum over k of f^(k) B(n, k).  Points go in blocks of at most TERM_BLOCK
-    Bell entries (point, n, k): memory does not grow with the grid.  Orders
-    lo <= n < hi share one ``_log_sum`` over (k, n, points), k < hi, with the
-    terms k > n as zeros (+0.0, log -inf), whatever f holds there."""
-    import numpy as np
-    f_sign, f_log, psi_sign, psi_log = (np.asarray(a, dtype=float)
-                                        for a in (f_sign, f_log, psi_sign, psi_log))
-    sign, log = np.empty((2, len(f_log), J + 1))
-    rows = max(1, TERM_BLOCK // (J + 1) ** 2)
-    with np.errstate(divide="ignore"):
-        for at in (slice(lo, lo + rows) for lo in range(0, len(f_log), rows)):
-            bell_sign, bell_log = log_bell_table(psi_sign[at].T, psi_log[at].T, J)
-            fs, fl = f_sign[at].T[:, None], f_log[at].T[:, None]
-            for lo, hi in _order_batches(J, bell_log.shape[2]):
-                above = np.tri(hi, hi, -1, dtype=bool)[:, lo:hi, None]  # k > n
-                bs = bell_sign[lo:hi, :hi].transpose(1, 0, 2) * fs[:hi]
-                bl = bell_log[lo:hi, :hi].transpose(1, 0, 2) + fl[:hi]
-                np.copyto(bs, 0.0, where=above)
-                np.copyto(bl, LOG_ZERO, where=above)
-                sign[at, lo:hi], log[at, lo:hi] = (a.T for a in _log_sum(bs, bl))
-            del bell_sign, bell_log  # before the next block's table is built
-    return sign, log
-
 
 def _check_orders(h_jet: Jet, psi_jet: Jet, j: int) -> None:
     if h_jet.order < j or psi_jet.order < j:
@@ -316,35 +183,47 @@ def _check_orders(h_jet: Jet, psi_jet: Jet, j: int) -> None:
         raise PreconditionError("mixed jet representations are not summed")
 
 
-def compose_jet(h_jet: Jet, psi_jet: Jet, J: int) -> Jet:
-    """Jet of h o psi at psi_jet's base point, orders 0..J, for h's jet at
-    psi's value.  Log jets run ``log_compose_table`` on one row; exact jets
-    run the Bell recurrence on Fractions, skipping the B(n, k) that no k
-    parts from psi's nonzero orders can reach."""
-    _check_orders(h_jet, psi_jet, J)
-    h, psi = h_jet.values[:J + 1], psi_jet.values[:J + 1]
-    if h_jet.kind == "log":
-        rows = [([[v.sign for v in vs]], [[v.log_abs for v in vs]]) for vs in (h, psi)]
-        sign, log = log_compose_table(*rows[0], *rows[1], J)
-        return Jet.from_log_row(psi_jet.base_point, sign[0], log[0])
+def _arithmetic(kind: str) -> tuple:
+    """(zero, one, a coefficient C as an entry, the sum of a list of entries)
+    for one jet kind: an integer C and ``sum`` on Fractions, LogReal(1, log C)
+    and the max-shifted ``math.fsum`` of ``signed_log_sum`` on LogReals."""
+    if kind == "exact":
+        return Fraction(0), Fraction(1), int, lambda terms: sum(terms, Fraction(0))
+    return (LogReal.zero(), LogReal.one(), lambda c: LogReal(1, math.log(c)),
+            signed_log_sum)
+
+
+def bell_rows(psi_jet: Jet, J: int) -> list:
+    """Rows [B(n, 0), ..., B(n, n)], n = 0..J, of the partial Bell
+    polynomials of psi_jet's orders 1..J, in its kind's entries.  B(n, k)
+    that no k parts from psi's nonzero orders can reach are left zero."""
+    psi = psi_jet.values
+    zero, one, coef, total = _arithmetic(psi_jet.kind)
     support = [i for i in range(1, J + 1) if psi[i]]
-    rows = [[Fraction(1)]]
+    rows = [[one]]
     for n in range(1, J + 1):
         # C(n-1, i-1) psi^(i) for each nonzero order i <= n, ascending
-        parts = [(i, math.comb(n - 1, i - 1) * psi[i])
+        parts = [(i, coef(math.comb(n - 1, i - 1)) * psi[i])
                  for i in support if i <= n]
-        row = [Fraction(0)] * (n + 1)
+        row = [zero] * (n + 1)
         # B(n, k) = 0 unless k parts from the support can sum to n
         k_lo, k_hi = ((-(-n // support[-1]), n // support[0]) if support
                       else (1, 0))
         for k in range(k_lo, k_hi + 1):
-            row[k] = sum((c * rows[n - i][k - 1] for i, c in parts
-                          if i <= n - k + 1 and rows[n - i][k - 1]),
-                         Fraction(0))
+            row[k] = total([c * rows[n - i][k - 1] for i, c in parts
+                            if i <= n - k + 1 and rows[n - i][k - 1]])
         rows.append(row)
+    return rows
+
+
+def compose_jet(h_jet: Jet, psi_jet: Jet, J: int) -> Jet:
+    """Jet of h o psi at psi_jet's base point, orders 0..J, for h's jet at
+    psi's value: order n sums h^(k) B(n, k) over the ``bell_rows`` of psi."""
+    _check_orders(h_jet, psi_jet, J)
+    total = _arithmetic(h_jet.kind)[3]
     return Jet(psi_jet.base_point, tuple(
-        sum((a * b for a, b in zip(h, row) if a and b), Fraction(0))
-        for row in rows), "exact")
+        total([a * b for a, b in zip(h_jet.values, row) if a and b])
+        for row in bell_rows(psi_jet, J)), h_jet.kind)
 
 
 def faa_di_bruno(h_jet: Jet, psi_jet: Jet, j: int) -> JetValue:

@@ -743,8 +743,14 @@ def estimate_growth_exponent(jet: Jet) -> IndexEstimate:
             f"found {len(js)}")
     A = np.array([[j * math.log(j), float(j)] for j in js])
     b = np.array([logs[j] for j in js])
-    coef, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    resid = A @ coef - b
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    overflow = PreconditionError(f"--x: the jet's log fit at x = "
+                                 f"{float(jet.base_point):g} overflows a float")
+    if not np.isfinite(b).all():
+        raise overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.linalg.lstsq(A, b, rcond=None)[0]
+        rms = float(np.sqrt(np.mean((A @ coef - b) ** 2)))
+    if not (np.isfinite(coef).all() and math.isfinite(rms)):
+        raise overflow
     return IndexEstimate(s_hat=float(coef[0]), intercept=float(coef[1]),
                          residual_rms=rms)

@@ -4,9 +4,10 @@ Growth-scale quantities in this package (conjugate exponentials, A^j j!,
 inequality-chain factors) overflow doubles long before the index ranges of
 interest, so they are carried as a sign plus the natural log of the absolute
 value.  Products and integer powers are exact in this representation; signed
-addition falls back to compensated linear-space summation whenever the
-exponents are close enough for that to be representable, which is also where
-cancellation can occur.
+sums factor out the largest magnitude and add the rest in linear space by
+``math.fsum``, which is also where cancellation can occur.  A log of +inf is
+a magnitude past the float range: such terms of one sign sum to it, and of
+opposite signs have no sum.
 """
 from __future__ import annotations
 
@@ -14,12 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-LOG_ZERO = float("-inf")
+from .errors import PreconditionError
 
-# Exponent window (in nats) inside which signed addition is done in linear
-# space.  Well within double range and wide enough that anything outside the
-# window cannot affect the leading ~17 digits of the result.
-_LINEAR_WINDOW = 40.0
+LOG_ZERO = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -63,6 +61,9 @@ class LogReal:
     def is_zero(self) -> bool:
         return self.sign == 0
 
+    def __bool__(self) -> bool:
+        return self.sign != 0
+
     def to_float(self) -> float:
         """Linear-space value; overflows to +-inf silently."""
         if self.sign == 0:
@@ -90,26 +91,7 @@ class LogReal:
         return LogReal(sign, n * self.log_abs)
 
     def __add__(self, other: "LogReal") -> "LogReal":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        a, b = self, other
-        if a.log_abs < b.log_abs:
-            a, b = b, a
-        d = a.log_abs - b.log_abs
-        if a.sign == b.sign:
-            return LogReal(a.sign, a.log_abs + math.log1p(math.exp(-d)))
-        if d == 0.0:
-            return LogReal.zero()
-        if d < _LINEAR_WINDOW:
-            # linear-space difference, exact to double rounding
-            v = a.sign + b.sign * math.exp(-d)
-            if v == 0.0:
-                return LogReal.zero()
-            return LogReal(1 if v > 0 else -1,
-                           a.log_abs + math.log(abs(v)))
-        return LogReal(a.sign, a.log_abs + math.log1p(-math.exp(-d)))
+        return signed_log_sum([self, other])
 
 
 def log_sum_exp(logs: Iterable[float]) -> float:
@@ -128,12 +110,20 @@ def signed_log_sum(terms: Iterable[LogReal]) -> LogReal:
 
     The max log magnitude is factored out and the mantissas are accumulated
     with compensated summation, so sign cancellation between terms of
-    comparable size is handled in linear space.
+    comparable size is handled in linear space.  Terms at log +inf of one
+    sign sum to that sign at +inf; of opposite signs they raise
+    ``PreconditionError``.
     """
     terms = [t for t in terms if t.sign != 0]
     if not terms:
         return LogReal.zero()
     m = max(t.log_abs for t in terms)
+    if m == math.inf:
+        signs = {t.sign for t in terms if t.log_abs == math.inf}
+        if len(signs) > 1:
+            raise PreconditionError("terms past the float range of opposite "
+                                    "signs have no sum")
+        return LogReal(signs.pop(), math.inf)
     total = math.fsum(t.sign * math.exp(t.log_abs - m) for t in terms)
     if total == 0.0:
         return LogReal.zero()

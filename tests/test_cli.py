@@ -767,6 +767,10 @@ def test_nuclear_overflow_exits_2(capsys):
     # u + x_j = 1e308 + 1e308 for the translate
     (["experiment", "equicont", "--weight", "gevrey:d=2", "--x-seq", "1e308",
       "--lam-seq", "1", "--grid", "lin:0.05,1e308,10"], "--x-seq"),
+    # log|f^(j)| = x^2 + ... is past a float at 1e200; at 1e100 the logs fit
+    # and the least-squares residuals' squares do not
+    (["estimate-index", "--function", "expsqr", "--x", "1e200"], "--x"),
+    (["estimate-index", "--function", "expsqr", "--x", "1e100"], "--x"),
 ], ids=["negative-tiny-d", "compactness-huge-x0", "compactness-expsqr-huge-x0",
         "bounded-tiny-d",
         "bounded-huge-d", "cauchy-huge-B", "weight-check-grid",
@@ -774,7 +778,7 @@ def test_nuclear_overflow_exits_2(capsys):
         "necessary-no-parity",
         "pi-weight", "pi-mu", "equicont-x-seq", "equicont-huge-x",
         "equicont-spot-row", "equicont-K", "equicont-n",
-        "equicont-translate"])
+        "equicont-translate", "estimate-index-logs", "estimate-index-fit"])
 def test_in_range_value_that_overflows_exits_2(argv, flag, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()

@@ -11,13 +11,11 @@ f(psi(x)) at 50 digits.
 ``composed_jet_log_table`` takes gaussian, expsqr, pow1px2 and sqrt1px2 by
 their Taylor recurrence (``composed_taylor_table``): on the bench's grids,
 and for gaussian o x^2 up to J = 160, within 1e-10 in log of both oracles,
-with every sign and exact zero right.  The Bell kernel
-``log_compose_table`` forms each entry as a sum over k of f^(k)(psi) B(n, k)
-with mixed signs, so it loses digits as J grows.  Each kernel case below
-pins that loss: no entry has the wrong sign, and the worst |delta log| stays
-within MARGIN times the value measured on numpy's AVX-512 kernels (its AVX2
-kernels gave the same worst values).  The kernel's bytes depend on numpy's
-SIMD level, so the envelope must hold at every level.
+with every sign and exact zero right.  The Bell recurrence on log jets
+(``fdb.compose_jet``, one row per point: ``bell_table``) forms each entry as
+a sum over k of f^(k)(psi) B(n, k) with mixed signs, so it loses digits as J
+grows.  Each Bell case below pins that loss: no entry has the wrong sign,
+and the worst |delta log| stays within MARGIN times the measured value.
 """
 import math
 from fractions import Fraction
@@ -29,7 +27,7 @@ import pytest
 
 from gsbench.errors import PreconditionError
 from gsbench.experiments import composed_jet_log_table, composed_taylor_table
-from gsbench.fdb import log_compose_table
+from gsbench.fdb import Jet, compose_jet
 from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, Polynomial,
                                Pow1px2, Sqrt1px2)
 from gsbench.grids import GridSpec
@@ -94,6 +92,17 @@ CASES = [
 ]
 
 
+def bell_table(f, psi, xs, J: int):
+    """(sign, log|(f o psi)^(n)(x)|), each (len(xs), J+1): ``compose_jet`` of
+    f's log jet row at psi(x) and psi's at x, per x of xs."""
+    rows = zip(*f.log_jet_table(psi.values(xs), J), *psi.log_jet_table(xs, J))
+    jets = [compose_jet(Jet.from_log_row(0.0, fs, fl),
+                        Jet.from_log_row(0.0, ps, pl), J).values
+            for fs, fl, ps, pl in rows]
+    return (np.array([[v.sign for v in jet] for jet in jets], dtype=float),
+            np.array([[v.log_abs for v in jet] for jet in jets]))
+
+
 def _q(f, psi):
     """q = -+psi^2 with f o psi = e^q."""
     return [(-1 if f.label == "gaussian" else 1) * c for c in _mul(psi, psi)]
@@ -122,8 +131,7 @@ def test_bell_kernel_within_its_envelope(f, psi, J, measured):
     coeffs = X2 if psi == "x^2" else X_X3
     inner = Polynomial(coeffs)
     xs = GRIDS[psi].symmetric_points()
-    sign, log = log_compose_table(*f.log_jet_table(inner.values(xs), J),
-                                  *inner.log_jet_table(xs, J), J)
+    sign, log = bell_table(f, inner, xs, J)
     exact_sign, exact_log = exact_composed_table(_q(f, coeffs), xs.tolist(), J)
     assert (sign == exact_sign).all()  # exact zeros included
     live = exact_sign != 0
@@ -186,15 +194,15 @@ def test_taylor_table_matches_mpmath_on_the_bench_grids(psi, mp_psi, grid, J):
 
 
 def test_bell_kernel_envelope_on_gaussian_of_sqrt1px2():
-    # the dense.sqrt table as the kernel composed it: off by 3.93e-8 at
-    # x = -0.1, j = 24, although both input jet tables are good to 1e-13
+    # the dense.sqrt table as the Bell recurrence composes it: off by
+    # 3.93e-8 at x = -0.1, j = 24, although both input jet tables are good
+    # to 1e-13
     psi, J = Sqrt1px2(), 24
     xs = GridSpec.parse("lin:0.1,2,10").symmetric_points()
     rows = mp_composed_rows(mp_gaussian, mp_pow1px2(0.5), xs.tolist(), J)
-    sign, log = log_compose_table(*Gaussian().log_jet_table(psi.values(xs), J),
-                                  *psi.log_jet_table(xs, J), J)
+    sign, log = bell_table(Gaussian(), psi, xs, J)
     assert_matches_rows(sign, log, rows, MARGIN * 3.93e-8)
-    with pytest.raises(AssertionError):  # the envelope is the kernel's, not noise
+    with pytest.raises(AssertionError):  # the envelope is the recurrence's, not noise
         assert_matches_rows(sign, log, rows, 1e-8)
 
 
@@ -280,7 +288,7 @@ def test_every_outer_family_and_the_cauchy_square(f, psi, mp_f, mp_psi, grid, J,
 
 def test_taylor_table_refuses_past_either_jet_cap():
     xs = GridSpec.parse("lin:0.1,0.9,5").symmetric_points()
-    # f's cap first, as for the Bell kernel: sqrt1px2's square is a
+    # f's cap first, as for the Bell recurrence: sqrt1px2's square is a
     # polynomial, which has none
     with pytest.raises(PreconditionError,
                        match=r"^gaussian: jets supported up to order 200, asked 201$"):

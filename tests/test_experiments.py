@@ -133,14 +133,11 @@ def _compactness_psi():
 @example(Polynomial([0, -2, 0, 1]), 0.0, 1, 25)  # psi' = -2: signs alternate
 @example(Pow1px2(-2.5), -1.5, 2, 40)
 def test_compactness_full_column_is_the_bell_table_diagonal(psi, x0, p, nmax):
-    # the kernel stays the oracle: log_full_fdb is log b_n plus the log of
-    # B(n, n) off fdb.log_bell_table, bit for bit, and each row's verdict
+    # the Bell recurrence stays the oracle: log_full_fdb is log b_n plus the
+    # log of B(n, n) off fdb.bell_rows, bit for bit, and each row's verdict
     # reads that entry's sign
     jet = psi.jet(x0, nmax).to_log()
-    sign = np.array([[v.sign for v in jet.values]], dtype=float)
-    log = np.array([[v.log_abs for v in jet.values]])
-    with np.errstate(divide="ignore"):
-        b_sign, b_log = fdb.log_bell_table(sign.T, log.T, nmax)
+    bell = fdb.bell_rows(jet, nmax)
     try:
         rep = compactness_blowup(psi, x0, p, W2, nmax)
     except PreconditionError as exc:
@@ -149,11 +146,11 @@ def test_compactness_full_column_is_the_bell_table_diagonal(psi, x0, p, nmax):
         return
     assert len(rep.rows) == nmax
     for n, row in enumerate(rep.rows, 1):
-        full = row["log_b_n"] + float(b_log[n, n, 0])
+        full = row["log_b_n"] + bell[n][n].log_abs
         assert row["log_full_fdb"].hex() == full.hex()
         short = row["log_shortcut"]
         assert row["verdict"] == (
-            int(b_sign[n, n, 0]) == jet.values[1].sign ** n
+            bell[n][n].sign == jet.values[1].sign ** n
             and abs(full - short) <= 1e-10 * max(1.0, abs(short)))
 
 
@@ -163,7 +160,7 @@ def test_compactness_builds_no_bell_table(monkeypatch):
     def no_table(*args):
         raise AssertionError("compactness built a Bell table")
 
-    monkeypatch.setattr(fdb, "log_bell_table", no_table)
+    monkeypatch.setattr(fdb, "bell_rows", no_table)
     rep = compactness_blowup(parse_function("poly:0,2,0,1"), 0.0, 1,
                              WeightFunction.gevrey(2.0), 5000)
     assert len(rep.rows) == 5000 and all(r["verdict"] for r in rep.rows)

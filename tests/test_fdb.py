@@ -1,5 +1,6 @@
 import math
-import tracemalloc
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from gsbench import experiments, fdb
 from gsbench.errors import PreconditionError
 from gsbench.fdb import (Jet, compose_jet, enumerate_partitions, faa_di_bruno,
                          identity_lah, identity_table, identity_two_power,
-                         log_compose_table, partition_count, single_jet_compose)
+                         partition_count, single_jet_compose)
 from gsbench.functions import ExpSqr, Gaussian, Polynomial, Pow1px2, Sqrt1px2
 from gsbench.grids import GridSpec
 from gsbench.logdomain import LOG_ZERO
@@ -210,12 +211,26 @@ def test_mixed_kinds_rejected():
         faa_di_bruno(h, psi, 1)
 
 
-# -- the batched log-domain kernel ------------------------------------------
+# -- the Bell recurrence on log jets ----------------------------------------
+
+def compose_rows(f_sign, f_log, psi_sign, psi_log, J):
+    """(sign, log|(f o psi)^(n)(x)|), each (points, J+1) float arrays, from
+    the (sign, log|.|) jet tables of f over psi(xs) and of psi over xs:
+    ``compose_jet`` on each row's pair of log jets."""
+    sign, log = np.zeros((2, len(f_log), J + 1))
+    for p, (fs, fl, ps, pl) in enumerate(zip(f_sign, f_log, psi_sign, psi_log)):
+        jet = compose_jet(Jet.from_log_row(0.0, fs, fl),
+                          Jet.from_log_row(0.0, ps, pl), J)
+        sign[p] = [v.sign for v in jet.values]
+        log[p] = [v.log_abs for v in jet.values]
+    return sign, log
+
 
 def pointwise_log_compose(f_sign, f_log, psi_sign, psi_log, J):
-    """Oracle for ``log_compose_table``: the Bell recurrence one grid point at
-    a time on (sign, log|.|) pairs, each entry a max-shifted ``math.fsum`` of
-    its terms.  Returns (sign, log|(f o psi)^(n)|) as two lists of rows."""
+    """Oracle for ``compose_jet`` on log jets: the Bell recurrence one grid
+    point at a time on (sign, log|.|) pairs, each entry a max-shifted
+    ``math.fsum`` of its terms.  Returns (sign, log|(f o psi)^(n)|) as two
+    lists of rows."""
     def total(terms):
         if len(terms) < 2:
             return terms[0] if terms else None
@@ -274,104 +289,19 @@ KERNEL_CASES = {
 }
 
 
-# -- exact-bit oracle: the kernel with the summed axis last ----------------
-# The kernel sums each entry's terms along the first axis; these sum them
-# along the last one, each TwoSum level a strided gather, in the same tree
-# over the same zero-padded terms.  Rows are independent, so the two agree
-# bit for bit.
-
-def rows_last_two_sum(v):
-    n = v.shape[-1]
-    width = 1 << (n - 1).bit_length()
-    if width > n:
-        v = np.concatenate([v, np.zeros(v.shape[:-1] + (width - n,))], axis=-1)
-    err = None
-    while v.shape[-1] > 1:
-        a, b = v[..., 0::2], v[..., 1::2]
-        v = a + b
-        z = v - a
-        e = (a - (v - z)) + (b - z)
-        err = e if err is None else err[..., 0::2] + err[..., 1::2] + e
-    return v[..., 0] if err is None else v[..., 0] + err[..., 0]
-
-
-def rows_last_log_sum(sign, log):
-    m = log.max(axis=-1)
-    m = np.where(m == LOG_ZERO, 0.0, m)
-    total = rows_last_two_sum(sign * np.exp(log - m[..., None]))
-    with np.errstate(divide="ignore"):
-        return np.sign(total), m + np.log(np.abs(total))
-
-
-def rows_last_log_bell_table(psi_sign, psi_log, J):
-    """(sign, log|B(n, k)|), each (rows, J+1, J+1), from (rows, J+1) jets."""
-    rows = len(psi_log)
-    sign = np.zeros((rows, J + 1, J + 1), dtype=np.int8)
-    log = np.full((rows, J + 1, J + 1), LOG_ZERO)
-    sign[:, 0, 0], log[:, 0, 0] = 1, 0.0
-    support = [i for i in range(1, J + 1) if np.any(psi_sign[:, i])]
-    k = np.arange(J)[:, None]
-    for n in range(1, J + 1):
-        idx = [i for i in support if i <= n]
-        if not idx:
-            continue
-        i, r = np.array(idx), n - np.array(idx)
-        c = [math.log(math.comb(n - 1, j - 1)) for j in idx] + psi_log[:, i]
-        sign[:, n, 1:n + 1], log[:, n, 1:n + 1] = rows_last_log_sum(
-            sign[:, r, k[:n]] * psi_sign[:, None, i],
-            log[:, r, k[:n]] + c[:, None, :])
-    return sign, log
-
-
-def rows_last_log_compose_table(f_sign, f_log, psi_sign, psi_log, J):
-    f_sign, f_log, psi_sign, psi_log = (
-        np.asarray(a, dtype=float) for a in (f_sign, f_log, psi_sign, psi_log))
-    sign, log = np.empty((2, len(f_log), J + 1))
-    rows = max(1, fdb.TERM_BLOCK // (J + 1) ** 2)
-    for lo in range(0, len(f_log), rows):
-        b_sign, b_log = rows_last_log_bell_table(
-            psi_sign[lo:lo + rows], psi_log[lo:lo + rows], J)
-        fs, fl = f_sign[lo:lo + rows], f_log[lo:lo + rows]
-        for n in range(J + 1):
-            sign[lo:lo + rows, n], log[lo:lo + rows, n] = rows_last_log_sum(
-                b_sign[:, n, :n + 1] * fs[:, :n + 1],
-                b_log[:, n, :n + 1] + fl[:, :n + 1])
-    return sign, log
-
-
 def assert_same_bits(got, want):
-    """Equal arrays, dtype, shape and every byte, signed zeros included."""
+    """Equal float arrays, shape and every byte, signed zeros included."""
     for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
+        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+        assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
 
 
-# logs of 1, 1 + 2^-52, of terms below an ulp of 1 and of 0: their signed
-# sums cancel down to the last bits, where a tree of another shape rounds
-# otherwise in about one sum in fifty
-NEAR_CANCELLING_LOGS = [0.0, math.log1p(2.0 ** -52), -36.7, -37.5, -73.7,
-                        -math.inf]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 17, 25, 31, 32, 33, 40, 64])
-def test_log_sum_bits_match_rows_last_tree(n):
-    rng = np.random.default_rng(n)  # 2000 independent sums of n terms each
-    log = rng.choice(NEAR_CANCELLING_LOGS, (n, 2000))
-    sign = np.where(log > -math.inf, rng.choice([-1.0, 1.0], log.shape), 0.0)
-    # float signs may be -0.0 on a zero term, as the contraction's are
-    signed_zeros = np.where(sign, sign, rng.choice([0.0, -0.0], log.shape))
-    for signs in (sign.astype(np.int8), signed_zeros):
-        with np.errstate(divide="ignore"):
-            got = fdb._log_sum(signs, log)
-        assert_same_bits(got, rows_last_log_sum(signs.T.astype(float), log.T))
-
-
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
-def test_kernel_bits_match_rows_last_oracle(name):
+def test_compose_jet_bits_match_pointwise_oracle(name):
     psi, grid, J = KERNEL_CASES[name]
     tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
-    assert_same_bits(log_compose_table(*tables, J),
-                     rows_last_log_compose_table(*tables, J))
+    assert_same_bits(compose_rows(*tables, J), pointwise_log_compose(*tables, J))
 
 
 # magnitudes 1, 2, 3 and 1/2 with either sign: equal terms of opposite sign
@@ -391,47 +321,30 @@ def signed_jet_table(draw, rows, J):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_kernel_bits_match_rows_last_oracle_on_cancelling_jets(data):
+def test_compose_jet_bits_match_pointwise_oracle_on_cancelling_jets(data):
     J = data.draw(st.integers(0, 12), label="J")
     rows = data.draw(st.integers(1, 4), label="rows")
     f = data.draw(signed_jet_table(rows, J), label="f")
     psi = data.draw(signed_jet_table(rows, J), label="psi")
-    assert_same_bits(log_compose_table(*f, *psi, J),
-                     rows_last_log_compose_table(*f, *psi, J))
+    assert_same_bits(compose_rows(*f, *psi, J), pointwise_log_compose(*f, *psi, J))
 
 
-@pytest.mark.parametrize("psi, x0", [(Pow1px2(1.5), 1.0), (Sqrt1px2(), 2.0)])
-def test_bell_table_bits_match_rows_last_oracle(psi, x0):
-    # a one-row table of order 30 with every psi^(i) nonzero
-    jet = psi.jet(x0, 30).to_log()
-    sign = np.array([[v.sign for v in jet.values]], dtype=float)
-    log = np.array([[v.log_abs for v in jet.values]])
-    got = fdb.log_bell_table(sign.T, log.T, 30)
-    want = rows_last_log_bell_table(sign, log, 30)
-    assert_same_bits([a.transpose(2, 0, 1) for a in got], want)
-
-
-def test_kernel_memory_stays_within_its_block_bound():
-    # a block's Bell table takes 9 bytes an entry (a float64 log and an int8
-    # sign); 16 bytes an entry leave room for SUM_TERMS terms per sum, not
-    # for the terms of every order batched together (~2 MB more here)
-    psi, grid, J = KERNEL_CASES["square"]  # 201 points: two blocks
-    tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
-    log_compose_table(*tables, J)
-    tracemalloc.start()
-    try:
-        log_compose_table(*tables, J)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * fdb.TERM_BLOCK, peak
+def test_composing_log_jets_loads_no_numpy():
+    r = subprocess.run([sys.executable, "-c", (
+        "import sys\n"
+        "from gsbench.fdb import Jet, compose_jet\n"
+        "psi = Jet.from_floats(0.5, [0.25, 1.0, 2.0, -1.0, 0.5])\n"
+        "h = Jet.from_floats(0.25, [1.0, -2.0, 3.0, 0.5, -4.0])\n"
+        "print(compose_jet(h, psi, 4).values[4].sign, 'numpy' in sys.modules)")],
+        capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout == "1 False\n", r.stderr
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_kernel_matches_pointwise_oracle(name):
     psi, grid, J = KERNEL_CASES[name]
     tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
-    sign, log = log_compose_table(*tables, J)
+    sign, log = compose_rows(*tables, J)
     assert_close_logs(sign, log, *pointwise_log_compose(*tables, J), 1e-10)
 
 
@@ -440,53 +353,27 @@ def test_kernel_matches_pointwise_oracle(name):
 def test_kernel_zero_orders_at_zero_are_exact(name, period):
     psi, grid, J = KERNEL_CASES[name]
     xs = grid.symmetric_points()
-    sign, log = log_compose_table(*composed_tables(Gaussian(), psi, xs, J), J)
+    sign, log = compose_rows(*composed_tables(Gaussian(), psi, xs, J), J)
     at0 = int(np.flatnonzero(xs == 0.0)[0])
     live = np.arange(J + 1) % period == 0
     assert (sign[at0, ~live] == 0).all() and (log[at0, ~live] == -math.inf).all()
     assert (sign[at0, live] != 0).all()
 
 
-@pytest.mark.parametrize("block", [1, 3, 7])
-def test_kernel_blocks_do_not_change_results(block, monkeypatch):
-    psi, grid, J = KERNEL_CASES["sqrt1px2"]  # 21 points
-    tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
-    whole = log_compose_table(*tables, J)
-    monkeypatch.setattr(fdb, "TERM_BLOCK", block * (J + 1) ** 2)
-    assert_same_bits(log_compose_table(*tables, J), whole)  # rows independent
-
-
-@pytest.mark.parametrize("orders", ["one", "few", "all"])
-def test_order_batches_do_not_change_results(orders, monkeypatch):
-    # the 201 points of "square" go in two blocks, the 21 of "sqrt1px2" in one
-    for name in ("square", "sqrt1px2"):
-        psi, grid, J = KERNEL_CASES[name]
-        tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
-        want = rows_last_log_compose_table(*tables, J)
-        rows = min(len(tables[0]), fdb.TERM_BLOCK // (J + 1) ** 2)
-        budget = {"one": 1, "few": 3 * 32 * rows, "all": 1 << 62}[orders]
-        monkeypatch.setattr(fdb, "SUM_TERMS", budget)
-        batches = list(fdb._order_batches(J, rows))
-        assert [lo for lo, _ in batches[1:]] == [hi for _, hi in batches[:-1]]
-        assert (batches[0][0], batches[-1][1]) == (0, J + 1)
-        if orders == "few":
-            assert 2 < len(batches) < J + 1
-        else:
-            assert len(batches) == {"one": J + 1, "all": 1}[orders]
-        assert_same_bits(log_compose_table(*tables, J), want)
-
-
 def test_orders_below_k_never_read_f_at_k():
-    # orders 16..24 of the 21-point table share one sum: f^(24) with the log
-    # +inf (overflowed) and a negative sign must leave orders 16..23 alone
+    # f^(24) with the log +inf (overflowed) and a negative sign must leave
+    # orders 0..23 alone; order 24 is at log +inf with the sign of
+    # -B(24, 24) = -psi'^24, not a NaN, wherever psi' != 0
     psi, grid, J = KERNEL_CASES["sqrt1px2"]
     tables = composed_tables(Gaussian(), psi, grid.symmetric_points(), J)
-    want = log_compose_table(*tables, J)
+    want = compose_rows(*tables, J)
     f_sign, f_log = tables[0].copy(), tables[1].copy()
     f_sign[:, J], f_log[:, J] = -1.0, math.inf
-    with np.errstate(invalid="ignore"):  # order J itself is inf - inf
-        got = log_compose_table(f_sign, f_log, *tables[2:], J)
+    got = compose_rows(f_sign, f_log, *tables[2:], J)
     assert_same_bits([a[:, :J] for a in got], [a[:, :J] for a in want])
+    live = tables[2][:, 1] != 0
+    assert (got[1][live, J] == math.inf).all()
+    assert (got[0][live, J] == -np.sign(tables[2][live, 1]) ** J).all()
 
 
 def test_kernel_one_point_is_compose_jet():
@@ -494,23 +381,22 @@ def test_kernel_one_point_is_compose_jet():
     h_jet = Gaussian().jet(psi_jet.entry_float(0), 20)
     row = lambda jet: ([[v.sign for v in jet.values]],
                        [[v.log_abs for v in jet.values]])
-    sign, log = log_compose_table(*row(h_jet), *row(psi_jet), 20)
+    sign, log = pointwise_log_compose(*row(h_jet), *row(psi_jet), 20)
     want = compose_jet(h_jet, psi_jet, 20).values
-    assert [(int(s), l) for s, l in zip(sign[0], log[0])] == [
-        (v.sign, v.log_abs) for v in want]
+    assert list(zip(sign[0], log[0])) == [(v.sign, v.log_abs) for v in want]
 
 
 def test_kernel_order_zero_is_outer_value():
     tables = composed_tables(Gaussian(), Sqrt1px2(), [-1.5, 0.0, 2.0], 0)
-    sign, log = log_compose_table(*tables, 0)
+    sign, log = compose_rows(*tables, 0)
     assert sign.shape == log.shape == (3, 1)
     assert np.array_equal(sign, tables[0]) and np.array_equal(log, tables[1])
 
 
 def test_kernel_exact_cancellation_is_zero():
     # h' = 1, h'' = -1, psi' = psi'' = 1: (h o psi)'' = -1 + 1 = 0 exactly
-    sign, log = log_compose_table([[1, 1, -1]], [[0.0, 0.0, 0.0]],
-                                  [[1, 1, 1]], [[0.0, 0.0, 0.0]], 2)
+    sign, log = compose_rows([[1, 1, -1]], [[0.0, 0.0, 0.0]],
+                             [[1, 1, 1]], [[0.0, 0.0, 0.0]], 2)
     assert list(sign[0]) == [1, 1, 0] and log[0, 2] == -math.inf
 
 
@@ -529,7 +415,7 @@ def test_kernel_matches_exact_composition(h_c, psi_c, J, xs):
                 [[math.log(abs(v)) if v else -math.inf for v in row]
                  for row in rows])
 
-    sign, log = log_compose_table(*table(h_rows), *table(psi_rows), J)
+    sign, log = compose_rows(*table(h_rows), *table(psi_rows), J)
     for p, (h_vals, psi_vals) in enumerate(zip(h_rows, psi_rows)):
         for n in range(J + 1):
             want, mass = partition_fdb(h_vals, psi_vals, n)
@@ -539,9 +425,9 @@ def test_kernel_matches_exact_composition(h_c, psi_c, J, xs):
 
 # -- truth oracle: compositions with a closed form --------------------------
 # exp(-+(1 + x^2)) = e^-+1 exp(-+x^2), so gaussian o sqrt1px2 is e^-1 gaussian
-# and expsqr o sqrt1px2 is e expsqr, at every order and every x.  The kernel
-# loses what the sum's conditioning costs: kappa = sum |partition terms| /
-# |value|, which the kernel itself gives run on |signs|.  It also amplifies
+# and expsqr o sqrt1px2 is e expsqr, at every order and every x.  The Bell
+# recurrence loses what the sum's conditioning costs: kappa = sum |partition
+# terms| / |value|, which it gives itself run on |signs|.  It also amplifies
 # the input jets' own error, so an entry's tolerance is
 # TRUTH_C kappa (eps + acc), acc the worst relative error of that point's two
 # input rows against their exact arguments.  Entries where it reaches 1 have
@@ -586,9 +472,9 @@ def test_kernel_matches_closed_form_compositions(grid, J, share):
     eps = np.finfo(float).eps
     for f, shift in ((Gaussian(), -1), (ExpSqr(), 1)):
         tables = composed_tables(f, psi, xs, J)
-        sign, log = log_compose_table(*tables, J)
-        mass = log_compose_table(np.abs(tables[0]), tables[1],
-                                 np.abs(tables[2]), tables[3], J)[1]
+        sign, log = compose_rows(*tables, J)
+        mass = compose_rows(np.abs(tables[0]), tables[1],
+                            np.abs(tables[2]), tables[3], J)[1]
         checked = skipped = 0
         with mp.workdps(60):
             for p, x in enumerate(map(mp.mpf, xs)):
@@ -613,7 +499,8 @@ def test_kernel_matches_closed_form_compositions(grid, J, share):
 
 
 def test_composed_table_runs_the_kernel_once_per_table(monkeypatch):
-    # gaussian's kernel is its Taylor recurrence, and the Bell kernel never runs
+    # gaussian's kernel is its Taylor recurrence, and the Bell recurrence
+    # never runs
     calls, real = [], experiments.composed_taylor_table
 
     def spy(*args):
@@ -621,7 +508,7 @@ def test_composed_table_runs_the_kernel_once_per_table(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(experiments, "composed_taylor_table", spy)
-    monkeypatch.setattr(experiments, "log_compose_table", None)
+    monkeypatch.setattr(experiments, "compose_jet", None)
     f, psi, grid = Gaussian(), Polynomial([0, 0, 1]), GridSpec("lin", 0.05, 5.0, 100)
     xs = grid.symmetric_points()
     table = experiments.composed_jet_log_table(f, psi, xs, 16)

@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from gsbench.errors import PreconditionError
+from gsbench.fdb import Jet, compose_jet
 from gsbench.logdomain import LOG_ZERO, LogReal, log_sum_exp, signed_log_sum
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
@@ -83,3 +85,33 @@ def test_signed_log_sum_order_independent():
     a = signed_log_sum(terms)
     b = signed_log_sum(list(reversed(terms)))
     assert a == b  # bitwise: two-pass accumulation is order-insensitive
+
+
+# a log of +inf is a magnitude past the float range, as log jets hold it
+OVER, UNDER = LogReal(1, math.inf), LogReal(-1, math.inf)
+
+
+def test_overflowed_terms_of_one_sign_sum_to_that_sign_at_inf():
+    assert signed_log_sum([OVER]) == OVER
+    assert signed_log_sum([UNDER, LogReal(1, 3.0), UNDER, LogReal.zero()]) == UNDER
+    assert OVER + OVER == OVER and UNDER + LogReal(1, 1e300) == UNDER
+
+
+def test_overflowed_terms_of_opposite_signs_have_no_sum():
+    with pytest.raises(PreconditionError, match="opposite signs"):
+        signed_log_sum([OVER, LogReal(1, 2.0), UNDER])
+    with pytest.raises(PreconditionError, match="opposite signs"):
+        OVER + UNDER
+
+
+def test_compose_jet_carries_an_overflowed_log_jet_entry():
+    # h = (1, +inf, 1) at psi = (0, 2, -1): (h o psi)' = h' psi' and
+    # (h o psi)'' = h'' psi'^2 + h' psi'' = 4 - inf
+    h = Jet.from_log_row(0.0, [1, 1, 1], [0.0, math.inf, 0.0])
+    psi = Jet.from_floats(0.0, [0.0, 2.0, -1.0])
+    assert compose_jet(h, psi, 2).values == (LogReal.one(), OVER, UNDER)
+    # h'' = -inf: 4 h'' - h' is -inf - inf, h'' + h' past a float has no sign
+    h = Jet.from_log_row(0.0, [1, 1, -1], [0.0, math.inf, math.inf])
+    assert compose_jet(h, psi, 2).values[2] == UNDER
+    with pytest.raises(PreconditionError, match="opposite signs"):
+        compose_jet(h, Jet.from_floats(0.0, [0.0, 1.0, 1.0]), 2)

@@ -24,7 +24,6 @@ from gsbench.errors import PreconditionError
 from gsbench.experiments import (composed_jet_log_table, composed_parity,
                                  composed_seminorm_bound, composed_taylor_table,
                                  necessary_growth, sufficient_condition_check)
-from gsbench.fdb import log_compose_table
 from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, ModelFunction,
                                MonomialBump, Polynomial, Pow1px2, Sqrt1px2,
                                mirrored_half, seminorm_p_lambda, seminorm_pi,
@@ -32,6 +31,7 @@ from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, ModelFunction,
 from gsbench.grids import GridSpec
 from gsbench.weights import ConjugateEvaluator, WeightFunction
 
+from test_compose_oracle import bell_table
 from test_functions import seminorm_cases
 
 SQUARE = Polynomial([0, 0, 1])
@@ -134,10 +134,9 @@ COMPOSED = [
                               for f, p, g, _ in COMPOSED])
 def test_half_composed_table_is_the_full_composition(f, psi, grid, J, monkeypatch):
     xs = grid.symmetric_points()
-    if f.ode is None:  # the Bell kernel, on f's jets over psi(xs)
-        full = log_compose_table(*f.log_jet_table(psi.values(xs), J),
-                                 *psi.log_jet_table(xs, J), J)[1]
-        rows = spy_rows(monkeypatch, experiments, "log_compose_table", 0)
+    if f.ode is None:  # the Bell recurrence, on f's jets over psi(xs)
+        full = bell_table(f, psi, xs, J)[1]
+        rows = spy_rows(monkeypatch, f, "log_jet_table", 0)
     else:  # the Taylor recurrence of f's ode
         full = composed_taylor_table(f, psi, xs, J)[1]
         rows = spy_rows(monkeypatch, experiments, "composed_taylor_table", 2)
