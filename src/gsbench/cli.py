@@ -176,10 +176,10 @@ def _emit(payload: dict, a: argparse.Namespace, result=None) -> None:
     sys.stdout.write(data.decode("utf-8") + "\n")
 
 
-# Runners take the parsed arguments, function specs built, and return a
-# result with ``verdict`` and ``to_dict()``, or a plain dict that always
-# passes.  They import what they run at call time: a usage error exits before
-# numpy loads, and a wrapper patched onto a module attribute is seen.
+# Runners take the parsed arguments and return a result with ``verdict`` and
+# ``to_dict()``, or a plain dict that always passes.  They import what they
+# run at call time: a usage error exits before numpy loads, and a wrapper
+# patched onto a module attribute is seen.
 
 def _conjugate(a):
     from .weights import ConjugateEvaluator
@@ -292,10 +292,7 @@ _parser = functools.cache(build_parser)
 
 
 def run(args: argparse.Namespace):
-    """The result of the command ``args`` name, each function spec built first."""
-    for name, value in vars(args).items():
-        if isinstance(value, specs.FunctionSpec):
-            setattr(args, name, value.build())
+    """The result of the command ``args`` name."""
     return COMMANDS[args.subcommand](args)
 
 

@@ -44,6 +44,7 @@ and values at single points load none.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -53,8 +54,7 @@ from .fdb import Jet
 from .grids import BOX_GROWTH, GridSpec
 from .logdomain import LOG_ZERO, LogReal
 from .reports import Result
-from . import specs
-from .specs import check_gbump, check_monbump, check_pow1px2, label_real
+from .specs import label_real, parse_function  # parse_function: re-exported
 from .weights import ConjugateEvaluator, WeightFunction, weight_values
 
 if TYPE_CHECKING:  # the array code imports numpy at call time
@@ -334,9 +334,11 @@ class MonomialBump(ModelFunction):
     The jet at 0 is the prescribed one: f^(l)(0) = a * delta_{l n}."""
 
     def __init__(self, n: int, a, r: float = 1.0, gamma: float = 1.0):
-        check_monbump(n, r, gamma)
+        if n < 0 or r <= 0 or gamma <= 0:
+            raise PreconditionError("monomial bump needs n >= 0, r > 0, gamma > 0")
         self.n = n
         self.a = Fraction(a)
+        float(self.a)  # the bump runs in floats: OverflowError past their range
         self.r = float(r)
         self.gamma = float(gamma)
         self.label = (f"monbump:n={n},a={a},r={label_real(self.r)},"
@@ -367,8 +369,10 @@ class Pow1px2(_Recurrence):
     analytic = "strip"
 
     def __init__(self, a: float):
-        check_pow1px2(a)
         self.a = float(a)
+        if 0.0 < abs(self.a) < sys.float_info.min:  # 2a and the mantissas subnormal
+            raise PreconditionError(
+                f"pow1px2 needs a = 0 or a normal float, got subnormal a={a!r}")
         self.label = f"pow1px2:a={label_real(self.a)}"
 
     def value(self, x: float) -> float:
@@ -415,7 +419,8 @@ class GevreyBump(ModelFunction):
     jet_cap = 40
 
     def __init__(self, gamma: float = 1.0, r: float = 1.0):
-        check_gbump(gamma, r)
+        if gamma <= 0 or r <= 0:
+            raise PreconditionError("bump needs gamma > 0, r > 0")
         self.gamma = float(gamma)
         self.r = float(r)
         self.label = f"gbump:g={label_real(self.gamma)},r={label_real(self.r)}"
@@ -463,11 +468,6 @@ class GevreyBump(ModelFunction):
 FAMILIES = {"gaussian": Gaussian, "expsqr": ExpSqr, "sqrt1px2": Sqrt1px2,
             "poly": Polynomial, "pow1px2": Pow1px2, "monbump": MonomialBump,
             "gbump": GevreyBump}  # spec kind -> model class
-
-
-def parse_function(spec: str) -> ModelFunction:
-    """The function a spec names, e.g. gaussian | poly:1,0,2 | pow1px2:a=1.5"""
-    return specs.parse_function(spec).build()
 
 
 def jet_log_abs(jet: Jet) -> list:

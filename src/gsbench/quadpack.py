@@ -16,7 +16,7 @@ to right (np.sum adds pairwise), and min, max and ** keep Python's semantics
 per element.  So for an integrand that stays finite, value, error estimate
 and ier equal those of the Fortran routines (and of ``scipy.integrate.quad``)
 bit for bit; where it reaches inf or NaN, Python's max and min may part from
-Fortran's.  ``quad(f, a, b)`` is the batch of one.
+Fortran's.
 
 ier: 0 converged; 1 the subdivision limit was reached; 2 roundoff
 prevents the tolerance; 3 bad integrand behaviour at some point; 4 the
@@ -129,18 +129,12 @@ def _kronrod(rule: _Rule, f: Callable, a: np.ndarray, b: np.ndarray,
     return np.array([result, abserr, resabs, resasc]).T.tolist()
 
 
-def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-         limit: int = 50) -> tuple:
-    """(value, abs_error, ier) of the integral of f over [a, b], for a
-    finite a <= b and b finite or inf, to scipy.integrate.quad's default
-    tolerances."""
-    return quad_many(lambda t, owner: f(t), [(a, b)], limit)[0]
-
-
 def quad_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], intervals: list,
               limit: int = 50) -> list:
-    """quad's (value, abs_error, ier) for each (a, b) of intervals, in lockstep
-    rounds of f(t, owner).  As in Fortran, numpy warnings stay silent."""
+    """(value, abs_error, ier) of the integral over each (a, b) of intervals,
+    a finite a <= b and b finite or inf, to scipy.integrate.quad's default
+    tolerances, in lockstep rounds of f(t, owner).  As in Fortran, numpy
+    warnings stay silent."""
     out = [None] * len(intervals)
     with np.errstate(all="ignore"):
         runs = [_qag(float(a), float(b), limit) for a, b in intervals]

@@ -5,27 +5,30 @@ of numpy:
     sequence  gevreyseq:d=<real> | table:<file.csv>
     function  gaussian | expsqr | sqrt1px2 | poly:<c0>,<c1>,... |
               pow1px2:a=<real> | monbump:n=<int>,a=<rational>[,r=..][,g=..] |
-              gbump[:g=<real>][,r=<real>]
+              gbump[:g=<real>,r=<real>]
 
-Every range check runs here, so a malformed or out-of-range spec is a usage
-error before numpy loads.  A weight or sequence parser returns the checked
-``WeightFunction`` or ``WeightSequence`` itself, as neither loads numpy; a
-function parser returns a small frozen ``FunctionSpec``, whose ``build()``
-makes the model function once parsing is done.  Grids have their own
-numpy-free grammar, ``grids.GridSpec.parse``.
+A bump's keys come in any order, each at most once, and an omitted r or g
+is 1.
+
+Each parser returns the checked ``WeightFunction``, ``WeightSequence`` or
+model function itself, as none of them loads numpy, so a malformed or
+out-of-range spec is a usage error before numpy loads.  A weight's or
+sequence's range checks run here; a function family's run in its
+constructor in ``functions``, which a function parser imports only once the
+whole spec has parsed.  Grids have their own numpy-free grammar,
+``grids.GridSpec.parse``.
 """
 from __future__ import annotations
 
 import csv
 import math
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import PreconditionError
 
 if TYPE_CHECKING:  # each builder imports its class at call time
+    from .functions import ModelFunction
     from .sequences import WeightSequence
     from .weights import WeightFunction
 
@@ -167,71 +170,43 @@ def parse_sequence(spec: str) -> WeightSequence:
 
 # -- model functions --------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    """A checked model function: its family ``kind`` and the arguments of
-    the family's constructor in ``functions``."""
-    kind: str
-    args: tuple = ()
-
-    def build(self):
-        from .functions import FAMILIES
-        return FAMILIES[self.kind](*self.args)
-
-
-# the range checks of the function families (each constructor runs its own,
-# so a function made without a spec is checked too)
-
-def check_pow1px2(a: float) -> None:
-    if 0.0 < abs(float(a)) < sys.float_info.min:  # 2a and the mantissas subnormal
-        raise PreconditionError(
-            f"pow1px2 needs a = 0 or a normal float, got subnormal a={a!r}")
-
-
-def check_monbump(n: int, r: float, gamma: float) -> None:
-    if n < 0 or r <= 0 or gamma <= 0:
-        raise PreconditionError("monomial bump needs n >= 0, r > 0, gamma > 0")
-
-
-def check_gbump(gamma: float, r: float) -> None:
-    if gamma <= 0 or r <= 0:
-        raise PreconditionError("bump needs gamma > 0, r > 0")
-
-
-def parse_function(spec: str) -> FunctionSpec:
-    """Function mini-language, e.g. gaussian | poly:1,0,2 | pow1px2:a=1.5"""
-    head, _, rest = spec.partition(":")
+def parse_function(spec: str) -> ModelFunction:
+    """Function mini-language, e.g. gaussian | poly:1,0,2 | pow1px2:a=1.5:
+    every part of the spec parsed, then its family's constructor run, which
+    checks the parameters' ranges."""
+    head, colon, rest = spec.partition(":")
     if head in ("gaussian", "expsqr", "sqrt1px2"):
-        return FunctionSpec(head)
-    if head == "poly":
+        if colon:
+            raise PreconditionError(f"{head} spec takes no parameters, got {spec!r}")
+        args = ()
+    elif head == "poly":
         try:
-            coeffs = tuple(Fraction(c) for c in rest.split(","))
+            args = (tuple(Fraction(c) for c in rest.split(",")),)
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(
                 f"poly spec needs rational coefficients, got {spec!r}") from None
-        for c in coeffs:  # Horner runs in floats: OverflowError past their range
-            float(c)
-        return FunctionSpec(head, (coeffs,))
-    if head == "pow1px2":
-        a = parse_keyed_real(spec, "a")
-        check_pow1px2(a)
-        return FunctionSpec(head, (a,))
-    if head in ("monbump", "gbump"):
+    elif head == "pow1px2":
+        args = (parse_keyed_real(spec, "a"),)
+    elif head in ("monbump", "gbump"):
+        keys = ("n", "a", "r", "g") if head == "monbump" else ("g", "r")
         kv = {}
-        for item in rest.split(","):
+        for item in rest.split(",") if colon else ():
             key, _, val = item.partition("=")
+            if key not in keys or key in kv:  # unknown, repeated or empty
+                raise PreconditionError(f"{head} spec takes {', '.join(keys)}, "
+                                        f"each at most once, got {spec!r}")
             kv[key] = val
         r = parse_real(kv.get("r", 1.0), spec)
         g = parse_real(kv.get("g", 1.0), spec)
         if head == "gbump":
-            check_gbump(g, r)
-            return FunctionSpec(head, (g, r))
-        try:
-            n, a = int(kv["n"]), Fraction(kv["a"])
-        except (KeyError, ValueError, ZeroDivisionError):
-            raise PreconditionError(
-                f"monbump spec needs n=<int>,a=<rational>, got {spec!r}") from None
-        check_monbump(n, r, g)
-        float(a)  # the bump runs in floats: OverflowError past their range
-        return FunctionSpec(head, (n, a, r, g))
-    raise PreconditionError(f"unknown function spec {spec!r}")
+            args = (g, r)
+        else:
+            try:
+                args = (int(kv["n"]), Fraction(kv["a"]), r, g)
+            except (KeyError, ValueError, ZeroDivisionError):
+                raise PreconditionError(
+                    f"monbump spec needs n=<int>,a=<rational>, got {spec!r}") from None
+    else:
+        raise PreconditionError(f"unknown function spec {spec!r}")
+    from .functions import FAMILIES
+    return FAMILIES[head](*args)

@@ -19,7 +19,7 @@ from gsbench.grids import GridSpec
 from gsbench.reports import ChainReport, to_json_bytes
 from gsbench.errors import PreconditionError
 from gsbench.sequences import WeightSequence, parse_sequence
-from gsbench.specs import FunctionSpec, parse_weight
+from gsbench.specs import parse_weight
 from gsbench.weights import ConjugateEvaluator, WeightFunction
 
 
@@ -439,10 +439,19 @@ def test_flag_the_command_does_not_read_exits_2(argv, flag, capsys):
      lambda: parse_sequence("table:bad.csv")),
     (["weight-check", "--weight", "table:short.csv"], "--weight",
      lambda: parse_weight("table:short.csv")),
+    # a spec part that would be ignored: an unknown or repeated key, an
+    # empty item, or any text after a family that takes no parameters
+    *((["estimate-index", "--function", spec], "--function",
+       lambda spec=spec: parse_function(spec))
+      for spec in ("gbump:q=5", "gbump:g=2,g=3", "gbump:", "monbump:n=2,a=1,zz=7",
+                   "monbump:n=2,,a=1", "sqrt1px2:a=3", "gaussian:junk",
+                   "expsqr:")),
 ], ids=["weight-abc", "poly-x", "monbump-missing-a", "weight-nan", "s-nan",
         "weight-table-missing", "sequence-table-missing",
         "weight-table-bad-cell", "sequence-table-bad-cell",
-        "weight-table-short-row"])
+        "weight-table-short-row", "gbump-unknown-key", "gbump-repeated-key",
+        "gbump-empty-item", "monbump-unknown-key", "monbump-empty-item",
+        "sqrt1px2-param", "gaussian-text", "expsqr-bare-colon"])
 def test_bad_spec_exits_2(argv, flag, parse, capsys, tmp_path, monkeypatch):
     (tmp_path / "bad.csv").write_text("0,0\n1,abc\n")
     (tmp_path / "short.csv").write_text("1,0\n2\n")
@@ -455,6 +464,8 @@ def test_bad_spec_exits_2(argv, flag, parse, capsys, tmp_path, monkeypatch):
     assert flag in out.err and "Traceback" not in out.err
     if argv[-1].startswith("table:"):  # the diagnostic names the file
         assert argv[-1][len("table:"):] in out.err
+    if flag == "--function":  # and the spec
+        assert repr(argv[-1]) in out.err
 
 
 # -- parse layer: a typed flag yields an in-range value or exits 2 ---------
@@ -503,8 +514,7 @@ FLAG_KINDS = {
     "function": (st.sampled_from(["gaussian", "expsqr", "sqrt1px2",
                                   "poly:0,1/2,3", "pow1px2:a=1.5",
                                   "monbump:n=8,a=1", "gbump:g=1,r=1"]),
-                 lambda v, t: isinstance(v, FunctionSpec)
-                 and isinstance(v.build(), ModelFunction)),
+                 lambda v, t: isinstance(v, ModelFunction)),
     "grid": (st.sampled_from(["log:1e-2,1e8,2000", "lin:0,1,2",
                               "lin:-3,5,10"]),
              lambda v, t: v == GridSpec.parse(t)),
@@ -1366,9 +1376,16 @@ def test_platform_free_outputs_keep_their_digests():
      "--weight", "gevrey:d=2"],
     ["experiment", "negative", "--d", "2", "--k", "1", "--dprime", "5",
      "--jmax", "10"],
+    # range refusals of the function families' constructors, and text
+    # after a family that takes no parameters
+    ["estimate-index", "--function", "gbump:g=-1"],
+    ["estimate-index", "--function", "pow1px2:a=5e-324"],
+    ["estimate-index", "--function", "monbump:n=-1,a=1"],
+    ["estimate-index", "--function", "sqrt1px2:a=3"],
 ], ids=["weight-abc", "poly-x", "monbump-n", "weight-nan", "s-nan",
         "s-negative", "table-missing", "poly-overflow", "psi-poly-overflow",
-        "psi-monbump-overflow", "negative-regime"])
+        "psi-monbump-overflow", "negative-regime", "gbump-range",
+        "pow1px2-subnormal", "monbump-range", "sqrt1px2-param"])
 def test_usage_error_exits_before_numpy_loads(argv, capsys):
     r = run_cold(*argv)
     err, probe = split_probe(r.stderr)
