@@ -20,9 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .fdb import Jet, compose_jet
-from .functions import (LN2, ModelFunction, Polynomial, mirrored_half,
-                        pruned_max, weighted_log_sup)
+from .functions import (ModelFunction, Polynomial, composed_taylor_table,
+                        mirrored_half, pruned_max, weighted_log_sup)
 from .grids import DEFAULT_X_GRID, GridSpec
 from .logdomain import LOG_ZERO, LogReal
 from .reports import Result
@@ -34,7 +33,6 @@ from .chains import (DEFAULT_THRESHOLD, bounded_derivative_chain,
 
 EQUICONT_J = 16          # derivative orders in the equicontinuity spot checks
 NECESSARY_BLOCK = 64     # grid points per necessary_growth block
-ZERO_EXPONENT = -(1 << 40)  # composed_taylor_table's power of two of a 0
 
 
 # ---------------------------------------------------------------------------
@@ -121,65 +119,13 @@ def composed_parity(f: ModelFunction, psi: ModelFunction):
 def composed_jet_log_table(f: ModelFunction, psi: ModelFunction,
                            xs: Sequence[float], J: int) -> np.ndarray:
     """log |(f o psi)^(j)(x)|, one row per grid point x and one column per
-    order j = 0..J: by f's Taylor recurrence where f has an ``ode``
-    (``composed_taylor_table``), else row by row by ``fdb.compose_jet`` of
-    f's log jet at psi(x) and psi's at x.  For even or odd f o psi on mirrored
-    xs, only the rows x <= 0 are built and mirrored: at -x every term is
-    negated or kept exactly, and so is its sum, so the logs match."""
+    order j = 0..J (``composed_taylor_table``).  For even or odd f o psi on
+    mirrored xs, only the rows x <= 0 are built and mirrored: at -x every term
+    is negated or kept exactly, and so is its sum, so the logs match."""
     xs = np.asarray(xs, dtype=float)
     half = mirrored_half(xs, composed_parity(f, psi))
-    if f.ode is not None:
-        t = composed_taylor_table(f, psi, half, J)[1]
-    else:
-        ys = psi.values(half)
-        rows = zip(ys, *f.log_jet_table(ys, J), half, *psi.log_jet_table(half, J))
-        t = np.array([[v.log_abs for v in compose_jet(
-            Jet.from_log_row(y, fs, fl), Jet.from_log_row(x, ps, pl), J).values]
-            for y, fs, fl, x, ps, pl in rows])
+    t = composed_taylor_table(f, psi, half, J)[1]
     return t if len(half) == len(xs) else np.concatenate([t, t[-2::-1]])
-
-
-def composed_taylor_table(f: ModelFunction, psi: ModelFunction, xs,
-                          J: int) -> tuple:
-    """(sign, log|(f o psi)^(n)(x)|), each (len(xs), J+1), for f with an
-    ``ode``: g_n = (f o psi)^(n)(x)/n! solves n g_n = sum_(k=1..n)
-    (alpha k - beta (n - k)) c w_k g_(n-k), w_k psi^2's (``square_taylor_table``),
-    O(J^2) per point (Griewank & Walther, *Evaluating Derivatives*, 2008,
-    ch. 13).  h_n = g_n 2^(-e n) / g_0, at psi^2's radius 2^-e, is a mantissa
-    and a power of two per order, so no order overflows or underflows: order
-    n's terms take the power of two of the largest, are summed in k order up
-    to psi^2's last nonzero order, and renormalized.  Its logs are libm's per
-    entry: the bits depend on numpy's SIMD level only through a log table
-    that psi^2's coefficients come from (pow1px2, gaussian, expsqr)."""
-    f._check_order(J)
-    psi._check_order(J)
-    xs = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w0 = psi.values(xs) ** 2
-    if not np.isfinite(w0).all():
-        raise PreconditionError(f"{psi.label}: psi^2 overflows a float at x = "
-                                f"{xs[~np.isfinite(w0)][0]:g}")
-    alpha, beta, c, log_g0 = f.ode(w0)
-    w, e = psi.square_taylor_table(xs, J)
-    pm, px = np.frexp(c * w)
-    px = np.where(pm != 0, px.astype(np.int64), ZERO_EXPONENT)
-    last = np.flatnonzero(pm.any(axis=1)).max(initial=0)
-    ns = np.arange(J + 1.0)[:, None]  # weight[n, k] = (alpha k - beta (n-k)) / n
-    weight = (alpha * ns.T - beta * (ns - ns.T)) / np.maximum(ns, 1.0)
-    m, x = np.zeros((J + 1, len(xs))), np.zeros((J + 1, len(xs)), dtype=np.int64)
-    m[0] = 1.0
-    for n in range(1, J + 1):
-        k = min(n, last)
-        ex = px[1:k + 1] + x[n - k:n][::-1]
-        top = np.maximum.reduce(ex, axis=0, initial=ZERO_EXPONENT)
-        m[n], d = np.frexp(np.add.reduce(
-            np.ldexp(weight[n, 1:k + 1, None] * pm[1:k + 1] * m[n - k:n][::-1],
-                     ex - top), axis=0))
-        x[n] = top + d
-    log_m = [math.log(v) if v else -math.inf for v in np.abs(m).ravel().tolist()]
-    lgam = [[math.lgamma(n + 1)] for n in range(J + 1)]
-    return np.sign(m).T, (np.reshape(log_m, m.shape) + (x + ns * e) * LN2
-                          + log_g0 + lgam).T
 
 
 def composed_seminorm_bound(f: ModelFunction, psi: ModelFunction,

@@ -22,12 +22,11 @@ do not depend on numpy or the SIMD level, and nothing here imports numpy.
 The diagonal B(n, n) = psi'^n has one live term per order, so compactness
 reads it with no table (``chains``).
 
-Log jets compose here for outer functions with no Taylor recurrence
-(polynomials, bumps), one grid point at a time
-(``experiments.composed_jet_log_table``).  Their sums of mixed-sign terms
-lose digits with J (3.9e-8 in log on gaussian o sqrt1px2 at J = 24).
-gaussian, expsqr, pow1px2 and sqrt1px2 compose by their own Taylor
-recurrence instead (``experiments.composed_taylor_table``).
+Jets compose here one pair at a time, for the ``fdb`` command and as the
+tests' oracle; log jets' sums of mixed-sign terms lose digits with J (3.9e-8
+in log on gaussian o sqrt1px2 at J = 24).  Composed tables on a grid run
+each outer family's program of series steps instead
+(``functions.composed_taylor_table``).
 
 Composition never enumerates partitions: ``enumerate_partitions`` lists one
 order's multi-indices (k_1, ..., k_j), sum(l k_l) = j, for the partition

@@ -21,14 +21,14 @@ log|f^(j)(x)| of every point as two (len(xs), J+1) arrays.  Per family:
     integer Horner on x = m/q (``Polynomial._derivatives``); past the degree
     exact zeros
   * monomial bump at 0: exact rationals, one jet per point
-  * compactly supported bump: recurrences for the inner rational power
-    composed with exp, capped at order 40, one jet per point
+  * compactly supported bump: its program of series steps at x/r (below)
 
 For composition, ``taylor_table`` gives f^(k)(x)/k! as floats scaled by a
 power-of-two radius per point, and ``square_taylor_table`` those of f^2, a
-family's own where f^2 is one, else a Cauchy product.  gaussian, expsqr,
-pow1px2 and sqrt1px2 declare the ``ode`` that composes them as outer
-functions (``experiments.composed_taylor_table``).
+family's own where f^2 is one, else a Cauchy product.  Each family but the
+monomial bump composes as an outer function by its ``ode``, a program of
+series steps (``composed_taylor_table``): an exp or Miller rule, Miller's
+then the exp rule (gbump), or Horner (polynomials).
 
 A family declares its ``parity``: 0 for an even f, 1 for an odd one, None
 when it declares none.  For even or odd f, |f^(j)(-x)| = |f^(j)(x)| bit for
@@ -61,7 +61,10 @@ if TYPE_CHECKING:  # the array code imports numpy at call time
     import numpy as np
 
 _CLOSED_FORM_JMAX = 200
+# pow1px2's |a| and gbump's gamma: their multipliers stay floats to order 200
+POWER_MAX = sys.float_info.max / (2 * _CLOSED_FORM_JMAX)
 LN2 = math.log(2.0)
+ZERO_EXPONENT = -(1 << 40)  # composed_taylor_table's power of two of a 0
 SUP_BLOCK_TERMS = 1 << 14  # (x, j, k) terms per weighted_log_sup block
 
 
@@ -73,7 +76,7 @@ class ModelFunction:
     analytic: Optional[str] = None  # "cone" | "strip" | None
     jet_cap = math.inf  # the highest jet order the family computes
     parity: Optional[int] = None  # 0 even, 1 odd: f(-x) = (-1)^parity f(x)
-    ode = None  # f o psi's Taylor recurrence in psi^2, where f has one
+    ode = None  # f o psi's program of series steps, where f has one
 
     def value(self, x: float) -> float:
         raise NotImplementedError
@@ -123,6 +126,69 @@ class ModelFunction:
                 f"{self.label}: jets supported up to order {self.jet_cap}, asked {J}")
 
 
+def composed_taylor_table(f: ModelFunction, psi: ModelFunction, xs,
+                          J: int) -> tuple:
+    """(sign, log|(f o psi)^(n)(x)|), each (len(xs), J+1), by f's program,
+    ``f.ode(psi(xs))`` -> (steps, log g_0) (Griewank & Walther, *Evaluating
+    Derivatives*, 2008, ch. 13).  A rule (alpha, beta, c) maps the series s
+    before it (psi^2's first) to g / g_0, O(J^2) per point, by n g_n =
+    sum_(k=1..n) (alpha k - beta (n - k)) c s_k g_(n-k): the exp rule at
+    (1, 0), Miller's power at (a, 1).  A float c is Horner's S <- S psi + c
+    from S = 0.  Each order is a mantissa and a power of two at the input's
+    radius, so none overflows; its terms are aligned to the largest and summed
+    in k order (``accumulate``: a reduce sums a lone column pairwise).  A row
+    with log g_0 = -inf is an exact zero.  The logs are libm's."""
+    import numpy as np
+    if f.ode is None:
+        raise PreconditionError(f"{f.label}: no program of series steps composes it")
+    f._check_order(J)
+    psi._check_order(J)
+    psi0 = psi.values(xs := np.asarray(xs, dtype=float))
+    with np.errstate(all="ignore"):  # psi^2 past a float is refused below
+        steps, log_g0 = f.ode(psi0)
+        w0 = psi0 ** 2
+    rules = isinstance(steps[0], tuple)
+    if rules and not np.isfinite(w0).all():
+        raise PreconditionError(f"{psi.label}: psi^2 overflows a float at x = "
+                                f"{xs[~np.isfinite(w0)][0]:g}")
+
+    def split(a, x):  # a 2^x as (mantissa, power of two), ZERO_EXPONENT at 0
+        m, d = np.frexp(a)
+        return m, np.where(m != 0, d + x, ZERO_EXPONENT)
+
+    def add(terms, exps):  # sum(terms 2^exps) as (m, x); an exact 0 keeps its top
+        top = np.maximum.reduce(exps, axis=0, initial=ZERO_EXPONENT)
+        m, d = np.frexp(np.add.accumulate(np.ldexp(terms, exps - top), axis=0)[-1])
+        return m, top + d
+
+    ns = np.arange(J + 1.0)[:, None]
+    m, e = psi.square_taylor_table(xs, J) if rules else psi.taylor_table(xs, J)
+    x = np.zeros(m.shape, dtype=np.int64)
+    if not rules:  # psi's coefficients, normalized, and S = 0
+        (pm, px), m, x = split(m, x), np.zeros(m.shape), x + ZERO_EXPONENT
+    for step in steps:
+        if rules:
+            alpha, beta, c = step
+            pm, px = split(c * m, x)
+            last = np.flatnonzero(pm.any(axis=1)).max(initial=1)
+            # weight[n, k] = (alpha k - beta (n - k)) / n
+            weight = (alpha * ns.T - beta * (ns - ns.T)) / np.maximum(ns, 1.0)
+            m, x = np.where(ns == 0, 1.0, np.zeros(m.shape)), np.zeros_like(x)
+            for n in range(1, J + 1):
+                k = min(n, last)
+                m[n], x[n] = add(weight[n, 1:k + 1, None] * pm[1:k + 1]
+                                 * m[n - k:n][::-1], px[1:k + 1] + x[n - k:n][::-1])
+        else:
+            m, x = map(np.array, zip(*[add(m[:n + 1] * pm[n::-1], x[:n + 1] + px[n::-1])
+                                       for n in range(J + 1)]))
+            if step:  # a 0 would lift order 0's top to 2^0
+                m[0], x[0] = add(np.array([m[0], step + 0 * m[0]]), np.array([x[0], 0 * x[0]]))
+    log_m = [math.log(v) if v else -math.inf for v in np.abs(m).ravel().tolist()]
+    lgam = [[math.lgamma(n + 1)] for n in range(J + 1)]
+    log = np.reshape(log_m, m.shape) + (x + ns * e) * LN2 + log_g0 + lgam
+    return np.where(log > -math.inf, np.sign(m), 0.0).T, log.T
+
+
 class _Recurrence(ModelFunction):
     """Even f with f^(n) = f r^(pn) (x/r)^(n mod 2) h_n, r = sqrt(1+x^2), and
     h_(n+1) = a_n c_n h_n + b_n beta h_(n-1), c_n = 1 or (x/r)^2 at even or
@@ -168,10 +234,9 @@ class _ExpQuadratic(_Recurrence):
 
     s = -1
 
-    def ode(self, w0):
-        """g = e^q, q = s psi^2, solves g' = q' g: (alpha, beta, c, log g_0) =
-        (1, 0, s, s w0) in ``composed_taylor_table``, w0 = psi^2 per point."""
-        return 1.0, 0.0, self.s, self.s * w0
+    def ode(self, psi0):
+        """g = e^q, q = s psi^2: the exp rule at c = s, log g_0 = s psi0^2."""
+        return [(1.0, 0.0, self.s)], self.s * psi0 ** 2
 
     def jet(self, x, J: int) -> Jet:
         if x != 0:
@@ -226,6 +291,9 @@ class Polynomial(ModelFunction):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    def ode(self, psi0):  # Horner from the top coefficient down
+        return self._horner, 0.0
 
     def square_taylor_table(self, xs, J: int) -> tuple:
         import numpy as np
@@ -370,20 +438,20 @@ class Pow1px2(_Recurrence):
 
     def __init__(self, a: float):
         self.a = float(a)
-        if 0.0 < abs(self.a) < sys.float_info.min:  # 2a and the mantissas subnormal
-            raise PreconditionError(
-                f"pow1px2 needs a = 0 or a normal float, got subnormal a={a!r}")
         self.label = f"pow1px2:a={label_real(self.a)}"
+        if 0.0 < abs(self.a) < sys.float_info.min or abs(self.a) > POWER_MAX:
+            raise PreconditionError(  # subnormal: 2a and the mantissas lose digits
+                f"pow1px2 needs a = 0 or a normal (not subnormal) float with |a| <= "
+                f"{POWER_MAX:.6g}, got {self.label!r}")
 
     def value(self, x: float) -> float:
         return (1.0 + x * x) ** self.a
 
-    def ode(self, w0):
-        """g = u^a, u = 1 + psi^2, solves u g' = a u' g (J. C. P. Miller's
-        formula for the powers of a series): (a, 1, 1/u_0, a log u_0)."""
-        import numpy as np
-        log_u0 = np.array([math.log1p(w) for w in w0.tolist()])
-        return self.a, 1.0, 1.0 / (1.0 + w0), self.a * log_u0
+    def ode(self, psi0):
+        """g = u^a, u = 1 + psi^2: J. C. P. Miller's rule at c = 1/u_0."""
+        w0 = psi0 ** 2
+        return ([(self.a, 1.0, 1.0 / (1.0 + w0))],
+                [self.a * math.log1p(w) for w in w0.tolist()])
 
     def square_taylor_table(self, xs, J: int) -> tuple:
         """psi^2 = (1 + x^2)^m, m = 2a: for an integer 0 <= m <= J (J-bit
@@ -416,53 +484,45 @@ class Sqrt1px2(Pow1px2):
 class GevreyBump(ModelFunction):
     """f(x) = exp(-(1-(x/r)^2)^(-gamma)) inside (-r, r), identically 0 outside."""
 
-    jet_cap = 40
+    jet_cap = _CLOSED_FORM_JMAX
 
     def __init__(self, gamma: float = 1.0, r: float = 1.0):
-        if gamma <= 0 or r <= 0:
-            raise PreconditionError("bump needs gamma > 0, r > 0")
-        self.gamma = float(gamma)
-        self.r = float(r)
+        self.gamma, self.r = float(gamma), float(r)
         self.label = f"gbump:g={label_real(self.gamma)},r={label_real(self.r)}"
+        if not (0 < self.gamma <= POWER_MAX and self.r > 0):
+            raise PreconditionError(f"bump needs 0 < gamma <= {POWER_MAX:.6g} and "
+                                    f"r > 0, got {self.label!r}")
 
     def value(self, x: float) -> float:
-        y = x / self.r
-        v = 1.0 - y * y
-        if v <= 0.0:
-            return 0.0
-        return math.exp(-v ** -self.gamma)
+        v = 1.0 - (x / self.r) ** 2
+        live = v > 0.0 and -self.gamma * math.log2(v) < 1023  # else exp(-v^-g) = 0
+        return math.exp(-v ** -self.gamma) if live else 0.0
 
-    def jet(self, x, J: int) -> Jet:
+    def ode(self, psi0):
+        """exp(-u), u = v^-gamma: Miller's rule on v = 1 - (psi/r)^2 (v_k / v_0 =
+        -w_k / ((r - psi0)(r + psi0)), w = psi^2), then the exp rule at c = -u_0
+        = log g_0; rows where v_0 <= 0 or u_0 passes a float are exact zeros."""
+        import numpy as np
+        t = psi0 / self.r
+        lb = [-self.gamma * math.log2(v) if v > 0 else math.inf
+              for v in ((1.0 - t) * (1.0 + t)).tolist()]
+        q0 = np.array([-(2.0 ** b) if b < 1024 else -math.inf for b in lb])
+        live = q0 > -math.inf
+        c = np.where(live, -1.0 / ((self.r - psi0) * (self.r + psi0)), 0.0)
+        return [(-self.gamma, 1.0, c), (1.0, 0.0, np.where(live, q0, 0.0))], q0
+
+    def log_jet_table(self, xs, J: int) -> tuple:
+        """F's program at psi = y = x/r, F = gbump:g=gamma,r=1, and then
+        log|f^(n)(x)| = log|F^(n)(y)| - n log r: r^2 is never formed."""
+        import numpy as np
         self._check_order(J)
-        x = float(x)
-        if abs(x) >= self.r:
-            return Jet.from_floats(x, [0.0] * (J + 1))
-        g = self.gamma
-        r = self.r
-        # v = 1 - (x/r)^2, u = -v^(-gamma): v u' = -gamma u v' (Leibniz below)
-        vd = [1.0 - (x / r) ** 2, -2.0 * x / r ** 2, -2.0 / r ** 2]
+        with np.errstate(over="ignore"):  # past a float: |y| = inf >= 1
+            ys = np.asarray(xs, dtype=float) / self.r
+        sign, log = composed_taylor_table(GevreyBump(self.gamma), Polynomial([0, 1]),
+                                          np.where(np.abs(ys) < 1.0, ys, 1.0), J)
+        return sign, log - np.arange(J + 1) * math.log(self.r)
 
-        def dv(i: int) -> float:
-            return vd[i] if i < 3 else 0.0
-
-        u = [-(vd[0] ** -g)]
-        for m in range(J):
-            # v u^{(m+1)} = -gamma sum_i C(m,i) u^{(i)} v^{(m+1-i)}
-            #               - sum_{i>=1} C(m,i) v^{(i)} u^{(m+1-i)}
-            rhs = 0.0
-            for i in range(m + 1):
-                if dv(m + 1 - i):
-                    rhs += -g * math.comb(m, i) * u[i] * dv(m + 1 - i)
-            for i in range(1, m + 1):
-                if dv(i):
-                    rhs += -math.comb(m, i) * dv(i) * u[m + 1 - i]
-            u.append(rhs / vd[0])
-        # f = exp(u): f^{(m+1)} = sum_i C(m,i) u^{(i+1)} f^{(m-i)}
-        f = [math.exp(u[0])]
-        for m in range(J):
-            f.append(math.fsum(math.comb(m, i) * u[i + 1] * f[m - i]
-                               for i in range(m + 1)))
-        return Jet.from_floats(x, f)
+    jet = _Recurrence.jet
 
 
 FAMILIES = {"gaussian": Gaussian, "expsqr": ExpSqr, "sqrt1px2": Sqrt1px2,

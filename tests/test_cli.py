@@ -174,7 +174,7 @@ SEMINORM_PI = ["seminorm", "--family", "pi", "--weight", "gevrey:d=2", "--lam", 
 
 @pytest.mark.parametrize("function, label, jmax, raised, cap, fits", [
     ("gaussian", "gaussian", 170, 213, 200, 160),
-    ("gbump", "gbump:g=1,r=1", 35, 44, 40, 32)])
+    ("gbump", "gbump:g=1,r=1", 170, 213, 200, 160)])
 def test_stability_box_past_a_jet_cap_exits_2_naming_the_limits(
         function, label, jmax, raised, cap, fits, capsys, monkeypatch):
     # the box's raised order is refused before a box or a table is built
@@ -446,12 +446,19 @@ def test_flag_the_command_does_not_read_exits_2(argv, flag, capsys):
       for spec in ("gbump:q=5", "gbump:g=2,g=3", "gbump:", "monbump:n=2,a=1,zz=7",
                    "monbump:n=2,,a=1", "sqrt1px2:a=3", "gaussian:junk",
                    "expsqr:")),
+    # an exponent whose recurrence multipliers, n (2a + 1 - n) or gamma n,
+    # pass a float by order 200 (these exited 1 with a NaN or inf traceback)
+    *((["estimate-index", "--x", "0", "--jmax", jmax, "--function", spec],
+       "--function", lambda spec=spec: parse_function(spec))
+      for spec, jmax in (("pow1px2:a=1e+308", "20"), ("pow1px2:a=-5e+307", "20"),
+                         ("pow1px2:a=1e+306", "200"), ("gbump:g=1e+306,r=1", "20"))),
 ], ids=["weight-abc", "poly-x", "monbump-missing-a", "weight-nan", "s-nan",
         "weight-table-missing", "sequence-table-missing",
         "weight-table-bad-cell", "sequence-table-bad-cell",
         "weight-table-short-row", "gbump-unknown-key", "gbump-repeated-key",
         "gbump-empty-item", "monbump-unknown-key", "monbump-empty-item",
-        "sqrt1px2-param", "gaussian-text", "expsqr-bare-colon"])
+        "sqrt1px2-param", "gaussian-text", "expsqr-bare-colon", "pow1px2-a-1e308",
+        "pow1px2-a-minus-5e307", "pow1px2-a-1e306-J200", "gbump-g-1e306"])
 def test_bad_spec_exits_2(argv, flag, parse, capsys, tmp_path, monkeypatch):
     (tmp_path / "bad.csv").write_text("0,0\n1,abc\n")
     (tmp_path / "short.csv").write_text("1,0\n2\n")

@@ -8,10 +8,12 @@ exact and log|g^(n)(x)| = log|P_n(x)| + q(x) is good to the rounding of q(x).
 For non-polynomial psi, mpmath's ``taylor`` differentiates f(psi(t)) /
 f(psi(x)) at 50 digits.
 
-``composed_jet_log_table`` takes gaussian, expsqr, pow1px2 and sqrt1px2 by
-their Taylor recurrence (``composed_taylor_table``): on the bench's grids,
-and for gaussian o x^2 up to J = 160, within 1e-10 in log of both oracles,
-with every sign and exact zero right.  The Bell recurrence on log jets
+``composed_jet_log_table`` takes every outer family by its program of
+series steps (``composed_taylor_table``): gaussian, expsqr, pow1px2 and
+sqrt1px2 by one rule, on the bench's grids and for gaussian o x^2 up to
+J = 160 within 1e-10 in log of both oracles, with every sign and exact zero
+right; the Gevrey bump by two, and polynomials by Horner, whose error is
+bounded by the sum's own cancellation.  The Bell recurrence on log jets
 (``fdb.compose_jet``, one row per point: ``bell_table``) forms each entry as
 a sum over k of f^(k)(psi) B(n, k) with mixed signs, so it loses digits as J
 grows.  Each Bell case below pins that loss: no entry has the wrong sign,
@@ -28,8 +30,8 @@ import pytest
 from gsbench.errors import PreconditionError
 from gsbench.experiments import composed_jet_log_table, composed_taylor_table
 from gsbench.fdb import Jet, compose_jet
-from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, Polynomial,
-                               Pow1px2, Sqrt1px2)
+from gsbench.functions import (ExpSqr, Gaussian, GevreyBump, MonomialBump,
+                               Polynomial, Pow1px2, Sqrt1px2)
 from gsbench.grids import GridSpec
 
 LN2 = math.log(2.0)
@@ -288,14 +290,14 @@ def test_every_outer_family_and_the_cauchy_square(f, psi, mp_f, mp_psi, grid, J,
 
 def test_taylor_table_refuses_past_either_jet_cap():
     xs = GridSpec.parse("lin:0.1,0.9,5").symmetric_points()
-    # f's cap first, as for the Bell recurrence: sqrt1px2's square is a
-    # polynomial, which has none
+    # f's cap first: sqrt1px2's square is a polynomial, which has none; and
+    # psi's where f is a polynomial, which has none either
     with pytest.raises(PreconditionError,
                        match=r"^gaussian: jets supported up to order 200, asked 201$"):
         composed_jet_log_table(Gaussian(), Sqrt1px2(), xs, 201)
     with pytest.raises(PreconditionError,
-                       match=r"^gbump:g=1,r=1: jets supported up to order 40, asked 41$"):
-        composed_jet_log_table(Gaussian(), GevreyBump(), xs, 41)
+                       match=r"^gbump:g=1,r=1: jets supported up to order 200, asked 201$"):
+        composed_jet_log_table(Polynomial(X2), GevreyBump(), xs, 201)
 
 
 @pytest.mark.parametrize("f", [Gaussian(), ExpSqr(), Sqrt1px2()], ids=lambda f: f.label)
@@ -310,3 +312,81 @@ def test_taylor_table_refuses_an_overflowing_square(f):
     sign, log = composed_taylor_table(f, Polynomial([0, 1]), xs, 8)
     assert not np.isnan(log).any() and (log < math.inf).all()
     assert (np.isinf(log) == (sign == 0)).all()
+
+
+# -- the Gevrey bump and polynomials as outer functions ----------------------
+
+def mp_gbump(g, r):
+    return lambda y: mp.exp(-(1 - (y / r) ** 2) ** -mp.mpf(g))
+
+
+@pytest.mark.parametrize("f, psi, mp_psi, grid", [
+    (GevreyBump(1.0, 2.0), Sqrt1px2(), mp_pow1px2(0.5), "lin:0.1,2,8"),
+    (GevreyBump(0.5, 1.5), Sqrt1px2(), mp_pow1px2(0.5), "lin:0.1,2,8"),
+    (GevreyBump(2.0), Polynomial(X2), lambda t: t * t, "lin:0.05,1.2,8"),
+], ids=["gbump-g1-r2-sqrt1px2", "gbump-g0.5-sqrt1px2", "gbump-g2-x^2"])
+def test_gbump_outer_matches_mpmath(f, psi, mp_psi, grid):
+    # Miller's rule on 1 - psi^2/r^2, then the exp rule; the rows where
+    # |psi| >= r, past the support, are exact zeros
+    xs, J = GridSpec.parse(grid).symmetric_points(), 24
+    live = np.abs(psi.values(xs)) < f.r
+    assert 0 < live.sum() < len(xs)
+    sign, log = composed_taylor_table(f, psi, xs, J)
+    assert (sign[~live] == 0).all() and (log[~live] == -math.inf).all()
+    rows = mp_composed_rows(mp_gbump(f.gamma, f.r), mp_psi, xs[live].tolist(), J)
+    assert_matches_rows(sign[live], log[live], rows, 1e-10, rel=True)
+    assert composed_jet_log_table(f, psi, xs, J).tobytes() == log.tobytes()
+
+
+def mp_poly_rows(coeffs, mp_psi, xs, J):
+    """[(sign, log|(P o psi)^(n)(x)|, kappa) for n <= J] per x of xs, at 50
+    digits: Horner on psi's Taylor coefficients (mpmath's ``taylor``; for an
+    even psi, its odd orders at 0 are exact zeros).  kappa is the Horner sum's
+    cancellation, (|P| o |psi|)_n / |(P o psi)_n| on the absolute
+    coefficients; an exact zero is (0, None, inf)."""
+    def horner(cs, p):
+        s = [mp.mpf(0)] * (J + 1)
+        for c in reversed(cs):
+            s = [sum(s[k] * p[n - k] for k in range(n + 1)) for n in range(J + 1)]
+            s[0] += c
+        return s
+
+    rows = []
+    with mp.workdps(50):
+        for x in map(mp.mpf, xs):
+            p = [c if x or n % 2 == 0 else mp.mpf(0)
+                 for n, c in enumerate(mp.taylor(mp_psi, x, J))]
+            total = horner([abs(mp.mpf(c)) for c in coeffs], [abs(c) for c in p])
+            rows.append([(int(mp.sign(v)), float(mp.log(abs(v)) + mp.loggamma(n + 1)),
+                          float(a / abs(v))) if v else (0, None, math.inf)
+                         for n, (v, a) in enumerate(zip(horner(coeffs, p), total))])
+    return rows
+
+
+@pytest.mark.parametrize("psi, mp_psi", [
+    (Gaussian(), mp_gaussian), (Sqrt1px2(), mp_pow1px2(0.5)),
+    (Pow1px2(1.5), mp_pow1px2(1.5))], ids=lambda c: getattr(c, "label", ""))
+def test_horner_outer_polynomial_matches_mpmath(psi, mp_psi):
+    # 1 - 2 psi + 3 psi^3: Horner on psi's series, O(deg J^2); each entry
+    # within 1e-13 of the sum's cancellation kappa (measured <= 8e-15 kappa;
+    # kappa reaches 1.3e6 on pow1px2)
+    coeffs, J = [1, -2, 0, 3], 24
+    xs = GridSpec.parse("lin:0.1,3,8").symmetric_points()
+    sign, log = composed_taylor_table(Polynomial(coeffs), psi, xs, J)
+    for i, row in enumerate(mp_poly_rows(coeffs, mp_psi, xs.tolist(), J)):
+        for n, (s, want, kappa) in enumerate(row):
+            assert sign[i, n] == s, (i, n)
+            if want is None:
+                assert log[i, n] == -math.inf, (i, n)
+            else:
+                assert abs(log[i, n] - want) <= 1e-13 * kappa, (i, n, kappa)
+
+
+def test_an_outer_family_with_no_program_is_refused_first(monkeypatch):
+    # the monomial bump has jets at 0 only: refused before psi's table
+    for name in ("taylor_table", "square_taylor_table"):
+        monkeypatch.setattr(Sqrt1px2, name, None)
+    xs = GridSpec.parse("lin:0.1,0.9,5").symmetric_points()
+    with pytest.raises(PreconditionError, match=r"^monbump:n=2,a=1,r=1,g=1: no "
+                                                r"program of series steps"):
+        composed_jet_log_table(MonomialBump(2, 1), Sqrt1px2(), xs, 8)

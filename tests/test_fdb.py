@@ -508,7 +508,7 @@ def test_composed_table_runs_the_kernel_once_per_table(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(experiments, "composed_taylor_table", spy)
-    monkeypatch.setattr(experiments, "compose_jet", None)
+    monkeypatch.setattr(fdb, "compose_jet", None)
     f, psi, grid = Gaussian(), Polynomial([0, 0, 1]), GridSpec("lin", 0.05, 5.0, 100)
     xs = grid.symmetric_points()
     table = experiments.composed_jet_log_table(f, psi, xs, 16)

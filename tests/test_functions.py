@@ -176,9 +176,17 @@ def test_gevrey_bump_support():
     assert all(jet.values[i].is_zero() for i in range(6))
 
 
+def test_gevrey_bump_value_is_zero_where_its_exponent_passes_a_float():
+    # (1 - 0.81)^-500 overflows a float, and exp of minus it is 0
+    b = GevreyBump(500.0)
+    assert b.value(0.9) == 0.0 and b.values([-0.9, 0.0, 0.9]).tolist() == [
+        0.0, math.exp(-1.0), 0.0]
+    assert GevreyBump(2.0).value(0.5) == math.exp(-0.75 ** -2.0)
+
+
 def test_bump_order_cap():
-    with pytest.raises(PreconditionError, match="gbump:g=1,r=1: jets supported up to order 40, asked 60"):
-        GevreyBump().jet(0.0, 60)
+    with pytest.raises(PreconditionError, match="gbump:g=1,r=1: jets supported up to order 200, asked 201"):
+        GevreyBump().jet(0.0, 201)
 
 
 def test_parse_function_specs():

@@ -7,7 +7,9 @@
 * closed forms in mpmath: Hermite polynomials for exp(-+x^2), and Leibniz on
   (x+i)^a (x-i)^a for (1+x^2)^a;
 * for polynomials, the per-point ``Fraction`` jet (every order a ``Fraction``
-  sum) read into a table one jet per point.
+  sum) read into a table one jet per point;
+* for the Gevrey bump, its program (Miller's power, then the exp rule) run
+  at 50 digits, itself checked against mpmath's ``taylor``.
 """
 import math
 from fractions import Fraction
@@ -310,7 +312,8 @@ def composed(f, psi):
 STABILITY_TABLES = [
     *((f.label, family(f), g, 20)
       for f in (Gaussian(), ExpSqr(), Sqrt1px2(), parse_function("pow1px2:a=1.5"),
-                parse_function("poly:0,0,1"), parse_function("poly:1,-2,0,3/2"))
+                parse_function("poly:0,0,1"), parse_function("poly:1,-2,0,3/2"),
+                parse_function("gbump:g=0.5,r=9"))
       for g in (GridSpec.parse("lin:0.05,8,160"), GridSpec.parse("log:0.01,8,80"))),
     ("gaussian o x^2", composed(Gaussian(), parse_function("poly:0,0,1")),
      GridSpec.parse("lin:0.05,5,100"), 16),
@@ -335,3 +338,88 @@ def test_tables_keep_low_orders_and_rows_bit_for_bit(name, table, grid, J):
         assert higher[:, :J + 1].tobytes() == want.tobytes()
         assert wider[pad:-pad].tobytes() == want.tobytes()
         assert both[pad:-pad, :J + 1].tobytes() == want.tobytes()
+
+
+# -- the Gevrey bump: Miller's power, then the exp rule ---------------------
+
+def mp_gbump(g, y, J):
+    """[(sign, log|F^(n)(y)|, kappa)] for n <= J, F(y) = exp(-(1 - y^2)^-g),
+    at 50 digits: u = v^-g for v = 1 - y^2 by Miller's rule, then e^-u by
+    the exp rule.  kappa is the exp rule's cancellation at order n,
+    sum_k |k q_k G_(n-k)| / |n G_n|; an exact zero is (0, -inf, 1)."""
+    with mp.workdps(50):
+        y, g = mp.mpf(y), mp.mpf(g)
+        v = [1 - y * y, -2 * y, mp.mpf(-1)]
+        u = [v[0] ** -g]
+        for n in range(1, J + 1):
+            u.append(sum((-g * k - (n - k)) * v[k] * u[n - k]
+                         for k in range(1, min(n, 2) + 1)) / (n * v[0]))
+        G, rows = [mp.exp(-u[0])], [(1, float(-u[0]), 1.0)]
+        for n in range(1, J + 1):
+            terms = [-k * u[k] * G[n - k] for k in range(1, n + 1)]
+            G.append(sum(terms) / n)
+            rows.append((int(mp.sign(G[n])), float(mp.log(abs(G[n])) + mp.loggamma(n + 1)),
+                         float(sum(map(abs, terms)) / abs(n * G[n])))
+                        if G[n] else (0, -math.inf, 1.0))
+        return rows
+
+
+@pytest.mark.parametrize("g, y", [(0.5, 0.3), (1, -0.9), (2, 0.99), (1, 0.0)])
+def test_gbump_oracle_matches_mpmath_taylor(g, y):
+    J = 12
+    F = lambda t: mp.exp(-(1 - t * t) ** -mp.mpf(g))
+    with mp.workdps(50):
+        y0 = F(mp.mpf(y))
+        c = mp.taylor(lambda t: F(t) / y0, mp.mpf(y), J)
+        for n, (s, log, _) in enumerate(mp_gbump(g, y, J)):
+            if not y and n % 2:  # an even F: the quotients' noise at 0
+                assert s == 0 and abs(c[n]) < 1e-30
+                continue
+            assert s == mp.sign(c[n])
+            want = float(mp.log(abs(c[n]) * y0) + mp.loggamma(n + 1))
+            assert abs(log - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def assert_gbump_matches(f, ys, J, tol):
+    """Every entry of f's table at ys against ``mp_gbump``: the sign, exact
+    zeros, and |delta log| <= tol(kappa) max(1, |log|)."""
+    sign, log = f.log_jet_table(ys, J)
+    for i, y in enumerate(ys):
+        for n, (s, want, kappa) in enumerate(mp_gbump(f.gamma, y, J)):
+            assert sign[i, n] == s, (y, n)
+            if s:
+                err = abs(log[i, n] - want) / max(1.0, abs(want))
+                assert err <= tol(kappa), (y, n, err, kappa)
+            else:
+                assert log[i, n] == -math.inf, (y, n)
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 2.0])
+def test_gbump_jets_match_the_50_digit_program_at_order_40(g):
+    # where the exp rule cancels (kappa > 1e3: g = 0.5 near the edge) every
+    # float method loses digits, so the bound grows with kappa there
+    assert_gbump_matches(GevreyBump(g), [-0.999, -0.9, 0.0, 0.3, 0.7, 0.99, 0.999],
+                         40, lambda kappa: max(1e-11, 1e-14 * kappa))
+
+
+@pytest.mark.parametrize("g", [1.0, 2.0])
+def test_gbump_jets_to_the_cap_near_the_edge(g):
+    # the order-40 Leibniz loop these replace returned every entry as 0 at
+    # g = 2, y >= 0.99 and g = 1, y = 0.999999
+    assert_gbump_matches(GevreyBump(g), [0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999,
+                                         0.999999], 200, lambda kappa: 1e-10)
+
+
+@pytest.mark.parametrize("r", [1e-300, 3.0, 1e200])
+def test_gbump_scales_by_its_radius(r):
+    # f(x) = F(x/r): log|f^(n)(x)| = log|F^(n)(x/r)| - n log r, with no r^2
+    # formed (it under- or overflows at r = 1e-300, 1e200)
+    import numpy as np
+    ys = GridSpec.parse("lin:0.05,1.5,16").symmetric_points()
+    sign, log = GevreyBump(2.0, r).log_jet_table(ys * r, 30)
+    want_sign, want = GevreyBump(2.0).log_jet_table(ys, 30)
+    want = want - np.arange(31) * math.log(r)
+    assert (sign == want_sign).all() and ((log == -math.inf) == (want == -math.inf)).all()
+    live = want > -math.inf
+    err = np.abs(log[live] - want[live]) / np.maximum(1.0, np.abs(want[live]))
+    assert (err <= 1e-12).all()

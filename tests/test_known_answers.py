@@ -50,6 +50,22 @@ ROWS = [
       "--weight", "gevrey:d=2", "--nmax", "300"], 0, None,
      "psi'(1) = 3 sqrt 2 > 1 crosses 1e6 at n = 10; orders past pow1px2's "
      "jet cap of 200 are never read"),
+    # gbump(g, r) at x is gbump(g, 1) at x/r, its n-th derivative scaled by
+    # r^-n: every order is nonzero inside the support off 0, whatever r, and
+    # r^2, which under- or overflows a float here, is never formed
+    (["estimate-index", "--function", "gbump:g=0.5,r=1e-300", "--x", "1e-301",
+      "--jmax", "10"], 0, None,
+     "x/r = 0.1: ten nonzero orders, fitted in logs"),
+    (["estimate-index", "--function", "gbump:g=1,r=1e200", "--x", "1e199",
+      "--jmax", "10"], 0, None,
+     "x/r = 0.1: ten nonzero orders, fitted in logs"),
+    (["seminorm", "--family", "p", "--function", "gbump:g=1,r=1e200", "--weight",
+      "gevrey:d=2", "--lam", "1", "--grid", "lin:0,1e199,5", "--jmax", "5"], 0, None,
+     "|x|/r <= 0.125 on the box: finite logs, so a sup with a witness"),
+    (["estimate-index", "--function", "gbump:g=1", "--x", "0.999999", "--jmax",
+      "30"], 0, None,
+     "f^(n)(0.999999) ~ e^(-5e5) times a growing factor: nonzero at every "
+     "order, though below the float range"),
     (["identities", "--jmax", "30"], 0, None,
      "both sums are integers, checked against 2^(j-1) and the Lah sum"),
     (["identities", "--jmax", "31"], 2, "--jmax",
